@@ -14,15 +14,14 @@ vet:
 test:
 	$(GO) test ./...
 
-# The runner, core, scenario, and fleet packages are the
-# concurrency-bearing ones: the worker pool, futures, progress
-# callbacks, per-epoch context checks, scenario batches, and the fleet's
-# pooled host-stepping barrier all live there, so they get a dedicated
-# race pass. vmm rides along since its scanner/index state is shared
-# with the sweep jobs.
+# The runner, core, and fleet packages are the concurrency-bearing
+# ones: the worker pool, futures, progress callbacks, per-epoch context
+# checks, and the fleet's pooled host-stepping barrier and per-host
+# event buffers all live there, so they get a dedicated race pass. vmm
+# rides along since its scanner/index state is shared with the sweep
+# jobs.
 race:
-	$(GO) test -race ./internal/runner ./internal/core ./internal/vmm/... ./internal/scenario \
-		./internal/fleet
+	$(GO) test -race ./internal/runner ./internal/core ./internal/vmm/... ./internal/fleet
 	$(GO) test -race -run 'Backend|Coarse|Replay|Record|Trace|GainSweep' \
 		./internal/memsim ./internal/exp
 
@@ -30,9 +29,10 @@ race:
 # stdout is byte-identical with and without metrics collection attached
 # (CSV format, so no wall-clock lines differ). Figure 6 sweeps three
 # modes through the runner, exercising the instrumented chokepoints.
-# The second half re-asserts the same for the churn scenario under both
-# machine-model backends (the scenario path wires per-VM scopes and the
-# epoch hook, a different plumbing route than the figure runner).
+# The second half re-asserts the same for the one-host churn fleet under
+# both machine-model backends (the fleet path wires per-host child
+# handles, per-VM scopes, and event forwarding, a different plumbing
+# route than the figure runner).
 obs-parity:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/heterobench -exp figure6 -quick -format=csv \
@@ -47,28 +47,29 @@ obs-parity:
 	echo "obs-parity: figure output byte-identical with observability on"; \
 	$(GO) build -o "$$tmp/heterosim" ./cmd/heterosim || exit 1; \
 	for be in analytic coarse; do \
-		"$$tmp/heterosim" -scenario churn.json -backend $$be -format=csv \
+		"$$tmp/heterosim" -fleet churn.json -backend $$be -format=csv \
 			> "$$tmp/sc-off.csv" || exit 1; \
-		"$$tmp/heterosim" -scenario churn.json -backend $$be -format=csv \
-			-metrics "$$tmp/sc-metrics.csv" \
+		"$$tmp/heterosim" -fleet churn.json -backend $$be -format=csv \
+			-metrics "$$tmp/sc-metrics.csv" -events "$$tmp/sc-events.jsonl" \
 			> "$$tmp/sc-on.csv" 2>/dev/null || exit 1; \
 		if ! cmp -s "$$tmp/sc-off.csv" "$$tmp/sc-on.csv"; then \
-			echo "obs-parity: churn/$$be output differs with metrics collection on:"; \
+			echo "obs-parity: churn/$$be output differs with observability on:"; \
 			diff "$$tmp/sc-off.csv" "$$tmp/sc-on.csv"; exit 1; \
 		fi; \
 		test -s "$$tmp/sc-metrics.csv" || { echo "obs-parity: churn/$$be wrote no metrics"; exit 1; }; \
-		echo "obs-parity: churn/$$be scenario byte-identical with observability on"; \
+		echo "obs-parity: churn/$$be fleet byte-identical with observability on"; \
 	done
 
-# scenario-smoke runs both bundled scenarios end-to-end through the
-# CLI and checks determinism: two runs of the same scenario must print
+# scenario-smoke runs the bundled one-host scripts end-to-end through
+# the CLI and checks determinism: two runs of the same script must print
 # byte-identical output (the churn run also exercises BootVM/ShutdownVM
-# and the per-departure invariant sweep).
+# and the per-departure invariant sweep). Per-VM results are pinned to
+# the parent goldens by the fleet package's TestBundledGoldens.
 scenario-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	for sc in churn.json degrade.json; do \
-		$(GO) run ./cmd/heterosim -scenario $$sc -format=csv > "$$tmp/a.csv" || exit 1; \
-		$(GO) run ./cmd/heterosim -scenario $$sc -format=csv > "$$tmp/b.csv" || exit 1; \
+		$(GO) run ./cmd/heterosim -fleet $$sc -format=csv > "$$tmp/a.csv" || exit 1; \
+		$(GO) run ./cmd/heterosim -fleet $$sc -format=csv > "$$tmp/b.csv" || exit 1; \
 		if ! cmp -s "$$tmp/a.csv" "$$tmp/b.csv"; then \
 			echo "scenario-smoke: $$sc output differs between identical runs:"; \
 			diff "$$tmp/a.csv" "$$tmp/b.csv"; exit 1; \
@@ -77,49 +78,56 @@ scenario-smoke:
 	done
 
 # snapshot-parity is the checkpoint/restore gold standard, exercised
-# end-to-end through the CLI for both bundled scenarios on both the
-# analytic and coarse backends: (1) writing checkpoints must not
-# perturb the run (stdout with -checkpoint-every == stdout without);
-# (2) a run restored from a mid-scenario snapshot must finish
-# byte-identically (stdout == the uninterrupted run, and the restored
-# event log == the tail of the full run's event log). The restore takes
-# no backend flag — the snapshot pins the backend it was taken under.
+# end-to-end through the CLI: both one-host scripts on both the
+# analytic and coarse backends, plus the 3-host fleet-churn script
+# checkpointed after its round-3 host failure (a failed host, evacuated
+# VMs). Each leg is script:backend:checkpoint-every (an empty backend
+# keeps the script's own). (1) Writing checkpoints must not perturb the
+# run (stdout with -checkpoint-every == stdout without); (2) a run
+# restored from the latest checkpoint must finish byte-identically
+# (stdout == the uninterrupted run, and the restored event log == the
+# tail of the full run's event log). The restore takes no backend flag
+# — the checkpoint pins the backend it was taken under.
 snapshot-parity:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/heterosim" ./cmd/heterosim || exit 1; \
-	for sc in churn.json degrade.json; do \
-	for be in analytic coarse; do \
-		"$$tmp/heterosim" -scenario $$sc -backend $$be -format=csv \
-			-events "$$tmp/full.jsonl" > "$$tmp/plain.csv" || exit 1; \
-		"$$tmp/heterosim" -scenario $$sc -backend $$be -format=csv \
-			-checkpoint-every 13 -checkpoint-path "$$tmp/ck.snap" > "$$tmp/ck.csv" || exit 1; \
+	for leg in churn.json:analytic:13 churn.json:coarse:13 degrade.json:analytic:13 \
+		degrade.json:coarse:13 fleet-churn.json::4; do \
+		sc=$${leg%%:*}; rest=$${leg#*:}; be=$${rest%%:*}; every=$${rest#*:}; \
+		args="-fleet $$sc -format=csv"; \
+		test -z "$$be" || args="$$args -backend $$be"; \
+		"$$tmp/heterosim" $$args -events "$$tmp/full.jsonl" > "$$tmp/plain.csv" || exit 1; \
+		"$$tmp/heterosim" $$args -checkpoint-every $$every \
+			-checkpoint-path "$$tmp/ck.snap" > "$$tmp/ck.csv" || exit 1; \
 		if ! cmp -s "$$tmp/plain.csv" "$$tmp/ck.csv"; then \
-			echo "snapshot-parity: $$sc/$$be output perturbed by checkpointing:"; \
+			echo "snapshot-parity: $$leg output perturbed by checkpointing:"; \
 			diff "$$tmp/plain.csv" "$$tmp/ck.csv"; exit 1; \
 		fi; \
 		"$$tmp/heterosim" -restore "$$tmp/ck.snap" -format=csv -events "$$tmp/rest.jsonl" \
 			> "$$tmp/rest.csv" || exit 1; \
 		if ! cmp -s "$$tmp/plain.csv" "$$tmp/rest.csv"; then \
-			echo "snapshot-parity: $$sc/$$be restored run diverged:"; \
+			echo "snapshot-parity: $$leg restored run diverged:"; \
 			diff "$$tmp/plain.csv" "$$tmp/rest.csv"; exit 1; \
 		fi; \
 		tail -n +2 "$$tmp/rest.jsonl" > "$$tmp/rest.tail"; \
 		n=$$(wc -l < "$$tmp/rest.tail"); \
-		test "$$n" -gt 0 || { echo "snapshot-parity: $$sc/$$be restore replayed no events (checkpoint at end of run?)"; exit 1; }; \
+		test "$$n" -gt 0 || { echo "snapshot-parity: $$leg restore replayed no events (checkpoint at end of run?)"; exit 1; }; \
 		tail -n "$$n" "$$tmp/full.jsonl" > "$$tmp/full.tail"; \
 		if ! cmp -s "$$tmp/full.tail" "$$tmp/rest.tail"; then \
-			echo "snapshot-parity: $$sc/$$be restored event log diverged:"; \
+			echo "snapshot-parity: $$leg restored event log diverged:"; \
 			diff "$$tmp/full.tail" "$$tmp/rest.tail"; exit 1; \
 		fi; \
 		rm -f "$$tmp"/ck.snap "$$tmp"/*.jsonl "$$tmp"/*.tail; \
-		echo "snapshot-parity: $$sc/$$be restore byte-identical ($$n event lines)"; \
-	done; done
+		echo "snapshot-parity: $$leg restore byte-identical ($$n event lines)"; \
+	done
 
-# fuzz-smoke drives the fixed seed band through the scenario generator
-# under the strict invariant harness (~5s). A failing seed shrinks
-# itself and lands in internal/scenario/testdata/fuzz/repros/.
+# fuzz-smoke drives the fixed seed band through the fleet script
+# generator (1-3 hosts, host failures included) under the strict
+# invariant harness, replays the committed repro, and runs the loader
+# fuzzer's seed corpus (~5s). A failing seed shrinks itself and lands
+# in internal/fleet/testdata/fuzz/repros/.
 fuzz-smoke:
-	$(GO) test -run 'TestFuzzSmoke|TestCommittedRepro' -count=1 ./internal/scenario
+	$(GO) test -run 'TestFuzzSmoke|TestCommittedRepro|FuzzParse' -count=1 ./internal/fleet
 
 # fleet-smoke runs the 1000-host / 10000-VM churn script end-to-end
 # through the CLI at two worker counts and requires byte-identical
@@ -162,8 +170,8 @@ backend-parity:
 
 # check is the pre-commit gate: static analysis, full build, the full
 # test suite, the race detector over the concurrent packages, the
-# observability no-perturbation check, the scenario smoke run, the
-# machine-model backend parity gate, the checkpoint/restore parity
+# observability no-perturbation check, the one-host script smoke run,
+# the machine-model backend parity gate, the checkpoint/restore parity
 # gate, the fuzz seed-band smoke run, and the datacenter-scale fleet
 # determinism smoke run.
 check: vet build test race obs-parity scenario-smoke backend-parity \

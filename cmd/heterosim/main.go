@@ -8,29 +8,24 @@
 //	heterosim -app LevelDB -mode Heap-IO-Slab-OD -ratio 8 -seed 7
 //	heterosim -modes                    # list mode names
 //
-// Scenario mode replaces the single fixed VM with a timed script of VM
-// arrivals, departures, surges, and fault injections (see
-// internal/scenario). The file is a JSON scenario; the bundled ones
-// (churn.json, degrade.json) resolve by name from any directory:
+// Fleet mode (see DESIGN.md §5j) replaces the single fixed VM with a
+// scripted datacenter: N hosts advance in lock-step rounds through a
+// timed script of VM arrivals and departures, demand surges, injected
+// faults (throttle shifts, balloon refusals, migration stalls), and host
+// failures with mass evacuation by live migration. A single-machine
+// scenario is a one-host fleet; the bundled scripts resolve by name from
+// any directory. Results are byte-identical for any -workers value:
 //
-//	heterosim -scenario churn.json
-//	heterosim -scenario degrade.json -events=out.jsonl
-//	heterosim -scenarios                # list bundled scenarios
-//
-// Fleet mode (see DESIGN.md §5j) simulates a whole datacenter instead
-// of one host: N hosts advance in lock-step rounds with cross-host VM
-// live migration, pluggable placement policies, and host failures with
-// mass evacuation. Results are byte-identical for any -workers value:
-//
-//	heterosim -fleet fleet-churn.json
+//	heterosim -fleet churn.json
+//	heterosim -fleet degrade.json -events=out.jsonl
 //	heterosim -fleet fleet-churn-1k.json -workers 8
-//	heterosim -fleets                   # list bundled fleet scripts
+//	heterosim -fleets                   # list bundled scripts
 //
-// Checkpoint/restore (see DESIGN.md §5g): periodic checkpoints write
-// the full system + engine state; -restore resumes one and produces
-// output byte-identical to the uninterrupted run's remainder:
+// Checkpoint/restore (see DESIGN.md §5j): periodic checkpoints write
+// the whole cluster's state; -restore resumes one and produces output
+// byte-identical to the uninterrupted run:
 //
-//	heterosim -scenario churn.json -checkpoint-every 16 -checkpoint-path churn.hosnap
+//	heterosim -fleet churn.json -checkpoint-every 16 -checkpoint-path churn.hosnap
 //	heterosim -restore churn.hosnap
 //
 // Exit codes: 0 success, 2 usage or unloadable input, 3 runtime
@@ -66,8 +61,6 @@ import (
 	"heteroos/internal/memsim"
 	"heteroos/internal/obs"
 	"heteroos/internal/policy"
-	"heteroos/internal/scenario"
-	"heteroos/internal/snapshot"
 	"heteroos/internal/workload"
 
 	"heteroos/internal/metrics"
@@ -80,8 +73,6 @@ func main() {
 		ratio     = flag.Int("ratio", 4, "SlowMem:FastMem capacity ratio denominator (fast = 8GiB/ratio)")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 		listModes = flag.Bool("modes", false, "list mode names and exit")
-		scenarioF = flag.String("scenario", "", "run a JSON scenario file (bundled names resolve from any directory)")
-		listScens = flag.Bool("scenarios", false, "list bundled scenario names and exit")
 		fleetF    = flag.String("fleet", "", "run a JSON fleet script (bundled names resolve from any directory)")
 		listFlts  = flag.Bool("fleets", false, "list bundled fleet script names and exit")
 		workersF  = flag.Int("workers", 0, "fleet host-stepping goroutines (0 = GOMAXPROCS); any value yields the identical result")
@@ -93,9 +84,9 @@ func main() {
 		backendF  = flag.String("backend", "analytic", "machine-model backend: analytic, coarse, or replay (needs -replay-trace)")
 		recordF   = flag.String("record-trace", "", "record the per-epoch (charge, cost) stream as JSONL to this file")
 		replayF   = flag.String("replay-trace", "", "replay a recorded JSONL epoch stream (selects the replay backend)")
-		ckEvery   = flag.Int("checkpoint-every", 0, "write a scenario checkpoint after every N epochs (needs -scenario or -restore)")
+		ckEvery   = flag.Int("checkpoint-every", 0, "write a fleet checkpoint after every N rounds (needs -fleet or -restore)")
 		ckPath    = flag.String("checkpoint-path", "", "checkpoint destination file for -checkpoint-every")
-		restoreF  = flag.String("restore", "", "resume a scenario checkpoint file and run it to completion")
+		restoreF  = flag.String("restore", "", "resume a fleet checkpoint file and run it to completion")
 		profileF  = flag.Bool("profile-epochs", false, "record per-phase epoch costs (sim + wall) and print a phase breakdown table")
 		listenF   = flag.String("listen", "", "serve live /metrics (OpenMetrics) and /snapshot.json on this address during the run")
 	)
@@ -104,12 +95,6 @@ func main() {
 	if *listModes {
 		for _, m := range policy.All() {
 			fmt.Printf("%-22s %s\n", m.Name, m.Description)
-		}
-		return
-	}
-	if *listScens {
-		for _, name := range scenario.Bundled() {
-			fmt.Println(name)
 		}
 		return
 	}
@@ -126,41 +111,32 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *restoreF != "" && *scenarioF != "" {
-		fmt.Fprintln(os.Stderr, "heterosim: -restore and -scenario are mutually exclusive")
+	if *restoreF != "" && *fleetF != "" {
+		fmt.Fprintln(os.Stderr, "heterosim: -restore and -fleet are mutually exclusive")
 		os.Exit(2)
 	}
 	if *ckEvery < 0 {
 		fmt.Fprintln(os.Stderr, "heterosim: -checkpoint-every must be >= 0")
 		os.Exit(2)
 	}
-	if *ckEvery > 0 && *scenarioF == "" && *restoreF == "" {
-		fmt.Fprintln(os.Stderr, "heterosim: -checkpoint-every needs -scenario or -restore")
+	if *ckEvery > 0 && *fleetF == "" && *restoreF == "" {
+		fmt.Fprintln(os.Stderr, "heterosim: -checkpoint-every needs -fleet or -restore")
 		os.Exit(2)
 	}
 	if *ckEvery > 0 && *ckPath == "" {
 		fmt.Fprintln(os.Stderr, "heterosim: -checkpoint-every needs -checkpoint-path")
 		os.Exit(2)
 	}
-	ck := scenario.CheckpointOptions{Every: *ckEvery, Path: *ckPath}
 	of := obsFlags{events: *events, chrome: *chrome, metricsF: *metricsF,
 		listen: *listenF, profile: *profileF, format: *format}
 
-	if *fleetF != "" {
-		if *scenarioF != "" || *restoreF != "" {
-			fmt.Fprintln(os.Stderr, "heterosim: -fleet is mutually exclusive with -scenario and -restore")
-			os.Exit(2)
-		}
+	if *fleetF != "" || *restoreF != "" {
 		if *recordF != "" || *replayF != "" {
-			fmt.Fprintln(os.Stderr, "heterosim: -fleet does not support trace record/replay backends")
-			os.Exit(2)
-		}
-		if *profileF {
-			fmt.Fprintln(os.Stderr, "heterosim: -profile-epochs is not supported with -fleet")
+			fmt.Fprintln(os.Stderr, "heterosim: -fleet and -restore do not support trace record/replay backends")
 			os.Exit(2)
 		}
 		// -seed and -backend override the script's own fields only when
-		// passed explicitly, exactly as for scenarios.
+		// passed explicitly.
 		var seedOverride *uint64
 		backendName := ""
 		flag.Visit(func(f *flag.Flag) {
@@ -171,7 +147,15 @@ func main() {
 				backendName = *backendF
 			}
 		})
-		runFleet(*fleetF, seedOverride, backendName, *workersF, of)
+		if *restoreF != "" && backendName != "" {
+			// A checkpoint pins the backend it was taken under; restoring
+			// it under a different model could not be byte-identical.
+			fmt.Fprintln(os.Stderr, "heterosim: -restore uses the checkpoint's own backend; -backend conflicts")
+			os.Exit(2)
+		}
+		opts := fleet.Options{Workers: *workersF, ProfileEpochs: *profileF,
+			CheckpointEvery: *ckEvery, CheckpointPath: *ckPath}
+		runFleet(*fleetF, *restoreF, seedOverride, backendName, opts, of)
 		return
 	}
 
@@ -179,62 +163,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "heterosim:", err)
 		os.Exit(2)
-	}
-
-	if *restoreF != "" {
-		if *profileF {
-			// A checkpoint's embedded scenario does not carry the
-			// profiling request; profile the original run instead.
-			fmt.Fprintln(os.Stderr, "heterosim: -profile-epochs is not supported with -restore")
-			os.Exit(2)
-		}
-		backendOverride := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "backend" || f.Name == "record-trace" || f.Name == "replay-trace" {
-				backendOverride = true
-			}
-		})
-		if backendOverride {
-			// A checkpoint pins the backend it was taken under; restoring
-			// it under a different model could not be byte-identical.
-			fmt.Fprintln(os.Stderr, "heterosim: -restore uses the checkpoint's own backend; backend flags conflict")
-			os.Exit(2)
-		}
-		runRestore(*restoreF, ck, closeBackend, of)
-		return
-	}
-
-	if *scenarioF != "" {
-		// -seed overrides the scenario's seed only when given explicitly;
-		// likewise the backend flags override the scenario's own backend
-		// field only when one of them was actually passed.
-		var seedOverride *uint64
-		backendOverride, traceOverride := false, false
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "seed":
-				seedOverride = seed
-			case "backend":
-				backendOverride = true
-			case "record-trace", "replay-trace":
-				traceOverride = true
-			}
-		})
-		// A plain -backend override is applied by NAME, not builder: the
-		// name rides along inside any checkpoint's embedded scenario, so
-		// a resumed run re-builds the same backend (a builder function
-		// cannot be serialized). Trace wrappers keep the builder —
-		// recorder checkpoints are refused by core, and a replay
-		// checkpoint fails the restore-time backend identity check.
-		backendName := ""
-		if !traceOverride {
-			build = nil
-			if backendOverride {
-				backendName = *backendF
-			}
-		}
-		runScenario(*scenarioF, seedOverride, backendName, build, closeBackend, ck, of)
-		return
 	}
 
 	mode, err := policy.ByName(*modeName)
@@ -327,79 +255,50 @@ func main() {
 	closeBackendOrDie(closeBackend)
 }
 
-// runScenario executes a scripted multi-VM scenario and prints its
-// per-VM outcomes and sampled timeline. A non-nil build overrides the
-// scenario's own backend field (CLI flags win over the JSON).
-func runScenario(path string, seedOverride *uint64, backendName string, build memsim.Builder, closeBackend func() error, ck scenario.CheckpointOptions, of obsFlags) {
-	sc, err := scenario.LoadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "heterosim:", err)
-		os.Exit(2)
+// runFleet executes a fleet script, or resumes a fleet checkpoint when
+// restore is set: N hosts in lock-step rounds with live migration and
+// placement (see internal/fleet). Per-VM rows print only for small
+// fleets; at datacenter scale the per-app aggregate, migration log, and
+// timeline carry the story. A restored run prints exactly what the
+// uninterrupted run would have.
+func runFleet(path, restore string, seedOverride *uint64, backendName string, opts fleet.Options, of obsFlags) {
+	var sc *fleet.Script
+	runTag := "restore/" + restore
+	if restore == "" {
+		var err error
+		if sc, err = fleet.LoadFile(path); err != nil {
+			fmt.Fprintln(os.Stderr, "heterosim:", err)
+			os.Exit(2)
+		}
+		if seedOverride != nil {
+			sc.Seed = *seedOverride
+		}
+		if backendName != "" {
+			sc.Host.Backend = backendName
+		}
+		runTag = fmt.Sprintf("fleet/%s seed=%d", sc.Name, sc.Seed)
 	}
-	if seedOverride != nil {
-		sc.Seed = *seedOverride
-	}
-	if backendName != "" {
-		sc.WithBackend(backendName)
-	}
-	if build != nil {
-		sc.WithBackendBuilder(build)
-	}
-	sc.ProfileEpochs = of.profile
-	runTag := fmt.Sprintf("scenario/%s seed=%d", sc.Name, sc.Seed)
-	executeScenario(runTag, func(ctx context.Context, h *obs.Obs) (*scenario.Result, error) {
-		return sc.RunWithCheckpoints(ctx, h, ck)
-	}, closeBackend, of)
-}
-
-// runRestore resumes a scenario checkpoint and runs it to completion;
-// its output is byte-identical to what the uninterrupted run would
-// have printed (and, with -events, its event stream is exactly the
-// uninterrupted run's tail).
-func runRestore(path string, ck scenario.CheckpointOptions, closeBackend func() error, of obsFlags) {
-	// Open and verify the snapshot up front so an unreadable or corrupt
-	// checkpoint reports as bad input (exit 2), exactly like an
-	// unloadable -scenario file; only the resumed run itself can exit 3.
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "heterosim:", err)
-		os.Exit(2)
-	}
-	rd, err := snapshot.Open(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "heterosim: restore %s: %v\n", path, err)
-		os.Exit(2)
-	}
-	runTag := "restore/" + path
-	executeScenario(runTag, func(ctx context.Context, h *obs.Obs) (*scenario.Result, error) {
-		return scenario.Resume(ctx, rd, h, ck)
-	}, closeBackend, of)
-}
-
-// runFleet executes a fleet script: N hosts in lock-step rounds with
-// live migration and placement (see internal/fleet). Per-VM rows print
-// only for small fleets; at datacenter scale the per-app aggregate,
-// migration log, and timeline carry the story.
-func runFleet(path string, seedOverride *uint64, backendName string, workers int, of obsFlags) {
-	sc, err := fleet.LoadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "heterosim:", err)
-		os.Exit(2)
-	}
-	if seedOverride != nil {
-		sc.Seed = *seedOverride
-	}
-	if backendName != "" {
-		sc.Host.Backend = backendName
-	}
-	runTag := fmt.Sprintf("fleet/%s seed=%d", sc.Name, sc.Seed)
 	handle, closeObs := newObsHandle(runTag, of)
+	opts.Obs = handle
+	var c *fleet.Cluster
+	var err error
+	if restore != "" {
+		c, err = fleet.RestoreFile(restore, opts)
+	} else {
+		c, err = fleet.NewCluster(sc, opts)
+	}
+	if err != nil {
+		// An unreadable checkpoint is bad input, like an unloadable
+		// script; only the run itself exits 3.
+		closeObs()
+		fmt.Fprintln(os.Stderr, "heterosim:", err)
+		os.Exit(2)
+	}
 	closeServer := serveMetrics(handle, of.listen)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	r, err := fleet.Run(ctx, sc, fleet.Options{Workers: workers, Obs: handle})
+	r, err := c.Finish(ctx)
 	if err != nil {
 		closeServer()
 		closeObs()
@@ -446,40 +345,6 @@ func runFleet(path string, seedOverride *uint64, backendName string, workers int
 	fmt.Println()
 	renderTable(r.TimelineTable(), of.format, os.Stdout)
 
-	if of.metricsF != "" {
-		writeMetrics(handle, of.metricsF)
-	}
-	closeServer()
-	closeObs()
-}
-
-// executeScenario drives one scenario run (fresh or resumed) under
-// signal handling and prints the shared result rendering.
-func executeScenario(runTag string, run func(context.Context, *obs.Obs) (*scenario.Result, error), closeBackend func() error, of obsFlags) {
-	handle, closeObs := newObsHandle(runTag, of)
-	closeServer := serveMetrics(handle, of.listen)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	r, err := run(ctx, handle)
-	if err != nil {
-		closeServer()
-		closeObs()
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "heterosim: interrupted")
-			os.Exit(130)
-		}
-		fmt.Fprintln(os.Stderr, "heterosim:", err)
-		os.Exit(3)
-	}
-
-	fmt.Printf("scenario %s: %d VMs over %d epochs, seed %d, %s\n",
-		r.Name, len(r.VMs), r.Epochs, r.Seed, r.Sys.VMM.SharePolicyName())
-	fmt.Println()
-	renderTable(r.Table(), of.format, os.Stdout)
-	fmt.Println()
-	renderTable(r.TimelineTable(), of.format, os.Stdout)
-
 	if of.profile {
 		fmt.Println()
 		renderTable(obs.PhaseTable(handle.Metrics.Snapshot(),
@@ -490,7 +355,6 @@ func executeScenario(runTag string, run func(context.Context, *obs.Obs) (*scenar
 	}
 	closeServer()
 	closeObs()
-	closeBackendOrDie(closeBackend)
 }
 
 // buildBackend resolves the backend flags into a core.Config builder

@@ -10,7 +10,7 @@
 //	heterotrace -report migrations run.jsonl   # one report
 //	heterotrace -format csv run.jsonl          # machine-readable tables
 //	heterotrace -format json run.jsonl         # one JSON document
-//	heterosim -scenario churn.json -events=/dev/stdout | heterotrace -
+//	heterosim -fleet churn.json -events=/dev/stdout | heterotrace -
 //	gzip run.jsonl && heterotrace run.jsonl.gz  # gzip input is sniffed
 //
 // The analyzer's per-VM migration page totals reconcile exactly with

@@ -7,15 +7,15 @@ import (
 	"reflect"
 	"testing"
 
+	"heteroos/internal/fleet"
 	"heteroos/internal/obs"
-	"heteroos/internal/scenario"
 )
 
-// goldenTrace captures the bundled churn scenario's full event stream —
+// goldenTrace captures the bundled churn script's full event stream —
 // the golden JSONL trace the gzip round-trip is checked against.
 func goldenTrace(t *testing.T) []byte {
 	t.Helper()
-	sc, err := scenario.LoadBundled("churn.json")
+	sc, err := fleet.LoadBundled("churn.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,14 +23,14 @@ func goldenTrace(t *testing.T) []byte {
 	h.SetRunTag("golden-churn")
 	var buf bytes.Buffer
 	h.Tracer.AddSink(obs.NewJSONLSink(&buf, "golden-churn"))
-	if _, err := sc.Run(context.Background(), h); err != nil {
+	if _, err := fleet.Run(context.Background(), sc, fleet.Options{Obs: h}); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
-		t.Fatal("churn scenario emitted no events")
+		t.Fatal("churn script emitted no events")
 	}
 	return buf.Bytes()
 }

@@ -431,7 +431,7 @@ func (s *System) latestClock() sim.Duration {
 }
 
 // Now reports the system-level simulated time (the furthest-advanced VM
-// clock). The scenario engine samples it for its timeline.
+// clock). The fleet engine reads it for its timeline.
 func (s *System) Now() sim.Duration { return s.latestClock() }
 
 // Epochs reports how many lockstep epochs have completed.
@@ -696,7 +696,7 @@ func (s *System) ShutdownVM(id vmm.VMID) (*VMResult, error) {
 }
 
 // --- fault injection ---
-// The setters are the scenario engine's hooks. Each emits an
+// The setters are the fleet engine's hooks. Each emits an
 // EvFaultInject start/clear pair on the target VM's scope (or the
 // system scope for machine-level faults) so fault windows are visible
 // in the event stream; with obs off they only flip the flag.
@@ -742,7 +742,7 @@ func (s *System) SetTierSpec(t memsim.Tier, spec memsim.TierSpec) {
 }
 
 // EmitFault marks a fault window edge in the event stream on behalf of
-// a caller that implements the fault itself (e.g. the scenario engine's
+// a caller that implements the fault itself (e.g. the fleet engine's
 // workload surge). The event lands on the target VM's scope when id
 // names a live instrumented VM, else on the system scope.
 func (s *System) EmitFault(id vmm.VMID, code uint64, start bool) {

@@ -137,3 +137,78 @@ func TestBootVMRejectsReusedIDs(t *testing.T) {
 		t.Fatal("shutdown of unknown VM succeeded")
 	}
 }
+
+// TestDRFReconvergence is the share-policy regression for dynamic
+// membership: under FastMem contention (3 x 1024-page spans over 2048
+// frames) three VMs hold unequal dominant shares; when one departs
+// mid-run the survivors must absorb the freed frames and re-converge to
+// equal shares within a few epochs.
+func TestDRFReconvergence(t *testing.T) {
+	const departAt = 3
+	const K = 4 // re-convergence budget in epochs
+	var vms []VMConfig
+	for id := vmm.VMID(1); id <= 3; id++ {
+		w, err := workload.ByName("memlat", workload.Config{Seed: uint64(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, VMConfig{
+			ID: id, Mode: policy.HeteroOSCoordinated(), Workload: w,
+			FastPages: 1024, SlowPages: 4096,
+			BootFastPages: 256, BootSlowPages: 2048,
+		})
+	}
+	sys, err := NewSystem(Config{FastFrames: 2048, SlowFrames: 16384, Share: ShareDRF, Seed: 3, VMs: vms})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := func() []float64 {
+		var out []float64
+		for _, inst := range sys.VMs {
+			out = append(out, sys.DRFDominantShare(inst.ID))
+		}
+		return out
+	}
+	var preMax float64
+	for epoch := 0; epoch <= departAt+K; epoch++ {
+		if epoch == departAt {
+			if _, err := sys.ShutdownVM(3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sys.StepEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		if epoch != departAt-1 {
+			continue
+		}
+		pre := shares()
+		if len(pre) != 3 {
+			t.Fatalf("pre-departure shares malformed: %v", pre)
+		}
+		for _, sh := range pre {
+			if sh <= 0 || sh > 1 {
+				t.Fatalf("pre-departure share out of range: %v", pre)
+			}
+			preMax = max(preMax, sh)
+		}
+	}
+	// Within K epochs of the departure the survivors' shares must be
+	// equal, and no survivor may have lost ground.
+	post := shares()
+	if len(post) != 2 {
+		t.Fatalf("post-departure shares malformed: %v", post)
+	}
+	if gap := post[0] - post[1]; gap > 1e-9 || gap < -1e-9 {
+		t.Errorf("shares did not re-converge within %d epochs: %v", K, post)
+	}
+	for i, sh := range post {
+		if sh < preMax {
+			t.Errorf("survivor %d share %.4f below pre-departure max %.4f", i, sh, preMax)
+		}
+	}
+	// The freed frames must be redeployed, not stranded.
+	if free := sys.Machine.FreeFrames(memsim.FastMem); free != 0 {
+		t.Errorf("FastMem free = %d after re-convergence, want 0 (frames redeployed)", free)
+	}
+}

@@ -45,7 +45,7 @@ func stallRetrySlot(n int) bool {
 // StepEpoch advances every live, unfinished VM by one lockstep epoch
 // and increments the system epoch counter. It reports alive=false when
 // no VM remains running — either all finished or all departed. The
-// scenario engine drives the system through this instead of
+// fleet engine drives every host through this instead of
 // RunContext, interleaving lifecycle events and fault injection
 // between epochs.
 func (s *System) StepEpoch() (alive bool, err error) {

@@ -22,8 +22,7 @@ import (
 )
 
 // Checkpoint serializes the system's full mutable state to w. meta is
-// an opaque front-end blob (the scenario engine stores its own resume
-// state there); pass nil when there is none. The system must be
+// an opaque front-end blob; pass nil when there is none. The system must be
 // between epochs — Checkpoint never runs mid-StepEpoch.
 //
 // Every workload on a live VM must implement workload.Snapshotter, and
@@ -129,6 +128,7 @@ func (s *System) Checkpoint(w io.Writer, meta []byte) error {
 		e.U32(uint32(len(s.Departed)))
 		for _, inst := range s.Departed {
 			e.U32(uint32(inst.ID))
+			e.Bool(inst.MigratedOut)
 			e.I64(int64(inst.Clock.Now()))
 			if err := e.JSON(&inst.Res); err != nil && sectionErr == nil {
 				sectionErr = err
@@ -147,8 +147,8 @@ func (s *System) Checkpoint(w io.Writer, meta []byte) error {
 }
 
 // Meta extracts the front-end blob stored by Checkpoint. Front-ends
-// call this first to recover the Config (VM set, scenario position)
-// they need to hand RestoreSystem.
+// call this first to recover the Config (VM set, script position) they
+// need to hand RestoreSystem.
 func Meta(r *snapshot.Reader) ([]byte, error) {
 	d, err := r.Section("meta")
 	if err != nil {
@@ -284,7 +284,7 @@ func RestoreSystem(r *snapshot.Reader, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: restore: departed section has %d VMs, config section says %d", n, nDeparted)
 	}
 	for i := 0; i < nDeparted; i++ {
-		stub := &VMInstance{ID: vmm.VMID(d.U32()), Done: true}
+		stub := &VMInstance{ID: vmm.VMID(d.U32()), Done: true, MigratedOut: d.Bool()}
 		stub.Clock.Restore(sim.Time(d.I64()))
 		if err := d.JSON(&stub.Res); err != nil {
 			return nil, fmt.Errorf("core: restore departed VM %d: %w", stub.ID, err)

@@ -1,4 +1,4 @@
-package scenario
+package fleet
 
 import (
 	"bytes"
@@ -9,19 +9,15 @@ import (
 	"heteroos/internal/obs"
 )
 
-// eventStream runs a bundled scenario with observability attached and
-// returns the JSONL event stream as a string.
-func eventStream(t *testing.T, name string) (*Result, string) {
+// eventStream runs a script with observability attached and returns
+// the JSONL event stream as a string.
+func eventStream(t *testing.T, sc *Script) (*Result, string) {
 	t.Helper()
-	sc, err := LoadBundled(name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	h := obs.New()
 	h.SetRunTag(sc.Name)
 	h.Tracer.AddSink(obs.NewJSONLSink(&buf, sc.Name))
-	r, err := sc.Run(context.Background(), h)
+	r, err := Run(context.Background(), sc, Options{Workers: 2, Obs: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +27,20 @@ func eventStream(t *testing.T, name string) (*Result, string) {
 	return r, buf.String()
 }
 
+func bundled(t *testing.T, name string) *Script {
+	t.Helper()
+	sc, err := LoadBundled(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 // TestLifecycleEventsObservable checks that VM arrival and departure in
-// the churn scenario emit typed lifecycle events, and that the surge
+// the churn script emit typed lifecycle events, and that the surge
 // fault's start/clear window shows up in the stream.
 func TestLifecycleEventsObservable(t *testing.T) {
-	_, stream := eventStream(t, "churn.json")
+	_, stream := eventStream(t, bundled(t, "churn.json"))
 	for _, want := range []string{
 		`"vm-boot"`, `"vm-shutdown"`, `"fault-inject"`,
 	} {
@@ -47,9 +52,9 @@ func TestLifecycleEventsObservable(t *testing.T) {
 	if n := strings.Count(stream, `"fault-inject"`); n < 2 {
 		t.Errorf("fault-inject events = %d, want start and clear", n)
 	}
-	// Two boots are scripted (VMs 3 and 4); four shutdowns.
-	if n := strings.Count(stream, `"vm-boot"`); n != 2 {
-		t.Errorf("vm-boot events = %d, want 2", n)
+	// Four boots (two at round 0, VMs 3 and 4 later); four shutdowns.
+	if n := strings.Count(stream, `"vm-boot"`); n != 4 {
+		t.Errorf("vm-boot events = %d, want 4", n)
 	}
 	if n := strings.Count(stream, `"vm-shutdown"`); n != 4 {
 		t.Errorf("vm-shutdown events = %d, want 4", n)
@@ -60,7 +65,7 @@ func TestLifecycleEventsObservable(t *testing.T) {
 // injection emits a typed event, visibly perturbs the run, and the
 // system recovers after the window closes.
 func TestFaultsObservableAndRecovered(t *testing.T) {
-	r, stream := eventStream(t, "degrade.json")
+	r, stream := eventStream(t, bundled(t, "degrade.json"))
 	for _, want := range []string{
 		`"fault-inject"`, `"migration-stall"`, `"balloon-refused"`,
 	} {
@@ -94,20 +99,16 @@ func TestFaultsObservableAndRecovered(t *testing.T) {
 	}
 
 	// Recovery: the refusal burst is confined to its window — the last
-	// timeline sample shows no ongoing refusals.
-	last := r.Timeline[len(r.Timeline)-1]
-	if last.BalloonRefused != 0 {
-		t.Errorf("refusals still accumulating at the end: %d", last.BalloonRefused)
+	// timeline sample shows no ongoing refusals — and is visible in it.
+	if last := r.Timeline[len(r.Timeline)-1]; last.Refused != 0 {
+		t.Errorf("refusals still accumulating at the end: %d", last.Refused)
 	}
-	// And a perturbation is visible somewhere in the timeline.
-	var seenRefuse bool
+	var refused uint64
 	for _, s := range r.Timeline {
-		if s.BalloonRefused > 0 {
-			seenRefuse = true
-		}
+		refused += s.Refused
 	}
-	if !seenRefuse {
-		t.Error("timeline never shows the refusal perturbation")
+	if refused != vm2.BalloonRefusedPages {
+		t.Errorf("timeline refusals sum to %d, VM 2 reports %d", refused, vm2.BalloonRefusedPages)
 	}
 
 	// Both workloads ran to completion despite the faults.
@@ -122,11 +123,10 @@ func TestFaultsObservableAndRecovered(t *testing.T) {
 // stalled window consumes scan passes without deadlock, and the retry
 // count stays a small fraction of the stalled passes.
 func TestMigrationStallBoundedRetry(t *testing.T) {
-	sc := contended("stall", 13).MigrationStallAt(1, 1, 4)
-	r, err := sc.Run(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := oneHost("stall", 13, 2048, 16384, 40,
+		VMGroup{App: "memlat", Mode: "HeteroOS-coordinated", Count: 2, FastPages: 1024, SlowPages: 4096})
+	sc.Events = []Event{{At: 1, Kind: KindMigrationStall, VM: 1, Duration: 4}}
+	r := run(t, sc)
 	res := r.VMs[0].Res
 	if res.MigrationStalledPasses == 0 {
 		t.Fatal("no stalled passes recorded")
@@ -142,5 +142,51 @@ func TestMigrationStallBoundedRetry(t *testing.T) {
 	// scan machinery keeps consuming its debt through the window.
 	if !r.VMs[0].Completed {
 		t.Fatal("stalled VM never completed — stall deadlocked the scanner")
+	}
+}
+
+// TestFaultWindowFollowsMigration fails the host of a VM in the middle
+// of its migration-stall and balloon-refusal windows: the faults must
+// travel with the evacuated VM (its passes keep stalling on the new
+// host) and the clear actions must reach it there, so the windows close
+// and the stall stops accruing.
+func TestFaultWindowFollowsMigration(t *testing.T) {
+	build := func(fail bool) *Script {
+		sc := &Script{
+			Name: "fault-migrate", Seed: 3, Hosts: 2, Rounds: 20, RoundEpochs: 2,
+			Host: HostDesc{FastFrames: 4096, SlowFrames: 16384, Share: "drf"},
+			VMs: []VMGroup{
+				{App: "memlat", Mode: "HeteroOS-coordinated", FastPages: 2048, SlowPages: 8192},
+			},
+			Events: []Event{
+				{At: 1, Kind: KindMigrationStall, VM: 1, Duration: 4},
+				{At: 1, Kind: KindBalloonRefusal, VM: 1, Duration: 4},
+			},
+		}
+		if fail {
+			sc.Events = append(sc.Events, Event{At: 3, Kind: KindHostFail, Host: 0})
+		}
+		return sc
+	}
+	r, stream := eventStream(t, build(true))
+	vm := r.VMs[0]
+	if vm.Migrations != 1 || vm.Host != 1 {
+		t.Fatalf("VM 1 should have been evacuated to host 1: %+v", vm)
+	}
+	if vm.Res.MigrationStalledPasses == 0 {
+		t.Fatal("no stalled passes recorded")
+	}
+	// Two start/clear pairs, the clears emitted on the destination host.
+	if n := strings.Count(stream, `"fault-inject"`); n != 4 {
+		t.Errorf("fault-inject events = %d, want 4 (two windows opened and closed)", n)
+	}
+	if !vm.Completed {
+		t.Error("evacuated VM never completed")
+	}
+	// The same windows on a host that never fails stall the same
+	// number of passes: the window's length, not the move, bounds it.
+	still := run(t, build(false)).VMs[0]
+	if still.Res.MigrationStalledPasses != vm.Res.MigrationStalledPasses {
+		t.Errorf("stalled passes %d with evacuation, %d without", vm.Res.MigrationStalledPasses, still.Res.MigrationStalledPasses)
 	}
 }

@@ -23,31 +23,51 @@ type Options struct {
 	// Obs, when non-nil, attaches observability: each host gets a
 	// NestedJobScope child handle, so every host's metrics land under
 	// "host/<id>/..." of this handle's registry and one Snapshot (or
-	// Rollup) aggregates the whole fleet. Read it only after Run
-	// returns.
+	// Rollup) aggregates the whole fleet. When this handle's tracer has
+	// sinks, every host's events are forwarded to them in a
+	// deterministic order (host by host, at each serial step). Read the
+	// metrics only after the run returns.
 	Obs *obs.Obs
+	// ProfileEpochs turns on every host's epoch phase profiler (needs
+	// Obs).
+	ProfileEpochs bool
+	// CheckpointEvery writes a cluster checkpoint to CheckpointPath
+	// after every N-th round until the cluster goes idle (0 disables
+	// periodic checkpoints); each write replaces the previous one.
+	CheckpointEvery int
+	CheckpointPath  string
 }
 
-// vmState is the fleet's book-keeping for one VM across its whole
-// life, including migrations between hosts.
-type vmState struct {
-	id                   vmm.VMID
-	app, mode            string
-	fastPages, slowPages uint64
-	// host indexes the System currently holding the VM (and, after
+// vmRecord is the fleet's book-keeping for one VM across its whole
+// life, including migrations between hosts. It is plain data, so a
+// cluster checkpoint carries it verbatim.
+type vmRecord struct {
+	ID        vmm.VMID `json:"id"`
+	App       string   `json:"app"`
+	Mode      string   `json:"mode"`
+	FastPages uint64   `json:"fast_pages"`
+	SlowPages uint64   `json:"slow_pages"`
+	// Host indexes the System currently holding the VM (and, after
 	// shutdown, its final result).
-	host       int
-	bootRound  int
-	down       bool
-	downRound  int
-	lost       bool
-	lostRound  int
-	migrations int
-	wrap       *surgeWorkload
+	Host       int  `json:"host"`
+	BootRound  int  `json:"boot_round"`
+	Down       bool `json:"down,omitempty"`
+	DownRound  int  `json:"down_round,omitempty"`
+	Lost       bool `json:"lost,omitempty"`
+	Migrations int  `json:"migrations,omitempty"`
+	// Done is the workload's completion flag as of the last checkpoint;
+	// a shut-down VM has no live workload to restore it from.
+	Done bool `json:"done,omitempty"`
+}
+
+// vmState is one VM's record plus its live workload wrapper.
+type vmState struct {
+	vmRecord
+	wrap *surgeWorkload
 }
 
 func (st *vmState) view() VMView {
-	return VMView{ID: st.id, Host: st.host, FastPages: st.fastPages, SlowPages: st.slowPages}
+	return VMView{ID: st.ID, Host: st.Host, FastPages: st.FastPages, SlowPages: st.SlowPages}
 }
 
 // host is one datacenter machine: a full core.System plus the fleet's
@@ -61,6 +81,9 @@ type host struct {
 	// HostView).
 	fastCommitted, slowCommitted uint64
 	resident                     map[vmm.VMID]*vmState
+	// events holds the host's emitted events until the fleet forwards
+	// them to Options.Obs (nil when nothing is forwarded).
+	events *eventBuffer
 }
 
 func (h *host) view() HostView {
@@ -72,34 +95,58 @@ func (h *host) view() HostView {
 	}
 }
 
-// action is one expanded script step; surge windows unfold into a
+// eventBuffer is a host tracer's sink: it keeps flushed batches until
+// the fleet drains them into the parent handle's tracer. Hosts step
+// concurrently, so they cannot share the parent's tracer directly.
+type eventBuffer struct{ events []obs.Event }
+
+func (b *eventBuffer) WriteBatch(batch []obs.Event) error {
+	b.events = append(b.events, batch...)
+	return nil
+}
+
+func (b *eventBuffer) Close() error { return nil }
+
+// action is one expanded script step: windowed events unfold into a
 // start action and (for Duration > 0) a clear action.
 type action struct {
 	at    int
-	ev    *Event
+	ev    int // index into Script.Events
 	clear bool
 }
 
 // Cluster is a running fleet: N hosts advanced in lock-step rounds.
-// Build one with NewCluster, drive it with StepRound (or just use
-// Run), then collect the outcome with Result.
+// Build one with NewCluster (or Restore), drive it with StepRound (or
+// Finish), then collect the outcome with Result.
 type Cluster struct {
-	sc      *Script
-	opts    Options
-	place   Placement
-	hosts   []*host
-	vms     map[vmm.VMID]*vmState
-	order   []vmm.VMID
-	actions []action
-	// surged maps a windowed surge event to the VMs its start action
+	sc    *Script
+	opts  Options
+	place Placement
+	build memsim.Builder
+	hosts []*host
+	vms   map[vmm.VMID]*vmState
+	order []vmm.VMID
+	// actions are the not-yet-applied script actions; consumed counts
+	// the applied ones, which is where a restored run re-enters.
+	actions  []action
+	consumed int
+	// windows maps a windowed event's index to the VMs its start action
 	// resolved, so the clear action unwinds exactly that set.
-	surged map[*Event][]vmm.VMID
+	windows map[int][]vmm.VMID
 
 	round          int
 	migrations     []MigrationRecord
-	prevMigrations int
 	timeline       []RoundSample
-	viewBuf        []HostView
+	prevMigrations int
+	// prevMoves, prevBalloonIn and prevRefused are the fleet-wide totals
+	// at the previous sample, for the timeline's per-round deltas.
+	prevMoves, prevBalloonIn, prevRefused uint64
+	viewBuf                               []HostView
+
+	// probe, when set, runs after every applied script action (stage
+	// "event") and after every round (stage "round"); an error aborts
+	// the run. The fuzzing harness checks invariants through it.
+	probe func(stage string) error
 }
 
 // hostSeed derives host id's system seed from the fleet seed: the
@@ -114,12 +161,14 @@ func hostSeed(fleetSeed uint64, id int) uint64 {
 	return s
 }
 
-// NewCluster validates the script, boots every host (empty), places
-// and boots the round-0 VM groups, and returns the cluster positioned
-// before round 0.
-func NewCluster(sc *Script, opts Options) (*Cluster, error) {
+// newCluster validates the script and options and builds an empty
+// cluster with no hosts.
+func newCluster(sc *Script, opts Options) (*Cluster, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.CheckpointEvery < 0 || (opts.CheckpointEvery > 0 && opts.CheckpointPath == "") {
+		return nil, fmt.Errorf("fleet %q: periodic checkpoints need a positive interval and a path", sc.Name)
 	}
 	place, err := PlacementByName(sc.placement())
 	if err != nil {
@@ -129,36 +178,68 @@ func NewCluster(sc *Script, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{
-		sc: sc, opts: opts, place: place,
-		vms:    make(map[vmm.VMID]*vmState, sc.TotalVMs()),
-		surged: make(map[*Event][]vmm.VMID),
+	return &Cluster{
+		sc: sc, opts: opts, place: place, build: build,
+		vms:     make(map[vmm.VMID]*vmState, sc.TotalVMs()),
+		windows: make(map[int][]vmm.VMID),
+		actions: expandActions(sc.Events),
+	}, nil
+}
+
+// hostConfig is host id's core configuration, without VMs.
+func (c *Cluster) hostConfig(id int) core.Config {
+	sc := c.sc
+	cfg := core.Config{
+		FastFrames: sc.Host.FastFrames,
+		SlowFrames: sc.Host.SlowFrames,
+		Share:      core.ShareKind(sc.share()),
+		// Hosts are driven by StepEpoch, not RunContext; the budget
+		// only caps a runaway script.
+		MaxEpochs:     sc.Rounds*sc.RoundEpochs + 1,
+		AllowNoVMs:    true,
+		CostScale:     float64(sc.scale()),
+		Backend:       c.build,
+		Obs:           c.opts.Obs.NestedJobScope("host", strconv.Itoa(id)),
+		Seed:          hostSeed(sc.Seed, id),
+		ProfileEpochs: c.opts.ProfileEpochs,
+	}
+	if t := sc.Host.SlowThrottle; t != nil {
+		cfg.SlowSpec = t.Spec()
+	}
+	return cfg
+}
+
+// addHost registers a built host, wiring its event forwarding.
+func (c *Cluster) addHost(sys *core.System, failed bool) {
+	h := &host{id: len(c.hosts), sys: sys, obs: sys.Cfg.Obs, failed: failed, resident: make(map[vmm.VMID]*vmState)}
+	if c.opts.Obs != nil && c.opts.Obs.Tracer.HasSinks() {
+		h.events = &eventBuffer{}
+		h.obs.Tracer.AddSink(h.events)
+	}
+	c.hosts = append(c.hosts, h)
+}
+
+// NewCluster validates the script, boots every host (empty), places
+// and boots the round-0 VM groups, and returns the cluster positioned
+// before round 0.
+func NewCluster(sc *Script, opts Options) (*Cluster, error) {
+	c, err := newCluster(sc, opts)
+	if err != nil {
+		return nil, err
 	}
 	for id := 0; id < sc.Hosts; id++ {
-		sys, err := core.NewSystem(core.Config{
-			FastFrames: sc.Host.FastFrames,
-			SlowFrames: sc.Host.SlowFrames,
-			Share:      core.ShareKind(sc.share()),
-			// Hosts are driven by StepEpoch, not RunContext; the budget
-			// only caps a runaway script.
-			MaxEpochs:  sc.Rounds*sc.RoundEpochs + 1,
-			AllowNoVMs: true,
-			CostScale:  float64(sc.scale()),
-			Backend:    build,
-			Obs:        opts.Obs.NestedJobScope("host", strconv.Itoa(id)),
-			Seed:       hostSeed(sc.Seed, id),
-		})
+		sys, err := core.NewSystem(c.hostConfig(id))
 		if err != nil {
 			return nil, fmt.Errorf("fleet %q: host %d: %w", sc.Name, id, err)
 		}
-		c.hosts = append(c.hosts, &host{id: id, sys: sys, obs: sys.Cfg.Obs, resident: make(map[vmm.VMID]*vmState)})
+		c.addHost(sys, false)
 	}
 	for i := range sc.VMs {
-		if err := c.bootGroup(&sc.VMs[i], 0); err != nil {
+		if err := c.bootGroup(&sc.VMs[i]); err != nil {
 			return nil, err
 		}
 	}
-	c.actions = expandActions(sc.Events)
+	c.forwardEvents()
 	return c, nil
 }
 
@@ -168,9 +249,9 @@ func expandActions(events []Event) []action {
 	var out []action
 	for i := range events {
 		e := &events[i]
-		out = append(out, action{at: e.At, ev: e})
-		if e.Kind == KindSurge && e.Duration > 0 {
-			out = append(out, action{at: e.At + e.Duration, ev: e, clear: true})
+		out = append(out, action{at: e.At, ev: i})
+		if e.windowed() && e.Duration > 0 {
+			out = append(out, action{at: e.At + e.Duration, ev: i, clear: true})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].at < out[j].at })
@@ -178,16 +259,16 @@ func expandActions(events []Event) []action {
 }
 
 // vmConfig materialises a VM's core config: a fresh workload seeded
-// from the fleet seed and the VM id — stable across migrations, so a
-// re-built workload on the destination host restores the travelling
-// cursor into an identical generator — wrapped for surge control.
+// from the fleet seed and the VM id — stable across migrations and
+// restores, so a re-built workload restores the travelling cursor into
+// an identical generator — wrapped for surge control.
 func (c *Cluster) vmConfig(st *vmState) (core.VMConfig, error) {
-	mode, err := policy.ByName(st.mode)
+	mode, err := policy.ByName(st.Mode)
 	if err != nil {
 		return core.VMConfig{}, err
 	}
-	w, err := workload.ByName(st.app, workload.Config{
-		Seed:  runner.DeriveSeed(c.sc.Seed, int(st.id)),
+	w, err := workload.ByName(st.App, workload.Config{
+		Seed:  runner.DeriveSeed(c.sc.Seed, int(st.ID)),
 		Scale: c.sc.scale(),
 	})
 	if err != nil {
@@ -195,8 +276,8 @@ func (c *Cluster) vmConfig(st *vmState) (core.VMConfig, error) {
 	}
 	st.wrap = &surgeWorkload{inner: w, factor: 1}
 	return core.VMConfig{
-		ID: st.id, Mode: mode, Workload: st.wrap,
-		FastPages: st.fastPages, SlowPages: st.slowPages,
+		ID: st.ID, Mode: mode, Workload: st.wrap,
+		FastPages: st.FastPages, SlowPages: st.SlowPages,
 	}, nil
 }
 
@@ -213,18 +294,18 @@ func (c *Cluster) hostViews() []HostView {
 }
 
 // bootGroup places and boots every VM of one group.
-func (c *Cluster) bootGroup(g *VMGroup, round int) error {
+func (c *Cluster) bootGroup(g *VMGroup) error {
 	for i := 0; i < g.count(); i++ {
-		st := &vmState{
-			id:  vmm.VMID(len(c.order) + 1),
-			app: g.App, mode: g.Mode,
-			fastPages: g.FastPages, slowPages: g.SlowPages,
-			bootRound: round,
-		}
+		st := &vmState{vmRecord: vmRecord{
+			ID:  vmm.VMID(len(c.order) + 1),
+			App: g.App, Mode: g.Mode,
+			FastPages: g.FastPages, SlowPages: g.SlowPages,
+			BootRound: c.round,
+		}}
 		target := c.place.PlaceBoot(st.view(), c.hostViews())
 		if target < 0 {
 			return fmt.Errorf("fleet %q round %d: no host fits VM %d (%s, %d fast + %d slow)",
-				c.sc.Name, round, st.id, st.app, st.fastPages, st.slowPages)
+				c.sc.Name, c.round, st.ID, st.App, st.FastPages, st.SlowPages)
 		}
 		vc, err := c.vmConfig(st)
 		if err != nil {
@@ -232,48 +313,53 @@ func (c *Cluster) bootGroup(g *VMGroup, round int) error {
 		}
 		h := c.hosts[target]
 		if _, err := h.sys.BootVM(vc); err != nil {
-			return fmt.Errorf("fleet %q round %d: boot VM %d on host %d: %w", c.sc.Name, round, st.id, target, err)
+			return fmt.Errorf("fleet %q round %d: boot VM %d on host %d: %w", c.sc.Name, c.round, st.ID, target, err)
 		}
-		st.host = target
+		st.Host = target
 		h.admit(st)
-		c.vms[st.id] = st
-		c.order = append(c.order, st.id)
+		c.vms[st.ID] = st
+		c.order = append(c.order, st.ID)
 	}
 	return nil
 }
 
 func (h *host) admit(st *vmState) {
-	h.fastCommitted += st.fastPages
-	h.slowCommitted += st.slowPages
-	h.resident[st.id] = st
+	h.fastCommitted += st.FastPages
+	h.slowCommitted += st.SlowPages
+	h.resident[st.ID] = st
 }
 
 func (h *host) release(st *vmState) {
-	h.fastCommitted -= st.fastPages
-	h.slowCommitted -= st.slowPages
-	delete(h.resident, st.id)
+	h.fastCommitted -= st.FastPages
+	h.slowCommitted -= st.SlowPages
+	delete(h.resident, st.ID)
 }
 
-// running reports whether the VM is still doing work somewhere: not
-// shut down, not stranded, workload unfinished.
+// resident reports whether the VM is still on a live host: not shut
+// down, not stranded, its host not failed.
+func (c *Cluster) resident(st *vmState) bool {
+	return !st.Down && !st.Lost && !c.hosts[st.Host].failed
+}
+
+// running reports whether a resident VM is still doing work.
 func (c *Cluster) running(st *vmState) bool {
-	return !st.down && !st.lost && !st.wrap.done && !c.hosts[st.host].failed
+	return c.resident(st) && !st.wrap.done
 }
 
-// targets resolves a shutdown/surge event's VM set: the explicit id,
-// or the Count lowest-id VMs satisfying eligible. Count events tolerate
-// a smaller eligible set (mass churn takes what is there); explicit
-// targets must exist.
+// targets resolves a VM-targeted event's VM set: the explicit id,
+// which must be resident, or the Count lowest-id VMs satisfying
+// eligible. Count events tolerate a smaller eligible set (mass churn
+// takes what is there).
 func (c *Cluster) targets(e *Event, eligible func(*vmState) bool) ([]vmm.VMID, error) {
 	if e.VM > 0 {
 		st, ok := c.vms[vmm.VMID(e.VM)]
 		if !ok {
 			return nil, fmt.Errorf("%s targets VM %d before it booted", e.Kind, e.VM)
 		}
-		if !eligible(st) {
-			return nil, fmt.Errorf("%s targets VM %d, which is not eligible (down=%v lost=%v)", e.Kind, e.VM, st.down, st.lost)
+		if !c.resident(st) {
+			return nil, fmt.Errorf("%s targets VM %d, which is no longer resident (down=%v lost=%v)", e.Kind, e.VM, st.Down, st.Lost)
 		}
-		return []vmm.VMID{st.id}, nil
+		return []vmm.VMID{st.ID}, nil
 	}
 	var ids []vmm.VMID
 	for _, id := range c.order {
@@ -289,20 +375,18 @@ func (c *Cluster) targets(e *Event, eligible func(*vmState) bool) ([]vmm.VMID, e
 
 // apply executes one script action at the current round.
 func (c *Cluster) apply(a action) error {
-	e := a.ev
+	e := &c.sc.Events[a.ev]
 	switch e.Kind {
 	case KindBoot:
-		return c.bootGroup(e.Boot, c.round)
+		return c.bootGroup(e.Boot)
 	case KindShutdown:
-		ids, err := c.targets(e, func(st *vmState) bool {
-			return !st.down && !st.lost && !c.hosts[st.host].failed
-		})
+		ids, err := c.targets(e, c.resident)
 		if err != nil {
 			return err
 		}
 		for _, id := range ids {
 			st := c.vms[id]
-			h := c.hosts[st.host]
+			h := c.hosts[st.Host]
 			if _, err := h.sys.ShutdownVM(id); err != nil {
 				return err
 			}
@@ -310,38 +394,61 @@ func (c *Cluster) apply(a action) error {
 				return fmt.Errorf("host %d after shutdown of VM %d: %w", h.id, id, err)
 			}
 			h.release(st)
-			st.down, st.downRound = true, c.round
+			st.Down, st.DownRound = true, c.round
 		}
-	case KindSurge:
-		factor := e.Factor
-		if factor == 0 {
-			factor = 2
+	case KindSurge, KindBalloonRefusal, KindMigrationStall:
+		return c.applyWindow(a, e)
+	case KindThrottleShift:
+		c.hosts[e.Host].sys.SetTierSpec(memsim.SlowMem, e.Throttle.Spec())
+	case KindHostFail:
+		return c.failHost(e.Host)
+	case KindCheckpoint:
+		return c.WriteCheckpoint(e.Path)
+	}
+	return nil
+}
+
+// applyWindow opens or closes a surge or fault window. The window's
+// state travels with a VM through live migration (it is part of the
+// migrated image), and the clear reaches the VM on whichever host it
+// is then; VMs shut down or stranded meanwhile are skipped.
+func (c *Cluster) applyWindow(a action, e *Event) error {
+	ids := c.windows[a.ev]
+	if a.clear {
+		delete(c.windows, a.ev)
+	} else {
+		var err error
+		if ids, err = c.targets(e, c.running); err != nil {
+			return err
 		}
-		if a.clear {
-			for _, id := range c.surged[e] {
-				st := c.vms[id]
-				st.wrap.active = false
-				if !st.down && !st.lost {
-					c.hosts[st.host].sys.EmitFault(id, obs.FaultSurge, false)
-				}
-			}
-			delete(c.surged, e)
-			return nil
+		if e.Duration > 0 {
+			c.windows[a.ev] = ids
 		}
-		ids, err := c.targets(e, c.running)
+	}
+	on := !a.clear
+	factor := e.Factor
+	if factor == 0 {
+		factor = 2
+	}
+	for _, id := range ids {
+		st := c.vms[id]
+		if !c.resident(st) {
+			continue
+		}
+		sys := c.hosts[st.Host].sys
+		var err error
+		switch e.Kind {
+		case KindBalloonRefusal:
+			err = sys.SetBalloonRefusal(id, on)
+		case KindMigrationStall:
+			err = sys.SetMigrationStall(id, on)
+		default:
+			st.wrap.active, st.wrap.factor = on, factor
+			sys.EmitFault(id, obs.FaultSurge, on)
+		}
 		if err != nil {
 			return err
 		}
-		for _, id := range ids {
-			st := c.vms[id]
-			st.wrap.active, st.wrap.factor = true, factor
-			c.hosts[st.host].sys.EmitFault(id, obs.FaultSurge, true)
-		}
-		if e.Duration > 0 {
-			c.surged[e] = ids
-		}
-	case KindHostFail:
-		return c.failHost(e.Host)
 	}
 	return nil
 }
@@ -353,9 +460,6 @@ func (c *Cluster) apply(a action) error {
 // readable); finished VMs stay put, their results final.
 func (c *Cluster) failHost(id int) error {
 	h := c.hosts[id]
-	if h.failed {
-		return fmt.Errorf("host %d failed twice", id)
-	}
 	h.failed = true
 	ids := make([]vmm.VMID, 0, len(h.resident))
 	for vid := range h.resident {
@@ -369,7 +473,7 @@ func (c *Cluster) failHost(id int) error {
 		}
 		target := c.place.PlaceBoot(st.view(), c.hostViews())
 		if target < 0 {
-			st.lost, st.lostRound = true, c.round
+			st.Lost = true
 			continue
 		}
 		if err := c.migrate(st, target, true); err != nil {
@@ -383,16 +487,16 @@ func (c *Cluster) failHost(id int) error {
 // immigrate onto the target, with the heat-profile carry-over checked
 // against pre/post HeatIndex summaries.
 func (c *Cluster) migrate(st *vmState, to int, evacuation bool) error {
-	src, dst := c.hosts[st.host], c.hosts[to]
+	src, dst := c.hosts[st.Host], c.hosts[to]
 	var pre vmm.HeatSummary
 	preOK := false
 	for _, inst := range src.sys.VMs {
-		if inst.ID == st.id {
+		if inst.ID == st.ID {
 			pre, preOK = inst.HeatIndexSummary()
 			break
 		}
 	}
-	img, err := src.sys.EmigrateVM(st.id)
+	img, err := src.sys.EmigrateVM(st.ID)
 	if err != nil {
 		return fmt.Errorf("host %d: %w", src.id, err)
 	}
@@ -403,14 +507,14 @@ func (c *Cluster) migrate(st *vmState, to int, evacuation bool) error {
 	}
 	inst, err := dst.sys.ImmigrateVM(vc, img)
 	if err != nil {
-		return fmt.Errorf("host %d: immigrate VM %d: %w", dst.id, st.id, err)
+		return fmt.Errorf("host %d: immigrate VM %d: %w", dst.id, st.ID, err)
 	}
 	dst.admit(st)
-	st.host = to
-	st.migrations++
+	st.Host = to
+	st.Migrations++
 	post, postOK := inst.HeatIndexSummary()
 	c.migrations = append(c.migrations, MigrationRecord{
-		Round: c.round, VM: st.id, From: src.id, To: dst.id,
+		Round: c.round, VM: st.ID, From: src.id, To: dst.id,
 		Frames: img.Frames(), Evacuation: evacuation,
 		HeatPreserved: preOK && postOK && pre == post,
 	})
@@ -430,10 +534,10 @@ func (c *Cluster) rebalance() error {
 		if !ok || !c.running(st) {
 			return fmt.Errorf("fleet %q round %d: %s rebalance moves ineligible VM %d", c.sc.Name, c.round, c.place.Name(), m.VM)
 		}
-		if m.To < 0 || m.To >= len(c.hosts) || m.To == st.host {
+		if m.To < 0 || m.To >= len(c.hosts) || m.To == st.Host {
 			return fmt.Errorf("fleet %q round %d: %s rebalance moves VM %d to invalid host %d", c.sc.Name, c.round, c.place.Name(), m.VM, m.To)
 		}
-		if v := c.hosts[m.To].view(); !v.Fits(st.fastPages, st.slowPages) {
+		if v := c.hosts[m.To].view(); !v.Fits(st.FastPages, st.SlowPages) {
 			return fmt.Errorf("fleet %q round %d: %s rebalance overcommits host %d with VM %d", c.sc.Name, c.round, c.place.Name(), m.To, m.VM)
 		}
 		if err := c.migrate(st, m.To, false); err != nil {
@@ -443,11 +547,24 @@ func (c *Cluster) rebalance() error {
 	return nil
 }
 
+// runProbe invokes the probe, if any, wrapping its error with the
+// round context.
+func (c *Cluster) runProbe(stage string) error {
+	if c.probe == nil {
+		return nil
+	}
+	if err := c.probe(stage); err != nil {
+		return fmt.Errorf("fleet %q round %d after %s: %w", c.sc.Name, c.round, stage, err)
+	}
+	return nil
+}
+
 // StepRound advances the fleet one lock-step round: due script events
 // apply, the placement policy rebalances (migrations run serially),
 // every live host steps RoundEpochs epochs concurrently through the
-// runner pool, and a timeline sample is taken at the barrier. Calling
-// it past Script.Rounds is an error.
+// runner pool, and a timeline sample is taken at the barrier. After
+// every CheckpointEvery-th round a checkpoint is written, unless the
+// cluster has gone idle. Calling it past Script.Rounds is an error.
 func (c *Cluster) StepRound(ctx context.Context) error {
 	if c.round >= c.sc.Rounds {
 		return fmt.Errorf("fleet %q: stepping past round %d", c.sc.Name, c.sc.Rounds)
@@ -455,19 +572,72 @@ func (c *Cluster) StepRound(ctx context.Context) error {
 	for len(c.actions) > 0 && c.actions[0].at <= c.round {
 		a := c.actions[0]
 		c.actions = c.actions[1:]
-		if err := c.apply(a); err != nil {
+		c.consumed++
+		err := c.apply(a)
+		c.forwardEvents()
+		if err != nil {
 			return fmt.Errorf("fleet %q round %d: %w", c.sc.Name, c.round, err)
 		}
+		if err := c.runProbe("event"); err != nil {
+			return err
+		}
 	}
-	if err := c.rebalance(); err != nil {
+	err := c.rebalance()
+	c.forwardEvents()
+	if err != nil {
 		return err
 	}
-	if err := c.stepHosts(ctx); err != nil {
+	err = c.stepHosts(ctx)
+	c.forwardEvents()
+	if err != nil {
 		return err
 	}
 	c.sample()
+	if err := c.runProbe("round"); err != nil {
+		return err
+	}
 	c.round++
+	// Live exporters (heterosim -listen) subscribe through the epoch
+	// hook; hosts tick only their own child handles.
+	c.opts.Obs.EpochTick(c.round)
+	if n := c.opts.CheckpointEvery; n > 0 && c.round%n == 0 && c.round < c.sc.Rounds && !c.idle() {
+		if err := c.WriteCheckpoint(c.opts.CheckpointPath); err != nil {
+			return fmt.Errorf("fleet %q round %d: %w", c.sc.Name, c.round, err)
+		}
+	}
 	return nil
+}
+
+// idle reports whether nothing is left to happen: no script action
+// pending and no VM running. Periodic checkpoints stop there — the
+// remaining rounds would replay nothing.
+func (c *Cluster) idle() bool {
+	if len(c.actions) > 0 {
+		return false
+	}
+	for _, st := range c.vms {
+		if c.running(st) {
+			return false
+		}
+	}
+	return true
+}
+
+// forwardEvents drains every host's buffered events, in host order,
+// into the parent handle's tracer. Called after each serial step, so
+// the forwarded stream is chronological within every host and
+// independent of worker count.
+func (c *Cluster) forwardEvents() {
+	for _, h := range c.hosts {
+		if h.events == nil {
+			continue
+		}
+		h.obs.Tracer.Flush()
+		for _, ev := range h.events.events {
+			c.opts.Obs.Tracer.Emit(ev)
+		}
+		h.events.events = h.events.events[:0]
+	}
 }
 
 // stepHosts runs every live host's RoundEpochs epochs through the
@@ -507,29 +677,44 @@ func (c *Cluster) stepHosts(ctx context.Context) error {
 }
 
 // sample appends one timeline point (after the round's barrier).
-// Migrations is the delta since the previous sample.
 func (c *Cluster) sample() {
 	s := RoundSample{Round: c.round, Migrations: len(c.migrations) - c.prevMigrations}
 	c.prevMigrations = len(c.migrations)
+	// Page-movement and balloon totals sum every VM instance on every
+	// host, departed included; a migrated-out stub carries a zero
+	// result, so each VM counts exactly once.
+	var moves, ballIn, refused uint64
 	for _, h := range c.hosts {
-		if h.failed {
-			continue
+		for _, set := range [][]*core.VMInstance{h.sys.VMs, h.sys.Departed} {
+			for _, inst := range set {
+				moves += inst.Res.Promotions + inst.Res.Demotions + inst.Res.VMMMigrations
+				ballIn += inst.Res.BalloonPagesIn
+				refused += inst.Res.BalloonRefusedPages
+			}
 		}
-		s.LiveHosts++
-		s.FastFree += h.sys.Machine.FreeFrames(memsim.FastMem)
+		if !h.failed {
+			s.LiveHosts++
+			s.FastFree += h.sys.Machine.FreeFrames(memsim.FastMem)
+		}
 	}
+	s.Moves, s.BalloonIn, s.Refused = moves-c.prevMoves, ballIn-c.prevBalloonIn, refused-c.prevRefused
+	c.prevMoves, c.prevBalloonIn, c.prevRefused = moves, ballIn, refused
+	drf := c.sc.share() == string(core.ShareDRF)
 	for _, id := range c.order {
 		st := c.vms[id]
-		if st.lost {
+		if st.Lost {
 			s.Lost++
 			continue
 		}
-		if st.down {
+		if st.Down {
 			continue
 		}
 		s.ResidentVMs++
 		if c.running(st) {
 			s.RunningVMs++
+		}
+		if drf && c.resident(st) {
+			s.Shares = append(s.Shares, VMShare{ID: id, Share: c.hosts[st.Host].sys.DRFDominantShare(id)})
 		}
 	}
 	c.timeline = append(c.timeline, s)
@@ -559,37 +744,29 @@ func (c *Cluster) Result() (*Result, error) {
 	for _, id := range c.order {
 		st := c.vms[id]
 		run := VMRun{
-			ID: st.id, App: st.app, Mode: st.mode,
-			BootRound: st.bootRound, Host: st.host,
+			ID: st.ID, App: st.App, Mode: st.Mode,
+			BootRound: st.BootRound, Host: st.Host,
 			ShutdownRound: -1,
-			Migrations:    st.migrations,
+			Migrations:    st.Migrations,
 			Completed:     st.wrap.done,
-			Lost:          st.lost,
+			Lost:          st.Lost,
 		}
-		if st.down {
-			run.ShutdownRound = st.downRound
+		if st.Down {
+			run.ShutdownRound = st.DownRound
 		}
-		if vr, ok := c.hosts[st.host].sys.VMResultByID(st.id); ok {
+		if vr, ok := c.hosts[st.Host].sys.VMResultByID(st.ID); ok {
 			run.Res = *vr
 		} else {
-			return nil, fmt.Errorf("fleet %q: VM %d vanished from host %d", c.sc.Name, st.id, st.host)
+			return nil, fmt.Errorf("fleet %q: VM %d vanished from host %d", c.sc.Name, st.ID, st.Host)
 		}
 		res.VMs = append(res.VMs, run)
 	}
 	return res, nil
 }
 
-// Run executes a fleet script to completion.
-//
-// Determinism: the result — and, with opts.Obs attached, the metric
-// tree — is a pure function of (*sc, sc.Seed), byte-identical across
-// worker counts.
-func Run(ctx context.Context, sc *Script, opts Options) (*Result, error) {
-	c, err := NewCluster(sc, opts)
-	if err != nil {
-		return nil, err
-	}
-	for c.round < sc.Rounds {
+// Finish steps the remaining rounds and returns the result.
+func (c *Cluster) Finish(ctx context.Context) (*Result, error) {
+	for c.round < c.sc.Rounds {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -598,4 +775,17 @@ func Run(ctx context.Context, sc *Script, opts Options) (*Result, error) {
 		}
 	}
 	return c.Result()
+}
+
+// Run executes a fleet script to completion.
+//
+// Determinism: the result — and, with opts.Obs attached, the metric
+// tree and the forwarded event stream — is a pure function of (*sc,
+// sc.Seed), byte-identical across worker counts.
+func Run(ctx context.Context, sc *Script, opts Options) (*Result, error) {
+	c, err := NewCluster(sc, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.Finish(ctx)
 }

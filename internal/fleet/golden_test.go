@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"heteroos/internal/core"
+	"heteroos/internal/obs"
 	"heteroos/internal/vmm"
 )
 
@@ -25,7 +26,7 @@ type goldenVM struct {
 // TestBundledGoldens pins bundled scripts' per-VM results to the
 // goldens under testdata/golden. REGEN_GOLDEN=1 rewrites them.
 func TestBundledGoldens(t *testing.T) {
-	for _, name := range []string{"fleet-churn.json"} {
+	for _, name := range []string{"churn.json", "degrade.json", "fleet-churn.json"} {
 		t.Run(name, func(t *testing.T) {
 			sc, err := LoadBundled(name)
 			if err != nil {
@@ -57,6 +58,31 @@ func TestBundledGoldens(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("per-VM results drifted from %s", path)
+			}
+		})
+	}
+}
+
+// TestGoldenDeterminism is the determinism contract's enforcement: the
+// same script with the same seed must produce byte-identical results
+// AND a byte-identical forwarded event stream, run to run.
+func TestGoldenDeterminism(t *testing.T) {
+	for _, name := range []string{"churn.json", "degrade.json", "fleet-churn.json"} {
+		t.Run(name, func(t *testing.T) {
+			res1, ev1 := runWithEvents(t, func(h *obs.Obs) (*Result, error) {
+				return Run(context.Background(), bundled(t, name), Options{Workers: 1, Obs: h})
+			})
+			res2, ev2 := runWithEvents(t, func(h *obs.Obs) (*Result, error) {
+				return Run(context.Background(), bundled(t, name), Options{Workers: 3, Obs: h})
+			})
+			if !bytes.Equal(res1, res2) {
+				t.Errorf("results differ across identical runs:\n%s\nvs\n%s", res1, res2)
+			}
+			if !bytes.Equal(ev1, ev2) {
+				t.Errorf("event streams differ across identical runs (%d vs %d bytes)", len(ev1), len(ev2))
+			}
+			if bytes.Count(ev1, []byte("\n")) < 2 {
+				t.Error("no events captured")
 			}
 		})
 	}

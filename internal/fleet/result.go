@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"reflect"
+	"strings"
 
 	"heteroos/internal/core"
 	"heteroos/internal/metrics"
@@ -62,6 +63,22 @@ type RoundSample struct {
 	// performed since the previous sample, VMs lost so far.
 	Migrations int `json:"migrations"`
 	Lost       int `json:"lost"`
+	// Moves (promoted + demoted + VMM-migrated pages), BalloonIn and
+	// Refused (balloon pages granted and refused) are fleet-wide deltas
+	// since the previous sample, departed VMs included, so fault windows
+	// and lifecycle events visibly perturb the series.
+	Moves     uint64 `json:"moves"`
+	BalloonIn uint64 `json:"balloon_in"`
+	Refused   uint64 `json:"refused"`
+	// Shares holds resident VMs' DRF dominant shares in id order (empty
+	// unless the share policy is drf).
+	Shares []VMShare `json:"shares,omitempty"`
+}
+
+// VMShare is one VM's dominant share in a timeline sample.
+type VMShare struct {
+	ID    vmm.VMID `json:"id"`
+	Share float64  `json:"share"`
 }
 
 // HostRun is one host's fleet outcome.
@@ -158,7 +175,8 @@ func (r *Result) FleetSum() core.VMResult {
 func (r *Result) Table() *metrics.Table {
 	t := metrics.NewTable("fleet "+r.Name,
 		"vm", "app", "mode", "boot", "shutdown", "host", "moves", "done", "lost",
-		"epochs", "runtime-s", "promotions", "demotions", "vmm-moves")
+		"epochs", "runtime-s", "promotions", "demotions", "vmm-moves",
+		"balloon-in", "refused", "stalled")
 	for i := range r.VMs {
 		v := &r.VMs[i]
 		shutdown := "-"
@@ -168,7 +186,8 @@ func (r *Result) Table() *metrics.Table {
 		t.AddRow(int(v.ID), v.App, v.Mode, v.BootRound, shutdown, v.Host,
 			v.Migrations, v.Completed, v.Lost, v.Res.Epochs,
 			fmt.Sprintf("%.3f", v.Res.SimTime.Seconds()),
-			v.Res.Promotions, v.Res.Demotions, v.Res.VMMMigrations)
+			v.Res.Promotions, v.Res.Demotions, v.Res.VMMMigrations,
+			v.Res.BalloonPagesIn, v.Res.BalloonRefusedPages, v.Res.MigrationStalledPasses)
 	}
 	return t
 }
@@ -228,11 +247,23 @@ func (r *Result) MigrationTable() *metrics.Table {
 // TimelineTable renders the sampled fleet timeline.
 func (r *Result) TimelineTable() *metrics.Table {
 	t := metrics.NewTable("timeline "+r.Name,
-		"round", "hosts", "resident", "running", "fast-free", "migrations", "lost")
+		"round", "hosts", "resident", "running", "fast-free", "migrations", "lost",
+		"moves", "balloon-in", "refused", "drf-shares")
 	for i := range r.Timeline {
 		s := &r.Timeline[i]
+		shares := "-"
+		if len(s.Shares) > 0 {
+			var b strings.Builder
+			for j, sh := range s.Shares {
+				if j > 0 {
+					b.WriteByte(' ')
+				}
+				fmt.Fprintf(&b, "%d:%.3f", sh.ID, sh.Share)
+			}
+			shares = b.String()
+		}
 		t.AddRow(s.Round, s.LiveHosts, s.ResidentVMs, s.RunningVMs,
-			s.FastFree, s.Migrations, s.Lost)
+			s.FastFree, s.Migrations, s.Lost, s.Moves, s.BalloonIn, s.Refused, shares)
 	}
 	return t
 }

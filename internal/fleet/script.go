@@ -7,12 +7,17 @@
 //
 // A fleet run is scripted: a JSON Script names the host shape, the
 // round structure, the placement policy, and a timed event list (VM
-// boots, shutdowns, demand surges, host failures with mass
-// evacuation). Determinism is a hard contract, exactly as for
-// scenarios: the result is a pure function of (script, seed) and is
-// byte-identical regardless of runner worker count — hosts step in
-// parallel but share no state, and every cross-host decision (event
-// application, placement, migration) happens serially between rounds.
+// boots and shutdowns, demand surges, injected faults, host failures
+// with mass evacuation, checkpoints). It is the simulator's only script
+// engine: a single-host datacenter scenario is a one-host fleet with
+// one epoch per round (see the bundled churn.json and degrade.json).
+//
+// Determinism is a hard contract: the result — and, with an
+// observability handle attached, the event stream — is a pure function
+// of (script, seed) and is byte-identical regardless of runner worker
+// count. Hosts step in parallel but share no state, and every
+// cross-host decision (event application, placement, migration)
+// happens serially between rounds.
 package fleet
 
 import (
@@ -35,18 +40,31 @@ import (
 const (
 	// KindBoot places and boots Boot.Count new VMs.
 	KindBoot = "boot"
-	// KindShutdown retires VMs: an explicit VM id, or the Count
-	// lowest-id running VMs.
+	// KindShutdown retires VMs: an explicit resident VM id, or the
+	// Count lowest-id resident VMs.
 	KindShutdown = "shutdown"
 	// KindSurge multiplies VM demand by Factor for Duration rounds
-	// (0 = rest of the run): an explicit VM id, or the Count lowest-id
-	// running VMs.
+	// (0 = rest of the run): an explicit resident VM id, or the Count
+	// lowest-id running (unfinished) VMs.
 	KindSurge = "surge"
+	// KindBalloonRefusal makes the VMM refuse the target VMs' populate
+	// requests for Duration rounds; targets as for surge.
+	KindBalloonRefusal = "balloon-refusal"
+	// KindMigrationStall stalls the target VMs' migration engines for
+	// Duration rounds (passes skip under bounded retry/backoff);
+	// targets as for surge.
+	KindMigrationStall = "migration-stall"
+	// KindThrottleShift swaps host Host's SlowMem tier spec to Throttle
+	// mid-run (the device degrading under the experiment's feet).
+	KindThrottleShift = "throttle-shift"
 	// KindHostFail fails host Host: the host stops stepping forever and
 	// its running VMs are mass-evacuated through live migration to
 	// wherever the placement policy finds room; VMs that fit nowhere
 	// are recorded as lost.
 	KindHostFail = "host-fail"
+	// KindCheckpoint writes a cluster checkpoint to Path at that point
+	// of the round, before the hosts step. It never perturbs the run.
+	KindCheckpoint = "checkpoint"
 )
 
 // HostDesc is the (uniform) per-host machine shape.
@@ -60,6 +78,9 @@ type HostDesc struct {
 	// thousand hosts under the analytic model would dominate the run
 	// with pricing, not management).
 	Backend string `json:"backend,omitempty"`
+	// SlowThrottle, when set, is the initial SlowMem throttle point
+	// (default: the paper's SlowMem spec).
+	SlowThrottle *memsim.Throttle `json:"slow_throttle,omitempty"`
 }
 
 // VMGroup declares Count identical VMs. Fleet VM ids are implicit and
@@ -91,18 +112,31 @@ type Event struct {
 	Kind string `json:"kind"`
 	// Boot describes the VMs a boot event adds.
 	Boot *VMGroup `json:"boot,omitempty"`
-	// VM targets one VM by id (shutdown, surge).
+	// VM targets one VM by id (shutdown, surge, and the fault windows).
 	VM int32 `json:"vm,omitempty"`
-	// Count instead targets the Count lowest-id running VMs (shutdown,
-	// surge).
+	// Count instead targets the Count lowest-id eligible VMs.
 	Count int `json:"count,omitempty"`
-	// Host targets one host by index (host-fail).
+	// Host targets one host by index (host-fail, throttle-shift).
 	Host int `json:"host,omitempty"`
 	// Factor is the surge demand multiplier (default 2).
 	Factor int `json:"factor,omitempty"`
-	// Duration is the surge window in rounds; 0 means the rest of the
-	// run.
+	// Duration is the surge or fault window in rounds; 0 means the rest
+	// of the run.
 	Duration int `json:"duration,omitempty"`
+	// Throttle is the new SlowMem point of a throttle-shift.
+	Throttle *memsim.Throttle `json:"throttle,omitempty"`
+	// Path is a checkpoint event's destination file.
+	Path string `json:"path,omitempty"`
+}
+
+// windowed reports whether the event opens a window that a clear action
+// closes Duration rounds later.
+func (e *Event) windowed() bool {
+	switch e.Kind {
+	case KindSurge, KindBalloonRefusal, KindMigrationStall:
+		return true
+	}
+	return false
 }
 
 // Script is a JSON-loadable fleet run description.
@@ -207,7 +241,7 @@ func (sc *Script) validateGroup(g *VMGroup) error {
 
 // Validate checks the script for shape errors: unknown names, spans
 // that cannot fit any host, events out of round range or with missing
-// targets.
+// targets, and a host failed twice.
 func (sc *Script) Validate() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("fleet script %q: %s", sc.Name, fmt.Sprintf(format, args...))
@@ -235,12 +269,16 @@ func (sc *Script) Validate() error {
 	if _, err := PlacementByName(sc.placement()); err != nil {
 		return fail("%v", err)
 	}
+	if t := sc.Host.SlowThrottle; t != nil && (t.L < 1 || t.B < 1) {
+		return fail("slow_throttle %v needs factors >= 1", *t)
+	}
 	for _, g := range sc.groups() {
 		if err := sc.validateGroup(g); err != nil {
 			return fail("%v", err)
 		}
 	}
 	maxID := int32(sc.TotalVMs())
+	failed := make(map[int]bool)
 	for i := range sc.Events {
 		e := &sc.Events[i]
 		if e.At < 0 || e.At >= sc.Rounds {
@@ -251,19 +289,33 @@ func (sc *Script) Validate() error {
 			if e.Boot == nil {
 				return fail("boot event %d has no VM group", i)
 			}
-		case KindShutdown, KindSurge:
+		case KindShutdown, KindSurge, KindBalloonRefusal, KindMigrationStall:
 			if (e.VM > 0) == (e.Count > 0) {
 				return fail("%s event %d needs exactly one of vm or count", e.Kind, i)
 			}
 			if e.VM > maxID {
 				return fail("%s event %d targets VM %d; the script only boots %d", e.Kind, i, e.VM, maxID)
 			}
-			if e.Kind == KindSurge && (e.Factor < 0 || e.Duration < 0) {
-				return fail("surge event %d has negative factor or duration", i)
+			if e.Factor < 0 || e.Duration < 0 {
+				return fail("%s event %d has negative factor or duration", e.Kind, i)
 			}
-		case KindHostFail:
+		case KindHostFail, KindThrottleShift:
 			if e.Host < 0 || e.Host >= sc.Hosts {
-				return fail("host-fail event %d targets host %d of %d", i, e.Host, sc.Hosts)
+				return fail("%s event %d targets host %d of %d", e.Kind, i, e.Host, sc.Hosts)
+			}
+			switch {
+			case e.Kind == KindThrottleShift:
+				if e.Throttle == nil || e.Throttle.L < 1 || e.Throttle.B < 1 {
+					return fail("throttle-shift event %d needs a throttle with factors >= 1", i)
+				}
+			case failed[e.Host]:
+				return fail("host-fail event %d fails host %d a second time", i, e.Host)
+			default:
+				failed[e.Host] = true
+			}
+		case KindCheckpoint:
+			if e.Path == "" {
+				return fail("checkpoint event %d has no path", i)
 			}
 		default:
 			return fail("event %d has unknown kind %q", i, e.Kind)

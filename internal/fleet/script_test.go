@@ -1,8 +1,14 @@
 package fleet
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"heteroos/internal/memsim"
 )
 
 // validScript returns a minimal script that passes Validate; each case
@@ -56,6 +62,14 @@ func TestScriptValidateRejections(t *testing.T) {
 		{"surge of unbooted vm", func(sc *Script) { sc.Events[0].VM = 9 }, "only boots 1"},
 		{"negative factor", func(sc *Script) { sc.Events[0].Factor = -1 }, "negative factor"},
 		{"host-fail out of range", func(sc *Script) { sc.Events[0] = Event{At: 1, Kind: KindHostFail, Host: 2} }, "host-fail"},
+		{"host failed twice", func(sc *Script) {
+			sc.Events = []Event{{At: 1, Kind: KindHostFail, Host: 1}, {At: 2, Kind: KindHostFail, Host: 1}}
+		}, "a second time"},
+		{"throttle-shift without throttle", func(sc *Script) { sc.Events[0] = Event{At: 1, Kind: KindThrottleShift} }, "needs a throttle"},
+		{"zero slow throttle", func(sc *Script) { sc.Host.SlowThrottle = &memsim.Throttle{L: 2} }, "factors >= 1"},
+		{"stall without target", func(sc *Script) { sc.Events[0] = Event{At: 1, Kind: KindMigrationStall, Duration: 2} }, "exactly one of vm or count"},
+		{"negative refusal window", func(sc *Script) { sc.Events[0] = Event{At: 1, Kind: KindBalloonRefusal, VM: 1, Duration: -1} }, "negative"},
+		{"checkpoint without path", func(sc *Script) { sc.Events[0] = Event{At: 1, Kind: KindCheckpoint} }, "no path"},
 		{"unknown kind", func(sc *Script) { sc.Events[0].Kind = "reboot" }, "unknown kind"},
 	}
 	for _, tc := range cases {
@@ -88,6 +102,9 @@ func TestBundledScriptsParse(t *testing.T) {
 			t.Errorf("%q boots no VMs", name)
 		}
 	}
+	if _, err := LoadBundled("nonexistent.json"); err == nil {
+		t.Error("loading a nonexistent bundled script succeeded")
+	}
 	sc, err := LoadBundled("fleet-churn-1k.json")
 	if err != nil {
 		t.Fatal(err)
@@ -107,5 +124,42 @@ func TestLoadFileFallsBackToBundled(t *testing.T) {
 	}
 	if _, err := LoadFile("definitely-missing.json"); err == nil {
 		t.Error("a path matching no file and no bundled script should error")
+	}
+}
+
+// TestLoadFile pins the fallback contract: only a path that does not
+// exist may fall back to the bundled script of the same base name;
+// every other failure — unparseable JSON, unreadable path — must
+// surface as a real error even when a bundled name matches.
+func TestLoadFile(t *testing.T) {
+	dir := t.TempDir()
+
+	// Present but invalid JSON: a parse error, never the bundled copy.
+	bad := filepath.Join(dir, "churn.json")
+	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(bad); err == nil {
+		t.Error("invalid JSON masked by the bundled fallback")
+	}
+
+	// Missing file with a non-bundled base name: plain not-exist error.
+	if _, err := LoadFile(filepath.Join(dir, "absent.json")); err == nil {
+		t.Error("loading a missing, non-bundled script succeeded")
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing file error lost its not-exist cause: %v", err)
+	}
+
+	// A directory named like a bundled script: reading it fails with
+	// something other than not-exist, so no fallback — the caller gets
+	// the real error.
+	dirPath := filepath.Join(dir, "degrade.json")
+	if err := os.Mkdir(dirPath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(dirPath); err == nil {
+		t.Error("directory path masked by the bundled fallback")
+	} else if errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("directory read reported not-exist: %v", err)
 	}
 }

@@ -9,14 +9,16 @@ import (
 )
 
 // surgeWorkload wraps every fleet VM's workload so a surge window can
-// multiply its demand, exactly as the scenario layer does: while
-// active, Step runs the inner workload factor times per epoch.
+// multiply its demand: while active, Step runs the inner workload
+// factor times per epoch (a hog VM allocating and touching at a
+// multiple of its steady rate). Inactive, it is a single branch.
 //
 // The wrapper also implements workload.Snapshotter, which is what
-// makes fleet VMs migratable: EmigrateVM captures the wrapper's window
-// state plus the inner workload's cursor, and the destination host's
-// freshly built wrapper restores both — a surging VM keeps surging
-// mid-flight.
+// makes fleet VMs migratable and checkpointable: EmigrateVM (or a
+// checkpoint) captures the wrapper's window state plus the inner
+// workload's cursor, and the freshly built wrapper on the destination
+// host (or the restored one) gets both back — a surging VM keeps
+// surging mid-flight.
 type surgeWorkload struct {
 	inner  workload.Workload
 	factor int
@@ -66,11 +68,11 @@ func (w *surgeWorkload) RestoreState(d *snapshot.Decoder, os *guestos.OS) error 
 	w.factor = d.Int()
 	w.done = d.Bool()
 	if !d.Bool() {
-		return fmt.Errorf("fleet: migrated workload %T did not support snapshotting", w.inner)
+		return fmt.Errorf("fleet: workload %T did not support snapshotting", w.inner)
 	}
 	ws, ok := w.inner.(workload.Snapshotter)
 	if !ok {
-		return fmt.Errorf("fleet: workload %T cannot restore migrated state", w.inner)
+		return fmt.Errorf("fleet: workload %T cannot restore snapshotted state", w.inner)
 	}
 	return ws.RestoreState(d, os)
 }

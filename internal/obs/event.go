@@ -52,7 +52,7 @@ const (
 	// dominant-share victim VM was ballooned down; N is the number of
 	// pages actually released and Aux the victim VM id.
 	EvDRFRebalance
-	// EvVMBoot is a VM arriving mid-run (scenario lifecycle). Emitted on
+	// EvVMBoot is a VM arriving mid-run (fleet lifecycle). Emitted on
 	// the system scope; Aux is the booted VM id and N its boot-populated
 	// page count.
 	EvVMBoot
@@ -61,7 +61,7 @@ const (
 	// on the system scope; Aux is the departed VM id and N the number of
 	// frames released.
 	EvVMShutdown
-	// EvFaultInject marks a scenario fault window opening (DirStart) or
+	// EvFaultInject marks a fault window opening (DirStart) or
 	// closing (DirClear); the Start/Clear pair delimits the window. Aux
 	// carries the fault code (Fault* constants).
 	EvFaultInject

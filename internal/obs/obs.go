@@ -34,9 +34,9 @@ func New() *Obs {
 	return o
 }
 
-// JobScope derives a child handle for one job (a sweep point, a
-// scenario in a batch): its own tracer ring — tracers are
-// single-goroutine, so concurrent jobs must not share one — and a
+// JobScope derives a child handle for one job (a sweep point): its
+// own tracer ring — tracers are single-goroutine, so concurrent jobs
+// must not share one — and a
 // child registry scoped under label, so the parent's Snapshot sees the
 // job's metrics under "label/..." and Rollup aggregates across jobs.
 // Closing the child closes only the child's tracer.

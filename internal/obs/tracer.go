@@ -90,6 +90,10 @@ func (t *Tracer) flush() {
 	t.ring = t.ring[:0]
 }
 
+// HasSinks reports whether any sink is attached, i.e. whether emitted
+// events are kept rather than dropped.
+func (t *Tracer) HasSinks() bool { return len(t.sinks) > 0 }
+
 // Flush forces buffered events out to the sinks.
 func (t *Tracer) Flush() { t.flush() }
 

@@ -246,8 +246,8 @@ func (p *Pool) Submit(label string, cfg core.Config) *Future {
 // SubmitFunc queues an arbitrary simulation job: fn runs on a worker
 // slot under the pool's context with the same panic isolation, bounded
 // concurrency, and progress reporting as Config jobs, and its return
-// values resolve the future. The scenario engine uses this to run
-// scripted multi-VM scenarios through the sweep machinery.
+// values resolve the future. The fleet engine uses this to step its
+// hosts through the sweep machinery.
 func (p *Pool) SubmitFunc(label string, fn func(ctx context.Context) (*core.VMResult, *core.System, error)) *Future {
 	f := &Future{label: label, ch: make(chan struct{})}
 	p.mu.Lock()

@@ -43,7 +43,9 @@ import (
 //	1: original row-oriented guest page store section.
 //	2: columnar (struct-of-arrays) guest page store section — one
 //	   sorted PFN list followed by per-field arrays.
-const Version = 2
+//	3: departed-VM entries record whether the VM migrated out (so a
+//	   restored host still accepts it back).
+const Version = 3
 
 // VersionError is returned by Open when the file's format version does
 // not match Version. Callers can detect it with errors.As to tell a

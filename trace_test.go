@@ -5,19 +5,15 @@ import (
 	"context"
 	"testing"
 
+	"heteroos/internal/fleet"
 	"heteroos/internal/obs"
-	"heteroos/internal/scenario"
 )
 
-// TestHeterotraceReconcilesWithScenario is the analyzer's golden gate:
-// running the bundled churn scenario with a JSONL sink attached and
-// feeding the stream through the offline analyzer must reproduce every
-// VM's promotion/demotion page totals exactly as the simulation itself
-// reported them — the trace is a complete, lossless account of page
-// movement, and heterotrace's decoding agrees with the sinks'
-// encoding byte for byte.
-func TestHeterotraceReconcilesWithScenario(t *testing.T) {
-	sc, err := scenario.LoadBundled("churn.json")
+// traceRun runs a bundled fleet script with a JSONL sink attached and
+// returns its result and the parsed trace.
+func traceRun(t *testing.T, name string) (*fleet.Result, *obs.Trace) {
+	t.Helper()
+	sc, err := fleet.LoadBundled(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +21,7 @@ func TestHeterotraceReconcilesWithScenario(t *testing.T) {
 	h := obs.New()
 	h.SetRunTag(sc.Name)
 	h.Tracer.AddSink(obs.NewJSONLSink(&buf, sc.Name))
-	r, err := sc.Run(context.Background(), h)
+	r, err := fleet.Run(context.Background(), sc, fleet.Options{Workers: 2, Obs: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +31,6 @@ func TestHeterotraceReconcilesWithScenario(t *testing.T) {
 	if dropped := h.Tracer.Dropped(); dropped != 0 {
 		t.Fatalf("tracer dropped %d events; reconcile needs a complete stream", dropped)
 	}
-
 	tr, err := obs.ParseJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -44,9 +39,14 @@ func TestHeterotraceReconcilesWithScenario(t *testing.T) {
 		t.Errorf("trace run tag = %q, want %q", tr.Run, sc.Name)
 	}
 	if len(tr.Events) == 0 {
-		t.Fatal("churn trace is empty")
+		t.Fatalf("%s trace is empty", name)
 	}
+	return r, tr
+}
 
+// reconcile checks every VM's trace page totals against its result.
+func reconcile(t *testing.T, r *fleet.Result, tr *obs.Trace) {
+	t.Helper()
 	byVM := tr.MigrationsByVM()
 	var sawMigration bool
 	for _, vm := range r.VMs {
@@ -70,8 +70,20 @@ func TestHeterotraceReconcilesWithScenario(t *testing.T) {
 	if !sawMigration {
 		t.Fatal("no VM migrated — the reconcile check is vacuous")
 	}
+}
 
-	// The churn scenario scripts a surge fault window; the analyzer must
+// TestHeterotraceReconcilesWithScenario is the analyzer's golden gate:
+// running the bundled churn script (a one-host fleet) with a JSONL sink
+// attached and feeding the stream through the offline analyzer must
+// reproduce every VM's promotion/demotion page totals exactly as the
+// simulation itself reported them — the trace is a complete, lossless
+// account of page movement, and heterotrace's decoding agrees with the
+// sinks' encoding byte for byte.
+func TestHeterotraceReconcilesWithScenario(t *testing.T) {
+	r, tr := traceRun(t, "churn.json")
+	reconcile(t, r, tr)
+
+	// The churn script scripts a surge fault window; the analyzer must
 	// surface it as a closed window.
 	ws := tr.FaultWindows()
 	if len(ws) == 0 {
@@ -84,8 +96,8 @@ func TestHeterotraceReconcilesWithScenario(t *testing.T) {
 	}
 
 	// And the residency timelines cover exactly the VMs that moved pages.
-	tls := tr.Residency(20)
-	for _, tl := range tls {
+	byVM := tr.MigrationsByVM()
+	for _, tl := range tr.Residency(20) {
 		tot := byVM[tl.VM]
 		if tot.FastIn() == 0 && tot.FastOut() == 0 {
 			continue // balloon-only timelines are fine
@@ -99,4 +111,22 @@ func TestHeterotraceReconcilesWithScenario(t *testing.T) {
 			t.Errorf("vm %d: running net %d != delta sum %d", tl.VM, end, sum)
 		}
 	}
+}
+
+// TestHeterotraceReconcilesAcrossMigration repeats the reconciliation
+// on the 3-host churn fleet, whose host failure evacuates VMs by live
+// migration: each VM's page totals, summed from the events of every
+// host it ran on, must still equal its lifetime result.
+func TestHeterotraceReconcilesAcrossMigration(t *testing.T) {
+	r, tr := traceRun(t, "fleet-churn.json")
+	evacuations := 0
+	for _, m := range r.Migrations {
+		if m.Evacuation {
+			evacuations++
+		}
+	}
+	if evacuations < 2 {
+		t.Fatalf("fleet-churn evacuated %d VMs, want >= 2", evacuations)
+	}
+	reconcile(t, r, tr)
 }
