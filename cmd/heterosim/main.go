@@ -115,16 +115,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "heterosim: -restore and -fleet are mutually exclusive")
 		os.Exit(2)
 	}
-	if *ckEvery < 0 {
-		fmt.Fprintln(os.Stderr, "heterosim: -checkpoint-every must be >= 0")
-		os.Exit(2)
-	}
-	if *ckEvery > 0 && *fleetF == "" && *restoreF == "" {
+	if *ckEvery != 0 && *fleetF == "" && *restoreF == "" {
 		fmt.Fprintln(os.Stderr, "heterosim: -checkpoint-every needs -fleet or -restore")
-		os.Exit(2)
-	}
-	if *ckEvery > 0 && *ckPath == "" {
-		fmt.Fprintln(os.Stderr, "heterosim: -checkpoint-every needs -checkpoint-path")
 		os.Exit(2)
 	}
 	of := obsFlags{events: *events, chrome: *chrome, metricsF: *metricsF,

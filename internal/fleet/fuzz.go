@@ -295,7 +295,6 @@ func Shrink(ctx context.Context, r *Repro) *Repro {
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < len(cur.Script.Events); i++ {
-			i := i
 			if try(func(sc *Script, _ *Repro) bool {
 				sc.Events = append(sc.Events[:i:i], sc.Events[i+1:]...)
 				return true
@@ -342,7 +341,6 @@ func Shrink(ctx context.Context, r *Repro) *Repro {
 			changed = true
 		}
 		for i := 0; i < len(cur.Script.VMs); i++ {
-			i := i
 			if try(func(sc *Script, _ *Repro) bool {
 				sc.VMs = append(sc.VMs[:i:i], sc.VMs[i+1:]...)
 				return true
