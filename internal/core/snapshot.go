@@ -21,15 +21,14 @@ import (
 	"heteroos/internal/workload"
 )
 
-// Checkpoint serializes the system's full mutable state to w. meta is
-// an opaque front-end blob; pass nil when there is none. The system must be
-// between epochs — Checkpoint never runs mid-StepEpoch.
+// Checkpoint serializes the system's full mutable state to w. The
+// system must be between epochs — Checkpoint never runs mid-StepEpoch.
 //
 // Every workload on a live VM must implement workload.Snapshotter, and
 // the backend must not be a trace recorder (the recorder's output
 // stream cannot be split across a restore); both are checked up front
 // so a doomed checkpoint fails before writing anything.
-func (s *System) Checkpoint(w io.Writer, meta []byte) error {
+func (s *System) Checkpoint(w io.Writer) error {
 	if _, ok := s.Backend.(*memsim.Recorder); ok {
 		return fmt.Errorf("core: cannot checkpoint while recording a trace (-record-trace)")
 	}
@@ -44,11 +43,6 @@ func (s *System) Checkpoint(w io.Writer, meta []byte) error {
 
 	sw, err := snapshot.NewWriter(w)
 	if err != nil {
-		return err
-	}
-	if err := sw.Section("meta", func(e *snapshot.Encoder) {
-		e.Bytes(meta)
-	}); err != nil {
 		return err
 	}
 	if err := sw.Section("config", func(e *snapshot.Encoder) {
@@ -146,24 +140,12 @@ func (s *System) Checkpoint(w io.Writer, meta []byte) error {
 	return sw.Close()
 }
 
-// Meta extracts the front-end blob stored by Checkpoint. Front-ends
-// call this first to recover the Config (VM set, script position) they
-// need to hand RestoreSystem.
-func Meta(r *snapshot.Reader) ([]byte, error) {
-	d, err := r.Section("meta")
-	if err != nil {
-		return nil, err
-	}
-	b := d.Bytes()
-	return b, d.Err()
-}
-
 // RestoreSystem rebuilds a checkpointed system. cfg must describe the
 // machine and the VM set live at checkpoint time exactly as the
 // original run did (same shape, seed, share policy, and VM configs in
-// the same order — the front-end reconstructs this from its meta
-// blob); the snapshot's config section is cross-checked against it and
-// any mismatch is an error, not silent divergence.
+// the same order — the fleet records this in its own checkpoint
+// section); the snapshot's config section is cross-checked against it
+// and any mismatch is an error, not silent divergence.
 //
 // The restore strategy is reconstruct + overlay: NewSystem boots the
 // full stack (allocating frames, consuming RNG draws, initializing

@@ -32,7 +32,7 @@ func snapshotConfig(t *testing.T, backend memsim.Builder) Config {
 func checkpointBytes(t *testing.T, sys *System) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := sys.Checkpoint(&buf, []byte("test-meta")); err != nil {
+	if err := sys.Checkpoint(&buf); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	return buf.Bytes()
@@ -84,9 +84,6 @@ func TestSnapshotRoundTripParity(t *testing.T) {
 			rd, err := snapshot.Open(bytes.NewReader(snapBytes))
 			if err != nil {
 				t.Fatal(err)
-			}
-			if meta, err := Meta(rd); err != nil || string(meta) != "test-meta" {
-				t.Fatalf("meta = %q, %v", meta, err)
 			}
 			restored, err := RestoreSystem(rd, cfg)
 			if err != nil {

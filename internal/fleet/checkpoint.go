@@ -98,7 +98,7 @@ func (c *Cluster) writeSnapshot(f *os.File, meta []byte) error {
 	var buf bytes.Buffer
 	for _, h := range c.hosts {
 		buf.Reset()
-		if err := h.sys.Checkpoint(&buf, nil); err != nil {
+		if err := h.sys.Checkpoint(&buf); err != nil {
 			return fmt.Errorf("host %d: %w", h.id, err)
 		}
 		if err := sw.Section(hostSection(h.id), func(e *snapshot.Encoder) { e.Bytes(buf.Bytes()) }); err != nil {

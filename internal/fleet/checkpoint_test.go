@@ -186,7 +186,7 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 	}
 	path := filepath.Join(dir, "core.hosnap")
 	var buf bytes.Buffer
-	if err := c.hosts[0].sys.Checkpoint(&buf, nil); err != nil {
+	if err := c.hosts[0].sys.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {

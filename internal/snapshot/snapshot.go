@@ -44,7 +44,8 @@ import (
 //	2: columnar (struct-of-arrays) guest page store section — one
 //	   sorted PFN list followed by per-field arrays.
 //	3: departed-VM entries record whether the VM migrated out (so a
-//	   restored host still accepts it back).
+//	   restored host still accepts it back); no front-end meta section
+//	   (the fleet keeps its state in a checkpoint of its own).
 const Version = 3
 
 // VersionError is returned by Open when the file's format version does
