@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"sync"
 	"testing"
 
 	"heteroos/internal/memsim"
@@ -104,5 +107,165 @@ func TestThrottleShiftPerturbs(t *testing.T) {
 	if with.VMs[0].Res.SimTime <= without.VMs[0].Res.SimTime {
 		t.Errorf("throttle worsening did not slow the run: %v vs %v",
 			with.VMs[0].Res.SimTime, without.VMs[0].Res.SimTime)
+	}
+}
+
+// oneHostBundled lists the bundled single-host scripts — the
+// scenarios a lone machine runs.
+func oneHostBundled(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	for _, name := range Bundled() {
+		if bundled(t, name).Hosts == 1 {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// contended builds a 3-VM one-host script whose FastMem spans fill the
+// machine (3 x 1024 span over 3072 frames) — the shape where DRF
+// arbitration and mid-run departures actually move shares around.
+func contended(name string, seed uint64) *Script {
+	return oneHost(name, seed, 3072, 16384, 40,
+		VMGroup{App: "memlat", Mode: "HeteroOS-coordinated", Count: 3, FastPages: 1024, SlowPages: 4096})
+}
+
+// TestBundledScenariosLoad checks the bundled single-host scenarios:
+// churn.json and degrade.json load as one-host DRF scripts, a
+// nonexistent name fails, and a missing path falls back to them.
+func TestBundledScenariosLoad(t *testing.T) {
+	names := oneHostBundled(t)
+	if len(names) < 2 {
+		t.Fatalf("bundled one-host scenarios = %v, want churn.json and degrade.json", names)
+	}
+	for _, name := range names {
+		sc := bundled(t, name)
+		if sc.share() != "drf" || sc.TotalVMs() == 0 {
+			t.Errorf("%s: share=%q vms=%d, want a DRF host booting VMs", name, sc.share(), sc.TotalVMs())
+		}
+	}
+	if _, err := LoadBundled("nonexistent.json"); err == nil {
+		t.Error("loading a nonexistent bundled scenario succeeded")
+	}
+	// A path that does not exist on disk falls back to the bundled set.
+	if sc, err := LoadFile("/no/such/dir/churn.json"); err != nil {
+		t.Errorf("bundled fallback failed: %v", err)
+	} else if sc.Hosts != 1 {
+		t.Errorf("churn.json fallback has %d hosts, want 1", sc.Hosts)
+	}
+}
+
+// TestValidateRejections feeds Validate one-host scripts that are each
+// wrong in one way and checks every one is refused.
+func TestValidateRejections(t *testing.T) {
+	base := func() *Script {
+		return oneHost("v", 1, 4096, 4096, 16,
+			VMGroup{App: "memlat", Mode: "HeteroOS-coordinated", FastPages: 512, SlowPages: 512})
+	}
+	with := func(events ...Event) *Script {
+		sc := base()
+		sc.Events = events
+		return sc
+	}
+	cases := []struct {
+		name  string
+		build func() *Script
+	}{
+		{"zero machine", func() *Script {
+			sc := base()
+			sc.Host.FastFrames, sc.Host.SlowFrames = 0, 0
+			return sc
+		}},
+		{"unknown share", func() *Script {
+			sc := base()
+			sc.Host.Share = "fifo"
+			return sc
+		}},
+		{"unknown app", func() *Script {
+			sc := base()
+			sc.VMs[0].App = "fortran"
+			return sc
+		}},
+		{"unknown mode", func() *Script {
+			sc := base()
+			sc.VMs[0].Mode = "psychic"
+			return sc
+		}},
+		{"event targets unknown VM", func() *Script { return with(Event{At: 4, Kind: KindShutdown, VM: 9}) }},
+		{"boot without description", func() *Script { return with(Event{At: 2, Kind: KindBoot}) }},
+		{"throttle shift without point", func() *Script { return with(Event{At: 2, Kind: KindThrottleShift}) }},
+		{"unknown kind", func() *Script { return with(Event{At: 2, Kind: "meteor"}) }},
+		{"negative round", func() *Script { return with(Event{At: -1, Kind: KindShutdown, VM: 1}) }},
+		{"round past the end", func() *Script { return with(Event{At: 16, Kind: KindShutdown, VM: 1}) }},
+		{"negative duration", func() *Script { return with(Event{At: 2, Kind: KindSurge, VM: 1, Duration: -3}) }},
+		{"negative factor", func() *Script { return with(Event{At: 2, Kind: KindSurge, VM: 1, Factor: -2}) }},
+		{"zero memory span", func() *Script {
+			sc := base()
+			sc.VMs[0].FastPages, sc.VMs[0].SlowPages = 0, 0
+			return sc
+		}},
+		{"non-positive VM id", func() *Script { return with(Event{At: 2, Kind: KindShutdown, VM: -1}) }},
+		{"unknown backend", func() *Script {
+			sc := base()
+			sc.Host.Backend = "quantum"
+			return sc
+		}},
+		{"checkpoint without path", func() *Script { return with(Event{At: 2, Kind: KindCheckpoint}) }},
+		{"surge of a VM never booted", func() *Script { return with(Event{At: 2, Kind: KindSurge, VM: 7, Duration: 4, Factor: 2}) }},
+	}
+	for _, tc := range cases {
+		if err := tc.build().Validate(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if err := base().Validate(); err != nil {
+		t.Fatalf("valid script rejected: %v", err)
+	}
+}
+
+// TestWorkerCountInvariance checks that a batch of one-host scripts
+// gives the same results stepped serially with one worker and run
+// concurrently with four workers each.
+func TestWorkerCountInvariance(t *testing.T) {
+	batch := func() []*Script {
+		var scs []*Script
+		for _, name := range oneHostBundled(t) {
+			scs = append(scs, bundled(t, name))
+		}
+		extra := contended("batch-extra", 17)
+		extra.Events = []Event{{At: 3, Kind: KindShutdown, VM: 3}}
+		return append(scs, extra)
+	}
+	marshal := func(r *Result) []byte {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var serial [][]byte
+	for _, sc := range batch() {
+		serial = append(serial, marshal(run(t, sc)))
+	}
+	scs := batch()
+	results := make([]*Result, len(scs))
+	errs := make([]error, len(scs))
+	var wg sync.WaitGroup
+	for i, sc := range scs {
+		wg.Add(1)
+		go func(i int, sc *Script) {
+			defer wg.Done()
+			results[i], errs[i] = Run(context.Background(), sc, Options{Workers: 4})
+		}(i, sc)
+	}
+	wg.Wait()
+	for i := range scs {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", scs[i].Name, errs[i])
+		}
+		if !bytes.Equal(serial[i], marshal(results[i])) {
+			t.Errorf("%s differs between 1 serial and 4 concurrent workers", scs[i].Name)
+		}
 	}
 }
