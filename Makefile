@@ -150,16 +150,19 @@ fleet-smoke:
 # backend-parity pins the default machine-model backend to the seed:
 # the analytic backend (explicitly selected, exercising the -backend
 # flag path) must reproduce the committed figure CSVs byte-for-byte.
-# The goldens under testdata/backend/ were captured from the pre-backend
-# seed tree, so any pricing drift — in the engine or in the backend
-# plumbing around it — fails the gate.
+# The figure9/figure6 goldens under testdata/backend/ were captured from
+# the pre-backend seed tree, so any pricing drift — in the engine or in
+# the backend plumbing around it — fails the gate. The figure11 and
+# figure13 goldens pin the reclaim-heavy figures (HeteroOS-LRU and the
+# coordinated/DRF sweeps), so a guest reclaim or LRU change that alters
+# eviction order fails here too.
 backend-parity:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/heterobench -exp figure9 -quick -backend analytic \
-		-format=csv > "$$tmp/f9.csv" || exit 1; \
-	$(GO) run ./cmd/heterobench -exp figure6 -quick -backend analytic \
-		-format=csv > "$$tmp/f6.csv" || exit 1; \
-	for f in f9:figure9_quick f6:figure6_quick; do \
+	for f in f9:figure9 f6:figure6 f11:figure11 f13:figure13; do \
+		$(GO) run ./cmd/heterobench -exp $${f#*:} -quick -backend analytic \
+			-format=csv > "$$tmp/$${f%%:*}.csv" || exit 1; \
+	done; \
+	for f in f9:figure9_quick f6:figure6_quick f11:figure11_quick f13:figure13_quick; do \
 		got="$$tmp/$${f%%:*}.csv"; want="testdata/backend/$${f#*:}.csv"; \
 		if ! cmp -s "$$want" "$$got"; then \
 			echo "backend-parity: analytic output drifted from $$want:"; \
