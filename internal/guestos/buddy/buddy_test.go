@@ -1,7 +1,10 @@
 package buddy
 
 import (
+	"container/heap"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -259,5 +262,60 @@ func TestAccessors(t *testing.T) {
 	a := New(7, 100)
 	if a.Base() != 7 || a.Size() != 100 {
 		t.Fatal("accessors wrong")
+	}
+}
+
+// refHeap is orderHeap driven through container/heap, the sift order the
+// typed push/pop must reproduce.
+type refHeap []uint64
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(uint64)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+func TestOrderHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var got orderHeap
+	var want refHeap
+	for op := 0; op < 20000; op++ {
+		if len(got) > 0 && rng.Intn(5) < 2 {
+			g, w := got.pop(), heap.Pop(&want).(uint64)
+			if g != w {
+				t.Fatalf("op %d: pop = %d, container/heap = %d", op, g, w)
+			}
+		} else {
+			// A narrow value range forces duplicates, like stale entries.
+			x := uint64(rng.Intn(512))
+			got.push(x)
+			heap.Push(&want, x)
+		}
+		if !slices.Equal([]uint64(got), []uint64(want)) {
+			t.Fatalf("op %d: layout %v, container/heap %v", op, got, want)
+		}
+	}
+}
+
+func TestAllocFreeZeroAlloc(t *testing.T) {
+	a := newFull(0, 4096)
+	// Warm the heaps to their steady-state capacity.
+	for i := 0; i < 3; i++ {
+		p, _ := a.Alloc(2)
+		a.Free(p, 2)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		p, err := a.Alloc(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Free(p, 2)
+	}); n != 0 {
+		t.Fatalf("Alloc/Free allocated %.1f times per run", n)
 	}
 }

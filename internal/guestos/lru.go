@@ -156,16 +156,75 @@ func (l *PageLRU) BalanceInto(demoted []PFN, max int) []PFN {
 // TailInactive returns the coldest inactive page, or NilPFN.
 func (l *PageLRU) TailInactive() PFN { return l.inactive.tail }
 
-// RotateInactive gives a referenced inactive tail page a second chance
-// by moving it to the inactive head with its referenced bit cleared.
-func (l *PageLRU) RotateInactive(pfn PFN) {
+// rotateRun gives the run of second-chance pages at the inactive tail
+// their rotation in one splice. Starting at the tail it walks towards
+// the head while each page is referenced or protected, clearing the
+// referenced bit, and stops after min(max, count) pages; the walked
+// segment then moves to the head in its own order. That is exactly the
+// list the same number of single tail-to-head rotations leave behind.
+// protected must depend neither on the referenced bit nor on list
+// position.
+//
+// A lap made only of protected pages would keep rotating until max ran
+// out. Every whole further lap leaves the order unchanged, so only the
+// final (max-n) mod n rotations are performed, as one more walk and
+// splice. Returns the number of single rotations the run stands for.
+func (l *PageLRU) rotateRun(max uint64, protected func(PFN) bool) uint64 {
 	s := l.store
-	if !s.Has(pfn, FlagOnLRU) || s.Has(pfn, FlagActive) {
+	lst := &l.inactive
+	if lst.count == 0 {
+		return 0
+	}
+	limit := lst.count
+	if max < limit {
+		limit = max
+	}
+	var n uint64
+	allProtected := true
+	p := lst.tail
+	for n < limit {
+		prot := protected(p)
+		if !prot && !bitGet(s.accessed, p) {
+			break
+		}
+		allProtected = allProtected && prot
+		bitClear(s.accessed, p)
+		p = s.lruPrev[p]
+		n++
+	}
+	if n < lst.count {
+		l.spliceTailAfter(p)
+		return n
+	}
+	// A full lap: the order is back where it started and every
+	// referenced bit is clear.
+	if !allProtected {
+		// The pages that were only referenced now end the run.
+		return n + l.rotateRun(max-n, protected)
+	}
+	p = lst.tail
+	for shift := (max - n) % n; shift > 0; shift-- {
+		p = s.lruPrev[p]
+	}
+	l.spliceTailAfter(p)
+	return max
+}
+
+// spliceTailAfter moves the inactive pages behind p to the head, in
+// order, making p the new tail. A NilPFN p (the segment is the whole
+// list) or the tail itself (an empty segment) leaves the list as is.
+func (l *PageLRU) spliceTailAfter(p PFN) {
+	s := l.store
+	lst := &l.inactive
+	if p == NilPFN || p == lst.tail {
 		return
 	}
-	l.unlink(&l.inactive, pfn)
-	s.Clear(pfn, FlagAccessed)
-	l.pushHead(&l.inactive, pfn)
+	first := s.lruNext[p]
+	s.lruNext[lst.tail] = lst.head
+	s.lruPrev[lst.head] = lst.tail
+	s.lruPrev[first] = NilPFN
+	s.lruNext[p] = NilPFN
+	lst.head, lst.tail = first, p
 }
 
 // ActiveCount reports the active list length.

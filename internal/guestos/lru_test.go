@@ -1,6 +1,8 @@
 package guestos
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -81,17 +83,75 @@ func TestLRUDeactivateAndRotate(t *testing.T) {
 	if l.ActiveCount() != 0 || store.Has(0, FlagAccessed) {
 		t.Fatal("deactivate must clear referenced bit and move lists")
 	}
-	// Tail rotation clears the bit and keeps the page inactive.
+	// Tail rotation clears the bit and keeps the page inactive; the run
+	// stops at the unreferenced page 1 behind it.
 	l.Insert(1)
-	store.Set(1, FlagAccessed)
-	l.RotateInactive(1)
-	if store.Has(1, FlagAccessed) || !l.Contains(1) {
+	store.Set(0, FlagAccessed)
+	if n := l.rotateRun(5, func(PFN) bool { return false }); n != 1 {
+		t.Fatalf("rotateRun = %d, want 1", n)
+	}
+	if store.Has(0, FlagAccessed) || !l.Contains(0) {
 		t.Fatal("rotate semantics wrong")
 	}
-	// TailInactive returns the oldest inactive page (0, then rotated 1
-	// went to the head).
-	if got := l.TailInactive(); got != 0 {
-		t.Fatalf("tail = %d, want 0", got)
+	// TailInactive returns the oldest inactive page (1, since the
+	// rotated 0 went to the head).
+	if got := l.TailInactive(); got != 1 {
+		t.Fatalf("tail = %d, want 1", got)
+	}
+}
+
+// TestRotateRunMatchesSingleRotations checks rotateRun against the
+// single-page rotations it stands for, on random inactive lists with
+// random referenced bits and protected sets, for budgets below, equal
+// to and several laps above the list length: same order, same flags,
+// and a return value equal to the number of single rotations made.
+func TestRotateRunMatchesSingleRotations(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(12)
+		protected := make([]bool, n)
+		// Some trials protect every page, so whole laps fold.
+		allProtected := trial%4 == 0
+		for i := range protected {
+			protected[i] = allProtected || rng.Intn(3) == 0
+		}
+		prot := func(pfn PFN) bool { return protected[pfn] }
+		refStore, ref := lruFixture(uint64(n))
+		gotStore, got := lruFixture(uint64(n))
+		for _, pfn := range rng.Perm(n) {
+			ref.Insert(PFN(pfn))
+			got.Insert(PFN(pfn))
+			if rng.Intn(2) == 0 {
+				refStore.Set(PFN(pfn), FlagAccessed)
+				gotStore.Set(PFN(pfn), FlagAccessed)
+			}
+		}
+		max := uint64(rng.Intn(4*n + 2))
+		var want uint64
+		for want < max {
+			tail := ref.TailInactive()
+			if !refStore.Has(tail, FlagAccessed) && !protected[tail] {
+				break
+			}
+			refRotateInactive(ref, tail)
+			want++
+		}
+		if r := got.rotateRun(max, prot); r != want {
+			t.Fatalf("trial %d (n=%d max=%d): rotateRun = %d, single rotations = %d", trial, n, max, r, want)
+		}
+		_, wantOrder := lruOrder(ref)
+		_, gotOrder := lruOrder(got)
+		if !slices.Equal(wantOrder, gotOrder) {
+			t.Fatalf("trial %d (n=%d max=%d): order %v, want %v", trial, n, max, gotOrder, wantOrder)
+		}
+		for pfn := PFN(0); pfn < PFN(n); pfn++ {
+			if refStore.Flags(pfn) != gotStore.Flags(pfn) {
+				t.Fatalf("trial %d: page %d flags %v, want %v", trial, pfn, gotStore.Flags(pfn), refStore.Flags(pfn))
+			}
+		}
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 	}
 }
 

@@ -40,14 +40,48 @@ func (o *OS) reclaimNode(idx int, target uint64) uint64 {
 func (o *OS) reclaimPass(idx int, target uint64, cacheOnly bool) uint64 {
 	n := o.nodes[idx]
 	l := o.lrus[idx]
+	st := o.store
 	var freed, rotations uint64
 	// Refill the inactive list if it ran dry.
 	if l.InactiveCount() == 0 {
 		o.balanceBuf = l.BalanceInto(o.balanceBuf[:0], int(2*target))
 	}
+	// Recency guard: a page used within the last two epochs is part of
+	// the active working set even if a rotation cleared its referenced
+	// bit; evicting it would thrash. Spilling the new allocation to
+	// SlowMem (a FastMem allocation miss) is cheaper than demoting a hot
+	// page. When FastMem is far smaller than the working set everything
+	// is recent and the guard would starve reclaim entirely, so it
+	// relaxes under heavy allocation misses. The allocation window only
+	// changes in allocPage, which nothing in this walk reaches (page
+	// moves take their frame from the per-CPU list or populateNode
+	// directly), so the guard holds for the whole pass.
+	guard := uint32(2)
+	if o.Window.OverallMissRatio() > 0.5 {
+		guard = 0
+	}
+	epoch := o.epoch
+	// protected pages get the same second chance as referenced ones:
+	// recently used pages (the recency guard); pages the tracker knows
+	// are decisively hot, including freshly promoted ones, since reclaim
+	// undoing the migrator's work would waste both moves (ScanHeat is
+	// zero outside coordinated mode; the gray zone below stays
+	// reclaimable so allocation placement never starves); and, in a
+	// cache-only pass, anonymous pages.
+	protected := func(pfn PFN) bool {
+		return st.LastUse(pfn)+guard >= epoch && epoch >= 2 ||
+			st.ScanHeat(pfn) >= 6 ||
+			cacheOnly && st.Kind(pfn) == KindAnon
+	}
 	attempts := l.InactiveCount() + l.ActiveCount()
 walk:
 	for freed < target && attempts > 0 {
+		r := l.rotateRun(attempts, protected)
+		attempts -= r
+		rotations += r
+		if attempts == 0 {
+			break
+		}
 		attempts--
 		pfn := l.TailInactive()
 		if pfn == NilPFN {
@@ -60,49 +94,13 @@ walk:
 			}
 			continue
 		}
-		st := o.store
-		if st.Has(pfn, FlagAccessed) {
-			l.RotateInactive(pfn)
-			rotations++
-			continue
-		}
-		// Recency guard: a page used within the last two epochs is part
-		// of the active working set even if a rotation cleared its
-		// referenced bit; evicting it would thrash. Spilling the new
-		// allocation to SlowMem (a FastMem allocation miss) is cheaper
-		// than demoting a hot page. When FastMem is far smaller than the
-		// working set everything is recent and the guard would starve
-		// reclaim entirely, so it relaxes under heavy allocation misses.
-		guard := uint32(2)
-		if o.Window.OverallMissRatio() > 0.5 {
-			guard = 0
-		}
-		if st.LastUse(pfn)+guard >= o.epoch && o.epoch >= 2 {
-			l.RotateInactive(pfn)
-			rotations++
-			continue
-		}
-		// Coordination guard: pages the tracker knows are decisively hot
-		// (including freshly promoted ones) are not demoted — reclaim
-		// undoing the migrator's work would waste both moves. The gray
-		// zone below stays reclaimable so allocation placement never
-		// starves. (ScanHeat is zero outside coordinated mode.)
-		if st.ScanHeat(pfn) >= 6 {
-			l.RotateInactive(pfn)
-			rotations++
-			continue
-		}
+		// rotateRun stopped at an unreferenced, unprotected tail page.
 		switch kind := st.Kind(pfn); kind {
 		case KindPageCache:
 			if o.evictCachePage(pfn) {
 				freed++
 			}
 		case KindAnon:
-			if cacheOnly {
-				l.RotateInactive(pfn)
-				rotations++
-				continue
-			}
 			if n.Tier == memsim.FastMem && o.cfg.Aware {
 				if o.ep.Demotions >= demotionRateCap {
 					break walk // budget exhausted this epoch; allocations spill
@@ -423,20 +421,25 @@ func (o *OS) eagerEvictIOPages() {
 		return
 	}
 	l := o.lrus[memsim.FastMem]
+	st := o.store
+	epoch := o.epoch
+	// Pages that are not idle I/O pages rotate so the walk can continue
+	// past them.
+	busy := func(pfn PFN) bool {
+		return st.Kind(pfn) != KindPageCache || st.LastUse(pfn)+3 >= epoch
+	}
 	evicted := 0
 	// Bounded walk from the inactive tail.
 	scan := l.InactiveCount()
 	for scan > 0 && evicted < EagerIOEvictions {
+		scan -= l.rotateRun(scan, busy)
+		if scan == 0 {
+			break
+		}
 		scan--
 		pfn := l.TailInactive()
 		if pfn == NilPFN {
 			break
-		}
-		st := o.store
-		if st.Kind(pfn) != KindPageCache || st.Has(pfn, FlagAccessed) || st.LastUse(pfn)+3 >= o.epoch {
-			// Not an idle I/O page; rotate so the walk can continue past it.
-			l.RotateInactive(pfn)
-			continue
 		}
 		// Demote to SlowMem rather than dropping: a SlowMem cache hit is
 		// three orders of magnitude cheaper than a disk refault, and I/O

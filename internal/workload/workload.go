@@ -19,7 +19,7 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
@@ -124,7 +124,10 @@ type heapRegion struct {
 	hotFrac  float64
 	hotStart uint64 // drifting window base
 	drift    uint64 // window advance per epoch, in pages
-	counts   map[guestos.VPN]uint64
+	// Per-touch scratch, zero between calls: access counts per page
+	// index and a bitmap of the indices sampled this touch.
+	counts  []uint32
+	touched []uint64
 }
 
 func newHeapRegion(os *guestos.OS, rng *sim.RNG, pages, hotPages uint64, hotFrac float64) (*heapRegion, error) {
@@ -144,7 +147,8 @@ func newHeapRegion(os *guestos.OS, rng *sim.RNG, pages, hotPages uint64, hotFrac
 		pages:    pages,
 		hotPages: hotPages,
 		hotFrac:  hotFrac,
-		counts:   make(map[guestos.VPN]uint64, touchSamples),
+		counts:   make([]uint32, pages),
+		touched:  make([]uint64, (pages+63)/64),
 	}, nil
 }
 
@@ -169,32 +173,38 @@ func (h *heapRegion) sample() (uint64, bool) {
 // membership to the LRU. storeFrac splits loads/stores. The hot window
 // then drifts.
 func (h *heapRegion) touch(os *guestos.OS, samples int, accessesPerSample uint64, storeFrac float64) error {
-	for k := range h.counts {
-		delete(h.counts, k)
-	}
 	for i := 0; i < samples; i++ {
 		idx, hot := h.sample()
-		vpn := h.vma.Start + guestos.VPN(idx)
 		if hot {
-			h.counts[vpn] += accessesPerSample
+			h.counts[idx] += uint32(accessesPerSample)
 		} else {
-			h.counts[vpn]++
+			h.counts[idx]++
+		}
+		h.touched[idx/64] |= 1 << (idx % 64)
+	}
+	// Touch in ascending VPN order (the bitmap's word order): fault
+	// order decides frame assignment, so it must not depend on anything
+	// but the samples. The scratch is zeroed as it is consumed, also
+	// past an error, so the next touch starts clean.
+	var err error
+	for w, word := range h.touched {
+		if word == 0 {
+			continue
+		}
+		h.touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			idx := w*64 + bits.TrailingZeros64(word)
+			n := uint64(h.counts[idx])
+			h.counts[idx] = 0
+			if err != nil {
+				continue
+			}
+			stores := uint64(float64(n) * storeFrac)
+			_, err = os.TouchVPN(h.vma.Start+guestos.VPN(idx), n-stores, stores)
 		}
 	}
-	// Touch in sorted VPN order: map iteration order is randomized per
-	// process, and fault order decides frame assignment — unsorted
-	// iteration would make whole simulations nondeterministic.
-	vpns := make([]guestos.VPN, 0, len(h.counts))
-	for vpn := range h.counts {
-		vpns = append(vpns, vpn)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, vpn := range vpns {
-		n := h.counts[vpn]
-		stores := uint64(float64(n) * storeFrac)
-		if _, err := os.TouchVPN(vpn, n-stores, stores); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 	h.hotStart = (h.hotStart + h.drift) % h.pages
 	return nil

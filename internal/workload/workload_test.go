@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"heteroos/internal/guestos"
@@ -217,16 +218,162 @@ func mustHeapRegion(t *testing.T, os *guestos.OS, pages, hot uint64, frac float6
 	return r
 }
 
+// touchedSet runs one touch in a fresh epoch and reads back, through
+// the guest, which of the region's pages it used.
 func touchedSet(t *testing.T, os *guestos.OS, r *heapRegion) map[guestos.VPN]bool {
 	t.Helper()
+	os.EndEpoch()
 	if err := r.touch(os, 200, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[guestos.VPN]bool, len(r.counts))
-	for vpn := range r.counts {
-		out[vpn] = true
+	out := make(map[guestos.VPN]bool)
+	for i := uint64(0); i < r.pages; i++ {
+		vpn := r.vma.Start + guestos.VPN(i)
+		if pfn, ok := os.AS.Translate(vpn); ok && os.Store().LastUse(pfn) == os.Epoch() {
+			out[vpn] = true
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("touch used no page")
 	}
 	return out
+}
+
+// refTouch is heapRegion.touch as a map of per-VPN counts walked in
+// sorted order, the shape the dense count array and bitmap replace.
+func refTouch(h *heapRegion, os *guestos.OS, samples int, accessesPerSample uint64, storeFrac float64) error {
+	counts := make(map[guestos.VPN]uint64, samples)
+	for i := 0; i < samples; i++ {
+		idx, hot := h.sample()
+		vpn := h.vma.Start + guestos.VPN(idx)
+		if hot {
+			counts[vpn] += accessesPerSample
+		} else {
+			counts[vpn]++
+		}
+	}
+	vpns := make([]guestos.VPN, 0, len(counts))
+	for vpn := range counts {
+		vpns = append(vpns, vpn)
+	}
+	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+	for _, vpn := range vpns {
+		n := counts[vpn]
+		stores := uint64(float64(n) * storeFrac)
+		if _, err := os.TouchVPN(vpn, n-stores, stores); err != nil {
+			return err
+		}
+	}
+	h.hotStart = (h.hotStart + h.drift) % h.pages
+	return nil
+}
+
+// TestTouchMatchesSortedMapReference drives the same region on two
+// identically booted guests, one through touch and one through the
+// map-and-sort reference, and requires the same guest afterwards: the
+// same VPN-to-PFN mapping and the same per-page LastUse and Heat.
+func TestTouchMatchesSortedMapReference(t *testing.T) {
+	for _, c := range []struct {
+		name              string
+		pages, hot, drift uint64
+		frac              float64
+		samples           int
+	}{
+		{"not-multiple-of-64", 1000, 100, 37, 0.9, 300},
+		{"wrapping-window", 130, 50, 45, 0.8, 120},
+		{"samples-exceed-pages", 100, 30, 11, 0.7, 3000},
+		{"whole-region-hot", 64, 64, 0, 1.0, 200},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			refOS, gotOS := bootOS(t), bootOS(t)
+			ref := mustHeapRegion(t, refOS, c.pages, c.hot, c.frac)
+			got := mustHeapRegion(t, gotOS, c.pages, c.hot, c.frac)
+			ref.setDrift(c.drift)
+			got.setDrift(c.drift)
+			wrapped := false
+			for epoch := 0; epoch < 12; epoch++ {
+				wrapped = wrapped || got.hotStart+got.hotPages > got.pages
+				if err := refTouch(ref, refOS, c.samples, 3, 0.25); err != nil {
+					t.Fatal(err)
+				}
+				if err := got.touch(gotOS, c.samples, 3, 0.25); err != nil {
+					t.Fatal(err)
+				}
+				if ref.hotStart != got.hotStart {
+					t.Fatalf("epoch %d: hotStart %d, reference %d", epoch, got.hotStart, ref.hotStart)
+				}
+				for i := uint64(0); i < c.pages; i++ {
+					vpn := got.vma.Start + guestos.VPN(i)
+					rp, rok := refOS.AS.Translate(vpn)
+					gp, gok := gotOS.AS.Translate(vpn)
+					if rp != gp || rok != gok {
+						t.Fatalf("epoch %d: vpn %d maps to %d/%v, reference %d/%v", epoch, vpn, gp, gok, rp, rok)
+					}
+					if !gok {
+						continue
+					}
+					rs, gs := refOS.Store(), gotOS.Store()
+					if rs.LastUse(rp) != gs.LastUse(gp) || rs.Heat(rp) != gs.Heat(gp) {
+						t.Fatalf("epoch %d: vpn %d LastUse/Heat %d/%d, reference %d/%d", epoch, vpn,
+							gs.LastUse(gp), gs.Heat(gp), rs.LastUse(rp), rs.Heat(rp))
+					}
+				}
+				refOS.EndEpoch()
+				gotOS.EndEpoch()
+			}
+			if c.name == "wrapping-window" && !wrapped {
+				t.Fatal("hot window never wrapped")
+			}
+			assertScratchClear(t, got)
+		})
+	}
+}
+
+func assertScratchClear(t *testing.T, h *heapRegion) {
+	t.Helper()
+	for i, n := range h.counts {
+		if n != 0 {
+			t.Fatalf("counts[%d] = %d after touch", i, n)
+		}
+	}
+	for w, word := range h.touched {
+		if word != 0 {
+			t.Fatalf("touched word %d = %#x after touch", w, word)
+		}
+	}
+}
+
+// TestTouchClearsScratchOnError checks that a failing TouchVPN (the
+// region's VMA is gone) still leaves the scratch zeroed.
+func TestTouchClearsScratchOnError(t *testing.T) {
+	os := bootOS(t)
+	r := mustHeapRegion(t, os, 200, 50, 0.9)
+	if err := os.AS.Munmap(r.vma.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.touch(os, 300, 4, 0.5); err == nil {
+		t.Fatal("touch of an unmapped region succeeded")
+	}
+	assertScratchClear(t, r)
+}
+
+// TestTouchZeroAlloc pins a steady-state touch (every page already
+// faulted in) at zero allocations.
+func TestTouchZeroAlloc(t *testing.T) {
+	os := bootOS(t)
+	r := mustHeapRegion(t, os, 2048, 2048, 1.0)
+	for i := uint64(0); i < r.pages; i++ {
+		if _, err := os.TouchVPN(r.vma.Start+guestos.VPN(i), 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if err := r.touch(os, touchSamples, 4, 0.3); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("touch allocated %.1f times per run", n)
+	}
 }
 
 func TestSequentialRegionWraps(t *testing.T) {
