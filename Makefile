@@ -130,22 +130,26 @@ fuzz-smoke:
 	$(GO) test -run 'TestFuzzSmoke|TestCommittedRepro|FuzzParse' -count=1 ./internal/fleet
 
 # fleet-smoke runs the 1000-host / 10000-VM churn script end-to-end
-# through the CLI at two worker counts and requires byte-identical
-# output — the fleet layer's determinism contract at datacenter scale
-# (boot storms, a surge wave, three host failures with mass evacuation,
-# and a 500-VM drain, all under the coarse backend).
+# through the CLI at two worker counts and requires both outputs to be
+# byte-identical to the committed golden testdata/fleet/fleet-churn-1k.csv
+# — the fleet layer's determinism contract at datacenter scale (boot
+# storms, a surge wave, three host failures with mass evacuation, and a
+# 500-VM drain, all under the coarse backend). Comparing against the
+# golden, not just across worker counts, also catches a change that is
+# wrong the same way at both counts.
 fleet-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/heterosim" ./cmd/heterosim || exit 1; \
-	"$$tmp/heterosim" -fleet fleet-churn-1k.json -workers 1 -format=csv \
-		> "$$tmp/w1.csv" || exit 1; \
-	"$$tmp/heterosim" -fleet fleet-churn-1k.json -workers 4 -format=csv \
-		> "$$tmp/w4.csv" || exit 1; \
-	if ! cmp -s "$$tmp/w1.csv" "$$tmp/w4.csv"; then \
-		echo "fleet-smoke: 1k-host fleet output differs across worker counts:"; \
-		diff "$$tmp/w1.csv" "$$tmp/w4.csv" | head -20; exit 1; \
-	fi; \
-	echo "fleet-smoke: fleet-churn-1k byte-identical at 1 and 4 workers"
+	want=testdata/fleet/fleet-churn-1k.csv; \
+	for w in 1 4; do \
+		"$$tmp/heterosim" -fleet fleet-churn-1k.json -workers $$w -format=csv \
+			> "$$tmp/w$$w.csv" || exit 1; \
+		if ! cmp -s "$$want" "$$tmp/w$$w.csv"; then \
+			echo "fleet-smoke: 1k-host fleet output at $$w workers drifted from $$want:"; \
+			diff "$$want" "$$tmp/w$$w.csv" | head -20; exit 1; \
+		fi; \
+	done; \
+	echo "fleet-smoke: fleet-churn-1k byte-identical to $$want at 1 and 4 workers"
 
 # backend-parity pins the default machine-model backend to the seed:
 # the analytic backend (explicitly selected, exercising the -backend

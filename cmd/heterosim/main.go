@@ -39,6 +39,8 @@
 //	heterosim -trace -format=csv        # per-epoch series as CSV
 //	heterosim -profile-epochs           # per-phase epoch cost breakdown (sim + wall)
 //	heterosim -listen :9090             # live /metrics (OpenMetrics) + /snapshot.json
+//	heterosim -cpuprofile cpu.out       # CPU profile of the run (go tool pprof)
+//	heterosim -memprofile mem.out       # heap profile at exit
 //
 // Machine-model backends (see DESIGN.md §5f):
 //
@@ -55,6 +57,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 
 	"heteroos/internal/core"
 	"heteroos/internal/fleet"
@@ -89,6 +93,8 @@ func main() {
 		restoreF  = flag.String("restore", "", "resume a fleet checkpoint file and run it to completion")
 		profileF  = flag.Bool("profile-epochs", false, "record per-phase epoch costs (sim + wall) and print a phase breakdown table")
 		listenF   = flag.String("listen", "", "serve live /metrics (OpenMetrics) and /snapshot.json on this address during the run")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+		memprof   = flag.String("memprofile", "", "write a heap profile to `file` at exit")
 	)
 	flag.Parse()
 
@@ -119,6 +125,36 @@ func main() {
 		fmt.Fprintln(os.Stderr, "heterosim: -checkpoint-every needs -fleet or -restore")
 		os.Exit(2)
 	}
+	if *cpuprof != "" {
+		f, err := os.Create(*cpuprof)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "heterosim: -cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "heterosim: -cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}()
+	}
+	if *memprof != "" {
+		defer func() {
+			f, err := os.Create(*memprof)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "heterosim: -memprofile: %v\n", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // material allocations only, not garbage
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintf(os.Stderr, "heterosim: -memprofile: %v\n", err)
+			}
+		}()
+	}
+
 	of := obsFlags{events: *events, chrome: *chrome, metricsF: *metricsF,
 		listen: *listenF, profile: *profileF, format: *format}
 

@@ -787,8 +787,17 @@ func (s *System) CheckInvariants() error {
 			return fmt.Errorf("VM %d: %w", inst.ID, err)
 		}
 	}
+	if len(s.Departed) == 0 {
+		return nil
+	}
+	// One sweep of the owner array counts every departed VM's frames.
+	lo, hi := s.Departed[0].ID, s.Departed[0].ID
 	for _, inst := range s.Departed {
-		if leaked := s.Machine.OwnedBy(memsim.Owner(inst.ID)); leaked != 0 {
+		lo, hi = min(lo, inst.ID), max(hi, inst.ID)
+	}
+	owned := s.Machine.OwnedByRange(memsim.Owner(lo), memsim.Owner(hi))
+	for _, inst := range s.Departed {
+		if leaked := owned[inst.ID-lo]; leaked != 0 {
 			return fmt.Errorf("departed VM %d: %d machine frames leaked", inst.ID, leaked)
 		}
 		// Restored snapshots carry departed VMs as result-only stubs

@@ -235,7 +235,7 @@ func NewCluster(sc *Script, opts Options) (*Cluster, error) {
 		c.addHost(sys, false)
 	}
 	for i := range sc.VMs {
-		if err := c.bootGroup(&sc.VMs[i]); err != nil {
+		if err := c.bootGroup(context.TODO(), &sc.VMs[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -293,8 +293,17 @@ func (c *Cluster) hostViews() []HostView {
 	return c.viewBuf
 }
 
-// bootGroup places and boots every VM of one group.
-func (c *Cluster) bootGroup(g *VMGroup) error {
+// bootGroup places every VM of one group, then boots them. Placement
+// reads only the fleet-side books (HostView), never host state, so the
+// serial loop places, admits and records the whole group first; then
+// each host boots its share, in VM-id order, as one pool job. Of
+// several failed boots the lowest VM id's error is returned — the one
+// a VM-by-VM loop would have hit first. A placement or config error
+// ends the group: the VMs placed before it still boot, and a boot
+// error among them takes precedence.
+func (c *Cluster) bootGroup(ctx context.Context, g *VMGroup) error {
+	boots := make([][]core.VMConfig, len(c.hosts))
+	var placeErr error
 	for i := 0; i < g.count(); i++ {
 		st := &vmState{vmRecord: vmRecord{
 			ID:  vmm.VMID(len(c.order) + 1),
@@ -304,23 +313,42 @@ func (c *Cluster) bootGroup(g *VMGroup) error {
 		}}
 		target := c.place.PlaceBoot(st.view(), c.hostViews())
 		if target < 0 {
-			return fmt.Errorf("fleet %q round %d: no host fits VM %d (%s, %d fast + %d slow)",
+			placeErr = fmt.Errorf("fleet %q round %d: no host fits VM %d (%s, %d fast + %d slow)",
 				c.sc.Name, c.round, st.ID, st.App, st.FastPages, st.SlowPages)
+			break
 		}
 		vc, err := c.vmConfig(st)
 		if err != nil {
-			return err
+			placeErr = err
+			break
 		}
-		h := c.hosts[target]
-		if _, err := h.sys.BootVM(vc); err != nil {
-			return fmt.Errorf("fleet %q round %d: boot VM %d on host %d: %w", c.sc.Name, c.round, st.ID, target, err)
-		}
+		boots[target] = append(boots[target], vc)
 		st.Host = target
-		h.admit(st)
+		c.hosts[target].admit(st)
 		c.vms[st.ID] = st
 		c.order = append(c.order, st.ID)
 	}
-	return nil
+	// booting[h] is the VM host h is booting (or failed to boot).
+	booting := make([]vmm.VMID, len(c.hosts))
+	errs := c.eachHost(ctx, func(h *host) bool { return len(boots[h.id]) > 0 }, func(h *host) error {
+		for _, vc := range boots[h.id] {
+			booting[h.id] = vc.ID
+			if _, err := h.sys.BootVM(vc); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	first := -1
+	for id, err := range errs {
+		if err != nil && (first < 0 || booting[id] < booting[first]) {
+			first = id
+		}
+	}
+	if first >= 0 {
+		return fmt.Errorf("fleet %q round %d: boot VM %d on host %d: %w", c.sc.Name, c.round, booting[first], first, errs[first])
+	}
+	return placeErr
 }
 
 func (h *host) admit(st *vmState) {
@@ -374,11 +402,11 @@ func (c *Cluster) targets(e *Event, eligible func(*vmState) bool) ([]vmm.VMID, e
 }
 
 // apply executes one script action at the current round.
-func (c *Cluster) apply(a action) error {
+func (c *Cluster) apply(ctx context.Context, a action) error {
 	e := &c.sc.Events[a.ev]
 	switch e.Kind {
 	case KindBoot:
-		return c.bootGroup(e.Boot)
+		return c.bootGroup(ctx, e.Boot)
 	case KindShutdown:
 		ids, err := c.targets(e, c.resident)
 		if err != nil {
@@ -573,7 +601,7 @@ func (c *Cluster) StepRound(ctx context.Context) error {
 		a := c.actions[0]
 		c.actions = c.actions[1:]
 		c.consumed++
-		err := c.apply(a)
+		err := c.apply(ctx, a)
 		c.forwardEvents()
 		if err != nil {
 			return fmt.Errorf("fleet %q round %d: %w", c.sc.Name, c.round, err)
@@ -640,36 +668,49 @@ func (c *Cluster) forwardEvents() {
 	}
 }
 
-// stepHosts runs every live host's RoundEpochs epochs through the
-// runner pool. Hosts share no mutable state, and the futures are
-// awaited in host order, so this is the only concurrent phase and it
-// cannot perturb determinism.
-func (c *Cluster) stepHosts(ctx context.Context) error {
+// eachHost runs fn on every host that use selects, one runner pool job
+// per host, and returns fn's errors indexed by host id. Hosts share no
+// mutable state and each job touches only its own host, so the pooled
+// phases (boot, step, final check) cannot perturb determinism: every
+// host does its own work in its own order, and callers read the errors
+// in a fixed order.
+func (c *Cluster) eachHost(ctx context.Context, use func(*host) bool, fn func(*host) error) []error {
 	pool := runner.NewPool(ctx, runner.Options{Workers: c.opts.Workers})
 	futures := make([]*runner.Future, len(c.hosts))
 	for i, h := range c.hosts {
-		if h.failed {
+		if !use(h) {
 			continue
 		}
-		h := h
 		futures[i] = pool.SubmitFunc("host"+strconv.Itoa(h.id), func(context.Context) (*core.VMResult, *core.System, error) {
-			for e := 0; e < c.sc.RoundEpochs; e++ {
-				alive, err := h.sys.StepEpoch()
-				if err != nil {
-					return nil, nil, err
-				}
-				if !alive {
-					break
-				}
-			}
-			return nil, h.sys, nil
+			return nil, h.sys, fn(h)
 		})
 	}
+	errs := make([]error, len(c.hosts))
 	for i, f := range futures {
-		if f == nil {
-			continue
+		if f != nil {
+			errs[i] = f.Err()
 		}
-		if err := f.Err(); err != nil {
+	}
+	return errs
+}
+
+// live selects the hosts that have not failed.
+func live(h *host) bool { return !h.failed }
+
+// stepHosts runs every live host's RoundEpochs epochs through the
+// runner pool; the first failing host in host order reports.
+func (c *Cluster) stepHosts(ctx context.Context) error {
+	errs := c.eachHost(ctx, live, func(h *host) error {
+		for e := 0; e < c.sc.RoundEpochs; e++ {
+			alive, err := h.sys.StepEpoch()
+			if err != nil || !alive {
+				return err
+			}
+		}
+		return nil
+	})
+	for i, err := range errs {
+		if err != nil {
 			return fmt.Errorf("fleet %q round %d: host %d: %w", c.sc.Name, c.round, i, err)
 		}
 	}
@@ -721,7 +762,9 @@ func (c *Cluster) sample() {
 }
 
 // Result finalises the run: every live host's invariants are checked
-// and the per-VM outcomes, migration log, and timeline are assembled.
+// through the runner pool (the first failing host in host order
+// reports) and the per-VM outcomes, migration log, and timeline are
+// assembled.
 func (c *Cluster) Result() (*Result, error) {
 	res := &Result{
 		Name: c.sc.Name, Seed: c.sc.Seed,
@@ -730,12 +773,13 @@ func (c *Cluster) Result() (*Result, error) {
 		Migrations: c.migrations,
 		Timeline:   c.timeline,
 	}
-	for _, h := range c.hosts {
-		if !h.failed {
-			if err := h.sys.CheckInvariants(); err != nil {
-				return nil, fmt.Errorf("fleet %q: host %d final invariants: %w", c.sc.Name, h.id, err)
-			}
+	errs := c.eachHost(context.TODO(), live, func(h *host) error { return h.sys.CheckInvariants() })
+	for id, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("fleet %q: host %d final invariants: %w", c.sc.Name, id, err)
 		}
+	}
+	for _, h := range c.hosts {
 		res.HostRuns = append(res.HostRuns, HostRun{
 			ID: h.id, Failed: h.failed, Epochs: h.sys.Epochs(),
 			VMs: len(h.resident), Sys: h.sys, Obs: h.obs,

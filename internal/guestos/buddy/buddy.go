@@ -30,7 +30,7 @@ var ErrNoMemory = errors.New("buddy: out of memory")
 // orderHeap is a min-heap of block base addresses for one order.
 // Removal of arbitrary elements (needed when a block's buddy is consumed
 // by coalescing) is done lazily: stale entries are skipped on pop by
-// checking membership in the allocator's free-block map. push and pop
+// checking the allocator's free-block array. push and pop
 // sift exactly like container/heap's Push and Pop, without boxing each
 // address in an interface.
 type orderHeap []uint64
@@ -73,9 +73,10 @@ func (h *orderHeap) pop() uint64 {
 // Allocator is a buddy allocator over the frame span [base, base+size).
 type Allocator struct {
 	base, size uint64
-	// freeOrder maps a free block's base to its order. A block is free
-	// iff present here; heaps may contain stale entries.
-	freeOrder map[uint64]int
+	// free is indexed by frame offset into the span: order+1 at the base
+	// of a free block, 0 everywhere else. A block is free iff its base
+	// holds its order here; heaps may contain stale entries.
+	free      []uint8
 	heaps     [MaxOrder + 1]orderHeap
 	freePages uint64
 	// splitCount/coalesceCount are exposed for allocator-behaviour tests
@@ -86,11 +87,7 @@ type Allocator struct {
 // New creates an allocator over [base, base+size) with no populated
 // frames. Call AddRange to populate.
 func New(base, size uint64) *Allocator {
-	return &Allocator{
-		base:      base,
-		size:      size,
-		freeOrder: make(map[uint64]int),
-	}
+	return &Allocator{base: base, size: size, free: make([]uint8, size)}
 }
 
 // Base returns the first frame of the span.
@@ -121,19 +118,19 @@ func (a *Allocator) pushFree(pfn uint64, order int) {
 		rel := pfn - a.base
 		buddyRel := rel ^ (uint64(1) << order)
 		buddyPfn := a.base + buddyRel
-		if o, ok := a.freeOrder[buddyPfn]; !ok || o != order || !a.contains(buddyPfn, order) {
+		if !a.contains(buddyPfn, order) || a.free[buddyRel] != uint8(order+1) {
 			break
 		}
 		// Merge: remove the buddy (lazily from its heap), take the lower
 		// base as the merged block.
-		delete(a.freeOrder, buddyPfn)
+		a.free[buddyRel] = 0
 		if buddyRel < rel {
 			pfn = buddyPfn
 		}
 		order++
 		a.coalesceCount++
 	}
-	a.freeOrder[pfn] = order
+	a.free[pfn-a.base] = uint8(order + 1)
 	a.heaps[order].push(pfn)
 }
 
@@ -143,8 +140,8 @@ func (a *Allocator) popFree(order int) (uint64, bool) {
 	h := &a.heaps[order]
 	for len(*h) > 0 {
 		pfn := h.pop()
-		if o, ok := a.freeOrder[pfn]; ok && o == order {
-			delete(a.freeOrder, pfn)
+		if a.free[pfn-a.base] == uint8(order+1) {
+			a.free[pfn-a.base] = 0
 			return pfn, true
 		}
 		// Otherwise pfn was a stale entry; keep popping.
@@ -168,7 +165,7 @@ func (a *Allocator) Alloc(order int) (uint64, error) {
 		for o > order {
 			o--
 			half := pfn + (uint64(1) << o)
-			a.freeOrder[half] = o
+			a.free[half-a.base] = uint8(o + 1)
 			a.heaps[o].push(half)
 			a.splitCount++
 		}
@@ -190,7 +187,7 @@ func (a *Allocator) Free(pfn uint64, order int) {
 	if !a.contains(pfn, order) {
 		panic(fmt.Sprintf("buddy: free of [%d,+2^%d) outside span [%d,%d)", pfn, order, a.base, a.base+a.size))
 	}
-	if _, ok := a.freeOrder[pfn]; ok {
+	if a.free[pfn-a.base] != 0 {
 		panic(fmt.Sprintf("buddy: double free of block %d", pfn))
 	}
 	a.freePages += uint64(1) << order
@@ -242,38 +239,42 @@ func (a *Allocator) Reserve(n uint64) []uint64 {
 	return out
 }
 
-// CheckInvariants validates the free-block bookkeeping: block count
-// matches freePages, no two free blocks overlap, and no free block has a
-// free buddy of the same order (coalescing is maximal).
+// CheckInvariants validates the free-block bookkeeping: every free
+// block lies inside the span and is aligned to its order, no free block
+// has a free buddy of the same order (coalescing is maximal), no two
+// free blocks overlap, and the block sizes sum to freePages.
 func (a *Allocator) CheckInvariants() error {
 	var total uint64
-	for pfn, order := range a.freeOrder {
-		if !a.contains(pfn, order) {
+	covered := make([]uint64, (a.size+63)/64)
+	for rel, v := range a.free {
+		if v == 0 {
+			continue
+		}
+		pfn, order := a.base+uint64(rel), int(v)-1
+		if order > MaxOrder || !a.contains(pfn, order) {
 			return fmt.Errorf("buddy: free block %d order %d outside span", pfn, order)
 		}
-		if (pfn-a.base)%(uint64(1)<<order) != 0 {
+		n := uint64(1) << order
+		if uint64(rel)%n != 0 {
 			return fmt.Errorf("buddy: free block %d misaligned for order %d", pfn, order)
 		}
-		total += uint64(1) << order
+		total += n
 		if order < MaxOrder {
-			buddyPfn := a.base + ((pfn - a.base) ^ (uint64(1) << order))
-			if o, ok := a.freeOrder[buddyPfn]; ok && o == order && a.contains(buddyPfn, order) {
+			buddyPfn := a.base + (uint64(rel) ^ n)
+			if a.contains(buddyPfn, order) && a.free[buddyPfn-a.base] == v {
 				return fmt.Errorf("buddy: blocks %d and %d of order %d not coalesced", pfn, buddyPfn, order)
 			}
 		}
+		for i := uint64(rel); i < uint64(rel)+n; i++ {
+			w, bit := i/64, uint64(1)<<(i%64)
+			if covered[w]&bit != 0 {
+				return fmt.Errorf("buddy: frame %d covered by two free blocks", a.base+i)
+			}
+			covered[w] |= bit
+		}
 	}
 	if total != a.freePages {
-		return fmt.Errorf("buddy: free map total %d != freePages %d", total, a.freePages)
-	}
-	// Overlap check: mark every covered frame.
-	covered := make(map[uint64]bool, total)
-	for pfn, order := range a.freeOrder {
-		for i := uint64(0); i < uint64(1)<<order; i++ {
-			if covered[pfn+i] {
-				return fmt.Errorf("buddy: frame %d covered by two free blocks", pfn+i)
-			}
-			covered[pfn+i] = true
-		}
+		return fmt.Errorf("buddy: free block total %d != freePages %d", total, a.freePages)
 	}
 	return nil
 }

@@ -1,12 +1,16 @@
 package buddy
 
 import (
+	"bytes"
 	"container/heap"
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"heteroos/internal/snapshot"
 )
 
 func newFull(base, size uint64) *Allocator {
@@ -317,5 +321,318 @@ func TestAllocFreeZeroAlloc(t *testing.T) {
 		a.Free(p, 2)
 	}); n != 0 {
 		t.Fatalf("Alloc/Free allocated %.1f times per run", n)
+	}
+}
+
+// mapAllocator is the allocator as it was before the dense free array:
+// free blocks in a map from base to order. It is the differential
+// oracle for the array-backed Allocator.
+type mapAllocator struct {
+	base, size                uint64
+	freeOrder                 map[uint64]int
+	heaps                     [MaxOrder + 1]orderHeap
+	freePages                 uint64
+	splitCount, coalesceCount uint64
+}
+
+func newMapAllocator(base, size uint64) *mapAllocator {
+	return &mapAllocator{base: base, size: size, freeOrder: make(map[uint64]int)}
+}
+
+func (a *mapAllocator) contains(pfn uint64, order int) bool {
+	n := uint64(1) << order
+	return pfn >= a.base && pfn-a.base+n <= a.size
+}
+
+func (a *mapAllocator) pushFree(pfn uint64, order int) {
+	for order < MaxOrder {
+		rel := pfn - a.base
+		buddyRel := rel ^ (uint64(1) << order)
+		buddyPfn := a.base + buddyRel
+		if o, ok := a.freeOrder[buddyPfn]; !ok || o != order || !a.contains(buddyPfn, order) {
+			break
+		}
+		delete(a.freeOrder, buddyPfn)
+		if buddyRel < rel {
+			pfn = buddyPfn
+		}
+		order++
+		a.coalesceCount++
+	}
+	a.freeOrder[pfn] = order
+	a.heaps[order].push(pfn)
+}
+
+func (a *mapAllocator) popFree(order int) (uint64, bool) {
+	h := &a.heaps[order]
+	for len(*h) > 0 {
+		pfn := h.pop()
+		if o, ok := a.freeOrder[pfn]; ok && o == order {
+			delete(a.freeOrder, pfn)
+			return pfn, true
+		}
+	}
+	return 0, false
+}
+
+func (a *mapAllocator) Alloc(order int) (uint64, bool) {
+	for o := order; o <= MaxOrder; o++ {
+		pfn, ok := a.popFree(o)
+		if !ok {
+			continue
+		}
+		for o > order {
+			o--
+			half := pfn + (uint64(1) << o)
+			a.freeOrder[half] = o
+			a.heaps[o].push(half)
+			a.splitCount++
+		}
+		a.freePages -= uint64(1) << order
+		return pfn, true
+	}
+	return 0, false
+}
+
+func (a *mapAllocator) Free(pfn uint64, order int) {
+	a.freePages += uint64(1) << order
+	a.pushFree(pfn, order)
+}
+
+func (a *mapAllocator) AddRange(pfn, n uint64) {
+	for i := uint64(0); i < n; i++ {
+		a.Free(pfn+i, 0)
+	}
+}
+
+func (a *mapAllocator) Reserve(n uint64) []uint64 {
+	out := make([]uint64, 0, n)
+	for uint64(len(out)) < n {
+		got := false
+		for o := 0; o <= MaxOrder && uint64(len(out)) < n; o++ {
+			pfn, ok := a.popFree(o)
+			if !ok {
+				continue
+			}
+			got = true
+			a.freePages -= uint64(1) << o
+			for i := uint64(0); i < uint64(1)<<o; i++ {
+				if uint64(len(out)) < n {
+					out = append(out, pfn+i)
+				} else {
+					a.freePages++
+					a.pushFree(pfn+i, 0)
+				}
+			}
+			break
+		}
+		if !got {
+			break
+		}
+	}
+	return out
+}
+
+func (a *mapAllocator) Snapshot(e *snapshot.Encoder) {
+	e.U64(a.base)
+	e.U64(a.size)
+	e.U64(a.freePages)
+	e.U64(a.splitCount)
+	e.U64(a.coalesceCount)
+	bases := make([]uint64, 0, len(a.freeOrder))
+	for pfn := range a.freeOrder {
+		bases = append(bases, pfn)
+	}
+	slices.Sort(bases)
+	e.U32(uint32(len(bases)))
+	for _, pfn := range bases {
+		e.U64(pfn)
+		e.U8(uint8(a.freeOrder[pfn]))
+	}
+}
+
+// snapshotBytes frames one Snapshot call as a complete snapshot file.
+func snapshotBytes(t *testing.T, fn func(*snapshot.Encoder)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Section("buddy", fn); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDenseMatchesMapOracle drives the array-backed allocator and the
+// map-backed oracle through the same randomized Alloc / Free / AddRange
+// / Reserve sequences, with a snapshot round trip midway, and requires
+// identical returned frames, counters and snapshot bytes throughout.
+func TestDenseMatchesMapOracle(t *testing.T) {
+	type held struct {
+		pfn   uint64
+		order int
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		base := uint64(rng.Intn(4096))
+		size := uint64(1 + rng.Intn(3000))
+		got, want := New(base, size), newMapAllocator(base, size)
+		// populated tracks which span frames belong to the allocator
+		// (free or allocated); AddRange only adds unpopulated runs.
+		populated := make([]bool, size)
+		var live []held
+		for op := 0; op < 1500; op++ {
+			switch k := rng.Intn(10); {
+			case k < 4:
+				order := rng.Intn(MaxOrder + 1)
+				if rng.Intn(4) != 0 {
+					order = rng.Intn(3)
+				}
+				p, err := got.Alloc(order)
+				q, ok := want.Alloc(order)
+				if (err == nil) != ok || p != q {
+					t.Fatalf("seed %d op %d: Alloc(%d) = %d, %v; oracle %d, %v", seed, op, order, p, err, q, ok)
+				}
+				if ok {
+					live = append(live, held{p, order})
+				}
+			case k < 7:
+				if len(live) == 0 {
+					continue
+				}
+				i := rng.Intn(len(live))
+				got.Free(live[i].pfn, live[i].order)
+				want.Free(live[i].pfn, live[i].order)
+				live = append(live[:i], live[i+1:]...)
+			case k < 9:
+				start := uint64(rng.Intn(int(size)))
+				n := uint64(0)
+				for start+n < size && !populated[start+n] && n < uint64(1+rng.Intn(600)) {
+					populated[start+n] = true
+					n++
+				}
+				got.AddRange(base+start, n)
+				want.AddRange(base+start, n)
+			default:
+				n := uint64(rng.Intn(200))
+				g, w := got.Reserve(n), want.Reserve(n)
+				if !slices.Equal(g, w) {
+					t.Fatalf("seed %d op %d: Reserve(%d) = %v; oracle %v", seed, op, n, g, w)
+				}
+				for _, p := range g {
+					populated[p-base] = false
+				}
+			}
+			if got.FreePages() != want.freePages || got.Splits() != want.splitCount || got.Coalesces() != want.coalesceCount {
+				t.Fatalf("seed %d op %d: free/splits/coalesces %d/%d/%d; oracle %d/%d/%d", seed, op,
+					got.FreePages(), got.Splits(), got.Coalesces(), want.freePages, want.splitCount, want.coalesceCount)
+			}
+			if op%100 == 0 || op == 1499 {
+				if err := got.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+				gs, ws := snapshotBytes(t, got.Snapshot), snapshotBytes(t, want.Snapshot)
+				if !bytes.Equal(gs, ws) {
+					t.Fatalf("seed %d op %d: snapshot bytes differ from oracle", seed, op)
+				}
+			}
+			if op == 750 {
+				// Continue on an allocator restored from the snapshot.
+				r, err := snapshot.Open(bytes.NewReader(snapshotBytes(t, got.Snapshot)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := r.Section("buddy")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = New(base, size)
+				if err := got.Restore(d); err != nil {
+					t.Fatalf("seed %d: restore: %v", seed, err)
+				}
+			}
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesFaults corrupts the free array by hand and
+// requires each fault to be reported.
+func TestCheckInvariantsCatchesFaults(t *testing.T) {
+	cases := []struct {
+		name, want string
+		corrupt    func(a *Allocator)
+	}{
+		{"overlap", "covered by two free blocks", func(a *Allocator) {
+			// Frame 3 is already inside the order-4 block at 0.
+			a.free[3] = 1
+			a.freePages++
+		}},
+		{"uncoalesced", "not coalesced", func(a *Allocator) {
+			// Two free order-3 halves of the order-4 block.
+			a.free[0], a.free[8] = 4, 4
+		}},
+		{"total", "!= freePages", func(a *Allocator) { a.freePages-- }},
+		{"misaligned", "misaligned", func(a *Allocator) {
+			a.free[0], a.free[3] = 0, 2
+			a.freePages = 2
+		}},
+		{"outside span", "outside span", func(a *Allocator) {
+			a.free[0], a.free[15] = 0, 2
+			a.freePages = 2
+		}},
+	}
+	for _, tc := range cases {
+		a := newFull(0, 16) // one free order-4 block at 0
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(a)
+		err := a.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// restoreBytes restores a fresh [0,+16) allocator from a snapshot file.
+func restoreBytes(t *testing.T, b []byte) error {
+	t.Helper()
+	r, err := snapshot.Open(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Section("buddy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(0, 16).Restore(d)
+}
+
+func TestRestoreRejectsBlockOutsideSpan(t *testing.T) {
+	if err := restoreBytes(t, snapshotBytes(t, newFull(0, 16).Snapshot)); err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range []struct {
+		pfn   uint64
+		order uint8
+	}{{8, 4}, {16, 0}, {99, 0}} {
+		bad := snapshotBytes(t, func(e *snapshot.Encoder) {
+			e.U64(0)  // base
+			e.U64(16) // size
+			e.U64(uint64(1) << blk.order)
+			e.U64(0)
+			e.U64(0)
+			e.U32(1)
+			e.U64(blk.pfn)
+			e.U8(blk.order)
+		})
+		if err := restoreBytes(t, bad); err == nil || !strings.Contains(err.Error(), "outside span") {
+			t.Errorf("block %d order %d: Restore = %v, want an outside-span error", blk.pfn, blk.order, err)
+		}
 	}
 }

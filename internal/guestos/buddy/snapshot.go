@@ -2,40 +2,42 @@ package buddy
 
 import (
 	"fmt"
-	"sort"
 
 	"heteroos/internal/snapshot"
 )
 
-// Snapshot serializes the allocator's mutable state: the free-block
-// map (sorted by base for determinism) and the split/coalesce
-// counters. The per-order heaps are not serialized — they are a lazy
-// view of freeOrder (stale entries are skipped on pop), and pop order
-// depends only on block addresses, so rebuilding them from the sorted
-// map reproduces allocation behaviour exactly.
+// Snapshot serializes the allocator's mutable state: the free blocks
+// in ascending base order and the split/coalesce counters. The
+// per-order heaps are not serialized — they are a lazy view of the free
+// array (stale entries are skipped on pop), and pop order depends only
+// on block addresses, so rebuilding them from the sorted blocks
+// reproduces allocation behaviour exactly.
 func (a *Allocator) Snapshot(e *snapshot.Encoder) {
 	e.U64(a.base)
 	e.U64(a.size)
 	e.U64(a.freePages)
 	e.U64(a.splitCount)
 	e.U64(a.coalesceCount)
-	bases := make([]uint64, 0, len(a.freeOrder))
-	for pfn := range a.freeOrder {
-		bases = append(bases, pfn)
+	var blocks uint32
+	for _, v := range a.free {
+		if v != 0 {
+			blocks++
+		}
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	e.U32(uint32(len(bases)))
-	for _, pfn := range bases {
-		e.U64(pfn)
-		e.U8(uint8(a.freeOrder[pfn]))
+	e.U32(blocks)
+	for rel, v := range a.free {
+		if v != 0 {
+			e.U64(a.base + uint64(rel))
+			e.U8(v - 1)
+		}
 	}
 }
 
 // Restore overwrites the allocator's mutable state from a snapshot.
-// The span must match the one the snapshot was taken from. Heaps are
-// rebuilt per order from ascending bases: a sorted slice is already a
-// valid min-heap, and dropping the live allocator's stale entries
-// changes no observable behaviour.
+// The span must match the one the snapshot was taken from, and every
+// block must lie inside it. Heaps are rebuilt per order from ascending
+// bases: a sorted slice is already a valid min-heap, and dropping the
+// live allocator's stale entries changes no observable behaviour.
 func (a *Allocator) Restore(d *snapshot.Decoder) error {
 	base, size := d.U64(), d.U64()
 	if base != a.base || size != a.size {
@@ -45,17 +47,22 @@ func (a *Allocator) Restore(d *snapshot.Decoder) error {
 	a.splitCount = d.U64()
 	a.coalesceCount = d.U64()
 	n := int(d.U32())
-	a.freeOrder = make(map[uint64]int, n)
+	clear(a.free)
 	for o := range a.heaps {
 		a.heaps[o] = a.heaps[o][:0]
 	}
 	for i := 0; i < n; i++ {
-		pfn := d.U64()
-		order := int(d.U8())
-		if order < 0 || order > MaxOrder {
+		pfn, order := d.U64(), int(d.U8())
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if order > MaxOrder {
 			return fmt.Errorf("buddy: snapshot block %d has invalid order %d", pfn, order)
 		}
-		a.freeOrder[pfn] = order
+		if !a.contains(pfn, order) {
+			return fmt.Errorf("buddy: snapshot block %d order %d outside span [%d,+%d)", pfn, order, a.base, a.size)
+		}
+		a.free[pfn-a.base] = uint8(order + 1)
 		a.heaps[order] = append(a.heaps[order], pfn)
 	}
 	return d.Err()

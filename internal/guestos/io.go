@@ -476,10 +476,10 @@ func (o *OS) SetBackingMFN(pfn PFN, mfn memsim.MFN) {
 // until the next TrackingList call (the coordinated pass consumes it
 // immediately; nothing retains it across passes).
 //
-// The full VMA walk is expensive (one Translate per vpn), so the list
-// is cached against the address space's mapping generation: as long as
-// no map/unmap/populate changed a translation, repeat calls return the
-// previous walk's result unchanged.
+// The full VMA walk is expensive (one page-table walk per 512-VPN leaf
+// table), so the list is cached against the address space's mapping
+// generation: as long as no map/unmap/populate changed a translation,
+// repeat calls return the previous walk's result unchanged.
 func (o *OS) TrackingList() []PFN {
 	if o.trackValid && o.trackGen == o.AS.mapGen {
 		return o.trackBuf
@@ -495,9 +495,13 @@ func (o *OS) TrackingList() []PFN {
 		if v.Kind != KindAnon {
 			continue
 		}
-		for vpn := v.Start; vpn < v.End(); vpn++ {
-			if pfn, ok := o.AS.Translate(vpn); ok {
-				out = append(out, pfn)
+		for vpn := v.Start; vpn < v.End(); {
+			var leaves []PFN
+			leaves, vpn = o.AS.leafRun(vpn, v.End())
+			for _, e := range leaves {
+				if leafPresent(e) {
+					out = append(out, e)
+				}
 			}
 		}
 	}

@@ -233,6 +233,24 @@ func (a *AddrSpace) lookup(vpn VPN) (PFN, ptState) {
 	}
 }
 
+// leafRun returns the leaf entries of the level-0 table covering vpn,
+// from vpn up to the table's end or end, whichever is first, together
+// with the VPN after the run. The entries are nil when no table covers
+// vpn. Sweeps over a VPN range use it to walk once per table instead of
+// once per page.
+func (a *AddrSpace) leafRun(vpn, end VPN) ([]PFN, VPN) {
+	next := min((vpn|ptFanoutMask)+1, end)
+	n := a.walk(vpn, false)
+	if n == nil {
+		return nil, next
+	}
+	i := ptIndex(vpn, 0)
+	return n.leaves[i : i+int(next-vpn)], next
+}
+
+// leafPresent reports whether a leaf entry maps a frame.
+func leafPresent(e PFN) bool { return e != ptEntryAbsent && e != ptEntrySwapped }
+
 // Translate resolves vpn to its mapped frame without faulting.
 func (a *AddrSpace) Translate(vpn VPN) (PFN, bool) {
 	pfn, st := a.lookup(vpn)
@@ -359,9 +377,13 @@ func (a *AddrSpace) CheckInvariants() error {
 	}
 	for _, v := range areas {
 		var resident uint64
-		for vpn := v.Start; vpn < v.End(); vpn++ {
-			if _, st := a.lookup(vpn); st == ptPresent {
-				resident++
+		for vpn := v.Start; vpn < v.End(); {
+			var leaves []PFN
+			leaves, vpn = a.leafRun(vpn, v.End())
+			for _, e := range leaves {
+				if leafPresent(e) {
+					resident++
+				}
 			}
 		}
 		if resident != v.Resident {

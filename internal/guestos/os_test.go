@@ -1,6 +1,7 @@
 package guestos
 
 import (
+	"slices"
 	"testing"
 
 	"heteroos/internal/memsim"
@@ -568,6 +569,44 @@ func TestTrackingListCoversResidentAnon(t *testing.T) {
 		if os.PageView(pfn).Kind != KindAnon {
 			t.Fatal("exception-listed kind in tracking list")
 		}
+	}
+}
+
+// TestTrackingListMatchesTranslate: the per-table export equals a
+// Translate of every VPN, in VPN order, across VMAs that straddle
+// leaf-table boundaries, skip whole tables and hold a swap entry, and
+// it leaves the walkSteps diagnostic untouched.
+func TestTrackingListMatchesTranslate(t *testing.T) {
+	os, _ := testOS(t, heapODPlacement(), 4096, 8192, 2048, 4096)
+	a, _ := os.AS.Mmap(1500, KindAnon, NilFile)
+	b, _ := os.AS.Mmap(700, KindAnon, NilFile)
+	for i := 0; i < 1500; i++ {
+		if i >= 500 && i < 1100 {
+			continue // leaves at least one leaf table unallocated
+		}
+		os.TouchVPN(a.Start+VPN(i), 1, 0)
+	}
+	// Sparse, but always the last page of a leaf table and of the VMA.
+	for vpn := b.Start; vpn < b.End(); vpn++ {
+		if vpn%5 == 0 || vpn%ptFanout == ptFanout-1 || vpn == b.End()-1 {
+			os.TouchVPN(vpn, 1, 0)
+		}
+	}
+	os.AS.markSwapped(b.Start + 10)
+	var want []PFN
+	for _, v := range []*VMA{a, b} {
+		for vpn := v.Start; vpn < v.End(); vpn++ {
+			if pfn, ok := os.AS.Translate(vpn); ok {
+				want = append(want, pfn)
+			}
+		}
+	}
+	steps := os.AS.WalkSteps()
+	if got := os.TrackingList(); !slices.Equal(got, want) {
+		t.Fatalf("tracking list has %d pages, per-VPN Translate %d (or a different order)", len(got), len(want))
+	}
+	if os.AS.WalkSteps() != steps {
+		t.Fatalf("TrackingList moved walkSteps %d -> %d", steps, os.AS.WalkSteps())
 	}
 }
 

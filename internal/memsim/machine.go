@@ -98,14 +98,18 @@ func (m *Machine) OwnerOf(mfn MFN) Owner {
 // OwnedBy counts the frames currently owned by o across both tiers.
 // O(total frames) — meant for invariant checks and teardown audits,
 // not hot paths.
-func (m *Machine) OwnedBy(o Owner) uint64 {
-	var n uint64
+func (m *Machine) OwnedBy(o Owner) uint64 { return m.OwnedByRange(o, o)[0] }
+
+// OwnedByRange counts, in one sweep over every frame, the frames owned
+// by each owner in [lo, hi]: out[o-lo] is owner o's count.
+func (m *Machine) OwnedByRange(lo, hi Owner) []uint64 {
+	out := make([]uint64, hi-lo+1)
 	for _, ow := range m.owner {
-		if ow == o {
-			n++
+		if ow >= lo && ow <= hi {
+			out[ow-lo]++
 		}
 	}
-	return n
+	return out
 }
 
 // Contains reports whether mfn is a valid frame of this machine.
@@ -170,6 +174,8 @@ func (m *Machine) Free(frames []MFN, o Owner) {
 // free twice. It is used by tests and is cheap enough to call from
 // experiment teardown.
 func (m *Machine) CheckInvariants() error {
+	// seen is a bitmap over every MFN, cleared per tier list.
+	seen := make([]uint64, (len(m.owner)+63)/64)
 	for t := Tier(0); t < NumTiers; t++ {
 		if m.freeCnt[t]+m.allocCnt[t] != m.size[t] {
 			return fmt.Errorf("memsim: %v free %d + alloc %d != size %d",
@@ -179,15 +185,16 @@ func (m *Machine) CheckInvariants() error {
 			return fmt.Errorf("memsim: %v free list len %d != count %d",
 				t, len(m.free[t]), m.freeCnt[t])
 		}
-		seen := make(map[MFN]bool, len(m.free[t]))
+		clear(seen)
 		for _, mfn := range m.free[t] {
 			if m.owner[mfn] != OwnerFree {
 				return fmt.Errorf("memsim: free-list MFN %d has owner %d", mfn, m.owner[mfn])
 			}
-			if seen[mfn] {
+			w, bit := mfn/64, uint64(1)<<(mfn%64)
+			if seen[w]&bit != 0 {
 				return fmt.Errorf("memsim: MFN %d on free list twice", mfn)
 			}
-			seen[mfn] = true
+			seen[w] |= bit
 			if m.TierOf(mfn) != t {
 				return fmt.Errorf("memsim: MFN %d on wrong tier list %v", mfn, t)
 			}

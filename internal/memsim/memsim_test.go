@@ -2,6 +2,8 @@ package memsim
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -240,6 +242,47 @@ func TestMachineInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestMachineCheckInvariantsCatchesFaults(t *testing.T) {
+	cases := []struct {
+		name, want string
+		corrupt    func(m *Machine)
+	}{
+		{"duplicate", "on free list twice", func(m *Machine) {
+			// Same length and count, one frame listed twice.
+			m.free[SlowMem][5] = m.free[SlowMem][2]
+		}},
+		{"owned", "has owner", func(m *Machine) { m.owner[m.free[FastMem][3]] = 7 }},
+		{"wrong tier", "wrong tier list", func(m *Machine) {
+			m.free[FastMem][0], m.free[SlowMem][0] = m.free[SlowMem][0], m.free[FastMem][0]
+		}},
+		{"count", "!= size", func(m *Machine) { m.freeCnt[FastMem]-- }},
+	}
+	for _, tc := range cases {
+		m := newTestMachine(16, 64)
+		tc.corrupt(m)
+		err := m.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestMachineOwnedByRange(t *testing.T) {
+	m := newTestMachine(16, 64)
+	for _, o := range []Owner{3, 5, 5, 9} {
+		if _, err := m.Alloc(SlowMem, 2, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := m.OwnedByRange(4, 9)
+	if want := []uint64{0, 4, 0, 0, 0, 2}; !slices.Equal(got, want) {
+		t.Fatalf("OwnedByRange(4, 9) = %v, want %v", got, want)
+	}
+	if m.OwnedBy(3) != 2 || m.OwnedBy(OwnerFree) != 16+64-8 {
+		t.Fatalf("OwnedBy(3) = %d, OwnedBy(free) = %d", m.OwnedBy(3), m.OwnedBy(OwnerFree))
 	}
 }
 

@@ -103,17 +103,30 @@ func (x *HeatIndex) Rebuild() {
 		if snap.Free {
 			n.flags |= heatFree
 		}
-		x.insert(pfn, uint8(x.tierOf(snap.MFN)), x.scanner.score(pfn))
+		x.appendTail(pfn, uint8(x.tierOf(snap.MFN)), x.scanner.score(pfn))
 	}
+}
+
+// appendTail links pfn at the tail of (tier, bucket). Rebuild visits
+// PFNs in ascending order, so the tail is always pfn's PFN-order
+// predecessor and no bitmap search is needed.
+func (x *HeatIndex) appendTail(pfn guestos.PFN, tier, bucket uint8) {
+	n := &x.nodes[pfn]
+	b := x.bucket(tier, bucket)
+	n.prev, n.next = b.tail, guestos.NilPFN
+	if b.tail != guestos.NilPFN {
+		x.nodes[b.tail].next = pfn
+	} else {
+		b.head = pfn
+	}
+	b.tail = pfn
+	x.link(pfn, tier, bucket)
 }
 
 // insert links pfn into (tier, bucket) preserving ascending PFN order.
 func (x *HeatIndex) insert(pfn guestos.PFN, tier, bucket uint8) {
 	n := &x.nodes[pfn]
-	b := &x.buckets[tier][bucket]
-	if b.set == nil {
-		b.set = newPFNSet(uint64(len(x.nodes)))
-	}
+	b := x.bucket(tier, bucket)
 	if pred, ok := b.set.prevBelow(uint64(pfn)); ok {
 		p := guestos.PFN(pred)
 		pn := &x.nodes[p]
@@ -133,6 +146,24 @@ func (x *HeatIndex) insert(pfn guestos.PFN, tier, bucket uint8) {
 		}
 		b.head = pfn
 	}
+	x.link(pfn, tier, bucket)
+}
+
+// bucket returns the (tier, bucket) list, allocating its membership
+// bitmap on first use.
+func (x *HeatIndex) bucket(tier, bucket uint8) *heatBucket {
+	b := &x.buckets[tier][bucket]
+	if b.set == nil {
+		b.set = newPFNSet(uint64(len(x.nodes)))
+	}
+	return b
+}
+
+// link records pfn's membership of (tier, bucket) once its list
+// pointers are in place.
+func (x *HeatIndex) link(pfn guestos.PFN, tier, bucket uint8) {
+	n := &x.nodes[pfn]
+	b := &x.buckets[tier][bucket]
 	b.set.add(uint64(pfn))
 	b.count++
 	x.counts[tier]++
