@@ -22,17 +22,16 @@ test:
 # jobs.
 race:
 	$(GO) test -race ./internal/runner ./internal/core ./internal/vmm/... ./internal/fleet
-	$(GO) test -race -run 'Backend|Coarse|Replay|Record|Trace|GainSweep' \
+	$(GO) test -race -run 'Backend|Replay|Record|Trace|GainSweep' \
 		./internal/memsim ./internal/exp
 
 # obs-parity asserts the observability contract: the figure pipeline's
 # stdout is byte-identical with and without metrics collection attached
 # (CSV format, so no wall-clock lines differ). Figure 6 sweeps three
 # modes through the runner, exercising the instrumented chokepoints.
-# The second half re-asserts the same for the one-host churn fleet under
-# both machine-model backends (the fleet path wires per-host child
-# handles, per-VM scopes, and event forwarding, a different plumbing
-# route than the figure runner).
+# The second half re-asserts the same for the one-host churn fleet (the
+# fleet path wires per-host child handles, per-VM scopes, and event
+# forwarding, a different plumbing route than the figure runner).
 obs-parity:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/heterobench -exp figure6 -quick -format=csv \
@@ -46,19 +45,17 @@ obs-parity:
 	test -s "$$tmp/metrics.csv" || { echo "obs-parity: no metrics written"; exit 1; }; \
 	echo "obs-parity: figure output byte-identical with observability on"; \
 	$(GO) build -o "$$tmp/heterosim" ./cmd/heterosim || exit 1; \
-	for be in analytic coarse; do \
-		"$$tmp/heterosim" -fleet churn.json -backend $$be -format=csv \
-			> "$$tmp/sc-off.csv" || exit 1; \
-		"$$tmp/heterosim" -fleet churn.json -backend $$be -format=csv \
-			-metrics "$$tmp/sc-metrics.csv" -events "$$tmp/sc-events.jsonl" \
-			> "$$tmp/sc-on.csv" 2>/dev/null || exit 1; \
-		if ! cmp -s "$$tmp/sc-off.csv" "$$tmp/sc-on.csv"; then \
-			echo "obs-parity: churn/$$be output differs with observability on:"; \
-			diff "$$tmp/sc-off.csv" "$$tmp/sc-on.csv"; exit 1; \
-		fi; \
-		test -s "$$tmp/sc-metrics.csv" || { echo "obs-parity: churn/$$be wrote no metrics"; exit 1; }; \
-		echo "obs-parity: churn/$$be fleet byte-identical with observability on"; \
-	done
+	"$$tmp/heterosim" -fleet churn.json -format=csv \
+		> "$$tmp/sc-off.csv" || exit 1; \
+	"$$tmp/heterosim" -fleet churn.json -format=csv \
+		-metrics "$$tmp/sc-metrics.csv" -events "$$tmp/sc-events.jsonl" \
+		> "$$tmp/sc-on.csv" 2>/dev/null || exit 1; \
+	if ! cmp -s "$$tmp/sc-off.csv" "$$tmp/sc-on.csv"; then \
+		echo "obs-parity: churn output differs with observability on:"; \
+		diff "$$tmp/sc-off.csv" "$$tmp/sc-on.csv"; exit 1; \
+	fi; \
+	test -s "$$tmp/sc-metrics.csv" || { echo "obs-parity: churn wrote no metrics"; exit 1; }; \
+	echo "obs-parity: churn fleet byte-identical with observability on"
 
 # scenario-smoke runs the bundled one-host scripts end-to-end through
 # the CLI and checks determinism: two runs of the same script must print
@@ -78,24 +75,20 @@ scenario-smoke:
 	done
 
 # snapshot-parity is the checkpoint/restore gold standard, exercised
-# end-to-end through the CLI: both one-host scripts on both the
-# analytic and coarse backends, plus the 3-host fleet-churn script
-# checkpointed after its round-3 host failure (a failed host, evacuated
-# VMs). Each leg is script:backend:checkpoint-every (an empty backend
-# keeps the script's own). (1) Writing checkpoints must not perturb the
-# run (stdout with -checkpoint-every == stdout without); (2) a run
-# restored from the latest checkpoint must finish byte-identically
-# (stdout == the uninterrupted run, and the restored event log == the
-# tail of the full run's event log). The restore takes no backend flag
-# — the checkpoint pins the backend it was taken under.
+# end-to-end through the CLI: both one-host scripts, plus the 3-host
+# fleet-churn script checkpointed after its round-3 host failure (a
+# failed host, evacuated VMs). Each leg is script:checkpoint-every.
+# (1) Writing checkpoints must not perturb the run (stdout with
+# -checkpoint-every == stdout without); (2) a run restored from the
+# latest checkpoint must finish byte-identically (stdout == the
+# uninterrupted run, and the restored event log == the tail of the full
+# run's event log).
 snapshot-parity:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/heterosim" ./cmd/heterosim || exit 1; \
-	for leg in churn.json:analytic:13 churn.json:coarse:13 degrade.json:analytic:13 \
-		degrade.json:coarse:13 fleet-churn.json::4; do \
-		sc=$${leg%%:*}; rest=$${leg#*:}; be=$${rest%%:*}; every=$${rest#*:}; \
+	for leg in churn.json:13 degrade.json:13 fleet-churn.json:4; do \
+		sc=$${leg%%:*}; every=$${leg#*:}; \
 		args="-fleet $$sc -format=csv"; \
-		test -z "$$be" || args="$$args -backend $$be"; \
 		"$$tmp/heterosim" $$args -events "$$tmp/full.jsonl" > "$$tmp/plain.csv" || exit 1; \
 		"$$tmp/heterosim" $$args -checkpoint-every $$every \
 			-checkpoint-path "$$tmp/ck.snap" > "$$tmp/ck.csv" || exit 1; \
@@ -134,7 +127,7 @@ fuzz-smoke:
 # byte-identical to the committed golden testdata/fleet/fleet-churn-1k.csv
 # — the fleet layer's determinism contract at datacenter scale (boot
 # storms, a surge wave, three host failures with mass evacuation, and a
-# 500-VM drain, all under the coarse backend). Comparing against the
+# 500-VM drain). Comparing against the
 # golden, not just across worker counts, also catches a change that is
 # wrong the same way at both counts.
 fleet-smoke:
@@ -151,9 +144,8 @@ fleet-smoke:
 	done; \
 	echo "fleet-smoke: fleet-churn-1k byte-identical to $$want at 1 and 4 workers"
 
-# backend-parity pins the default machine-model backend to the seed:
-# the analytic backend (explicitly selected, exercising the -backend
-# flag path) must reproduce the committed figure CSVs byte-for-byte.
+# backend-parity pins the machine model to the seed: the analytic
+# backend must reproduce the committed figure CSVs byte-for-byte.
 # The figure9/figure6 goldens under testdata/backend/ were captured from
 # the pre-backend seed tree, so any pricing drift — in the engine or in
 # the backend plumbing around it — fails the gate. The figure11 and
@@ -163,7 +155,7 @@ fleet-smoke:
 backend-parity:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	for f in f9:figure9 f6:figure6 f11:figure11 f13:figure13; do \
-		$(GO) run ./cmd/heterobench -exp $${f#*:} -quick -backend analytic \
+		$(GO) run ./cmd/heterobench -exp $${f#*:} -quick \
 			-format=csv > "$$tmp/$${f%%:*}.csv" || exit 1; \
 	done; \
 	for f in f9:figure9_quick f6:figure6_quick f11:figure11_quick f13:figure13_quick; do \
@@ -192,28 +184,18 @@ bench:
 		-benchmem -count=5 .
 
 # bench-json regenerates the committed perf-trajectory baselines: the
-# analytic-side benchmarks into BENCH_analytic.json, the coarse backend
-# (with its epoch-pricing speedup over analytic) into BENCH_coarse.json,
-# the word-at-a-time scan (with its speedup over the per-page reference
-# path) into BENCH_scan.json, the observability aggregation path
+# ranking, scan and pricing benchmarks and the figure9 sweep into
+# BENCH_analytic.json, the observability aggregation path
 # (direct scope rollup, its speedup over the snapshot merge fold, and
 # the OpenMetrics encoder) into BENCH_obs.json, and the fleet epoch
 # round (pooled barrier over its serial twin) into BENCH_fleet.json.
 bench-json:
 	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|SweepFigure9|EpochPricing|Obs|FleetEpochRound' \
+	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|SweepFigure9|EpochPricing|Obs|FleetEpochRound' \
 		-benchmem -count=5 . > "$$tmp" || { cat "$$tmp"; exit 1; }; \
 	$(GO) run ./cmd/benchjson -label analytic \
 		-match 'HottestIn|ColdestIn|HotScan|SweepFigure9Workers|EpochPricingAnalytic' \
 		< "$$tmp" > BENCH_analytic.json || exit 1; \
-	$(GO) run ./cmd/benchjson -label coarse \
-		-match 'SweepFigure9Coarse|EpochPricingCoarse' \
-		-speedup EpochPricingCoarse=EpochPricingAnalytic \
-		< "$$tmp" > BENCH_coarse.json || exit 1; \
-	$(GO) run ./cmd/benchjson -label scan \
-		-match 'ScanNext' \
-		-speedup ScanNextWord=ScanNextRef \
-		< "$$tmp" > BENCH_scan.json || exit 1; \
 	$(GO) run ./cmd/benchjson -label obs \
 		-match 'ObsRollup|ObsOpenMetrics' \
 		-speedup ObsRollupDirect=ObsRollupMergeFold \
@@ -222,19 +204,15 @@ bench-json:
 		-match 'FleetEpochRound' \
 		-speedup FleetEpochRound=FleetEpochRoundWorkers1 \
 		< "$$tmp" > BENCH_fleet.json || exit 1; \
-	echo "bench-json: wrote BENCH_analytic.json BENCH_coarse.json BENCH_scan.json BENCH_obs.json BENCH_fleet.json"
+	echo "bench-json: wrote BENCH_analytic.json BENCH_obs.json BENCH_fleet.json"
 
-# bench-guard re-runs the speedup-pair benchmarks and fails if either
-# committed factor regressed more than 5%: coarse-over-analytic epoch
-# pricing (BENCH_coarse.json) and word-over-reference scanning
-# (BENCH_scan.json). The ratio (not raw ns/op) is guarded, so the check
+# bench-guard re-runs the speedup-pair benchmarks and fails if any
+# committed factor regressed more than 5%: direct-over-merge-fold scope
+# rollup (BENCH_obs.json) and pooled-over-serial fleet rounds
+# (BENCH_fleet.json). The ratio (not raw ns/op) is guarded, so the check
 # is stable across machines. Not part of check: benchmarks are too noisy
 # for an always-on gate.
 bench-guard:
-	@$(GO) test -run=NONE -bench='EpochPricing' -benchmem -count=3 . \
-		| $(GO) run ./cmd/benchjson -guard BENCH_coarse.json -tolerance 0.05
-	@$(GO) test -run=NONE -bench='ScanNext' -benchmem -count=3 . \
-		| $(GO) run ./cmd/benchjson -guard BENCH_scan.json -tolerance 0.05
 	@$(GO) test -run=NONE -bench='ObsRollup' -benchmem -count=3 . \
 		| $(GO) run ./cmd/benchjson -guard BENCH_obs.json -tolerance 0.05
 	@$(GO) test -run=NONE -bench='FleetEpochRound' -benchmem -count=3 . \

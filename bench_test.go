@@ -275,19 +275,13 @@ func BenchmarkHotScan(b *testing.B) {
 	}
 }
 
-// refOnlyView hides the guest's WordScanView implementation behind a
-// plain GuestView, so NewScanner's type assertion fails and the scanner
-// falls back to the per-page TestAndClearAccessed path — the pre-SoA
-// baseline the word-at-a-time scan is measured against.
-type refOnlyView struct{ vmm.GuestView }
-
 // benchScanNextEpoch measures one whole-epoch ScanNext pass (BatchPages
 // = full guest span, 64K PFNs) in steady state: a 2048-page hot set
 // spread across the resident region is re-touched before every pass
 // (untimed), so each timed pass consumes real access bits and decays
 // real heat while most bitmap words stay all-zero — the shape the
 // word-at-a-time scan exploits.
-func benchScanNextEpoch(b *testing.B, wrap func(*guestos.OS) vmm.GuestView) {
+func BenchmarkScanNextWord(b *testing.B) {
 	src := benchSource(b)
 	osys, err := guestos.New(guestos.Config{
 		CPUs: 1, Aware: false,
@@ -310,7 +304,7 @@ func benchScanNextEpoch(b *testing.B, wrap func(*guestos.OS) vmm.GuestView) {
 			}
 		}
 	}
-	sc := vmm.NewScanner(wrap(osys), vmm.DefaultScanCosts())
+	sc := vmm.NewScanner(osys, vmm.DefaultScanCosts())
 	sc.BatchPages = int(osys.NumPFNs())
 	// Warm to steady-state heat before timing.
 	for round := 0; round < 8; round++ {
@@ -330,25 +324,13 @@ func benchScanNextEpoch(b *testing.B, wrap func(*guestos.OS) vmm.GuestView) {
 	}
 }
 
-// BenchmarkScanNextWord: whole-epoch scan through the word-at-a-time
-// bitmap path (the guest's native WordScanView).
-func BenchmarkScanNextWord(b *testing.B) {
-	benchScanNextEpoch(b, func(o *guestos.OS) vmm.GuestView { return o })
-}
-
-// BenchmarkScanNextRef: the same pass forced down the per-page
-// reference path.
-func BenchmarkScanNextRef(b *testing.B) {
-	benchScanNextEpoch(b, func(o *guestos.OS) vmm.GuestView { return refOnlyView{o} })
-}
-
 // benchRankingScanners builds the BenchmarkHotScan guest shape (64K
 // PFNs, fully boot-populated across both tiers) with a heated working
-// set spanning the tiers, and returns two scanners over it: one ranking
-// by sweep-and-sort (rankIn fallback) and one serving from the attached
-// heat-bucket index. The index is attached before any heat builds up, so
-// it tracks every sample incrementally like a production run.
-func benchRankingScanners(tb testing.TB) (*benchFrameSource, *vmm.Scanner, *vmm.Scanner) {
+// set spanning the tiers, and returns its frame source and a scanner
+// over it with the heat-bucket index attached. The index is attached before any heat
+// builds up, so it tracks every sample incrementally like a production
+// run.
+func benchRankingScanner(tb testing.TB) (*benchFrameSource, *vmm.Scanner) {
 	tb.Helper()
 	src := benchSource(tb)
 	os, err := guestos.New(guestos.Config{
@@ -361,8 +343,6 @@ func benchRankingScanners(tb testing.TB) (*benchFrameSource, *vmm.Scanner, *vmm.
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sweep := vmm.NewScanner(os, vmm.DefaultScanCosts())
-	sweep.BatchPages = int(os.NumPFNs())
 	indexed := vmm.NewScanner(os, vmm.DefaultScanCosts())
 	indexed.BatchPages = int(os.NumPFNs())
 	os.SetPageIndexer(vmm.NewHeatIndex(indexed, src.TierOf))
@@ -379,43 +359,31 @@ func benchRankingScanners(tb testing.TB) (*benchFrameSource, *vmm.Scanner, *vmm.
 		}
 		indexed.ScanNext()
 	}
-	return src, sweep, indexed
+	return src, indexed
 }
 
-// BenchmarkHottestIn contrasts the ranking query that feeds every
-// migration pass: full sweep-and-sort vs the O(k) heat-bucket walk.
+// BenchmarkHottestIn times the ranking query that feeds every migration
+// pass: an O(k) heat-bucket walk.
 func BenchmarkHottestIn(b *testing.B) {
-	src, sweep, indexed := benchRankingScanners(b)
-	for _, bc := range []struct {
-		name string
-		sc   *vmm.Scanner
-	}{{"sweep", sweep}, {"index", indexed}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := bc.sc.HottestIn(src.m, memsim.SlowMem, 64); len(got) == 0 {
-					b.Fatal("no hot pages ranked")
-				}
-			}
-		})
+	_, sc := benchRankingScanner(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := sc.HottestIn(memsim.SlowMem, 64); len(got) == 0 {
+			b.Fatal("no hot pages ranked")
+		}
 	}
 }
 
 // BenchmarkColdestIn is the demotion-side counterpart.
 func BenchmarkColdestIn(b *testing.B) {
-	src, sweep, indexed := benchRankingScanners(b)
-	for _, bc := range []struct {
-		name string
-		sc   *vmm.Scanner
-	}{{"sweep", sweep}, {"index", indexed}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := bc.sc.ColdestIn(src.m, memsim.SlowMem, 64); len(got) == 0 {
-					b.Fatal("no cold pages ranked")
-				}
-			}
-		})
+	_, sc := benchRankingScanner(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := sc.ColdestIn(memsim.SlowMem, 64); len(got) == 0 {
+			b.Fatal("no cold pages ranked")
+		}
 	}
 }
 
@@ -529,14 +497,11 @@ func BenchmarkSweepFigure9WorkersMax(b *testing.B) {
 
 // benchEpochPricing streams a varied epoch-charge mix through one
 // backend's full pricing path — the LLC rescale plus Charge, exactly
-// what core.System.stepVM pays per VM per epoch. This is the loop the
-// coarse backend exists to accelerate (DESIGN.md §5f): analytic spends
-// most of it in the power-law MPKI rescale and the per-tier store
-// visibility model, both of which coarse elides.
-func benchEpochPricing(b *testing.B, build memsim.Builder) {
-	b.Helper()
+// what core.System.stepVM pays per VM per epoch. Most of it goes to the
+// power-law MPKI rescale and the per-tier store visibility model.
+func BenchmarkEpochPricingAnalytic(b *testing.B) {
 	m := memsim.NewMachine(4096, 4096, memsim.FastTierSpec(), memsim.SlowTierSpec())
-	be := build(m)
+	be := memsim.AnalyticBackend(m)
 	llc := memsim.DefaultLLC()
 	// One representative GraphChi-like epoch, cache-hot: mixed-tier
 	// load/store traffic with a working set well past the LLC so the
@@ -560,30 +525,6 @@ func benchEpochPricing(b *testing.B, build memsim.Builder) {
 }
 
 var benchPricingSink float64
-
-func BenchmarkEpochPricingAnalytic(b *testing.B) { benchEpochPricing(b, memsim.AnalyticBackend) }
-func BenchmarkEpochPricingCoarse(b *testing.B)   { benchEpochPricing(b, memsim.CoarseBackend) }
-
-// The Figure 9 sweep priced end-to-end through the coarse backend —
-// compare against BenchmarkSweepFigure9WorkersMax (analytic) for the
-// whole-simulation effect of cheaper pricing.
-func BenchmarkSweepFigure9Coarse(b *testing.B) {
-	e, ok := exp.ByID("figure9")
-	if !ok {
-		b.Fatal("figure9 missing from registry")
-	}
-	coarse := func(string, uint64) memsim.Builder { return memsim.CoarseBackend }
-	for i := 0; i < b.N; i++ {
-		res, err := e.Run(context.Background(), exp.Options{
-			Seed: 1, Quick: true, Workers: runtime.GOMAXPROCS(0), NewBackend: coarse})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.Table.String())
-		}
-	}
-}
 
 // benchRunnerBatch pushes a fixed batch of memlat simulations through
 // the runner at the given worker count.
@@ -642,7 +583,7 @@ func TestInstrumentedChokepointsZeroAlloc(t *testing.T) {
 	handle := obs.New()
 	scope := handle.Scope(1, func() sim.Duration { return 0 })
 
-	src, _, indexed := benchRankingScanners(t)
+	src, indexed := benchRankingScanner(t)
 	indexed.AttachObs(scope)
 	eng := memsim.NewAnalytic(src.m, memsim.WithObs(handle.Metrics))
 	charge := memsim.EpochCharge{Instr: 1 << 20, Threads: 1, MLP: 1, BytesPerMiss: 64}
@@ -675,8 +616,8 @@ func TestInstrumentedChokepointsZeroAlloc(t *testing.T) {
 	var vpn int
 	paths := map[string]func(){
 		"Scanner.ScanNext":  func() { indexed.ScanNext() },
-		"Scanner.HottestIn": func() { indexed.HottestIn(src.m, memsim.SlowMem, 64) },
-		"Scanner.ColdestIn": func() { indexed.ColdestIn(src.m, memsim.SlowMem, 64) },
+		"Scanner.HottestIn": func() { indexed.HottestIn(memsim.SlowMem, 64) },
+		"Scanner.ColdestIn": func() { indexed.ColdestIn(memsim.SlowMem, 64) },
 		"Engine.Charge":     func() { eng.Charge(charge) },
 		"OS.TouchVPN": func() {
 			vpn = (vpn + 1) % 16384

@@ -5,20 +5,20 @@
 //
 //	go test -run=NONE -bench=. -benchmem -count=5 . > bench.txt
 //	benchjson -label analytic -match 'Analytic$' < bench.txt > BENCH_analytic.json
-//	benchjson -label coarse -match 'Coarse$' \
-//	    -speedup EpochPricingCoarse=EpochPricingAnalytic < bench.txt > BENCH_coarse.json
+//	benchjson -label obs -match 'ObsRollup' \
+//	    -speedup ObsRollupDirect=ObsRollupMergeFold < bench.txt > BENCH_obs.json
 //
 // Repeated -count runs of one benchmark are kept as samples and
 // summarised by their mean; -speedup NAME=BASELINE records the
 // baseline-to-name throughput factor (both names must appear in the
-// input, pre -match filtering, so a coarse baseline can reference the
-// analytic benchmark from the same run).
+// input, pre -match filtering, so a baseline can reference a benchmark
+// it does not record from the same run).
 //
 // Guard mode compares fresh bench output against a committed baseline
 // instead of emitting JSON:
 //
-//	go test -run=NONE -bench='EpochPricing' -count=3 . \
-//	    | benchjson -guard BENCH_coarse.json -tolerance 0.05
+//	go test -run=NONE -bench='ObsRollup' -count=3 . \
+//	    | benchjson -guard BENCH_obs.json -tolerance 0.05
 //
 // It recomputes the baseline's recorded speedup pair from the fresh
 // input and fails (exit 1) if the fresh factor regressed more than
@@ -162,8 +162,8 @@ func main() {
 
 // guard loads a committed baseline and re-derives its recorded speedup
 // pair from the fresh means. Only the ratio is compared — raw ns/op
-// varies with the machine running the check, but coarse-vs-analytic
-// from one run does not.
+// varies with the machine running the check, but the ratio of two
+// benchmarks from one run does not.
 func guard(path string, tol float64, means map[string]float64) {
 	data, err := os.ReadFile(path)
 	if err != nil {

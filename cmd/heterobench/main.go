@@ -22,9 +22,9 @@
 //	heterobench -exp figure6 -metrics m.csv     # per-run metrics snapshots
 //	heterobench -exp figure9 -profile-epochs    # aggregate epoch phase breakdown
 //
-// Machine-model backends (see DESIGN.md §5f):
+// Machine-model backends (see DESIGN.md §5f): cells price epochs with
+// the analytic Table-3 model unless they replay a recorded trace:
 //
-//	heterobench -exp figure9 -backend coarse          # fast approximate sweep
 //	heterobench -exp figure9 -record-trace traces/f9  # one JSONL per sweep cell
 //	heterobench -exp figure9 -replay-trace cell.jsonl # replay one recorded cell
 package main
@@ -156,7 +156,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to `file` at exit")
 		metricsOut = flag.String("metrics", "", "write per-run metrics snapshots (CSV) to `file`")
 		profileF   = flag.Bool("profile-epochs", false, "profile epoch phases in every sweep cell and print an aggregate phase breakdown")
-		backendF   = flag.String("backend", "analytic", "machine-model backend: analytic, coarse, or replay (needs -replay-trace)")
 		recordF    = flag.String("record-trace", "", "record each sweep cell's epoch stream as `prefix`-NNN-label.jsonl")
 		replayF    = flag.String("replay-trace", "", "replay a recorded JSONL epoch stream in every cell (selects the replay backend)")
 	)
@@ -202,7 +201,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	backendHook, closeBackend, err := setupBackend(*backendF, *recordF, *replayF)
+	backendHook, closeBackend, err := setupBackend(*recordF, *replayF)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "heterobench: %v\n", err)
 		os.Exit(2)
@@ -372,42 +371,30 @@ func sanitizeLabel(label string) string {
 	return string(out)
 }
 
-// setupBackend resolves the backend flags into an exp.Options.NewBackend
+// setupBackend resolves the trace flags into an exp.Options.NewBackend
 // hook (nil when the default analytic path needs no per-job hook) plus a
 // cleanup that flushes any recording.
-func setupBackend(name, record, replay string) (func(label string, seed uint64) memsim.Builder, func() error, error) {
+func setupBackend(record, replay string) (func(label string, seed uint64) memsim.Builder, func() error, error) {
 	if record != "" && replay != "" {
 		return nil, nil, errors.New("-record-trace and -replay-trace are mutually exclusive")
 	}
 	noClose := func() error { return nil }
-	var build memsim.Builder
 	switch {
 	case replay != "":
-		if name != memsim.BackendAnalytic && name != memsim.BackendReplay {
-			return nil, nil, fmt.Errorf("-replay-trace selects the replay backend; -backend %s conflicts", name)
-		}
 		tr, err := memsim.LoadTraceFile(replay)
 		if err != nil {
 			return nil, nil, err
 		}
 		// One shared trace; every built backend replays it from the
 		// start with an independent cursor.
-		build = tr.Builder()
-	default:
-		b, err := memsim.BuilderByName(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		build = b
-	}
-	if record != "" {
-		rec := &traceRecording{inner: build, prefix: record}
+		build := tr.Builder()
+		return func(string, uint64) memsim.Builder { return build }, noClose, nil
+	case record != "":
+		rec := &traceRecording{inner: memsim.AnalyticBackend, prefix: record}
 		return rec.hook, rec.close, nil
-	}
-	if replay == "" && (name == "" || name == memsim.BackendAnalytic) {
-		// The default backend needs no hook: core builds analytic when
-		// Config.Backend is nil, and a nil hook keeps that path.
+	default:
+		// core builds analytic when Config.Backend is nil, and a nil
+		// hook keeps that path.
 		return nil, noClose, nil
 	}
-	return func(string, uint64) memsim.Builder { return build }, noClose, nil
 }

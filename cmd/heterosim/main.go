@@ -42,9 +42,9 @@
 //	heterosim -cpuprofile cpu.out       # CPU profile of the run (go tool pprof)
 //	heterosim -memprofile mem.out       # heap profile at exit
 //
-// Machine-model backends (see DESIGN.md §5f):
+// Machine-model backends (see DESIGN.md §5f): runs price epochs with the
+// analytic Table-3 model unless they replay a recorded trace:
 //
-//	heterosim -backend coarse                    # fast approximate pricing
 //	heterosim -record-trace run.jsonl            # record the epoch stream
 //	heterosim -replay-trace run.jsonl            # replay a recorded stream
 package main
@@ -85,7 +85,6 @@ func main() {
 		events    = flag.String("events", "", "write structured events as JSON lines to this file")
 		chrome    = flag.String("chrome-trace", "", "write a Chrome trace_event export (Perfetto-loadable) to this file")
 		metricsF  = flag.String("metrics", "", "write an end-of-run metrics snapshot (CSV) to this file")
-		backendF  = flag.String("backend", "analytic", "machine-model backend: analytic, coarse, or replay (needs -replay-trace)")
 		recordF   = flag.String("record-trace", "", "record the per-epoch (charge, cost) stream as JSONL to this file")
 		replayF   = flag.String("replay-trace", "", "replay a recorded JSONL epoch stream (selects the replay backend)")
 		ckEvery   = flag.Int("checkpoint-every", 0, "write a fleet checkpoint after every N rounds (needs -fleet or -restore)")
@@ -163,31 +162,21 @@ func main() {
 			fmt.Fprintln(os.Stderr, "heterosim: -fleet and -restore do not support trace record/replay backends")
 			os.Exit(2)
 		}
-		// -seed and -backend override the script's own fields only when
-		// passed explicitly.
+		// -seed overrides the script's own seed only when passed
+		// explicitly.
 		var seedOverride *uint64
-		backendName := ""
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "seed":
+			if f.Name == "seed" {
 				seedOverride = seed
-			case "backend":
-				backendName = *backendF
 			}
 		})
-		if *restoreF != "" && backendName != "" {
-			// A checkpoint pins the backend it was taken under; restoring
-			// it under a different model could not be byte-identical.
-			fmt.Fprintln(os.Stderr, "heterosim: -restore uses the checkpoint's own backend; -backend conflicts")
-			os.Exit(2)
-		}
 		opts := fleet.Options{Workers: *workersF, ProfileEpochs: *profileF,
 			CheckpointEvery: *ckEvery, CheckpointPath: *ckPath}
-		runFleet(*fleetF, *restoreF, seedOverride, backendName, opts, of)
+		runFleet(*fleetF, *restoreF, seedOverride, opts, of)
 		return
 	}
 
-	build, closeBackend, err := buildBackend(*backendF, *recordF, *replayF)
+	build, closeBackend, err := buildBackend(*recordF, *replayF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "heterosim:", err)
 		os.Exit(2)
@@ -289,7 +278,7 @@ func main() {
 // fleets; at datacenter scale the per-app aggregate, migration log, and
 // timeline carry the story. A restored run prints exactly what the
 // uninterrupted run would have.
-func runFleet(path, restore string, seedOverride *uint64, backendName string, opts fleet.Options, of obsFlags) {
+func runFleet(path, restore string, seedOverride *uint64, opts fleet.Options, of obsFlags) {
 	var sc *fleet.Script
 	runTag := "restore/" + restore
 	if restore == "" {
@@ -300,9 +289,6 @@ func runFleet(path, restore string, seedOverride *uint64, backendName string, op
 		}
 		if seedOverride != nil {
 			sc.Seed = *seedOverride
-		}
-		if backendName != "" {
-			sc.Host.Backend = backendName
 		}
 		runTag = fmt.Sprintf("fleet/%s seed=%d", sc.Name, sc.Seed)
 	}
@@ -385,29 +371,20 @@ func runFleet(path, restore string, seedOverride *uint64, backendName string, op
 	closeObs()
 }
 
-// buildBackend resolves the backend flags into a core.Config builder
-// plus a cleanup that flushes any trace recording. The returned builder
-// is never nil; unknown names surface memsim.ErrUnknownBackend.
-func buildBackend(name, record, replay string) (memsim.Builder, func() error, error) {
+// buildBackend resolves the trace flags into a core.Config builder —
+// analytic, or replay when a trace is given — plus a cleanup that
+// flushes any trace recording. The returned builder is never nil.
+func buildBackend(record, replay string) (memsim.Builder, func() error, error) {
 	if record != "" && replay != "" {
 		return nil, nil, errors.New("-record-trace and -replay-trace are mutually exclusive")
 	}
-	var build memsim.Builder
+	build := memsim.AnalyticBackend
 	if replay != "" {
-		if name != memsim.BackendAnalytic && name != memsim.BackendReplay {
-			return nil, nil, fmt.Errorf("-replay-trace selects the replay backend; -backend %s conflicts", name)
-		}
 		tr, err := memsim.LoadTraceFile(replay)
 		if err != nil {
 			return nil, nil, err
 		}
 		build = tr.Builder()
-	} else {
-		b, err := memsim.BuilderByName(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		build = b
 	}
 	closeBackend := func() error { return nil }
 	if record != "" {

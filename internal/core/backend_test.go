@@ -45,20 +45,6 @@ func TestBackendDefaultIsAnalytic(t *testing.T) {
 	}
 }
 
-func TestConfigBackendSelectsCoarse(t *testing.T) {
-	cfg := backendTestConfig(t, memsim.CoarseBackend)
-	res, sys, err := RunSingle(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Backend.Name() != memsim.BackendCoarse {
-		t.Fatalf("backend is %q, want coarse", sys.Backend.Name())
-	}
-	if res.SimTime <= 0 || res.Epochs == 0 {
-		t.Fatalf("coarse run produced no progress: %+v", res)
-	}
-}
-
 // A recorded analytic run replayed through the replay backend must
 // reproduce the full VMResult exactly: every epoch cost comes back
 // bit-identical from the trace and everything downstream of pricing is

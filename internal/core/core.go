@@ -105,10 +105,9 @@ type Config struct {
 	AllowNoVMs bool
 	// Backend builds the machine-model backend the system prices epochs
 	// with. nil defaults to memsim.AnalyticBackend — the Table-3
-	// fidelity reference. NewSystem invokes the builder once, with the
-	// machine it just built plus the CPU/obs options, so callers select
-	// a model per job without constructing it themselves (see
-	// memsim.BuilderByName and Trace.Builder).
+	// model. NewSystem invokes the builder once, with the machine it
+	// just built plus the CPU/obs options, so callers select a model
+	// per job without constructing it themselves (see Trace.Builder).
 	Backend memsim.Builder
 	// Seed drives all randomness.
 	Seed uint64

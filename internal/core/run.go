@@ -244,8 +244,8 @@ func (s *System) stepVM(inst *VMInstance) (err error) {
 	// 5. Convert the epoch's work into LLC-miss traffic. Total miss
 	// volume comes from the workload's MPKI rescaled for the platform
 	// LLC (the backend owns the rescale: analytic applies the power-law
-	// miss curve, coarse skips it); the per-tier split follows the
-	// observed touch distribution.
+	// miss curve); the per-tier split follows the observed touch
+	// distribution.
 	effMPKI := s.Backend.EffectiveMPKI(s.Cfg.LLC, prof.MPKI, prof.WSSBytes)
 	totalMisses := float64(instr) / 1000 * effMPKI
 

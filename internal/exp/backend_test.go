@@ -2,9 +2,6 @@ package exp
 
 import (
 	"context"
-	"math"
-	"strconv"
-	"sync"
 	"testing"
 
 	"heteroos/internal/memsim"
@@ -13,93 +10,26 @@ import (
 
 // gainTable runs the Figure 9 shape (quick apps, two capacity ratios)
 // under the given backend builder; nil means the default path (no
-// NewBackend hook, core builds analytic). Results are memoised per
-// builder name so the ordering and byte-equality tests below share
-// sweeps instead of re-simulating.
-func gainTable(t *testing.T, name string, build memsim.Builder) *metrics.Table {
+// NewBackend hook, core builds analytic).
+func gainTable(t *testing.T, build memsim.Builder) *metrics.Table {
 	t.Helper()
-	gainTablesMu.Lock()
-	defer gainTablesMu.Unlock()
-	if tb, ok := gainTables[name]; ok {
-		return tb
-	}
 	o := Options{Quick: true, Seed: 1}
 	if build != nil {
 		o.NewBackend = func(string, uint64) memsim.Builder { return build }
 	}
 	res, err := gainSweep(context.Background(), o, "figure9", "backend-shape", figure9Modes(), []int{2, 8})
 	if err != nil {
-		t.Fatalf("gainSweep(%s): %v", name, err)
+		t.Fatalf("gainSweep: %v", err)
 	}
-	gainTables[name] = res.Table
 	return res.Table
 }
 
-var (
-	gainTablesMu sync.Mutex
-	gainTables   = map[string]*metrics.Table{}
-)
-
-func cellFloat(t *testing.T, tb *metrics.Table, row, col int) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(tb.Cell(row, col), 64)
-	if err != nil {
-		t.Fatalf("cell (%d,%d) %q: %v", row, col, tb.Cell(row, col), err)
-	}
-	return v
-}
-
-// decisive reports whether two gain percentages are separated enough
-// that a coarse-vs-analytic ordering flip would be a real shape change
-// rather than a near-tie: 5 percentage points and 5% relative.
-func decisive(x, y float64) bool {
-	d := math.Abs(x - y)
-	return d > 5 && d > 0.05*math.Max(math.Abs(x), math.Abs(y))
-}
-
 // The default backend path (Config.Backend nil) must be byte-identical
-// to explicitly selecting analytic: -backend analytic is a no-op.
+// to explicitly selecting analytic through the NewBackend hook.
 func TestGainSweepDefaultBackendIsAnalytic(t *testing.T) {
-	def := gainTable(t, "default", nil)
-	ana := gainTable(t, memsim.BackendAnalytic, memsim.AnalyticBackend)
+	def := gainTable(t, nil)
+	ana := gainTable(t, memsim.AnalyticBackend)
 	if def.String() != ana.String() {
 		t.Fatalf("explicit analytic differs from default:\ndefault:\n%s\nanalytic:\n%s", def, ana)
-	}
-}
-
-// Coarse must reproduce the analytic figure SHAPE even though absolute
-// gains shift: (a) within each app×ratio row, the ranking of placement
-// modes (and the FastMem-only ideal) is preserved for decisively
-// separated pairs; (b) for each app×mode, the direction of the gain
-// change between capacity ratios 1/2 and 1/8 is preserved.
-func TestCoarsePreservesFigure9Shape(t *testing.T) {
-	at := gainTable(t, "default", nil)
-	ct := gainTable(t, memsim.BackendCoarse, memsim.CoarseBackend)
-	if at.Rows() != ct.Rows() || at.Rows() == 0 {
-		t.Fatalf("row mismatch: analytic %d, coarse %d", at.Rows(), ct.Rows())
-	}
-	// Columns: 0 App, 1 Ratio, 2..5 modes, 6 FastMem-only ideal.
-	for r := 0; r < at.Rows(); r++ {
-		for c1 := 2; c1 <= 6; c1++ {
-			for c2 := c1 + 1; c2 <= 6; c2++ {
-				a1, a2 := cellFloat(t, at, r, c1), cellFloat(t, at, r, c2)
-				b1, b2 := cellFloat(t, ct, r, c1), cellFloat(t, ct, r, c2)
-				if decisive(a1, a2) && (a1 > a2) != (b1 > b2) {
-					t.Errorf("row %d (%s %s): ordering flip between cols %d and %d: analytic %.1f vs %.1f, coarse %.1f vs %.1f",
-						r, at.Cell(r, 0), at.Cell(r, 1), c1, c2, a1, a2, b1, b2)
-				}
-			}
-		}
-	}
-	// Rows come in per-app pairs: ratio 1/2 then 1/8.
-	for r := 0; r+1 < at.Rows(); r += 2 {
-		for c := 2; c <= 5; c++ {
-			a1, a2 := cellFloat(t, at, r, c), cellFloat(t, at, r+1, c)
-			b1, b2 := cellFloat(t, ct, r, c), cellFloat(t, ct, r+1, c)
-			if decisive(a1, a2) && (a1 > a2) != (b1 > b2) {
-				t.Errorf("app %s col %d: capacity-ratio trend flip: analytic %.1f->%.1f, coarse %.1f->%.1f",
-					at.Cell(r, 0), c, a1, a2, b1, b2)
-			}
-		}
 	}
 }

@@ -130,23 +130,6 @@ func TestRestoreParity(t *testing.T) {
 	checkTail(t, fullEv, resumedEv)
 }
 
-// TestRestoreAcrossBackends checks checkpoint/restore under the coarse
-// backend (whose pricing state self-refreshes from the machine spec).
-func TestRestoreAcrossBackends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "coarse.hosnap")
-	sc := withCheckpoint(eventful("ckpt-coarse", 31), 21, path)
-	sc.Host.Backend = memsim.BackendCoarse
-	fullRes, _ := runWithEvents(t, func(h *obs.Obs) (*Result, error) {
-		return Run(context.Background(), sc, Options{Obs: h})
-	})
-	resumedRes, _ := runWithEvents(t, func(h *obs.Obs) (*Result, error) {
-		return restored(path, Options{Obs: h})
-	})
-	if !bytes.Equal(fullRes, resumedRes) {
-		t.Errorf("restored coarse-backend result differs:\n%s\nvs\n%s", fullRes, resumedRes)
-	}
-}
-
 // TestRestoreChainedCheckpoints restores a run that itself keeps
 // checkpointing, then restores the second-generation checkpoint —
 // checkpoints of restored runs must be as good as first-generation
@@ -197,16 +180,14 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 	}
 }
 
-// TestRestoreChurnCoarseSections pins restore under a non-default
-// backend: the bundled churn script with the coarse backend must, after
-// restoring a late checkpoint, re-emit byte-identical checkpoints at
-// every later checkpoint event. On failure the test names the first
-// section whose bytes diverge.
-func TestRestoreChurnCoarseSections(t *testing.T) {
+// TestRestoreChurnSections pins restore down to checkpoint bytes: the
+// bundled churn script must, after restoring a late checkpoint, re-emit
+// byte-identical checkpoints at every later checkpoint event. On
+// failure the test names the first section whose bytes diverge.
+func TestRestoreChurnSections(t *testing.T) {
 	dir := t.TempDir()
 	p := func(round int) string { return filepath.Join(dir, fmt.Sprintf("ck-%d.hosnap", round)) }
 	sc := bundled(t, "churn.json")
-	sc.Host.Backend = memsim.BackendCoarse
 	for r := 52; r <= 55; r++ {
 		withCheckpoint(sc, r, p(r))
 	}

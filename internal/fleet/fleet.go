@@ -122,7 +122,6 @@ type Cluster struct {
 	sc    *Script
 	opts  Options
 	place Placement
-	build memsim.Builder
 	hosts []*host
 	vms   map[vmm.VMID]*vmState
 	order []vmm.VMID
@@ -174,12 +173,8 @@ func newCluster(sc *Script, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	build, err := memsim.BuilderByName(sc.backend())
-	if err != nil {
-		return nil, err
-	}
 	return &Cluster{
-		sc: sc, opts: opts, place: place, build: build,
+		sc: sc, opts: opts, place: place,
 		vms:     make(map[vmm.VMID]*vmState, sc.TotalVMs()),
 		windows: make(map[int][]vmm.VMID),
 		actions: expandActions(sc.Events),
@@ -198,7 +193,6 @@ func (c *Cluster) hostConfig(id int) core.Config {
 		MaxEpochs:     sc.Rounds*sc.RoundEpochs + 1,
 		AllowNoVMs:    true,
 		CostScale:     float64(sc.scale()),
-		Backend:       c.build,
 		Obs:           c.opts.Obs.NestedJobScope("host", strconv.Itoa(id)),
 		Seed:          hostSeed(sc.Seed, id),
 		ProfileEpochs: c.opts.ProfileEpochs,

@@ -65,7 +65,6 @@ var (
 	fuzzApps       = []string{"memlat", "stream", "writeheavy"}
 	fuzzModes      = []string{"HeteroOS-coordinated", "HeteroOS-coordinated-NVM", "VMM-exclusive", "NUMA-preferred"}
 	fuzzShares     = []string{"drf", "max-min", "static"}
-	fuzzBackends   = []string{memsim.BackendAnalytic, memsim.BackendCoarse}
 	fuzzPlacements = []string{PlacementFirstFit, PlacementPressurePack, PlacementDRFRebalance}
 )
 
@@ -81,7 +80,7 @@ func fuzzVM(rng *sim.RNG) VMGroup {
 }
 
 // Generate builds a random script from seed: 1–3 hosts, host shape,
-// share policy, backend, placement, 1–3 round-0 VMs, and up to 8
+// share policy, placement, 1–3 round-0 VMs, and up to 8
 // script events drawn from every kind but checkpoint, with in-range
 // parameters. Events are emitted in round order, so VM ids follow
 // declaration order. The result is a pure function of seed and always
@@ -96,8 +95,7 @@ func Generate(seed uint64) *Script {
 		RoundEpochs: 1,
 		Host: HostDesc{
 			FastFrames: fast, SlowFrames: fast * uint64(4+rng.Intn(5)),
-			Share:   fuzzShares[rng.Intn(len(fuzzShares))],
-			Backend: fuzzBackends[rng.Intn(len(fuzzBackends))],
+			Share: fuzzShares[rng.Intn(len(fuzzShares))],
 		},
 		Placement: fuzzPlacements[rng.Intn(len(fuzzPlacements))],
 	}
@@ -386,7 +384,7 @@ func LoadRepro(path string) (*Repro, error) {
 		return nil, err
 	}
 	var r Repro
-	if err := json.Unmarshal(b, &r); err != nil {
+	if err := decodeStrict(b, &r); err != nil {
 		return nil, fmt.Errorf("repro %s: %w", path, err)
 	}
 	if r.Script == nil {

@@ -114,7 +114,12 @@ func FuzzParse(f *testing.F) {
 // failure (not a benign rejection).
 func TestHarnessCatchesInjectedDefect(t *testing.T) {
 	ctx := context.Background()
-	sc := Generate(5)
+	sc := Generate(2)
+	// The clean run must get past the defect round; a script that ends
+	// early (a benign rejection) would never inject it.
+	if _, err := Run(ctx, sc, Options{Workers: 1}); err != nil {
+		t.Fatalf("seed 2 does not run to completion: %v", err)
+	}
 	err := CheckScript(ctx, sc, &Defect{Kind: DefectStealFrame, At: 6})
 	if err == nil {
 		t.Fatal("stolen frame escaped the invariant harness")

@@ -11,12 +11,12 @@ import (
 )
 
 // oneHost builds a single-machine script: one host, one epoch per
-// round, DRF shares and the analytic backend — the shape of the
-// bundled churn.json and degrade.json.
+// round and DRF shares — the shape of the bundled churn.json and
+// degrade.json.
 func oneHost(name string, seed uint64, fast, slow uint64, rounds int, vms ...VMGroup) *Script {
 	return &Script{
 		Name: name, Seed: seed, Hosts: 1, Rounds: rounds, RoundEpochs: 1,
-		Host: HostDesc{FastFrames: fast, SlowFrames: slow, Share: "drf", Backend: memsim.BackendAnalytic},
+		Host: HostDesc{FastFrames: fast, SlowFrames: slow, Share: "drf"},
 		VMs:  vms,
 	}
 }
@@ -206,11 +206,6 @@ func TestValidateRejections(t *testing.T) {
 			return sc
 		}},
 		{"non-positive VM id", func() *Script { return with(Event{At: 2, Kind: KindShutdown, VM: -1}) }},
-		{"unknown backend", func() *Script {
-			sc := base()
-			sc.Host.Backend = "quantum"
-			return sc
-		}},
 		{"checkpoint without path", func() *Script { return with(Event{At: 2, Kind: KindCheckpoint}) }},
 		{"surge of a VM never booted", func() *Script { return with(Event{At: 2, Kind: KindSurge, VM: 7, Duration: 4, Factor: 2}) }},
 	}

@@ -21,10 +21,12 @@
 package fleet
 
 import (
+	"bytes"
 	"embed"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path"
@@ -74,10 +76,6 @@ type HostDesc struct {
 	// Share selects the VMM share policy on every host (default
 	// static).
 	Share string `json:"share,omitempty"`
-	// Backend names the machine-model backend (default coarse — a
-	// thousand hosts under the analytic model would dominate the run
-	// with pricing, not management).
-	Backend string `json:"backend,omitempty"`
 	// SlowThrottle, when set, is the initial SlowMem throttle point
 	// (default: the paper's SlowMem spec).
 	SlowThrottle *memsim.Throttle `json:"slow_throttle,omitempty"`
@@ -174,13 +172,6 @@ func (sc *Script) share() string {
 	return sc.Host.Share
 }
 
-func (sc *Script) backend() string {
-	if sc.Host.Backend == "" {
-		return memsim.BackendCoarse
-	}
-	return sc.Host.Backend
-}
-
 func (sc *Script) placement() string {
 	if sc.Placement == "" {
 		return PlacementFirstFit
@@ -263,9 +254,6 @@ func (sc *Script) Validate() error {
 	default:
 		return fail("unknown share policy %q", sc.Host.Share)
 	}
-	if _, err := memsim.BuilderByName(sc.backend()); err != nil {
-		return fail("%v", err)
-	}
 	if _, err := PlacementByName(sc.placement()); err != nil {
 		return fail("%v", err)
 	}
@@ -341,16 +329,32 @@ func Bundled() []string {
 	return names
 }
 
-// Parse decodes and validates a JSON fleet script.
+// Parse decodes and validates a JSON fleet script. Unknown fields are
+// errors: a misspelled key would otherwise be dropped and silently
+// change the run.
 func Parse(data []byte) (*Script, error) {
 	var sc Script
-	if err := json.Unmarshal(data, &sc); err != nil {
+	if err := decodeStrict(data, &sc); err != nil {
 		return nil, fmt.Errorf("fleet: parse: %w", err)
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	return &sc, nil
+}
+
+// decodeStrict is json.Unmarshal that also rejects fields v does not
+// declare.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after JSON value")
+	}
+	return nil
 }
 
 // LoadBundled loads an embedded fleet script by file name (e.g.

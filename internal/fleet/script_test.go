@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -29,8 +30,8 @@ func TestScriptValidateAcceptsDefaults(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("valid script rejected: %v", err)
 	}
-	if sc.share() != "static" || sc.backend() != "coarse" || sc.placement() != PlacementFirstFit {
-		t.Errorf("defaults: share=%q backend=%q placement=%q", sc.share(), sc.backend(), sc.placement())
+	if sc.share() != "static" || sc.placement() != PlacementFirstFit {
+		t.Errorf("defaults: share=%q placement=%q", sc.share(), sc.placement())
 	}
 	if sc.TotalVMs() != 1 {
 		t.Errorf("TotalVMs = %d, want 1", sc.TotalVMs())
@@ -48,7 +49,6 @@ func TestScriptValidateRejections(t *testing.T) {
 		{"no rounds", func(sc *Script) { sc.Rounds = 0 }, "rounds >= 1"},
 		{"no host shape", func(sc *Script) { sc.Host.FastFrames = 0 }, "host shape"},
 		{"bad share", func(sc *Script) { sc.Host.Share = "equal" }, "share policy"},
-		{"bad backend", func(sc *Script) { sc.Host.Backend = "exact" }, "backend"},
 		{"bad placement", func(sc *Script) { sc.Placement = "spread" }, "placement policy"},
 		{"bad mode", func(sc *Script) { sc.VMs[0].Mode = "nope" }, "nope"},
 		{"bad app", func(sc *Script) { sc.VMs[0].App = "nope" }, "nope"},
@@ -84,6 +84,41 @@ func TestScriptValidateRejections(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseRejectsUnknownFields: a misspelled key or a field the
+// script no longer has must fail the parse rather than be dropped,
+// which would silently run a different script.
+func TestParseRejectsUnknownFields(t *testing.T) {
+	valid, err := json.Marshal(validScript())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(valid); err != nil {
+		t.Fatalf("valid script rejected: %v", err)
+	}
+	cases := []struct{ name, from, to, field string }{
+		{"misspelled round_epochs", `"round_epochs":`, `"round_epoch":`, "round_epoch"},
+		{"host backend", `"slow_frames":32768`, `"slow_frames":32768,"backend":"analytic"`, "backend"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data := strings.Replace(string(valid), tc.from, tc.to, 1)
+			if data == string(valid) {
+				t.Fatalf("%q not found in %s", tc.from, valid)
+			}
+			_, err := Parse([]byte(data))
+			if err == nil {
+				t.Fatalf("Parse accepted %s", data)
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("error %q does not name the field %q", err, tc.field)
+			}
+		})
+	}
+	if _, err := Parse(append(valid, []byte(" {}")...)); err == nil {
+		t.Error("Parse accepted trailing data")
 	}
 }
 

@@ -385,33 +385,18 @@ func (o *OS) SetScanWriteHeat(pfn PFN, h uint8) {
 	}
 }
 
-// TestAndClearWritten emulates PAGE_RW write-bit scanning (Section 4.3):
-// it reports whether pfn was stored to since the last scan and clears
-// the tracker's private dirtied bit.
-func (o *OS) TestAndClearWritten(pfn PFN) bool {
-	was := o.store.Has(pfn, FlagScanWritten)
-	o.store.Clear(pfn, FlagScanWritten)
-	return was
-}
-
-// TestAndClearAccessed emulates the access-bit scan: it reports whether
-// pfn was referenced since the last scan and clears the tracker's
-// private bit (leaving the LRU's referenced bit alone). The VMM's
-// scanner pays the PTE-walk and TLB-flush costs at its layer.
-func (o *OS) TestAndClearAccessed(pfn PFN) bool {
-	was := o.store.Has(pfn, FlagScanAccessed)
-	o.store.Clear(pfn, FlagScanAccessed)
-	return was
-}
-
-// TakeScanAccessedWord batch-clears and returns the scan-accessed bits
-// of 64-page word w under mask: the word-at-a-time form of
-// TestAndClearAccessed the VMM scanner consumes (vmm.WordScanView).
+// TakeScanAccessedWord emulates the access-bit scan for the 64 pages of
+// word w selected by mask: it returns which were referenced since the
+// last scan and clears the tracker's private bits (leaving the LRU's
+// referenced bits alone). The VMM's scanner pays the PTE-walk and
+// TLB-flush costs at its layer.
 func (o *OS) TakeScanAccessedWord(w int, mask uint64) uint64 {
 	return o.store.TakeScanAccessedWord(w, mask)
 }
 
-// TakeScanWrittenWord is the word-at-a-time TestAndClearWritten.
+// TakeScanWrittenWord emulates PAGE_RW write-bit scanning (Section 4.3)
+// the same way: it returns which selected pages were stored to since the
+// last scan and clears the tracker's private dirtied bits.
 func (o *OS) TakeScanWrittenWord(w int, mask uint64) uint64 {
 	return o.store.TakeScanWrittenWord(w, mask)
 }

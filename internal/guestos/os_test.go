@@ -537,19 +537,25 @@ func TestTransparentGuestSingleNode(t *testing.T) {
 	}
 }
 
+// takeBit test-and-clears one page's scan bit through a word take
+// with a one-bit mask.
+func takeBit(take func(w int, mask uint64) uint64, pfn PFN) bool {
+	return take(int(pfn>>6), 1<<(pfn&63)) != 0
+}
+
 func TestTestAndClearAccessed(t *testing.T) {
 	os, _ := testOS(t, heapODPlacement(), 1024, 4096, 512, 1024)
 	vma, _ := os.AS.Mmap(1, KindAnon, NilFile)
 	os.TouchVPN(vma.Start, 1, 0)
 	pfn, _ := os.AS.Translate(vma.Start)
-	if !os.TestAndClearAccessed(pfn) {
+	if !takeBit(os.TakeScanAccessedWord, pfn) {
 		t.Fatal("accessed bit not set")
 	}
-	if os.TestAndClearAccessed(pfn) {
+	if takeBit(os.TakeScanAccessedWord, pfn) {
 		t.Fatal("accessed bit not cleared")
 	}
 	os.TouchVPN(vma.Start, 1, 0)
-	if !os.TestAndClearAccessed(pfn) {
+	if !takeBit(os.TakeScanAccessedWord, pfn) {
 		t.Fatal("re-touch did not set bit")
 	}
 }
@@ -791,10 +797,10 @@ func TestAccessorsAndScanState(t *testing.T) {
 	// Scan-state plumbing: write bit and heats.
 	vma, _ := os.AS.Mmap(1, KindAnon, NilFile)
 	pfn, _ := os.TouchVPN(vma.Start, 1, 2)
-	if !os.TestAndClearWritten(pfn) {
+	if !takeBit(os.TakeScanWrittenWord, pfn) {
 		t.Fatal("store did not set the written bit")
 	}
-	if os.TestAndClearWritten(pfn) {
+	if takeBit(os.TakeScanWrittenWord, pfn) {
 		t.Fatal("written bit not cleared")
 	}
 	os.SetScanHeat(pfn, 5)

@@ -1,23 +1,15 @@
 package memsim
 
-import (
-	"errors"
-	"fmt"
-
-	"heteroos/internal/obs"
-)
+import "heteroos/internal/obs"
 
 // Backend is the machine-model seam: everything the epoch loop needs
 // from a pricing model, abstracted so implementations of different
 // fidelity/cost can be slotted in without touching the layers above
-// (the fakemachine kvm/qemu/uml backend-selection shape). Three
+// (the fakemachine kvm/qemu/uml backend-selection shape). Two
 // implementations ship:
 //
 //   - analytic (Engine): the paper's Table-3 model — the default, and
-//     the fidelity reference every other backend is compared against.
-//   - coarse (Coarse): batched per-tier charging with the LLC miss-curve
-//     rescale skipped, for fleet-scale runs where pricing throughput
-//     matters more than absolute accuracy.
+//     the model every run prices with unless it replays a trace.
 //   - replay (Replay): consumes a recorded per-epoch access stream and
 //     returns the recorded costs — trace-driven simulation in the
 //     Virtuoso imitation style.
@@ -25,8 +17,8 @@ import (
 // A Backend belongs to one System and is driven from that System's
 // epoch loop only; implementations need no internal locking.
 type Backend interface {
-	// Name identifies the implementation ("analytic", "coarse",
-	// "replay", or a decorated form like "record(analytic)").
+	// Name identifies the implementation ("analytic", "replay", or a
+	// decorated form like "record(analytic)").
 	Name() string
 	// Machine exposes the machine whose tier specs the backend prices
 	// against.
@@ -34,7 +26,7 @@ type Backend interface {
 	// EffectiveMPKI converts a workload's reference MPKI (measured with
 	// working set wssBytes on the reference LLC) into the effective
 	// miss rate under llc. The analytic backend applies the power-law
-	// miss curve; cheaper backends may approximate or skip it.
+	// miss curve.
 	EffectiveMPKI(llc LLC, mpki float64, wssBytes int64) float64
 	// Charge prices one epoch of one VM's execution.
 	Charge(EpochCharge) EpochCost
@@ -87,40 +79,11 @@ func (o *backendOptions) engineObs() *EngineObs {
 // built plus the system-level options (CPU model, obs registry).
 type Builder func(m *Machine, opts ...Option) Backend
 
-// Backend names accepted by BuilderByName and the CLIs' -backend flag.
+// Backend names, as reported by Name.
 const (
 	BackendAnalytic = "analytic"
-	BackendCoarse   = "coarse"
 	BackendReplay   = "replay"
 )
 
-// BackendNames lists the selectable backend names in fidelity order.
-func BackendNames() []string {
-	return []string{BackendAnalytic, BackendCoarse, BackendReplay}
-}
-
-// ErrUnknownBackend reports a -backend value naming no implementation.
-var ErrUnknownBackend = errors.New("memsim: unknown backend")
-
 // AnalyticBackend is the Builder for the analytic Table-3 engine.
 func AnalyticBackend(m *Machine, opts ...Option) Backend { return NewAnalytic(m, opts...) }
-
-// CoarseBackend is the Builder for the coarse batched-charging model.
-func CoarseBackend(m *Machine, opts ...Option) Backend { return NewCoarse(m, opts...) }
-
-// BuilderByName resolves a backend name to its Builder. Unknown names
-// return an error wrapping ErrUnknownBackend; "replay" is rejected with
-// a pointer at the trace requirement, because a replay backend cannot
-// be built from a name alone (use Trace.Builder after loading one).
-func BuilderByName(name string) (Builder, error) {
-	switch name {
-	case "", BackendAnalytic:
-		return AnalyticBackend, nil
-	case BackendCoarse:
-		return CoarseBackend, nil
-	case BackendReplay:
-		return nil, fmt.Errorf("memsim: replay backend needs a recorded trace (load one and use Trace.Builder, or pass -replay-trace)")
-	default:
-		return nil, fmt.Errorf("%w %q (want one of %v)", ErrUnknownBackend, name, BackendNames())
-	}
-}

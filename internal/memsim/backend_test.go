@@ -3,11 +3,9 @@ package memsim
 import (
 	"bytes"
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
-	"heteroos/internal/obs"
 	"heteroos/internal/sim"
 )
 
@@ -31,121 +29,12 @@ func backendCharges() []EpochCharge {
 	return out
 }
 
-func TestBuilderByName(t *testing.T) {
-	m := newTestMachine(64, 64)
-	for name, want := range map[string]string{
-		"":         BackendAnalytic,
-		"analytic": BackendAnalytic,
-		"coarse":   BackendCoarse,
-	} {
-		b, err := BuilderByName(name)
-		if err != nil {
-			t.Fatalf("BuilderByName(%q): %v", name, err)
-		}
-		if got := b(m).Name(); got != want {
-			t.Errorf("BuilderByName(%q) builds %q, want %q", name, got, want)
-		}
-	}
-	if _, err := BuilderByName("bogus"); !errors.Is(err, ErrUnknownBackend) {
-		t.Errorf("BuilderByName(bogus) = %v, want ErrUnknownBackend", err)
-	}
-	if _, err := BuilderByName(BackendReplay); err == nil || !strings.Contains(err.Error(), "trace") {
-		t.Errorf("BuilderByName(replay) = %v, want a trace-requirement error", err)
-	}
-}
-
 func TestBackendInterfaceSatisfied(t *testing.T) {
 	m := newTestMachine(64, 64)
 	var _ Backend = NewAnalytic(m)
-	var _ Backend = NewCoarse(m)
 	var _ Backend = NewRecorder(NewAnalytic(m), &bytes.Buffer{})
-	if NewAnalytic(m).Machine() != m || NewCoarse(m).Machine() != m {
+	if NewAnalytic(m).Machine() != m || NewRecorder(NewAnalytic(m), &bytes.Buffer{}).Machine() != m {
 		t.Fatal("backends must expose their machine")
-	}
-}
-
-// Coarse must agree with analytic exactly where its approximations are
-// vacuous: loads-only traffic (no store asymmetry in play) on the
-// default LLC (rescale ≡ 1).
-func TestCoarseMatchesAnalyticOnLoads(t *testing.T) {
-	m := newTestMachine(1024, 1024)
-	a, c := NewAnalytic(m), NewCoarse(m)
-	ch := EpochCharge{Instr: 1_000_000, Threads: 4, MLP: 2, BytesPerMiss: 64}
-	ch.Traffic[FastMem] = TierTraffic{LoadMisses: 100_000}
-	ch.Traffic[SlowMem] = TierTraffic{LoadMisses: 50_000}
-	ca, cc := a.Charge(ch), c.Charge(ch)
-	for t2 := Tier(0); t2 < NumTiers; t2++ {
-		ra, rc := float64(ca.MemTime[t2]), float64(cc.MemTime[t2])
-		if math.Abs(ra-rc) > 1e-6*ra {
-			t.Errorf("%v: coarse MemTime %v vs analytic %v", t2, rc, ra)
-		}
-		if ca.Misses[t2] != cc.Misses[t2] || ca.BytesOut[t2] != cc.BytesOut[t2] {
-			t.Errorf("%v: miss/byte accounting diverges", t2)
-		}
-	}
-	if ca.CPUTime != cc.CPUTime {
-		// Reciprocal-multiply vs divide may differ by an ulp; bound it.
-		if math.Abs(float64(ca.CPUTime-cc.CPUTime)) > 1 {
-			t.Errorf("CPU time: coarse %v vs analytic %v", cc.CPUTime, ca.CPUTime)
-		}
-	}
-	llc := DefaultLLC()
-	if a.EffectiveMPKI(llc, 10, 1<<30) != c.EffectiveMPKI(llc, 10, 1<<30) {
-		t.Error("coarse EffectiveMPKI must match analytic on the default LLC")
-	}
-}
-
-// Coarse stays directionally faithful on mixed traffic: ordering across
-// charges follows analytic even where absolute numbers shift.
-func TestCoarsePreservesOrdering(t *testing.T) {
-	m := newTestMachine(1024, 1024)
-	a, c := NewAnalytic(m), NewCoarse(m)
-	var at, ct []float64
-	for _, ch := range backendCharges() {
-		at = append(at, float64(a.Charge(ch).Total))
-		ct = append(ct, float64(c.Charge(ch).Total))
-	}
-	for i := 0; i < len(at); i++ {
-		for j := i + 1; j < len(at); j++ {
-			// Only compare decisively separated pairs: within 5% the
-			// approximation may legitimately flip a near-tie.
-			if at[i] > at[j]*1.05 && ct[i] <= ct[j] {
-				t.Errorf("ordering flip: analytic %d>%d but coarse %v<=%v", i, j, ct[i], ct[j])
-			}
-			if at[j] > at[i]*1.05 && ct[j] <= ct[i] {
-				t.Errorf("ordering flip: analytic %d>%d but coarse %v<=%v", j, i, ct[j], ct[i])
-			}
-		}
-	}
-}
-
-// A mid-run SetSpec (throttle-shift fault) must reprice immediately even
-// though coarse caches spec-derived coefficients.
-func TestCoarseSeesSpecShift(t *testing.T) {
-	m := newTestMachine(1024, 1024)
-	c := NewCoarse(m)
-	ch := EpochCharge{Instr: 1_000_000, Threads: 1, MLP: 1, BytesPerMiss: 64}
-	ch.Traffic[SlowMem] = TierTraffic{LoadMisses: 100_000}
-	before := c.Charge(ch)
-	m.SetSpec(SlowMem, Throttle{5, 12}.Spec())
-	after := c.Charge(ch)
-	if after.MemTime[SlowMem] <= before.MemTime[SlowMem] {
-		t.Fatalf("harsher throttle did not raise coarse cost: %v -> %v",
-			before.MemTime[SlowMem], after.MemTime[SlowMem])
-	}
-}
-
-func TestCoarseChargeZeroAlloc(t *testing.T) {
-	handle := obs.New()
-	m := newTestMachine(1024, 1024)
-	c := NewCoarse(m, WithObs(handle.Metrics))
-	ch := EpochCharge{Instr: 1 << 20, Threads: 4, MLP: 2, BytesPerMiss: 64}
-	ch.Traffic[FastMem] = TierTraffic{LoadMisses: 1000, StoreMisses: 100}
-	ch.Traffic[SlowMem] = TierTraffic{LoadMisses: 500, StoreMisses: 50}
-	fn := func() { c.Charge(ch) }
-	fn()
-	if n := testing.AllocsPerRun(100, fn); n != 0 {
-		t.Fatalf("Coarse.Charge allocates %v per op, want 0", n)
 	}
 }
 

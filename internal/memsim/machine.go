@@ -28,11 +28,6 @@ type Machine struct {
 	free     [NumTiers][]MFN
 	freeCnt  [NumTiers]uint64
 	allocCnt [NumTiers]uint64
-	// specGen counts spec replacements. Backends that precompute
-	// spec-derived coefficients (Coarse) compare it per charge, so a
-	// mid-run SetSpec (throttle-shift fault) takes effect immediately
-	// without the backend re-reading the specs every epoch.
-	specGen uint64
 }
 
 // NewMachine builds a machine with the given per-tier capacities in
@@ -65,13 +60,7 @@ func (m *Machine) Spec(t Tier) TierSpec { return m.spec[t] }
 // this to sweep throttle points without rebuilding frame state.
 func (m *Machine) SetSpec(t Tier, s TierSpec) {
 	m.spec[t] = s
-	m.specGen++
 }
-
-// SpecGen reports the spec generation: it increments on every SetSpec,
-// letting backends cache spec-derived coefficients and refresh them
-// only when a spec actually changed.
-func (m *Machine) SpecGen() uint64 { return m.specGen }
 
 // Frames reports the total capacity of tier t in frames.
 func (m *Machine) Frames(t Tier) uint64 { return m.size[t] }

@@ -7,8 +7,8 @@ import (
 )
 
 // Snapshot serializes the machine's mutable state: per-tier specs (a
-// throttle-shift fault may have replaced the boot-time ones), the spec
-// generation, per-frame ownership, and the free lists in their exact
+// throttle-shift fault may have replaced the boot-time ones), per-frame
+// ownership, and the free lists in their exact
 // runtime order (allocation pops from the end, so order is behavioural
 // state).
 func (m *Machine) Snapshot(e *snapshot.Encoder) {
@@ -17,7 +17,6 @@ func (m *Machine) Snapshot(e *snapshot.Encoder) {
 		e.U64(m.size[t])
 		e.JSON(m.spec[t])
 	}
-	e.U64(m.specGen)
 	e.U32(uint32(len(m.owner)))
 	for _, o := range m.owner {
 		e.U32(uint32(o))
@@ -46,7 +45,6 @@ func (m *Machine) Restore(d *snapshot.Decoder) error {
 			return err
 		}
 	}
-	m.specGen = d.U64()
 	if n := int(d.U32()); n != len(m.owner) {
 		return fmt.Errorf("memsim: snapshot has %d frames, machine has %d", n, len(m.owner))
 	}
@@ -66,9 +64,8 @@ func (m *Machine) Restore(d *snapshot.Decoder) error {
 }
 
 // StateSnapshotter is implemented by backends that carry mutable run
-// state beyond the machine (e.g. Replay's trace cursor). Stateless
-// backends (analytic, coarse — whose spec coefficients self-refresh via
-// Machine.SpecGen) need not implement it.
+// state beyond the machine (e.g. Replay's trace cursor). The stateless
+// analytic backend need not implement it.
 type StateSnapshotter interface {
 	SnapshotState(e *snapshot.Encoder)
 	RestoreState(d *snapshot.Decoder) error

@@ -46,7 +46,8 @@ import (
 //	3: departed-VM entries record whether the VM migrated out (so a
 //	   restored host still accepts it back); no front-end meta section
 //	   (the fleet keeps its state in a checkpoint of its own).
-const Version = 3
+//	4: the machine section drops the tier-spec generation counter.
+const Version = 4
 
 // VersionError is returned by Open when the file's format version does
 // not match Version. Callers can detect it with errors.As to tell a

@@ -8,20 +8,19 @@ import (
 	"heteroos/internal/memsim"
 )
 
-// HeatIndex is an incrementally maintained replacement for the scanner's
-// sweep-and-sort ranking: 256 score buckets per tier, each an intrusive
-// doubly-linked list threaded through per-PFN index nodes (the
-// guestos.PageLRU pattern). The guest OS notifies the index on every
+// HeatIndex serves the scanner's ranking queries: 256 score buckets per
+// tier, each an intrusive doubly-linked list threaded through per-PFN
+// index nodes (the guestos.PageLRU pattern). The guest OS notifies the index on every
 // event that changes a page's ranking inputs — backing-frame changes,
 // scan-heat updates, alloc/free transitions — so membership is updated
 // in O(1) per event and HottestIn/ColdestIn/CoolestIn become an O(k)
 // bucket walk: no per-page TierOf call, no allocation, no sort.
 //
-// Ordering matches rankIn exactly and deterministically: buckets are
-// visited in score order and each bucket's list is kept in ascending
-// PFN order (the predecessor for an insert is found through a
-// three-level bitmap in ~constant time), which reproduces rankIn's
-// stable sort with its PFN tiebreak.
+// Ordering is deterministic: buckets are visited in score order and
+// each bucket's list is kept in ascending PFN order (the predecessor for
+// an insert is found through a three-level bitmap in ~constant time),
+// so results equal a stable sort by score with a PFN tiebreak. The
+// package tests check this against a sweep-and-sort reference.
 //
 // The index snapshots the scanner's scoring configuration implicitly:
 // bucket assignment calls Scanner.score, so WriteBoost/TrackWrites and
@@ -65,9 +64,8 @@ type heatBucket struct {
 }
 
 // NewHeatIndex builds an index over the scanner's guest view, seeds it
-// from the current guest state, and attaches it to the scanner (ranking
-// queries use the index from then on; rankIn stays as the reference
-// implementation).
+// from the current guest state, and attaches it to the scanner, whose
+// ranking queries read it from then on.
 func NewHeatIndex(s *Scanner, tierOf func(memsim.MFN) memsim.Tier) *HeatIndex {
 	x := &HeatIndex{
 		scanner: s,
@@ -80,8 +78,8 @@ func NewHeatIndex(s *Scanner, tierOf func(memsim.MFN) memsim.Tier) *HeatIndex {
 	return x
 }
 
-// Index returns the heat index attached to the scanner, or nil when
-// ranking still runs through the sweep-and-sort fallback.
+// Index returns the heat index attached to the scanner, or nil before
+// NewHeatIndex.
 func (s *Scanner) Index() *HeatIndex { return s.index }
 
 // Rebuild clears the index and reseeds it from a full snapshot sweep.
@@ -240,7 +238,7 @@ func (x *HeatIndex) PageHeatChanged(pfn guestos.PFN) {
 // PageFreeChanged tracks guest alloc/free transitions. Free pages stay
 // indexed (their frame is still backed; the VMM-exclusive ranking even
 // considers them — it cannot see deallocations) and the flag is applied
-// at query time exactly where rankIn consults TrustGuestState.
+// at query time, filtering them out only under TrustGuestState.
 func (x *HeatIndex) PageFreeChanged(pfn guestos.PFN, free bool) {
 	n := &x.nodes[pfn]
 	if free {

@@ -2,7 +2,9 @@ package vmm
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"heteroos/internal/guestos"
@@ -10,7 +12,7 @@ import (
 )
 
 // assertRankingsMatch cross-checks every exported ranking query against
-// the retained rankIn reference for both tiers and several truncation
+// the rankIn reference for both tiers and several truncation
 // points, then validates the index's internal invariants.
 func assertRankingsMatch(t *testing.T, sc *Scanner, machine *memsim.Machine, step string) {
 	t.Helper()
@@ -23,14 +25,66 @@ func assertRankingsMatch(t *testing.T, sc *Scanner, machine *memsim.Machine, ste
 	for _, tier := range []memsim.Tier{memsim.FastMem, memsim.SlowMem} {
 		for _, max := range []int{1, 7, 64, 1 << 20} {
 			// Copy index-served results: they live in reusable buffers.
-			got := append([]guestos.PFN(nil), sc.HottestIn(machine, tier, max)...)
+			got := append([]guestos.PFN(nil), sc.HottestIn(tier, max)...)
 			comparePFNs(t, step, "HottestIn", tier, max, got, sc.rankIn(machine, tier, true, max, false))
-			got = append([]guestos.PFN(nil), sc.ColdestIn(machine, tier, max)...)
+			got = append([]guestos.PFN(nil), sc.ColdestIn(tier, max)...)
 			comparePFNs(t, step, "ColdestIn", tier, max, got, sc.rankIn(machine, tier, false, max, false))
-			got = append([]guestos.PFN(nil), sc.CoolestIn(machine, tier, max)...)
+			got = append([]guestos.PFN(nil), sc.CoolestIn(tier, max)...)
 			comparePFNs(t, step, "CoolestIn", tier, max, got, sc.rankIn(machine, tier, false, max, true))
 		}
 	}
+}
+
+// rankIn collects pages backed by tier whose score satisfies the
+// thresholds (unless ignoreThreshold), ordered by score (desc when
+// hotFirst) with PFN tiebreak for determinism, truncated to max.
+//
+// It is the sweep-and-sort reference for the ranking semantics: the
+// heat-bucket index serves the exported queries, and the differential
+// tests assert the two produce identical output.
+func (s *Scanner) rankIn(machine *memsim.Machine, tier memsim.Tier, hotFirst bool, max int, ignoreThreshold bool) []guestos.PFN {
+	type entry struct {
+		pfn  guestos.PFN
+		heat uint8
+	}
+	var cands []entry
+	for pfn := guestos.PFN(0); pfn < guestos.PFN(s.view.NumPFNs()); pfn++ {
+		h := s.score(pfn)
+		if !ignoreThreshold && hotFirst && h < s.HotThreshold {
+			continue
+		}
+		if !ignoreThreshold && !hotFirst && h > s.ColdThreshold {
+			continue
+		}
+		snap := s.view.Snapshot(pfn)
+		if snap.MFN == memsim.NilMFN {
+			continue
+		}
+		if snap.Free && s.TrustGuestState {
+			continue
+		}
+		if machine.TierOf(snap.MFN) != tier {
+			continue
+		}
+		cands = append(cands, entry{pfn, h})
+	}
+	sort.SliceStable(cands, func(i, j int) bool {
+		if cands[i].heat != cands[j].heat {
+			if hotFirst {
+				return cands[i].heat > cands[j].heat
+			}
+			return cands[i].heat < cands[j].heat
+		}
+		return cands[i].pfn < cands[j].pfn
+	})
+	if len(cands) > max {
+		cands = cands[:max]
+	}
+	out := make([]guestos.PFN, len(cands))
+	for i, c := range cands {
+		out[i] = c.pfn
+	}
+	return out
 }
 
 func comparePFNs(t *testing.T, step, query string, tier memsim.Tier, max int, got, want []guestos.PFN) {
@@ -212,9 +266,9 @@ func TestHeatIndexQueriesZeroAlloc(t *testing.T) {
 
 	const max = 256
 	queries := map[string]func(){
-		"HottestIn": func() { sc.HottestIn(machine, memsim.SlowMem, max) },
-		"ColdestIn": func() { sc.ColdestIn(machine, memsim.SlowMem, max) },
-		"CoolestIn": func() { sc.CoolestIn(machine, memsim.SlowMem, max) },
+		"HottestIn": func() { sc.HottestIn(memsim.SlowMem, max) },
+		"ColdestIn": func() { sc.ColdestIn(memsim.SlowMem, max) },
+		"CoolestIn": func() { sc.CoolestIn(memsim.SlowMem, max) },
 	}
 	for name, fn := range queries {
 		fn() // warm the scratch buffer
@@ -248,8 +302,9 @@ func TestScanCostFlushRounding(t *testing.T) {
 	}
 }
 
-// stubView is a minimal GuestView that records the order pages are
-// sampled in.
+// stubView is a minimal GuestView that records which pages a scan
+// takes access bits for. Its pages are never referenced and hold no
+// heat.
 type stubView struct {
 	span    uint64
 	heat    []uint8
@@ -261,19 +316,23 @@ func newStubView(span uint64) *stubView {
 	return &stubView{span: span, heat: make([]uint8, span), wheat: make([]uint8, span)}
 }
 
-func (v *stubView) NumPFNs() uint64 { return v.span }
-func (v *stubView) TestAndClearAccessed(pfn guestos.PFN) bool {
-	v.scanned = append(v.scanned, pfn)
-	return false
+func (v *stubView) NumPFNs() uint64                                    { return v.span }
+func (v *stubView) Snapshot(pfn guestos.PFN) guestos.PageSnapshot      { return guestos.PageSnapshot{} }
+func (v *stubView) SetBackingMFN(pfn guestos.PFN, mfn memsim.MFN)      {}
+func (v *stubView) TrackingList() []guestos.PFN                        { return nil }
+func (v *stubView) ScanHeat(pfn guestos.PFN) uint8                     { return v.heat[pfn] }
+func (v *stubView) SetScanHeat(pfn guestos.PFN, h uint8)               { v.heat[pfn] = h }
+func (v *stubView) ScanWriteHeat(pfn guestos.PFN) uint8                { return v.wheat[pfn] }
+func (v *stubView) SetScanWriteHeat(pfn guestos.PFN, h uint8)          { v.wheat[pfn] = h }
+func (v *stubView) ScanHeatNonzeroWord(w int, mask uint64) uint64      { return 0 }
+func (v *stubView) TakeScanWrittenWord(w int, mask uint64) uint64      { return 0 }
+func (v *stubView) ScanWriteHeatNonzeroWord(w int, mask uint64) uint64 { return 0 }
+func (v *stubView) TakeScanAccessedWord(w int, mask uint64) uint64 {
+	for ; mask != 0; mask &= mask - 1 {
+		v.scanned = append(v.scanned, guestos.PFN(w<<6+bits.TrailingZeros64(mask)))
+	}
+	return 0
 }
-func (v *stubView) Snapshot(pfn guestos.PFN) guestos.PageSnapshot { return guestos.PageSnapshot{} }
-func (v *stubView) SetBackingMFN(pfn guestos.PFN, mfn memsim.MFN) {}
-func (v *stubView) TrackingList() []guestos.PFN                   { return nil }
-func (v *stubView) ScanHeat(pfn guestos.PFN) uint8                { return v.heat[pfn] }
-func (v *stubView) SetScanHeat(pfn guestos.PFN, h uint8)          { v.heat[pfn] = h }
-func (v *stubView) TestAndClearWritten(pfn guestos.PFN) bool      { return false }
-func (v *stubView) ScanWriteHeat(pfn guestos.PFN) uint8           { return v.wheat[pfn] }
-func (v *stubView) SetScanWriteHeat(pfn guestos.PFN, h uint8)     { v.wheat[pfn] = h }
 
 // TestScanTrackedRotation verifies that the tracked-list cursor is a
 // list position: batches rotate through the whole list, and when the
@@ -292,10 +351,14 @@ func TestScanTrackedRotation(t *testing.T) {
 		}
 		return l
 	}
+	// scan returns the pages one pass covered, ascending: the scanner
+	// takes the bits of one 64-page word at a time, in bit order.
 	scan := func(list []guestos.PFN) []guestos.PFN {
 		v.scanned = v.scanned[:0]
 		sc.ScanTracked(list)
-		return append([]guestos.PFN(nil), v.scanned...)
+		out := append([]guestos.PFN(nil), v.scanned...)
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
 	}
 	expect := func(step string, got, want []guestos.PFN) {
 		t.Helper()
@@ -312,7 +375,7 @@ func TestScanTrackedRotation(t *testing.T) {
 	list := mkList(10)
 	expect("pass 1", scan(list), []guestos.PFN{0, 1, 2, 3})
 	expect("pass 2", scan(list), []guestos.PFN{4, 5, 6, 7})
-	expect("pass 3 (wrap)", scan(list), []guestos.PFN{8, 9, 0, 1})
+	expect("pass 3 (wrap)", scan(list), []guestos.PFN{0, 1, 8, 9})
 
 	// Growing the list must continue from position 2, not re-anchor.
 	list = mkList(15)

@@ -2,7 +2,6 @@ package vmm
 
 import (
 	"math/bits"
-	"sort"
 	"time"
 
 	"heteroos/internal/guestos"
@@ -66,15 +65,12 @@ type ScanResult struct {
 
 // Scanner is the VMM's hotness tracker. It keeps a per-page heat history
 // (exponential decay of access-bit samples), mirroring HeteroVisor's
-// batched tracking with a VMM-level reverse map.
+// batched tracking with a VMM-level reverse map. Scans consume the
+// guest's access bits 64 pages per load, skipping words with no state
+// to fold, while the simulated scan cost is still charged per page.
 type Scanner struct {
-	view GuestView
-	// wordView is view's word-at-a-time fast path, set when the view's
-	// access bits live in packed bitmaps (nil otherwise). ScanNext and
-	// ScanTracked then consume 64 pages' bits per load, skipping words
-	// with no state to fold, with per-page scan-cost charging unchanged.
-	wordView WordScanView
-	costs    ScanCosts
+	view  GuestView
+	costs ScanCosts
 	// cursor for full-span batched scanning (VMM-exclusive mode).
 	cursor uint64
 	// trackedPos is the rotation cursor for ScanTracked, carried as a
@@ -82,17 +78,17 @@ type Scanner struct {
 	// taken mod len re-anchors whenever the list length changes, which
 	// re-scans the head pages and starves the tail).
 	trackedPos int
-	// index, when attached (NewHeatIndex), serves the ranking queries in
-	// O(k) instead of rankIn's full sweep-and-sort.
+	// index serves the ranking queries (HottestIn, ColdestIn,
+	// CoolestIn); attach it with NewHeatIndex before the first query.
 	index *HeatIndex
 	// obs, when attached, carries the scanner's observability probes.
 	obs *scannerProbes
 	// phases, when attached, records ranking-query wall time into the
 	// rank phase of the epoch profiler.
 	phases *obs.PhaseProfiler
-	// hotBuf/coldBuf back the index-served ranking results. Two buffers
-	// because the migrators hold a hot and a cold list simultaneously; a
-	// result is valid until the next call of the same polarity.
+	// hotBuf/coldBuf back the ranking results. Two buffers because the
+	// migrators hold a hot and a cold list simultaneously; a result is
+	// valid until the next call of the same polarity.
 	hotBuf, coldBuf []guestos.PFN
 	// BatchPages bounds one ScanNext pass (HeteroVisor scans 16K-32K
 	// guest pages per interval).
@@ -123,31 +119,12 @@ type Scanner struct {
 
 // NewScanner builds a scanner over view.
 func NewScanner(view GuestView, costs ScanCosts) *Scanner {
-	wv, _ := view.(WordScanView)
 	return &Scanner{
 		view:          view,
-		wordView:      wv,
 		costs:         costs,
 		BatchPages:    32 * 1024,
 		HotThreshold:  4,
 		ColdThreshold: 1,
-	}
-}
-
-// sample folds one access-bit observation into a page's heat; with
-// write tracking enabled it folds the write bit the same way.
-func (s *Scanner) sample(pfn guestos.PFN, referenced bool) {
-	h := s.view.ScanHeat(pfn) >> 1
-	if referenced {
-		h += 4
-	}
-	s.view.SetScanHeat(pfn, h)
-	if s.TrackWrites {
-		w := s.view.ScanWriteHeat(pfn) >> 1
-		if s.view.TestAndClearWritten(pfn) {
-			w += 4
-		}
-		s.view.SetScanWriteHeat(pfn, w)
 	}
 }
 
@@ -157,8 +134,8 @@ func (s *Scanner) Heat(pfn guestos.PFN) uint8 { return s.view.ScanHeat(pfn) }
 // score combines read heat with (optionally boosted) write heat: on
 // asymmetric SlowMem a store-heavy page earns more from FastMem than an
 // equally-referenced load-heavy one. Without an active write boost the
-// score is the raw heat byte — returned directly so the per-page hot
-// path (rankIn sweeps, heat-index bucketing) does no float conversion.
+// score is the raw heat byte — returned directly so heat-index
+// bucketing does no float conversion.
 func (s *Scanner) score(pfn guestos.PFN) uint8 {
 	if !s.TrackWrites || s.WriteBoost <= 0 {
 		return s.view.ScanHeat(pfn)
@@ -175,9 +152,7 @@ func (s *Scanner) score(pfn guestos.PFN) uint8 {
 func (s *Scanner) Hot(pfn guestos.PFN) bool { return s.Heat(pfn) >= s.HotThreshold }
 
 // ScanNext scans the next BatchPages of the whole guest span
-// (VMM-exclusive mode: "tracking the entire guest-VM's memory"). With a
-// word-capable view the pass consumes access bits 64 pages at a time;
-// either way the simulated cost is charged per page scanned.
+// (VMM-exclusive mode: "tracking the entire guest-VM's memory").
 func (s *Scanner) ScanNext() ScanResult {
 	n := uint64(s.BatchPages)
 	span := s.view.NumPFNs()
@@ -185,34 +160,18 @@ func (s *Scanner) ScanNext() ScanResult {
 		n = span
 	}
 	var res ScanResult
-	if s.wordView != nil {
-		// The batch may wrap the span end; scan each contiguous run.
-		for remaining := n; remaining > 0; {
-			start := s.cursor
-			end := start + remaining
-			if end > span {
-				end = span
-			}
-			s.scanRangeWords(&res, start, end)
-			remaining -= end - start
-			s.cursor = end
-			if s.cursor >= span {
-				s.cursor = 0
-			}
+	// The batch may wrap the span end; scan each contiguous run.
+	for remaining := n; remaining > 0; {
+		start := s.cursor
+		end := start + remaining
+		if end > span {
+			end = span
 		}
-	} else {
-		for i := uint64(0); i < n; i++ {
-			pfn := guestos.PFN(s.cursor)
-			s.cursor++
-			if s.cursor >= span {
-				s.cursor = 0
-			}
-			ref := s.view.TestAndClearAccessed(pfn)
-			s.sample(pfn, ref)
-			res.Scanned++
-			if ref {
-				res.Referenced++
-			}
+		s.scanRangeWords(&res, start, end)
+		remaining -= end - start
+		s.cursor = end
+		if s.cursor >= span {
+			s.cursor = 0
 		}
 	}
 	res.CostNs = s.scanCost(res.Scanned)
@@ -222,11 +181,11 @@ func (s *Scanner) ScanNext() ScanResult {
 	return res
 }
 
-// scanRangeWords scans PFNs [start, end) through the word view: one
-// masked load per 64-page word, folding heat only for pages with state
-// to fold (a set access bit, or nonzero heat still decaying — all other
-// pages' samples are no-ops by construction). Scanned/Referenced
-// accounting matches the per-page path exactly.
+// scanRangeWords scans PFNs [start, end): one masked load per 64-page
+// word, folding heat only for pages with state to fold (a set access
+// bit, or nonzero heat still decaying — all other pages' samples are
+// no-ops by construction). Scanned and Referenced count every page in
+// the range, as a per-page scan would.
 func (s *Scanner) scanRangeWords(res *ScanResult, start, end uint64) {
 	for w := int(start >> 6); w <= int((end-1)>>6); w++ {
 		base := uint64(w) << 6
@@ -243,9 +202,11 @@ func (s *Scanner) scanRangeWords(res *ScanResult, start, end uint64) {
 }
 
 // scanWordMasked performs one word-granular scan step over the pages
-// selected by mask in word w.
+// selected by mask in word w. Each selected page's heat halves and
+// gains 4 if the page was referenced; with write tracking its write
+// heat folds the write bit the same way.
 func (s *Scanner) scanWordMasked(res *ScanResult, w int, mask uint64) {
-	wv := s.wordView
+	wv := s.view
 	res.Scanned += bits.OnesCount64(mask)
 	ref := wv.TakeScanAccessedWord(w, mask)
 	res.Referenced += bits.OnesCount64(ref)
@@ -297,19 +258,7 @@ func (s *Scanner) ScanTracked(tracked []guestos.PFN) ScanResult {
 		s.trackedPos %= n
 	}
 	start := s.trackedPos
-	if s.wordView != nil {
-		s.scanTrackedWords(&res, tracked, start, limit)
-	} else {
-		for i := 0; i < limit; i++ {
-			pfn := tracked[(start+i)%n]
-			ref := s.view.TestAndClearAccessed(pfn)
-			s.sample(pfn, ref)
-			res.Scanned++
-			if ref {
-				res.Referenced++
-			}
-		}
-	}
+	s.scanTrackedWords(&res, tracked, start, limit)
 	s.trackedPos = (start + limit) % n
 	res.CostNs = s.scanCost(res.Scanned)
 	if s.obs != nil {
@@ -323,7 +272,7 @@ func (s *Scanner) ScanTracked(tracked []guestos.PFN) ScanResult {
 // VMA walks, so runs of neighbours are the common case. The merge never
 // reorders or coalesces a repeated PFN: a bit already in the pending
 // mask ends the group, so each list entry is scanned (and heat-folded)
-// exactly as many times, in the same order, as the per-page path would.
+// exactly as many times, in the same order, as a per-page walk would.
 func (s *Scanner) scanTrackedWords(res *ScanResult, tracked []guestos.PFN, start, limit int) {
 	n := len(tracked)
 	curWord := -1
@@ -361,101 +310,25 @@ func (s *Scanner) scanCost(pages int) float64 {
 	return float64(pages)*perPTE + float64(flushes)*s.costs.TLBFlushNs
 }
 
-// rankIn collects pages backed by tier whose score satisfies the
-// thresholds (unless ignoreThreshold), ordered by score (desc when
-// hotFirst) with PFN tiebreak for determinism, truncated to max.
-//
-// It is the reference implementation of the ranking semantics: the
-// heat-bucket index serves the exported queries when attached, and the
-// differential tests assert the two produce identical output. It also
-// remains the fallback for scanners without an index (direct Scanner
-// use in tests and tools).
-func (s *Scanner) rankIn(machine *memsim.Machine, tier memsim.Tier, hotFirst bool, max int, ignoreThreshold bool) []guestos.PFN {
-	type entry struct {
-		pfn  guestos.PFN
-		heat uint8
-	}
-	var cands []entry
-	for pfn := guestos.PFN(0); pfn < guestos.PFN(s.view.NumPFNs()); pfn++ {
-		h := s.score(pfn)
-		if !ignoreThreshold && hotFirst && h < s.HotThreshold {
-			continue
-		}
-		if !ignoreThreshold && !hotFirst && h > s.ColdThreshold {
-			continue
-		}
-		snap := s.view.Snapshot(pfn)
-		if snap.MFN == memsim.NilMFN {
-			continue
-		}
-		if snap.Free && s.TrustGuestState {
-			continue
-		}
-		if machine.TierOf(snap.MFN) != tier {
-			continue
-		}
-		cands = append(cands, entry{pfn, h})
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].heat != cands[j].heat {
-			if hotFirst {
-				return cands[i].heat > cands[j].heat
-			}
-			return cands[i].heat < cands[j].heat
-		}
-		return cands[i].pfn < cands[j].pfn
-	})
-	if len(cands) > max {
-		cands = cands[:max]
-	}
-	out := make([]guestos.PFN, len(cands))
-	for i, c := range cands {
-		out[i] = c.pfn
-	}
-	return out
-}
-
 // HottestIn returns up to max tracked-hot pages currently backed by
-// tier, hottest first (stable order for determinism). With a heat-bucket
-// index attached the result is served allocation-free from a reusable
-// buffer, valid until the next HottestIn call.
-func (s *Scanner) HottestIn(machine *memsim.Machine, tier memsim.Tier, max int) []guestos.PFN {
-	if s.phases != nil {
-		t0 := time.Now()
-		out := s.hottestIn(machine, tier, max)
-		s.phases.ObserveWallSince(obs.PhaseRank, t0)
-		return out
-	}
-	return s.hottestIn(machine, tier, max)
-}
-
-func (s *Scanner) hottestIn(machine *memsim.Machine, tier memsim.Tier, max int) []guestos.PFN {
-	if s.index != nil {
-		s.hotBuf = s.index.descendInto(s.hotBuf[:0], tier, s.HotThreshold, s.TrustGuestState, max)
-		return s.hotBuf
-	}
-	return s.rankIn(machine, tier, true, max, false)
+// tier, hottest first, PFN order breaking ties. The result is served
+// allocation-free from a reusable buffer, valid until the next
+// HottestIn call.
+func (s *Scanner) HottestIn(tier memsim.Tier, max int) []guestos.PFN {
+	t0 := s.rankStart()
+	s.hotBuf = s.index.descendInto(s.hotBuf[:0], tier, s.HotThreshold, s.TrustGuestState, max)
+	s.rankDone(t0)
+	return s.hotBuf
 }
 
 // ColdestIn returns up to max minimum-heat pages backed by tier,
-// coldest first. With an index attached the result shares CoolestIn's
-// reusable buffer, valid until the next ColdestIn/CoolestIn call.
-func (s *Scanner) ColdestIn(machine *memsim.Machine, tier memsim.Tier, max int) []guestos.PFN {
-	if s.phases != nil {
-		t0 := time.Now()
-		out := s.coldestIn(machine, tier, max)
-		s.phases.ObserveWallSince(obs.PhaseRank, t0)
-		return out
-	}
-	return s.coldestIn(machine, tier, max)
-}
-
-func (s *Scanner) coldestIn(machine *memsim.Machine, tier memsim.Tier, max int) []guestos.PFN {
-	if s.index != nil {
-		s.coldBuf = s.index.ascendInto(s.coldBuf[:0], tier, s.ColdThreshold, s.TrustGuestState, max)
-		return s.coldBuf
-	}
-	return s.rankIn(machine, tier, false, max, false)
+// coldest first. The result shares CoolestIn's reusable buffer, valid
+// until the next ColdestIn/CoolestIn call.
+func (s *Scanner) ColdestIn(tier memsim.Tier, max int) []guestos.PFN {
+	t0 := s.rankStart()
+	s.coldBuf = s.index.ascendInto(s.coldBuf[:0], tier, s.ColdThreshold, s.TrustGuestState, max)
+	s.rankDone(t0)
+	return s.coldBuf
 }
 
 // CoolestIn returns up to max pages backed by tier in ascending score
@@ -463,22 +336,26 @@ func (s *Scanner) coldestIn(machine *memsim.Machine, tier memsim.Tier, max int) 
 // when nothing is absolutely cold: on asymmetric memory a read-hot page
 // can still be the right page to displace for a write-hot one, and the
 // heat margin decides case by case.
-func (s *Scanner) CoolestIn(machine *memsim.Machine, tier memsim.Tier, max int) []guestos.PFN {
-	if s.phases != nil {
-		t0 := time.Now()
-		out := s.coolestIn(machine, tier, max)
-		s.phases.ObserveWallSince(obs.PhaseRank, t0)
-		return out
-	}
-	return s.coolestIn(machine, tier, max)
+func (s *Scanner) CoolestIn(tier memsim.Tier, max int) []guestos.PFN {
+	t0 := s.rankStart()
+	s.coldBuf = s.index.ascendInto(s.coldBuf[:0], tier, numHeatBuckets-1, s.TrustGuestState, max)
+	s.rankDone(t0)
+	return s.coldBuf
 }
 
-func (s *Scanner) coolestIn(machine *memsim.Machine, tier memsim.Tier, max int) []guestos.PFN {
-	if s.index != nil {
-		s.coldBuf = s.index.ascendInto(s.coldBuf[:0], tier, numHeatBuckets-1, s.TrustGuestState, max)
-		return s.coldBuf
+// rankStart and rankDone time a ranking query into the epoch
+// profiler's rank phase when one is attached.
+func (s *Scanner) rankStart() time.Time {
+	if s.phases == nil {
+		return time.Time{}
 	}
-	return s.rankIn(machine, tier, false, max, true)
+	return time.Now()
+}
+
+func (s *Scanner) rankDone(t0 time.Time) {
+	if s.phases != nil {
+		s.phases.ObserveWallSince(obs.PhaseRank, t0)
+	}
 }
 
 // AdaptiveInterval implements Equation 1: the scan/migration interval

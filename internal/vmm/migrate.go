@@ -69,7 +69,7 @@ func (g *Migrator) Rebalance(vm *VM, scanner *Scanner, maxMoves int) MigrateStat
 	// hot and the per-iteration cold lookups below are served from the
 	// scanner's separate hot/cold scratch buffers, so hot stays valid
 	// while ColdestIn is re-issued inside the loop.
-	hot := scanner.HottestIn(machine, memsim.SlowMem, maxMoves)
+	hot := scanner.HottestIn(memsim.SlowMem, maxMoves)
 	if len(hot) == 0 {
 		return st
 	}
@@ -78,7 +78,7 @@ func (g *Migrator) Rebalance(vm *VM, scanner *Scanner, maxMoves int) MigrateStat
 	for _, pfn := range hot {
 		// Ensure a free FastMem frame, demoting a cold page if needed.
 		if machine.FreeFrames(memsim.FastMem) == 0 {
-			cold := scanner.ColdestIn(machine, memsim.FastMem, 1)
+			cold := scanner.ColdestIn(memsim.FastMem, 1)
 			if len(cold) == 0 {
 				break // FastMem full of hot pages: stop promoting
 			}
@@ -177,16 +177,15 @@ func CoordinatedPass(vm *VM, scanner *Scanner, guest GuestMigrator, maxMoves int
 		return st
 	}
 
-	machine := vm.vmm.Machine
 	// hot/cold live in the scanner's polarity-separated scratch buffers:
 	// both lists are held simultaneously, and CoolestIn below may
 	// overwrite cold (same polarity) but never hot.
-	hot := scanner.HottestIn(machine, memsim.SlowMem, maxMoves)
+	hot := scanner.HottestIn(memsim.SlowMem, maxMoves)
 	st.Hot = len(hot)
 	if len(hot) == 0 {
 		return st
 	}
-	cold := scanner.ColdestIn(machine, memsim.FastMem, len(hot))
+	cold := scanner.ColdestIn(memsim.FastMem, len(hot))
 	demote := guest.DemotePage
 	margin := coordHeatMargin
 	if len(cold) == 0 && scanner.TrackWrites && scanner.WriteBoost > 0 {
@@ -196,7 +195,7 @@ func CoordinatedPass(vm *VM, scanner *Scanner, guest GuestMigrator, maxMoves int
 		// guest's recency guard yields to the score margin, which is
 		// tripled here — both pages are live, so only a decisive
 		// store-intensity gap justifies paying for two moves.
-		cold = scanner.CoolestIn(machine, memsim.FastMem, len(hot))
+		cold = scanner.CoolestIn(memsim.FastMem, len(hot))
 		demote = guest.DemotePageForSwap
 		margin = 3 * coordHeatMargin
 	}

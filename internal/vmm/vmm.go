@@ -37,9 +37,13 @@ type BalloonDriver interface {
 // access bits (via the hardware page table in the real system), page
 // snapshots, backing-frame swaps (transparent migration), and the
 // coordinated-mode tracking list. *guestos.OS implements it.
+//
+// Access and write bits are read a 64-page word at a time, the way they
+// live in the guest's packed page-store bitmaps: in every word method,
+// word w covers PFNs [w*64, w*64+64) and bit i of mask (and of the
+// result) stands for PFN w*64+i.
 type GuestView interface {
 	NumPFNs() uint64
-	TestAndClearAccessed(pfn guestos.PFN) bool
 	Snapshot(pfn guestos.PFN) guestos.PageSnapshot
 	SetBackingMFN(pfn guestos.PFN, mfn memsim.MFN)
 	TrackingList() []guestos.PFN
@@ -48,20 +52,8 @@ type GuestView interface {
 	ScanHeat(pfn guestos.PFN) uint8
 	SetScanHeat(pfn guestos.PFN, h uint8)
 	// Write-activity tracking for the write-aware extension.
-	TestAndClearWritten(pfn guestos.PFN) bool
 	ScanWriteHeat(pfn guestos.PFN) uint8
 	SetScanWriteHeat(pfn guestos.PFN, h uint8)
-}
-
-// WordScanView is the optional word-at-a-time extension of GuestView:
-// views whose access bits live in packed bitmaps (the struct-of-arrays
-// page store) expose 64 pages' worth per load, and the scanner consumes
-// whole words — skipping all-zero ones — instead of issuing a per-page
-// TestAndClearAccessed. In every method, word w covers PFNs
-// [w*64, w*64+64) and bit i of mask (and of the result) stands for PFN
-// w*64+i. The scanner detects the interface with a type assertion and
-// falls back to the per-page GuestView calls when it is absent.
-type WordScanView interface {
 	// TakeScanAccessedWord returns and clears the scan-accessed bits of
 	// word w under mask (batched test-and-clear).
 	TakeScanAccessedWord(w int, mask uint64) uint64
@@ -75,11 +67,7 @@ type WordScanView interface {
 	ScanWriteHeatNonzeroWord(w int, mask uint64) uint64
 }
 
-// The guest OS implements both views.
-var (
-	_ GuestView    = (*guestos.OS)(nil)
-	_ WordScanView = (*guestos.OS)(nil)
-)
+var _ GuestView = (*guestos.OS)(nil)
 
 // VM is the hypervisor's per-guest state.
 type VM struct {

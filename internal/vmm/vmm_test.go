@@ -33,6 +33,12 @@ func bootGuest(t *testing.T, m *VMM, vm *VM, aware bool, pl guestos.PlacementCon
 	return os
 }
 
+// attachIndex wires a heat index between sc and its guest, as core does
+// once the scanner's knobs are set; the ranking queries read it.
+func attachIndex(sc *Scanner, os *guestos.OS, machine *memsim.Machine) {
+	os.SetPageIndexer(NewHeatIndex(sc, machine.TierOf))
+}
+
 func TestCreateVMValidation(t *testing.T) {
 	m := New(newMachine(64, 64), StaticShare{})
 	if _, err := m.CreateVM(VMSpec{ID: 0}); err == nil {
@@ -221,6 +227,7 @@ func TestScannerHeatAndCosts(t *testing.T) {
 	}
 	sc := NewScanner(os, DefaultScanCosts())
 	sc.BatchPages = int(os.NumPFNs())
+	attachIndex(sc, os, machine)
 	res := sc.ScanNext()
 	if res.Referenced < 200 {
 		t.Fatalf("referenced = %d, want >= 200", res.Referenced)
@@ -240,7 +247,7 @@ func TestScannerHeatAndCosts(t *testing.T) {
 		}
 		sc.ScanNext()
 	}
-	hot := sc.HottestIn(machine, memsim.SlowMem, 10)
+	hot := sc.HottestIn(memsim.SlowMem, 10)
 	if len(hot) == 0 {
 		t.Fatal("no hot pages found")
 	}
@@ -264,6 +271,7 @@ func TestMigratorPromotesHotPages(t *testing.T) {
 	vma, _ := os.AS.Mmap(100, guestos.KindAnon, guestos.NilFile)
 	sc := NewScanner(os, DefaultScanCosts())
 	sc.BatchPages = int(os.NumPFNs())
+	attachIndex(sc, os, machine)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 100; i++ {
 			os.TouchVPN(vma.Start+guestos.VPN(i), 1, 0)
@@ -313,6 +321,7 @@ func TestMigratorDemotesWhenFastFull(t *testing.T) {
 	vma, _ := os.AS.Mmap(200, guestos.KindAnon, guestos.NilFile)
 	sc := NewScanner(os, DefaultScanCosts())
 	sc.BatchPages = int(os.NumPFNs())
+	attachIndex(sc, os, machine)
 	// Fill FastMem with pages that then go cold.
 	mig := NewMigrator(DefaultMigrateCosts())
 	for i := 0; i < 16; i++ {
@@ -362,6 +371,7 @@ func TestCoordinatedPassPromotesViaGuest(t *testing.T) {
 	}
 	sc := NewScanner(os, DefaultScanCosts())
 	sc.BatchPages = 64 * 1024
+	attachIndex(sc, os, machine)
 	// Make a slow-resident subset hot across scans; touches happen after
 	// each scan so the final pass still sees fresh access bits.
 	for round := 0; round < 3; round++ {
@@ -489,6 +499,7 @@ func TestWriteAwareRankingPrefersStoreHeavyPages(t *testing.T) {
 	sc.BatchPages = int(os.NumPFNs())
 	sc.TrackWrites = true
 	sc.WriteBoost = 3 // NVM-like: stores several times dearer than loads
+	attachIndex(sc, os, machine)
 
 	// The store-heavy page faults first so it lands on the higher frame
 	// (per-CPU lists pop descending): the boosted ranking must overcome
@@ -509,16 +520,18 @@ func TestWriteAwareRankingPrefersStoreHeavyPages(t *testing.T) {
 	if os.ScanWriteHeat(readPfn) != 0 {
 		t.Fatal("load-only page accumulated write heat")
 	}
-	hot := sc.HottestIn(machine, memsim.SlowMem, 2)
+	hot := sc.HottestIn(memsim.SlowMem, 2)
 	if len(hot) < 2 {
 		t.Fatalf("expected both pages hot, got %d", len(hot))
 	}
 	if hot[0] != writePfn {
 		t.Fatalf("store-heavy page should rank first: got pfn %d, want %d", hot[0], writePfn)
 	}
-	// Without the boost, the tie breaks by PFN (read page first).
+	// Without the boost, the tie breaks by PFN (read page first). The
+	// index buckets by score, so a knob change needs a rebuild.
 	sc.WriteBoost = 0
-	hot = sc.HottestIn(machine, memsim.SlowMem, 2)
+	sc.Index().Rebuild()
+	hot = sc.HottestIn(memsim.SlowMem, 2)
 	if hot[0] != readPfn {
 		t.Fatalf("unboosted ranking changed unexpectedly: %v", hot)
 	}
