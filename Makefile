@@ -22,7 +22,7 @@ test:
 # jobs.
 race:
 	$(GO) test -race ./internal/runner ./internal/core ./internal/vmm/... ./internal/fleet
-	$(GO) test -race -run 'Backend|Replay|Record|Trace|GainSweep' \
+	$(GO) test -race -run 'Backend|GainSweep' \
 		./internal/memsim ./internal/exp
 
 # obs-parity asserts the observability contract: the figure pipeline's

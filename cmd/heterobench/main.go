@@ -22,11 +22,8 @@
 //	heterobench -exp figure6 -metrics m.csv     # per-run metrics snapshots
 //	heterobench -exp figure9 -profile-epochs    # aggregate epoch phase breakdown
 //
-// Machine-model backends (see DESIGN.md §5f): cells price epochs with
-// the analytic Table-3 model unless they replay a recorded trace:
-//
-//	heterobench -exp figure9 -record-trace traces/f9  # one JSONL per sweep cell
-//	heterobench -exp figure9 -replay-trace cell.jsonl # replay one recorded cell
+// Every cell prices epochs with the analytic Table-3 machine model (see
+// DESIGN.md §5f).
 package main
 
 import (
@@ -44,7 +41,6 @@ import (
 	"time"
 
 	"heteroos/internal/exp"
-	"heteroos/internal/memsim"
 	"heteroos/internal/metrics"
 	"heteroos/internal/obs"
 )
@@ -156,8 +152,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to `file` at exit")
 		metricsOut = flag.String("metrics", "", "write per-run metrics snapshots (CSV) to `file`")
 		profileF   = flag.Bool("profile-epochs", false, "profile epoch phases in every sweep cell and print an aggregate phase breakdown")
-		recordF    = flag.String("record-trace", "", "record each sweep cell's epoch stream as `prefix`-NNN-label.jsonl")
-		replayF    = flag.String("replay-trace", "", "replay a recorded JSONL epoch stream in every cell (selects the replay backend)")
 	)
 	flag.Parse()
 
@@ -201,13 +195,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	backendHook, closeBackend, err := setupBackend(*recordF, *replayF)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "heterobench: %v\n", err)
-		os.Exit(2)
-	}
-
-	opts := exp.Options{Seed: *seed, Quick: *quick, Workers: *workers, NewBackend: backendHook}
+	opts := exp.Options{Seed: *seed, Quick: *quick, Workers: *workers}
 	if *progress {
 		opts.Progress = func(done, submitted int, label string) {
 			fmt.Fprintf(os.Stderr, "  [%d/%d] %s\n", done, submitted, label)
@@ -299,102 +287,5 @@ func main() {
 			fmt.Println()
 			_ = start
 		}
-	}
-	if err := closeBackend(); err != nil {
-		fmt.Fprintf(os.Stderr, "heterobench: -record-trace: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// traceRecording fans one -record-trace prefix out into one JSONL file
-// per sweep cell. File creation happens in the NewBackend hook — called
-// serially at submission — so the NNN numbering is deterministic for a
-// fixed experiment config; the recorder list is mutex-guarded because
-// the returned builders run on pool workers.
-type traceRecording struct {
-	inner  memsim.Builder
-	prefix string
-	n      int
-
-	mu    sync.Mutex
-	files []*os.File
-	recs  []*memsim.Recorder
-}
-
-func (t *traceRecording) hook(label string, seed uint64) memsim.Builder {
-	t.n++
-	path := fmt.Sprintf("%s-%03d-%s.jsonl", t.prefix, t.n, sanitizeLabel(label))
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "heterobench: -record-trace: %v\n", err)
-		os.Exit(1)
-	}
-	t.mu.Lock()
-	t.files = append(t.files, f)
-	t.mu.Unlock()
-	return func(m *memsim.Machine, opts ...memsim.Option) memsim.Backend {
-		r := memsim.NewRecorder(t.inner(m, opts...), f)
-		t.mu.Lock()
-		t.recs = append(t.recs, r)
-		t.mu.Unlock()
-		return r
-	}
-}
-
-func (t *traceRecording) close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var first error
-	for _, r := range t.recs {
-		if err := r.Flush(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, f := range t.files {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// sanitizeLabel maps a sweep-cell label to a filename fragment.
-func sanitizeLabel(label string) string {
-	out := []byte(label)
-	for i, c := range out {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '.':
-		default:
-			out[i] = '_'
-		}
-	}
-	return string(out)
-}
-
-// setupBackend resolves the trace flags into an exp.Options.NewBackend
-// hook (nil when the default analytic path needs no per-job hook) plus a
-// cleanup that flushes any recording.
-func setupBackend(record, replay string) (func(label string, seed uint64) memsim.Builder, func() error, error) {
-	if record != "" && replay != "" {
-		return nil, nil, errors.New("-record-trace and -replay-trace are mutually exclusive")
-	}
-	noClose := func() error { return nil }
-	switch {
-	case replay != "":
-		tr, err := memsim.LoadTraceFile(replay)
-		if err != nil {
-			return nil, nil, err
-		}
-		// One shared trace; every built backend replays it from the
-		// start with an independent cursor.
-		build := tr.Builder()
-		return func(string, uint64) memsim.Builder { return build }, noClose, nil
-	case record != "":
-		rec := &traceRecording{inner: memsim.AnalyticBackend, prefix: record}
-		return rec.hook, rec.close, nil
-	default:
-		// core builds analytic when Config.Backend is nil, and a nil
-		// hook keeps that path.
-		return nil, noClose, nil
 	}
 }

@@ -42,11 +42,8 @@
 //	heterosim -cpuprofile cpu.out       # CPU profile of the run (go tool pprof)
 //	heterosim -memprofile mem.out       # heap profile at exit
 //
-// Machine-model backends (see DESIGN.md §5f): runs price epochs with the
-// analytic Table-3 model unless they replay a recorded trace:
-//
-//	heterosim -record-trace run.jsonl            # record the epoch stream
-//	heterosim -replay-trace run.jsonl            # replay a recorded stream
+// Every run prices epochs with the analytic Table-3 machine model (see
+// DESIGN.md §5f).
 package main
 
 import (
@@ -85,8 +82,6 @@ func main() {
 		events    = flag.String("events", "", "write structured events as JSON lines to this file")
 		chrome    = flag.String("chrome-trace", "", "write a Chrome trace_event export (Perfetto-loadable) to this file")
 		metricsF  = flag.String("metrics", "", "write an end-of-run metrics snapshot (CSV) to this file")
-		recordF   = flag.String("record-trace", "", "record the per-epoch (charge, cost) stream as JSONL to this file")
-		replayF   = flag.String("replay-trace", "", "replay a recorded JSONL epoch stream (selects the replay backend)")
 		ckEvery   = flag.Int("checkpoint-every", 0, "write a fleet checkpoint after every N rounds (needs -fleet or -restore)")
 		ckPath    = flag.String("checkpoint-path", "", "checkpoint destination file for -checkpoint-every")
 		restoreF  = flag.String("restore", "", "resume a fleet checkpoint file and run it to completion")
@@ -158,10 +153,6 @@ func main() {
 		listen: *listenF, profile: *profileF, format: *format}
 
 	if *fleetF != "" || *restoreF != "" {
-		if *recordF != "" || *replayF != "" {
-			fmt.Fprintln(os.Stderr, "heterosim: -fleet and -restore do not support trace record/replay backends")
-			os.Exit(2)
-		}
 		// -seed overrides the script's own seed only when passed
 		// explicitly.
 		var seedOverride *uint64
@@ -174,12 +165,6 @@ func main() {
 			CheckpointEvery: *ckEvery, CheckpointPath: *ckPath}
 		runFleet(*fleetF, *restoreF, seedOverride, opts, of)
 		return
-	}
-
-	build, closeBackend, err := buildBackend(*recordF, *replayF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "heterosim:", err)
-		os.Exit(2)
 	}
 
 	mode, err := policy.ByName(*modeName)
@@ -214,7 +199,6 @@ func main() {
 	handle, closeObs := newObsHandle(runTag, of)
 	cfg.Obs = handle
 	cfg.ProfileEpochs = *profileF
-	cfg.Backend = build
 	closeServer := serveMetrics(handle, *listenF)
 
 	// Ctrl-C cancels the run at the next simulation epoch.
@@ -269,7 +253,6 @@ func main() {
 	}
 	closeServer()
 	closeObs()
-	closeBackendOrDie(closeBackend)
 }
 
 // runFleet executes a fleet script, or resumes a fleet checkpoint when
@@ -369,59 +352,6 @@ func runFleet(path, restore string, seedOverride *uint64, opts fleet.Options, of
 	}
 	closeServer()
 	closeObs()
-}
-
-// buildBackend resolves the trace flags into a core.Config builder —
-// analytic, or replay when a trace is given — plus a cleanup that
-// flushes any trace recording. The returned builder is never nil.
-func buildBackend(record, replay string) (memsim.Builder, func() error, error) {
-	if record != "" && replay != "" {
-		return nil, nil, errors.New("-record-trace and -replay-trace are mutually exclusive")
-	}
-	build := memsim.AnalyticBackend
-	if replay != "" {
-		tr, err := memsim.LoadTraceFile(replay)
-		if err != nil {
-			return nil, nil, err
-		}
-		build = tr.Builder()
-	}
-	closeBackend := func() error { return nil }
-	if record != "" {
-		f, err := os.Create(record)
-		if err != nil {
-			return nil, nil, err
-		}
-		inner := build
-		var recorders []*memsim.Recorder
-		build = func(m *memsim.Machine, opts ...memsim.Option) memsim.Backend {
-			r := memsim.NewRecorder(inner(m, opts...), f)
-			recorders = append(recorders, r)
-			return r
-		}
-		closeBackend = func() error {
-			var first error
-			for _, r := range recorders {
-				if err := r.Flush(); err != nil && first == nil {
-					first = err
-				}
-			}
-			if err := f.Close(); err != nil && first == nil {
-				first = err
-			}
-			return first
-		}
-	}
-	return build, closeBackend, nil
-}
-
-// closeBackendOrDie flushes trace recording; an unwritable trace is a
-// hard error (a truncated recording would replay wrong).
-func closeBackendOrDie(closeBackend func() error) {
-	if err := closeBackend(); err != nil {
-		fmt.Fprintln(os.Stderr, "heterosim: record-trace:", err)
-		os.Exit(3)
-	}
 }
 
 // obsFlags bundles the observability flags every run path shares.

@@ -106,8 +106,8 @@ type Config struct {
 	// Backend builds the machine-model backend the system prices epochs
 	// with. nil defaults to memsim.AnalyticBackend — the Table-3
 	// model. NewSystem invokes the builder once, with the machine it
-	// just built plus the CPU/obs options, so callers select a model
-	// per job without constructing it themselves (see Trace.Builder).
+	// just built plus the CPU/obs options; a harness sets it to wrap
+	// the analytic engine in a decorator.
 	Backend memsim.Builder
 	// Seed drives all randomness.
 	Seed uint64

@@ -1,6 +1,6 @@
 // Checkpoint/restore for a full System. A checkpoint captures every
 // bit of mutable simulation state — guest OS structures, VMM share
-// books, machine frame ownership, backend cursors, workload progress,
+// books, machine frame ownership, workload progress,
 // and all RNG streams — into the versioned, checksummed format of
 // internal/snapshot. RestoreSystem rebuilds a System from the same
 // Config (reconstruct), then overlays the serialized state (overlay):
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 
-	"heteroos/internal/memsim"
 	"heteroos/internal/obs"
 	"heteroos/internal/sim"
 	"heteroos/internal/snapshot"
@@ -24,14 +23,10 @@ import (
 // Checkpoint serializes the system's full mutable state to w. The
 // system must be between epochs — Checkpoint never runs mid-StepEpoch.
 //
-// Every workload on a live VM must implement workload.Snapshotter, and
-// the backend must not be a trace recorder (the recorder's output
-// stream cannot be split across a restore); both are checked up front
-// so a doomed checkpoint fails before writing anything.
+// Every workload on a live VM must implement workload.Snapshotter;
+// this is checked up front so a doomed checkpoint fails before writing
+// anything.
 func (s *System) Checkpoint(w io.Writer) error {
-	if _, ok := s.Backend.(*memsim.Recorder); ok {
-		return fmt.Errorf("core: cannot checkpoint while recording a trace (-record-trace)")
-	}
 	snapshotters := make(map[vmm.VMID]workload.Snapshotter, len(s.VMs))
 	for _, inst := range s.VMs {
 		ws, ok := inst.W.(workload.Snapshotter)
@@ -68,13 +63,6 @@ func (s *System) Checkpoint(w io.Writer) error {
 		s.Machine.Snapshot(e)
 	}); err != nil {
 		return err
-	}
-	if bs, ok := s.Backend.(memsim.StateSnapshotter); ok {
-		if err := sw.Section("backend", func(e *snapshot.Encoder) {
-			bs.SnapshotState(e)
-		}); err != nil {
-			return err
-		}
 	}
 	if s.drf != nil {
 		if err := sw.Section("drf", func(e *snapshot.Encoder) {
@@ -224,16 +212,10 @@ func RestoreSystem(r *snapshot.Reader, cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	if bs, ok := s.Backend.(memsim.StateSnapshotter); ok {
-		d, err = r.Section("backend")
-		if err != nil {
-			return nil, fmt.Errorf("core: restore: backend carries run state but %w", err)
-		}
-		if err := bs.RestoreState(d); err != nil {
-			return nil, err
-		}
-	} else if r.Has("backend") {
-		return nil, fmt.Errorf("core: restore: snapshot has backend state but backend %T cannot restore it", s.Backend)
+	// The pricing model is stateless, so no writer emits a "backend"
+	// section; a snapshot carrying one was not written by this code.
+	if r.Has("backend") {
+		return nil, fmt.Errorf("core: restore: snapshot has a backend section, but no backend carries run state")
 	}
 
 	if s.drf != nil {

@@ -2,8 +2,8 @@ package core
 
 import (
 	"bytes"
-	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"heteroos/internal/memsim"
@@ -153,10 +153,8 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 		{"frames", func(c *Config) { c.FastFrames = 8192 }},
 		{"share", func(c *Config) { c.Share = ShareStatic }},
 		{"backend", func(c *Config) {
-			// Any model with another name: the recorder reports
-			// "record(analytic)".
 			c.Backend = func(m *memsim.Machine, opts ...memsim.Option) memsim.Backend {
-				return memsim.NewRecorder(memsim.NewAnalytic(m, opts...), io.Discard)
+				return renamedBackend{memsim.NewAnalytic(m, opts...)}
 			}
 		}},
 		{"vm-set", func(c *Config) { c.VMs = c.VMs[:1] }},
@@ -174,6 +172,67 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 				t.Fatal("restore with mismatched config succeeded")
 			}
 		})
+	}
+}
+
+// renamedBackend prices exactly like the analytic engine but reports
+// another Name, so only the pricing-identity check can reject it.
+type renamedBackend struct{ memsim.Backend }
+
+func (renamedBackend) Name() string { return "renamed" }
+
+// TestSnapshotRejectsBackendSection re-emits a valid checkpoint section
+// by section and checks that adding a "backend" section — which no
+// writer produces, since the pricing model carries no run state — makes
+// restore fail, while the plain copy restores.
+func TestSnapshotRejectsBackendSection(t *testing.T) {
+	sys, err := NewSystem(snapshotConfig(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.StepEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := snapshot.Open(bytes.NewReader(checkpointBytes(t, sys)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrite := func(extra bool) *snapshot.Reader {
+		var buf bytes.Buffer
+		sw, err := snapshot.NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range orig.Sections() {
+			raw, _ := orig.Raw(name)
+			if err := sw.Section(name, func(e *snapshot.Encoder) {
+				for _, b := range raw {
+					e.U8(b)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if extra && name == "machine" {
+				if err := sw.Section("backend", func(e *snapshot.Encoder) { e.U64(0) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := snapshot.Open(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rd
+	}
+	if _, err := RestoreSystem(rewrite(false), snapshotConfig(t, nil)); err != nil {
+		t.Fatalf("re-emitted snapshot without a backend section: %v", err)
+	}
+	_, err = RestoreSystem(rewrite(true), snapshotConfig(t, nil))
+	if err == nil || !strings.Contains(err.Error(), "backend section") {
+		t.Fatalf("restore with a backend section: err = %v, want a backend-section rejection", err)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"heteroos/internal/guestos/pagecache"
-	"heteroos/internal/memsim"
 )
 
 // PFN is a guest physical frame number. Each VM's guest-physical address
@@ -129,47 +128,6 @@ const (
 	// FastMem ahead of read-heavy ones.
 	FlagScanWritten
 )
-
-// Page is a materialized view of one frame's metadata (struct page).
-// The storage of record is the struct-of-arrays PageStore (store.go);
-// PageStore.PageView assembles this value for tests, snapshots, and
-// debugging. Hot paths read individual fields through the store's
-// accessors instead.
-type Page struct {
-	MFN   memsim.MFN // backing machine frame; NilMFN when unpopulated
-	Kind  PageKind
-	Flags PageFlags
-	// VPN backrefs for reverse mapping: anonymous pages record the
-	// mapping virtual page; cache pages record file and offset.
-	VPN     VPN
-	File    FileID
-	FileOff uint64
-	// LRU intrusive list links (PFN-indexed; NilPFN terminated).
-	lruPrev, lruNext PFN
-	// LastUse is the epoch of the most recent access, used by the LRU
-	// and by eviction ordering.
-	LastUse uint32
-	// Heat counts touches (guest-side popularity signal).
-	Heat uint32
-	// ScanHeat is the VMM scanner's per-page hotness history. It lives
-	// in the page metadata (not a VMM-side array) so it travels with the
-	// page when a guest-controlled migration changes its frame.
-	ScanHeat uint8
-	// ScanWriteHeat is the tracker's store-activity history (the PAGE_RW
-	// scanning of Section 4.3's write-aware extension).
-	ScanWriteHeat uint8
-	// Tag models page contents so tests can verify migration copies.
-	Tag uint64
-}
-
-// Has reports whether all bits in f are set.
-func (p *Page) Has(f PageFlags) bool { return p.Flags&f == f }
-
-// Set sets the bits in f.
-func (p *Page) Set(f PageFlags) { p.Flags |= f }
-
-// Clear clears the bits in f.
-func (p *Page) Clear(f PageFlags) { p.Flags &^= f }
 
 // FileID identifies a simulated file (or network socket buffer pool) for
 // page-cache indexing. It aliases the page cache's identifier type so

@@ -241,21 +241,6 @@ func TestLRUInvariantProperty(t *testing.T) {
 	}
 }
 
-func TestPageFlagsHelpers(t *testing.T) {
-	var p Page
-	p.Set(FlagDirty | FlagActive)
-	if !p.Has(FlagDirty) || !p.Has(FlagActive) || !p.Has(FlagDirty|FlagActive) {
-		t.Fatal("Has broken")
-	}
-	if p.Has(FlagDirty | FlagPinned) {
-		t.Fatal("Has must require all bits")
-	}
-	p.Clear(FlagDirty)
-	if p.Has(FlagDirty) || !p.Has(FlagActive) {
-		t.Fatal("Clear broken")
-	}
-}
-
 func TestPageKindStringsAndMovability(t *testing.T) {
 	if KindAnon.String() != "heap/anon" || KindNetBuf.String() != "NW-buff" {
 		t.Fatal("kind names diverge from Figure 4 labels")

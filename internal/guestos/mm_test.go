@@ -160,10 +160,10 @@ func TestSwapPreservesContents(t *testing.T) {
 	os := mmOS(t)
 	v, _ := os.AS.Mmap(1, KindAnon, NilFile)
 	pfn, _ := os.TouchVPN(v.Start, 1, 0)
-	tag := os.PageView(pfn).Tag
+	tag := pageView(os.store, pfn).Tag
 	os.swapOutPage(pfn)
 	pfn2, _ := os.TouchVPN(v.Start, 1, 0)
-	if os.PageView(pfn2).Tag != tag {
+	if pageView(os.store, pfn2).Tag != tag {
 		t.Fatal("swap round-trip corrupted contents")
 	}
 }
@@ -251,7 +251,7 @@ func TestTierOfPagePanicsOnUnpopulated(t *testing.T) {
 	// Find an unpopulated frame (the spans exceed boot population).
 	var target PFN = NilPFN
 	for pfn := PFN(0); pfn < PFN(os.NumPFNs()); pfn++ {
-		if os.PageView(pfn).MFN == memsim.NilMFN {
+		if pageView(os.store, pfn).MFN == memsim.NilMFN {
 			target = pfn
 			break
 		}

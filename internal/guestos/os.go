@@ -345,9 +345,6 @@ func (o *OS) Placement() *PlacementConfig { return &o.cfg.Placement }
 // Epoch returns the current epoch number.
 func (o *OS) Epoch() uint32 { return o.epoch }
 
-// PageView materializes the metadata of pfn (tests, debugging).
-func (o *OS) PageView(pfn PFN) Page { return o.store.PageView(pfn) }
-
 // Store exposes the page store (tests, VMM adapters).
 func (o *OS) Store() *PageStore { return o.store }
 

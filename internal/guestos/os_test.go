@@ -377,7 +377,7 @@ func TestPromotePageValidityChecks(t *testing.T) {
 		}
 		pfn, _ = os.AS.Translate(vma.Start)
 	}
-	tag := os.PageView(pfn).Tag
+	tag := pageView(os.store, pfn).Tag
 	if !os.PromotePage(pfn) {
 		t.Fatal("promotion failed")
 	}
@@ -388,7 +388,7 @@ func TestPromotePageValidityChecks(t *testing.T) {
 	if os.TierOfPage(newPfn) != memsim.FastMem {
 		t.Fatal("page not in FastMem after promotion")
 	}
-	if os.PageView(newPfn).Tag != tag {
+	if pageView(os.store, newPfn).Tag != tag {
 		t.Fatal("migration corrupted page contents")
 	}
 	// Invalid candidates are skipped.
@@ -398,7 +398,7 @@ func TestPromotePageValidityChecks(t *testing.T) {
 	}
 	var ptPFN PFN
 	for p := PFN(0); p < PFN(os.NumPFNs()); p++ {
-		if os.PageView(p).Kind == KindPageTable {
+		if pageView(os.store, p).Kind == KindPageTable {
 			ptPFN = p
 			break
 		}
@@ -521,7 +521,7 @@ func TestTransparentGuestSingleNode(t *testing.T) {
 	// Transparent migration: swap a page's backing MFN to the other tier
 	// (the machine keeps spare frames beyond the boot reservation).
 	pfn, _ := os.AS.Translate(vma.Start)
-	old := os.PageView(pfn).MFN
+	old := pageView(os.store, pfn).MFN
 	target := src.m.TierOf(old).Other()
 	newMFN, err2 := src.m.AllocOne(target, 1)
 	if err2 != nil {
@@ -572,7 +572,7 @@ func TestTrackingListCoversResidentAnon(t *testing.T) {
 		t.Fatalf("tracking list has %d pages, want 40", len(list))
 	}
 	for _, pfn := range list {
-		if os.PageView(pfn).Kind != KindAnon {
+		if pageView(os.store, pfn).Kind != KindAnon {
 			t.Fatal("exception-listed kind in tracking list")
 		}
 	}
@@ -765,8 +765,8 @@ func TestExceptionListComplementsTracking(t *testing.T) {
 		t.Fatal("heap pages must be tracked")
 	}
 	for _, pfn := range os.TrackingList() {
-		if excluded[os.PageView(pfn).Kind] {
-			t.Fatalf("exception-listed kind %v appears in tracking list", os.PageView(pfn).Kind)
+		if excluded[pageView(os.store, pfn).Kind] {
+			t.Fatalf("exception-listed kind %v appears in tracking list", pageView(os.store, pfn).Kind)
 		}
 	}
 }

@@ -246,7 +246,7 @@ func sameGuest(a, b *OS) error {
 		}
 	}
 	for pfn := PFN(0); pfn < PFN(a.store.Len()); pfn++ {
-		if pa, pb := a.store.PageView(pfn), b.store.PageView(pfn); pa != pb {
+		if pa, pb := pageView(a.store, pfn), pageView(b.store, pfn); pa != pb {
 			return fmt.Errorf("page %d differs:\nref %+v\ngot %+v", pfn, pa, pb)
 		}
 	}

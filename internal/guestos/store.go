@@ -21,9 +21,6 @@ import (
 // is (accessed | heatNZ) — all-zero words are skipped entirely without
 // changing any page's state evolution (zero-heat unreferenced pages
 // decay to the same zero they already hold).
-//
-// The Page struct remains as a materialized per-frame view (PageView)
-// for tests and debugging; the slices here are the storage of record.
 type PageStore struct {
 	n uint64
 
@@ -336,11 +333,9 @@ func (s *PageStore) ScanWriteHeatNonzeroWord(w int, mask uint64) uint64 {
 
 // --- whole-page operations ---
 
-// defaultPage is the store's boot-time value for every frame; pages
-// still equal to it are omitted from snapshots.
-var defaultPage = Page{MFN: memsim.NilMFN, VPN: NilVPN, lruPrev: NilPFN, lruNext: NilPFN}
-
-// IsDefault reports whether pfn's metadata equals the boot-time default.
+// IsDefault reports whether pfn's metadata equals the boot-time default
+// (no frame, no mapping, unlinked, zero flags and counters); snapshots
+// omit such pages.
 func (s *PageStore) IsDefault(pfn PFN) bool {
 	return s.mfn[pfn] == memsim.NilMFN &&
 		s.kind[pfn] == 0 &&
@@ -408,26 +403,6 @@ func (s *PageStore) ResetAll() {
 		for i := range words {
 			words[i] = 0
 		}
-	}
-}
-
-// PageView materializes pfn's metadata as a Page value (tests, tools,
-// snapshots — not the hot path).
-func (s *PageStore) PageView(pfn PFN) Page {
-	return Page{
-		MFN:           s.mfn[pfn],
-		Kind:          PageKind(s.kind[pfn]),
-		Flags:         s.Flags(pfn),
-		VPN:           s.vpn[pfn],
-		File:          s.file[pfn],
-		FileOff:       s.fileOff[pfn],
-		lruPrev:       s.lruPrev[pfn],
-		lruNext:       s.lruNext[pfn],
-		LastUse:       s.lastUse[pfn],
-		Heat:          s.heat[pfn],
-		ScanHeat:      s.scanHeat[pfn],
-		ScanWriteHeat: s.scanWriteHeat[pfn],
-		Tag:           s.tag[pfn],
 	}
 }
 

@@ -7,6 +7,58 @@ import (
 	"heteroos/internal/memsim"
 )
 
+// Page is one frame's metadata (struct page) as a single value: the
+// reference store's storage and what pageView assembles from the real
+// struct-of-arrays PageStore, so the two can be compared field by field.
+type Page struct {
+	MFN   memsim.MFN // backing machine frame; NilMFN when unpopulated
+	Kind  PageKind
+	Flags PageFlags
+	// VPN backrefs for reverse mapping: anonymous pages record the
+	// mapping virtual page; cache pages record file and offset.
+	VPN     VPN
+	File    FileID
+	FileOff uint64
+	// LRU intrusive list links (PFN-indexed; NilPFN terminated).
+	lruPrev, lruNext PFN
+	// LastUse is the epoch of the most recent access, used by the LRU
+	// and by eviction ordering.
+	LastUse uint32
+	// Heat counts touches (guest-side popularity signal).
+	Heat uint32
+	// ScanHeat is the VMM scanner's per-page hotness history. It lives
+	// in the page metadata (not a VMM-side array) so it travels with the
+	// page when a guest-controlled migration changes its frame.
+	ScanHeat uint8
+	// ScanWriteHeat is the tracker's store-activity history (the PAGE_RW
+	// scanning of Section 4.3's write-aware extension).
+	ScanWriteHeat uint8
+	// Tag models page contents so tests can verify migration copies.
+	Tag uint64
+}
+
+// defaultPage is the store's boot-time value for every frame.
+var defaultPage = Page{MFN: memsim.NilMFN, VPN: NilVPN, lruPrev: NilPFN, lruNext: NilPFN}
+
+// pageView materializes pfn's metadata in st as a Page value.
+func pageView(st *PageStore, pfn PFN) Page {
+	return Page{
+		MFN:           st.mfn[pfn],
+		Kind:          PageKind(st.kind[pfn]),
+		Flags:         st.Flags(pfn),
+		VPN:           st.vpn[pfn],
+		File:          st.file[pfn],
+		FileOff:       st.fileOff[pfn],
+		lruPrev:       st.lruPrev[pfn],
+		lruNext:       st.lruNext[pfn],
+		LastUse:       st.lastUse[pfn],
+		Heat:          st.heat[pfn],
+		ScanHeat:      st.scanHeat[pfn],
+		ScanWriteHeat: st.scanWriteHeat[pfn],
+		Tag:           st.tag[pfn],
+	}
+}
+
 // refStore is the obviously-correct reference implementation of the
 // PageStore contract: one fat Page struct per frame, every operation a
 // direct field poke, word-granular primitives done bit by bit. The
@@ -80,7 +132,7 @@ func TestPageStoreDifferential(t *testing.T) {
 		return PageFlags(rng.Uint64()) & allTestFlags
 	}
 	checkPage := func(step int, pfn PFN) {
-		got, want := st.PageView(pfn), ref.pages[pfn]
+		got, want := pageView(st, pfn), ref.pages[pfn]
 		if got != want {
 			t.Fatalf("step %d: pfn %d diverged:\n soa %+v\n ref %+v", step, pfn, got, want)
 		}
@@ -204,7 +256,7 @@ func TestPageStoreDifferential(t *testing.T) {
 	st.ResetAll()
 	for p := PFN(0); p < PFN(n); p++ {
 		if !st.IsDefault(p) {
-			t.Fatalf("pfn %d not default after ResetAll: %+v", p, st.PageView(p))
+			t.Fatalf("pfn %d not default after ResetAll: %+v", p, pageView(st, p))
 		}
 	}
 	if err := st.CheckInvariants(); err != nil {

@@ -3,22 +3,17 @@ package memsim
 import "heteroos/internal/obs"
 
 // Backend is the machine-model seam: everything the epoch loop needs
-// from a pricing model, abstracted so implementations of different
-// fidelity/cost can be slotted in without touching the layers above
-// (the fakemachine kvm/qemu/uml backend-selection shape). Two
-// implementations ship:
-//
-//   - analytic (Engine): the paper's Table-3 model — the default, and
-//     the model every run prices with unless it replays a trace.
-//   - replay (Replay): consumes a recorded per-epoch access stream and
-//     returns the recorded costs — trace-driven simulation in the
-//     Virtuoso imitation style.
+// from a pricing model. One implementation ships — the analytic
+// Table-3 engine (Engine), which prices every run. The interface stays
+// so a test or a benchmark harness can substitute a decorator (a
+// per-charge timer, a stub reporting another Name) without touching
+// the layers above.
 //
 // A Backend belongs to one System and is driven from that System's
 // epoch loop only; implementations need no internal locking.
 type Backend interface {
-	// Name identifies the implementation ("analytic", "replay", or a
-	// decorated form like "record(analytic)").
+	// Name identifies the pricing model ("analytic"). A checkpoint
+	// records it, and restore refuses a snapshot taken under another.
 	Name() string
 	// Machine exposes the machine whose tier specs the backend prices
 	// against.
@@ -32,10 +27,8 @@ type Backend interface {
 	Charge(EpochCharge) EpochCost
 }
 
-// Option configures a backend at construction. The exported mutable
-// fields the Engine used to carry (CPU, Obs) are gone: a backend's
-// model parameters are fixed once built, which is what lets one System
-// hold any Backend without knowing its concrete type.
+// Option configures a backend at construction. A backend's model
+// parameters are fixed once built.
 type Option func(*backendOptions)
 
 type backendOptions struct {
@@ -64,26 +57,15 @@ func applyOptions(opts []Option) backendOptions {
 	return o
 }
 
-// engineObs builds the shared instrument set when observability was
-// requested (nil otherwise).
-func (o *backendOptions) engineObs() *EngineObs {
-	if o.reg == nil {
-		return nil
-	}
-	return NewEngineObs(o.reg)
-}
-
 // Builder constructs a Backend over a machine. core.Config carries one
-// so backend selection happens per job: the runner and the CLIs pass a
-// Builder down, and core.NewSystem invokes it with the machine it just
-// built plus the system-level options (CPU model, obs registry).
+// (nil means AnalyticBackend), and core.NewSystem invokes it with the
+// machine it just built plus the system-level options (CPU model, obs
+// registry); exp.Options.NewBackend lets a harness supply one per
+// sweep cell.
 type Builder func(m *Machine, opts ...Option) Backend
 
-// Backend names, as reported by Name.
-const (
-	BackendAnalytic = "analytic"
-	BackendReplay   = "replay"
-)
+// BackendAnalytic is the analytic engine's Name.
+const BackendAnalytic = "analytic"
 
 // AnalyticBackend is the Builder for the analytic Table-3 engine.
 func AnalyticBackend(m *Machine, opts ...Option) Backend { return NewAnalytic(m, opts...) }

@@ -137,7 +137,11 @@ type Engine struct {
 // Xeon, WithObs attaches per-charge accounting.
 func NewAnalytic(m *Machine, opts ...Option) *Engine {
 	o := applyOptions(opts)
-	return &Engine{machine: m, cpu: o.cpu, obs: o.engineObs()}
+	e := &Engine{machine: m, cpu: o.cpu}
+	if o.reg != nil {
+		e.obs = NewEngineObs(o.reg)
+	}
+	return e
 }
 
 // Name identifies the analytic backend.

@@ -62,37 +62,3 @@ func (m *Machine) Restore(d *snapshot.Decoder) error {
 	}
 	return d.Err()
 }
-
-// StateSnapshotter is implemented by backends that carry mutable run
-// state beyond the machine (e.g. Replay's trace cursor). The stateless
-// analytic backend need not implement it.
-type StateSnapshotter interface {
-	SnapshotState(e *snapshot.Encoder)
-	RestoreState(d *snapshot.Decoder) error
-}
-
-// SnapshotState serializes the replay cursor and divergence counters.
-func (r *Replay) SnapshotState(e *snapshot.Encoder) {
-	e.U64(uint64(len(r.trace.Records)))
-	e.Int(r.cursor)
-	e.U64(r.diverged)
-	e.U64(r.overrun)
-}
-
-// RestoreState repositions the replay cursor. The backend must have
-// been built over the same trace the snapshot was taken with.
-func (r *Replay) RestoreState(d *snapshot.Decoder) error {
-	n := d.U64()
-	if n != uint64(len(r.trace.Records)) {
-		return fmt.Errorf("memsim: snapshot replay trace has %d records, backend has %d",
-			n, len(r.trace.Records))
-	}
-	cursor := d.Int()
-	if cursor < 0 || cursor > len(r.trace.Records) {
-		return fmt.Errorf("memsim: snapshot replay cursor %d out of range", cursor)
-	}
-	r.cursor = cursor
-	r.diverged = d.U64()
-	r.overrun = d.U64()
-	return d.Err()
-}

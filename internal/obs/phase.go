@@ -84,14 +84,6 @@ func (p *PhaseProfiler) ObserveSim(ph Phase, ns float64) {
 	p.sim[ph].Observe(ns)
 }
 
-// ObserveWall records ns of host wall-clock time spent in ph.
-func (p *PhaseProfiler) ObserveWall(ph Phase, ns int64) {
-	if p == nil {
-		return
-	}
-	p.wall[ph].Observe(float64(ns))
-}
-
 // ObserveWallSince records the wall-clock time elapsed since t0.
 // Call sites use the explicit t0 := time.Now() ... ObserveWallSince
 // pattern rather than defer closures, which would allocate.

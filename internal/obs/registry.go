@@ -510,12 +510,3 @@ func (s Snapshot) Find(name string) *MetricValue {
 	}
 	return nil
 }
-
-// Sorted returns the value slice sorted by full name (snapshots
-// themselves stay in registration order; sorting is for stable test
-// output).
-func (s Snapshot) Sorted() []MetricValue {
-	out := append([]MetricValue(nil), s.Values...)
-	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
-	return out
-}

@@ -92,11 +92,12 @@ type Options struct {
 	// ProfileEpochs turns on the epoch phase profiler for jobs that end
 	// up with a handle (their own, NewObs-built, or a JobScope of Obs).
 	ProfileEpochs bool
-	// NewBackend, when set, selects the machine-model backend for jobs
-	// whose Cfg.Backend is nil. Like NewObs it is called synchronously at
-	// submission, in submission order, so per-job backend state (e.g. a
-	// trace recorder's output file) can be derived deterministically from
-	// the label and seed. Jobs that arrive with Cfg.Backend set keep it.
+	// NewBackend, when set, supplies the machine-model builder for jobs
+	// whose Cfg.Backend is nil; its user is a benchmark harness that
+	// wraps the analytic engine in a per-cell timing decorator. Like
+	// NewObs it is called synchronously at submission, in submission
+	// order, so per-job state can be derived deterministically from the
+	// label and seed. Jobs that arrive with Cfg.Backend set keep it.
 	NewBackend func(label string, seed uint64) memsim.Builder
 }
 
