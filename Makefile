@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: all build test vet race check obs-parity scenario-smoke backend-parity \
+.PHONY: all build test fmt vet race check obs-parity scenario-smoke backend-parity \
 	snapshot-parity fuzz-smoke fleet-smoke bench bench-all bench-json bench-guard figures
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file is not gofmt-formatted, listing the files.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "fmt: files need gofmt:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -167,13 +172,13 @@ backend-parity:
 	done; \
 	echo "backend-parity: analytic backend byte-identical to seed figures"
 
-# check is the pre-commit gate: static analysis, full build, the full
-# test suite, the race detector over the concurrent packages, the
-# observability no-perturbation check, the one-host script smoke run,
-# the machine-model backend parity gate, the checkpoint/restore parity
-# gate, the fuzz seed-band smoke run, and the datacenter-scale fleet
-# determinism smoke run.
-check: vet build test race obs-parity scenario-smoke backend-parity \
+# check is the pre-commit gate: formatting, static analysis, full
+# build, the full test suite, the race detector over the concurrent
+# packages, the observability no-perturbation check, the one-host
+# script smoke run, the machine-model backend parity gate, the
+# checkpoint/restore parity gate, the fuzz seed-band smoke run, and the
+# datacenter-scale fleet determinism smoke run.
+check: fmt vet build test race obs-parity scenario-smoke backend-parity \
 	snapshot-parity fuzz-smoke fleet-smoke
 
 # bench runs the ranking, scan, and figure9-sweep benchmarks at

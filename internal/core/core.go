@@ -11,6 +11,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
@@ -564,32 +565,39 @@ func (s *System) bootVM(vc VMConfig) (*VMInstance, error) {
 		// boot-time seed sweep is the only full scan the index ever does.
 		os.SetPageIndexer(vmm.NewHeatIndex(inst.scanner, s.Machine.TierOf))
 	}
-	if s.Cfg.Obs != nil {
-		// Attach after every scanner/migrator knob is final and before
-		// the workload touches memory, so boot-time activity is already
-		// observed. The scope's clock closure reads the instance clock
-		// at emission time.
-		scope := s.Cfg.Obs.Scope(int(vc.ID), inst.simNow)
-		inst.obsScope = scope
-		inst.probes = newCoreProbes(scope)
-		os.AttachObs(scope)
-		if inst.scanner != nil {
-			inst.scanner.AttachObs(scope)
-		}
-		if inst.migrator != nil {
-			inst.migrator.AttachObs(scope)
-		}
-		if s.Cfg.ProfileEpochs {
-			inst.phases = obs.NewPhaseProfiler(scope.Registry())
-			if inst.scanner != nil {
-				inst.scanner.AttachPhases(inst.phases)
-			}
-		}
-	}
+	// Observe after every scanner/migrator knob is final and before the
+	// workload touches memory, so boot-time activity is already observed.
+	s.observeVM(inst)
 	if err := vc.Workload.Init(os); err != nil {
 		return nil, fmt.Errorf("core: init workload on VM %d: %w", vc.ID, err)
 	}
 	return inst, nil
+}
+
+// observeVM wires inst into s.Cfg.Obs (a no-op with obs off): its
+// scope, the core probes, the guest/scanner/migrator hooks and, with
+// ProfileEpochs, the phase profiler. The scope's clock closure reads
+// the instance clock at emission time.
+func (s *System) observeVM(inst *VMInstance) {
+	if s.Cfg.Obs == nil {
+		return
+	}
+	scope := s.Cfg.Obs.Scope(int(inst.ID), inst.simNow)
+	inst.obsScope = scope
+	inst.probes = newCoreProbes(scope)
+	inst.OS.AttachObs(scope)
+	if inst.scanner != nil {
+		inst.scanner.AttachObs(scope)
+	}
+	if inst.migrator != nil {
+		inst.migrator.AttachObs(scope)
+	}
+	if s.Cfg.ProfileEpochs {
+		inst.phases = obs.NewPhaseProfiler(scope.Registry())
+		if inst.scanner != nil {
+			inst.scanner.AttachPhases(inst.phases)
+		}
+	}
 }
 
 // simNow reports the instance's current simulated time.
@@ -629,23 +637,8 @@ func (s *System) instByID(id vmm.VMID) (*VMInstance, bool) {
 // boot-time VM's would. IDs are never reused: a departed VM's ID stays
 // retired so results remain unambiguous.
 func (s *System) BootVM(vc VMConfig) (*VMInstance, error) {
-	for _, inst := range s.VMs {
-		if inst.ID == vc.ID {
-			return nil, fmt.Errorf("core: BootVM: VM %d already running", vc.ID)
-		}
-	}
-	for _, inst := range s.Departed {
-		if inst.ID == vc.ID {
-			return nil, fmt.Errorf("core: BootVM: VM id %d already used by a departed VM", vc.ID)
-		}
-	}
-	fast, slow := vc.effectiveSpans()
-	if fast+slow == 0 {
-		return nil, fmt.Errorf("core: BootVM: VM %d has a zero memory span", vc.ID)
-	}
-	if fast > s.Cfg.FastFrames || slow > s.Cfg.SlowFrames {
-		return nil, fmt.Errorf("core: BootVM: VM %d span (%d fast, %d slow) exceeds machine (%d, %d)",
-			vc.ID, fast, slow, s.Cfg.FastFrames, s.Cfg.SlowFrames)
+	if err := s.admit("BootVM", vc, false); err != nil {
+		return nil, err
 	}
 	inst, err := s.bootVM(vc)
 	if err != nil {
@@ -659,12 +652,35 @@ func (s *System) BootVM(vc VMConfig) (*VMInstance, error) {
 	return inst, nil
 }
 
+// admit checks that vc may join this host mid-run: its ID is neither
+// live nor retired, and its spans fit the machine. returning also
+// admits an ID whose departed stub is a migrated-out one (the VM is
+// coming back). admit changes nothing; un-retiring the stub is the
+// caller's last step once the VM is in.
+func (s *System) admit(op string, vc VMConfig, returning bool) error {
+	if _, ok := s.instByID(vc.ID); ok {
+		return fmt.Errorf("core: %s: VM %d already running", op, vc.ID)
+	}
+	for _, stub := range s.Departed {
+		if stub.ID == vc.ID && !(returning && stub.MigratedOut) {
+			return fmt.Errorf("core: %s: VM id %d already used by a departed VM", op, vc.ID)
+		}
+	}
+	fast, slow := vc.effectiveSpans()
+	if fast+slow == 0 {
+		return fmt.Errorf("core: %s: VM %d has a zero memory span", op, vc.ID)
+	}
+	if fast > s.Cfg.FastFrames || slow > s.Cfg.SlowFrames {
+		return fmt.Errorf("core: %s: VM %d span (%d fast, %d slow) exceeds machine (%d, %d)",
+			op, vc.ID, fast, slow, s.Cfg.FastFrames, s.Cfg.SlowFrames)
+	}
+	return nil
+}
+
 // ShutdownVM departs a guest mid-run: its result is finalised, the
-// guest torn down (balloon unwound, P2M cleared, every machine frame
-// returned to the VMM pool), and the VM deregistered from the share
-// policy so surviving guests' shares re-converge over the new
-// membership. The instance moves to Departed; its result stays
-// addressable through VMResultByID.
+// guest detached from the host, and the instance moved to Departed,
+// where its result stays addressable through VMResultByID. Surviving
+// guests' shares re-converge over the new membership.
 func (s *System) ShutdownVM(id vmm.VMID) (*VMResult, error) {
 	inst, ok := s.instByID(id)
 	if !ok {
@@ -674,24 +690,31 @@ func (s *System) ShutdownVM(id vmm.VMID) (*VMResult, error) {
 		inst.Done = true
 		s.finalizeResult(inst)
 	}
-	released := inst.OS.Teardown()
-	if err := inst.OS.P2MEmpty(); err != nil {
+	released, err := s.detach(inst)
+	if err != nil {
 		return nil, fmt.Errorf("core: ShutdownVM VM %d: %w", id, err)
-	}
-	if err := s.VMM.DestroyVM(id); err != nil {
-		return nil, fmt.Errorf("core: ShutdownVM VM %d: %w", id, err)
-	}
-	for i, cand := range s.VMs {
-		if cand == inst {
-			s.VMs = append(s.VMs[:i], s.VMs[i+1:]...)
-			break
-		}
 	}
 	s.Departed = append(s.Departed, inst)
 	if s.sysScope != nil {
 		s.sysScope.Emit(obs.EvVMShutdown, obs.DirNone, obs.TierNone, 0, released, uint64(id), 0)
 	}
 	return &inst.Res, nil
+}
+
+// detach removes a live VM from this host: the guest is torn down
+// (balloon unwound, P2M cleared), every machine frame goes back to the
+// VMM pool, the VM is deregistered from the share policy and dropped
+// from VMs. It reports the pages the teardown released.
+func (s *System) detach(inst *VMInstance) (uint64, error) {
+	released := inst.OS.Teardown()
+	if err := inst.OS.P2MEmpty(); err != nil {
+		return 0, err
+	}
+	if err := s.VMM.DestroyVM(inst.ID); err != nil {
+		return 0, err
+	}
+	s.VMs = slices.DeleteFunc(s.VMs, func(c *VMInstance) bool { return c == inst })
+	return released, nil
 }
 
 // --- fault injection ---

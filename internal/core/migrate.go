@@ -1,25 +1,25 @@
 // Cross-host live migration: a VM departs one System as a serialized
 // VMImage and re-materializes on another, carrying its full mutable
 // state — guest OS structures, page heat, workload cursor, accumulated
-// results — across the move. The mechanism mirrors checkpoint/restore
-// (reconstruct a fresh boot, then overlay serialized state), with one
-// addition: the image's machine-frame bindings are remapped onto frames
-// adopted from the destination host, tier-for-tier, so the guest's
-// physical-page layout (and with it the heat profile) survives even
-// though the backing MFNs are necessarily different.
+// results — across the move. A VMImage is a one-VM checkpoint: its vm
+// section is written by the checkpoint's writeVM and read back by the
+// same readVM after a fresh boot. The one addition is the p2m section,
+// through which the image's machine-frame bindings are remapped onto
+// frames adopted from the destination host, tier-for-tier, so the
+// guest's physical-page layout (and with it the heat profile) survives
+// even though the backing MFNs are necessarily different.
 package core
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
 	"heteroos/internal/obs"
-	"heteroos/internal/sim"
 	"heteroos/internal/snapshot"
 	"heteroos/internal/vmm"
-	"heteroos/internal/workload"
 )
 
 // VMImage is one VM's serialized migratable state: everything a
@@ -29,17 +29,15 @@ import (
 // presents to ImmigrateVM).
 //
 // Wire format: a snapshot container (magic, named length-prefixed
-// sections, CRC64 trailer) with sections
+// sections, CRC64 trailer) with two sections
 //
-//	meta     — VM id, per-tier frame footprint, guest span
-//	inst     — core.VMInstance scheduler state (clock, scan debt,
-//	           budgets, fault flags, Res, TraceLog, scanner/interval)
-//	vm       — vmm.VM grant counters and fault flags
-//	p2m      — backed pages in ascending PFN order: (pfn, mfn, tier);
-//	           the source-host MFNs recorded here are what ImmigrateVM
-//	           rebinds onto destination frames
-//	guestos  — the guest OS's complete mutable state
-//	workload — the workload cursor (workload.Snapshotter)
+//	p2m — backed pages in ascending PFN order: (pfn, mfn, tier); the
+//	      source-host MFNs recorded here are what ImmigrateVM rebinds
+//	      onto destination frames
+//	vm  — the VM's state in a checkpoint's vm<ID> layout (writeVM)
+//
+// Images live only in memory between EmigrateVM and ImmigrateVM, so
+// the layout carries no compatibility promise.
 type VMImage struct {
 	// ID is the migrating VM's identity, preserved across hosts.
 	ID vmm.VMID
@@ -59,16 +57,15 @@ func (img *VMImage) Frames() uint64 {
 	return n
 }
 
-// EmigrateVM captures a live VM into a VMImage and tears it down
-// locally: balloon unwound, P2M cleared, every machine frame returned
-// to this host's VMM pool, the VM deregistered from the share policy.
-// The ID is retired into Departed as a migrated-out stub (zero result —
-// the real, still-accumulating result travels in the image), so results
-// stay unambiguous and the ID can only return via ImmigrateVM.
+// EmigrateVM captures a live VM into a VMImage and detaches it from
+// this host. The ID is retired into Departed as a migrated-out stub
+// (zero result — the real, still-accumulating result travels in the
+// image), so results stay unambiguous and the ID can only return via
+// ImmigrateVM.
 //
 // The VM must still be running (shut finished VMs down instead — their
-// result is final and moving them buys nothing) and its workload must
-// implement workload.Snapshotter. Call only between epochs.
+// result is final and moving them buys nothing). Call only between
+// epochs.
 func (s *System) EmigrateVM(id vmm.VMID) (*VMImage, error) {
 	inst, ok := s.instByID(id)
 	if !ok {
@@ -77,58 +74,14 @@ func (s *System) EmigrateVM(id vmm.VMID) (*VMImage, error) {
 	if inst.Done {
 		return nil, fmt.Errorf("core: EmigrateVM: VM %d has finished; shut it down instead", id)
 	}
-	ws, ok := inst.W.(workload.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("core: EmigrateVM: workload %T on VM %d does not support migration", inst.W, id)
-	}
 
 	img := &VMImage{ID: id}
 	for t := memsim.Tier(0); t < memsim.NumTiers; t++ {
 		img.Pages[t] = inst.VM.Granted(t)
 	}
-
 	var buf bytes.Buffer
 	sw, err := snapshot.NewWriter(&buf)
 	if err != nil {
-		return nil, err
-	}
-	if err := sw.Section("meta", func(e *snapshot.Encoder) {
-		e.U32(uint32(id))
-		for t := memsim.Tier(0); t < memsim.NumTiers; t++ {
-			e.U64(img.Pages[t])
-		}
-		e.U64(inst.OS.NumPFNs())
-	}); err != nil {
-		return nil, err
-	}
-	var sectionErr error
-	if err := sw.Section("inst", func(e *snapshot.Encoder) {
-		e.I64(int64(inst.Clock.Now()))
-		e.I64(int64(inst.scanDebt))
-		e.Int(inst.moveBudget)
-		e.Int(inst.throttledPasses)
-		e.Bool(inst.stallMigration)
-		e.Int(inst.stallSkips)
-		if err := e.JSON(&inst.Res); err != nil && sectionErr == nil {
-			sectionErr = err
-		}
-		if err := e.JSON(inst.TraceLog); err != nil && sectionErr == nil {
-			sectionErr = err
-		}
-		e.Bool(inst.scanner != nil)
-		if inst.scanner != nil {
-			inst.scanner.SnapshotState(e)
-		}
-		e.Bool(inst.interval != nil)
-		if inst.interval != nil {
-			inst.interval.SnapshotState(e)
-		}
-	}); err != nil {
-		return nil, err
-	}
-	if err := sw.Section("vm", func(e *snapshot.Encoder) {
-		inst.VM.SnapshotState(e)
-	}); err != nil {
 		return nil, err
 	}
 	if err := sw.Section("p2m", func(e *snapshot.Encoder) {
@@ -143,40 +96,27 @@ func (s *System) EmigrateVM(id vmm.VMID) (*VMImage, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if err := sw.Section("guestos", func(e *snapshot.Encoder) {
-		inst.OS.SnapshotState(e)
+	var vmErr error
+	if err := sw.Section("vm", func(e *snapshot.Encoder) {
+		vmErr = writeVM(e, inst)
 	}); err != nil {
 		return nil, err
 	}
-	if err := sw.Section("workload", func(e *snapshot.Encoder) {
-		ws.SnapshotState(e)
-	}); err != nil {
-		return nil, err
-	}
-	if sectionErr != nil {
-		return nil, fmt.Errorf("core: EmigrateVM VM %d: %w", id, sectionErr)
+	if vmErr != nil {
+		return nil, fmt.Errorf("core: EmigrateVM VM %d: %w", id, vmErr)
 	}
 	if err := sw.Close(); err != nil {
 		return nil, err
 	}
 	img.Data = buf.Bytes()
 
-	// Local teardown, mirroring ShutdownVM — except the result is NOT
-	// finalised (the VM is still running; its result continues on the
-	// destination) and the Departed stub carries a zero result so the
-	// per-host sums never double-count a migrant.
-	released := inst.OS.Teardown()
-	if err := inst.OS.P2MEmpty(); err != nil {
+	// Unlike ShutdownVM, the result is NOT finalised (the VM is still
+	// running; its result continues on the destination) and the Departed
+	// stub carries a zero result so the per-host sums never double-count
+	// a migrant.
+	released, err := s.detach(inst)
+	if err != nil {
 		return nil, fmt.Errorf("core: EmigrateVM VM %d: %w", id, err)
-	}
-	if err := s.VMM.DestroyVM(id); err != nil {
-		return nil, fmt.Errorf("core: EmigrateVM VM %d: %w", id, err)
-	}
-	for i, cand := range s.VMs {
-		if cand == inst {
-			s.VMs = append(s.VMs[:i], s.VMs[i+1:]...)
-			break
-		}
 	}
 	stub := &VMInstance{ID: id, Done: true, MigratedOut: true}
 	stub.Clock.Restore(inst.Clock.Now())
@@ -194,14 +134,15 @@ func (s *System) EmigrateVM(id vmm.VMID) (*VMImage, error) {
 // records, just as checkpoint front-ends reconstruct Config. The guest
 // is booted silently (no observability, like RestoreSystem's reboot),
 // its transient boot footprint dropped, the image's per-tier frame
-// counts adopted from this host's pools, and the serialized state
-// overlaid with every guest page rebound old-MFN→new-MFN. The VM joins
+// counts adopted from this host's pools, and the vm section overlaid by
+// readVM with every guest page rebound old-MFN→new-MFN. The VM joins
 // the lockstep from the next epoch with clock, heat profile, workload
 // cursor, and accumulated result intact.
 //
 // A VM that previously migrated OUT of this host may migrate back in
-// (the migrated-out stub is un-retired); an ID retired by a real
-// shutdown stays retired.
+// (the migrated-out stub is un-retired once the VM is in); an ID
+// retired by a real shutdown stays retired. On error the host is left
+// as it was, stub included.
 func (s *System) ImmigrateVM(vc VMConfig, img *VMImage) (inst *VMInstance, err error) {
 	// The boot-overlay path executes guest code paths that can panic via
 	// *guestos.GuestPanic on a genuinely overloaded host; contain those
@@ -218,37 +159,9 @@ func (s *System) ImmigrateVM(vc VMConfig, img *VMImage) (inst *VMInstance, err e
 	if vc.ID != img.ID {
 		return nil, fmt.Errorf("core: ImmigrateVM: config names VM %d, image carries VM %d", vc.ID, img.ID)
 	}
-	for _, live := range s.VMs {
-		if live.ID == vc.ID {
-			return nil, fmt.Errorf("core: ImmigrateVM: VM %d already running", vc.ID)
-		}
+	if err := s.admit("ImmigrateVM", vc, true); err != nil {
+		return nil, err
 	}
-	for i, stub := range s.Departed {
-		if stub.ID != vc.ID {
-			continue
-		}
-		if !stub.MigratedOut {
-			return nil, fmt.Errorf("core: ImmigrateVM: VM id %d already used by a departed VM", vc.ID)
-		}
-		s.Departed = append(s.Departed[:i], s.Departed[i+1:]...)
-		break
-	}
-	fast, slow := vc.effectiveSpans()
-	if fast+slow == 0 {
-		return nil, fmt.Errorf("core: ImmigrateVM: VM %d has a zero memory span", vc.ID)
-	}
-	if fast > s.Cfg.FastFrames || slow > s.Cfg.SlowFrames {
-		return nil, fmt.Errorf("core: ImmigrateVM: VM %d span (%d fast, %d slow) exceeds machine (%d, %d)",
-			vc.ID, fast, slow, s.Cfg.FastFrames, s.Cfg.SlowFrames)
-	}
-	if vc.Workload == nil {
-		return nil, fmt.Errorf("core: ImmigrateVM: VM %d has no workload", vc.ID)
-	}
-	ws, ok := vc.Workload.(workload.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("core: ImmigrateVM: workload %T on VM %d does not support migration", vc.Workload, vc.ID)
-	}
-
 	r, err := snapshot.Open(bytes.NewReader(img.Data))
 	if err != nil {
 		return nil, fmt.Errorf("core: ImmigrateVM VM %d: %w", vc.ID, err)
@@ -266,15 +179,8 @@ func (s *System) ImmigrateVM(vc VMConfig, img *VMImage) (inst *VMInstance, err e
 		return nil, fmt.Errorf("core: ImmigrateVM VM %d: rebooting: %w", vc.ID, err)
 	}
 
-	// Drop the transient boot footprint; the image's frames replace it.
-	inst.OS.Teardown()
-	if err := inst.OS.P2MEmpty(); err != nil {
-		return nil, fmt.Errorf("core: ImmigrateVM VM %d: %w", vc.ID, err)
-	}
-
-	// Adopt destination frames matching the image's per-tier footprint.
-	// All-or-nothing: on shortfall the half-built guest is destroyed and
-	// the host is left exactly as before the call.
+	// All-or-nothing from here: on any failure the half-built guest is
+	// destroyed and the host is left exactly as before the call.
 	var adopted [memsim.NumTiers][]memsim.MFN
 	abort := func(cause error) (*VMInstance, error) {
 		for t := memsim.Tier(0); t < memsim.NumTiers; t++ {
@@ -286,6 +192,13 @@ func (s *System) ImmigrateVM(vc VMConfig, img *VMImage) (inst *VMInstance, err e
 			return nil, fmt.Errorf("core: ImmigrateVM VM %d: %w (and teardown failed: %v)", vc.ID, cause, derr)
 		}
 		return nil, fmt.Errorf("core: ImmigrateVM VM %d: %w", vc.ID, cause)
+	}
+
+	// Drop the transient boot footprint, then adopt destination frames
+	// matching the image's per-tier footprint in its place.
+	inst.OS.Teardown()
+	if err := inst.OS.P2MEmpty(); err != nil {
+		return abort(err)
 	}
 	for t := memsim.Tier(0); t < memsim.NumTiers; t++ {
 		mfns, aerr := inst.VM.AdoptFrames(t, img.Pages[t])
@@ -305,7 +218,7 @@ func (s *System) ImmigrateVM(vc VMConfig, img *VMImage) (inst *VMInstance, err e
 	var cursor [memsim.NumTiers]uint64
 	mfnMap := make(map[memsim.MFN]memsim.MFN, n)
 	for i := uint64(0); i < n; i++ {
-		d.U64() // pfn: implied by the guestos section, recorded for tooling
+		d.U64() // pfn: implied by the guest OS state, recorded for tooling
 		old := memsim.MFN(d.U64())
 		t := memsim.Tier(d.U8())
 		if t >= memsim.NumTiers || cursor[t] >= uint64(len(adopted[t])) {
@@ -328,90 +241,16 @@ func (s *System) ImmigrateVM(vc VMConfig, img *VMImage) (inst *VMInstance, err e
 		}
 		return m
 	}
-
-	// Overlay, mirroring EmigrateVM's section order exactly.
-	if d, err = r.Section("inst"); err != nil {
-		return abort(err)
-	}
-	inst.Clock.Restore(sim.Time(d.I64()))
-	inst.scanDebt = sim.Duration(d.I64())
-	inst.moveBudget = d.Int()
-	inst.throttledPasses = d.Int()
-	inst.stallMigration = d.Bool()
-	inst.stallSkips = d.Int()
-	inst.Res = VMResult{}
-	if err := d.JSON(&inst.Res); err != nil {
-		return abort(err)
-	}
-	inst.TraceLog = nil
-	if err := d.JSON(&inst.TraceLog); err != nil {
-		return abort(err)
-	}
-	if had := d.Bool(); had != (inst.scanner != nil) {
-		return abort(fmt.Errorf("image scanner presence %v != booted instance %v (mode mismatch?)", had, inst.scanner != nil))
-	}
-	if inst.scanner != nil {
-		if err := inst.scanner.RestoreState(d); err != nil {
-			return abort(err)
-		}
-	}
-	if had := d.Bool(); had != (inst.interval != nil) {
-		return abort(fmt.Errorf("image adaptive-interval presence %v != booted instance %v (mode mismatch?)", had, inst.interval != nil))
-	}
-	if inst.interval != nil {
-		if err := inst.interval.RestoreState(d); err != nil {
-			return abort(err)
-		}
-	}
-	if err := d.Err(); err != nil {
-		return abort(err)
-	}
-
 	if d, err = r.Section("vm"); err != nil {
 		return abort(err)
 	}
-	if err := inst.VM.RestoreState(d); err != nil {
+	if err := s.readVM(inst, d, mapMFN); err != nil {
 		return abort(err)
 	}
 
-	if d, err = r.Section("guestos"); err != nil {
-		return abort(err)
-	}
-	if err := inst.OS.RestoreStateMapped(d, mapMFN); err != nil {
-		return abort(err)
-	}
-	if inst.scanner != nil {
-		// The heat index is a pure function of guest page state; rebuild
-		// it over the restored, rebound store.
-		inst.OS.SetPageIndexer(vmm.NewHeatIndex(inst.scanner, s.Machine.TierOf))
-	}
-
-	if d, err = r.Section("workload"); err != nil {
-		return abort(err)
-	}
-	if err := ws.RestoreState(d, inst.OS); err != nil {
-		return abort(err)
-	}
-
+	s.Departed = slices.DeleteFunc(s.Departed, func(stub *VMInstance) bool { return stub.ID == vc.ID })
 	s.VMs = append(s.VMs, inst)
-	if h != nil {
-		scope := h.Scope(int(inst.ID), inst.simNow)
-		inst.obsScope = scope
-		inst.probes = newCoreProbes(scope)
-		inst.OS.AttachObs(scope)
-		if inst.scanner != nil {
-			inst.scanner.AttachObs(scope)
-		}
-		if inst.migrator != nil {
-			inst.migrator.AttachObs(scope)
-		}
-		if s.Cfg.ProfileEpochs {
-			inst.phases = obs.NewPhaseProfiler(scope.Registry())
-			if inst.scanner != nil {
-				inst.scanner.AttachPhases(inst.phases)
-			}
-		}
-	}
+	s.observeVM(inst)
 	if s.sysScope != nil {
 		s.sysScope.Emit(obs.EvVMMigrateIn, obs.DirNone, obs.TierNone, 0, img.Frames(), uint64(vc.ID), 0)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"heteroos/internal/memsim"
@@ -252,5 +253,98 @@ func TestMigrationRejections(t *testing.T) {
 	}
 	if _, err := hostB.ImmigrateVM(migVM(t, 77), img); err == nil {
 		t.Error("immigrating onto a retired (shut-down) VM id succeeded")
+	}
+}
+
+// TestImmigrateFailureLeavesHostUnchanged: a failed return migration
+// must leave the host exactly as it was — frames, live VMs, and the
+// migrated-out stub that keeps the VM's ID reserved for its return —
+// and a clean ImmigrateVM afterwards must still succeed.
+func TestImmigrateFailureLeavesHostUnchanged(t *testing.T) {
+	cases := []struct {
+		name string
+		// prepare returns the image to present and undoes any host
+		// setup once the failed call has been checked.
+		prepare func(t *testing.T, host *System, img *VMImage) (*VMImage, func())
+	}{
+		{"corrupted image", func(t *testing.T, host *System, img *VMImage) (*VMImage, func()) {
+			bad := *img
+			bad.Data = append([]byte(nil), img.Data...)
+			bad.Data[len(bad.Data)/2] ^= 0xff
+			return &bad, func() {}
+		}},
+		{"footprint exceeds free frames", func(t *testing.T, host *System, img *VMImage) (*VMImage, func()) {
+			// A filler VM pins all but 2048 SlowMem frames: the image's
+			// FastMem frames adopt, its SlowMem frames cannot, so the
+			// abort path must hand the adopted FastMem frames back.
+			filler := migVM(t, 5)
+			filler.ID = 2
+			filler.FastPages, filler.SlowPages = 64, 16384
+			filler.BootSlowPages = 16384
+			if _, err := host.BootVM(filler); err != nil {
+				t.Fatal(err)
+			}
+			if free := host.Machine.FreeFrames(memsim.SlowMem); free >= img.Pages[memsim.SlowMem] {
+				t.Fatalf("filler left %d SlowMem frames free; image needs %d", free, img.Pages[memsim.SlowMem])
+			}
+			return img, func() {
+				if _, err := host.ShutdownVM(2); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			host, err := NewSystem(migHostCfg(t, 11, migVM(t, 77)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepN(t, host, 8)
+			img, err := host.EmigrateVM(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			presented, undo := tc.prepare(t, host, img)
+
+			var free [memsim.NumTiers]uint64
+			for tier := memsim.Tier(0); tier < memsim.NumTiers; tier++ {
+				free[tier] = host.Machine.FreeFrames(tier)
+			}
+			live := append([]*VMInstance(nil), host.VMs...)
+			departed := append([]*VMInstance(nil), host.Departed...)
+
+			if _, err := host.ImmigrateVM(migVM(t, 77), presented); err == nil {
+				t.Fatal("ImmigrateVM succeeded")
+			}
+			for tier := memsim.Tier(0); tier < memsim.NumTiers; tier++ {
+				if got := host.Machine.FreeFrames(tier); got != free[tier] {
+					t.Errorf("%v free frames %d != %d before the failed call", tier, got, free[tier])
+				}
+			}
+			if !slices.Equal(host.VMs, live) {
+				t.Errorf("live VMs changed: %d now, %d before", len(host.VMs), len(live))
+			}
+			if !slices.Equal(host.Departed, departed) {
+				t.Errorf("departed VMs changed: %d now, %d before", len(host.Departed), len(departed))
+			}
+			if _, ok := host.VMResultByID(1); !ok {
+				t.Error("VM 1's migrated-out stub is gone")
+			}
+			if _, err := host.BootVM(migVM(t, 77)); err == nil {
+				t.Error("BootVM reused the migrated-out VM's ID")
+			}
+			if err := host.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+
+			undo()
+			if _, err := host.ImmigrateVM(migVM(t, 77), img); err != nil {
+				t.Fatalf("clean ImmigrateVM after the failure: %v", err)
+			}
+			if err := host.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

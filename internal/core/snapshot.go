@@ -13,29 +13,16 @@ import (
 	"fmt"
 	"io"
 
+	"heteroos/internal/memsim"
 	"heteroos/internal/obs"
 	"heteroos/internal/sim"
 	"heteroos/internal/snapshot"
 	"heteroos/internal/vmm"
-	"heteroos/internal/workload"
 )
 
 // Checkpoint serializes the system's full mutable state to w. The
 // system must be between epochs — Checkpoint never runs mid-StepEpoch.
-//
-// Every workload on a live VM must implement workload.Snapshotter;
-// this is checked up front so a doomed checkpoint fails before writing
-// anything.
 func (s *System) Checkpoint(w io.Writer) error {
-	snapshotters := make(map[vmm.VMID]workload.Snapshotter, len(s.VMs))
-	for _, inst := range s.VMs {
-		ws, ok := inst.W.(workload.Snapshotter)
-		if !ok {
-			return fmt.Errorf("core: workload %T on VM %d does not support checkpointing", inst.W, inst.ID)
-		}
-		snapshotters[inst.ID] = ws
-	}
-
 	sw, err := snapshot.NewWriter(w)
 	if err != nil {
 		return err
@@ -71,41 +58,18 @@ func (s *System) Checkpoint(w io.Writer) error {
 			return err
 		}
 	}
-	var sectionErr error
 	for _, inst := range s.VMs {
-		inst := inst
+		var vmErr error
 		if err := sw.Section(fmt.Sprintf("vm%d", inst.ID), func(e *snapshot.Encoder) {
-			inst.VM.SnapshotState(e)
-			e.I64(int64(inst.Clock.Now()))
-			e.I64(int64(inst.scanDebt))
-			e.Int(inst.moveBudget)
-			e.Int(inst.throttledPasses)
-			e.Bool(inst.stallMigration)
-			e.Int(inst.stallSkips)
-			e.Bool(inst.Done)
-			if err := e.JSON(&inst.Res); err != nil && sectionErr == nil {
-				sectionErr = err
-			}
-			if err := e.JSON(inst.TraceLog); err != nil && sectionErr == nil {
-				sectionErr = err
-			}
-			e.Bool(inst.scanner != nil)
-			if inst.scanner != nil {
-				inst.scanner.SnapshotState(e)
-			}
-			e.Bool(inst.interval != nil)
-			if inst.interval != nil {
-				inst.interval.SnapshotState(e)
-			}
-			inst.OS.SnapshotState(e)
-			snapshotters[inst.ID].SnapshotState(e)
+			vmErr = writeVM(e, inst)
 		}); err != nil {
 			return err
 		}
-		if sectionErr != nil {
-			return fmt.Errorf("core: checkpoint VM %d: %w", inst.ID, sectionErr)
+		if vmErr != nil {
+			return fmt.Errorf("core: checkpoint VM %d: %w", inst.ID, vmErr)
 		}
 	}
+	var sectionErr error
 	if err := sw.Section("departed", func(e *snapshot.Encoder) {
 		e.U32(uint32(len(s.Departed)))
 		for _, inst := range s.Departed {
@@ -235,7 +199,7 @@ func RestoreSystem(r *snapshot.Reader, cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := restoreVM(s, inst, d); err != nil {
+		if err := s.readVM(inst, d, nil); err != nil {
 			return nil, fmt.Errorf("core: restore VM %d: %w", inst.ID, err)
 		}
 	}
@@ -275,22 +239,7 @@ func (s *System) attachObs(h *obs.Obs) {
 	}
 	s.Cfg.Obs = h
 	for _, inst := range s.VMs {
-		scope := h.Scope(int(inst.ID), inst.simNow)
-		inst.obsScope = scope
-		inst.probes = newCoreProbes(scope)
-		inst.OS.AttachObs(scope)
-		if inst.scanner != nil {
-			inst.scanner.AttachObs(scope)
-		}
-		if inst.migrator != nil {
-			inst.migrator.AttachObs(scope)
-		}
-		if s.Cfg.ProfileEpochs {
-			inst.phases = obs.NewPhaseProfiler(scope.Registry())
-			if inst.scanner != nil {
-				inst.scanner.AttachPhases(inst.phases)
-			}
-		}
+		s.observeVM(inst)
 	}
 	s.sysScope = h.Scope(0, s.latestClock)
 	if s.drf != nil {
@@ -298,9 +247,41 @@ func (s *System) attachObs(h *obs.Obs) {
 	}
 }
 
-// restoreVM overlays one live VM's serialized state onto its freshly
-// booted instance, mirroring the Checkpoint field order exactly.
-func restoreVM(s *System, inst *VMInstance, d *snapshot.Decoder) error {
+// writeVM encodes one live VM's mutable state: the body of a
+// checkpoint's vm<ID> section and of a VMImage's vm section.
+func writeVM(e *snapshot.Encoder, inst *VMInstance) error {
+	inst.VM.SnapshotState(e)
+	e.I64(int64(inst.Clock.Now()))
+	e.I64(int64(inst.scanDebt))
+	e.Int(inst.moveBudget)
+	e.Int(inst.throttledPasses)
+	e.Bool(inst.stallMigration)
+	e.Int(inst.stallSkips)
+	e.Bool(inst.Done)
+	if err := e.JSON(&inst.Res); err != nil {
+		return err
+	}
+	if err := e.JSON(inst.TraceLog); err != nil {
+		return err
+	}
+	e.Bool(inst.scanner != nil)
+	if inst.scanner != nil {
+		inst.scanner.SnapshotState(e)
+	}
+	e.Bool(inst.interval != nil)
+	if inst.interval != nil {
+		inst.interval.SnapshotState(e)
+	}
+	inst.OS.SnapshotState(e)
+	inst.W.SnapshotState(e)
+	return nil
+}
+
+// readVM overlays writeVM's encoding onto inst, a freshly booted
+// instance of the same VMConfig, in the same field order. mapMFN
+// rebinds every guest page's machine frame as it is decoded; nil is
+// the identity (checkpoint restore onto the same machine).
+func (s *System) readVM(inst *VMInstance, d *snapshot.Decoder, mapMFN func(memsim.MFN) memsim.MFN) error {
 	if err := inst.VM.RestoreState(d); err != nil {
 		return err
 	}
@@ -339,7 +320,7 @@ func restoreVM(s *System, inst *VMInstance, d *snapshot.Decoder) error {
 			return err
 		}
 	}
-	if err := inst.OS.RestoreState(d); err != nil {
+	if err := inst.OS.RestoreState(d, mapMFN); err != nil {
 		return err
 	}
 	if inst.scanner != nil {
@@ -347,11 +328,7 @@ func restoreVM(s *System, inst *VMInstance, d *snapshot.Decoder) error {
 		// it over the restored store instead of deserializing it.
 		inst.OS.SetPageIndexer(vmm.NewHeatIndex(inst.scanner, s.Machine.TierOf))
 	}
-	ws, ok := inst.W.(workload.Snapshotter)
-	if !ok {
-		return fmt.Errorf("workload %T does not support checkpointing", inst.W)
-	}
-	if err := ws.RestoreState(d, inst.OS); err != nil {
+	if err := inst.W.RestoreState(d, inst.OS); err != nil {
 		return err
 	}
 	return d.Err()

@@ -256,7 +256,7 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 // TestSnapshotEveryWorkloadRoundTrips runs each registered workload in
 // a small system, checkpoints mid-run, and verifies the restored
 // system re-checkpoints byte-identically and finishes with identical
-// results — covering every app's Snapshotter implementation.
+// results — covering every app's SnapshotState/RestoreState pair.
 func TestSnapshotEveryWorkloadRoundTrips(t *testing.T) {
 	for _, name := range workload.Names() {
 		t.Run(name, func(t *testing.T) {

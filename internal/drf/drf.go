@@ -1,7 +1,8 @@
-// Package drf implements the multi-resource fair-sharing policies of
+// Package drf implements the multi-resource fair-sharing policy of
 // Section 4.2: weighted Dominant Resource Fairness (Ghodsi et al.,
 // NSDI'11) extended with per-resource weights as in the paper's
-// Algorithm 1, and the single-resource max-min baseline it replaces.
+// Algorithm 1. The single-resource max-min baseline it replaces is
+// vmm.MaxMinShare.
 //
 // Each memory type is a resource. A guest VM's dominant resource is the
 // one of which it holds the largest weighted share; DRF grants the next

@@ -258,61 +258,12 @@ func TestShareGuaranteeProperty(t *testing.T) {
 	}
 }
 
-func TestMaxMinReservationFirst(t *testing.T) {
-	m, err := NewMaxMin([]float64{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.AddClient(1, []float64{6})
-	m.AddClient(2, []float64{4})
-	got := m.Share(map[ClientID][]float64{
-		1: {8},
-		2: {2},
-	})
-	// Client 1: 6 reserved + overcommit from client 2's unused 2.
-	if got[1][0] != 8 || got[2][0] != 2 {
-		t.Fatalf("shares = %v", got)
-	}
-}
-
-func TestMaxMinOvercommitEven(t *testing.T) {
-	m, _ := NewMaxMin([]float64{12})
-	m.AddClient(1, []float64{3})
-	m.AddClient(2, []float64{3})
-	got := m.Share(map[ClientID][]float64{
-		1: {10},
-		2: {10},
-	})
-	// 6 reserved total; 6 spare split evenly: 3+3 each.
-	if got[1][0] != 6 || got[2][0] != 6 {
-		t.Fatalf("shares = %v", got)
-	}
-}
-
-func TestMaxMinSingleResourceFailureMode(t *testing.T) {
-	// The Figure 13 failure: two resources arbitrated independently let
-	// a memory-hungry client take the second resource even when the
-	// other client reserved it — max-min respects reservations per
-	// resource but cannot couple them; DRF can.
-	m, _ := NewMaxMin([]float64{4, 8})
-	m.AddClient(1, []float64{1, 4}) // Graphchi-like
-	m.AddClient(2, []float64{3, 4}) // Metis-like
-	got := m.Share(map[ClientID][]float64{
-		1: {1, 4},
-		2: {3, 8}, // Metis wants all the SlowMem
-	})
-	// Max-min keeps client 1's reservation (4) but hands every spare
-	// SlowMem page to client 2 — with no notion that client 2 already
-	// dominates FastMem.
-	if got[2][1] != 4 {
-		t.Fatalf("metis slow share = %v", got[2][1])
-	}
-	if got[1][1] != 4 {
-		t.Fatalf("graphchi slow share = %v", got[1][1])
-	}
-
-	// DRF couples the two: Metis's FastMem dominance throttles its
-	// SlowMem draw while Graphchi catches up.
+func TestDRFCouplesResources(t *testing.T) {
+	// The Figure 13 failure: two resources arbitrated independently
+	// (single-resource max-min) let a memory-hungry client take all the
+	// spare SlowMem even though it already dominates FastMem. DRF
+	// couples the two: Metis's FastMem dominance throttles its SlowMem
+	// draw while Graphchi catches up.
 	a := mustNewQuick([]float64{4, 8}, []float64{2, 1})
 	a.AddClient(1)
 	a.AddClient(2)
@@ -324,21 +275,5 @@ func TestMaxMinSingleResourceFailureMode(t *testing.T) {
 	s2, _ := a.DominantShare(2)
 	if s2 > s1*1.6+1e-9 {
 		t.Fatalf("DRF shares unbalanced: %v vs %v", s1, s2)
-	}
-}
-
-func TestMaxMinValidation(t *testing.T) {
-	if _, err := NewMaxMin(nil); err == nil {
-		t.Fatal("empty accepted")
-	}
-	m, _ := NewMaxMin([]float64{1})
-	if err := m.AddClient(1, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AddClient(1, []float64{1}); err == nil {
-		t.Fatal("duplicate accepted")
-	}
-	if err := m.AddClient(2, []float64{1, 2}); err == nil {
-		t.Fatal("bad dimension accepted")
 	}
 }

@@ -33,23 +33,3 @@ func ExampleAllocator() {
 	// VM1: 7 tasks, dominant FastMem share 0.88
 	// VM2: 2 tasks, dominant FastMem share 0.75
 }
-
-// Max-min shares each resource independently — it cannot couple a VM's
-// FastMem dominance to its SlowMem draw, which is the paper's Figure 13
-// failure mode.
-func ExampleMaxMin() {
-	m, err := drf.NewMaxMin([]float64{8})
-	if err != nil {
-		panic(err)
-	}
-	m.AddClient(1, []float64{3}) // reserved 3 GiB
-	m.AddClient(2, []float64{3})
-
-	shares := m.Share(map[drf.ClientID][]float64{
-		1: {4}, // wants a little beyond its reservation
-		2: {8}, // wants everything
-	})
-	fmt.Printf("VM1 gets %.0f GiB, VM2 gets %.0f GiB\n", shares[1][0], shares[2][0])
-	// Output:
-	// VM1 gets 4 GiB, VM2 gets 4 GiB
-}

@@ -13,12 +13,10 @@ import (
 // factor times per epoch (a hog VM allocating and touching at a
 // multiple of its steady rate). Inactive, it is a single branch.
 //
-// The wrapper also implements workload.Snapshotter, which is what
-// makes fleet VMs migratable and checkpointable: EmigrateVM (or a
-// checkpoint) captures the wrapper's window state plus the inner
-// workload's cursor, and the freshly built wrapper on the destination
-// host (or the restored one) gets both back — a surging VM keeps
-// surging mid-flight.
+// Its snapshot carries the window state plus the inner workload's
+// cursor, so EmigrateVM (or a checkpoint) hands both to the freshly
+// built wrapper on the destination host (or the restored one) — a
+// surging VM keeps surging mid-flight.
 type surgeWorkload struct {
 	inner  workload.Workload
 	factor int
@@ -50,29 +48,24 @@ func (w *surgeWorkload) Step(os *guestos.OS) (uint64, bool) {
 	return instr, done
 }
 
-// SnapshotState implements workload.Snapshotter.
+// SnapshotState implements workload.Workload. The byte before the
+// inner state is a presence flag, always true; restore rejects false
+// because checkpoint files are outside input.
 func (w *surgeWorkload) SnapshotState(e *snapshot.Encoder) {
 	e.Bool(w.active)
 	e.Int(w.factor)
 	e.Bool(w.done)
-	ws, ok := w.inner.(workload.Snapshotter)
-	e.Bool(ok)
-	if ok {
-		ws.SnapshotState(e)
-	}
+	e.Bool(true)
+	w.inner.SnapshotState(e)
 }
 
-// RestoreState implements workload.Snapshotter.
+// RestoreState implements workload.Workload.
 func (w *surgeWorkload) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 	w.active = d.Bool()
 	w.factor = d.Int()
 	w.done = d.Bool()
 	if !d.Bool() {
-		return fmt.Errorf("fleet: workload %T did not support snapshotting", w.inner)
+		return fmt.Errorf("fleet: snapshot of workload %T carries no inner state", w.inner)
 	}
-	ws, ok := w.inner.(workload.Snapshotter)
-	if !ok {
-		return fmt.Errorf("fleet: workload %T cannot restore snapshotted state", w.inner)
-	}
-	return ws.RestoreState(d, os)
+	return w.inner.RestoreState(d, os)
 }

@@ -99,17 +99,14 @@ func (o *OS) SnapshotState(e *snapshot.Encoder) {
 // result is indistinguishable from the OS that took the snapshot. Any
 // attached PageIndexer is NOT notified — the caller must re-seed or
 // re-attach it afterwards.
-func (o *OS) RestoreState(d *snapshot.Decoder) error {
-	return o.RestoreStateMapped(d, nil)
-}
-
-// RestoreStateMapped is RestoreState with an MFN translation applied to
-// the P2M column as it is decoded: every serialized machine frame
-// number is passed through mapMFN before landing in the page store.
-// Cross-host live migration uses this to rebind a guest image onto the
-// destination host's frames; the map must cover every backed MFN in the
-// image and leave NilMFN fixed. A nil mapMFN is the identity.
-func (o *OS) RestoreStateMapped(d *snapshot.Decoder, mapMFN func(memsim.MFN) memsim.MFN) error {
+//
+// mapMFN translates the P2M column as it is decoded: every serialized
+// machine frame number passes through it before landing in the page
+// store. Cross-host live migration uses this to rebind a guest image
+// onto the destination host's frames; the map must cover every backed
+// MFN in the image and leave NilMFN fixed. A nil mapMFN is the
+// identity (checkpoint restore).
+func (o *OS) RestoreState(d *snapshot.Decoder, mapMFN func(memsim.MFN) memsim.MFN) error {
 	var st [4]uint64
 	for i := range st {
 		st[i] = d.U64()

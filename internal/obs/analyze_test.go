@@ -129,7 +129,7 @@ func TestResidencyTimeline(t *testing.T) {
 		Event{Time: 50, VM: 1, Type: EvMigration, Dir: DirDemote, N: 4},
 		Event{Time: 99, VM: 1, Type: EvBalloon, Dir: DirInflate, Tier: TierFast, N: 1},
 		Event{Time: 99, VM: 1, Type: EvBalloon, Dir: DirDeflate, Tier: TierSlow, N: 100}, // slow tier: no fast effect
-		Event{Time: 10, VM: 0, Type: EvMigration, Dir: DirPromote, N: 99},               // system scope skipped
+		Event{Time: 10, VM: 0, Type: EvMigration, Dir: DirPromote, N: 99},                // system scope skipped
 	)
 	tls := tr.Residency(2)
 	if len(tls) != 1 || tls[0].VM != 1 {

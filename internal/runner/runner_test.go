@@ -139,16 +139,14 @@ func TestCancelMidBatch(t *testing.T) {
 // slowWorkload wraps a real workload, sleeps each epoch, and never
 // reports completion — a stand-in for a long simulation.
 type slowWorkload struct {
-	inner   workload.Workload
+	workload.Workload
 	drained bool
 }
 
-func (s *slowWorkload) Profile() workload.Profile { return s.inner.Profile() }
-func (s *slowWorkload) Init(os *guestos.OS) error { return s.inner.Init(os) }
 func (s *slowWorkload) Step(os *guestos.OS) (uint64, bool) {
 	time.Sleep(500 * time.Microsecond)
 	if !s.drained {
-		instr, done := s.inner.Step(os)
+		instr, done := s.Workload.Step(os)
 		if done || instr == 0 {
 			s.drained = true
 		}
@@ -165,7 +163,7 @@ func (s *slowWorkload) Step(os *guestos.OS) (uint64, bool) {
 func TestCancelInFlight(t *testing.T) {
 	cfg := microCfg(t, policy.HeteroOSLRU(), 1)
 	cfg.MaxEpochs = 1 << 20 // far longer than the test allows
-	cfg.VMs[0].Workload = &slowWorkload{inner: cfg.VMs[0].Workload}
+	cfg.VMs[0].Workload = &slowWorkload{Workload: cfg.VMs[0].Workload}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -187,10 +185,8 @@ func TestCancelInFlight(t *testing.T) {
 }
 
 // panicWorkload explodes on its first step.
-type panicWorkload struct{ inner workload.Workload }
+type panicWorkload struct{ workload.Workload }
 
-func (p panicWorkload) Profile() workload.Profile { return p.inner.Profile() }
-func (p panicWorkload) Init(os *guestos.OS) error { return p.inner.Init(os) }
 func (p panicWorkload) Step(os *guestos.OS) (uint64, bool) {
 	panic("poisoned step")
 }
@@ -199,7 +195,7 @@ func (p panicWorkload) Step(os *guestos.OS) (uint64, bool) {
 // siblings complete normally.
 func TestPanicIsolation(t *testing.T) {
 	jobs := microBatch(t, 3)
-	jobs[1].Cfg.VMs[0].Workload = panicWorkload{inner: jobs[1].Cfg.VMs[0].Workload}
+	jobs[1].Cfg.VMs[0].Workload = panicWorkload{jobs[1].Cfg.VMs[0].Workload}
 
 	results, err := Run(context.Background(), jobs, Options{Workers: 2})
 	if err != nil {

@@ -7,16 +7,6 @@ import (
 	"heteroos/internal/snapshot"
 )
 
-// Snapshotter is implemented by workloads whose run state can be
-// checkpointed. SnapshotState serializes progress (epoch counters, RNG
-// streams, region cursors); RestoreState overlays it onto a freshly
-// Init-ed instance of the same workload, rebinding region pointers to
-// the restored address space by VMA id.
-type Snapshotter interface {
-	SnapshotState(e *snapshot.Encoder)
-	RestoreState(d *snapshot.Decoder, os *guestos.OS) error
-}
-
 func snapshotRNGOwner(e *snapshot.Encoder, st [4]uint64) {
 	for _, s := range st {
 		e.U64(s)
@@ -84,7 +74,7 @@ func (s *sequentialRegion) restore(d *snapshot.Decoder, os *guestos.OS) error {
 
 // --- GraphChi ---
 
-// SnapshotState implements Snapshotter.
+// SnapshotState implements Workload.
 func (g *GraphChi) SnapshotState(e *snapshot.Encoder) {
 	snapshotRNGOwner(e, g.rng.State())
 	e.Int(g.epoch)
@@ -92,7 +82,7 @@ func (g *GraphChi) SnapshotState(e *snapshot.Encoder) {
 	g.shard.snapshot(e)
 }
 
-// RestoreState implements Snapshotter.
+// RestoreState implements Workload.
 func (g *GraphChi) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 	g.rng.Restore(restoreRNGState(d))
 	g.epoch = d.Int()
@@ -104,7 +94,7 @@ func (g *GraphChi) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 
 // --- X-Stream ---
 
-// SnapshotState implements Snapshotter.
+// SnapshotState implements Workload.
 func (x *XStream) SnapshotState(e *snapshot.Encoder) {
 	snapshotRNGOwner(e, x.rng.State())
 	e.Int(x.epoch)
@@ -114,7 +104,7 @@ func (x *XStream) SnapshotState(e *snapshot.Encoder) {
 	x.input.snapshot(e)
 }
 
-// RestoreState implements Snapshotter.
+// RestoreState implements Workload.
 func (x *XStream) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 	x.rng.Restore(restoreRNGState(d))
 	x.epoch = d.Int()
@@ -128,14 +118,14 @@ func (x *XStream) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 
 // --- Metis ---
 
-// SnapshotState implements Snapshotter.
+// SnapshotState implements Workload.
 func (m *Metis) SnapshotState(e *snapshot.Encoder) {
 	snapshotRNGOwner(e, m.rng.State())
 	e.Int(m.epoch)
 	m.heap.snapshot(e)
 }
 
-// RestoreState implements Snapshotter.
+// RestoreState implements Workload.
 func (m *Metis) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 	m.rng.Restore(restoreRNGState(d))
 	m.epoch = d.Int()
@@ -144,7 +134,7 @@ func (m *Metis) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 
 // --- LevelDB ---
 
-// SnapshotState implements Snapshotter.
+// SnapshotState implements Workload.
 func (l *LevelDB) SnapshotState(e *snapshot.Encoder) {
 	snapshotRNGOwner(e, l.rng.State())
 	snapshotRNGOwner(e, l.sstZipf.RNG().State())
@@ -153,7 +143,7 @@ func (l *LevelDB) SnapshotState(e *snapshot.Encoder) {
 	l.heap.snapshot(e)
 }
 
-// RestoreState implements Snapshotter.
+// RestoreState implements Workload.
 func (l *LevelDB) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 	l.rng.Restore(restoreRNGState(d))
 	l.sstZipf.RNG().Restore(restoreRNGState(d))
@@ -164,7 +154,7 @@ func (l *LevelDB) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 
 // --- Redis ---
 
-// SnapshotState implements Snapshotter.
+// SnapshotState implements Workload.
 func (r *Redis) SnapshotState(e *snapshot.Encoder) {
 	snapshotRNGOwner(e, r.rng.State())
 	e.Int(r.epoch)
@@ -172,7 +162,7 @@ func (r *Redis) SnapshotState(e *snapshot.Encoder) {
 	r.values.snapshot(e)
 }
 
-// RestoreState implements Snapshotter.
+// RestoreState implements Workload.
 func (r *Redis) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 	r.rng.Restore(restoreRNGState(d))
 	r.epoch = d.Int()
@@ -182,7 +172,7 @@ func (r *Redis) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 
 // --- Nginx ---
 
-// SnapshotState implements Snapshotter.
+// SnapshotState implements Workload.
 func (n *Nginx) SnapshotState(e *snapshot.Encoder) {
 	snapshotRNGOwner(e, n.rng.State())
 	snapshotRNGOwner(e, n.zipf.RNG().State())
@@ -190,7 +180,7 @@ func (n *Nginx) SnapshotState(e *snapshot.Encoder) {
 	n.heap.snapshot(e)
 }
 
-// RestoreState implements Snapshotter.
+// RestoreState implements Workload.
 func (n *Nginx) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 	n.rng.Restore(restoreRNGState(d))
 	n.zipf.RNG().Restore(restoreRNGState(d))
@@ -200,14 +190,14 @@ func (n *Nginx) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 
 // --- MemLat ---
 
-// SnapshotState implements Snapshotter.
+// SnapshotState implements Workload.
 func (m *MemLat) SnapshotState(e *snapshot.Encoder) {
 	snapshotRNGOwner(e, m.rng.State())
 	e.Int(m.epoch)
 	m.heap.snapshot(e)
 }
 
-// RestoreState implements Snapshotter.
+// RestoreState implements Workload.
 func (m *MemLat) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 	m.rng.Restore(restoreRNGState(d))
 	m.epoch = d.Int()
@@ -216,7 +206,7 @@ func (m *MemLat) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 
 // --- Stream ---
 
-// SnapshotState implements Snapshotter.
+// SnapshotState implements Workload.
 func (s *Stream) SnapshotState(e *snapshot.Encoder) {
 	snapshotRNGOwner(e, s.rng.State())
 	e.Int(s.epoch)
@@ -224,7 +214,7 @@ func (s *Stream) SnapshotState(e *snapshot.Encoder) {
 	s.heap.snapshot(e)
 }
 
-// RestoreState implements Snapshotter.
+// RestoreState implements Workload.
 func (s *Stream) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 	s.rng.Restore(restoreRNGState(d))
 	s.epoch = d.Int()
@@ -234,7 +224,7 @@ func (s *Stream) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 
 // --- WriteHeavy ---
 
-// SnapshotState implements Snapshotter.
+// SnapshotState implements Workload.
 func (w *WriteHeavy) SnapshotState(e *snapshot.Encoder) {
 	snapshotRNGOwner(e, w.rng.State())
 	e.Int(w.epoch)
@@ -242,7 +232,7 @@ func (w *WriteHeavy) SnapshotState(e *snapshot.Encoder) {
 	w.readers.snapshot(e)
 }
 
-// RestoreState implements Snapshotter.
+// RestoreState implements Workload.
 func (w *WriteHeavy) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
 	w.rng.Restore(restoreRNGState(d))
 	w.epoch = d.Int()

@@ -24,6 +24,7 @@ import (
 	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
 	"heteroos/internal/sim"
+	"heteroos/internal/snapshot"
 )
 
 // ErrUnknownApp is returned (wrapped) by ByName for names outside the
@@ -69,6 +70,13 @@ type Workload interface {
 	// Step runs one epoch of application work against the guest OS and
 	// reports instructions retired and whether the run is complete.
 	Step(os *guestos.OS) (instr uint64, done bool)
+	// SnapshotState serializes run progress (epoch counters, RNG
+	// streams, region cursors) for a checkpoint or a live migration.
+	SnapshotState(e *snapshot.Encoder)
+	// RestoreState overlays SnapshotState's output onto a freshly
+	// Init-ed instance of the same workload, rebinding region pointers
+	// to the restored address space by VMA id.
+	RestoreState(d *snapshot.Decoder, os *guestos.OS) error
 }
 
 // Config scales and seeds workload construction.
