@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test fmt vet race check obs-parity scenario-smoke backend-parity \
-	snapshot-parity fuzz-smoke fleet-smoke bench bench-all bench-json bench-guard figures
+	snapshot-parity fuzz-smoke fleet-smoke cli-smoke bench bench-all bench-json bench-guard figures
 
 all: check
 
@@ -149,6 +149,26 @@ fleet-smoke:
 	done; \
 	echo "fleet-smoke: fleet-churn-1k byte-identical to $$want at 1 and 4 workers"
 
+# cli-smoke drives the three CLIs' shared surfaces from built binaries
+# (`go run` reports every non-zero exit as 1): each must reject an
+# unknown -format with exit 2, and both simulators must write non-empty
+# CPU and heap profiles through -cpuprofile/-memprofile.
+cli-smoke:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for c in heterosim heterobench heterotrace; do \
+		$(GO) build -o "$$tmp/$$c" ./cmd/$$c || exit 1; \
+		"$$tmp/$$c" -format=bogus < /dev/null > /dev/null 2>&1; rc=$$?; \
+		test "$$rc" -eq 2 || { echo "cli-smoke: $$c -format=bogus exited $$rc, want 2"; exit 1; }; \
+	done; \
+	"$$tmp/heterosim" -app Redis -mode HeteroOS-coordinated \
+		-cpuprofile "$$tmp/sim.cpu" -memprofile "$$tmp/sim.mem" > /dev/null || exit 1; \
+	"$$tmp/heterobench" -exp table1 \
+		-cpuprofile "$$tmp/bench.cpu" -memprofile "$$tmp/bench.mem" > /dev/null || exit 1; \
+	for f in sim.cpu sim.mem bench.cpu bench.mem; do \
+		test -s "$$tmp/$$f" || { echo "cli-smoke: profile $$f missing or empty"; exit 1; }; \
+	done; \
+	echo "cli-smoke: -format=bogus exits 2 in every CLI; both simulators write profiles"
+
 # backend-parity pins the machine model to the seed: the analytic
 # backend must reproduce the committed figure CSVs byte-for-byte.
 # The figure9/figure6 goldens under testdata/backend/ were captured from
@@ -176,10 +196,10 @@ backend-parity:
 # build, the full test suite, the race detector over the concurrent
 # packages, the observability no-perturbation check, the one-host
 # script smoke run, the machine-model backend parity gate, the
-# checkpoint/restore parity gate, the fuzz seed-band smoke run, and the
-# datacenter-scale fleet determinism smoke run.
+# checkpoint/restore parity gate, the fuzz seed-band smoke run, the
+# datacenter-scale fleet determinism smoke run, and the CLI smoke run.
 check: fmt vet build test race obs-parity scenario-smoke backend-parity \
-	snapshot-parity fuzz-smoke fleet-smoke
+	snapshot-parity fuzz-smoke fleet-smoke cli-smoke
 
 # bench runs the ranking, scan, and figure9-sweep benchmarks at
 # benchstat-grade repetition: save the output before and after a change

@@ -576,11 +576,12 @@ func BenchmarkRunnerBatchWorkersMax(b *testing.B) {
 
 // TestInstrumentedChokepointsZeroAlloc extends the allocation
 // assertions to the observability-instrumented chokepoints: with a live
-// obs handle attached and no sinks (the ring wraps and drops — the same
-// steady-state shape as a capped -events run), the scan, ranking,
-// engine-charge, and guest-touch hot paths must stay 0 allocs/op.
+// obs handle and a no-op sink attached (so every probe writes into the
+// ring, which flushes as it fills), the scan, ranking, engine-charge,
+// and guest-touch hot paths must stay 0 allocs/op.
 func TestInstrumentedChokepointsZeroAlloc(t *testing.T) {
 	handle := obs.New()
+	handle.AddSink(nopSink{})
 	scope := handle.Scope(1, func() sim.Duration { return 0 })
 
 	src, indexed := benchRankingScanner(t)
@@ -633,6 +634,12 @@ func TestInstrumentedChokepointsZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// nopSink accepts and discards every batch without allocating.
+type nopSink struct{}
+
+func (nopSink) WriteBatch([]obs.Event) error { return nil }
+func (nopSink) Close() error                 { return nil }
 
 // --- Observability: scope rollup and OpenMetrics encoding ---
 

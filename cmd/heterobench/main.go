@@ -34,8 +34,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"sync"
 	"time"
@@ -72,22 +70,20 @@ func (c *obsCollector) factory(label string, seed uint64) *obs.Obs {
 }
 
 // flush writes the collected runs' snapshots under experiment id (when
-// a CSV writer is attached), reports aggregate tracer drops, and
-// clears the collection. Runs are written in submission order, so the
-// file is deterministic for a fixed config. Metric names are scoped
-// full names ("vm1/guestos.promotions"), so per-VM series stay
-// distinguishable in the CSV.
+// a CSV writer is attached) and clears the collection. Runs are
+// written in submission order, so the file is deterministic for a
+// fixed config. Metric names are scoped full names
+// ("vm1/guestos.promotions"), so per-VM series stay distinguishable in
+// the CSV.
 func (c *obsCollector) flush(expID string) error {
 	c.mu.Lock()
 	runs := c.runs
 	c.runs = nil
 	c.mu.Unlock()
-	var dropped uint64
+	if c.w == nil {
+		return nil
+	}
 	for _, r := range runs {
-		dropped += r.handle.Tracer.Dropped()
-		if c.w == nil {
-			continue
-		}
 		snap := r.handle.Metrics.Snapshot()
 		for i := range snap.Values {
 			v := &snap.Values[i]
@@ -109,14 +105,6 @@ func (c *obsCollector) flush(expID string) error {
 				return err
 			}
 		}
-	}
-	if dropped > 0 {
-		fmt.Fprintf(os.Stderr,
-			"heterobench: %s: event tracer dropped %d events across %d runs (heterobench attaches no event sink; use heterosim -events to capture a stream)\n",
-			expID, dropped, len(runs))
-	}
-	if c.w == nil {
-		return nil
 	}
 	c.w.Flush()
 	return c.w.Error()
@@ -154,6 +142,10 @@ func main() {
 		profileF   = flag.Bool("profile-epochs", false, "profile epoch phases in every sweep cell and print an aggregate phase breakdown")
 	)
 	flag.Parse()
+	if err := metrics.CheckFormat(*format); err != nil {
+		fmt.Fprintln(os.Stderr, "heterobench:", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range exp.Registry() {
@@ -162,35 +154,16 @@ func main() {
 		return
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "heterobench: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "heterobench: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "heterobench:", err)
+		os.Exit(1)
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "heterobench: -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // material allocations only, not garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "heterobench: -memprofile: %v\n", err)
-			}
-		}()
-	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "heterobench:", err)
+		}
+	}()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -221,7 +194,7 @@ func main() {
 	if *profileF {
 		// Profiling needs per-cell observability handles even when no
 		// metrics CSV was requested; a writer-less collector provides
-		// them (flush then only reports drops and clears).
+		// them (flush then only clears).
 		if collector == nil {
 			collector = &obsCollector{}
 			opts.NewObs = collector.factory
@@ -251,14 +224,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "heterobench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		switch *format {
-		case "markdown":
-			res.Table.RenderMarkdown(os.Stdout)
-		case "csv":
-			res.Table.RenderCSV(os.Stdout)
-		default:
-			res.Table.Render(os.Stdout)
-		}
+		res.Table.RenderAs(os.Stdout, *format)
 		if res.Notes != "" {
 			fmt.Println(res.Notes)
 		}
@@ -266,14 +232,7 @@ func main() {
 			if *profileF {
 				if pt := collector.phaseTable(e.ID); pt != nil {
 					fmt.Println()
-					switch *format {
-					case "markdown":
-						pt.RenderMarkdown(os.Stdout)
-					case "csv":
-						pt.RenderCSV(os.Stdout)
-					default:
-						pt.Render(os.Stdout)
-					}
+					pt.RenderAs(os.Stdout, *format)
 				}
 			}
 			if err := collector.flush(e.ID); err != nil {

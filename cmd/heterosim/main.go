@@ -54,8 +54,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 
 	"heteroos/internal/core"
 	"heteroos/internal/fleet"
@@ -104,10 +102,8 @@ func main() {
 		}
 		return
 	}
-	switch *format {
-	case "text", "csv", "markdown":
-	default:
-		fmt.Fprintf(os.Stderr, "heterosim: unknown -format %q (want text, csv, or markdown)\n", *format)
+	if err := metrics.CheckFormat(*format); err != nil {
+		fmt.Fprintln(os.Stderr, "heterosim:", err)
 		os.Exit(2)
 	}
 
@@ -119,35 +115,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "heterosim: -checkpoint-every needs -fleet or -restore")
 		os.Exit(2)
 	}
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "heterosim: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "heterosim: -cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfiles, err := obs.StartProfiles(*cpuprof, *memprof)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "heterosim:", err)
+		os.Exit(1)
 	}
-	if *memprof != "" {
-		defer func() {
-			f, err := os.Create(*memprof)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "heterosim: -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // material allocations only, not garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "heterosim: -memprofile: %v\n", err)
-			}
-		}()
-	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "heterosim:", err)
+		}
+	}()
 
 	of := obsFlags{events: *events, chrome: *chrome, metricsF: *metricsF,
 		listen: *listenF, profile: *profileF, format: *format}
@@ -240,13 +217,13 @@ func main() {
 		fmt.Println()
 		t := core.TraceTable(fmt.Sprintf("%s / %s per-epoch trace", prof.Name, mode.Name),
 			sys.VMs[0].TraceLog)
-		renderTable(t, *format, os.Stdout)
+		t.RenderAs(os.Stdout, *format)
 	}
 
 	if *profileF {
 		fmt.Println()
-		renderTable(obs.PhaseTable(handle.Metrics.Snapshot(),
-			"epoch phase breakdown: "+runTag), *format, os.Stdout)
+		obs.PhaseTable(handle.Metrics.Snapshot(),
+			"epoch phase breakdown: "+runTag).RenderAs(os.Stdout, *format)
 	}
 	if *metricsF != "" {
 		writeMetrics(handle, *metricsF)
@@ -330,22 +307,22 @@ func runFleet(path, restore string, seedOverride *uint64, opts fleet.Options, of
 	fmt.Printf("  completed %d  lost %d  migrations %d (%d evacuations, %d heat-preserved)\n",
 		completed, lost, len(r.Migrations), evacuations, heat)
 	fmt.Println()
-	renderTable(r.AppTable(), of.format, os.Stdout)
+	r.AppTable().RenderAs(os.Stdout, of.format)
 	if len(r.VMs) <= 64 {
 		fmt.Println()
-		renderTable(r.Table(), of.format, os.Stdout)
+		r.Table().RenderAs(os.Stdout, of.format)
 	}
 	if n := len(r.Migrations); n > 0 && n <= 200 {
 		fmt.Println()
-		renderTable(r.MigrationTable(), of.format, os.Stdout)
+		r.MigrationTable().RenderAs(os.Stdout, of.format)
 	}
 	fmt.Println()
-	renderTable(r.TimelineTable(), of.format, os.Stdout)
+	r.TimelineTable().RenderAs(os.Stdout, of.format)
 
 	if of.profile {
 		fmt.Println()
-		renderTable(obs.PhaseTable(handle.Metrics.Snapshot(),
-			"epoch phase breakdown: "+runTag), of.format, os.Stdout)
+		obs.PhaseTable(handle.Metrics.Snapshot(),
+			"epoch phase breakdown: "+runTag).RenderAs(os.Stdout, of.format)
 	}
 	if of.metricsF != "" {
 		writeMetrics(handle, of.metricsF)
@@ -371,8 +348,6 @@ func (of obsFlags) on() bool {
 // newObsHandle builds an observability handle when any output was
 // requested (nil otherwise — the default path stays byte-identical to
 // an uninstrumented build) and returns it with its cleanup function.
-// The cleanup surfaces ring overflow on stderr: a run analyzed from a
-// partially captured stream would silently under-count.
 func newObsHandle(runTag string, of obsFlags) (*obs.Obs, func()) {
 	if !of.on() {
 		return nil, func() {}
@@ -387,7 +362,7 @@ func newObsHandle(runTag string, of obsFlags) (*obs.Obs, func()) {
 			os.Exit(2)
 		}
 		outFiles = append(outFiles, f)
-		handle.Tracer.AddSink(mk(f, runTag))
+		handle.AddSink(mk(f, runTag))
 	}
 	if of.events != "" {
 		openSink(of.events, func(wr io.Writer, run string) obs.Sink { return obs.NewJSONLSink(wr, run) })
@@ -398,9 +373,6 @@ func newObsHandle(runTag string, of obsFlags) (*obs.Obs, func()) {
 	return handle, func() {
 		if err := handle.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "heterosim: event sink:", err)
-		}
-		if msg := handle.DroppedWarning(); msg != "" {
-			fmt.Fprintln(os.Stderr, "heterosim:", msg)
 		}
 		for _, f := range outFiles {
 			if err := f.Close(); err != nil {
@@ -446,17 +418,5 @@ func writeMetrics(handle *obs.Obs, path string) {
 	snap.Table("metrics: " + handle.RunTag()).RenderCSV(f)
 	if err := f.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "heterosim:", err)
-	}
-}
-
-// renderTable writes t in the selected format.
-func renderTable(t *metrics.Table, format string, w io.Writer) {
-	switch format {
-	case "csv":
-		t.RenderCSV(w)
-	case "markdown":
-		t.RenderMarkdown(w)
-	default:
-		t.Render(w)
 	}
 }

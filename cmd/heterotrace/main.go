@@ -14,9 +14,8 @@
 //	gzip run.jsonl && heterotrace run.jsonl.gz  # gzip input is sniffed
 //
 // The analyzer's per-VM migration page totals reconcile exactly with
-// the run's reported VMResult promotions/demotions when the full event
-// stream was captured (no ring drops — heterosim warns on stderr if
-// events were dropped).
+// the run's reported VMResult promotions/demotions: a run writing
+// -events records every event into its sink.
 //
 // Exit codes: 0 success, 2 usage or unreadable/unparseable input.
 package main
@@ -53,9 +52,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "heterotrace: unknown -report %q (want migrations, residency, faults, refusals, or all)\n", *report)
 		os.Exit(2)
 	}
-	switch *format {
-	case "text", "markdown", "csv", "json":
-	default:
+	if *format != "json" && metrics.CheckFormat(*format) != nil {
 		fmt.Fprintf(os.Stderr, "heterotrace: unknown -format %q (want text, markdown, csv, or json)\n", *format)
 		os.Exit(2)
 	}
@@ -111,14 +108,7 @@ func main() {
 			fmt.Println()
 		}
 		first = false
-		switch *format {
-		case "csv":
-			t.RenderCSV(os.Stdout)
-		case "markdown":
-			t.RenderMarkdown(os.Stdout)
-		default:
-			t.Render(os.Stdout)
-		}
+		t.RenderAs(os.Stdout, *format)
 	}
 	if want("migrations") {
 		emit(obs.MigrationTable(tr.Migrations()))

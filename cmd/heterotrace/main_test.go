@@ -22,7 +22,7 @@ func goldenTrace(t *testing.T) []byte {
 	h := obs.New()
 	h.SetRunTag("golden-churn")
 	var buf bytes.Buffer
-	h.Tracer.AddSink(obs.NewJSONLSink(&buf, "golden-churn"))
+	h.AddSink(obs.NewJSONLSink(&buf, "golden-churn"))
 	if _, err := fleet.Run(context.Background(), sc, fleet.Options{Obs: h}); err != nil {
 		t.Fatal(err)
 	}

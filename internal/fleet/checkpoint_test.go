@@ -46,7 +46,7 @@ func runWithEvents(t *testing.T, fn func(h *obs.Obs) (*Result, error)) (resultJS
 	var buf bytes.Buffer
 	h := obs.New()
 	h.SetRunTag("ckpt")
-	h.Tracer.AddSink(obs.NewJSONLSink(&buf, "ckpt"))
+	h.AddSink(obs.NewJSONLSink(&buf, "ckpt"))
 	r, err := fn(h)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ func eventStream(t *testing.T, sc *Script) (*Result, string) {
 	var buf bytes.Buffer
 	h := obs.New()
 	h.SetRunTag(sc.Name)
-	h.Tracer.AddSink(obs.NewJSONLSink(&buf, sc.Name))
+	h.AddSink(obs.NewJSONLSink(&buf, sc.Name))
 	r, err := Run(context.Background(), sc, Options{Workers: 2, Obs: h})
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,8 @@ type Options struct {
 	// Obs, when non-nil, attaches observability: each host gets a
 	// NestedJobScope child handle, so every host's metrics land under
 	// "host/<id>/..." of this handle's registry and one Snapshot (or
-	// Rollup) aggregates the whole fleet. When this handle's tracer has
-	// sinks, every host's events are forwarded to them in a
+	// Rollup) aggregates the whole fleet. When this handle has a sink
+	// (a non-nil Tracer), every host's events are forwarded to it in a
 	// deterministic order (host by host, at each serial step). Read the
 	// metrics only after the run returns.
 	Obs *obs.Obs
@@ -206,9 +206,9 @@ func (c *Cluster) hostConfig(id int) core.Config {
 // addHost registers a built host, wiring its event forwarding.
 func (c *Cluster) addHost(sys *core.System, failed bool) {
 	h := &host{id: len(c.hosts), sys: sys, obs: sys.Cfg.Obs, failed: failed, resident: make(map[vmm.VMID]*vmState)}
-	if c.opts.Obs != nil && c.opts.Obs.Tracer.HasSinks() {
+	if c.opts.Obs != nil && c.opts.Obs.Tracer != nil {
 		h.events = &eventBuffer{}
-		h.obs.Tracer.AddSink(h.events)
+		h.obs.AddSink(h.events)
 	}
 	c.hosts = append(c.hosts, h)
 }

@@ -542,60 +542,51 @@ func (o *OS) sampleAdmission(pfn PFN) {
 // evaluateAdmissions folds matured admission samples into the EWMAs.
 func (o *OS) evaluateAdmissions() {
 	o.admitRing, o.admitRate, o.admitSeen =
-		foldSamples(o, o.admitRing, o.admitRate, o.admitSeen)
+		o.foldSamples(o.admitRing, o.admitRate, o.admitSeen, 0.5, (*OS).provedHot)
 	o.promoteRing, o.promoteRate, o.promoteSeen =
-		foldSamples(o, o.promoteRing, o.promoteRate, o.promoteSeen)
+		o.foldSamples(o.promoteRing, o.promoteRate, o.promoteSeen, 0.5, (*OS).provedHot)
 	o.demoteRing, o.demoteRegret, o.demoteSeen =
-		foldRegret(o, o.demoteRing, o.demoteRegret, o.demoteSeen)
+		o.foldSamples(o.demoteRing, o.demoteRegret, o.demoteSeen, 0.75, (*OS).regretted)
 }
 
-// foldRegret evaluates matured demotion samples: the move is regretted
-// if the page was touched again after it was demoted.
-func foldRegret(o *OS, ring []admitSample, rate float64, seen int) ([]admitSample, float64, int) {
+// provedHot reports whether an admitted page proved hot: it still
+// holds the same contents, is still FastMem-resident, and reached the
+// active list.
+func (o *OS) provedHot(s admitSample) bool {
+	st := o.store
+	return st.Tag(s.pfn) == s.tag && st.Kind(s.pfn) != KindFree && st.Has(s.pfn, FlagActive) &&
+		st.MFN(s.pfn) != memsim.NilMFN && o.cfg.TierOf(st.MFN(s.pfn)) == memsim.FastMem
+}
+
+// regretted reports whether a demotion is regretted: the page was
+// touched again after it was demoted.
+func (o *OS) regretted(s admitSample) bool {
+	st := o.store
+	return st.Tag(s.pfn) == s.tag && st.Kind(s.pfn) != KindFree && st.LastUse(s.pfn) > s.epoch
+}
+
+// foldSamples evaluates the samples in ring that have matured
+// (admissionWindowEpochs old), counts those for which hit holds, and
+// folds that hit ratio into the EWMA rate with weight keep on the old
+// value. It returns the unmatured tail, the new rate, and seen plus
+// the number of samples evaluated.
+func (o *OS) foldSamples(ring []admitSample, rate float64, seen int, keep float64, hit func(*OS, admitSample) bool) ([]admitSample, float64, int) {
 	i := 0
-	hits, total := 0, 0
+	hits := 0
 	for ; i < len(ring); i++ {
 		s := ring[i]
 		if s.epoch+admissionWindowEpochs > o.epoch {
 			break
 		}
-		total++
-		st := o.store
-		if st.Tag(s.pfn) == s.tag && st.Kind(s.pfn) != KindFree && st.LastUse(s.pfn) > s.epoch {
+		if hit(o, s) {
 			hits++
 		}
 	}
-	ring = ring[i:]
-	if total == 0 {
+	if i == 0 {
 		return ring, rate, seen
 	}
-	r := float64(hits) / float64(total)
-	return ring, 0.75*rate + 0.25*r, seen + total
-}
-
-func foldSamples(o *OS, ring []admitSample, rate float64, seen int) ([]admitSample, float64, int) {
-	i := 0
-	hits, total := 0, 0
-	for ; i < len(ring); i++ {
-		s := ring[i]
-		if s.epoch+admissionWindowEpochs > o.epoch {
-			break
-		}
-		total++
-		st := o.store
-		// The page proved hot if it still holds the same contents, is
-		// still FastMem-resident, and reached the active list.
-		if st.Tag(s.pfn) == s.tag && st.Kind(s.pfn) != KindFree && st.Has(s.pfn, FlagActive) &&
-			st.MFN(s.pfn) != memsim.NilMFN && o.cfg.TierOf(st.MFN(s.pfn)) == memsim.FastMem {
-			hits++
-		}
-	}
-	ring = ring[i:]
-	if total == 0 {
-		return ring, rate, seen
-	}
-	r := float64(hits) / float64(total)
-	return ring, 0.5*rate + 0.5*r, seen + total
+	r := float64(hits) / float64(i)
+	return ring[i:], keep*rate + (1-keep)*r, seen + i
 }
 
 // PromotionWorthwhile reports whether recent coordinated promotions have

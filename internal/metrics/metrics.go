@@ -116,6 +116,28 @@ func (t *Table) String() string {
 	return b.String()
 }
 
+// CheckFormat reports whether format names a table rendering the CLIs
+// accept: text, markdown, or csv.
+func CheckFormat(format string) error {
+	switch format {
+	case "text", "markdown", "csv":
+		return nil
+	}
+	return fmt.Errorf("unknown -format %q (want text, markdown, or csv)", format)
+}
+
+// RenderAs writes the table in format, which must pass CheckFormat.
+func (t *Table) RenderAs(w io.Writer, format string) {
+	switch format {
+	case "markdown":
+		t.RenderMarkdown(w)
+	case "csv":
+		t.RenderCSV(w)
+	default:
+		t.Render(w)
+	}
+}
+
 // RenderMarkdown writes the table as GitHub-flavoured markdown, for
 // dropping experiment results straight into documentation.
 func (t *Table) RenderMarkdown(w io.Writer) {

@@ -131,3 +131,32 @@ func TestRenderCSV(t *testing.T) {
 		t.Fatalf("escaping wrong: %q", out)
 	}
 }
+
+// TestRenderAsMatchesFormatMethods checks that every format CheckFormat
+// accepts renders exactly what that format's own method writes, and
+// that an unknown format is rejected.
+func TestRenderAsMatchesFormatMethods(t *testing.T) {
+	tb := NewTable("T", "App", "Gain")
+	tb.Caption = "cap"
+	tb.AddRow("x,y", 1.5)
+	for format, render := range map[string]func(w *strings.Builder){
+		"text":     func(w *strings.Builder) { tb.Render(w) },
+		"markdown": func(w *strings.Builder) { tb.RenderMarkdown(w) },
+		"csv":      func(w *strings.Builder) { tb.RenderCSV(w) },
+	} {
+		if err := CheckFormat(format); err != nil {
+			t.Errorf("CheckFormat(%q) = %v, want nil", format, err)
+		}
+		var got, want strings.Builder
+		tb.RenderAs(&got, format)
+		render(&want)
+		if got.String() != want.String() {
+			t.Errorf("RenderAs(%q):\n%s\nwant:\n%s", format, got.String(), want.String())
+		}
+	}
+	for _, format := range []string{"bogus", "json", "", "CSV"} {
+		if err := CheckFormat(format); err == nil {
+			t.Errorf("CheckFormat(%q) = nil, want an error", format)
+		}
+	}
+}

@@ -11,9 +11,11 @@
 //     constructs one, so the epoch hot path keeps its 0 allocs/op and
 //     figure output stays byte-identical.
 //   - Zero allocation when on. Emitting an event writes into a
-//     preallocated ring slot, and counter/gauge/histogram updates touch
-//     plain preregistered fields. Allocation happens only at boot
-//     (registration) and at flush time inside a sink.
+//     preallocated ring slot (or returns at once when no sink is
+//     attached, since a handle builds its tracer only for a sink), and
+//     counter/gauge/histogram updates touch plain preregistered fields.
+//     Allocation happens only at boot (registration) and at flush time
+//     inside a sink.
 //
 // obs deliberately imports only sim and metrics so that memsim,
 // guestos, vmm, and core can all import it without cycles; events carry

@@ -152,41 +152,6 @@ func TestRollupMatchesUnscopedRegistry(t *testing.T) {
 	}
 }
 
-// TestDroppedWarningAndCounter overflows the sink-less ring and checks
-// both surfaces: the CLI warning text and the registry counter.
-func TestDroppedWarningAndCounter(t *testing.T) {
-	o := New()
-	const emitted = DefaultRingEvents + 1000
-	for i := 0; i < emitted; i++ {
-		o.Tracer.Emit(Event{Type: EvMigration, Dir: DirPromote, N: 1})
-	}
-	if err := o.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := o.Tracer.Dropped(); got != emitted {
-		t.Fatalf("Dropped() = %d, want %d", got, emitted)
-	}
-	msg := o.DroppedWarning()
-	if msg == "" || !strings.Contains(msg, "dropped") {
-		t.Fatalf("DroppedWarning() = %q, want a warning", msg)
-	}
-	v := o.Metrics.Snapshot().Find(DroppedCounterName)
-	if v == nil || uint64(v.Value) != emitted {
-		t.Fatalf("%s = %+v, want %d", DroppedCounterName, v, emitted)
-	}
-
-	// A handle that lost nothing stays silent.
-	quiet := New()
-	quiet.Tracer.AddSink(&collectSink{})
-	quiet.Tracer.Emit(Event{})
-	if err := quiet.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if msg := quiet.DroppedWarning(); msg != "" {
-		t.Fatalf("quiet DroppedWarning() = %q, want empty", msg)
-	}
-}
-
 // TestAppendJSONStringRoundTrip drives hostile strings through the
 // JSON string encoder and checks encoding/json decodes them back to
 // the sanitized original (invalid UTF-8 replaced with U+FFFD, exactly

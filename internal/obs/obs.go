@@ -1,62 +1,51 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
 
 	"heteroos/internal/sim"
 )
-
-// DroppedCounterName is the root-scope counter mirroring
-// Tracer.Dropped so snapshots and exports surface silent event loss.
-const DroppedCounterName = "tracer_dropped_events"
 
 // Obs bundles one run's tracer and metrics registry. A nil *Obs means
 // observability is off; every instrumented layer guards its probes
 // with a nil check on its attached scope, so the default path never
 // touches this package at runtime.
 type Obs struct {
-	// Tracer is the run's event ring.
+	// Tracer is the run's event ring; nil until AddSink attaches the
+	// first sink, so a handle nobody reads events from records none.
 	Tracer *Tracer
 	// Metrics is the run's instrument registry (the scope-tree root for
-	// this handle; job handles built by JobScope share the parent's tree
-	// through a child registry).
+	// this handle; child handles built by NestedJobScope share the
+	// parent's tree through a child registry).
 	Metrics   *Registry
 	runTag    string
 	epochHook func(epoch int)
 }
 
-// New builds an enabled observability handle with a default-capacity
-// tracer (no sinks — events are counted and dropped until a sink is
-// attached) and an empty registry.
+// New builds an enabled observability handle with an empty registry
+// and no tracer: events are recorded only once AddSink attaches a sink.
 func New() *Obs {
-	o := &Obs{Tracer: NewTracer(0), Metrics: NewRegistry()}
-	o.Tracer.dropCounter = o.Metrics.Counter(DroppedCounterName)
-	return o
+	return &Obs{Metrics: NewRegistry()}
 }
 
-// JobScope derives a child handle for one job (a sweep point): its
-// own tracer ring — tracers are single-goroutine, so concurrent jobs
-// must not share one — and a
-// child registry scoped under label, so the parent's Snapshot sees the
-// job's metrics under "label/..." and Rollup aggregates across jobs.
-// Closing the child closes only the child's tracer.
-func (o *Obs) JobScope(label string) *Obs {
-	if o == nil {
-		return nil
+// AddSink attaches an event sink, building the handle's tracer on first
+// use. Attach sinks before the run starts.
+func (o *Obs) AddSink(s Sink) {
+	if o.Tracer == nil {
+		o.Tracer = NewTracer(0)
 	}
-	reg := o.Metrics.Scope(sanitizeScope(label))
-	c := &Obs{Tracer: NewTracer(0), Metrics: reg, runTag: label}
-	c.Tracer.dropCounter = reg.Counter(DroppedCounterName)
-	return c
+	o.Tracer.AddSink(s)
 }
 
-// NestedJobScope is JobScope for hierarchical identities: each segment
-// becomes one scope level, so NestedJobScope("host", "3") lands the
-// child's metrics under "host/3/..." of the parent tree. A fleet of
-// hosts then shares one "host" subtree, and the parent's Snapshot can
-// slice per host or Rollup across all of them. Like JobScope, the
-// child gets its own tracer (tracers are single-goroutine) and closing
-// it closes only that tracer.
+// NestedJobScope derives a child handle for one job with a hierarchical
+// identity: each segment becomes one scope level, so
+// NestedJobScope("host", "3") lands the child's metrics under
+// "host/3/..." of the parent tree. A fleet of hosts then shares one
+// "host" subtree, and the parent's Snapshot can slice per host or
+// Rollup across all of them. The child starts with no tracer (tracers
+// are single-goroutine, so concurrent jobs must not share one); closing
+// it closes only its own.
 func (o *Obs) NestedJobScope(segments ...string) *Obs {
 	if o == nil {
 		return nil
@@ -65,9 +54,7 @@ func (o *Obs) NestedJobScope(segments ...string) *Obs {
 	for _, seg := range segments {
 		reg = reg.Scope(sanitizeScope(seg))
 	}
-	c := &Obs{Tracer: NewTracer(0), Metrics: reg, runTag: strings.Join(segments, ScopeSep)}
-	c.Tracer.dropCounter = reg.Counter(DroppedCounterName)
-	return c
+	return &Obs{Metrics: reg, runTag: strings.Join(segments, ScopeSep)}
 }
 
 // sanitizeScope makes label a single scope-path segment: ScopeSep
@@ -113,18 +100,6 @@ func (o *Obs) EpochTick(epoch int) {
 	}
 }
 
-// DroppedWarning returns a human-readable warning when the tracer
-// discarded events (ring overflow with no sink attached), or "" when
-// nothing was lost. CLIs print it to stderr at close.
-func (o *Obs) DroppedWarning() string {
-	if o == nil || o.Tracer == nil || o.Tracer.Dropped() == 0 {
-		return ""
-	}
-	n := o.Tracer.Dropped()
-	return "warning: event tracer dropped " + utoa(n) +
-		" events (ring overflow with no sink attached; pass -events FILE to capture the full stream)"
-}
-
 // Close flushes the tracer and closes its sinks.
 func (o *Obs) Close() error {
 	if o == nil || o.Tracer == nil {
@@ -156,7 +131,7 @@ func (o *Obs) Scope(vm int, now func() sim.Duration) *Scope {
 	}
 	reg := o.Metrics
 	if vm != 0 {
-		reg = reg.Scope("vm" + itoa(vm))
+		reg = reg.Scope("vm" + strconv.Itoa(vm))
 	}
 	return &Scope{o: o, reg: reg, vm: int32(vm), now: now}
 }
@@ -168,31 +143,6 @@ func (s *Scope) Registry() *Registry {
 		return nil
 	}
 	return s.reg
-}
-
-// itoa is a tiny positive-int formatter; scopes are built at boot so
-// this is not hot, it just avoids importing strconv into every caller
-// chain for two-digit VM ids.
-func itoa(v int) string {
-	if v <= 0 {
-		return "0"
-	}
-	return utoa(uint64(v))
-}
-
-// utoa formats an unsigned integer.
-func utoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // Counter registers (or finds) the counter name in the scope registry.
@@ -212,9 +162,12 @@ func (s *Scope) Histogram(name string) *Histogram {
 }
 
 // Emit records an event stamped with the scope's VM id and current
-// simulated time. Zero-allocation: the event lands in the tracer's
-// preallocated ring.
+// simulated time, or nothing when the handle has no sink.
+// Zero-allocation: the event lands in the tracer's preallocated ring.
 func (s *Scope) Emit(typ Type, dir Dir, tier uint8, pfn, n, aux uint64, cost float64) {
+	if s.o.Tracer == nil {
+		return
+	}
 	s.o.Tracer.Emit(Event{
 		Time: s.now(),
 		VM:   s.vm,

@@ -47,11 +47,6 @@ func (c *Counter) Add(n uint64) { c.v += n }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
-// set overwrites the count. Unexported: the only legitimate user is the
-// tracer's drop mirror, which re-publishes an externally accumulated
-// total through the registry.
-func (c *Counter) set(n uint64) { c.v = n }
-
 // Gauge records the most recent value of a quantity that can move in
 // both directions (free-page percentages, budgets).
 type Gauge struct{ v float64 }
@@ -347,39 +342,6 @@ func (r *Registry) appendTo(s *Snapshot, scope string) {
 		}
 		c.appendTo(s, child)
 	}
-}
-
-// Diff returns s minus prev: counters and histograms become the delta
-// over the window (histogram quantiles are recomputed from the bucket
-// deltas), gauges keep their latest value. Instruments absent from
-// prev (registered mid-window) diff against zero.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	prevIdx := make(map[string]int, len(prev.Values))
-	for i := range prev.Values {
-		prevIdx[prev.Values[i].FullName()] = i
-	}
-	out := Snapshot{Values: make([]MetricValue, len(s.Values))}
-	for i := range s.Values {
-		v := s.Values[i]
-		d := v
-		if j, ok := prevIdx[v.FullName()]; ok && prev.Values[j].Kind == v.Kind {
-			p := prev.Values[j]
-			switch v.Kind {
-			case KindCounter:
-				d.Value = v.Value - p.Value
-			case KindHistogram:
-				d.Value = v.Value - p.Value
-				d.Sum = v.Sum - p.Sum
-				for b := range d.buckets {
-					d.buckets[b] = v.buckets[b] - p.buckets[b]
-				}
-				// Max is a high-water mark, not differentiable; keep
-				// the cumulative max as the honest upper bound.
-			}
-		}
-		out.Values[i] = d
-	}
-	return out
 }
 
 // mergeKey orders and deduplicates values across snapshots.

@@ -11,30 +11,24 @@ type Sink interface {
 	Close() error
 }
 
-// DefaultRingEvents is the tracer's default ring capacity. At 72 bytes
-// per event this is ~300 KiB per run — large enough that flushes are
-// rare, small enough to preallocate per sweep job.
+// DefaultRingEvents is the tracer's default ring capacity. At 48 bytes
+// per event this is 192 KiB per traced run — large enough that flushes
+// are rare, small enough to preallocate per sweep job.
 const DefaultRingEvents = 4096
 
 // Tracer buffers events in a fixed-capacity ring and hands full
-// batches to its sinks. With no sinks attached (the default), a full
-// ring is simply reused and a drop counter incremented, so tracing
-// costs one bounds check and one struct store per event and never
-// allocates after construction.
+// batches to its sinks, so tracing costs one bounds check and one
+// struct store per event between flushes. An Obs handle builds its
+// tracer only when a sink is attached (Obs.AddSink).
 //
 // Tracer is not safe for concurrent use; the runner gives every sweep
 // job its own Obs handle, and within a run each VM emits from the
 // single simulation goroutine.
 type Tracer struct {
-	ring    []Event
-	n       int
-	sinks   []Sink
-	dropped uint64
-	// dropCounter, when set, mirrors the drop total into the metrics
-	// registry (obs.DroppedCounterName) at every flush, so snapshots
-	// taken at any point see the loss without a separate sync step.
-	dropCounter *Counter
-	err         error
+	ring  []Event
+	n     int
+	sinks []Sink
+	err   error
 }
 
 // NewTracer builds a tracer with the given ring capacity (capacity <= 0
@@ -46,8 +40,8 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{ring: make([]Event, 0, capacity)}
 }
 
-// AddSink attaches a sink. Attach sinks before the run starts: events
-// already dropped are not replayed.
+// AddSink attaches a sink. Attach sinks before the run starts: the new
+// sink sees only batches flushed after it was added.
 func (t *Tracer) AddSink(s Sink) {
 	if s != nil {
 		t.sinks = append(t.sinks, s)
@@ -55,8 +49,7 @@ func (t *Tracer) AddSink(s Sink) {
 }
 
 // Emit records one event. When the ring is full it is flushed to the
-// sinks first (or discarded, counting drops, when no sink is
-// attached).
+// sinks first.
 func (t *Tracer) Emit(ev Event) {
 	if t.n == cap(t.ring) {
 		t.flush()
@@ -67,42 +60,24 @@ func (t *Tracer) Emit(ev Event) {
 }
 
 // flush drains the ring into the sinks. The first sink error is
-// retained (Err) and later batches to that sink are still attempted so
-// partial output stays as complete as the sink allows.
+// retained (Close returns it) and later batches to that sink are still
+// attempted so partial output stays as complete as the sink allows.
 func (t *Tracer) flush() {
 	if t.n == 0 {
 		return
 	}
-	if len(t.sinks) == 0 {
-		t.dropped += uint64(t.n)
-		if t.dropCounter != nil {
-			t.dropCounter.set(t.dropped)
-		}
-	} else {
-		batch := t.ring[:t.n]
-		for _, s := range t.sinks {
-			if err := s.WriteBatch(batch); err != nil && t.err == nil {
-				t.err = err
-			}
+	batch := t.ring[:t.n]
+	for _, s := range t.sinks {
+		if err := s.WriteBatch(batch); err != nil && t.err == nil {
+			t.err = err
 		}
 	}
 	t.n = 0
 	t.ring = t.ring[:0]
 }
 
-// HasSinks reports whether any sink is attached, i.e. whether emitted
-// events are kept rather than dropped.
-func (t *Tracer) HasSinks() bool { return len(t.sinks) > 0 }
-
 // Flush forces buffered events out to the sinks.
 func (t *Tracer) Flush() { t.flush() }
-
-// Dropped reports how many events were discarded because the ring
-// filled with no sink attached.
-func (t *Tracer) Dropped() uint64 { return t.dropped }
-
-// Err returns the first sink write error, if any.
-func (t *Tracer) Err() error { return t.err }
 
 // Close flushes the ring and closes every sink, returning the first
 // error encountered.

@@ -82,15 +82,8 @@ type Options struct {
 	// exporters can tag each run's events and metrics with its
 	// identity. Jobs that arrive with Cfg.Obs set keep their handle.
 	NewObs func(label string, seed uint64) *obs.Obs
-	// Obs, when set (and NewObs is not), is the batch's parent handle:
-	// each job whose Cfg.Obs is nil receives Obs.JobScope(label), so the
-	// jobs' metrics land in per-job child scopes of one registry tree and
-	// the parent's Snapshot/Rollup aggregate the whole batch. Scope
-	// creation is synchronized; take the parent snapshot only after the
-	// batch completes (instrument updates are per-job and lock-free).
-	Obs *obs.Obs
 	// ProfileEpochs turns on the epoch phase profiler for jobs that end
-	// up with a handle (their own, NewObs-built, or a JobScope of Obs).
+	// up with a handle (their own or NewObs-built).
 	ProfileEpochs bool
 	// NewBackend, when set, supplies the machine-model builder for jobs
 	// whose Cfg.Backend is nil; its user is a benchmark harness that
@@ -164,10 +157,6 @@ type Pool struct {
 	mu        sync.Mutex
 	submitted int
 	done      int
-	// scopeUses deduplicates JobScope labels: two jobs with the same
-	// label must not share one child registry (instrument updates are
-	// lock-free per job), so repeats get a "#n" suffix.
-	scopeUses map[string]int
 }
 
 // NewPool builds a pool bound to ctx.
@@ -218,19 +207,6 @@ func (p *Pool) Submit(label string, cfg core.Config) *Future {
 		if cfg.Obs != nil && cfg.Obs.RunTag() == "" {
 			cfg.Obs.SetRunTag(label)
 		}
-	} else if p.opts.Obs != nil && cfg.Obs == nil {
-		scopeLabel := label
-		p.mu.Lock()
-		if p.scopeUses == nil {
-			p.scopeUses = make(map[string]int)
-		}
-		p.scopeUses[label]++
-		if n := p.scopeUses[label]; n > 1 {
-			scopeLabel = fmt.Sprintf("%s#%d", label, n)
-		}
-		p.mu.Unlock()
-		cfg.Obs = p.opts.Obs.JobScope(scopeLabel)
-		cfg.Obs.SetRunTag(label)
 	}
 	if p.opts.ProfileEpochs && cfg.Obs != nil {
 		cfg.ProfileEpochs = true

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"heteroos/internal/core"
+	"heteroos/internal/fleet"
 	"heteroos/internal/obs"
 	"heteroos/internal/policy"
 	"heteroos/internal/runner"
@@ -60,8 +61,8 @@ func TestEventStreamReconcilesWithResult(t *testing.T) {
 	var jsonl, chrome bytes.Buffer
 	handle := obs.New()
 	handle.SetRunTag("GraphChi/coordinated test")
-	handle.Tracer.AddSink(obs.NewJSONLSink(&jsonl, handle.RunTag()))
-	handle.Tracer.AddSink(obs.NewChromeTraceSink(&chrome, handle.RunTag()))
+	handle.AddSink(obs.NewJSONLSink(&jsonl, handle.RunTag()))
+	handle.AddSink(obs.NewChromeTraceSink(&chrome, handle.RunTag()))
 
 	cfg := obsGraphChiConfig(t, policy.HeteroOSCoordinated(), handle)
 	res, _, err := core.RunSingle(cfg)
@@ -70,9 +71,6 @@ func TestEventStreamReconcilesWithResult(t *testing.T) {
 	}
 	if err := handle.Close(); err != nil {
 		t.Fatalf("closing sinks: %v", err)
-	}
-	if handle.Tracer.Dropped() != 0 {
-		t.Fatalf("%d events dropped despite attached sinks", handle.Tracer.Dropped())
 	}
 
 	// Every JSONL line parses; migration events sum to the result's
@@ -179,13 +177,47 @@ func TestObsDoesNotPerturbSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handle := obs.New() // no sinks: ring drops, metrics accumulate
+	handle := obs.New() // no sinks: no tracer, metrics accumulate
 	observed, _, err := core.RunSingle(obsGraphChiConfig(t, policy.HeteroOSCoordinated(), handle))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *bare != *observed {
 		t.Errorf("observability perturbed the simulation:\nbare:     %+v\nobserved: %+v", bare, observed)
+	}
+}
+
+// TestSinklessHandleRecordsNoEvents runs a one-host fleet with a
+// handle that has no sink: neither the root handle nor any host child
+// builds a tracer, while the metrics still reconcile with the results.
+func TestSinklessHandleRecordsNoEvents(t *testing.T) {
+	sc, err := fleet.LoadBundled("churn.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := obs.New()
+	r, err := fleet.Run(context.Background(), sc, fleet.Options{Obs: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Tracer != nil {
+		t.Error("sinkless root handle built a tracer")
+	}
+	for _, hr := range r.HostRuns {
+		if hr.Obs == nil || hr.Obs.Tracer != nil {
+			t.Errorf("host %d: want a handle without a tracer, got %+v", hr.ID, hr.Obs)
+		}
+	}
+	mv := h.Metrics.Snapshot().Rollup().Find("core.epochs")
+	if mv == nil {
+		t.Fatal("rollup has no core.epochs counter")
+	}
+	epochs := 0
+	for i := range r.VMs {
+		epochs += r.VMs[i].Res.Epochs
+	}
+	if mv.Value != float64(epochs) {
+		t.Errorf("rolled-up core.epochs = %v, sum of Res.Epochs = %d", mv.Value, epochs)
 	}
 }
 
