@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -271,4 +272,46 @@ func TestRestoreFleetChurnAfterHostFail(t *testing.T) {
 		t.Errorf("restored fleet result differs:\n%s\nvs\n%s", fullRes, resumedRes)
 	}
 	checkTail(t, fullEv, resumedEv)
+}
+
+// pinnedChurnCheckpoint is the format version and sha256 of the bundled
+// churn script's checkpoint after 13 rounds. A change to the checkpoint
+// bytes must bump snapshot.Version; then update both fields here.
+var pinnedChurnCheckpoint = struct {
+	version uint32
+	sha256  string
+}{5, "21679eeb48ca63418dddd04ef55ff030624be2071e31695ccc35d36c21f70870"}
+
+// TestCheckpointFormatPinned catches a checkpoint format change that
+// forgot to bump snapshot.Version: the churn checkpoint's bytes are
+// pinned together with the version that wrote them.
+func TestCheckpointFormatPinned(t *testing.T) {
+	c, err := NewCluster(bundled(t, "churn.json"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 13; r++ {
+		if err := c.StepRound(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "churn-13.hosnap")
+	if err := c.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%x", sha256.Sum256(b))
+	pin := pinnedChurnCheckpoint
+	switch {
+	case snapshot.Version != pin.version:
+		t.Fatalf("snapshot.Version is %d but the pinned checkpoint is version %d: re-pin to {%d, %q}",
+			snapshot.Version, pin.version, snapshot.Version, got)
+	case got != pin.sha256:
+		t.Fatalf("churn checkpoint sha256 is %s, pinned %s at snapshot.Version %d: "+
+			"the checkpoint bytes changed, so bump snapshot.Version and re-pin",
+			got, pin.sha256, pin.version)
+	}
 }

@@ -17,8 +17,6 @@ type CostModel struct {
 	AllocSlowPathNs float64
 	// FreeNs is returning one page.
 	FreeNs float64
-	// PTWalkStepNs is one software page-table level step.
-	PTWalkStepNs float64
 	// BalloonOpNs is one guest↔VMM balloon call (hypercall + queueing),
 	// amortised per page in a batch.
 	BalloonPerPageNs float64
@@ -75,7 +73,6 @@ func DefaultCosts() CostModel {
 		AllocFastPathNs:      80,
 		AllocSlowPathNs:      400,
 		FreeNs:               100,
-		PTWalkStepNs:         60,
 		BalloonPerPageNs:     350,
 		MigratePageWalkNs:    10250, // Table 6, 128K batch: guest-controlled
 		MigratePageCopyNs:    11120, // migrations batch aggressively

@@ -96,27 +96,19 @@ func (k PageKind) Movable() bool {
 // order Figure 4 reports them.
 var AllocatableKinds = []PageKind{KindAnon, KindPageCache, KindNetBuf, KindSlab, KindPageTable, KindDMA}
 
-// PageFlags is a bitset of per-page state.
-type PageFlags uint16
+// PageFlags is a bitset of per-page state. The page store keeps each
+// flag as a packed bitmap (one bit per page), so the scanner and the
+// LRU read them a 64-page word at a time.
+type PageFlags uint8
 
 const (
 	// FlagAccessed is the simulated PTE access bit; set on every touch,
 	// cleared by hotness scans.
 	FlagAccessed PageFlags = 1 << iota
-	// FlagDirty marks unwritten page-cache contents.
-	FlagDirty
 	// FlagActive places the page on the active (vs inactive) LRU list.
 	FlagActive
 	// FlagOnLRU marks LRU membership.
 	FlagOnLRU
-	// FlagPinned marks pages that must not move or be reclaimed.
-	FlagPinned
-	// FlagBalloon marks pages absorbed by the balloon driver (returned
-	// to the VMM; not usable by the guest).
-	FlagBalloon
-	// FlagFastPref records that the allocation originally wanted FastMem
-	// but was spilled; the coordinated migrator prioritises such pages.
-	FlagFastPref
 	// FlagScanAccessed is the hotness tracker's private referenced bit.
 	// Real access-bit scanning steals the bit reclaim depends on; Linux's
 	// idle-page tracking introduced a separate bit for exactly this

@@ -75,8 +75,6 @@ func (o *OS) faultIn(vpn VPN, fromSwap bool) (PFN, error) {
 			return NilPFN, fmt.Errorf("guestos: out of memory mapping file page %d@%d", v.File, off)
 		}
 		o.store.SetVPN(PFN(pfn), vpn)
-		o.store.SetFile(PFN(pfn), v.File)
-		o.store.SetFileOff(PFN(pfn), off)
 		o.AS.mapPage(vpn, PFN(pfn))
 		v.Resident++
 		return PFN(pfn), nil
@@ -103,11 +101,8 @@ func (o *OS) recordUserTouch(pfn PFN, loads, stores uint64) {
 	if stores > 0 {
 		st.Set(pfn, FlagScanWritten)
 	}
-	if h := st.Heat(pfn); h < ^uint32(0) {
-		st.SetHeat(pfn, h+1)
-	}
 	// MarkAccessed manages the referenced bit for LRU pages (first touch
-	// marks, second promotes); pinned pages just get the bit. Heavily
+	// marks, second promotes); off-LRU pages just get the bit. Heavily
 	// touched pages activate immediately — one TouchVPN call stands for
 	// many real references.
 	if st.Has(pfn, FlagOnLRU) {
@@ -173,7 +168,6 @@ type pagecacheResult struct {
 func (o *OS) FileRead(file FileID, off uint64, n int) {
 	o.ep.OSTimeNs += o.costs.SyscallNs
 	res := o.PC.Read(file, off, n)
-	o.tagCachePages(file, res.Touched)
 	o.chargeIO(pagecacheResult{res.Touched, res.DiskPages, res.AllocFailed}, false)
 }
 
@@ -182,22 +176,7 @@ func (o *OS) FileRead(file FileID, off uint64, n int) {
 func (o *OS) FileWrite(file FileID, off uint64, n int) {
 	o.ep.OSTimeNs += o.costs.SyscallNs
 	res := o.PC.Write(file, off, n)
-	o.tagCachePages(file, res.Touched)
 	o.chargeIO(pagecacheResult{res.Touched, res.DiskPages, res.AllocFailed}, true)
-}
-
-// tagCachePages fills in the file identity on freshly allocated cache
-// pages' metadata.
-func (o *OS) tagCachePages(file FileID, touched []uint64) {
-	for _, raw := range touched {
-		pfn := PFN(raw)
-		if o.store.File(pfn) == NilFile {
-			o.store.SetFile(pfn, file)
-			if _, fileOff, ok := o.PC.Identity(raw); ok {
-				o.store.SetFileOff(pfn, fileOff)
-			}
-		}
-	}
 }
 
 // ReleaseFileRange drops n cached pages of file starting at page offset
@@ -412,28 +391,17 @@ func (o *OS) ScanWriteHeatNonzeroWord(w int, mask uint64) uint64 {
 	return o.store.ScanWriteHeatNonzeroWord(w, mask)
 }
 
-// PageSnapshot is the per-page state the VMM can observe.
+// PageSnapshot is the per-page state the VMM can observe: whether the
+// guest holds the page free, and its backing frame.
 type PageSnapshot struct {
-	Kind    PageKind
-	Free    bool
-	Movable bool
-	Mapped  bool
-	Dirty   bool
-	MFN     memsim.MFN
+	Free bool
+	MFN  memsim.MFN
 }
 
 // Snapshot returns the VMM-visible state of pfn.
 func (o *OS) Snapshot(pfn PFN) PageSnapshot {
 	st := o.store
-	kind := st.Kind(pfn)
-	return PageSnapshot{
-		Kind:    kind,
-		Free:    kind == KindFree,
-		Movable: kind.Movable() && !st.Has(pfn, FlagPinned),
-		Mapped:  st.VPN(pfn) != NilVPN,
-		Dirty:   kind == KindPageCache && o.PC.Dirty(uint64(pfn)),
-		MFN:     st.MFN(pfn),
-	}
+	return PageSnapshot{Free: st.Kind(pfn) == KindFree, MFN: st.MFN(pfn)}
 }
 
 // SetBackingMFN swaps the machine frame behind pfn: the transparent

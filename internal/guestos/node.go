@@ -33,19 +33,14 @@ type Node struct {
 	// Watermarks for HeteroOS-LRU's per-memory-type replacement
 	// thresholds, in pages. Reclaim triggers below Low and stops at High.
 	LowWatermark, HighWatermark uint64
-
-	// Special flag distinguishing the node types (the "special flag ...
-	// added to the node structure").
-	Hetero bool
 }
 
-func newNode(tier memsim.Tier, base PFN, maxPages uint64, cpus int, hetero bool) *Node {
+func newNode(tier memsim.Tier, base PFN, maxPages uint64, cpus int) *Node {
 	n := &Node{
 		Tier:     tier,
 		Base:     base,
 		MaxPages: maxPages,
 		Buddy:    buddy.New(uint64(base), maxPages),
-		Hetero:   hetero,
 	}
 	// Per-CPU lists have a single dimension here because the node itself
 	// is the memory-type dimension; the OS exposes the multi-dimensional

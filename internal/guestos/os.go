@@ -234,8 +234,8 @@ func New(cfg Config) (*OS, error) {
 	total := cfg.FastMaxPages + cfg.SlowMaxPages
 	o.store = NewPageStore(total)
 	if cfg.Aware {
-		fast := newNode(memsim.FastMem, 0, cfg.FastMaxPages, cfg.CPUs, true)
-		slow := newNode(memsim.SlowMem, PFN(cfg.FastMaxPages), cfg.SlowMaxPages, cfg.CPUs, true)
+		fast := newNode(memsim.FastMem, 0, cfg.FastMaxPages, cfg.CPUs)
+		slow := newNode(memsim.SlowMem, PFN(cfg.FastMaxPages), cfg.SlowMaxPages, cfg.CPUs)
 		// HeteroOS-LRU per-memory-type thresholds: keep a small free
 		// reserve in FastMem so bursts allocate without synchronous
 		// reclaim.
@@ -243,7 +243,7 @@ func New(cfg Config) (*OS, error) {
 		fast.HighWatermark = 2 * fast.LowWatermark
 		o.nodes = []*Node{fast, slow}
 	} else {
-		n := newNode(memsim.FastMem, 0, total, cfg.CPUs, false)
+		n := newNode(memsim.FastMem, 0, total, cfg.CPUs)
 		o.nodes = []*Node{n}
 	}
 	o.lrus = make([]*PageLRU, len(o.nodes))
@@ -448,7 +448,7 @@ func (o *OS) allocPage(kind PageKind, cpu int) (PFN, bool) {
 		}
 		o.Window.Record(kind, wantFast && o.cfg.Aware, tier)
 		o.WindowLife.Record(kind, wantFast && o.cfg.Aware, tier)
-		o.initPage(pfn, kind, wantFast && tier != memsim.FastMem)
+		o.initPage(pfn, kind)
 		if o.obs != nil && wantFast && o.cfg.Aware {
 			o.obs.fastAllocReqs.Inc()
 			if tier != memsim.FastMem {
@@ -602,7 +602,7 @@ func (o *OS) PromotionWorthwhile() bool {
 func (o *OS) PromoteRate() float64 { return o.promoteRate }
 
 // initPage prepares freshly allocated page metadata.
-func (o *OS) initPage(pfn PFN, kind PageKind, spilled bool) {
+func (o *OS) initPage(pfn PFN, kind PageKind) {
 	st := o.store
 	if k := st.Kind(pfn); k != KindFree {
 		panic(fmt.Sprintf("guestos: allocating in-use pfn %d (%v)", pfn, k))
@@ -610,14 +610,8 @@ func (o *OS) initPage(pfn PFN, kind PageKind, spilled bool) {
 	st.SetKind(pfn, kind)
 	st.SetAllFlags(pfn, 0)
 	st.SetVPN(pfn, NilVPN)
-	st.SetFile(pfn, NilFile)
-	st.SetFileOff(pfn, 0)
 	st.SetLastUse(pfn, o.epoch)
-	st.SetHeat(pfn, 0)
 	st.SetTag(pfn, o.rng.Uint64())
-	if spilled {
-		st.Set(pfn, FlagFastPref)
-	}
 	o.Cum.AllocsByKind[kind]++
 	switch kind {
 	case KindAnon, KindPageCache:
@@ -626,8 +620,6 @@ func (o *OS) initPage(pfn PFN, kind PageKind, spilled bool) {
 			o.TierOfPage(pfn) == memsim.FastMem && o.Cum.AllocsByKind[kind]%4 == 0 {
 			o.sampleAdmission(pfn)
 		}
-	case KindPageTable, KindDMA:
-		st.Set(pfn, FlagPinned)
 	}
 	if o.indexer != nil {
 		o.indexer.PageFreeChanged(pfn, false)
@@ -653,7 +645,6 @@ func (o *OS) freePage(pfn PFN) {
 	st.SetKind(pfn, KindFree)
 	st.SetAllFlags(pfn, 0)
 	st.SetVPN(pfn, NilVPN)
-	st.SetFile(pfn, NilFile)
 	o.ep.OSTimeNs += o.costs.FreeNs
 	o.nodes[idx].PCP.Free(0, 0, uint64(pfn))
 	if o.indexer != nil {

@@ -170,9 +170,6 @@ func TestFallbackToSlowWhenFastExhausted(t *testing.T) {
 		}
 		if os.TierOfPage(pfn) == memsim.SlowMem {
 			spilled = true
-			if !os.Store().Has(pfn, FlagFastPref) {
-				t.Fatal("spilled page missing FlagFastPref")
-			}
 		}
 	}
 	if !spilled {
@@ -693,13 +690,14 @@ func TestSnapshot(t *testing.T) {
 	os.TouchVPN(vma.Start, 1, 0)
 	pfn, _ := os.AS.Translate(vma.Start)
 	snap := os.Snapshot(pfn)
-	if snap.Kind != KindAnon || !snap.Movable || !snap.Mapped || snap.Free {
-		t.Fatalf("snapshot wrong: %+v", snap)
+	if snap.Free || snap.MFN == memsim.NilMFN || snap.MFN != os.Store().MFN(pfn) {
+		t.Fatalf("mapped page snapshot wrong: %+v", snap)
 	}
-	os.FileWrite(2, 0, 1)
-	cachePfn, _ := os.PC.Lookup(2, 0)
-	if snap := os.Snapshot(PFN(cachePfn)); !snap.Dirty {
-		t.Fatal("dirty cache page not flagged in snapshot")
+	if err := os.AS.Munmap(vma.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := os.Snapshot(pfn); !got.Free || got.MFN != snap.MFN {
+		t.Fatalf("freed page snapshot %+v, want free on MFN %d", got, snap.MFN)
 	}
 }
 

@@ -97,9 +97,8 @@ walk:
 		// rotateRun stopped at an unreferenced, unprotected tail page.
 		switch kind := st.Kind(pfn); kind {
 		case KindPageCache:
-			if o.evictCachePage(pfn) {
-				freed++
-			}
+			o.evictCachePage(pfn)
+			freed++
 		case KindAnon:
 			if n.Tier == memsim.FastMem && o.cfg.Aware {
 				if o.ep.Demotions >= demotionRateCap {
@@ -134,11 +133,8 @@ walk:
 }
 
 // evictCachePage drops a page-cache page, writing it back first when
-// dirty. Returns false if the page is pinned.
-func (o *OS) evictCachePage(pfn PFN) bool {
-	if o.store.Has(pfn, FlagPinned) {
-		return false
-	}
+// dirty.
+func (o *OS) evictCachePage(pfn PFN) {
 	if !o.PC.Owns(uint64(pfn)) {
 		panic(fmt.Sprintf("guestos: cache page %d unknown to page cache", pfn))
 	}
@@ -153,7 +149,6 @@ func (o *OS) evictCachePage(pfn PFN) bool {
 		o.obs.scope.Emit(obs.EvCacheEvict, obs.DirNone,
 			o.nodeTierByte(o.nodeIndexOf(pfn)), uint64(pfn), 1, 0, 0)
 	}
-	return true
 }
 
 // demoteAnonPage migrates an anonymous page from FastMem to SlowMem
@@ -174,7 +169,6 @@ func (o *OS) PromotePage(pfn PFN) bool {
 	switch {
 	case kind == KindFree,
 		!kind.Movable(),
-		st.Has(pfn, FlagPinned),
 		kind == KindAnon && st.VPN(pfn) == NilVPN,
 		kind == KindPageCache && o.PC.Dirty(uint64(pfn)),
 		kind == KindNetBuf || kind == KindSlab: // slabs are not remappable per page
@@ -198,7 +192,6 @@ func (o *OS) DemotePage(pfn PFN) bool {
 	switch {
 	case kind == KindFree,
 		!kind.Movable(),
-		st.Has(pfn, FlagPinned),
 		kind == KindAnon && st.VPN(pfn) == NilVPN,
 		kind == KindPageCache && o.PC.Dirty(uint64(pfn)),
 		kind == KindNetBuf || kind == KindSlab:
@@ -229,7 +222,6 @@ func (o *OS) DemotePageForSwap(pfn PFN) bool {
 	switch {
 	case kind == KindFree,
 		!kind.Movable(),
-		st.Has(pfn, FlagPinned),
 		kind == KindAnon && st.VPN(pfn) == NilVPN,
 		kind == KindPageCache && o.PC.Dirty(uint64(pfn)),
 		kind == KindNetBuf || kind == KindSlab:
@@ -279,10 +271,7 @@ func (o *OS) movePageAcrossNodes(pfn PFN, target memsim.Tier, promotion bool) bo
 	st.SetKind(newPfn, kind)
 	st.SetAllFlags(newPfn, st.Flags(pfn)&^(FlagOnLRU|FlagActive))
 	st.SetVPN(newPfn, vpn)
-	st.SetFile(newPfn, st.File(pfn))
-	st.SetFileOff(newPfn, st.FileOff(pfn))
 	st.SetLastUse(newPfn, st.LastUse(pfn))
-	st.SetHeat(newPfn, st.Heat(pfn))
 	// The scanner's hotness history is biased at migration time:
 	// promoted pages arrive presumed-hot and demoted pages presumed-cold,
 	// so neither becomes an immediate candidate to move back. Fresh scan
@@ -376,7 +365,7 @@ const migrationTLBBatch = 64
 // swapOutPage writes an anonymous page to swap and frees its frame.
 func (o *OS) swapOutPage(pfn PFN) bool {
 	st := o.store
-	if st.Kind(pfn) != KindAnon || st.Has(pfn, FlagPinned) {
+	if st.Kind(pfn) != KindAnon {
 		return false
 	}
 	vpn := st.VPN(pfn)
@@ -444,9 +433,9 @@ func (o *OS) eagerEvictIOPages() {
 		// Demote to SlowMem rather than dropping: a SlowMem cache hit is
 		// three orders of magnitude cheaper than a disk refault, and I/O
 		// buffers "can be demoted to large-but-slowest memory"
-		// (Section 4.3). Dirty or unmovable pages, or a full SlowMem,
-		// fall back to eviction.
-		if !st.Has(pfn, FlagPinned) && !o.PC.Dirty(uint64(pfn)) &&
+		// (Section 4.3). Dirty pages, or a full SlowMem, fall back to
+		// eviction.
+		if !o.PC.Dirty(uint64(pfn)) &&
 			o.Node(memsim.SlowMem).FreePages() > 0 && o.demoteAnonOrCachePage(pfn) {
 			evicted++
 			continue

@@ -70,9 +70,8 @@ walk:
 		}
 		switch kind := st.Kind(pfn); kind {
 		case KindPageCache:
-			if o.evictCachePage(pfn) {
-				freed++
-			}
+			o.evictCachePage(pfn)
+			freed++
 		case KindAnon:
 			if cacheOnly {
 				refRotateInactive(l, pfn)
@@ -121,7 +120,7 @@ func refEagerEvictIOPages(o *OS) {
 			refRotateInactive(l, pfn)
 			continue
 		}
-		if !st.Has(pfn, FlagPinned) && !o.PC.Dirty(uint64(pfn)) &&
+		if !o.PC.Dirty(uint64(pfn)) &&
 			o.Node(memsim.SlowMem).FreePages() > 0 && o.demoteAnonOrCachePage(pfn) {
 			evicted++
 			continue
@@ -136,7 +135,6 @@ type reclaimScenario struct {
 	seed       int64
 	activeFrac float64 // share of resident pages activated (laps above count)
 	guardZero  bool    // heavy allocation misses relax the recency guard
-	pinTail    bool    // pin cache pages at the inactive tail
 	tight      bool    // FastMem nearly full, so eager I/O eviction runs
 	early      bool    // epoch 1, before the recency guard applies
 }
@@ -144,9 +142,8 @@ type reclaimScenario struct {
 // reclaimFixture boots an aware guest whose FastMem LRU holds an
 // interleaved mix of anonymous and page-cache pages, then randomizes
 // the state reclaim reads: referenced bits, LastUse at epoch, epoch-2,
-// epoch-3 and epoch-4, ScanHeat 0/5/6/7, activation, and optionally pinned cache
-// pages at the inactive tail. The same scenario always builds the same
-// guest.
+// epoch-3 and epoch-4, ScanHeat 0/5/6/7, and activation. The same
+// scenario always builds the same guest.
 func reclaimFixture(t *testing.T, sc reclaimScenario) *OS {
 	t.Helper()
 	o, _ := testOS(t, heteroLRUPlacement(), 512, 8192, 512, 4096)
@@ -200,15 +197,6 @@ func reclaimFixture(t *testing.T, sc reclaimScenario) *OS {
 		}
 		if rng.Intn(3) == 0 {
 			st.Set(pfn, FlagAccessed)
-		}
-	}
-	if sc.pinTail {
-		pfn := l.TailInactive()
-		for i := 0; i < 4 && pfn != NilPFN; i++ {
-			if st.Kind(pfn) == KindPageCache {
-				st.Set(pfn, FlagPinned)
-			}
-			pfn = st.lruPrev[pfn]
 		}
 	}
 	if sc.guardZero {
@@ -269,13 +257,12 @@ func sameGuest(a, b *OS) error {
 // guests and requires the same guest after every pass: LRU order, page
 // metadata, freed pages, rotations and epoch counters.
 func TestReclaimPassMatchesPerPageWalk(t *testing.T) {
-	var folded, spun, freedAny, cacheOnlyFreed, demoted, eager bool
+	var folded, freedAny, cacheOnlyFreed, demoted, eager bool
 	for i := 0; i < 48; i++ {
 		sc := reclaimScenario{
 			seed:       int64(100 + i),
 			activeFrac: []float64{0, 0.3, 0.8}[i%3],
 			guardZero:  i%4 >= 2,
-			pinTail:    i%5 == 0,
 			tight:      i%2 == 0,
 			early:      i%7 == 3,
 		}
@@ -307,7 +294,6 @@ func TestReclaimPassMatchesPerPageWalk(t *testing.T) {
 							pass, target, cacheOnly, freed, rot, wantFreed, wantRot)
 					}
 					folded = folded || rot > inactive
-					spun = spun || sc.pinTail && freed == 0 && rot < inactive
 					freedAny = freedAny || freed > 0
 					cacheOnlyFreed = cacheOnlyFreed || cacheOnly && freed > 0
 				}
@@ -326,7 +312,7 @@ func TestReclaimPassMatchesPerPageWalk(t *testing.T) {
 		})
 	}
 	for name, hit := range map[string]bool{
-		"lap folding": folded, "pinned tail": spun, "any freed": freedAny,
+		"lap folding": folded, "any freed": freedAny,
 		"cache-only eviction": cacheOnlyFreed, "demotion": demoted,
 		"eager I/O eviction": eager,
 	} {

@@ -230,12 +230,11 @@ func restoreRing(d *snapshot.Decoder) []admitSample {
 	return ring
 }
 
-// snapshotStore emits the page store sparsely and columnar (format v2):
-// only frames whose metadata differs from the boot-time default, as a
-// PFN list followed by one array per field in the PFN list's order. The
-// column layout mirrors the in-memory struct-of-arrays store; flags are
-// materialized into the legacy PageFlags word so bitmap packing stays a
-// private representation detail.
+// snapshotStore emits the page store sparsely and columnar: only frames
+// whose metadata differs from the boot-time default, as a PFN list
+// followed by one array per field in the PFN list's order. The column
+// layout mirrors the in-memory struct-of-arrays store; the five flag
+// bitmaps are materialized into one PageFlags byte per page.
 func (o *OS) snapshotStore(e *snapshot.Encoder) {
 	st := o.store
 	e.U64(st.Len())
@@ -256,16 +255,10 @@ func (o *OS) snapshotStore(e *snapshot.Encoder) {
 		e.U8(uint8(st.Kind(pfn)))
 	}
 	for _, pfn := range pfns {
-		e.U16(uint16(st.Flags(pfn)))
+		e.U8(uint8(st.Flags(pfn)))
 	}
 	for _, pfn := range pfns {
 		e.U64(uint64(st.VPN(pfn)))
-	}
-	for _, pfn := range pfns {
-		e.U32(uint32(st.File(pfn)))
-	}
-	for _, pfn := range pfns {
-		e.U64(st.FileOff(pfn))
 	}
 	for _, pfn := range pfns {
 		e.U64(uint64(st.LRUPrev(pfn)))
@@ -275,9 +268,6 @@ func (o *OS) snapshotStore(e *snapshot.Encoder) {
 	}
 	for _, pfn := range pfns {
 		e.U32(st.LastUse(pfn))
-	}
-	for _, pfn := range pfns {
-		e.U32(st.Heat(pfn))
 	}
 	for _, pfn := range pfns {
 		e.U8(st.ScanHeat(pfn))
@@ -315,16 +305,10 @@ func (o *OS) restoreStore(d *snapshot.Decoder, mapMFN func(memsim.MFN) memsim.MF
 		st.SetKind(pfn, PageKind(d.U8()))
 	}
 	for _, pfn := range pfns {
-		st.SetAllFlags(pfn, PageFlags(d.U16()))
+		st.SetAllFlags(pfn, PageFlags(d.U8()))
 	}
 	for _, pfn := range pfns {
 		st.SetVPN(pfn, VPN(d.U64()))
-	}
-	for _, pfn := range pfns {
-		st.SetFile(pfn, FileID(d.U32()))
-	}
-	for _, pfn := range pfns {
-		st.SetFileOff(pfn, d.U64())
 	}
 	for _, pfn := range pfns {
 		st.lruPrev[pfn] = PFN(d.U64())
@@ -334,9 +318,6 @@ func (o *OS) restoreStore(d *snapshot.Decoder, mapMFN func(memsim.MFN) memsim.MF
 	}
 	for _, pfn := range pfns {
 		st.SetLastUse(pfn, d.U32())
-	}
-	for _, pfn := range pfns {
-		st.SetHeat(pfn, d.U32())
 	}
 	for _, pfn := range pfns {
 		st.SetScanHeat(pfn, d.U8())

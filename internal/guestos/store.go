@@ -9,8 +9,8 @@ import (
 
 // PageStore owns the guest's per-frame metadata (the struct page array)
 // in a struct-of-arrays layout: one PFN-indexed slice per field instead
-// of one slice of fat Page structs. The hot PageFlags bits live in
-// packed []uint64 bitmaps (one bit per page, 64 pages per word) so the
+// of one slice of fat Page structs. The PageFlags bits live in packed
+// []uint64 bitmaps (one bit per page, 64 pages per word) so the
 // scanner can consume access bits word-at-a-time, and per-field sweeps
 // (census, reclaim walks) touch only the cache lines they need.
 //
@@ -27,19 +27,14 @@ type PageStore struct {
 	mfn           []memsim.MFN
 	kind          []uint8 // PageKind, narrowed (NumKinds < 256)
 	vpn           []VPN
-	file          []FileID
-	fileOff       []uint64
 	lruPrev       []PFN
 	lruNext       []PFN
 	lastUse       []uint32
-	heat          []uint32
 	scanHeat      []uint8
 	scanWriteHeat []uint8
 	tag           []uint64
-	// misc holds the cold flags (dirty, pinned, balloon, fast-pref);
-	// the five hot flags are hoisted into the bitmaps below.
-	misc []PageFlags
 
+	// One bitmap per PageFlags bit.
 	accessed     []uint64 // FlagAccessed
 	active       []uint64 // FlagActive
 	onLRU        []uint64 // FlagOnLRU
@@ -50,13 +45,6 @@ type PageStore struct {
 	scanWriteHeatNZ []uint64 // bit set iff scanWriteHeat[pfn] != 0
 }
 
-// hotFlagsMask are the flags stored as packed bitmaps; miscFlagsMask is
-// everything else (kept in the per-page misc array).
-const (
-	hotFlagsMask  = FlagAccessed | FlagActive | FlagOnLRU | FlagScanAccessed | FlagScanWritten
-	miscFlagsMask = ^hotFlagsMask
-)
-
 // NewPageStore creates metadata for n frames, all initially unpopulated.
 func NewPageStore(n uint64) *PageStore {
 	words := int((n + 63) / 64)
@@ -65,16 +53,12 @@ func NewPageStore(n uint64) *PageStore {
 		mfn:             make([]memsim.MFN, n),
 		kind:            make([]uint8, n),
 		vpn:             make([]VPN, n),
-		file:            make([]FileID, n),
-		fileOff:         make([]uint64, n),
 		lruPrev:         make([]PFN, n),
 		lruNext:         make([]PFN, n),
 		lastUse:         make([]uint32, n),
-		heat:            make([]uint32, n),
 		scanHeat:        make([]uint8, n),
 		scanWriteHeat:   make([]uint8, n),
 		tag:             make([]uint64, n),
-		misc:            make([]PageFlags, n),
 		accessed:        make([]uint64, words),
 		active:          make([]uint64, words),
 		onLRU:           make([]uint64, words),
@@ -131,29 +115,11 @@ func (s *PageStore) VPN(pfn PFN) VPN { return s.vpn[pfn] }
 // SetVPN writes the reverse-map virtual page of pfn.
 func (s *PageStore) SetVPN(pfn PFN, v VPN) { s.vpn[pfn] = v }
 
-// File reads the cache-page file backref of pfn.
-func (s *PageStore) File(pfn PFN) FileID { return s.file[pfn] }
-
-// SetFile writes the cache-page file backref of pfn.
-func (s *PageStore) SetFile(pfn PFN, f FileID) { s.file[pfn] = f }
-
-// FileOff reads the cache-page file offset of pfn.
-func (s *PageStore) FileOff(pfn PFN) uint64 { return s.fileOff[pfn] }
-
-// SetFileOff writes the cache-page file offset of pfn.
-func (s *PageStore) SetFileOff(pfn PFN, off uint64) { s.fileOff[pfn] = off }
-
 // LastUse reads the epoch of pfn's most recent access.
 func (s *PageStore) LastUse(pfn PFN) uint32 { return s.lastUse[pfn] }
 
 // SetLastUse writes the epoch of pfn's most recent access.
 func (s *PageStore) SetLastUse(pfn PFN, e uint32) { s.lastUse[pfn] = e }
-
-// Heat reads the guest-side touch counter of pfn.
-func (s *PageStore) Heat(pfn PFN) uint32 { return s.heat[pfn] }
-
-// SetHeat writes the guest-side touch counter of pfn.
-func (s *PageStore) SetHeat(pfn PFN, h uint32) { s.heat[pfn] = h }
 
 // ScanHeat reads the VMM scanner's hotness history of pfn.
 func (s *PageStore) ScanHeat(pfn PFN) uint8 { return s.scanHeat[pfn] }
@@ -197,10 +163,9 @@ func (s *PageStore) LRUNext(pfn PFN) PFN { return s.lruNext[pfn] }
 
 // --- flag operations ---
 
-// Flags materializes the full PageFlags word of pfn from the misc array
-// and the hot-flag bitmaps.
+// Flags materializes the PageFlags word of pfn from the flag bitmaps.
 func (s *PageStore) Flags(pfn PFN) PageFlags {
-	f := s.misc[pfn]
+	var f PageFlags
 	if bitGet(s.accessed, pfn) {
 		f |= FlagAccessed
 	}
@@ -219,7 +184,7 @@ func (s *PageStore) Flags(pfn PFN) PageFlags {
 	return f
 }
 
-// Has reports whether all bits in f are set on pfn. Single hot flags
+// Has reports whether all bits in f are set on pfn. Single flags
 // resolve to one bitmap probe; compound masks materialize.
 func (s *PageStore) Has(pfn PFN, f PageFlags) bool {
 	switch f {
@@ -240,9 +205,6 @@ func (s *PageStore) Has(pfn PFN, f PageFlags) bool {
 // Set sets the bits in f on pfn. With a constant mask the per-flag
 // branches fold away.
 func (s *PageStore) Set(pfn PFN, f PageFlags) {
-	if m := f & miscFlagsMask; m != 0 {
-		s.misc[pfn] |= m
-	}
 	if f&FlagAccessed != 0 {
 		bitSet(s.accessed, pfn)
 	}
@@ -262,9 +224,6 @@ func (s *PageStore) Set(pfn PFN, f PageFlags) {
 
 // Clear clears the bits in f on pfn.
 func (s *PageStore) Clear(pfn PFN, f PageFlags) {
-	if m := f & miscFlagsMask; m != 0 {
-		s.misc[pfn] &^= m
-	}
 	if f&FlagAccessed != 0 {
 		bitClear(s.accessed, pfn)
 	}
@@ -282,9 +241,8 @@ func (s *PageStore) Clear(pfn PFN, f PageFlags) {
 	}
 }
 
-// SetAllFlags overwrites pfn's entire flag word (Page.Flags = f).
+// SetAllFlags overwrites pfn's entire flag word.
 func (s *PageStore) SetAllFlags(pfn PFN, f PageFlags) {
-	s.misc[pfn] = f & miscFlagsMask
 	w, b := pfn>>6, uint64(1)<<(pfn&63)
 	assign := func(words []uint64, on bool) {
 		if on {
@@ -339,15 +297,11 @@ func (s *PageStore) ScanWriteHeatNonzeroWord(w int, mask uint64) uint64 {
 func (s *PageStore) IsDefault(pfn PFN) bool {
 	return s.mfn[pfn] == memsim.NilMFN &&
 		s.kind[pfn] == 0 &&
-		s.misc[pfn] == 0 &&
 		!bitGet(s.accessed, pfn) && !bitGet(s.active, pfn) && !bitGet(s.onLRU, pfn) &&
 		!bitGet(s.scanAccessed, pfn) && !bitGet(s.scanWritten, pfn) &&
 		s.vpn[pfn] == NilVPN &&
-		s.file[pfn] == NilFile &&
-		s.fileOff[pfn] == 0 &&
 		s.lruPrev[pfn] == NilPFN && s.lruNext[pfn] == NilPFN &&
 		s.lastUse[pfn] == 0 &&
-		s.heat[pfn] == 0 &&
 		s.scanHeat[pfn] == 0 && s.scanWriteHeat[pfn] == 0 &&
 		s.tag[pfn] == 0
 }
@@ -357,12 +311,9 @@ func (s *PageStore) Reset(pfn PFN) {
 	s.mfn[pfn] = memsim.NilMFN
 	s.kind[pfn] = 0
 	s.vpn[pfn] = NilVPN
-	s.file[pfn] = NilFile
-	s.fileOff[pfn] = 0
 	s.lruPrev[pfn] = NilPFN
 	s.lruNext[pfn] = NilPFN
 	s.lastUse[pfn] = 0
-	s.heat[pfn] = 0
 	s.scanHeat[pfn] = 0
 	s.scanWriteHeat[pfn] = 0
 	s.tag[pfn] = 0
@@ -388,13 +339,9 @@ func (s *PageStore) ResetAll() {
 	clearU8(s.kind)
 	clearU8(s.scanHeat)
 	clearU8(s.scanWriteHeat)
-	for i := range s.fileOff {
-		s.file[i] = NilFile
-		s.fileOff[i] = 0
+	for i := range s.tag {
 		s.lastUse[i] = 0
-		s.heat[i] = 0
 		s.tag[i] = 0
-		s.misc[i] = 0
 	}
 	for _, words := range [][]uint64{
 		s.accessed, s.active, s.onLRU, s.scanAccessed, s.scanWritten,

@@ -47,7 +47,9 @@ import (
 //	   restored host still accepts it back); no front-end meta section
 //	   (the fleet keeps its state in a checkpoint of its own).
 //	4: the machine section drops the tier-spec generation counter.
-const Version = 4
+//	5: the guest page store drops the file, file-offset and touch-count
+//	   columns, and its flags column narrows to one byte (five flags).
+const Version = 5
 
 // VersionError is returned by Open when the file's format version does
 // not match Version. Callers can detect it with errors.As to tell a

@@ -9,18 +9,18 @@ import (
 )
 
 // HeatIndex serves the scanner's ranking queries: 256 score buckets per
-// tier, each an intrusive doubly-linked list threaded through per-PFN
-// index nodes (the guestos.PageLRU pattern). The guest OS notifies the index on every
-// event that changes a page's ranking inputs — backing-frame changes,
-// scan-heat updates, alloc/free transitions — so membership is updated
-// in O(1) per event and HottestIn/ColdestIn/CoolestIn become an O(k)
-// bucket walk: no per-page TierOf call, no allocation, no sort.
+// tier, each a PFN bitmap over the guest's frames. The guest OS notifies
+// the index on every event that changes a page's ranking inputs —
+// backing-frame changes, scan-heat updates, alloc/free transitions — so
+// membership is updated in O(1) per event (a bit flip in the old and the
+// new bucket) and HottestIn/ColdestIn/CoolestIn become a walk over the
+// set bits of the leading buckets: no per-page TierOf call, no
+// allocation, no sort.
 //
 // Ordering is deterministic: buckets are visited in score order and
-// each bucket's list is kept in ascending PFN order (the predecessor for
-// an insert is found through a three-level bitmap in ~constant time),
-// so results equal a stable sort by score with a PFN tiebreak. The
-// package tests check this against a sweep-and-sort reference.
+// each bucket's bitmap is read in ascending PFN order, so results equal
+// a stable sort by score with a PFN tiebreak. The package tests check
+// this against a sweep-and-sort reference.
 //
 // The index snapshots the scanner's scoring configuration implicitly:
 // bucket assignment calls Scanner.score, so WriteBoost/TrackWrites and
@@ -41,26 +41,24 @@ const numHeatBuckets = 256
 
 // heatNode flag bits.
 const (
-	heatInIndex = 1 << iota // page is on a bucket list
+	heatInIndex = 1 << iota // page is in a bucket
 	heatFree                // guest reports the page free (KindFree)
 )
 
-// heatNode is the per-PFN intrusive list node.
+// heatNode is the per-PFN record of the bucket a page is filed under.
 type heatNode struct {
-	prev, next guestos.PFN
-	bucket     uint8
-	tier       uint8
-	flags      uint8
+	bucket uint8
+	tier   uint8
+	flags  uint8
 }
 
-// heatBucket is one (tier, score) list plus the membership bitmap used
-// to locate a new page's PFN-order predecessor. The bitmap is allocated
-// lazily: heat decays toward a small fixpoint, so realistic runs occupy
-// only a handful of the 512 (tier, score) combinations.
+// heatBucket is one (tier, score) bucket: its member count and PFN
+// bitmap. The bitmap is allocated lazily: heat decays toward a small
+// fixpoint, so realistic runs occupy only a handful of the 512 (tier,
+// score) combinations.
 type heatBucket struct {
-	head, tail guestos.PFN
-	count      uint64
-	set        *pfnSet
+	count uint64
+	set   *pfnSet
 }
 
 // NewHeatIndex builds an index over the scanner's guest view, seeds it
@@ -84,16 +82,12 @@ func (s *Scanner) Index() *HeatIndex { return s.index }
 
 // Rebuild clears the index and reseeds it from a full snapshot sweep.
 func (x *HeatIndex) Rebuild() {
-	for t := range x.buckets {
-		for b := range x.buckets[t] {
-			x.buckets[t][b] = heatBucket{head: guestos.NilPFN, tail: guestos.NilPFN}
-		}
-		x.counts[t] = 0
-	}
+	x.buckets = [memsim.NumTiers][numHeatBuckets]heatBucket{}
+	x.counts = [memsim.NumTiers]uint64{}
 	span := x.view.NumPFNs()
 	for pfn := guestos.PFN(0); pfn < guestos.PFN(span); pfn++ {
 		n := &x.nodes[pfn]
-		n.prev, n.next, n.flags = guestos.NilPFN, guestos.NilPFN, 0
+		n.flags = 0
 		snap := x.view.Snapshot(pfn)
 		if snap.MFN == memsim.NilMFN {
 			continue
@@ -101,99 +95,39 @@ func (x *HeatIndex) Rebuild() {
 		if snap.Free {
 			n.flags |= heatFree
 		}
-		x.appendTail(pfn, uint8(x.tierOf(snap.MFN)), x.scanner.score(pfn))
+		x.insert(pfn, uint8(x.tierOf(snap.MFN)), x.scanner.score(pfn))
 	}
 }
 
-// appendTail links pfn at the tail of (tier, bucket). Rebuild visits
-// PFNs in ascending order, so the tail is always pfn's PFN-order
-// predecessor and no bitmap search is needed.
-func (x *HeatIndex) appendTail(pfn guestos.PFN, tier, bucket uint8) {
-	n := &x.nodes[pfn]
-	b := x.bucket(tier, bucket)
-	n.prev, n.next = b.tail, guestos.NilPFN
-	if b.tail != guestos.NilPFN {
-		x.nodes[b.tail].next = pfn
-	} else {
-		b.head = pfn
-	}
-	b.tail = pfn
-	x.link(pfn, tier, bucket)
-}
-
-// insert links pfn into (tier, bucket) preserving ascending PFN order.
+// insert files pfn under (tier, bucket), allocating the bucket's bitmap
+// on first use.
 func (x *HeatIndex) insert(pfn guestos.PFN, tier, bucket uint8) {
-	n := &x.nodes[pfn]
-	b := x.bucket(tier, bucket)
-	if pred, ok := b.set.prevBelow(uint64(pfn)); ok {
-		p := guestos.PFN(pred)
-		pn := &x.nodes[p]
-		n.prev, n.next = p, pn.next
-		if pn.next != guestos.NilPFN {
-			x.nodes[pn.next].prev = pfn
-		} else {
-			b.tail = pfn
-		}
-		pn.next = pfn
-	} else {
-		n.prev, n.next = guestos.NilPFN, b.head
-		if b.head != guestos.NilPFN {
-			x.nodes[b.head].prev = pfn
-		} else {
-			b.tail = pfn
-		}
-		b.head = pfn
-	}
-	x.link(pfn, tier, bucket)
-}
-
-// bucket returns the (tier, bucket) list, allocating its membership
-// bitmap on first use.
-func (x *HeatIndex) bucket(tier, bucket uint8) *heatBucket {
 	b := &x.buckets[tier][bucket]
 	if b.set == nil {
 		b.set = newPFNSet(uint64(len(x.nodes)))
 	}
-	return b
-}
-
-// link records pfn's membership of (tier, bucket) once its list
-// pointers are in place.
-func (x *HeatIndex) link(pfn guestos.PFN, tier, bucket uint8) {
-	n := &x.nodes[pfn]
-	b := &x.buckets[tier][bucket]
 	b.set.add(uint64(pfn))
 	b.count++
 	x.counts[tier]++
+	n := &x.nodes[pfn]
 	n.bucket, n.tier = bucket, tier
 	n.flags |= heatInIndex
 }
 
-// remove unlinks pfn from its bucket list.
+// remove takes pfn out of its bucket.
 func (x *HeatIndex) remove(pfn guestos.PFN) {
 	n := &x.nodes[pfn]
 	b := &x.buckets[n.tier][n.bucket]
-	if n.prev != guestos.NilPFN {
-		x.nodes[n.prev].next = n.next
-	} else {
-		b.head = n.next
-	}
-	if n.next != guestos.NilPFN {
-		x.nodes[n.next].prev = n.prev
-	} else {
-		b.tail = n.prev
-	}
 	b.set.remove(uint64(pfn))
 	b.count--
 	x.counts[n.tier]--
-	n.prev, n.next = guestos.NilPFN, guestos.NilPFN
 	n.flags &^= heatInIndex
 }
 
 // --- guestos.PageIndexer implementation ---
 
 // PageBacked records that pfn gained (or changed) a backing frame: the
-// page enters the index, or moves lists when the new frame is on a
+// page enters the index, or moves buckets when the new frame is on a
 // different tier (the VMM-exclusive migrator's SetBackingMFN path).
 func (x *HeatIndex) PageBacked(pfn guestos.PFN, mfn memsim.MFN) {
 	tier := uint8(x.tierOf(mfn))
@@ -263,11 +197,11 @@ func (x *HeatIndex) descendInto(buf []guestos.PFN, tier memsim.Tier, minScore ui
 		if b.count == 0 {
 			continue
 		}
-		for pfn := b.head; pfn != guestos.NilPFN; pfn = x.nodes[pfn].next {
-			if skipFree && x.nodes[pfn].flags&heatFree != 0 {
+		for p, ok := b.set.next(0); ok; p, ok = b.set.next(p + 1) {
+			if skipFree && x.nodes[p].flags&heatFree != 0 {
 				continue
 			}
-			buf = append(buf, pfn)
+			buf = append(buf, guestos.PFN(p))
 			if len(buf) >= max {
 				return buf
 			}
@@ -287,11 +221,11 @@ func (x *HeatIndex) ascendInto(buf []guestos.PFN, tier memsim.Tier, maxScore uin
 		if b.count == 0 {
 			continue
 		}
-		for pfn := b.head; pfn != guestos.NilPFN; pfn = x.nodes[pfn].next {
-			if skipFree && x.nodes[pfn].flags&heatFree != 0 {
+		for p, ok := b.set.next(0); ok; p, ok = b.set.next(p + 1) {
+			if skipFree && x.nodes[p].flags&heatFree != 0 {
 				continue
 			}
-			buf = append(buf, pfn)
+			buf = append(buf, guestos.PFN(p))
 			if len(buf) >= max {
 				return buf
 			}
@@ -326,52 +260,39 @@ func (x *HeatIndex) Summary() HeatSummary {
 }
 
 // CheckInvariants validates the full index against the guest state:
-// every backed PFN is on exactly one bucket list, its bucket equals its
-// current score, its tier matches its backing frame, lists are
-// PFN-ascending with consistent links and counts, and the bitmaps agree
-// with list membership.
+// every backed PFN is in exactly one bucket, its bucket equals its
+// current score, its tier matches its backing frame, bucket counts
+// match their bitmaps, and each bitmap's summary levels agree with the
+// level below.
 func (x *HeatIndex) CheckInvariants() error {
 	var walked uint64
 	for t := 0; t < int(memsim.NumTiers); t++ {
 		var tierCount uint64
 		for s := 0; s < numHeatBuckets; s++ {
 			b := &x.buckets[t][s]
+			if b.set == nil {
+				if b.count != 0 {
+					return fmt.Errorf("heatindex: (%d,%d) count %d without a bitmap", t, s, b.count)
+				}
+				continue
+			}
+			if err := b.set.check(uint64(len(x.nodes))); err != nil {
+				return fmt.Errorf("heatindex: (%d,%d): %v", t, s, err)
+			}
 			var n uint64
-			prev := guestos.NilPFN
-			for pfn := b.head; pfn != guestos.NilPFN; pfn = x.nodes[pfn].next {
-				nd := &x.nodes[pfn]
+			for p, ok := b.set.next(0); ok; p, ok = b.set.next(p + 1) {
+				nd := &x.nodes[p]
 				if nd.flags&heatInIndex == 0 {
-					return fmt.Errorf("heatindex: pfn %d on list without inIndex flag", pfn)
+					return fmt.Errorf("heatindex: pfn %d in bucket without inIndex flag", p)
 				}
 				if int(nd.tier) != t || int(nd.bucket) != s {
 					return fmt.Errorf("heatindex: pfn %d filed under (%d,%d) but tagged (%d,%d)",
-						pfn, t, s, nd.tier, nd.bucket)
+						p, t, s, nd.tier, nd.bucket)
 				}
-				if nd.prev != prev {
-					return fmt.Errorf("heatindex: pfn %d prev link broken in (%d,%d)", pfn, t, s)
-				}
-				if prev != guestos.NilPFN && pfn <= prev {
-					return fmt.Errorf("heatindex: (%d,%d) not PFN-ascending at %d", t, s, pfn)
-				}
-				if b.set == nil || !b.set.contains(uint64(pfn)) {
-					return fmt.Errorf("heatindex: pfn %d missing from (%d,%d) bitmap", pfn, t, s)
-				}
-				prev = pfn
 				n++
-				if n > uint64(len(x.nodes)) {
-					return fmt.Errorf("heatindex: cycle in (%d,%d)", t, s)
-				}
-			}
-			if prev != b.tail {
-				return fmt.Errorf("heatindex: (%d,%d) tail mismatch", t, s)
 			}
 			if n != b.count {
 				return fmt.Errorf("heatindex: (%d,%d) count %d != walked %d", t, s, b.count, n)
-			}
-			if b.set != nil {
-				if pop := b.set.popcount(); pop != n {
-					return fmt.Errorf("heatindex: (%d,%d) bitmap population %d != %d", t, s, pop, n)
-				}
 			}
 			tierCount += n
 		}
@@ -404,17 +325,17 @@ func (x *HeatIndex) CheckInvariants() error {
 		}
 	}
 	if backed != walked {
-		return fmt.Errorf("heatindex: %d backed pages != %d on lists", backed, walked)
+		return fmt.Errorf("heatindex: %d backed pages != %d in buckets", backed, walked)
 	}
 	return nil
 }
 
 // pfnSet is a three-level hierarchical bitmap over the PFN space: l0 has
 // one bit per PFN, l1 one bit per non-zero l0 word, l2 one bit per
-// non-zero l1 word. prevBelow finds the largest member strictly below a
-// PFN in at most a handful of word operations, which is what makes
-// PFN-ordered list insertion O(1) for realistic spans (a 64K-page guest
-// has a 16-word l1 and a 1-word l2).
+// non-zero l1 word. next finds the smallest member at or above a PFN in
+// at most a handful of word operations, skipping empty stretches 4096
+// or 262144 PFNs at a time (a 64K-page guest has a 16-word l1 and a
+// 1-word l2).
 type pfnSet struct {
 	l0, l1, l2 []uint64
 }
@@ -450,43 +371,61 @@ func (s *pfnSet) remove(p uint64) {
 	s.l2[w1>>6] &^= 1 << (w1 & 63)
 }
 
-func (s *pfnSet) contains(p uint64) bool {
-	return s.l0[p>>6]&(1<<(p&63)) != 0
-}
-
-func (s *pfnSet) popcount() uint64 {
-	var n uint64
-	for _, w := range s.l0 {
-		n += uint64(bits.OnesCount64(w))
-	}
-	return n
-}
-
-// prevBelow returns the largest member strictly less than p.
-func (s *pfnSet) prevBelow(p uint64) (uint64, bool) {
+// next returns the smallest member greater than or equal to p.
+func (s *pfnSet) next(p uint64) (uint64, bool) {
 	w0 := p >> 6
-	if m := s.l0[w0] & (1<<(p&63) - 1); m != 0 {
-		return w0<<6 + uint64(bits.Len64(m)-1), true
+	if w0 >= uint64(len(s.l0)) {
+		return 0, false
 	}
+	if m := s.l0[w0] &^ (1<<(p&63) - 1); m != 0 {
+		return w0<<6 + uint64(bits.TrailingZeros64(m)), true
+	}
+	w0++
 	w1 := w0 >> 6
-	if m := s.l1[w1] & (1<<(w0&63) - 1); m != 0 {
-		w0 = w1<<6 + uint64(bits.Len64(m)-1)
-		return w0<<6 + uint64(bits.Len64(s.l0[w0])-1), true
+	if w1 >= uint64(len(s.l1)) {
+		return 0, false
 	}
+	if m := s.l1[w1] &^ (1<<(w0&63) - 1); m != 0 {
+		w0 = w1<<6 + uint64(bits.TrailingZeros64(m))
+		return w0<<6 + uint64(bits.TrailingZeros64(s.l0[w0])), true
+	}
+	w1++
 	w2 := w1 >> 6
-	if m := s.l2[w2] & (1<<(w1&63) - 1); m != 0 {
-		w1 = w2<<6 + uint64(bits.Len64(m)-1)
-		w0 = w1<<6 + uint64(bits.Len64(s.l1[w1])-1)
-		return w0<<6 + uint64(bits.Len64(s.l0[w0])-1), true
+	if w2 >= uint64(len(s.l2)) {
+		return 0, false
 	}
-	for i := int64(w2) - 1; i >= 0; i-- {
-		if m := s.l2[i]; m != 0 {
-			w1 = uint64(i)<<6 + uint64(bits.Len64(m)-1)
-			w0 = w1<<6 + uint64(bits.Len64(s.l1[w1])-1)
-			return w0<<6 + uint64(bits.Len64(s.l0[w0])-1), true
+	m := s.l2[w2] &^ (1<<(w1&63) - 1)
+	for m == 0 {
+		if w2++; w2 >= uint64(len(s.l2)) {
+			return 0, false
+		}
+		m = s.l2[w2]
+	}
+	w1 = w2<<6 + uint64(bits.TrailingZeros64(m))
+	w0 = w1<<6 + uint64(bits.TrailingZeros64(s.l1[w1]))
+	return w0<<6 + uint64(bits.TrailingZeros64(s.l0[w0])), true
+}
+
+// check verifies that each summary bit is set exactly when the word it
+// covers is non-zero, and that no bit lies beyond span.
+func (s *pfnSet) check(span uint64) error {
+	if tail := span & 63; tail != 0 && s.l0[len(s.l0)-1]>>tail != 0 {
+		return fmt.Errorf("pfnSet: member beyond span %d", span)
+	}
+	for _, lv := range []struct{ lo, hi []uint64 }{{s.l0, s.l1}, {s.l1, s.l2}} {
+		for i := range lv.hi {
+			var want uint64
+			for b := 0; b < 64 && i<<6+b < len(lv.lo); b++ {
+				if lv.lo[i<<6+b] != 0 {
+					want |= 1 << b
+				}
+			}
+			if lv.hi[i] != want {
+				return fmt.Errorf("pfnSet: summary word %d is %#x, covers %#x", i, lv.hi[i], want)
+			}
 		}
 	}
-	return 0, false
+	return nil
 }
 
 // Compile-time check: HeatIndex satisfies the guest's notification hook.

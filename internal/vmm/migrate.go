@@ -136,12 +136,11 @@ func (g *Migrator) moveBacking(vm *VM, pfn guestos.PFN, tier memsim.Tier) bool {
 
 // CoordinatedStats reports one coordinated pass.
 type CoordinatedStats struct {
-	Scanned   int
-	Hot       int
-	Promoted  int
-	Demoted   int
-	ScanNs    float64
-	MigrateNs float64
+	Scanned  int
+	Hot      int
+	Promoted int
+	Demoted  int
+	ScanNs   float64
 }
 
 // GuestMigrator is the guest-side executor the coordinated path hands

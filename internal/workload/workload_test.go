@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"errors"
 	"sort"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
 	"heteroos/internal/sim"
+	"heteroos/internal/snapshot"
 )
 
 // testSource backs a guest with ample frames of both tiers.
@@ -270,8 +272,9 @@ func refTouch(h *heapRegion, os *guestos.OS, samples int, accessesPerSample uint
 
 // TestTouchMatchesSortedMapReference drives the same region on two
 // identically booted guests, one through touch and one through the
-// map-and-sort reference, and requires the same guest afterwards: the
-// same VPN-to-PFN mapping and the same per-page LastUse and Heat.
+// map-and-sort reference, and requires the same guest: the same
+// VPN-to-PFN mapping and per-page LastUse after every epoch, and the
+// same complete guest state (SnapshotState bytes) at the end.
 func TestTouchMatchesSortedMapReference(t *testing.T) {
 	for _, c := range []struct {
 		name              string
@@ -312,10 +315,8 @@ func TestTouchMatchesSortedMapReference(t *testing.T) {
 					if !gok {
 						continue
 					}
-					rs, gs := refOS.Store(), gotOS.Store()
-					if rs.LastUse(rp) != gs.LastUse(gp) || rs.Heat(rp) != gs.Heat(gp) {
-						t.Fatalf("epoch %d: vpn %d LastUse/Heat %d/%d, reference %d/%d", epoch, vpn,
-							gs.LastUse(gp), gs.Heat(gp), rs.LastUse(rp), rs.Heat(rp))
+					if rl, gl := refOS.Store().LastUse(rp), gotOS.Store().LastUse(gp); rl != gl {
+						t.Fatalf("epoch %d: vpn %d LastUse %d, reference %d", epoch, vpn, gl, rl)
 					}
 				}
 				refOS.EndEpoch()
@@ -324,9 +325,29 @@ func TestTouchMatchesSortedMapReference(t *testing.T) {
 			if c.name == "wrapping-window" && !wrapped {
 				t.Fatal("hot window never wrapped")
 			}
+			if !bytes.Equal(guestState(t, refOS), guestState(t, gotOS)) {
+				t.Fatal("guest state differs from the reference's after the last epoch")
+			}
 			assertScratchClear(t, got)
 		})
 	}
+}
+
+// guestState is os's complete SnapshotState encoding.
+func guestState(t *testing.T, os *guestos.OS) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Section("guestos", os.SnapshotState); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func assertScratchClear(t *testing.T, h *heapRegion) {
