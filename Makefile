@@ -176,14 +176,19 @@ cli-smoke:
 # the backend plumbing around it — fails the gate. The figure11 and
 # figure13 goldens pin the reclaim-heavy figures (HeteroOS-LRU and the
 # coordinated/DRF sweeps), so a guest reclaim or LRU change that alters
-# eviction order fails here too.
+# eviction order fails here too. The full (non-quick) figure11 golden
+# pins the sweep the repository benchmark times (perfbench
+# fig11-migration), so a speedup of the guest touch path that changes
+# any of its numbers fails here.
 backend-parity:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	for f in f9:figure9 f6:figure6 f11:figure11 f13:figure13; do \
 		$(GO) run ./cmd/heterobench -exp $${f#*:} -quick \
 			-format=csv > "$$tmp/$${f%%:*}.csv" || exit 1; \
 	done; \
-	for f in f9:figure9_quick f6:figure6_quick f11:figure11_quick f13:figure13_quick; do \
+	$(GO) run ./cmd/heterobench -exp figure11 -workers 2 \
+		-format=csv > "$$tmp/f11full.csv" || exit 1; \
+	for f in f9:figure9_quick f6:figure6_quick f11:figure11_quick f13:figure13_quick f11full:figure11; do \
 		got="$$tmp/$${f%%:*}.csv"; want="testdata/backend/$${f#*:}.csv"; \
 		if ! cmp -s "$$want" "$$got"; then \
 			echo "backend-parity: analytic output drifted from $$want:"; \

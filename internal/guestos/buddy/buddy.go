@@ -172,7 +172,9 @@ func (a *Allocator) Alloc(order int) (uint64, error) {
 		a.freePages -= uint64(1) << order
 		return pfn, nil
 	}
-	return 0, fmt.Errorf("%w: order %d (free pages %d)", ErrNoMemory, order, a.freePages)
+	// The bare sentinel: running dry is expected (per-CPU refill stops
+	// on it), so no caller wants a formatted error built here.
+	return 0, ErrNoMemory
 }
 
 // AllocPage allocates a single frame.

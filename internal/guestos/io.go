@@ -101,18 +101,14 @@ func (o *OS) recordUserTouch(pfn PFN, loads, stores uint64) {
 	if stores > 0 {
 		st.Set(pfn, FlagScanWritten)
 	}
-	// MarkAccessed manages the referenced bit for LRU pages (first touch
-	// marks, second promotes); off-LRU pages just get the bit. Heavily
-	// touched pages activate immediately — one TouchVPN call stands for
-	// many real references.
-	if st.Has(pfn, FlagOnLRU) {
-		l := o.lrus[o.nodeIndexOf(pfn)]
-		l.MarkAccessed(pfn)
-		if loads+stores >= 3 {
-			l.MarkAccessed(pfn)
-		}
-	} else {
-		st.Set(pfn, FlagAccessed)
+	// mark_page_accessed semantics: every touch sets the referenced bit,
+	// and an inactive LRU page activates on its second reference. A
+	// heavily touched page activates at once, as MarkAccessed called
+	// twice would: one TouchVPN call stands for many real references.
+	onLRU, active, accessed := st.lruBits(pfn)
+	st.Set(pfn, FlagAccessed)
+	if onLRU && !active && (accessed || loads+stores >= 3) {
+		o.lrus[o.nodeIndexOf(pfn)].activate(pfn)
 	}
 }
 

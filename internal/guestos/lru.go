@@ -107,14 +107,19 @@ func (l *PageLRU) MarkAccessed(pfn PFN) {
 		return
 	}
 	if s.Has(pfn, FlagAccessed) {
-		// Second reference on the inactive list: activate.
-		l.unlink(&l.inactive, pfn)
-		s.Set(pfn, FlagActive)
-		l.pushHead(&l.active, pfn)
-		l.activations++
+		// Second reference on the inactive list.
+		l.activate(pfn)
 		return
 	}
 	s.Set(pfn, FlagAccessed)
+}
+
+// activate moves an inactive page to the active list head.
+func (l *PageLRU) activate(pfn PFN) {
+	l.unlink(&l.inactive, pfn)
+	l.store.Set(pfn, FlagActive)
+	l.pushHead(&l.active, pfn)
+	l.activations++
 }
 
 // Deactivate moves an active page to the inactive list head, clearing

@@ -66,6 +66,14 @@ type AddrSpace struct {
 	swapIns   uint64
 	walkSteps uint64
 
+	// leaf caches the level-0 table of the last walk that reached one,
+	// covering VPNs with vpn>>ptFanoutBits == leafKey. Touches come in
+	// ascending VPN order, so consecutive walks mostly land in the same
+	// table. Cleared wherever a table is freed and when restore replaces
+	// the tree; not serialized.
+	leaf    *ptNode
+	leafKey VPN
+
 	// mapGen counts mapping mutations (VMA create/destroy, leaf entry
 	// writes). OS.TrackingList caches its export against it, so only
 	// passes after real mapping churn pay the VMA re-walk. Not
@@ -174,9 +182,25 @@ func ptIndex(vpn VPN, level int) int {
 	return int(vpn>>(uint(level)*ptFanoutBits)) & ptFanoutMask
 }
 
-// walk descends to the level-0 node covering vpn, optionally allocating
-// interior nodes. Returns nil if absent and alloc is false.
+// walk returns the level-0 node covering vpn, optionally allocating
+// interior nodes. Returns nil if absent and alloc is false. A walk that
+// hits the leaf cache counts the same ptLevels-1 steps as the descent it
+// skips, so walkSteps does not depend on the cache.
 func (a *AddrSpace) walk(vpn VPN, alloc bool) *ptNode {
+	key := vpn >> ptFanoutBits
+	if a.leaf != nil && a.leafKey == key {
+		a.walkSteps += ptLevels - 1
+		return a.leaf
+	}
+	n := a.descend(vpn, alloc)
+	if n != nil {
+		a.leaf, a.leafKey = n, key
+	}
+	return n
+}
+
+// descend is walk's uncached root-to-leaf descent.
+func (a *AddrSpace) descend(vpn VPN, alloc bool) *ptNode {
 	if a.root == nil {
 		if !alloc {
 			return nil
@@ -318,7 +342,9 @@ func (a *AddrSpace) setLeaf(vpn VPN, entry PFN, reclaim bool) {
 	if !reclaim || entry != ptEntryAbsent || n.live > 0 {
 		return
 	}
-	// Free empty nodes bottom-up.
+	// Free empty nodes bottom-up, starting with this leaf table, which
+	// the cache may hold.
+	a.leaf = nil
 	child := n
 	for level := 1; level < ptLevels; level++ {
 		parent := path[level]
@@ -366,6 +392,11 @@ func (a *AddrSpace) CheckInvariants() error {
 	// diagnostic counter and break checkpoint byte-parity across
 	// CheckInvariants calls.
 	defer func(saved uint64) { a.walkSteps = saved }(a.walkSteps)
+	if a.leaf != nil {
+		if fresh := a.descend(a.leafKey<<ptFanoutBits, false); fresh != a.leaf {
+			return fmt.Errorf("mm: leaf cache for VPN %d holds a table the page table does not", a.leafKey<<ptFanoutBits)
+		}
+	}
 	areas := a.VMAs()
 	sorted := make([]*VMA, len(areas))
 	copy(sorted, areas)

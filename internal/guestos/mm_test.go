@@ -1,10 +1,12 @@
 package guestos
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
 	"heteroos/internal/memsim"
+	"heteroos/internal/snapshot"
 )
 
 // mmOS boots a generously sized OS for address-space tests.
@@ -265,4 +267,144 @@ func TestTierOfPagePanicsOnUnpopulated(t *testing.T) {
 		}
 	}()
 	os.TierOfPage(target)
+}
+
+// uncachedTranslate walks a's page table from the root, ignoring the
+// leaf cache. It returns vpn's leaf entry (ptEntryAbsent when no table
+// covers vpn), whether the walk reached a level-0 table, and the
+// interior steps it took, counted as walk counts them: one per level
+// entered, including a level whose child is missing.
+func uncachedTranslate(a *AddrSpace, vpn VPN) (PFN, bool, uint64) {
+	n := a.root
+	if n == nil {
+		return ptEntryAbsent, false, 0
+	}
+	var steps uint64
+	for level := ptLevels - 1; level > 0; level-- {
+		steps++
+		if n = n.children[ptIndex(vpn, level)]; n == nil {
+			return ptEntryAbsent, false, steps
+		}
+	}
+	return n.leaves[ptIndex(vpn, 0)], true, steps
+}
+
+// TestLeafCacheFollowsTableLifetime drives one page through every event
+// that frees or replaces a page-table page while the leaf cache holds
+// it: the table's last entry unmapped, a remap, a swap-out and swap-in
+// (the swap-in clears the marker, freeing the table, then remaps),
+// Munmap, and a snapshot restored over the live address space. After
+// each step every probed VPN must translate as an uncached walk does,
+// each lookup that reaches a leaf must add exactly ptLevels-1 walk
+// steps (cache hit or not), and CheckInvariants must accept the cache.
+func TestLeafCacheFollowsTableLifetime(t *testing.T) {
+	os := mmOS(t)
+	a := os.AS
+	// A's one page sits in the first leaf table; B starts in that same
+	// table and ends in the next one, where a page stays mapped so the
+	// interior tables outlive A's.
+	va, _ := a.Mmap(1, KindAnon, NilFile)
+	vb, _ := a.Mmap(ptFanout, KindAnon, NilFile)
+	bLast := vb.End() - 1
+	if va.Start>>ptFanoutBits != vb.Start>>ptFanoutBits || va.Start>>ptFanoutBits == bLast>>ptFanoutBits {
+		t.Fatalf("layout: A at %d, B %d..%d do not straddle one table boundary", va.Start, vb.Start, bLast)
+	}
+	if _, err := os.TouchVPN(bLast, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	probes := []VPN{va.Start, vb.Start, bLast, bLast - 1, va.Start, bLast}
+	check := func(step string) {
+		t.Helper()
+		for _, vpn := range probes {
+			before := a.WalkSteps()
+			got, ok := a.Translate(vpn)
+			grew := a.WalkSteps() - before
+			entry, reached, steps := uncachedTranslate(a, vpn)
+			if wok := leafPresent(entry); ok != wok || ok && got != entry {
+				t.Fatalf("%s: Translate(%d) = %d/%v, uncached walk %d/%v", step, vpn, got, ok, entry, wok)
+			}
+			if grew != steps || reached && grew != ptLevels-1 {
+				t.Fatalf("%s: Translate(%d) added %d walk steps, uncached walk takes %d (leaf reached: %v)",
+					step, vpn, grew, steps, reached)
+			}
+		}
+		// CheckInvariants runs after the probes: its resident sweep walks
+		// every VMA and would replace a stale cache before they saw it.
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	// warm points the cache at vpn's table before a step that may free it.
+	warm := func(vpn VPN) {
+		t.Helper()
+		a.Translate(vpn)
+		if a.leaf == nil || a.leafKey != vpn>>ptFanoutBits {
+			t.Fatalf("leaf cache not holding vpn %d's table", vpn)
+		}
+	}
+
+	pfn, err := os.TouchVPN(va.Start, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("map")
+
+	warm(va.Start)
+	tables := a.PTPages()
+	os.freePage(pfn) // unmaps A's page, the last live entry of its table
+	if a.PTPages() != tables-1 {
+		t.Fatalf("unmap: PT pages %d, want %d (leaf table freed)", a.PTPages(), tables-1)
+	}
+	check("unmap-last-entry")
+
+	if pfn, err = os.TouchVPN(va.Start, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("remap")
+
+	warm(va.Start)
+	if !os.swapOutPage(pfn) {
+		t.Fatal("swap out failed")
+	}
+	check("swap-out")
+	warm(va.Start)
+	if _, err := os.TouchVPN(va.Start, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("swap-in")
+
+	warm(va.Start)
+	if err := a.Munmap(va.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("munmap")
+
+	warm(bLast)
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Section("as", a.snapshot); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := snapshot.Open(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Section("as")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.restore(d); err != nil {
+		t.Fatal(err)
+	}
+	check("restore")
+	if _, err := os.TouchVPN(bLast-1, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("map-after-restore")
 }

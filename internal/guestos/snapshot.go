@@ -413,7 +413,7 @@ func (a *AddrSpace) restore(d *snapshot.Decoder) error {
 	a.faults = d.U64()
 	a.swapIns = d.U64()
 	a.walkSteps = d.U64()
-	a.root = nil
+	a.root, a.leaf = nil, nil
 	if d.Bool() {
 		root, err := restorePTNode(d, ptLevels-1)
 		if err != nil {

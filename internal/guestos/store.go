@@ -202,6 +202,12 @@ func (s *PageStore) Has(pfn PFN, f PageFlags) bool {
 	return s.Flags(pfn)&f == f
 }
 
+// lruBits reads pfn's onLRU, active and accessed flags together.
+func (s *PageStore) lruBits(pfn PFN) (onLRU, active, accessed bool) {
+	w, b := pfn>>6, uint64(1)<<(pfn&63)
+	return s.onLRU[w]&b != 0, s.active[w]&b != 0, s.accessed[w]&b != 0
+}
+
 // Set sets the bits in f on pfn. With a constant mask the per-flag
 // branches fold away.
 func (s *PageStore) Set(pfn PFN, f PageFlags) {

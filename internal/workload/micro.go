@@ -118,8 +118,6 @@ func (s *Stream) Init(os *guestos.OS) error {
 func (s *Stream) Step(os *guestos.OS) (uint64, bool) {
 	s.epoch++
 	// Sequential sweep, one pass per epoch segment.
-	n := s.cursor.Pos()
-	_ = n
 	sweep := touchSamples
 	for i := 0; i < sweep; i++ {
 		vpn := s.heap.vma.Start + guestos.VPN(s.cursor.Sample())

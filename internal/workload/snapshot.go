@@ -45,6 +45,14 @@ func (h *heapRegion) restore(d *snapshot.Decoder, os *guestos.OS) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
+	// sample's wrap needs hotStart < pages, and the scratch arrays were
+	// sized for the Init geometry.
+	if h.pages != uint64(len(h.counts)) || h.hotPages < 1 || h.hotPages > h.pages ||
+		h.hotStart >= h.pages || !(h.hotFrac >= 0 && h.hotFrac <= 1) {
+		return fmt.Errorf("workload: snapshot heap region geometry pages %d hot %d start %d frac %v invalid for a %d-page region",
+			h.pages, h.hotPages, h.hotStart, h.hotFrac, len(h.counts))
+	}
+	h.setModuli()
 	vma, ok := os.AS.VMAByID(id)
 	if !ok {
 		return fmt.Errorf("workload: snapshot heap region VMA %d not in restored address space", id)

@@ -132,6 +132,9 @@ type heapRegion struct {
 	hotFrac  float64
 	hotStart uint64 // drifting window base
 	drift    uint64 // window advance per epoch, in pages
+	// Exact remainders by hotPages and by pages-hotPages (the latter
+	// unused when the whole region is hot), rebuilt with the geometry.
+	hotMod, coldMod sim.Modulus
 	// Per-touch scratch, zero between calls: access counts per page
 	// index and a bitmap of the indices sampled this touch.
 	counts  []uint32
@@ -149,7 +152,7 @@ func newHeapRegion(os *guestos.OS, rng *sim.RNG, pages, hotPages uint64, hotFrac
 	if hotPages > pages {
 		hotPages = pages
 	}
-	return &heapRegion{
+	h := &heapRegion{
 		vma:      vma,
 		rng:      rng.Fork(),
 		pages:    pages,
@@ -157,22 +160,46 @@ func newHeapRegion(os *guestos.OS, rng *sim.RNG, pages, hotPages uint64, hotFrac
 		hotFrac:  hotFrac,
 		counts:   make([]uint32, pages),
 		touched:  make([]uint64, (pages+63)/64),
-	}, nil
+	}
+	h.setModuli()
+	return h, nil
+}
+
+// setModuli precomputes the remainders sample takes. The geometry must
+// already satisfy 1 <= hotPages <= pages.
+func (h *heapRegion) setModuli() {
+	h.hotMod = sim.NewModulus(h.hotPages)
+	if h.pages > h.hotPages {
+		h.coldMod = sim.NewModulus(h.pages - h.hotPages)
+	}
 }
 
 // setDrift makes the hot window advance by pagesPerEpoch each touch.
 func (h *heapRegion) setDrift(pagesPerEpoch uint64) { h.drift = pagesPerEpoch }
 
 // sample draws one page index and whether it came from the hot window.
+// Each draw is the RNG's Intn (one Uint64 reduced modulo the range)
+// with the remainder taken by a precomputed Modulus. The window offset
+// wraps by one conditional subtract: hotStart < pages and the offset
+// (below hotPages, or hotPages plus a cold offset below pages-hotPages)
+// is below pages, so the sum is below 2*pages.
 func (h *heapRegion) sample() (uint64, bool) {
 	if h.rng.Bool(h.hotFrac) {
-		return (h.hotStart + uint64(h.rng.Intn(int(h.hotPages)))) % h.pages, true
+		return h.wrap(h.hotStart + h.hotMod.Mod(h.rng.Uint64())), true
 	}
 	if h.pages == h.hotPages {
-		return uint64(h.rng.Intn(int(h.pages))), true
+		return h.hotMod.Mod(h.rng.Uint64()), true
 	}
-	off := uint64(h.rng.Intn(int(h.pages - h.hotPages)))
-	return (h.hotStart + h.hotPages + off) % h.pages, false
+	off := h.hotPages + h.coldMod.Mod(h.rng.Uint64())
+	return h.wrap(h.hotStart + off), false
+}
+
+// wrap reduces an index below 2*pages into the region.
+func (h *heapRegion) wrap(idx uint64) uint64 {
+	if idx >= h.pages {
+		idx -= h.pages
+	}
+	return idx
 }
 
 // touch samples the region's distribution and issues the page touches.

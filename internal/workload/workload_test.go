@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sort"
 	"testing"
 
@@ -241,12 +242,27 @@ func touchedSet(t *testing.T, os *guestos.OS, r *heapRegion) map[guestos.VPN]boo
 	return out
 }
 
-// refTouch is heapRegion.touch as a map of per-VPN counts walked in
-// sorted order, the shape the dense count array and bitmap replace.
+// refSample is heapRegion.sample written with the RNG's Intn and the %
+// operator, the formula the precomputed remainders and the
+// conditional-subtract wrap replace.
+func refSample(h *heapRegion, rng *sim.RNG) (uint64, bool) {
+	if rng.Bool(h.hotFrac) {
+		return (h.hotStart + uint64(rng.Intn(int(h.hotPages)))) % h.pages, true
+	}
+	if h.pages == h.hotPages {
+		return uint64(rng.Intn(int(h.pages))), true
+	}
+	off := uint64(rng.Intn(int(h.pages - h.hotPages)))
+	return (h.hotStart + h.hotPages + off) % h.pages, false
+}
+
+// refTouch is heapRegion.touch as refSample's draws collected in a map
+// of per-VPN counts walked in sorted order, the shape the dense count
+// array and bitmap replace.
 func refTouch(h *heapRegion, os *guestos.OS, samples int, accessesPerSample uint64, storeFrac float64) error {
 	counts := make(map[guestos.VPN]uint64, samples)
 	for i := 0; i < samples; i++ {
-		idx, hot := h.sample()
+		idx, hot := refSample(h, h.rng)
 		vpn := h.vma.Start + guestos.VPN(idx)
 		if hot {
 			counts[vpn] += accessesPerSample
@@ -331,6 +347,131 @@ func TestTouchMatchesSortedMapReference(t *testing.T) {
 			assertScratchClear(t, got)
 		})
 	}
+}
+
+// TestSampleMatchesModuloReference draws from each geometry with sample
+// and with refSample on a clone of the region's RNG, and requires the
+// same index and hot flag every time, and the same RNG state after.
+func TestSampleMatchesModuloReference(t *testing.T) {
+	const draws = 100_000
+	for _, c := range []struct {
+		name                 string
+		pages, hot, hotStart uint64
+		frac                 float64
+	}{
+		{"one-page", 1, 1, 0, 0.5},
+		{"all-hot", 1000, 1000, 999, 0.5},
+		{"all-hot-frac0", 1000, 1000, 500, 0},
+		{"one-hot-page", 1000, 1, 999, 0.5},
+		{"start-at-end", 777, 300, 776, 0.5},
+		{"frac0", 777, 300, 600, 0},
+		{"frac1", 777, 300, 600, 1},
+		{"frac-half-mid", 4096, 1024, 3500, 0.5},
+		{"non-power-of-two", 100_003, 33_331, 99_000, 0.8},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := &heapRegion{
+				rng: sim.NewRNG(c.pages*31 + c.hotStart), pages: c.pages, hotPages: c.hot,
+				hotStart: c.hotStart, hotFrac: c.frac,
+			}
+			h.setModuli()
+			ref := sim.NewRNG(0)
+			ref.Restore(h.rng.State())
+			var hot, cold, wrapped int
+			for i := 0; i < draws; i++ {
+				gi, gh := h.sample()
+				ri, rh := refSample(h, ref)
+				if gi != ri || gh != rh {
+					t.Fatalf("draw %d: sample = (%d, %v), reference (%d, %v)", i, gi, gh, ri, rh)
+				}
+				if gh {
+					hot++
+				} else {
+					cold++
+				}
+				if gi < c.hotStart {
+					wrapped++
+				}
+			}
+			if h.rng.State() != ref.State() {
+				t.Fatal("sample consumed a different RNG stream")
+			}
+			// Both sides of each split were drawn where the geometry
+			// allows it, so neither branch went untested.
+			if c.frac > 0 && hot == 0 || c.frac < 1 && c.hot < c.pages && cold == 0 {
+				t.Fatalf("%d hot and %d cold draws", hot, cold)
+			}
+			if c.hotStart > 0 && c.pages > 1 && wrapped == 0 {
+				t.Fatal("no draw wrapped past the region's end")
+			}
+		})
+	}
+}
+
+// TestHeapRestoreRejectsBadGeometry feeds heapRegion.restore snapshots
+// whose geometry would break sample and expects an error, not a panic.
+func TestHeapRestoreRejectsBadGeometry(t *testing.T) {
+	os := bootOS(t)
+	h := mustHeapRegion(t, os, 100, 30, 0.7)
+	for _, c := range []struct {
+		name   string
+		mutate func(g *heapRegion)
+	}{
+		{"start-at-pages-zero-hot", func(g *heapRegion) { g.hotStart, g.hotPages = g.pages, 0 }},
+		{"start-at-pages", func(g *heapRegion) { g.hotStart = g.pages }},
+		{"zero-hot", func(g *heapRegion) { g.hotPages = 0 }},
+		{"hot-over-pages", func(g *heapRegion) { g.hotPages = g.pages + 1 }},
+		{"pages-resized", func(g *heapRegion) { g.pages = 200; g.hotStart = 150 }},
+		{"frac-negative", func(g *heapRegion) { g.hotFrac = -0.1 }},
+		{"frac-over-one", func(g *heapRegion) { g.hotFrac = 1.5 }},
+		{"frac-nan", func(g *heapRegion) { g.hotFrac = math.NaN() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := *h
+			c.mutate(&bad)
+			d := heapSnapshot(t, &bad)
+			fresh := mustHeapRegion(t, os, 100, 30, 0.7)
+			if err := fresh.restore(d, os); err == nil {
+				t.Fatal("restore accepted a corrupt geometry")
+			}
+		})
+	}
+	good := *h
+	good.hotStart = good.pages - 1
+	fresh := mustHeapRegion(t, os, 100, 30, 0.7)
+	if err := fresh.restore(heapSnapshot(t, &good), os); err != nil {
+		t.Fatalf("restore rejected a valid geometry: %v", err)
+	}
+	for i := 0; i < 1000; i++ {
+		if idx, _ := fresh.sample(); idx >= fresh.pages {
+			t.Fatalf("restored region sampled index %d of %d", idx, fresh.pages)
+		}
+	}
+}
+
+// heapSnapshot encodes h's run state and returns a decoder over it.
+func heapSnapshot(t *testing.T, h *heapRegion) *snapshot.Decoder {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Section("heap", h.snapshot); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := snapshot.Open(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Section("heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // guestState is os's complete SnapshotState encoding.
