@@ -1,7 +1,8 @@
 GO ?= go
 
 .PHONY: all build test fmt vet race check obs-parity scenario-smoke backend-parity \
-	snapshot-parity fuzz-smoke fleet-smoke cli-smoke bench bench-all bench-json bench-guard figures
+	snapshot-parity fuzz-smoke fleet-smoke cli-smoke perfbench-test bench bench-all \
+	perf-gate figures
 
 all: check
 
@@ -198,60 +199,60 @@ backend-parity:
 	echo "backend-parity: analytic backend byte-identical to seed figures"
 
 # check is the pre-commit gate: formatting, static analysis, full
-# build, the full test suite, the race detector over the concurrent
-# packages, the observability no-perturbation check, the one-host
-# script smoke run, the machine-model backend parity gate, the
-# checkpoint/restore parity gate, the fuzz seed-band smoke run, the
+# build, the full test suite, perfbench's own tests, the race detector
+# over the concurrent packages, the observability no-perturbation check,
+# the one-host script smoke run, the machine-model backend parity gate,
+# the checkpoint/restore parity gate, the fuzz seed-band smoke run, the
 # datacenter-scale fleet determinism smoke run, and the CLI smoke run.
-check: fmt vet build test race obs-parity scenario-smoke backend-parity \
-	snapshot-parity fuzz-smoke fleet-smoke cli-smoke
+check: fmt vet build test perfbench-test race obs-parity scenario-smoke \
+	backend-parity snapshot-parity fuzz-smoke fleet-smoke cli-smoke
 
-# bench runs the ranking, scan, and figure9-sweep benchmarks at
-# benchstat-grade repetition: save the output before and after a change
-# and compare the two files with benchstat.
+# bench runs the single-hot-path micro-benchmarks (ranking, scan,
+# epoch pricing, allocator, OpenMetrics encoding) at benchstat-grade
+# repetition: save the output before and after a change and compare the
+# two files with benchstat. End-to-end timing is perf-gate's job.
 bench:
-	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|SweepFigure9|EpochPricing|Obs|FleetEpochRound' \
+	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|EpochPricing|AllocatorFastPath|BuddySplit|ObsOpenMetrics' \
 		-benchmem -count=5 .
 
-# bench-json regenerates the committed perf-trajectory baselines: the
-# ranking, scan and pricing benchmarks and the figure9 sweep into
-# BENCH_analytic.json, the observability aggregation path
-# (direct scope rollup, its speedup over the snapshot merge fold, and
-# the OpenMetrics encoder) into BENCH_obs.json, and the fleet epoch
-# round (pooled barrier over its serial twin) into BENCH_fleet.json.
-bench-json:
-	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|SweepFigure9|EpochPricing|Obs|FleetEpochRound' \
-		-benchmem -count=5 . > "$$tmp" || { cat "$$tmp"; exit 1; }; \
-	$(GO) run ./cmd/benchjson -label analytic \
-		-match 'HottestIn|ColdestIn|HotScan|SweepFigure9Workers|EpochPricingAnalytic' \
-		< "$$tmp" > BENCH_analytic.json || exit 1; \
-	$(GO) run ./cmd/benchjson -label obs \
-		-match 'ObsRollup|ObsOpenMetrics' \
-		-speedup ObsRollupDirect=ObsRollupMergeFold \
-		< "$$tmp" > BENCH_obs.json || exit 1; \
-	$(GO) run ./cmd/benchjson -label fleet \
-		-match 'FleetEpochRound' \
-		-speedup FleetEpochRound=FleetEpochRoundWorkers1 \
-		< "$$tmp" > BENCH_fleet.json || exit 1; \
-	echo "bench-json: wrote BENCH_analytic.json BENCH_obs.json BENCH_fleet.json"
-
-# bench-guard re-runs the speedup-pair benchmarks and fails if any
-# committed factor regressed more than 5%: direct-over-merge-fold scope
-# rollup (BENCH_obs.json) and pooled-over-serial fleet rounds
-# (BENCH_fleet.json). The ratio (not raw ns/op) is guarded, so the check
-# is stable across machines. Not part of check: benchmarks are too noisy
-# for an always-on gate.
-bench-guard:
-	@$(GO) test -run=NONE -bench='ObsRollup' -benchmem -count=3 . \
-		| $(GO) run ./cmd/benchjson -guard BENCH_obs.json -tolerance 0.05
-	@$(GO) test -run=NONE -bench='FleetEpochRound' -benchmem -count=3 . \
-		| $(GO) run ./cmd/benchjson -guard BENCH_fleet.json -tolerance 0.05
-
-# bench-all smoke-runs every benchmark once (artifact regeneration
-# included), trading statistical weight for coverage.
+# bench-all smoke-runs every benchmark once, ablations included,
+# trading statistical weight for coverage.
 bench-all:
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
+
+# perfbench-test runs the repository benchmark's own tests (its output
+# is not perturbed by tracing, held-out seeds agree, metric names match
+# BENCHMARK.json); perfbench is its own module, outside `go test ./...`.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+# perf-gate is the performance gate: it checks BASE (a commit) out into
+# a temporary worktree and runs perfbench on every BENCHMARK.json
+# workload, twice per side in the order base, head, head, base, where
+# head is this checkout. scripts/perf_gate.py then fails the gate when a
+# run is incorrect, when head fails a larger share of operations, or
+# when an end-to-end metric of head is worse than base's by more than
+# its BENCHMARK.json bound. Each side keeps its best value per metric.
+# BASE defaults to HEAD, so a bare `make perf-gate` measures uncommitted
+# changes against the last commit. Not part of check: it takes a few
+# minutes.
+BASE ?= HEAD
+perf-gate:
+	@tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null; rm -rf "$$tmp"; git worktree prune' EXIT; \
+	git worktree add -q --detach "$$tmp/base" "$(BASE)" || exit 1; \
+	ws=$$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))') || exit 1; \
+	for w in $$ws; do \
+		for side in base head head base; do \
+			dir=.; test $$side = base && dir="$$tmp/base"; \
+			echo "perf-gate: $$w on $$side"; \
+			(cd "$$dir" && python3 perfbench/run.py --workload $$w --seed 7 --seconds 20 --trace 0) \
+				> "$$tmp/out" || { cat "$$tmp/out"; echo "perf-gate: $$w on $$side failed to run"; exit 1; }; \
+			tail -n 2 "$$tmp/out"; \
+			echo "$$side $$w $$(tail -n 1 "$$tmp/out")" >> "$$tmp/results"; \
+		done; \
+	done; \
+	python3 scripts/perf_gate.py BENCHMARK.json "$$tmp/results"
 
 figures:
 	$(GO) run ./cmd/heterobench -quick

@@ -1,85 +1,26 @@
-// Package heteroos's root benchmark harness: one testing.B benchmark per
-// paper table and figure (regenerating the artifact through the
-// experiment registry), plus ablation benchmarks for the design choices
-// DESIGN.md calls out.
+// Package heteroos's root benchmarks: single-hot-path micro-benchmarks
+// to compare with benchstat before and after a change, and ablation
+// benchmarks for the design choices DESIGN.md §6 calls out. End-to-end
+// timing is perfbench's job (`make perf-gate`); a whole artifact is
+// profiled with `heterobench -exp ID -quick -cpuprofile F`.
 //
-// Run everything:
-//
-//	go test -bench=. -benchmem
-//
-// Each figure benchmark logs its reproduced table once; timings measure
-// full artifact regeneration at reduced (Quick) sweep sizes so the whole
-// suite stays tractable. Use cmd/heterobench for full-size tables.
+//	go test -run=NONE -bench=. -benchmem
 package heteroos
 
 import (
-	"context"
 	"io"
-	"runtime"
 	"strings"
 	"testing"
 
 	"heteroos/internal/core"
-	"heteroos/internal/exp"
-	"heteroos/internal/fleet"
 	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
 	"heteroos/internal/obs"
 	"heteroos/internal/policy"
-	"heteroos/internal/runner"
 	"heteroos/internal/sim"
 	"heteroos/internal/vmm"
 	"heteroos/internal/workload"
 )
-
-// benchExperiment regenerates one registry artifact per iteration. The
-// sweep cells fan out through internal/runner on a GOMAXPROCS-wide
-// worker pool.
-func benchExperiment(b *testing.B, id string, quick bool) {
-	b.Helper()
-	benchExperimentWorkers(b, id, quick, 0)
-}
-
-func benchExperimentWorkers(b *testing.B, id string, quick bool, workers int) {
-	b.Helper()
-	e, ok := exp.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := e.Run(context.Background(), exp.Options{Seed: 1, Quick: quick, Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res.Table.String())
-		}
-	}
-}
-
-// --- Tables ---
-
-func BenchmarkTable1Devices(b *testing.B)       { benchExperiment(b, "table1", false) }
-func BenchmarkTable2Applications(b *testing.B)  { benchExperiment(b, "table2", false) }
-func BenchmarkTable3Throttle(b *testing.B)      { benchExperiment(b, "table3", false) }
-func BenchmarkTable4MPKI(b *testing.B)          { benchExperiment(b, "table4", false) }
-func BenchmarkTable5Mechanisms(b *testing.B)    { benchExperiment(b, "table5", false) }
-func BenchmarkTable6MigrationCost(b *testing.B) { benchExperiment(b, "table6", false) }
-
-// --- Figures ---
-
-func BenchmarkFigure1Sensitivity(b *testing.B)     { benchExperiment(b, "figure1", true) }
-func BenchmarkFigure2Emulator(b *testing.B)        { benchExperiment(b, "figure2", true) }
-func BenchmarkFigure3Capacity(b *testing.B)        { benchExperiment(b, "figure3", true) }
-func BenchmarkFigure4PageDist(b *testing.B)        { benchExperiment(b, "figure4", true) }
-func BenchmarkFigure6MemLat(b *testing.B)          { benchExperiment(b, "figure6", true) }
-func BenchmarkFigure7Stream(b *testing.B)          { benchExperiment(b, "figure7", true) }
-func BenchmarkFigure8TrackingCost(b *testing.B)    { benchExperiment(b, "figure8", true) }
-func BenchmarkFigure9Placement(b *testing.B)       { benchExperiment(b, "figure9", true) }
-func BenchmarkFigure10MissRatio(b *testing.B)      { benchExperiment(b, "figure10", true) }
-func BenchmarkFigure11Coordinated(b *testing.B)    { benchExperiment(b, "figure11", true) }
-func BenchmarkFigure12MigrationGains(b *testing.B) { benchExperiment(b, "figure12", true) }
-func BenchmarkFigure13DRF(b *testing.B)            { benchExperiment(b, "figure13", true) }
 
 // --- Ablations: the design choices DESIGN.md calls out ---
 
@@ -440,9 +381,6 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// Silence unused-import guards under build tag permutations.
-var _ = sim.Millisecond
-
 // BenchmarkAblationWriteAwareMigration contrasts the Section 4.3
 // write-aware extension against plain coordinated migration on a
 // store-dominated workload over NVM-class SlowMem (L:5 with 2x store
@@ -478,21 +416,6 @@ func BenchmarkAblationWriteAwareMigration(b *testing.B) {
 	}
 }
 
-// BenchmarkExtNVMWriteAware regenerates the Section 4.3 extension study.
-func BenchmarkExtNVMWriteAware(b *testing.B) { benchExperiment(b, "ext-nvm", true) }
-
-// --- Runner: sweep scaling ---
-
-// The Figure 9 sweep regenerated serially vs on the full worker pool —
-// the before/after of the concurrent sweep engine.
-func BenchmarkSweepFigure9Workers1(b *testing.B) {
-	benchExperimentWorkers(b, "figure9", true, 1)
-}
-
-func BenchmarkSweepFigure9WorkersMax(b *testing.B) {
-	benchExperimentWorkers(b, "figure9", true, runtime.GOMAXPROCS(0))
-}
-
 // --- Machine-model backends: epoch-pricing throughput ---
 
 // benchEpochPricing streams a varied epoch-charge mix through one
@@ -525,52 +448,6 @@ func BenchmarkEpochPricingAnalytic(b *testing.B) {
 }
 
 var benchPricingSink float64
-
-// benchRunnerBatch pushes a fixed batch of memlat simulations through
-// the runner at the given worker count.
-func benchRunnerBatch(b *testing.B, workers int) {
-	b.Helper()
-	var jobs []runner.Job
-	for i := 0; i < 8; i++ {
-		w, err := workload.ByName("memlat", workload.Config{Seed: uint64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs = append(jobs, runner.Job{
-			Label: "memlat" + itoa(i),
-			Cfg: core.Config{
-				FastFrames: 4096 + 16384 + 1024,
-				SlowFrames: 16384 + 1024,
-				Seed:       uint64(i + 1),
-				VMs: []core.VMConfig{{
-					ID: 1, Mode: policy.HeteroOSLRU(), Workload: w,
-					FastPages: 4096, SlowPages: 16384,
-				}},
-			},
-		})
-	}
-	results, err := runner.Run(context.Background(), jobs, runner.Options{Workers: workers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			b.Fatalf("%s: %v", r.Label, r.Err)
-		}
-	}
-}
-
-func BenchmarkRunnerBatchWorkers1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchRunnerBatch(b, 1)
-	}
-}
-
-func BenchmarkRunnerBatchWorkersMax(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchRunnerBatch(b, runtime.GOMAXPROCS(0))
-	}
-}
 
 // --- Observability: instrumented hot paths stay allocation-free ---
 
@@ -641,14 +518,14 @@ type nopSink struct{}
 func (nopSink) WriteBatch([]obs.Event) error { return nil }
 func (nopSink) Close() error                 { return nil }
 
-// --- Observability: scope rollup and OpenMetrics encoding ---
+// --- Observability: OpenMetrics encoding ---
 
 // benchObsRegistry builds one registry shaped like a scenario run:
 // vms per-VM scopes, each with the guest/vmm counter+gauge families and
 // the phase histograms, loaded with n observations per scope.
 func benchObsRegistry(vms, n int) *obs.Registry {
 	r := obs.NewRegistry()
-	r.Counter("tracer_dropped_events").Add(3)
+	r.Counter("memsim.charges").Add(3)
 	for vm := 0; vm < vms; vm++ {
 		s := r.Scope("vm" + string(rune('0'+vm%10)) + string(rune('a'+vm/10)))
 		promo := s.Counter("guestos.promotions")
@@ -661,40 +538,6 @@ func benchObsRegistry(vms, n int) *obs.Registry {
 		}
 	}
 	return r
-}
-
-// BenchmarkObsRollupDirect rolls up one shared scoped registry's
-// snapshot — the heterosim path, where every VM scope lives in a single
-// registry tree and aggregation is a single canonical pass.
-func BenchmarkObsRollupDirect(b *testing.B) {
-	snap := benchObsRegistry(16, 512).Snapshot()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rolled := snap.Rollup(); len(rolled.Values) == 0 {
-			b.Fatal("empty rollup")
-		}
-	}
-}
-
-// BenchmarkObsRollupMergeFold aggregates the same series by folding 16
-// independent single-VM snapshots with Merge and rolling up the result
-// — the heterobench cross-cell path. Direct rollup must stay faster:
-// the fold re-sorts and re-copies the accumulated snapshot per merge.
-func BenchmarkObsRollupMergeFold(b *testing.B) {
-	snaps := make([]obs.Snapshot, 16)
-	for i := range snaps {
-		snaps[i] = benchObsRegistry(1, 512).Snapshot()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var merged obs.Snapshot
-		for _, s := range snaps {
-			merged = merged.Merge(s)
-		}
-		if rolled := merged.Rollup(); len(rolled.Values) == 0 {
-			b.Fatal("empty rollup")
-		}
-	}
 }
 
 // BenchmarkObsOpenMetricsEncode renders a scenario-sized snapshot to
@@ -715,58 +558,3 @@ func BenchmarkObsOpenMetricsEncode(b *testing.B) {
 		}
 	}
 }
-
-// --- Fleet: lock-step epoch rounds across a simulated datacenter ---
-
-// benchFleetScript is a steady-state fleet shape for round timing: 16
-// memlat VMs across 8 hosts at high scale, one epoch per round, sized
-// so every VM is busy for exactly the script's 20 rounds (memlat's
-// fixed epoch budget) — no idle-host tail distorts the per-round cost.
-func benchFleetScript() *fleet.Script {
-	return &fleet.Script{
-		Name: "bench", Seed: 1, Hosts: 8, Rounds: 20, RoundEpochs: 1, Scale: 512,
-		Host:      fleet.HostDesc{FastFrames: 6144, SlowFrames: 12800},
-		Placement: fleet.PlacementPressurePack,
-		VMs: []fleet.VMGroup{{
-			App: "memlat", Mode: "HeteroOS-coordinated", Count: 16,
-			FastPages: 512, SlowPages: 1024,
-		}},
-	}
-}
-
-// benchFleetEpochRound times one fleet StepRound: event application,
-// placement, and the pooled host-stepping barrier. The cluster is
-// rebuilt off the clock whenever its workloads run out of rounds.
-func benchFleetEpochRound(b *testing.B, workers int) {
-	b.Helper()
-	sc := benchFleetScript()
-	ctx := context.Background()
-	opts := fleet.Options{Workers: workers}
-	cl, err := fleet.NewCluster(sc, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rounds := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rounds == sc.Rounds {
-			b.StopTimer()
-			if cl, err = fleet.NewCluster(sc, opts); err != nil {
-				b.Fatal(err)
-			}
-			rounds = 0
-			b.StartTimer()
-		}
-		if err := cl.StepRound(ctx); err != nil {
-			b.Fatal(err)
-		}
-		rounds++
-	}
-}
-
-// The pooled round against its serial (1-worker) twin: the speedup pair
-// guards the pool dispatch overhead per round — the ratio can only grow
-// with core count, so a regression means the barrier itself got more
-// expensive.
-func BenchmarkFleetEpochRound(b *testing.B)         { benchFleetEpochRound(b, runtime.GOMAXPROCS(0)) }
-func BenchmarkFleetEpochRoundWorkers1(b *testing.B) { benchFleetEpochRound(b, 1) }

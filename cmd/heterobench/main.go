@@ -244,7 +244,6 @@ func main() {
 			fmt.Printf("[%s completed in %.1fs]\n\n", e.ID, time.Since(start).Seconds())
 		} else {
 			fmt.Println()
-			_ = start
 		}
 	}
 }

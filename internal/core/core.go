@@ -54,9 +54,9 @@ type VMConfig struct {
 type Config struct {
 	// Machine shape (scaled pages per tier).
 	FastFrames, SlowFrames uint64
-	// Tier performance; zero values default to the paper's FastMem
-	// (L:1,B:1) and SlowMem (L:5,B:9).
-	FastSpec, SlowSpec memsim.TierSpec
+	// SlowSpec is SlowMem's performance; the zero value defaults to the
+	// paper's L:5,B:9. FastMem is always the paper's L:1,B:1.
+	SlowSpec memsim.TierSpec
 	// LLC model; zero value defaults to the 16 MB reference platform.
 	LLC memsim.LLC
 	// CPU model; zero value defaults to the paper's Xeon.
@@ -71,19 +71,12 @@ type Config struct {
 	// epochs (default 1, i.e. every 100 ms epoch).
 	ScanEveryEpochs int
 	// ScanBatchPages bounds pages scanned per pass, in scaled pages
-	// (default 16K real pages / CostScale — the Figure 11 cadence).
+	// (default 32K real pages / CostScale — the Figure 8 cadence).
 	ScanBatchPages int
-	// MaxMovesPerPass bounds migrations per rebalance, in scaled pages
-	// (default 8K real pages / CostScale: one Table 6 batch).
-	MaxMovesPerPass int
 	// CostScale is the capacity scale factor: one simulated page stands
 	// for CostScale real pages, so per-page software costs multiply by
 	// it. Default workload.DefaultScale.
 	CostScale float64
-	// CoordMovesPerEpoch is the coordinated manager's migration budget
-	// (scaled pages per epoch); selectivity is what keeps coordinated
-	// migration volumes at Figure 12's levels. Default 48.
-	CoordMovesPerEpoch int
 	// Trace records a per-epoch time series in each VMInstance (memory
 	// profiles over time; used by heterosim -trace and tooling).
 	Trace bool
@@ -115,9 +108,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.FastSpec == (memsim.TierSpec{}) {
-		c.FastSpec = memsim.FastTierSpec()
-	}
 	if c.SlowSpec == (memsim.TierSpec{}) {
 		c.SlowSpec = memsim.SlowTierSpec()
 	}
@@ -146,17 +136,16 @@ func (c *Config) applyDefaults() {
 			c.ScanBatchPages = 1
 		}
 	}
-	if c.MaxMovesPerPass == 0 {
-		// 8K real pages per rebalance: one Table 6 batch.
-		c.MaxMovesPerPass = int(8 * 1024 / c.CostScale)
-		if c.MaxMovesPerPass < 1 {
-			c.MaxMovesPerPass = 1
-		}
-	}
-	if c.CoordMovesPerEpoch == 0 {
-		c.CoordMovesPerEpoch = 96
-	}
 }
+
+// movesPerPass bounds migrations per rebalance, in scaled pages: 8K real
+// pages, one Table 6 batch.
+func (c *Config) movesPerPass() int { return max(1, int(8*1024/c.CostScale)) }
+
+// coordMovesPerEpoch is the coordinated manager's migration budget
+// accrual (scaled pages per epoch); selectivity is what keeps
+// coordinated migration volumes at Figure 12's levels.
+const coordMovesPerEpoch = 96
 
 // effectiveSpans resolves a VM's per-tier capacity after the mode's
 // baseline overrides (NoFastMem zeroes FastMem; AllFastMem folds both
@@ -187,9 +176,9 @@ func (c *Config) Validate() error {
 	if c.CostScale < 0 {
 		return fmt.Errorf("core: negative CostScale %g", c.CostScale)
 	}
-	if c.ScanEveryEpochs < 0 || c.ScanBatchPages < 0 || c.MaxMovesPerPass < 0 || c.CoordMovesPerEpoch < 0 {
-		return fmt.Errorf("core: negative scan/migration knob (ScanEveryEpochs=%d ScanBatchPages=%d MaxMovesPerPass=%d CoordMovesPerEpoch=%d)",
-			c.ScanEveryEpochs, c.ScanBatchPages, c.MaxMovesPerPass, c.CoordMovesPerEpoch)
+	if c.ScanEveryEpochs < 0 || c.ScanBatchPages < 0 {
+		return fmt.Errorf("core: negative scan knob (ScanEveryEpochs=%d ScanBatchPages=%d)",
+			c.ScanEveryEpochs, c.ScanBatchPages)
 	}
 	switch c.Share {
 	case "", ShareStatic, ShareMaxMin, ShareDRF:
@@ -365,7 +354,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{Cfg: cfg}
-	s.Machine = memsim.NewMachine(cfg.FastFrames, cfg.SlowFrames, cfg.FastSpec, cfg.SlowSpec)
+	s.Machine = memsim.NewMachine(cfg.FastFrames, cfg.SlowFrames, memsim.FastTierSpec(), cfg.SlowSpec)
 	var share vmm.SharePolicy
 	switch cfg.Share {
 	case ShareStatic:

@@ -184,7 +184,7 @@ func (s *System) stepVM(inst *VMInstance) (err error) {
 					inst.phases.ObserveSim(obs.PhaseScan, res.CostNs)
 					pt = time.Now()
 				}
-				st := inst.migrator.Rebalance(inst.VM, inst.scanner, s.Cfg.MaxMovesPerPass)
+				st := inst.migrator.Rebalance(inst.VM, inst.scanner, s.Cfg.movesPerPass())
 				if inst.phases != nil {
 					// The rebalance wall time includes its ranking queries,
 					// which the scanner also reports under the rank phase;
@@ -198,7 +198,7 @@ func (s *System) stepVM(inst *VMInstance) (err error) {
 				inst.Res.VMMMigrations += uint64(st.Promoted + st.Demoted)
 				inst.Res.ScanPasses++
 			case policy.MigrateCoordinated:
-				moves := s.Cfg.MaxMovesPerPass
+				moves := s.Cfg.movesPerPass()
 				if moves > inst.moveBudget {
 					moves = inst.moveBudget
 				}
@@ -299,13 +299,13 @@ func (s *System) stepVM(inst *VMInstance) (err error) {
 	// The coordinated migration budget scales with how well promotions
 	// have been paying: spend aggressively while each move keeps earning
 	// its Table 6 cost back, trickle otherwise.
-	accrual := s.Cfg.CoordMovesPerEpoch
+	accrual := coordMovesPerEpoch
 	if rate := inst.OS.PromoteRate(); rate > 0.5 {
 		accrual *= 1 + int(8*rate)
 	}
 	inst.moveBudget += accrual
-	if inst.moveBudget > 16*s.Cfg.CoordMovesPerEpoch {
-		inst.moveBudget = 16 * s.Cfg.CoordMovesPerEpoch
+	if inst.moveBudget > 16*coordMovesPerEpoch {
+		inst.moveBudget = 16 * coordMovesPerEpoch
 	}
 
 	// 6. Adaptive interval (Equation 1): fold this epoch's miss count.

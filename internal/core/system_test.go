@@ -42,9 +42,6 @@ func TestConfigValidation(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	var c Config
 	c.applyDefaults()
-	if c.FastSpec.LoadLatencyNs != memsim.FastTierSpec().LoadLatencyNs {
-		t.Error("FastSpec default missing")
-	}
 	if c.Share != ShareStatic || c.MaxEpochs != 4096 {
 		t.Error("basic defaults missing")
 	}
@@ -53,9 +50,6 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if c.ScanBatchPages != 32*1024/int(c.CostScale) {
 		t.Errorf("scan batch default = %d", c.ScanBatchPages)
-	}
-	if c.CoordMovesPerEpoch == 0 {
-		t.Error("coordinated budget default missing")
 	}
 }
 
