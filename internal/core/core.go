@@ -149,7 +149,8 @@ const coordMovesPerEpoch = 96
 
 // effectiveSpans resolves a VM's per-tier capacity after the mode's
 // baseline overrides (NoFastMem zeroes FastMem; AllFastMem folds both
-// spans into one FastMem span).
+// spans into one FastMem span and keeps SlowMem, sized as configured,
+// as a never-preferred safety net).
 func (vc *VMConfig) effectiveSpans() (fast, slow uint64) {
 	fast, slow = vc.FastPages, vc.SlowPages
 	switch {
@@ -430,15 +431,7 @@ func (s *System) bootVM(vc VMConfig) (*VMInstance, error) {
 	if vc.Workload == nil {
 		return nil, fmt.Errorf("core: VM %d has no workload", vc.ID)
 	}
-	fast, slow := vc.FastPages, vc.SlowPages
-	switch {
-	case vc.Mode.NoFastMem:
-		fast = 0
-	case vc.Mode.AllFastMem:
-		// One huge FastMem span; SlowMem stays as a (never-preferred)
-		// safety net sized as configured.
-		fast = fast + slow
-	}
+	fast, slow := vc.effectiveSpans()
 	bootFast, bootSlow := vc.BootFastPages, vc.BootSlowPages
 	if bootFast == 0 {
 		bootFast = fast / 2

@@ -2,8 +2,8 @@
 // VMImage and re-materializes on another, carrying its full mutable
 // state — guest OS structures, page heat, workload cursor, accumulated
 // results — across the move. A VMImage is a one-VM checkpoint: its vm
-// section is written by the checkpoint's writeVM and read back by the
-// same readVM after a fresh boot. The one addition is the p2m section,
+// section is written and read back after a fresh boot by the
+// checkpoint's one per-VM layout, vmState. The one addition is the p2m section,
 // through which the image's machine-frame bindings are remapped onto
 // frames adopted from the destination host, tier-for-tier, so the
 // guest's physical-page layout (and with it the heat profile) survives
@@ -34,7 +34,7 @@ import (
 //	p2m — backed pages in ascending PFN order: (pfn, mfn, tier); the
 //	      source-host MFNs recorded here are what ImmigrateVM rebinds
 //	      onto destination frames
-//	vm  — the VM's state in a checkpoint's vm<ID> layout (writeVM)
+//	vm  — the VM's state in a checkpoint's vm<ID> layout (vmState)
 //
 // Images live only in memory between EmigrateVM and ImmigrateVM, so
 // the layout carries no compatibility promise.
@@ -96,14 +96,10 @@ func (s *System) EmigrateVM(id vmm.VMID) (*VMImage, error) {
 	}); err != nil {
 		return nil, err
 	}
-	var vmErr error
-	if err := sw.Section("vm", func(e *snapshot.Encoder) {
-		vmErr = writeVM(e, inst)
+	if err := sw.State("vm", func(c *snapshot.Codec) error {
+		return s.vmState(c, inst, nil)
 	}); err != nil {
-		return nil, err
-	}
-	if vmErr != nil {
-		return nil, fmt.Errorf("core: EmigrateVM VM %d: %w", id, vmErr)
+		return nil, fmt.Errorf("core: EmigrateVM VM %d: %w", id, err)
 	}
 	if err := sw.Close(); err != nil {
 		return nil, err
@@ -135,7 +131,7 @@ func (s *System) EmigrateVM(id vmm.VMID) (*VMImage, error) {
 // is booted silently (no observability, like RestoreSystem's reboot),
 // its transient boot footprint dropped, the image's per-tier frame
 // counts adopted from this host's pools, and the vm section overlaid by
-// readVM with every guest page rebound old-MFN→new-MFN. The VM joins
+// vmState with every guest page rebound old-MFN→new-MFN. The VM joins
 // the lockstep from the next epoch with clock, heat profile, workload
 // cursor, and accumulated result intact.
 //
@@ -241,10 +237,9 @@ func (s *System) ImmigrateVM(vc VMConfig, img *VMImage) (inst *VMInstance, err e
 		}
 		return m
 	}
-	if d, err = r.Section("vm"); err != nil {
-		return abort(err)
-	}
-	if err := s.readVM(inst, d, mapMFN); err != nil {
+	if err := r.State("vm", func(c *snapshot.Codec) error {
+		return s.vmState(c, inst, mapMFN)
+	}); err != nil {
 		return abort(err)
 	}
 

@@ -46,48 +46,23 @@ func (s *System) Checkpoint(w io.Writer) error {
 	}); err != nil {
 		return err
 	}
-	if err := sw.Section("machine", func(e *snapshot.Encoder) {
-		s.Machine.Snapshot(e)
-	}); err != nil {
+	if err := sw.State("machine", s.Machine.SnapshotState); err != nil {
 		return err
 	}
 	if s.drf != nil {
-		if err := sw.Section("drf", func(e *snapshot.Encoder) {
-			s.drf.DRFAllocator().Snapshot(e)
-		}); err != nil {
+		if err := sw.State("drf", s.drf.DRFAllocator().SnapshotState); err != nil {
 			return err
 		}
 	}
 	for _, inst := range s.VMs {
-		var vmErr error
-		if err := sw.Section(fmt.Sprintf("vm%d", inst.ID), func(e *snapshot.Encoder) {
-			vmErr = writeVM(e, inst)
+		if err := sw.State(fmt.Sprintf("vm%d", inst.ID), func(c *snapshot.Codec) error {
+			return s.vmState(c, inst, nil)
 		}); err != nil {
-			return err
-		}
-		if vmErr != nil {
-			return fmt.Errorf("core: checkpoint VM %d: %w", inst.ID, vmErr)
+			return fmt.Errorf("core: checkpoint VM %d: %w", inst.ID, err)
 		}
 	}
-	var sectionErr error
-	if err := sw.Section("departed", func(e *snapshot.Encoder) {
-		e.U32(uint32(len(s.Departed)))
-		for _, inst := range s.Departed {
-			e.U32(uint32(inst.ID))
-			e.Bool(inst.MigratedOut)
-			e.I64(int64(inst.Clock.Now()))
-			if err := e.JSON(&inst.Res); err != nil && sectionErr == nil {
-				sectionErr = err
-			}
-			if err := e.JSON(inst.TraceLog); err != nil && sectionErr == nil {
-				sectionErr = err
-			}
-		}
-	}); err != nil {
+	if err := sw.State("departed", s.departedState); err != nil {
 		return err
-	}
-	if sectionErr != nil {
-		return fmt.Errorf("core: checkpoint departed VMs: %w", sectionErr)
 	}
 	return sw.Close()
 }
@@ -168,11 +143,7 @@ func RestoreSystem(r *snapshot.Reader, cfg Config) (*System, error) {
 	}
 	s.epochs = epochs
 
-	d, err = r.Section("machine")
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Machine.Restore(d); err != nil {
+	if err := r.State("machine", s.Machine.SnapshotState); err != nil {
 		return nil, err
 	}
 
@@ -183,11 +154,7 @@ func RestoreSystem(r *snapshot.Reader, cfg Config) (*System, error) {
 	}
 
 	if s.drf != nil {
-		d, err = r.Section("drf")
-		if err != nil {
-			return nil, err
-		}
-		if err := s.drf.DRFAllocator().Restore(d); err != nil {
+		if err := r.State("drf", s.drf.DRFAllocator().SnapshotState); err != nil {
 			return nil, err
 		}
 	} else if r.Has("drf") {
@@ -195,35 +162,17 @@ func RestoreSystem(r *snapshot.Reader, cfg Config) (*System, error) {
 	}
 
 	for _, inst := range s.VMs {
-		d, err = r.Section(fmt.Sprintf("vm%d", inst.ID))
-		if err != nil {
-			return nil, err
-		}
-		if err := s.readVM(inst, d, nil); err != nil {
+		if err := r.State(fmt.Sprintf("vm%d", inst.ID), func(c *snapshot.Codec) error {
+			return s.vmState(c, inst, nil)
+		}); err != nil {
 			return nil, fmt.Errorf("core: restore VM %d: %w", inst.ID, err)
 		}
 	}
-
-	d, err = r.Section("departed")
-	if err != nil {
+	if err := r.State("departed", s.departedState); err != nil {
 		return nil, err
 	}
-	if n := int(d.U32()); n != nDeparted {
-		return nil, fmt.Errorf("core: restore: departed section has %d VMs, config section says %d", n, nDeparted)
-	}
-	for i := 0; i < nDeparted; i++ {
-		stub := &VMInstance{ID: vmm.VMID(d.U32()), Done: true, MigratedOut: d.Bool()}
-		stub.Clock.Restore(sim.Time(d.I64()))
-		if err := d.JSON(&stub.Res); err != nil {
-			return nil, fmt.Errorf("core: restore departed VM %d: %w", stub.ID, err)
-		}
-		if err := d.JSON(&stub.TraceLog); err != nil {
-			return nil, fmt.Errorf("core: restore departed VM %d: %w", stub.ID, err)
-		}
-		s.Departed = append(s.Departed, stub)
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
+	if len(s.Departed) != nDeparted {
+		return nil, fmt.Errorf("core: restore: departed section has %d VMs, config section says %d", len(s.Departed), nDeparted)
 	}
 	s.attachObs(h)
 	return s, nil
@@ -247,89 +196,75 @@ func (s *System) attachObs(h *obs.Obs) {
 	}
 }
 
-// writeVM encodes one live VM's mutable state: the body of a
-// checkpoint's vm<ID> section and of a VMImage's vm section.
-func writeVM(e *snapshot.Encoder, inst *VMInstance) error {
-	inst.VM.SnapshotState(e)
-	e.I64(int64(inst.Clock.Now()))
-	e.I64(int64(inst.scanDebt))
-	e.Int(inst.moveBudget)
-	e.Int(inst.throttledPasses)
-	e.Bool(inst.stallMigration)
-	e.Int(inst.stallSkips)
-	e.Bool(inst.Done)
-	if err := e.JSON(&inst.Res); err != nil {
-		return err
-	}
-	if err := e.JSON(inst.TraceLog); err != nil {
-		return err
-	}
-	e.Bool(inst.scanner != nil)
-	if inst.scanner != nil {
-		inst.scanner.SnapshotState(e)
-	}
-	e.Bool(inst.interval != nil)
-	if inst.interval != nil {
-		inst.interval.SnapshotState(e)
-	}
-	inst.OS.SnapshotState(e)
-	inst.W.SnapshotState(e)
-	return nil
+// departedState codes the departed-VM stubs: ID, whether the VM
+// migrated out, its final clock, result and trace log.
+func (s *System) departedState(c *snapshot.Codec) error {
+	snapshot.Slice(c, &s.Departed, func(stub **VMInstance) {
+		if *stub == nil {
+			*stub = &VMInstance{Done: true}
+		}
+		inst := *stub
+		id := uint32(inst.ID)
+		c.U32(&id)
+		inst.ID = vmm.VMID(id)
+		c.Bool(&inst.MigratedOut)
+		clockState(c, &inst.Clock)
+		c.JSON(&inst.Res)
+		c.JSON(&inst.TraceLog)
+	})
+	return c.Err()
 }
 
-// readVM overlays writeVM's encoding onto inst, a freshly booted
-// instance of the same VMConfig, in the same field order. mapMFN
-// rebinds every guest page's machine frame as it is decoded; nil is
-// the identity (checkpoint restore onto the same machine).
-func (s *System) readVM(inst *VMInstance, d *snapshot.Decoder, mapMFN func(memsim.MFN) memsim.MFN) error {
-	if err := inst.VM.RestoreState(d); err != nil {
+// clockState codes a clock's current time.
+func clockState(c *snapshot.Codec, clk *sim.Clock) {
+	now := int64(clk.Now())
+	c.I64(&now)
+	clk.Restore(sim.Time(now))
+}
+
+// vmState codes one live VM's mutable state: the body of a
+// checkpoint's vm<ID> section and of a VMImage's vm section. Reading
+// overlays inst, a freshly booted instance of the same VMConfig;
+// mapMFN rebinds every guest page's machine frame as it is decoded
+// (nil is the identity: checkpoint restore onto the same machine).
+func (s *System) vmState(c *snapshot.Codec, inst *VMInstance, mapMFN func(memsim.MFN) memsim.MFN) error {
+	if err := inst.VM.SnapshotState(c); err != nil {
 		return err
 	}
-	inst.Clock.Restore(sim.Time(d.I64()))
-	inst.scanDebt = sim.Duration(d.I64())
-	inst.moveBudget = d.Int()
-	inst.throttledPasses = d.Int()
-	inst.stallMigration = d.Bool()
-	inst.stallSkips = d.Int()
-	inst.Done = d.Bool()
-	inst.Res = VMResult{}
-	if err := d.JSON(&inst.Res); err != nil {
-		return err
-	}
-	inst.TraceLog = nil
-	if err := d.JSON(&inst.TraceLog); err != nil {
-		return err
-	}
-	hadScanner := d.Bool()
-	if hadScanner != (inst.scanner != nil) {
+	clockState(c, &inst.Clock)
+	c.I64((*int64)(&inst.scanDebt))
+	c.Int(&inst.moveBudget)
+	c.Int(&inst.throttledPasses)
+	c.Bool(&inst.stallMigration)
+	c.Int(&inst.stallSkips)
+	c.Bool(&inst.Done)
+	c.JSON(&inst.Res)
+	c.JSON(&inst.TraceLog)
+	hasScanner := inst.scanner != nil
+	c.Bool(&hasScanner)
+	if hasScanner != (inst.scanner != nil) {
 		return fmt.Errorf("snapshot scanner presence %v != booted instance %v (mode mismatch?)",
-			hadScanner, inst.scanner != nil)
+			hasScanner, inst.scanner != nil)
 	}
 	if inst.scanner != nil {
-		if err := inst.scanner.RestoreState(d); err != nil {
-			return err
-		}
+		c.Fail(inst.scanner.SnapshotState(c))
 	}
-	hadInterval := d.Bool()
-	if hadInterval != (inst.interval != nil) {
+	hasInterval := inst.interval != nil
+	c.Bool(&hasInterval)
+	if hasInterval != (inst.interval != nil) {
 		return fmt.Errorf("snapshot adaptive-interval presence %v != booted instance %v (mode mismatch?)",
-			hadInterval, inst.interval != nil)
+			hasInterval, inst.interval != nil)
 	}
 	if inst.interval != nil {
-		if err := inst.interval.RestoreState(d); err != nil {
-			return err
-		}
+		c.Fail(inst.interval.SnapshotState(c))
 	}
-	if err := inst.OS.RestoreState(d, mapMFN); err != nil {
+	if err := inst.OS.SnapshotState(c, mapMFN); err != nil {
 		return err
 	}
-	if inst.scanner != nil {
+	if inst.scanner != nil && c.Reading() {
 		// The heat index is a pure function of guest page state; rebuild
 		// it over the restored store instead of deserializing it.
 		inst.OS.SetPageIndexer(vmm.NewHeatIndex(inst.scanner, s.Machine.TierOf))
 	}
-	if err := inst.W.RestoreState(d, inst.OS); err != nil {
-		return err
-	}
-	return d.Err()
+	return inst.W.SnapshotState(c, inst.OS)
 }

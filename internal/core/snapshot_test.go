@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -253,43 +256,152 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestSnapshotEveryWorkloadRoundTrips runs each registered workload in
-// a small system, checkpoints mid-run, and verifies the restored
-// system re-checkpoints byte-identically and finishes with identical
-// results — covering every app's SnapshotState/RestoreState pair.
+// TestCheckpointReportsEncodeErrors checks that a value encoding/json
+// cannot marshal fails Checkpoint and EmigrateVM instead of leaving a
+// short section under a valid checksum for the restore to trip over.
+func TestCheckpointReportsEncodeErrors(t *testing.T) {
+	sys, err := NewSystem(snapshotConfig(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.StepEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	sys.SetTierSpec(memsim.SlowMem, memsim.TierSpec{LoadLatencyNs: math.NaN(), StoreLatencyNs: 1, BandwidthGBs: 1})
+	var buf bytes.Buffer
+	if err := sys.Checkpoint(&buf); err == nil || !strings.Contains(err.Error(), "machine") {
+		t.Fatalf("Checkpoint with a NaN tier spec: err = %v, want a machine-section error", err)
+	}
+
+	src, err := NewSystem(migHostCfg(t, 11, migVM(t, 11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepN(t, src, 2)
+	src.VMs[0].Res.ScanCostNs = math.NaN()
+	if _, err := src.EmigrateVM(1); err == nil {
+		t.Fatal("EmigrateVM with a NaN result succeeded")
+	}
+	if len(src.VMs) != 1 || len(src.Departed) != 0 {
+		t.Fatalf("failed EmigrateVM changed the host: %d live, %d departed", len(src.VMs), len(src.Departed))
+	}
+}
+
+// snapshotPinVersion is the snapshot.Version that wrote snapshotPins.
+const snapshotPinVersion = 5
+
+// snapshotPins is the sha256 of each TestSnapshotEveryWorkloadRoundTrips
+// case's checkpoint after four epochs. A round trip cannot see a field
+// written and read in a new order, because writer and reader change
+// together; these pins can. A change to the checkpoint bytes must bump
+// snapshot.Version; then update snapshotPinVersion and every pin here.
+var snapshotPins = map[string]string{
+	"GraphChi":           "a9f0c681b4a251db1327e202ce20f49b22982ad27eebe23801675c9fc52c4ed3",
+	"X-Stream":           "9ff951f9b9231d2169f51e344484ee481e7948f26271cfaeab1609419196324a",
+	"Metis":              "76a28876dd5f8be473ca35de951750dcaeb6504c4f1189781d758e5c0fc09704",
+	"LevelDB":            "789ddbd7acc3a5d18a18968d36d35ecdfe66296925ab80993504be64fbf18ee9",
+	"Redis":              "0d1708baf24b1cdd126303065b035663badf543e63f1fa161e0e175036e4e6a2",
+	"Nginx":              "503b82ba1db1d24f791371171b6af3d27cf0364710ace5d01061bb8c700863c3",
+	"memlat":             "a9c2abd4a2f414c5f1a01c5aaac26b2bf13e539dce9e93aa5c320d0633359545",
+	"stream":             "f07e7cbedfe162c0410e86e9adcfa56b4f4dd0f6ba48d5e309a6977785d0a00c",
+	"writeheavy":         "5aedee2b96b64ab8c8db23a41d477d990dd1a4c7c48201a93ffd0da69efe7df0",
+	"mode/none":          "660abec3dc0dbd6381dc661e99034fa8346342b27812113ed0654eb0567a4bec",
+	"mode/VMM-exclusive": "ee82d7252ad8cd9d3a03bc5eb577810dd53cdfb9f8ef110a839f2408df700b0b",
+	"share/static":       "52fa2d259bb2f73170caa85723cbfed8dc2f6509e248e3e97755ea89e14e4ce9",
+	"share/max-min":      "4edb4545305e8f67112645c6923ff1acc34a91a54bdeef3eb57cae0bc3af6a33",
+	"share/drf":          "9d658d7888daf3361c7069448156602d0daf1c7e359a1b8be11a13a1d6681ede",
+}
+
+// TestSnapshotEveryWorkloadRoundTrips checkpoints a small system
+// mid-run for every workload.ByName app, one VM per migration mode
+// (none, VMM-exclusive, coordinated) and one host per share policy,
+// and checks each checkpoint's bytes against snapshotPins. The
+// restored system must then re-checkpoint byte-identically and finish
+// with identical results. The share-policy hosts run three traced VMs
+// and shut one down before the checkpoint, so the departed section and
+// trace logs are pinned as well.
 func TestSnapshotEveryWorkloadRoundTrips(t *testing.T) {
-	for _, name := range workload.Names() {
-		t.Run(name, func(t *testing.T) {
-			mk := func() *System {
-				w, err := workload.ByName(name, workload.Config{Seed: 99})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys, err := NewSystem(Config{
+	type vmCase struct {
+		app  string
+		mode policy.Mode
+	}
+	type sysCase struct {
+		name   string
+		share  ShareKind
+		vms    []vmCase
+		depart vmm.VMID // shut down before the checkpoint; 0 for none
+	}
+	var cases []sysCase
+	for _, app := range append(workload.Names(), "memlat", "stream", "writeheavy") {
+		cases = append(cases, sysCase{name: app,
+			vms: []vmCase{{app, policy.HeteroOSCoordinated()}}})
+	}
+	// Every app case runs coordinated; these add the other two modes.
+	for _, m := range []policy.Mode{policy.HeteroOSLRU(), policy.VMMExclusive()} {
+		cases = append(cases, sysCase{name: "mode/" + m.Migration.String(),
+			vms: []vmCase{{"Redis", m}}})
+	}
+	for _, share := range []ShareKind{ShareStatic, ShareMaxMin, ShareDRF} {
+		cases = append(cases, sysCase{name: "share/" + string(share), share: share, depart: 2,
+			vms: []vmCase{
+				{"GraphChi", policy.HeteroOSCoordinated()},
+				{"memlat", policy.VMMExclusive()},
+				{"LevelDB", policy.HeteroOSLRU()},
+			}})
+	}
+	if snapshot.Version != snapshotPinVersion {
+		t.Fatalf("snapshot.Version is %d but snapshotPins were captured at version %d: re-pin every case",
+			snapshot.Version, snapshotPinVersion)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func(skip vmm.VMID) *System {
+				cfg := Config{
 					FastFrames: 16384, SlowFrames: 32768,
-					Seed: 99, MaxEpochs: 64,
-					VMs: []VMConfig{{
-						ID: 1, Mode: policy.HeteroOSCoordinated(), Workload: w,
+					Seed: 99, MaxEpochs: 64, Share: tc.share, Trace: tc.depart != 0,
+				}
+				for i, vc := range tc.vms {
+					id := vmm.VMID(i + 1)
+					if id == skip {
+						continue
+					}
+					w, err := workload.ByName(vc.app, workload.Config{Seed: 99 + uint64(i)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.VMs = append(cfg.VMs, VMConfig{
+						ID: id, Mode: vc.mode, Workload: w,
 						FastPages: 2048, SlowPages: 4096,
-					}},
-				})
+					})
+				}
+				sys, err := NewSystem(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return sys
 			}
-			sys := mk()
+			sys := mk(0)
 			for i := 0; i < 4; i++ {
 				if _, err := sys.StepEpoch(); err != nil {
 					t.Fatal(err)
 				}
 			}
+			if tc.depart != 0 {
+				if _, err := sys.ShutdownVM(tc.depart); err != nil {
+					t.Fatal(err)
+				}
+			}
 			snapBytes := checkpointBytes(t, sys)
+			if got, want := fmt.Sprintf("%x", sha256.Sum256(snapBytes)), snapshotPins[tc.name]; got != want {
+				t.Fatalf("checkpoint sha256 is %s, pinned %s at snapshot.Version %d: "+
+					"the checkpoint bytes changed, so bump snapshot.Version and re-pin",
+					got, want, snapshotPinVersion)
+			}
 			rd, err := snapshot.Open(bytes.NewReader(snapBytes))
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored, err := RestoreSystem(rd, mk().Cfg)
+			restored, err := RestoreSystem(rd, mk(tc.depart).Cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,10 +416,16 @@ func TestSnapshotEveryWorkloadRoundTrips(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			a, _ := sys.VMResultByID(1)
-			b, _ := restored.VMResultByID(1)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("results diverge:\n orig     %+v\n restored %+v", *a, *b)
+			for i := range tc.vms {
+				id := vmm.VMID(i + 1)
+				if id == tc.depart {
+					continue
+				}
+				a, _ := sys.VMResultByID(id)
+				b, _ := restored.VMResultByID(id)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("VM %d results diverge:\n orig     %+v\n restored %+v", id, *a, *b)
+				}
 			}
 		})
 	}

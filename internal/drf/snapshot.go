@@ -6,40 +6,39 @@ import (
 	"heteroos/internal/snapshot"
 )
 
-// Snapshot serializes the allocator's mutable state: consumption, and
+// SnapshotState codes the allocator's mutable state: consumption, and
 // every client's allocation vector in registration order (PickNext
-// breaks ties by that order, so it is behavioural state).
-func (a *Allocator) Snapshot(e *snapshot.Encoder) {
-	e.U32(uint32(len(a.capacity)))
-	e.F64s(a.consumed)
-	e.U32(uint32(len(a.order)))
-	for _, id := range a.order {
-		e.U32(uint32(id))
-		e.F64s(a.clients[id].alloc)
-	}
-}
-
-// Restore overwrites the allocator's clients and consumption from a
-// snapshot taken on an allocator with the same resource dimensions.
-// Capacities and weights are construction-time parameters and are not
-// restored.
-func (a *Allocator) Restore(d *snapshot.Decoder) error {
-	if n := int(d.U32()); n != len(a.capacity) {
+// breaks ties by that order, so it is behavioural state). Capacities
+// and weights are construction-time parameters and are not coded;
+// reading requires an allocator with the same resource dimensions.
+func (a *Allocator) SnapshotState(c *snapshot.Codec) error {
+	n := uint32(len(a.capacity))
+	c.U32(&n)
+	if int(n) != len(a.capacity) {
 		return fmt.Errorf("drf: snapshot has %d resources, allocator has %d", n, len(a.capacity))
 	}
-	a.consumed = d.F64s()
-	n := int(d.U32())
-	a.clients = make(map[ClientID]*client, n)
-	a.order = a.order[:0]
-	for i := 0; i < n; i++ {
-		id := ClientID(d.U32())
-		alloc := d.F64s()
-		if d.Err() == nil && len(alloc) != len(a.capacity) {
-			return fmt.Errorf("drf: snapshot client %d allocation has %d resources, want %d",
-				id, len(alloc), len(a.capacity))
-		}
-		a.clients[id] = &client{alloc: alloc}
-		a.order = append(a.order, id)
+	c.F64s(&a.consumed)
+	if c.Reading() {
+		a.clients = make(map[ClientID]*client)
 	}
-	return d.Err()
+	snapshot.Slice(c, &a.order, func(id *ClientID) {
+		u := uint32(*id)
+		c.U32(&u)
+		*id = ClientID(u)
+		cl := a.clients[*id]
+		if cl == nil {
+			cl = &client{}
+			a.clients[*id] = cl
+		}
+		c.F64s(&cl.alloc)
+	})
+	if err := c.Err(); err != nil {
+		return err
+	}
+	for _, id := range a.order {
+		if got := len(a.clients[id].alloc); got != len(a.capacity) {
+			return fmt.Errorf("drf: snapshot client %d allocation has %d resources, want %d", id, got, len(a.capacity))
+		}
+	}
+	return nil
 }

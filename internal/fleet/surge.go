@@ -49,23 +49,16 @@ func (w *surgeWorkload) Step(os *guestos.OS) (uint64, bool) {
 }
 
 // SnapshotState implements workload.Workload. The byte before the
-// inner state is a presence flag, always true; restore rejects false
+// inner state is a presence flag, always true; reading rejects false
 // because checkpoint files are outside input.
-func (w *surgeWorkload) SnapshotState(e *snapshot.Encoder) {
-	e.Bool(w.active)
-	e.Int(w.factor)
-	e.Bool(w.done)
-	e.Bool(true)
-	w.inner.SnapshotState(e)
-}
-
-// RestoreState implements workload.Workload.
-func (w *surgeWorkload) RestoreState(d *snapshot.Decoder, os *guestos.OS) error {
-	w.active = d.Bool()
-	w.factor = d.Int()
-	w.done = d.Bool()
-	if !d.Bool() {
+func (w *surgeWorkload) SnapshotState(c *snapshot.Codec, os *guestos.OS) error {
+	c.Bool(&w.active)
+	c.Int(&w.factor)
+	c.Bool(&w.done)
+	inner := true
+	c.Bool(&inner)
+	if !inner {
 		return fmt.Errorf("fleet: snapshot of workload %T carries no inner state", w.inner)
 	}
-	return w.inner.RestoreState(d, os)
+	return w.inner.SnapshotState(c, os)
 }

@@ -300,7 +300,7 @@ func (o *OS) EndEpoch() {
 				if o.store.LastUse(pfn)+2 >= o.epoch && o.epoch >= 2 {
 					continue
 				}
-				o.demoteAnonPage(pfn)
+				o.demoteToSlow(pfn)
 			}
 		}
 		o.eagerEvictIOPages()

@@ -135,20 +135,14 @@ func (l *PageLRU) Deactivate(pfn PFN) {
 	l.deactivations++
 }
 
-// Balance demotes up to max pages from the active tail while the active
-// list outnumbers the inactive list, returning the demoted pages. It is
-// called under reclaim pressure only (like shrink_active_list): balancing
-// without pressure would strip hot pages of their protection. HeteroOS-
-// LRU uses the returned set to demote eagerly ("actively monitors the
-// active to an inactive state change ... and immediately evicts them
-// from FastMem").
-func (l *PageLRU) Balance(max int) []PFN {
-	return l.BalanceInto(nil, max)
-}
-
-// BalanceInto is Balance appending into a caller-supplied buffer
-// (typically buf[:0] of a reusable slice), so steady-state epoch
-// maintenance allocates nothing.
+// BalanceInto demotes up to max pages from the active tail while the
+// active list outnumbers the inactive list, appending the demoted pages
+// to demoted (typically buf[:0] of a reusable slice, so steady-state
+// epoch maintenance allocates nothing). It is called under reclaim
+// pressure only (like shrink_active_list): balancing without pressure
+// would strip hot pages of their protection. HeteroOS-LRU uses the
+// returned set to demote eagerly ("actively monitors the active to an
+// inactive state change ... and immediately evicts them from FastMem").
 func (l *PageLRU) BalanceInto(demoted []PFN, max int) []PFN {
 	for len(demoted) < max && l.active.count > l.inactive.count && l.active.tail != NilPFN {
 		pfn := l.active.tail

@@ -166,18 +166,18 @@ func TestLRUBalanceCapsAndOrder(t *testing.T) {
 	if l.ActiveCount() != 10 {
 		t.Fatal("setup failed")
 	}
-	demoted := l.Balance(3)
+	demoted := l.BalanceInto(nil, 3)
 	if len(demoted) != 3 {
-		t.Fatalf("Balance demoted %d, want cap 3", len(demoted))
+		t.Fatalf("BalanceInto demoted %d, want cap 3", len(demoted))
 	}
 	// Oldest activations demote first (active tail).
 	if demoted[0] != 0 || demoted[1] != 1 || demoted[2] != 2 {
 		t.Fatalf("demotion order wrong: %v", demoted)
 	}
-	// Balance stops once lists even out.
-	all := l.Balance(100)
+	// BalanceInto stops once lists even out.
+	all := l.BalanceInto(nil, 100)
 	if l.ActiveCount() > l.InactiveCount() {
-		t.Fatalf("unbalanced after full Balance: %d/%d (moved %d)",
+		t.Fatalf("unbalanced after full BalanceInto: %d/%d (moved %d)",
 			l.ActiveCount(), l.InactiveCount(), len(all))
 	}
 	if err := l.CheckInvariants(); err != nil {
@@ -218,7 +218,7 @@ func TestLRUInvariantProperty(t *testing.T) {
 					l.Deactivate(pfn)
 				}
 			case 3:
-				l.Balance(int(op>>4) % 8)
+				l.BalanceInto(nil, int(op>>4)%8)
 			case 4:
 				if onLRU[pfn] {
 					l.Remove(pfn)

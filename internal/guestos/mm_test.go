@@ -385,7 +385,7 @@ func TestLeafCacheFollowsTableLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Section("as", a.snapshot); err != nil {
+	if err := w.State("as", a.snapshotState); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -395,11 +395,7 @@ func TestLeafCacheFollowsTableLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := r.Section("as")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.restore(d); err != nil {
+	if err := r.State("as", a.snapshotState); err != nil {
 		t.Fatal(err)
 	}
 	check("restore")

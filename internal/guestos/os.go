@@ -162,7 +162,7 @@ type OS struct {
 	trackBuf   []PFN
 	trackGen   uint64
 	trackValid bool
-	// balanceBuf backs the LRU Balance calls in EndEpoch and reclaim.
+	// balanceBuf backs the LRU BalanceInto calls in EndEpoch and reclaim.
 	balanceBuf []PFN
 
 	epoch      uint32

@@ -1,10 +1,13 @@
 package guestos
 
 import (
+	"bytes"
+	"math"
 	"slices"
 	"testing"
 
 	"heteroos/internal/memsim"
+	"heteroos/internal/snapshot"
 )
 
 // fakeSource is a FrameSource backed by a memsim.Machine.
@@ -369,7 +372,7 @@ func TestPromotePageValidityChecks(t *testing.T) {
 	pfn, _ := os.AS.Translate(vma.Start)
 	if os.TierOfPage(pfn) == memsim.FastMem {
 		// Demote it so we can test promotion.
-		if !os.demoteAnonPage(pfn) {
+		if !os.demoteToSlow(pfn) {
 			t.Fatal("demotion failed")
 		}
 		pfn, _ = os.AS.Translate(vma.Start)
@@ -876,5 +879,20 @@ func TestCostModelScaled(t *testing.T) {
 	}
 	if bad := c.Scaled(0); bad.PageFaultNs != c.PageFaultNs {
 		t.Fatal("non-positive factor must be identity")
+	}
+}
+
+// TestSnapshotStateReportsEncodeErrors checks that a stats value
+// encoding/json cannot marshal fails the guest's section instead of
+// silently writing it short.
+func TestSnapshotStateReportsEncodeErrors(t *testing.T) {
+	os, _ := testOS(t, heapODPlacement(), 1024, 4096, 256, 1024)
+	os.ep.OSTimeNs = math.NaN()
+	w, err := snapshot.NewWriter(&bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.State("guestos", func(c *snapshot.Codec) error { return os.SnapshotState(c, nil) }); err == nil {
+		t.Fatal("SnapshotState with a NaN epoch stat succeeded")
 	}
 }

@@ -6,38 +6,25 @@ import (
 	"heteroos/internal/snapshot"
 )
 
-// Snapshot serializes the per-CPU caches in their exact stack order
+// SnapshotState codes the per-CPU caches in their exact stack order
 // (Alloc pops from the top, so order is behavioural state) plus the
-// hit/miss/refill/drain counters.
-func (l *Lists) Snapshot(e *snapshot.Encoder) {
-	e.Int(l.cpus)
-	e.Int(l.dims)
-	e.U64(l.hits)
-	e.U64(l.misses)
-	e.U64(l.refills)
-	e.U64(l.drains)
-	for c := 0; c < l.cpus; c++ {
-		for d := 0; d < l.dims; d++ {
-			e.U64s(l.cache[c][d])
-		}
-	}
-}
-
-// Restore overwrites the caches and counters from a snapshot taken on
-// lists of the same shape.
-func (l *Lists) Restore(d *snapshot.Decoder) error {
-	cpus, dims := d.Int(), d.Int()
+// hit/miss/refill/drain counters. Reading requires lists of the same
+// shape.
+func (l *Lists) SnapshotState(c *snapshot.Codec) error {
+	cpus, dims := l.cpus, l.dims
+	c.Int(&cpus)
+	c.Int(&dims)
 	if cpus != l.cpus || dims != l.dims {
 		return fmt.Errorf("percpu: snapshot shape %dx%d != lists shape %dx%d", cpus, dims, l.cpus, l.dims)
 	}
-	l.hits = d.U64()
-	l.misses = d.U64()
-	l.refills = d.U64()
-	l.drains = d.U64()
-	for c := 0; c < l.cpus; c++ {
-		for dim := 0; dim < l.dims; dim++ {
-			l.cache[c][dim] = d.U64s()
+	c.U64(&l.hits)
+	c.U64(&l.misses)
+	c.U64(&l.refills)
+	c.U64(&l.drains)
+	for cpu := 0; cpu < l.cpus; cpu++ {
+		for d := 0; d < l.dims; d++ {
+			c.U64s(&l.cache[cpu][d])
 		}
 	}
-	return d.Err()
+	return c.Err()
 }

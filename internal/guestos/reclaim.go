@@ -104,7 +104,7 @@ walk:
 				if o.ep.Demotions >= demotionRateCap {
 					break walk // budget exhausted this epoch; allocations spill
 				}
-				if o.demoteAnonPage(pfn) {
+				if o.demoteToSlow(pfn) {
 					freed++
 					continue
 				}
@@ -151,19 +151,19 @@ func (o *OS) evictCachePage(pfn PFN) {
 	}
 }
 
-// demoteAnonPage migrates an anonymous page from FastMem to SlowMem
+// demoteToSlow migrates a movable page from FastMem to SlowMem
 // (allocating a SlowMem frame, copying, remapping). Returns false when
 // SlowMem has no free frame.
-func (o *OS) demoteAnonPage(pfn PFN) bool {
+func (o *OS) demoteToSlow(pfn PFN) bool {
 	return o.movePageAcrossNodes(pfn, memsim.SlowMem, false)
 }
 
-// PromotePage migrates a page into FastMem, used by the coordinated
-// manager when the VMM reports it hot. The guest performs the OS-side
-// validity checks the paper assigns to guest-controlled migration
-// (Section 4.1): the page must be movable, still in use, mapped (for
-// anon), and not a dirty or short-lived I/O page.
-func (o *OS) PromotePage(pfn PFN) bool {
+// migratable applies the OS-side validity checks the paper assigns to
+// guest-controlled migration (Section 4.1) before a move to tier to:
+// the page must be movable, still in use, mapped (for anon), not a
+// dirty or short-lived I/O page, and not already on to. A refused page
+// counts as a skipped migration.
+func (o *OS) migratable(pfn PFN, to memsim.Tier) bool {
 	st := o.store
 	kind := st.Kind(pfn)
 	switch {
@@ -171,15 +171,18 @@ func (o *OS) PromotePage(pfn PFN) bool {
 		!kind.Movable(),
 		kind == KindAnon && st.VPN(pfn) == NilVPN,
 		kind == KindPageCache && o.PC.Dirty(uint64(pfn)),
-		kind == KindNetBuf || kind == KindSlab: // slabs are not remappable per page
+		kind == KindNetBuf || kind == KindSlab, // slabs are not remappable per page
+		o.TierOfPage(pfn) == to:
 		o.ep.MigrationsSkipped++
 		return false
 	}
-	if o.TierOfPage(pfn) == memsim.FastMem {
-		o.ep.MigrationsSkipped++
-		return false
-	}
-	return o.movePageAcrossNodes(pfn, memsim.FastMem, true)
+	return true
+}
+
+// PromotePage migrates a page into FastMem, used by the coordinated
+// manager when the VMM reports it hot, if it passes migratable.
+func (o *OS) PromotePage(pfn PFN) bool {
+	return o.migratable(pfn, memsim.FastMem) && o.movePageAcrossNodes(pfn, memsim.FastMem, true)
 }
 
 // DemotePage migrates a page out of FastMem to SlowMem, used by the
@@ -187,29 +190,14 @@ func (o *OS) PromotePage(pfn PFN) bool {
 // same validity checks as PromotePage apply; clean page-cache pages are
 // moved (not dropped — they may still be re-read).
 func (o *OS) DemotePage(pfn PFN) bool {
-	st := o.store
-	kind := st.Kind(pfn)
-	switch {
-	case kind == KindFree,
-		!kind.Movable(),
-		kind == KindAnon && st.VPN(pfn) == NilVPN,
-		kind == KindPageCache && o.PC.Dirty(uint64(pfn)),
-		kind == KindNetBuf || kind == KindSlab:
-		o.ep.MigrationsSkipped++
-		return false
-	}
 	// OS-side knowledge the VMM lacks: the page may look cold to the
 	// tracker (newly mapped, not yet scanned) while the guest knows it
 	// was just used. Refuse to demote recently-used pages.
-	if st.LastUse(pfn)+2 >= o.epoch && o.epoch >= 2 {
+	if o.store.LastUse(pfn)+2 >= o.epoch && o.epoch >= 2 {
 		o.ep.MigrationsSkipped++
 		return false
 	}
-	if o.TierOfPage(pfn) == memsim.SlowMem {
-		o.ep.MigrationsSkipped++
-		return false
-	}
-	return o.movePageAcrossNodes(pfn, memsim.SlowMem, false)
+	return o.DemotePageForSwap(pfn)
 }
 
 // DemotePageForSwap demotes a page the tracker has judged worth
@@ -217,22 +205,7 @@ func (o *OS) DemotePage(pfn PFN) bool {
 // keeps every validity check but skips the recency guard: the caller's
 // score margin, not staleness, justified the swap.
 func (o *OS) DemotePageForSwap(pfn PFN) bool {
-	st := o.store
-	kind := st.Kind(pfn)
-	switch {
-	case kind == KindFree,
-		!kind.Movable(),
-		kind == KindAnon && st.VPN(pfn) == NilVPN,
-		kind == KindPageCache && o.PC.Dirty(uint64(pfn)),
-		kind == KindNetBuf || kind == KindSlab:
-		o.ep.MigrationsSkipped++
-		return false
-	}
-	if o.TierOfPage(pfn) == memsim.SlowMem {
-		o.ep.MigrationsSkipped++
-		return false
-	}
-	return o.movePageAcrossNodes(pfn, memsim.SlowMem, false)
+	return o.migratable(pfn, memsim.SlowMem) && o.demoteToSlow(pfn)
 }
 
 // movePageAcrossNodes implements aware-mode migration: allocate a frame
@@ -436,18 +409,13 @@ func (o *OS) eagerEvictIOPages() {
 		// (Section 4.3). Dirty pages, or a full SlowMem, fall back to
 		// eviction.
 		if !o.PC.Dirty(uint64(pfn)) &&
-			o.Node(memsim.SlowMem).FreePages() > 0 && o.demoteAnonOrCachePage(pfn) {
+			o.Node(memsim.SlowMem).FreePages() > 0 && o.demoteToSlow(pfn) {
 			evicted++
 			continue
 		}
 		o.evictCachePage(pfn)
 		evicted++
 	}
-}
-
-// demoteAnonOrCachePage moves a movable page from FastMem to SlowMem.
-func (o *OS) demoteAnonOrCachePage(pfn PFN) bool {
-	return o.movePageAcrossNodes(pfn, memsim.SlowMem, false)
 }
 
 // maintainWatermarks runs HeteroOS-LRU's per-tier threshold reclaim:

@@ -82,7 +82,7 @@ walk:
 				if o.ep.Demotions >= demotionRateCap {
 					break walk
 				}
-				if o.demoteAnonPage(pfn) {
+				if o.demoteToSlow(pfn) {
 					freed++
 					continue
 				}
@@ -121,7 +121,7 @@ func refEagerEvictIOPages(o *OS) {
 			continue
 		}
 		if !o.PC.Dirty(uint64(pfn)) &&
-			o.Node(memsim.SlowMem).FreePages() > 0 && o.demoteAnonOrCachePage(pfn) {
+			o.Node(memsim.SlowMem).FreePages() > 0 && o.demoteToSlow(pfn) {
 			evicted++
 			continue
 		}

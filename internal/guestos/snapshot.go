@@ -9,225 +9,130 @@ import (
 	"heteroos/internal/snapshot"
 )
 
-// SnapshotState serializes the OS's complete mutable state. The encoding
-// is deterministic: maps are emitted in sorted key order and every
-// order-bearing structure (LRU links, free stacks, unpopulated slots) in
-// its exact runtime order. Configuration (cfg, costs, callbacks) is not
-// serialized — RestoreState overlays a freshly booted OS built from the
-// same Config.
-func (o *OS) SnapshotState(e *snapshot.Encoder) {
-	st := o.rng.State()
-	for _, s := range st {
-		e.U64(s)
+// SnapshotState codes the OS's complete mutable state in one field
+// list for both directions. The encoding is deterministic: maps are
+// emitted in sorted key order and every order-bearing structure (LRU
+// links, free stacks, unpopulated slots) in its exact runtime order.
+// Configuration (cfg, costs, callbacks) is not coded — reading overlays
+// a freshly booted OS built from the same Config. Every piece of
+// mutable state is overwritten, including state the boot path already
+// consumed (frames, RNG draws), so the result is indistinguishable from
+// the OS that took the snapshot. Any attached PageIndexer is NOT
+// notified — the caller must re-seed or re-attach it afterwards.
+//
+// When reading, mapMFN translates the P2M column as it is decoded:
+// every serialized machine frame number passes through it before
+// landing in the page store. Cross-host live migration uses this to
+// rebind a guest image onto the destination host's frames; the map must
+// cover every backed MFN in the image and leave NilMFN fixed. A nil
+// mapMFN is the identity (checkpoint restore); writing ignores it.
+//
+// The page store, the page-table tree, the buddy free blocks, the slab
+// caches, the page cache and the swap map keep separate encode and
+// decode code (Codec.Split): their readers rebuild derived structures
+// the writers never touch.
+func (o *OS) SnapshotState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN) error {
+	c.RNG(o.rng)
+	c.U32(&o.epoch)
+	c.JSON(&o.ep)
+	c.JSON(&o.Cum)
+	c.JSON(&o.Window)
+	c.JSON(&o.WindowLife)
+	c.Split(o.snapshotStore, func(d *snapshot.Decoder) error { return o.restoreStore(d, mapMFN) })
+
+	nodes := uint32(len(o.nodes))
+	c.U32(&nodes)
+	if int(nodes) != len(o.nodes) {
+		return fmt.Errorf("guestos: snapshot has %d nodes, OS has %d", nodes, len(o.nodes))
 	}
-	e.U32(o.epoch)
-	e.JSON(o.ep)
-	e.JSON(o.Cum)
-	e.JSON(o.Window)
-	e.JSON(o.WindowLife)
-
-	o.snapshotStore(e)
-
-	e.U32(uint32(len(o.nodes)))
 	for i, n := range o.nodes {
-		e.U64(n.populated)
-		e.U64(n.LowWatermark)
-		e.U64(n.HighWatermark)
-		n.Buddy.Snapshot(e)
-		n.PCP.Snapshot(e)
+		c.U64(&n.populated)
+		c.U64(&n.LowWatermark)
+		c.U64(&n.HighWatermark)
+		c.Split(n.Buddy.Snapshot, n.Buddy.Restore)
+		c.Fail(n.PCP.SnapshotState(c))
 		l := o.lrus[i]
 		for _, lst := range []*lruList{&l.active, &l.inactive} {
-			e.U64(uint64(lst.head))
-			e.U64(uint64(lst.tail))
-			e.U64(lst.count)
+			c.U64((*uint64)(&lst.head))
+			c.U64((*uint64)(&lst.tail))
+			c.U64(&lst.count)
 		}
-		e.U64(l.activations)
-		e.U64(l.deactivations)
-		slots := o.unpopulated[i]
-		e.U32(uint32(len(slots)))
-		for _, pfn := range slots {
-			e.U64(uint64(pfn))
-		}
+		c.U64(&l.activations)
+		c.U64(&l.deactivations)
+		snapshot.Slice(c, &o.unpopulated[i], func(pfn *PFN) { c.U64((*uint64)(pfn)) })
 	}
 
-	o.AS.snapshot(e)
-	o.PC.Snapshot(e)
+	if err := o.AS.snapshotState(c); err != nil {
+		return err
+	}
+	c.Split(o.PC.Snapshot, o.PC.Restore)
 
 	names := make([]string, 0, len(o.Slabs))
 	for name := range o.Slabs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	e.U32(uint32(len(names)))
+	slabs := uint32(len(names))
+	c.U32(&slabs)
+	if int(slabs) != len(names) {
+		return fmt.Errorf("guestos: snapshot has %d slab caches, OS has %d", slabs, len(names))
+	}
 	for _, name := range names {
-		o.Slabs[name].Snapshot(e)
+		c.Split(o.Slabs[name].Snapshot, o.Slabs[name].Restore)
 	}
 
-	vpns := make([]uint64, 0, len(o.swap.slots))
-	for vpn := range o.swap.slots {
+	c.Split(o.swap.snapshot, o.swap.restore)
+	c.U64(&o.swap.outs)
+	c.U64(&o.swap.ins)
+
+	snapshot.Slice(c, &o.netRefs, func(r *slab.ObjRef) {
+		c.U64(&r.SlabBase)
+		c.Int(&r.Index)
+	})
+
+	for _, ring := range []*[]admitSample{&o.admitRing, &o.promoteRing, &o.demoteRing} {
+		snapshot.Slice(c, ring, func(s *admitSample) {
+			c.U64((*uint64)(&s.pfn))
+			c.U64(&s.tag)
+			c.U32(&s.epoch)
+		})
+	}
+	c.F64(&o.admitRate)
+	c.F64(&o.promoteRate)
+	c.F64(&o.demoteRegret)
+	c.Int(&o.admitSeen)
+	c.Int(&o.promoteSeen)
+	c.Int(&o.demoteSeen)
+	if c.Reading() {
+		// The mapping generation is not serialized; the restored address
+		// space starts a fresh count, so drop any cached tracking list.
+		o.trackValid = false
+	}
+	return c.Err()
+}
+
+// snapshot emits the swap map in sorted VPN order.
+func (s *swapSpace) snapshot(e *snapshot.Encoder) {
+	vpns := make([]uint64, 0, len(s.slots))
+	for vpn := range s.slots {
 		vpns = append(vpns, uint64(vpn))
 	}
 	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
 	e.U32(uint32(len(vpns)))
 	for _, vpn := range vpns {
 		e.U64(vpn)
-		e.U64(o.swap.slots[VPN(vpn)])
-	}
-	e.U64(o.swap.outs)
-	e.U64(o.swap.ins)
-
-	e.U32(uint32(len(o.netRefs)))
-	for _, r := range o.netRefs {
-		e.U64(r.SlabBase)
-		e.Int(r.Index)
-	}
-
-	snapshotRing(e, o.admitRing)
-	snapshotRing(e, o.promoteRing)
-	snapshotRing(e, o.demoteRing)
-	e.F64(o.admitRate)
-	e.F64(o.promoteRate)
-	e.F64(o.demoteRegret)
-	e.Int(o.admitSeen)
-	e.Int(o.promoteSeen)
-	e.Int(o.demoteSeen)
-}
-
-// RestoreState overlays a snapshot onto a freshly booted OS with the
-// same Config. Every piece of mutable state is overwritten, including
-// state the boot path already consumed (frames, RNG draws), so the
-// result is indistinguishable from the OS that took the snapshot. Any
-// attached PageIndexer is NOT notified — the caller must re-seed or
-// re-attach it afterwards.
-//
-// mapMFN translates the P2M column as it is decoded: every serialized
-// machine frame number passes through it before landing in the page
-// store. Cross-host live migration uses this to rebind a guest image
-// onto the destination host's frames; the map must cover every backed
-// MFN in the image and leave NilMFN fixed. A nil mapMFN is the
-// identity (checkpoint restore).
-func (o *OS) RestoreState(d *snapshot.Decoder, mapMFN func(memsim.MFN) memsim.MFN) error {
-	var st [4]uint64
-	for i := range st {
-		st[i] = d.U64()
-	}
-	o.rng.Restore(st)
-	o.epoch = d.U32()
-	if err := d.JSON(&o.ep); err != nil {
-		return err
-	}
-	if err := d.JSON(&o.Cum); err != nil {
-		return err
-	}
-	if err := d.JSON(&o.Window); err != nil {
-		return err
-	}
-	if err := d.JSON(&o.WindowLife); err != nil {
-		return err
-	}
-
-	if err := o.restoreStore(d, mapMFN); err != nil {
-		return err
-	}
-
-	if n := int(d.U32()); n != len(o.nodes) {
-		return fmt.Errorf("guestos: snapshot has %d nodes, OS has %d", n, len(o.nodes))
-	}
-	for i, n := range o.nodes {
-		n.populated = d.U64()
-		n.LowWatermark = d.U64()
-		n.HighWatermark = d.U64()
-		if err := n.Buddy.Restore(d); err != nil {
-			return err
-		}
-		if err := n.PCP.Restore(d); err != nil {
-			return err
-		}
-		l := o.lrus[i]
-		for _, lst := range []*lruList{&l.active, &l.inactive} {
-			lst.head = PFN(d.U64())
-			lst.tail = PFN(d.U64())
-			lst.count = d.U64()
-		}
-		l.activations = d.U64()
-		l.deactivations = d.U64()
-		slots := make([]PFN, int(d.U32()))
-		for j := range slots {
-			slots[j] = PFN(d.U64())
-		}
-		o.unpopulated[i] = slots
-	}
-
-	if err := o.AS.restore(d); err != nil {
-		return err
-	}
-	if err := o.PC.Restore(d); err != nil {
-		return err
-	}
-
-	if n := int(d.U32()); n != len(o.Slabs) {
-		return fmt.Errorf("guestos: snapshot has %d slab caches, OS has %d", n, len(o.Slabs))
-	}
-	names := make([]string, 0, len(o.Slabs))
-	for name := range o.Slabs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := o.Slabs[name].Restore(d); err != nil {
-			return err
-		}
-	}
-
-	nswap := int(d.U32())
-	o.swap.slots = make(map[VPN]uint64, nswap)
-	for i := 0; i < nswap; i++ {
-		vpn := VPN(d.U64())
-		o.swap.slots[vpn] = d.U64()
-	}
-	o.swap.outs = d.U64()
-	o.swap.ins = d.U64()
-
-	o.netRefs = o.netRefs[:0]
-	for i, n := 0, int(d.U32()); i < n; i++ {
-		base := d.U64()
-		o.netRefs = append(o.netRefs, slab.ObjRef{SlabBase: base, Index: d.Int()})
-	}
-
-	o.admitRing = restoreRing(d)
-	o.promoteRing = restoreRing(d)
-	o.demoteRing = restoreRing(d)
-	o.admitRate = d.F64()
-	o.promoteRate = d.F64()
-	o.demoteRegret = d.F64()
-	o.admitSeen = d.Int()
-	o.promoteSeen = d.Int()
-	o.demoteSeen = d.Int()
-	// The mapping generation is not serialized; the restored address
-	// space starts a fresh count, so drop any cached tracking list.
-	o.trackValid = false
-	return d.Err()
-}
-
-func snapshotRing(e *snapshot.Encoder, ring []admitSample) {
-	e.U32(uint32(len(ring)))
-	for _, s := range ring {
-		e.U64(uint64(s.pfn))
-		e.U64(s.tag)
-		e.U32(s.epoch)
+		e.U64(s.slots[VPN(vpn)])
 	}
 }
 
-func restoreRing(d *snapshot.Decoder) []admitSample {
+func (s *swapSpace) restore(d *snapshot.Decoder) error {
 	n := int(d.U32())
-	if n == 0 {
-		return nil
+	s.slots = make(map[VPN]uint64, n)
+	for i := 0; i < n; i++ {
+		vpn := VPN(d.U64())
+		s.slots[vpn] = d.U64()
 	}
-	ring := make([]admitSample, n)
-	for i := range ring {
-		ring[i] = admitSample{pfn: PFN(d.U64()), tag: d.U64(), epoch: d.U32()}
-	}
-	return ring
+	return d.Err()
 }
 
 // snapshotStore emits the page store sparsely and columnar: only frames
@@ -331,31 +236,63 @@ func (o *OS) restoreStore(d *snapshot.Decoder, mapMFN func(memsim.MFN) memsim.MF
 	return d.Err()
 }
 
-// snapshot serializes the address space: VMAs in creation order, the
-// allocation cursors, counters, and the page-table tree (pre-order, with
-// per-node frame numbers — table frames are real guest pages and must
-// survive a round trip).
-func (a *AddrSpace) snapshot(e *snapshot.Encoder) {
-	e.U32(uint32(len(a.order)))
-	for _, id := range a.order {
-		v := a.vmas[id]
-		e.U32(uint32(v.ID))
-		e.U64(uint64(v.Start))
-		e.U64(v.Pages)
-		e.U8(uint8(v.Kind))
-		e.U32(uint32(v.File))
-		e.U64(v.Resident)
+// snapshotState codes the address space: VMAs in creation order, the
+// allocation cursors, counters, and the page-table tree (pre-order,
+// with per-node frame numbers — table frames are real guest pages and
+// must survive a round trip).
+func (a *AddrSpace) snapshotState(c *snapshot.Codec) error {
+	vmas := make([]*VMA, len(a.order))
+	for i, id := range a.order {
+		vmas[i] = a.vmas[id]
 	}
-	e.U32(uint32(a.nextID))
-	e.U64(uint64(a.nextVPN))
-	e.U64(a.ptPages)
-	e.U64(a.faults)
-	e.U64(a.swapIns)
-	e.U64(a.walkSteps)
+	snapshot.Slice(c, &vmas, func(v **VMA) {
+		if *v == nil {
+			*v = new(VMA)
+		}
+		kind := uint8((*v).Kind)
+		c.U32((*uint32)(&(*v).ID))
+		c.U64((*uint64)(&(*v).Start))
+		c.U64(&(*v).Pages)
+		c.U8(&kind)
+		c.U32((*uint32)(&(*v).File))
+		c.U64(&(*v).Resident)
+		(*v).Kind = PageKind(kind)
+	})
+	if c.Reading() && c.Err() == nil {
+		a.vmas = make(map[VMAID]*VMA, len(vmas))
+		a.order = make([]VMAID, len(vmas))
+		for i, v := range vmas {
+			a.vmas[v.ID] = v
+			a.order[i] = v.ID
+		}
+	}
+	c.U32((*uint32)(&a.nextID))
+	c.U64((*uint64)(&a.nextVPN))
+	c.U64(&a.ptPages)
+	c.U64(&a.faults)
+	c.U64(&a.swapIns)
+	c.U64(&a.walkSteps)
+	c.Split(a.snapshotTable, a.restoreTable)
+	return c.Err()
+}
+
+func (a *AddrSpace) snapshotTable(e *snapshot.Encoder) {
 	e.Bool(a.root != nil)
 	if a.root != nil {
 		snapshotPTNode(e, a.root, ptLevels-1)
 	}
+}
+
+func (a *AddrSpace) restoreTable(d *snapshot.Decoder) error {
+	a.root, a.leaf = nil, nil
+	if d.Bool() {
+		root, err := restorePTNode(d, ptLevels-1)
+		if err != nil {
+			return err
+		}
+		a.root = root
+	}
+	return d.Err()
 }
 
 func snapshotPTNode(e *snapshot.Encoder, n *ptNode, level int) {
@@ -389,39 +326,6 @@ func snapshotPTNode(e *snapshot.Encoder, n *ptNode, level int) {
 			snapshotPTNode(e, c, level-1)
 		}
 	}
-}
-
-func (a *AddrSpace) restore(d *snapshot.Decoder) error {
-	nv := int(d.U32())
-	a.vmas = make(map[VMAID]*VMA, nv)
-	a.order = make([]VMAID, 0, nv)
-	for i := 0; i < nv; i++ {
-		v := &VMA{
-			ID:    VMAID(d.U32()),
-			Start: VPN(d.U64()),
-			Pages: d.U64(),
-			Kind:  PageKind(d.U8()),
-			File:  FileID(d.U32()),
-		}
-		v.Resident = d.U64()
-		a.vmas[v.ID] = v
-		a.order = append(a.order, v.ID)
-	}
-	a.nextID = VMAID(d.U32())
-	a.nextVPN = VPN(d.U64())
-	a.ptPages = d.U64()
-	a.faults = d.U64()
-	a.swapIns = d.U64()
-	a.walkSteps = d.U64()
-	a.root, a.leaf = nil, nil
-	if d.Bool() {
-		root, err := restorePTNode(d, ptLevels-1)
-		if err != nil {
-			return err
-		}
-		a.root = root
-	}
-	return d.Err()
 }
 
 func restorePTNode(d *snapshot.Decoder, level int) (*ptNode, error) {

@@ -12,7 +12,14 @@
 //
 // Sections are written and read through Encoder/Decoder, a pair of
 // sticky-error primitive codecs with fixed-width little-endian
-// integers. Determinism rules every writer must follow:
+// integers. A stateful type states its layout once, in a method over a
+// two-way Codec (Writer.State, Reader.State), so the writer and reader
+// cannot drift apart; a section whose reader rebuilds structures its
+// writer never touches keeps separate code joined by Codec.Split.
+// Because writer and reader change together, a round trip cannot catch
+// a reordered field: byte pins of whole checkpoints (in internal/core
+// and internal/fleet) can, and any change to them must bump Version.
+// Determinism rules every writer must follow:
 //
 //   - map contents are emitted in sorted key order;
 //   - order-bearing structures (free-list stacks, LRU lists) are
@@ -341,6 +348,24 @@ func (w *Writer) writeRaw(b []byte) {
 // Section emits one named section built by fn. Names must be unique
 // per snapshot (the reader keeps the last on duplicates) and non-empty.
 func (w *Writer) Section(name string, fn func(*Encoder)) error {
+	return w.section(name, func(e *Encoder) error { fn(e); return nil })
+}
+
+// State emits one named section laid out by fn through a writing
+// Codec. If fn or the codec fails, nothing is written and State
+// returns that error.
+func (w *Writer) State(name string, fn func(*Codec) error) error {
+	return w.section(name, func(e *Encoder) error {
+		c := &Codec{e: e}
+		c.Fail(fn(c))
+		if err := c.Err(); err != nil {
+			return fmt.Errorf("snapshot: section %q: %w", name, err)
+		}
+		return nil
+	})
+}
+
+func (w *Writer) section(name string, fn func(*Encoder) error) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -351,7 +376,9 @@ func (w *Writer) Section(name string, fn func(*Encoder)) error {
 		return fmt.Errorf("snapshot: invalid section name %q", name)
 	}
 	var e Encoder
-	fn(&e)
+	if err := fn(&e); err != nil {
+		return err
+	}
 	body := e.buf.Bytes()
 	if len(body) > maxSectionBytes {
 		return fmt.Errorf("snapshot: section %q too large (%d bytes)", name, len(body))
@@ -466,6 +493,18 @@ func (r *Reader) Section(name string) (*Decoder, error) {
 		return nil, fmt.Errorf("snapshot: no section %q", name)
 	}
 	return NewDecoder(b), nil
+}
+
+// State reads the named section through fn with a reading Codec and
+// returns fn's error or the codec's, whichever came first.
+func (r *Reader) State(name string, fn func(*Codec) error) error {
+	d, err := r.Section(name)
+	if err != nil {
+		return err
+	}
+	c := &Codec{d: d}
+	c.Fail(fn(c))
+	return c.Err()
 }
 
 // Raw returns the named section's raw body bytes (not a copy), for

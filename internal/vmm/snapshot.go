@@ -2,57 +2,35 @@ package vmm
 
 import (
 	"heteroos/internal/drf"
-	"heteroos/internal/sim"
 	"heteroos/internal/snapshot"
 )
 
-// SnapshotState serializes a VM's VMM-side mutable state (grant counters
-// and the populate-refusal fault latch). The guest hooks (Balloon, View)
+// SnapshotState codes a VM's VMM-side mutable state (grant counters and
+// the populate-refusal fault latch). The guest hooks (Balloon, View)
 // are rebound at restore by re-booting the guest.
-func (v *VM) SnapshotState(e *snapshot.Encoder) {
-	for _, g := range v.granted {
-		e.U64(g)
-	}
-	e.Bool(v.RefusePopulate)
-}
-
-// RestoreState overwrites the VM's grant counters and fault latch.
-func (v *VM) RestoreState(d *snapshot.Decoder) error {
+func (v *VM) SnapshotState(c *snapshot.Codec) error {
 	for t := range v.granted {
-		v.granted[t] = d.U64()
+		c.U64(&v.granted[t])
 	}
-	v.RefusePopulate = d.Bool()
-	return d.Err()
+	c.Bool(&v.RefusePopulate)
+	return c.Err()
 }
 
-// SnapshotState serializes the scanner's cursors. The heat index is not
+// SnapshotState codes the scanner's cursors. The heat index is not
 // serialized: it is a pure function of guest page state (CheckInvariants
 // pins that), so the restorer re-attaches a freshly rebuilt index.
-func (s *Scanner) SnapshotState(e *snapshot.Encoder) {
-	e.U64(s.cursor)
-	e.Int(s.trackedPos)
+func (s *Scanner) SnapshotState(c *snapshot.Codec) error {
+	c.U64(&s.cursor)
+	c.Int(&s.trackedPos)
+	return c.Err()
 }
 
-// RestoreState overwrites the scanner's cursors.
-func (s *Scanner) RestoreState(d *snapshot.Decoder) error {
-	s.cursor = d.U64()
-	s.trackedPos = d.Int()
-	return d.Err()
-}
-
-// SnapshotState serializes the controller's feedback state.
-func (a *AdaptiveInterval) SnapshotState(e *snapshot.Encoder) {
-	e.I64(int64(a.cur))
-	e.F64(a.lastMiss)
-	e.Bool(a.primed)
-}
-
-// RestoreState overwrites the controller's feedback state.
-func (a *AdaptiveInterval) RestoreState(d *snapshot.Decoder) error {
-	a.cur = sim.Duration(d.I64())
-	a.lastMiss = d.F64()
-	a.primed = d.Bool()
-	return d.Err()
+// SnapshotState codes the controller's feedback state.
+func (a *AdaptiveInterval) SnapshotState(c *snapshot.Codec) error {
+	c.I64((*int64)(&a.cur))
+	c.F64(&a.lastMiss)
+	c.Bool(&a.primed)
+	return c.Err()
 }
 
 // DRFAllocator exposes the underlying weighted-DRF allocator so

@@ -70,13 +70,12 @@ type Workload interface {
 	// Step runs one epoch of application work against the guest OS and
 	// reports instructions retired and whether the run is complete.
 	Step(os *guestos.OS) (instr uint64, done bool)
-	// SnapshotState serializes run progress (epoch counters, RNG
-	// streams, region cursors) for a checkpoint or a live migration.
-	SnapshotState(e *snapshot.Encoder)
-	// RestoreState overlays SnapshotState's output onto a freshly
-	// Init-ed instance of the same workload, rebinding region pointers
-	// to the restored address space by VMA id.
-	RestoreState(d *snapshot.Decoder, os *guestos.OS) error
+	// SnapshotState codes run progress (epoch counters, RNG streams,
+	// region cursors) for a checkpoint or a live migration, in one
+	// field list for both directions. Reading overlays a freshly
+	// Init-ed instance of the same workload and rebinds region pointers
+	// to os's restored address space by VMA id.
+	SnapshotState(c *snapshot.Codec, os *guestos.OS) error
 }
 
 // Config scales and seeds workload construction.

@@ -408,7 +408,7 @@ func TestSampleMatchesModuloReference(t *testing.T) {
 	}
 }
 
-// TestHeapRestoreRejectsBadGeometry feeds heapRegion.restore snapshots
+// TestHeapRestoreRejectsBadGeometry feeds heapRegion.snapshot snapshots
 // whose geometry would break sample and expects an error, not a panic.
 func TestHeapRestoreRejectsBadGeometry(t *testing.T) {
 	os := bootOS(t)
@@ -429,9 +429,8 @@ func TestHeapRestoreRejectsBadGeometry(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			bad := *h
 			c.mutate(&bad)
-			d := heapSnapshot(t, &bad)
 			fresh := mustHeapRegion(t, os, 100, 30, 0.7)
-			if err := fresh.restore(d, os); err == nil {
+			if err := restoreHeap(t, &bad, fresh, os); err == nil {
 				t.Fatal("restore accepted a corrupt geometry")
 			}
 		})
@@ -439,7 +438,7 @@ func TestHeapRestoreRejectsBadGeometry(t *testing.T) {
 	good := *h
 	good.hotStart = good.pages - 1
 	fresh := mustHeapRegion(t, os, 100, 30, 0.7)
-	if err := fresh.restore(heapSnapshot(t, &good), os); err != nil {
+	if err := restoreHeap(t, &good, fresh, os); err != nil {
 		t.Fatalf("restore rejected a valid geometry: %v", err)
 	}
 	for i := 0; i < 1000; i++ {
@@ -449,15 +448,15 @@ func TestHeapRestoreRejectsBadGeometry(t *testing.T) {
 	}
 }
 
-// heapSnapshot encodes h's run state and returns a decoder over it.
-func heapSnapshot(t *testing.T, h *heapRegion) *snapshot.Decoder {
+// restoreHeap encodes src's run state and reads it back into dst.
+func restoreHeap(t *testing.T, src, dst *heapRegion, os *guestos.OS) error {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := snapshot.NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Section("heap", h.snapshot); err != nil {
+	if err := w.State("heap", func(c *snapshot.Codec) error { return src.snapshot(c, os) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -467,11 +466,7 @@ func heapSnapshot(t *testing.T, h *heapRegion) *snapshot.Decoder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := r.Section("heap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return r.State("heap", func(c *snapshot.Codec) error { return dst.snapshot(c, os) })
 }
 
 // guestState is os's complete SnapshotState encoding.
@@ -482,7 +477,7 @@ func guestState(t *testing.T, os *guestos.OS) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Section("guestos", os.SnapshotState); err != nil {
+	if err := w.State("guestos", func(c *snapshot.Codec) error { return os.SnapshotState(c, nil) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
