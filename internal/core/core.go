@@ -171,6 +171,10 @@ func (c *Config) Validate() error {
 	if c.FastFrames == 0 && c.SlowFrames == 0 {
 		return errors.New("core: machine has zero memory frames")
 	}
+	if c.FastFrames > memsim.MaxFrames || c.SlowFrames > memsim.MaxFrames-c.FastFrames {
+		return fmt.Errorf("core: machine of %d+%d frames exceeds MaxFrames %d",
+			c.FastFrames, c.SlowFrames, uint64(memsim.MaxFrames))
+	}
 	if c.MaxEpochs < 0 {
 		return fmt.Errorf("core: negative MaxEpochs %d", c.MaxEpochs)
 	}

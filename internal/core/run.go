@@ -215,18 +215,11 @@ func (s *System) stepVM(inst *VMInstance) (err error) {
 						continue
 					}
 				}
-				if inst.phases != nil {
-					pt = time.Now()
-				}
+				// The coordinated pass fuses scan, rank, and migrate and
+				// times each step itself through the scanner's phase
+				// hook; only its simulated scan charge is booked here.
 				st := vmm.CoordinatedPass(inst.VM, inst.scanner, inst.OS, moves)
-				if inst.phases != nil {
-					// The coordinated pass fuses scan, rank, and migrate;
-					// its wall time lands on migrate (the pass exists to
-					// move pages), its simulated scan charge on scan, and
-					// the scanner's own rank-phase timing covers ranking.
-					inst.phases.ObserveWallSince(obs.PhaseMigrate, pt)
-					inst.phases.ObserveSim(obs.PhaseScan, st.ScanNs)
-				}
+				inst.phases.ObserveSim(obs.PhaseScan, st.ScanNs)
 				inst.moveBudget -= st.Promoted + st.Demoted
 				inst.OS.AddOSTime(st.ScanNs)
 				inst.Res.ScanCostNs += st.ScanNs

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"heteroos/internal/memsim"
@@ -36,6 +37,19 @@ func TestConfigValidation(t *testing.T) {
 		VMs: []VMConfig{{ID: 1, Mode: policy.HeapOD()}},
 	}); err == nil {
 		t.Fatal("VM without workload accepted")
+	}
+	// Frame numbers are stored in 32 bits, so the machine is bounded by
+	// memsim.MaxFrames (checked on Validate alone: building such a
+	// machine would allocate gigabytes).
+	for _, span := range [][2]uint64{{memsim.MaxFrames, 1}, {1, memsim.MaxFrames}, {^uint64(0), 2}} {
+		c := Config{FastFrames: span[0], SlowFrames: span[1], AllowNoVMs: true}
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "MaxFrames") {
+			t.Errorf("machine %d+%d frames: err %v, want a MaxFrames error", span[0], span[1], err)
+		}
+	}
+	c := Config{FastFrames: memsim.MaxFrames - 1, SlowFrames: 1, AllowNoVMs: true}
+	if err := c.Validate(); err != nil {
+		t.Errorf("machine of exactly MaxFrames frames rejected: %v", err)
 	}
 }
 

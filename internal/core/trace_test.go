@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"heteroos/internal/obs"
 	"heteroos/internal/policy"
 	"heteroos/internal/workload"
 )
@@ -110,5 +111,51 @@ func TestTraceTableRendering(t *testing.T) {
 	want := "1,3.00,1.00,0.50,1.00,0.50,10,20,1,2,33.50"
 	if !strings.Contains(b.String(), want) {
 		t.Fatalf("rendered CSV missing %q:\n%s", want, b.String())
+	}
+}
+
+// TestCoordinatedPassPhases: with the epoch profiler on, the coordinated
+// pass books its scan step under the scan phase and the rest of the
+// pass under migrate, once each per pass; ranking stays nested inside
+// migrate.
+func TestCoordinatedPassPhases(t *testing.T) {
+	w, err := workload.ByName("GraphChi", workload.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := obs.New()
+	cfg := Config{
+		FastFrames:    fast2G + slow8G + 4096,
+		SlowFrames:    slow8G + 4096,
+		Seed:          1,
+		MaxEpochs:     200,
+		Obs:           h,
+		ProfileEpochs: true,
+		VMs: []VMConfig{{
+			ID: 1, Mode: policy.HeteroOSCoordinated(), Workload: w,
+			FastPages: fast2G, SlowPages: slow8G,
+		}},
+	}
+	res, _, err := RunSingle(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := h.Metrics.Snapshot().Rollup()
+	wall := func(ph string) *obs.MetricValue {
+		v := snap.Find("phase." + ph + ".wall_ns")
+		if v == nil {
+			t.Fatalf("no %s wall histogram", ph)
+		}
+		return v
+	}
+	scan, migrate, rank := wall("scan"), wall("migrate"), wall("rank")
+	if passes := float64(res.ScanPasses); passes == 0 || scan.Value != passes || migrate.Value != passes {
+		t.Fatalf("scan passes %v: scan wall observed %v times, migrate %v", passes, scan.Value, migrate.Value)
+	}
+	if scan.Sum <= 0 || migrate.Sum <= 0 {
+		t.Fatalf("scan wall %v ns, migrate wall %v ns, want both positive", scan.Sum, migrate.Sum)
+	}
+	if rank.Sum > migrate.Sum {
+		t.Fatalf("rank wall %v ns exceeds the migrate wall %v ns it nests in", rank.Sum, migrate.Sum)
 	}
 }

@@ -27,15 +27,17 @@ const MaxOrder = 10
 // ErrNoMemory is returned when no free block of a sufficient order exists.
 var ErrNoMemory = errors.New("buddy: out of memory")
 
-// orderHeap is a min-heap of block base addresses for one order.
+// orderHeap is a min-heap of block bases for one order, stored as
+// 32-bit offsets into the allocator's span (a span holds at most
+// maxSpan frames). Offsets order like the bases they stand for.
 // Removal of arbitrary elements (needed when a block's buddy is consumed
 // by coalescing) is done lazily: stale entries are skipped on pop by
 // checking the allocator's free-block array. push and pop
 // sift exactly like container/heap's Push and Pop, without boxing each
-// address in an interface.
-type orderHeap []uint64
+// offset in an interface.
+type orderHeap []uint32
 
-func (h *orderHeap) push(x uint64) {
+func (h *orderHeap) push(x uint32) {
 	*h = append(*h, x)
 	s := *h
 	for j := len(s) - 1; j > 0; {
@@ -48,7 +50,7 @@ func (h *orderHeap) push(x uint64) {
 	}
 }
 
-func (h *orderHeap) pop() uint64 {
+func (h *orderHeap) pop() uint32 {
 	s := *h
 	n := len(s) - 1
 	s[0], s[n] = s[n], s[0]
@@ -84,9 +86,16 @@ type Allocator struct {
 	splitCount, coalesceCount uint64
 }
 
+// maxSpan bounds an allocator's span: heap entries are 32-bit offsets.
+const maxSpan = 1 << 32
+
 // New creates an allocator over [base, base+size) with no populated
-// frames. Call AddRange to populate.
+// frames. Call AddRange to populate. A span of more than maxSpan frames
+// panics.
 func New(base, size uint64) *Allocator {
+	if size > maxSpan {
+		panic(fmt.Sprintf("buddy: span of %d frames exceeds maxSpan %d", size, uint64(maxSpan)))
+	}
 	return &Allocator{base: base, size: size, free: make([]uint8, size)}
 }
 
@@ -131,7 +140,7 @@ func (a *Allocator) pushFree(pfn uint64, order int) {
 		a.coalesceCount++
 	}
 	a.free[pfn-a.base] = uint8(order + 1)
-	a.heaps[order].push(pfn)
+	a.heaps[order].push(uint32(pfn - a.base))
 }
 
 // popFree removes and returns the lowest-addressed free block of exactly
@@ -139,10 +148,10 @@ func (a *Allocator) pushFree(pfn uint64, order int) {
 func (a *Allocator) popFree(order int) (uint64, bool) {
 	h := &a.heaps[order]
 	for len(*h) > 0 {
-		pfn := h.pop()
-		if a.free[pfn-a.base] == uint8(order+1) {
-			a.free[pfn-a.base] = 0
-			return pfn, true
+		rel := h.pop()
+		if a.free[rel] == uint8(order+1) {
+			a.free[rel] = 0
+			return a.base + uint64(rel), true
 		}
 		// Otherwise pfn was a stale entry; keep popping.
 	}
@@ -166,7 +175,7 @@ func (a *Allocator) Alloc(order int) (uint64, error) {
 			o--
 			half := pfn + (uint64(1) << o)
 			a.free[half-a.base] = uint8(o + 1)
-			a.heaps[o].push(half)
+			a.heaps[o].push(uint32(half - a.base))
 			a.splitCount++
 		}
 		a.freePages -= uint64(1) << order

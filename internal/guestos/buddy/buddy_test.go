@@ -271,12 +271,12 @@ func TestAccessors(t *testing.T) {
 
 // refHeap is orderHeap driven through container/heap, the sift order the
 // typed push/pop must reproduce.
-type refHeap []uint64
+type refHeap []uint32
 
 func (h refHeap) Len() int           { return len(h) }
 func (h refHeap) Less(i, j int) bool { return h[i] < h[j] }
 func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(uint64)) }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(uint32)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	x := old[len(old)-1]
@@ -290,17 +290,21 @@ func TestOrderHeapMatchesContainerHeap(t *testing.T) {
 	var want refHeap
 	for op := 0; op < 20000; op++ {
 		if len(got) > 0 && rng.Intn(5) < 2 {
-			g, w := got.pop(), heap.Pop(&want).(uint64)
+			g, w := got.pop(), heap.Pop(&want).(uint32)
 			if g != w {
 				t.Fatalf("op %d: pop = %d, container/heap = %d", op, g, w)
 			}
 		} else {
-			// A narrow value range forces duplicates, like stale entries.
-			x := uint64(rng.Intn(512))
+			// A narrow value range forces duplicates, like stale entries;
+			// every fifth push is near the top of the 32-bit range.
+			x := uint32(rng.Intn(512))
+			if rng.Intn(5) == 0 {
+				x = ^uint32(0) - x
+			}
 			got.push(x)
 			heap.Push(&want, x)
 		}
-		if !slices.Equal([]uint64(got), []uint64(want)) {
+		if !slices.Equal([]uint32(got), []uint32(want)) {
 			t.Fatalf("op %d: layout %v, container/heap %v", op, got, want)
 		}
 	}
@@ -360,13 +364,13 @@ func (a *mapAllocator) pushFree(pfn uint64, order int) {
 		a.coalesceCount++
 	}
 	a.freeOrder[pfn] = order
-	a.heaps[order].push(pfn)
+	a.heaps[order].push(uint32(pfn - a.base))
 }
 
 func (a *mapAllocator) popFree(order int) (uint64, bool) {
 	h := &a.heaps[order]
 	for len(*h) > 0 {
-		pfn := h.pop()
+		pfn := a.base + uint64(h.pop())
 		if o, ok := a.freeOrder[pfn]; ok && o == order {
 			delete(a.freeOrder, pfn)
 			return pfn, true
@@ -385,7 +389,7 @@ func (a *mapAllocator) Alloc(order int) (uint64, bool) {
 			o--
 			half := pfn + (uint64(1) << o)
 			a.freeOrder[half] = o
-			a.heaps[o].push(half)
+			a.heaps[o].push(uint32(half - a.base))
 			a.splitCount++
 		}
 		a.freePages -= uint64(1) << order
@@ -635,4 +639,15 @@ func TestRestoreRejectsBlockOutsideSpan(t *testing.T) {
 			t.Errorf("block %d order %d: Restore = %v, want an outside-span error", blk.pfn, blk.order, err)
 		}
 	}
+}
+
+// TestNewRejectsSpanBeyondMaxSpan: heap entries are 32-bit offsets into
+// the span, so a larger span must panic before allocating.
+func TestNewRejectsSpanBeyondMaxSpan(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New with a span past maxSpan did not panic")
+		}
+	}()
+	New(0, maxSpan+1)
 }

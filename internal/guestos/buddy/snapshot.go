@@ -63,7 +63,7 @@ func (a *Allocator) Restore(d *snapshot.Decoder) error {
 			return fmt.Errorf("buddy: snapshot block %d order %d outside span [%d,+%d)", pfn, order, a.base, a.size)
 		}
 		a.free[pfn-a.base] = uint8(order + 1)
-		a.heaps[order] = append(a.heaps[order], pfn)
+		a.heaps[order] = append(a.heaps[order], uint32(pfn-a.base))
 	}
 	return d.Err()
 }

@@ -5,7 +5,7 @@ import (
 )
 
 // lruList is an intrusive doubly-linked list threaded through the page
-// store via the lruPrev/lruNext parallel arrays.
+// store via its lruPrev/lruNext link columns.
 type lruList struct {
 	head, tail PFN
 	count      uint64
@@ -39,10 +39,10 @@ func (l *PageLRU) list(active bool) *lruList {
 
 func (l *PageLRU) pushHead(lst *lruList, pfn PFN) {
 	s := l.store
-	s.lruPrev[pfn] = NilPFN
-	s.lruNext[pfn] = lst.head
+	s.setLRUPrev(pfn, NilPFN)
+	s.setLRUNext(pfn, lst.head)
 	if lst.head != NilPFN {
-		s.lruPrev[lst.head] = pfn
+		s.setLRUPrev(lst.head, pfn)
 	}
 	lst.head = pfn
 	if lst.tail == NilPFN {
@@ -53,18 +53,19 @@ func (l *PageLRU) pushHead(lst *lruList, pfn PFN) {
 
 func (l *PageLRU) unlink(lst *lruList, pfn PFN) {
 	s := l.store
-	prev, next := s.lruPrev[pfn], s.lruNext[pfn]
+	prev, next := s.LRUPrev(pfn), s.LRUNext(pfn)
 	if prev != NilPFN {
-		s.lruNext[prev] = next
+		s.setLRUNext(prev, next)
 	} else {
 		lst.head = next
 	}
 	if next != NilPFN {
-		s.lruPrev[next] = prev
+		s.setLRUPrev(next, prev)
 	} else {
 		lst.tail = prev
 	}
-	s.lruPrev[pfn], s.lruNext[pfn] = NilPFN, NilPFN
+	s.setLRUPrev(pfn, NilPFN)
+	s.setLRUNext(pfn, NilPFN)
 	lst.count--
 }
 
@@ -188,7 +189,7 @@ func (l *PageLRU) rotateRun(max uint64, protected func(PFN) bool) uint64 {
 		}
 		allProtected = allProtected && prot
 		bitClear(s.accessed, p)
-		p = s.lruPrev[p]
+		p = s.LRUPrev(p)
 		n++
 	}
 	if n < lst.count {
@@ -203,7 +204,7 @@ func (l *PageLRU) rotateRun(max uint64, protected func(PFN) bool) uint64 {
 	}
 	p = lst.tail
 	for shift := (max - n) % n; shift > 0; shift-- {
-		p = s.lruPrev[p]
+		p = s.LRUPrev(p)
 	}
 	l.spliceTailAfter(p)
 	return max
@@ -218,11 +219,11 @@ func (l *PageLRU) spliceTailAfter(p PFN) {
 	if p == NilPFN || p == lst.tail {
 		return
 	}
-	first := s.lruNext[p]
-	s.lruNext[lst.tail] = lst.head
-	s.lruPrev[lst.head] = lst.tail
-	s.lruPrev[first] = NilPFN
-	s.lruNext[p] = NilPFN
+	first := s.LRUNext(p)
+	s.setLRUNext(lst.tail, lst.head)
+	s.setLRUPrev(lst.head, lst.tail)
+	s.setLRUPrev(first, NilPFN)
+	s.setLRUNext(p, NilPFN)
 	lst.head, lst.tail = first, p
 }
 
@@ -251,14 +252,14 @@ func (l *PageLRU) CheckInvariants() error {
 	}{{&l.active, true, "active"}, {&l.inactive, false, "inactive"}} {
 		var n uint64
 		prev := NilPFN
-		for pfn := c.lst.head; pfn != NilPFN; pfn = s.lruNext[pfn] {
+		for pfn := c.lst.head; pfn != NilPFN; pfn = s.LRUNext(pfn) {
 			if !s.Has(pfn, FlagOnLRU) {
 				return fmt.Errorf("lru: %s page %d missing FlagOnLRU", c.name, pfn)
 			}
 			if s.Has(pfn, FlagActive) != c.active {
 				return fmt.Errorf("lru: page %d active flag mismatch on %s list", pfn, c.name)
 			}
-			if s.lruPrev[pfn] != prev {
+			if s.LRUPrev(pfn) != prev {
 				return fmt.Errorf("lru: page %d prev link broken on %s list", pfn, c.name)
 			}
 			prev = pfn

@@ -3,6 +3,8 @@ package guestos
 import (
 	"fmt"
 	"sort"
+
+	"heteroos/internal/memsim"
 )
 
 // VMAID identifies a virtual memory area.
@@ -93,13 +95,19 @@ func newAddrSpace(os *OS) *AddrSpace {
 
 // Mmap creates a new VMA of pages pages. kind must be KindAnon (heap)
 // or KindPageCache (file mapping, with file naming the backing file).
-// Pages are not populated until touched (demand paging).
+// Pages are not populated until touched (demand paging). Every VPN
+// handed out is below memsim.MaxFrames, since the page store keeps
+// reverse-map VPNs in 32 bits; a mapping that would end past it fails.
 func (a *AddrSpace) Mmap(pages uint64, kind PageKind, file FileID) (*VMA, error) {
 	if pages == 0 {
 		return nil, fmt.Errorf("mm: zero-page mmap")
 	}
 	if kind != KindAnon && kind != KindPageCache {
 		return nil, fmt.Errorf("mm: mmap of kind %v not supported", kind)
+	}
+	if uint64(a.nextVPN) > memsim.MaxFrames || pages > memsim.MaxFrames-uint64(a.nextVPN) {
+		return nil, fmt.Errorf("mm: mmap of %d pages at VPN %d ends past MaxFrames %d",
+			pages, a.nextVPN, uint64(memsim.MaxFrames))
 	}
 	v := &VMA{ID: a.nextID, Start: a.nextVPN, Pages: pages, Kind: kind, File: file}
 	a.nextID++

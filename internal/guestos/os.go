@@ -140,9 +140,9 @@ type OS struct {
 	store *PageStore
 	nodes []*Node    // aware: [FastMem, SlowMem]; transparent: [all]
 	lrus  []*PageLRU // parallel to nodes
-	// unpopulated tracks depopulated span slots per node, popped in
-	// LIFO order for repopulation.
-	unpopulated [][]PFN
+	// unpopulated tracks depopulated span slots (PFNs, narrowed) per
+	// node, popped in LIFO order for repopulation.
+	unpopulated [][]uint32
 
 	AS    *AddrSpace
 	PC    *pagecache.Cache
@@ -231,6 +231,10 @@ func New(cfg Config) (*OS, error) {
 		promoteRate: 1,
 	}
 
+	if cfg.FastMaxPages > memsim.MaxFrames || cfg.SlowMaxPages > memsim.MaxFrames-cfg.FastMaxPages {
+		return nil, fmt.Errorf("guestos: span of %d+%d pages exceeds MaxFrames %d",
+			cfg.FastMaxPages, cfg.SlowMaxPages, uint64(memsim.MaxFrames))
+	}
 	total := cfg.FastMaxPages + cfg.SlowMaxPages
 	o.store = NewPageStore(total)
 	if cfg.Aware {
@@ -247,13 +251,13 @@ func New(cfg Config) (*OS, error) {
 		o.nodes = []*Node{n}
 	}
 	o.lrus = make([]*PageLRU, len(o.nodes))
-	o.unpopulated = make([][]PFN, len(o.nodes))
+	o.unpopulated = make([][]uint32, len(o.nodes))
 	for i, n := range o.nodes {
 		o.lrus[i] = NewPageLRU(o.store)
 		// Span slots in descending order so pops ascend.
-		slots := make([]PFN, 0, n.MaxPages)
+		slots := make([]uint32, 0, n.MaxPages)
 		for p := n.MaxPages; p > 0; p-- {
-			slots = append(slots, n.Base+PFN(p-1))
+			slots = append(slots, uint32(uint64(n.Base)+p-1))
 		}
 		o.unpopulated[i] = slots
 	}
@@ -387,7 +391,7 @@ func (o *OS) populateNode(idx int, want uint64) uint64 {
 		mfns = o.cfg.Source.PopulateAny(want)
 	}
 	for _, mfn := range mfns {
-		pfn := (*slots)[len(*slots)-1]
+		pfn := PFN((*slots)[len(*slots)-1])
 		*slots = (*slots)[:len(*slots)-1]
 		o.store.SetMFN(pfn, mfn)
 		n.addPopulated(pfn, 1)
@@ -749,7 +753,7 @@ func (o *OS) releaseFreeFrames(idx int, want uint64) uint64 {
 	for i, pfn := range pfns {
 		mfns[i] = o.store.MFN(pfn)
 		o.store.SetMFN(pfn, memsim.NilMFN)
-		o.unpopulated[idx] = append(o.unpopulated[idx], pfn)
+		o.unpopulated[idx] = append(o.unpopulated[idx], uint32(pfn))
 		if o.indexer != nil {
 			o.indexer.PageUnbacked(pfn)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"heteroos/internal/memsim"
@@ -894,5 +895,105 @@ func TestSnapshotStateReportsEncodeErrors(t *testing.T) {
 	}
 	if err := w.State("guestos", func(c *snapshot.Codec) error { return os.SnapshotState(c, nil) }); err == nil {
 		t.Fatal("SnapshotState with a NaN epoch stat succeeded")
+	}
+}
+
+// TestSpanBeyondMaxFramesRejected: the page store keeps frame numbers
+// in 32 bits, so New must refuse a span past memsim.MaxFrames with an
+// error (before allocating anything), including a sum that wraps.
+func TestSpanBeyondMaxFramesRejected(t *testing.T) {
+	src := newFakeSource(16, 16)
+	for _, span := range [][2]uint64{
+		{memsim.MaxFrames, 1},
+		{1, memsim.MaxFrames},
+		{memsim.MaxFrames + 1, 0},
+		{^uint64(0), 2},
+	} {
+		for _, aware := range []bool{true, false} {
+			_, err := New(Config{
+				CPUs: 1, Aware: aware, FastMaxPages: span[0], SlowMaxPages: span[1],
+				Source: src, TierOf: src.m.TierOf,
+			})
+			if err == nil || !strings.Contains(err.Error(), "MaxFrames") {
+				t.Errorf("span %d+%d (aware %v): err %v, want a MaxFrames error", span[0], span[1], aware, err)
+			}
+		}
+	}
+}
+
+// TestMmapStopsAtMaxFrames: every VPN a mapping hands out must fit the
+// store's 32-bit VPN column, so a mapping that would end past
+// memsim.MaxFrames fails and one that ends exactly there succeeds.
+func TestMmapStopsAtMaxFrames(t *testing.T) {
+	os, _ := testOS(t, heapODPlacement(), 64, 64, 16, 16)
+	start := uint64(os.AS.nextVPN)
+	if _, err := os.AS.Mmap(memsim.MaxFrames-start+1, KindAnon, NilFile); err == nil {
+		t.Fatal("mapping ending one page past MaxFrames accepted")
+	}
+	if _, err := os.AS.Mmap(^uint64(0), KindAnon, NilFile); err == nil {
+		t.Fatal("mapping of 2^64-1 pages accepted")
+	}
+	v, err := os.AS.Mmap(memsim.MaxFrames-start, KindAnon, NilFile)
+	if err != nil {
+		t.Fatalf("mapping ending at MaxFrames: %v", err)
+	}
+	if uint64(v.End()) != memsim.MaxFrames {
+		t.Fatalf("mapping ends at %d, want %d", v.End(), uint64(memsim.MaxFrames))
+	}
+	// The cursor is now past the bound (guard pages); later maps fail.
+	if _, err := os.AS.Mmap(1, KindAnon, NilFile); err == nil {
+		t.Fatal("mapping after the address space filled up accepted")
+	}
+}
+
+// TestRestoreRejectsOutOfRangeFrames: a checkpoint section with a valid
+// checksum but a frame, page or link value outside its domain must fail
+// the restore with an error naming the section, not be narrowed into
+// the 32-bit columns.
+func TestRestoreRejectsOutOfRangeFrames(t *testing.T) {
+	cases := []struct {
+		name, want string
+		corrupt    func(o *OS, pfn PFN)
+	}{
+		{"lruPrev", "lruPrev", func(o *OS, pfn PFN) { o.store.lruPrev[pfn] = uint32(o.store.Len()) }},
+		{"lruNext", "lruNext", func(o *OS, pfn PFN) { o.store.lruNext[pfn] = uint32(o.store.Len() + 7) }},
+		// 1<<31 widens to 0xffffffff80000000: neither nil nor below MaxFrames.
+		{"MFN", "MFN", func(o *OS, pfn PFN) { o.store.mfn[pfn] = 1 << 31 }},
+		{"VPN", "VPN", func(o *OS, pfn PFN) { o.store.vpn[pfn] = 0xfffffffe }},
+		{"slot", "unpopulated slot", func(o *OS, _ PFN) {
+			o.unpopulated[0] = append(o.unpopulated[0], uint32(o.nodes[1].Base))
+		}},
+		{"lru end", "LRU end", func(o *OS, _ PFN) { o.lrus[1].inactive.tail = PFN(o.store.Len()) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src, _ := testOS(t, heapODPlacement(), 1024, 4096, 256, 1024)
+			vma, _ := src.AS.Mmap(4, KindAnon, NilFile)
+			if _, err := src.TouchVPN(vma.Start, 4, 0); err != nil {
+				t.Fatal(err)
+			}
+			pfn, _ := src.AS.Translate(vma.Start)
+			tc.corrupt(src, pfn)
+			var buf bytes.Buffer
+			w, err := snapshot.NewWriter(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.State("guestos", func(c *snapshot.Codec) error { return src.SnapshotState(c, nil) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := snapshot.Open(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst, _ := testOS(t, heapODPlacement(), 1024, 4096, 256, 1024)
+			err = r.State("guestos", func(c *snapshot.Codec) error { return dst.SnapshotState(c, nil) })
+			if err == nil || !strings.Contains(err.Error(), `section "guestos"`) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore error %v, want one naming section \"guestos\" and %q", err, tc.want)
+			}
+		})
 	}
 }

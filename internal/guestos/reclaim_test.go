@@ -212,10 +212,10 @@ func reclaimFixture(t *testing.T, sc reclaimScenario) *OS {
 
 // lruOrder lists a node's active and inactive pages head to tail.
 func lruOrder(l *PageLRU) (active, inactive []PFN) {
-	for pfn := l.active.head; pfn != NilPFN; pfn = l.store.lruNext[pfn] {
+	for pfn := l.active.head; pfn != NilPFN; pfn = l.store.LRUNext(pfn) {
 		active = append(active, pfn)
 	}
-	for pfn := l.inactive.head; pfn != NilPFN; pfn = l.store.lruNext[pfn] {
+	for pfn := l.inactive.head; pfn != NilPFN; pfn = l.store.LRUNext(pfn) {
 		inactive = append(inactive, pfn)
 	}
 	return active, inactive

@@ -53,13 +53,26 @@ func (o *OS) SnapshotState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN
 		c.Fail(n.PCP.SnapshotState(c))
 		l := o.lrus[i]
 		for _, lst := range []*lruList{&l.active, &l.inactive} {
-			c.U64((*uint64)(&lst.head))
-			c.U64((*uint64)(&lst.tail))
+			for _, end := range []*PFN{&lst.head, &lst.tail} {
+				c.U64((*uint64)(end))
+				if c.Reading() && *end != NilPFN && uint64(*end) >= o.store.Len() {
+					return fmt.Errorf("guestos: snapshot node %d LRU end %d outside store", i, *end)
+				}
+			}
 			c.U64(&lst.count)
 		}
 		c.U64(&l.activations)
 		c.U64(&l.deactivations)
-		snapshot.Slice(c, &o.unpopulated[i], func(pfn *PFN) { c.U64((*uint64)(pfn)) })
+		snapshot.Slice(c, &o.unpopulated[i], func(slot *uint32) {
+			pfn := uint64(*slot)
+			c.U64(&pfn)
+			if c.Reading() && !n.Contains(PFN(pfn)) {
+				c.Fail(fmt.Errorf("guestos: snapshot node %d unpopulated slot %d outside span [%d,+%d)",
+					i, pfn, n.Base, n.MaxPages))
+				return
+			}
+			*slot = uint32(pfn)
+		})
 	}
 
 	if err := o.AS.snapshotState(c); err != nil {
@@ -139,7 +152,8 @@ func (s *swapSpace) restore(d *snapshot.Decoder) error {
 // whose metadata differs from the boot-time default, as a PFN list
 // followed by one array per field in the PFN list's order. The column
 // layout mirrors the in-memory struct-of-arrays store; the five flag
-// bitmaps are materialized into one PageFlags byte per page.
+// bitmaps are materialized into one PageFlags byte per page, and the
+// 32-bit MFN, VPN and link columns are written widened to 64 bits.
 func (o *OS) snapshotStore(e *snapshot.Encoder) {
 	st := o.store
 	e.U64(st.Len())
@@ -199,12 +213,24 @@ func (o *OS) restoreStore(d *snapshot.Decoder, mapMFN func(memsim.MFN) memsim.MF
 		}
 		pfns[i] = PFN(pfn)
 	}
-	for _, pfn := range pfns {
-		mfn := memsim.MFN(d.U64())
-		if mapMFN != nil {
-			mfn = mapMFN(mfn)
+	// The MFN, VPN and link columns are coded as 64-bit values; each must
+	// be nil or below its limit before it is narrowed into the store. The
+	// MFN column passes through mapMFN first.
+	narrowCol := func(col []uint32, name string, limit uint64, mapMFN func(memsim.MFN) memsim.MFN) error {
+		for _, pfn := range pfns {
+			v := d.U64()
+			if mapMFN != nil {
+				v = uint64(mapMFN(memsim.MFN(v)))
+			}
+			if v != ^uint64(0) && v >= limit {
+				return fmt.Errorf("guestos: snapshot page store: pfn %d %s %d outside [0,%d)", pfn, name, v, limit)
+			}
+			col[pfn] = uint32(v)
 		}
-		st.SetMFN(pfn, mfn)
+		return nil
+	}
+	if err := narrowCol(st.mfn, "MFN", memsim.MaxFrames, mapMFN); err != nil {
+		return err
 	}
 	for _, pfn := range pfns {
 		st.SetKind(pfn, PageKind(d.U8()))
@@ -212,14 +238,14 @@ func (o *OS) restoreStore(d *snapshot.Decoder, mapMFN func(memsim.MFN) memsim.MF
 	for _, pfn := range pfns {
 		st.SetAllFlags(pfn, PageFlags(d.U8()))
 	}
-	for _, pfn := range pfns {
-		st.SetVPN(pfn, VPN(d.U64()))
+	if err := narrowCol(st.vpn, "VPN", memsim.MaxFrames, nil); err != nil {
+		return err
 	}
-	for _, pfn := range pfns {
-		st.lruPrev[pfn] = PFN(d.U64())
+	if err := narrowCol(st.lruPrev, "lruPrev", st.Len(), nil); err != nil {
+		return err
 	}
-	for _, pfn := range pfns {
-		st.lruNext[pfn] = PFN(d.U64())
+	if err := narrowCol(st.lruNext, "lruNext", st.Len(), nil); err != nil {
+		return err
 	}
 	for _, pfn := range pfns {
 		st.SetLastUse(pfn, d.U32())

@@ -21,14 +21,20 @@ import (
 // is (accessed | heatNZ) — all-zero words are skipped entirely without
 // changing any page's state evolution (zero-heat unreferenced pages
 // decay to the same zero they already hold).
+//
+// Frame numbers, virtual page numbers and LRU links are stored in 32
+// bits (the mfn, vpn, lruPrev and lruNext columns). The store spans at
+// most memsim.MaxFrames frames and SetMFN/SetVPN accept only values
+// below it or the nil value, so every stored value is below 2^31 or all
+// ones, and widen restores the 64-bit value, nil included.
 type PageStore struct {
 	n uint64
 
-	mfn           []memsim.MFN
-	kind          []uint8 // PageKind, narrowed (NumKinds < 256)
-	vpn           []VPN
-	lruPrev       []PFN
-	lruNext       []PFN
+	mfn           []uint32 // memsim.MFN, narrowed
+	kind          []uint8  // PageKind, narrowed (NumKinds < 256)
+	vpn           []uint32 // VPN, narrowed
+	lruPrev       []uint32 // PFN, narrowed
+	lruNext       []uint32 // PFN, narrowed
 	lastUse       []uint32
 	scanHeat      []uint8
 	scanWriteHeat []uint8
@@ -45,16 +51,21 @@ type PageStore struct {
 	scanWriteHeatNZ []uint64 // bit set iff scanWriteHeat[pfn] != 0
 }
 
-// NewPageStore creates metadata for n frames, all initially unpopulated.
+// NewPageStore creates metadata for n frames, all initially
+// unpopulated. A span of more than memsim.MaxFrames frames panics: New
+// rejects it first, so reaching here is a caller bug.
 func NewPageStore(n uint64) *PageStore {
+	if n > memsim.MaxFrames {
+		panic(fmt.Sprintf("guestos: page store of %d frames exceeds MaxFrames %d", n, uint64(memsim.MaxFrames)))
+	}
 	words := int((n + 63) / 64)
 	s := &PageStore{
 		n:               n,
-		mfn:             make([]memsim.MFN, n),
+		mfn:             make([]uint32, n),
 		kind:            make([]uint8, n),
-		vpn:             make([]VPN, n),
-		lruPrev:         make([]PFN, n),
-		lruNext:         make([]PFN, n),
+		vpn:             make([]uint32, n),
+		lruPrev:         make([]uint32, n),
+		lruNext:         make([]uint32, n),
 		lastUse:         make([]uint32, n),
 		scanHeat:        make([]uint8, n),
 		scanWriteHeat:   make([]uint8, n),
@@ -67,13 +78,42 @@ func NewPageStore(n uint64) *PageStore {
 		scanHeatNZ:      make([]uint64, words),
 		scanWriteHeatNZ: make([]uint64, words),
 	}
-	for i := uint64(0); i < n; i++ {
-		s.mfn[i] = memsim.NilMFN
-		s.vpn[i] = NilVPN
-		s.lruPrev[i] = NilPFN
-		s.lruNext[i] = NilPFN
-	}
+	s.resetLinks()
 	return s
+}
+
+// nil32 is the stored form of NilMFN, NilVPN and NilPFN.
+const nil32 = ^uint32(0)
+
+// widen returns the 64-bit value of a stored 32-bit one. Sign extension
+// maps nil32 to the 64-bit all-ones nil and leaves every value below
+// 2^31 unchanged.
+func widen(v uint32) uint64 { return uint64(int64(int32(v))) }
+
+// narrow returns the stored form of v, panicking unless v is nil or
+// below memsim.MaxFrames. The +1 wraps nil to 0, so one comparison
+// covers both cases.
+func narrow(v uint64) uint32 {
+	if v+1 > memsim.MaxFrames {
+		outOfDomain(v)
+	}
+	return uint32(v)
+}
+
+// outOfDomain is kept out of line so narrow stays inlinable.
+//
+//go:noinline
+func outOfDomain(v uint64) {
+	panic(fmt.Sprintf("guestos: frame or page number %d is neither nil nor below MaxFrames", v))
+}
+
+// resetLinks sets every frame's MFN, VPN and LRU links to nil.
+func (s *PageStore) resetLinks() {
+	for _, col := range [][]uint32{s.mfn, s.vpn, s.lruPrev, s.lruNext} {
+		for i := range col {
+			col[i] = nil32
+		}
+	}
 }
 
 // Len reports the number of frames tracked.
@@ -98,10 +138,11 @@ func bitClear(words []uint64, pfn PFN) {
 // --- per-field accessors ---
 
 // MFN reads the backing machine frame of pfn.
-func (s *PageStore) MFN(pfn PFN) memsim.MFN { return s.mfn[pfn] }
+func (s *PageStore) MFN(pfn PFN) memsim.MFN { return memsim.MFN(widen(s.mfn[pfn])) }
 
-// SetMFN writes the backing machine frame of pfn.
-func (s *PageStore) SetMFN(pfn PFN, m memsim.MFN) { s.mfn[pfn] = m }
+// SetMFN writes the backing machine frame of pfn (NilMFN or below
+// memsim.MaxFrames; anything else panics).
+func (s *PageStore) SetMFN(pfn PFN, m memsim.MFN) { s.mfn[pfn] = narrow(uint64(m)) }
 
 // Kind reads the page kind of pfn.
 func (s *PageStore) Kind(pfn PFN) PageKind { return PageKind(s.kind[pfn]) }
@@ -110,10 +151,11 @@ func (s *PageStore) Kind(pfn PFN) PageKind { return PageKind(s.kind[pfn]) }
 func (s *PageStore) SetKind(pfn PFN, k PageKind) { s.kind[pfn] = uint8(k) }
 
 // VPN reads the reverse-map virtual page of pfn.
-func (s *PageStore) VPN(pfn PFN) VPN { return s.vpn[pfn] }
+func (s *PageStore) VPN(pfn PFN) VPN { return VPN(widen(s.vpn[pfn])) }
 
-// SetVPN writes the reverse-map virtual page of pfn.
-func (s *PageStore) SetVPN(pfn PFN, v VPN) { s.vpn[pfn] = v }
+// SetVPN writes the reverse-map virtual page of pfn (NilVPN or below
+// memsim.MaxFrames; anything else panics).
+func (s *PageStore) SetVPN(pfn PFN, v VPN) { s.vpn[pfn] = narrow(uint64(v)) }
 
 // LastUse reads the epoch of pfn's most recent access.
 func (s *PageStore) LastUse(pfn PFN) uint32 { return s.lastUse[pfn] }
@@ -156,10 +198,15 @@ func (s *PageStore) Tag(pfn PFN) uint64 { return s.tag[pfn] }
 func (s *PageStore) SetTag(pfn PFN, t uint64) { s.tag[pfn] = t }
 
 // LRUPrev reads pfn's previous LRU link.
-func (s *PageStore) LRUPrev(pfn PFN) PFN { return s.lruPrev[pfn] }
+func (s *PageStore) LRUPrev(pfn PFN) PFN { return PFN(widen(s.lruPrev[pfn])) }
 
 // LRUNext reads pfn's next LRU link.
-func (s *PageStore) LRUNext(pfn PFN) PFN { return s.lruNext[pfn] }
+func (s *PageStore) LRUNext(pfn PFN) PFN { return PFN(widen(s.lruNext[pfn])) }
+
+// setLRUPrev and setLRUNext write pfn's LRU links. Links are store PFNs
+// or NilPFN, so they always narrow exactly.
+func (s *PageStore) setLRUPrev(pfn, p PFN) { s.lruPrev[pfn] = uint32(p) }
+func (s *PageStore) setLRUNext(pfn, p PFN) { s.lruNext[pfn] = uint32(p) }
 
 // --- flag operations ---
 
@@ -301,12 +348,12 @@ func (s *PageStore) ScanWriteHeatNonzeroWord(w int, mask uint64) uint64 {
 // (no frame, no mapping, unlinked, zero flags and counters); snapshots
 // omit such pages.
 func (s *PageStore) IsDefault(pfn PFN) bool {
-	return s.mfn[pfn] == memsim.NilMFN &&
+	return s.mfn[pfn] == nil32 &&
 		s.kind[pfn] == 0 &&
 		!bitGet(s.accessed, pfn) && !bitGet(s.active, pfn) && !bitGet(s.onLRU, pfn) &&
 		!bitGet(s.scanAccessed, pfn) && !bitGet(s.scanWritten, pfn) &&
-		s.vpn[pfn] == NilVPN &&
-		s.lruPrev[pfn] == NilPFN && s.lruNext[pfn] == NilPFN &&
+		s.vpn[pfn] == nil32 &&
+		s.lruPrev[pfn] == nil32 && s.lruNext[pfn] == nil32 &&
 		s.lastUse[pfn] == 0 &&
 		s.scanHeat[pfn] == 0 && s.scanWriteHeat[pfn] == 0 &&
 		s.tag[pfn] == 0
@@ -314,11 +361,11 @@ func (s *PageStore) IsDefault(pfn PFN) bool {
 
 // Reset returns pfn's metadata to the boot-time default.
 func (s *PageStore) Reset(pfn PFN) {
-	s.mfn[pfn] = memsim.NilMFN
+	s.mfn[pfn] = nil32
 	s.kind[pfn] = 0
-	s.vpn[pfn] = NilVPN
-	s.lruPrev[pfn] = NilPFN
-	s.lruNext[pfn] = NilPFN
+	s.vpn[pfn] = nil32
+	s.lruPrev[pfn] = nil32
+	s.lruNext[pfn] = nil32
 	s.lastUse[pfn] = 0
 	s.scanHeat[pfn] = 0
 	s.scanWriteHeat[pfn] = 0
@@ -331,12 +378,7 @@ func (s *PageStore) Reset(pfn PFN) {
 // ResetAll returns every frame to the boot-time default (snapshot
 // restore overlays onto this).
 func (s *PageStore) ResetAll() {
-	for i := uint64(0); i < s.n; i++ {
-		s.mfn[i] = memsim.NilMFN
-		s.vpn[i] = NilVPN
-		s.lruPrev[i] = NilPFN
-		s.lruNext[i] = NilPFN
-	}
+	s.resetLinks()
 	clearU8 := func(v []uint8) {
 		for i := range v {
 			v[i] = 0

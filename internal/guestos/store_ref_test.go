@@ -1,6 +1,7 @@
 package guestos
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -39,12 +40,12 @@ var defaultPage = Page{MFN: memsim.NilMFN, VPN: NilVPN, lruPrev: NilPFN, lruNext
 // pageView materializes pfn's metadata in st as a Page value.
 func pageView(st *PageStore, pfn PFN) Page {
 	return Page{
-		MFN:           st.mfn[pfn],
+		MFN:           st.MFN(pfn),
 		Kind:          PageKind(st.kind[pfn]),
 		Flags:         st.Flags(pfn),
-		VPN:           st.vpn[pfn],
-		lruPrev:       st.lruPrev[pfn],
-		lruNext:       st.lruNext[pfn],
+		VPN:           st.VPN(pfn),
+		lruPrev:       st.LRUPrev(pfn),
+		lruNext:       st.LRUNext(pfn),
 		LastUse:       st.lastUse[pfn],
 		ScanHeat:      st.scanHeat[pfn],
 		ScanWriteHeat: st.scanWriteHeat[pfn],
@@ -123,6 +124,27 @@ func TestPageStoreDifferential(t *testing.T) {
 	randFlags := func() PageFlags {
 		return PageFlags(rng.Uint64()) & allTestFlags
 	}
+	// randFrame draws a value from the 32-bit storage domain: nil, the
+	// largest and smallest storable values, or a random one below
+	// memsim.MaxFrames.
+	randFrame := func() uint64 {
+		switch rng.Intn(8) {
+		case 0:
+			return ^uint64(0)
+		case 1:
+			return memsim.MaxFrames - 1
+		case 2:
+			return 0
+		}
+		return uint64(rng.Int63n(memsim.MaxFrames))
+	}
+	// randLink draws an LRU link: nil or a PFN of the store.
+	randLink := func() PFN {
+		if rng.Intn(4) == 0 {
+			return NilPFN
+		}
+		return PFN(rng.Intn(n))
+	}
 	checkPage := func(step int, pfn PFN) {
 		got, want := pageView(st, pfn), ref.pages[pfn]
 		if got != want {
@@ -132,9 +154,9 @@ func TestPageStoreDifferential(t *testing.T) {
 
 	for step := 0; step < 20000; step++ {
 		pfn := PFN(rng.Intn(n))
-		switch rng.Intn(15) {
+		switch rng.Intn(17) {
 		case 0:
-			m := memsim.MFN(rng.Uint64())
+			m := memsim.MFN(randFrame())
 			st.SetMFN(pfn, m)
 			ref.pages[pfn].MFN = m
 		case 1:
@@ -142,7 +164,7 @@ func TestPageStoreDifferential(t *testing.T) {
 			st.SetKind(pfn, k)
 			ref.pages[pfn].Kind = k
 		case 2:
-			v := VPN(rng.Uint64())
+			v := VPN(randFrame())
 			st.SetVPN(pfn, v)
 			ref.pages[pfn].VPN = v
 		case 3:
@@ -208,6 +230,14 @@ func TestPageStoreDifferential(t *testing.T) {
 			if got != want {
 				t.Fatalf("step %d: ScanWriteHeatNonzeroWord(%d, %#x) = %#x, ref %#x", step, w, mask, got, want)
 			}
+		case 15:
+			l := randLink()
+			st.setLRUPrev(pfn, l)
+			ref.pages[pfn].lruPrev = l
+		case 16:
+			l := randLink()
+			st.setLRUNext(pfn, l)
+			ref.pages[pfn].lruNext = l
 		}
 		// Point probes after every op.
 		checkPage(step, pfn)
@@ -270,7 +300,7 @@ func TestPageStoreInvariantsCatchCorruption(t *testing.T) {
 
 // TestPageStoreFootprint pins the store's allocation per frame, so a
 // column added back to the layout fails a test and not only a
-// benchmark. Today's columns cost 47.875 B/page.
+// benchmark. Today's columns cost 31.875 B/page.
 func TestPageStoreFootprint(t *testing.T) {
 	const n = 1 << 16
 	var before, after runtime.MemStats
@@ -278,7 +308,41 @@ func TestPageStoreFootprint(t *testing.T) {
 	st := NewPageStore(n)
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(st)
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 48 {
-		t.Fatalf("NewPageStore allocates %.2f B/page, want at most 48", per)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 32 {
+		t.Fatalf("NewPageStore allocates %.2f B/page, want at most 32", per)
 	}
+}
+
+// TestPageStoreRejectsOutOfDomain: the MFN and VPN columns are 32 bits
+// wide, so a value that is neither nil nor below memsim.MaxFrames must
+// panic instead of being truncated, and so must a span past the bound.
+func TestPageStoreRejectsOutOfDomain(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	st := NewPageStore(8)
+	for _, v := range []uint64{memsim.MaxFrames, 1<<32 - 1, 1 << 32, ^uint64(0) - 1} {
+		mustPanic(fmt.Sprintf("SetMFN(%#x)", v), func() { st.SetMFN(3, memsim.MFN(v)) })
+		mustPanic(fmt.Sprintf("SetVPN(%#x)", v), func() { st.SetVPN(3, VPN(v)) })
+	}
+	if !st.IsDefault(3) {
+		t.Fatalf("rejected writes changed pfn 3: %+v", pageView(st, 3))
+	}
+	st.SetMFN(3, memsim.MaxFrames-1)
+	st.SetVPN(3, memsim.MaxFrames-1)
+	if st.MFN(3) != memsim.MaxFrames-1 || st.VPN(3) != memsim.MaxFrames-1 {
+		t.Fatalf("largest storable values read back as MFN %d VPN %d", st.MFN(3), st.VPN(3))
+	}
+	st.SetMFN(3, memsim.NilMFN)
+	st.SetVPN(3, NilVPN)
+	if st.MFN(3) != memsim.NilMFN || st.VPN(3) != NilVPN {
+		t.Fatalf("nil read back as MFN %#x VPN %#x", st.MFN(3), st.VPN(3))
+	}
+	mustPanic("NewPageStore(MaxFrames+1)", func() { NewPageStore(memsim.MaxFrames + 1) })
 }

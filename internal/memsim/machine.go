@@ -24,15 +24,20 @@ type Machine struct {
 	spec     [NumTiers]TierSpec
 	base     [NumTiers]MFN // first MFN of each tier
 	size     [NumTiers]uint64
-	owner    []Owner // indexed by MFN
-	free     [NumTiers][]MFN
+	owner    []Owner            // indexed by MFN
+	free     [NumTiers][]uint32 // MFNs, narrowed (below MaxFrames)
 	freeCnt  [NumTiers]uint64
 	allocCnt [NumTiers]uint64
 }
 
 // NewMachine builds a machine with the given per-tier capacities in
-// frames and performance specs.
+// frames and performance specs. A machine of more than MaxFrames frames
+// panics: Config validation rejects it first, so reaching here is a
+// caller bug.
 func NewMachine(fastFrames, slowFrames uint64, fast, slow TierSpec) *Machine {
+	if fastFrames > MaxFrames || slowFrames > MaxFrames-fastFrames {
+		panic(fmt.Sprintf("memsim: machine of %d+%d frames exceeds MaxFrames %d", fastFrames, slowFrames, uint64(MaxFrames)))
+	}
 	m := &Machine{}
 	m.spec[FastMem] = fast
 	m.spec[SlowMem] = slow
@@ -43,10 +48,10 @@ func NewMachine(fastFrames, slowFrames uint64, fast, slow TierSpec) *Machine {
 	total := fastFrames + slowFrames
 	m.owner = make([]Owner, total)
 	for t := Tier(0); t < NumTiers; t++ {
-		m.free[t] = make([]MFN, 0, m.size[t])
+		m.free[t] = make([]uint32, 0, m.size[t])
 		// Push in reverse so frames are handed out in ascending order.
 		for i := m.size[t]; i > 0; i-- {
-			m.free[t] = append(m.free[t], m.base[t]+MFN(i-1))
+			m.free[t] = append(m.free[t], uint32(uint64(m.base[t])+i-1))
 		}
 		m.freeCnt[t] = m.size[t]
 	}
@@ -119,7 +124,7 @@ func (m *Machine) Alloc(t Tier, n uint64, o Owner) ([]MFN, error) {
 	}
 	out := make([]MFN, n)
 	for i := uint64(0); i < n; i++ {
-		mfn := m.free[t][len(m.free[t])-1]
+		mfn := MFN(m.free[t][len(m.free[t])-1])
 		m.free[t] = m.free[t][:len(m.free[t])-1]
 		m.owner[mfn] = o
 		out[i] = mfn
@@ -152,7 +157,7 @@ func (m *Machine) Free(frames []MFN, o Owner) {
 		}
 		t := m.TierOf(mfn)
 		m.owner[mfn] = OwnerFree
-		m.free[t] = append(m.free[t], mfn)
+		m.free[t] = append(m.free[t], uint32(mfn))
 		m.freeCnt[t]++
 		m.allocCnt[t]--
 	}
@@ -175,7 +180,8 @@ func (m *Machine) CheckInvariants() error {
 				t, len(m.free[t]), m.freeCnt[t])
 		}
 		clear(seen)
-		for _, mfn := range m.free[t] {
+		for _, f := range m.free[t] {
+			mfn := MFN(f)
 			if m.owner[mfn] != OwnerFree {
 				return fmt.Errorf("memsim: free-list MFN %d has owner %d", mfn, m.owner[mfn])
 			}

@@ -1,11 +1,14 @@
 package memsim
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"heteroos/internal/snapshot"
 )
 
 func TestDeviceCatalogTable1(t *testing.T) {
@@ -445,5 +448,53 @@ func TestEngineAsymmetricStoreVisibility(t *testing.T) {
 	gotSlow := float64(ca.MemTime[SlowMem]) - 1e6*8/slowSpec.BandwidthGBs
 	if diff := gotSlow - wantSlow; diff > 1 || diff < -1 {
 		t.Fatalf("slow store latency component = %v, want %v", gotSlow, wantSlow)
+	}
+}
+
+// TestNewMachineRejectsSpanBeyondMaxFrames: free lists hold MFNs in 32
+// bits, so a machine past MaxFrames (a config that skipped validation)
+// must panic before allocating, including when the sum wraps.
+func TestNewMachineRejectsSpanBeyondMaxFrames(t *testing.T) {
+	for _, span := range [][2]uint64{{MaxFrames, 1}, {1, MaxFrames}, {^uint64(0), 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMachine(%d, %d) did not panic", span[0], span[1])
+				}
+			}()
+			NewMachine(span[0], span[1], FastTierSpec(), SlowTierSpec())
+		}()
+	}
+}
+
+// TestRestoreRejectsFreeFrameOutsideTier: a machine section with a
+// valid checksum whose free list holds a frame outside its tier must
+// fail the restore, naming the section, instead of being narrowed into
+// the 32-bit list.
+func TestRestoreRejectsFreeFrameOutsideTier(t *testing.T) {
+	for name, mfn := range map[string]uint32{"past the machine": 64, "other tier": 40} {
+		t.Run(name, func(t *testing.T) {
+			src := newTestMachine(32, 32)
+			src.free[FastMem][0] = mfn
+			var buf bytes.Buffer
+			w, err := snapshot.NewWriter(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.State("machine", src.SnapshotState); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := snapshot.Open(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = r.State("machine", newTestMachine(32, 32).SnapshotState)
+			if err == nil || !strings.Contains(err.Error(), `section "machine"`) || !strings.Contains(err.Error(), "free list") {
+				t.Fatalf("restore error %v, want one naming section \"machine\" and its free list", err)
+			}
+		})
 	}
 }

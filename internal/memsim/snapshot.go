@@ -10,7 +10,9 @@ import (
 // throttle-shift fault may have replaced the boot-time ones), per-frame
 // ownership, and the free lists in their exact runtime order
 // (allocation pops from the end, so order is behavioural state).
-// Reading requires a machine of the same geometry.
+// Reading requires a machine of the same geometry and fails on a free
+// frame outside its tier. Free-list entries are coded as 64-bit values
+// although the machine stores them in 32 bits.
 func (m *Machine) SnapshotState(c *snapshot.Codec) error {
 	for t := Tier(0); t < NumTiers; t++ {
 		base, size := uint64(m.base[t]), m.size[t]
@@ -33,7 +35,15 @@ func (m *Machine) SnapshotState(c *snapshot.Codec) error {
 		m.owner[i] = Owner(o)
 	}
 	for t := Tier(0); t < NumTiers; t++ {
-		snapshot.Slice(c, &m.free[t], func(mfn *MFN) { c.U64((*uint64)(mfn)) })
+		snapshot.Slice(c, &m.free[t], func(f *uint32) {
+			mfn := uint64(*f)
+			c.U64(&mfn)
+			if c.Reading() && (mfn >= uint64(len(m.owner)) || m.TierOf(MFN(mfn)) != t) {
+				c.Fail(fmt.Errorf("memsim: snapshot %v free list holds MFN %d outside the tier's frames", t, mfn))
+				return
+			}
+			*f = uint32(mfn)
+		})
 		c.U64(&m.freeCnt[t])
 		c.U64(&m.allocCnt[t])
 	}

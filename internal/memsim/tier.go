@@ -61,3 +61,10 @@ type MFN uint64
 
 // NilMFN marks "no frame".
 const NilMFN = MFN(^uint64(0))
+
+// MaxFrames bounds every frame span: a machine's frames, a guest's
+// frames and a guest's virtual pages. Per-frame metadata stores frame
+// numbers, virtual page numbers and list links in 32 bits, so every
+// value stays below 2^31 and the all-ones nil widens back to its 64-bit
+// all-ones form by sign extension.
+const MaxFrames = 1 << 31

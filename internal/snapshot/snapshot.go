@@ -496,7 +496,8 @@ func (r *Reader) Section(name string) (*Decoder, error) {
 }
 
 // State reads the named section through fn with a reading Codec and
-// returns fn's error or the codec's, whichever came first.
+// returns fn's error or the codec's, whichever came first, wrapped with
+// the section's name.
 func (r *Reader) State(name string, fn func(*Codec) error) error {
 	d, err := r.Section(name)
 	if err != nil {
@@ -504,7 +505,10 @@ func (r *Reader) State(name string, fn func(*Codec) error) error {
 	}
 	c := &Codec{d: d}
 	c.Fail(fn(c))
-	return c.Err()
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("snapshot: section %q: %w", name, err)
+	}
+	return nil
 }
 
 // Raw returns the named section's raw body bytes (not a copy), for

@@ -32,7 +32,13 @@ type HeatIndex struct {
 	view    GuestView
 	tierOf  func(memsim.MFN) memsim.Tier
 	nodes   []heatNode
-	buckets [memsim.NumTiers][numHeatBuckets]heatBucket
+	// slots maps (tier, score) to 1 + the bucket's index in buckets, or
+	// 0 while the combination has never held a page. Heat decays toward
+	// a small fixpoint, so realistic runs use only a handful of the 512
+	// combinations and the table costs 1 KiB where 512 inline buckets
+	// would cost 8 KiB.
+	slots   [memsim.NumTiers][numHeatBuckets]uint16
+	buckets []heatBucket
 	counts  [memsim.NumTiers]uint64
 }
 
@@ -52,10 +58,8 @@ type heatNode struct {
 	flags  uint8
 }
 
-// heatBucket is one (tier, score) bucket: its member count and PFN
-// bitmap. The bitmap is allocated lazily: heat decays toward a small
-// fixpoint, so realistic runs occupy only a handful of the 512 (tier,
-// score) combinations.
+// heatBucket is one (tier, score) bucket in use: its member count and
+// PFN bitmap.
 type heatBucket struct {
 	count uint64
 	set   *pfnSet
@@ -82,7 +86,8 @@ func (s *Scanner) Index() *HeatIndex { return s.index }
 
 // Rebuild clears the index and reseeds it from a full snapshot sweep.
 func (x *HeatIndex) Rebuild() {
-	x.buckets = [memsim.NumTiers][numHeatBuckets]heatBucket{}
+	x.slots = [memsim.NumTiers][numHeatBuckets]uint16{}
+	x.buckets = x.buckets[:0]
 	x.counts = [memsim.NumTiers]uint64{}
 	span := x.view.NumPFNs()
 	for pfn := guestos.PFN(0); pfn < guestos.PFN(span); pfn++ {
@@ -99,13 +104,24 @@ func (x *HeatIndex) Rebuild() {
 	}
 }
 
-// insert files pfn under (tier, bucket), allocating the bucket's bitmap
-// on first use.
-func (x *HeatIndex) insert(pfn guestos.PFN, tier, bucket uint8) {
-	b := &x.buckets[tier][bucket]
-	if b.set == nil {
-		b.set = newPFNSet(uint64(len(x.nodes)))
+// bucket returns the (tier, score) bucket, or nil if it was never used.
+func (x *HeatIndex) bucket(tier, score int) *heatBucket {
+	if i := x.slots[tier][score]; i != 0 {
+		return &x.buckets[i-1]
 	}
+	return nil
+}
+
+// insert files pfn under (tier, bucket), creating the bucket and its
+// bitmap on first use.
+func (x *HeatIndex) insert(pfn guestos.PFN, tier, bucket uint8) {
+	i := x.slots[tier][bucket]
+	if i == 0 {
+		x.buckets = append(x.buckets, heatBucket{set: newPFNSet(uint64(len(x.nodes)))})
+		i = uint16(len(x.buckets))
+		x.slots[tier][bucket] = i
+	}
+	b := &x.buckets[i-1]
 	b.set.add(uint64(pfn))
 	b.count++
 	x.counts[tier]++
@@ -117,7 +133,7 @@ func (x *HeatIndex) insert(pfn guestos.PFN, tier, bucket uint8) {
 // remove takes pfn out of its bucket.
 func (x *HeatIndex) remove(pfn guestos.PFN) {
 	n := &x.nodes[pfn]
-	b := &x.buckets[n.tier][n.bucket]
+	b := &x.buckets[x.slots[n.tier][n.bucket]-1]
 	b.set.remove(uint64(pfn))
 	b.count--
 	x.counts[n.tier]--
@@ -193,8 +209,8 @@ func (x *HeatIndex) descendInto(buf []guestos.PFN, tier memsim.Tier, minScore ui
 		return buf
 	}
 	for s := numHeatBuckets - 1; s >= int(minScore); s-- {
-		b := &x.buckets[tier][s]
-		if b.count == 0 {
+		b := x.bucket(int(tier), s)
+		if b == nil || b.count == 0 {
 			continue
 		}
 		for p, ok := b.set.next(0); ok; p, ok = b.set.next(p + 1) {
@@ -217,8 +233,8 @@ func (x *HeatIndex) ascendInto(buf []guestos.PFN, tier memsim.Tier, maxScore uin
 		return buf
 	}
 	for s := 0; s <= int(maxScore); s++ {
-		b := &x.buckets[tier][s]
-		if b.count == 0 {
+		b := x.bucket(int(tier), s)
+		if b == nil || b.count == 0 {
 			continue
 		}
 		for p, ok := b.set.next(0); ok; p, ok = b.set.next(p + 1) {
@@ -252,7 +268,9 @@ func (x *HeatIndex) Summary() HeatSummary {
 	var sum HeatSummary
 	for t := 0; t < int(memsim.NumTiers); t++ {
 		for s := 0; s < numHeatBuckets; s++ {
-			sum.Buckets[t][s] = x.buckets[t][s].count
+			if b := x.bucket(t, s); b != nil {
+				sum.Buckets[t][s] = b.count
+			}
 		}
 		sum.Total[t] = x.counts[t]
 	}
@@ -265,15 +283,29 @@ func (x *HeatIndex) Summary() HeatSummary {
 // match their bitmaps, and each bitmap's summary levels agree with the
 // level below.
 func (x *HeatIndex) CheckInvariants() error {
+	seen := make([]bool, len(x.buckets))
+	for t := range x.slots {
+		for s, i := range x.slots[t] {
+			if i == 0 {
+				continue
+			}
+			if int(i) > len(x.buckets) || seen[i-1] {
+				return fmt.Errorf("heatindex: (%d,%d) slot %d is out of range or shared", t, s, i)
+			}
+			seen[i-1] = true
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			return fmt.Errorf("heatindex: bucket %d has no slot", i)
+		}
+	}
 	var walked uint64
 	for t := 0; t < int(memsim.NumTiers); t++ {
 		var tierCount uint64
 		for s := 0; s < numHeatBuckets; s++ {
-			b := &x.buckets[t][s]
-			if b.set == nil {
-				if b.count != 0 {
-					return fmt.Errorf("heatindex: (%d,%d) count %d without a bitmap", t, s, b.count)
-				}
+			b := x.bucket(t, s)
+			if b == nil {
 				continue
 			}
 			if err := b.set.check(uint64(len(x.nodes))); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"unsafe"
@@ -496,5 +497,35 @@ func TestPFNSetCheckCatchesCorruption(t *testing.T) {
 func TestHeatNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(heatNode{}); got != 3 {
 		t.Fatalf("heatNode is %d bytes, want 3", got)
+	}
+}
+
+// unbackedView is a stubView whose every page is unbacked, so an index
+// over it holds no bucket and allocates only its fixed parts.
+type unbackedView struct{ *stubView }
+
+func (unbackedView) Snapshot(guestos.PFN) guestos.PageSnapshot {
+	return guestos.PageSnapshot{MFN: memsim.NilMFN}
+}
+
+// TestHeatIndexFootprint pins what an index costs before any page is
+// filed: at most 1.5 KiB of fixed structure (the (tier, score) slot
+// table is 1 KiB) plus the 3-byte node per PFN. The fleet keeps one
+// index per VM, so the fixed part is paid ten thousand times.
+func TestHeatIndexFootprint(t *testing.T) {
+	const span = 4096
+	sc := NewScanner(unbackedView{newStubView(span)}, DefaultScanCosts())
+	tierOf := func(memsim.MFN) memsim.Tier { return memsim.FastMem }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	x := NewHeatIndex(sc, tierOf)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(x)
+	got := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(1536 + 3*span); got > limit {
+		t.Fatalf("NewHeatIndex over %d PFNs allocates %d B, want at most %d", span, got, limit)
+	}
+	if err := x.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

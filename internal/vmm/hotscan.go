@@ -84,7 +84,8 @@ type Scanner struct {
 	// obs, when attached, carries the scanner's observability probes.
 	obs *scannerProbes
 	// phases, when attached, records ranking-query wall time into the
-	// rank phase of the epoch profiler.
+	// rank phase of the epoch profiler, and the coordinated pass's scan
+	// and migrate steps into theirs.
 	phases *obs.PhaseProfiler
 	// hotBuf/coldBuf back the ranking results. Two buffers because the
 	// migrators hold a hot and a cold list simultaneously; a result is
@@ -315,9 +316,9 @@ func (s *Scanner) scanCost(pages int) float64 {
 // allocation-free from a reusable buffer, valid until the next
 // HottestIn call.
 func (s *Scanner) HottestIn(tier memsim.Tier, max int) []guestos.PFN {
-	t0 := s.rankStart()
+	t0 := s.phaseStart()
 	s.hotBuf = s.index.descendInto(s.hotBuf[:0], tier, s.HotThreshold, s.TrustGuestState, max)
-	s.rankDone(t0)
+	s.phaseDone(obs.PhaseRank, t0)
 	return s.hotBuf
 }
 
@@ -325,9 +326,9 @@ func (s *Scanner) HottestIn(tier memsim.Tier, max int) []guestos.PFN {
 // coldest first. The result shares CoolestIn's reusable buffer, valid
 // until the next ColdestIn/CoolestIn call.
 func (s *Scanner) ColdestIn(tier memsim.Tier, max int) []guestos.PFN {
-	t0 := s.rankStart()
+	t0 := s.phaseStart()
 	s.coldBuf = s.index.ascendInto(s.coldBuf[:0], tier, s.ColdThreshold, s.TrustGuestState, max)
-	s.rankDone(t0)
+	s.phaseDone(obs.PhaseRank, t0)
 	return s.coldBuf
 }
 
@@ -337,24 +338,24 @@ func (s *Scanner) ColdestIn(tier memsim.Tier, max int) []guestos.PFN {
 // can still be the right page to displace for a write-hot one, and the
 // heat margin decides case by case.
 func (s *Scanner) CoolestIn(tier memsim.Tier, max int) []guestos.PFN {
-	t0 := s.rankStart()
+	t0 := s.phaseStart()
 	s.coldBuf = s.index.ascendInto(s.coldBuf[:0], tier, numHeatBuckets-1, s.TrustGuestState, max)
-	s.rankDone(t0)
+	s.phaseDone(obs.PhaseRank, t0)
 	return s.coldBuf
 }
 
-// rankStart and rankDone time a ranking query into the epoch
-// profiler's rank phase when one is attached.
-func (s *Scanner) rankStart() time.Time {
+// phaseStart and phaseDone time one step into the epoch profiler's
+// phase ph when one is attached; without one they do nothing.
+func (s *Scanner) phaseStart() time.Time {
 	if s.phases == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-func (s *Scanner) rankDone(t0 time.Time) {
+func (s *Scanner) phaseDone(ph obs.Phase, t0 time.Time) {
 	if s.phases != nil {
-		s.phases.ObserveWallSince(obs.PhaseRank, t0)
+		s.phases.ObserveWallSince(ph, t0)
 	}
 }
 

@@ -165,11 +165,16 @@ const coordHeatMargin = 3
 // pages, and the guest performs the validated swaps (promotion displaces
 // a colder page when FastMem has no free headroom). The scan cost is
 // charged to the VM (the stall is on its vCPUs); migration costs are
-// charged inside the guest.
+// charged inside the guest. With a phase profiler attached to the
+// scanner, the tracking-list export and scan land in the scan phase and
+// the rest of the pass in the migrate phase (its ranking queries also
+// in the rank phase, which nests inside migrate).
 func CoordinatedPass(vm *VM, scanner *Scanner, guest GuestMigrator, maxMoves int) CoordinatedStats {
 	var st CoordinatedStats
-	tracked := vm.View.TrackingList()
-	res := scanner.ScanTracked(tracked)
+	t0 := scanner.phaseStart()
+	res := scanner.ScanTracked(vm.View.TrackingList())
+	scanner.phaseDone(obs.PhaseScan, t0)
+	defer scanner.phaseDone(obs.PhaseMigrate, scanner.phaseStart())
 	st.Scanned = res.Scanned
 	st.ScanNs = res.CostNs
 	if maxMoves <= 0 {
