@@ -25,10 +25,12 @@ test:
 # checks, and the fleet's pooled host-stepping barrier and per-host
 # event buffers all live there, so they get a dedicated race pass. vmm
 # rides along since its scanner/index state is shared with the sweep
-# jobs.
+# jobs. The exp sweep tests cover the cell handoff (a cell's system is
+# written on a pool goroutine and read after its future resolves) and
+# the cancel-and-drain of a failed figure.
 race:
 	$(GO) test -race ./internal/runner ./internal/core ./internal/vmm/... ./internal/fleet
-	$(GO) test -race -run 'Backend|GainSweep' \
+	$(GO) test -race -run 'Backend|Sweep' \
 		./internal/memsim ./internal/exp
 
 # obs-parity asserts the observability contract: the figure pipeline's

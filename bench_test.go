@@ -8,6 +8,7 @@
 package heteroos
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -45,11 +46,11 @@ func runGraphChi(b *testing.B, mode policy.Mode, mutate func(*core.Config)) *cor
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	res, _, err := core.RunSingle(cfg)
+	sys, err := core.Run(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res
+	return &sys.VMs[0].Res
 }
 
 // BenchmarkAblationEagerVsLazyLRU contrasts HeteroOS-LRU's eager
@@ -390,7 +391,7 @@ func BenchmarkAblationWriteAwareMigration(b *testing.B) {
 		w := workload.NewWriteHeavy(workload.Config{Seed: 2}, 512*workload.MiB)
 		fast := workload.Config{}.Pages(192 * workload.MiB)
 		slow := workload.Config{}.Pages(2 * workload.GiB)
-		res, _, err := core.RunSingle(core.Config{
+		sys, err := core.Run(context.Background(), core.Config{
 			FastFrames: fast + slow + 4096,
 			SlowFrames: slow + 4096,
 			Seed:       2,
@@ -402,7 +403,7 @@ func BenchmarkAblationWriteAwareMigration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res
+		return &sys.VMs[0].Res
 	}
 	for i := 0; i < b.N; i++ {
 		plain := run(policy.HeteroOSCoordinated())

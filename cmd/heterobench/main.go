@@ -59,10 +59,10 @@ type obsRun struct {
 	handle *obs.Obs
 }
 
-// factory is the runner.Options.NewObs hook.
+// factory is the exp.Options.NewObs hook; the sweep tags each handle
+// with its cell's label.
 func (c *obsCollector) factory(label string, seed uint64) *obs.Obs {
 	h := obs.New()
-	h.SetRunTag(label)
 	c.mu.Lock()
 	c.runs = append(c.runs, obsRun{label: label, seed: seed, handle: h})
 	c.mu.Unlock()

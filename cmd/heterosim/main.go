@@ -56,6 +56,7 @@ import (
 	"os/signal"
 
 	"heteroos/internal/core"
+	"heteroos/internal/exp"
 	"heteroos/internal/fleet"
 	"heteroos/internal/memsim"
 	"heteroos/internal/obs"
@@ -159,18 +160,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	slow := workload.Config{}.Pages(8 * workload.GiB)
-	fast := slow / uint64(*ratio)
-	cfg := core.Config{
-		FastFrames: fast + slow + 8192,
-		SlowFrames: slow + 8192,
-		Seed:       *seed,
-		Trace:      *trace,
-		VMs: []core.VMConfig{{
-			ID: 1, Mode: mode, Workload: w,
-			FastPages: fast, SlowPages: slow,
-		}},
-	}
+	cfg := exp.SingleVM(w, mode, exp.SlowVMPages/uint64(*ratio), exp.SlowVMPages, *seed)
+	cfg.Trace = *trace
 
 	runTag := fmt.Sprintf("%s/%s ratio=%d seed=%d", *app, *modeName, *ratio, *seed)
 	handle, closeObs := newObsHandle(runTag, of)
@@ -181,7 +172,7 @@ func main() {
 	// Ctrl-C cancels the run at the next simulation epoch.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	res, sys, err := core.RunSingleContext(ctx, cfg)
+	sys, err := core.Run(ctx, cfg)
 	if err != nil {
 		closeObs()
 		if errors.Is(err, context.Canceled) {
@@ -192,6 +183,7 @@ func main() {
 		os.Exit(3)
 	}
 
+	res := &sys.VMs[0].Res
 	prof := w.Profile()
 	fmt.Printf("%s under %s (FastMem 1/%d of 8GiB SlowMem, %s)\n",
 		prof.Name, mode.Name, *ratio, sys.VMM.SharePolicyName())

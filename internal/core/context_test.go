@@ -72,22 +72,19 @@ func TestValidateRejections(t *testing.T) {
 func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sys, err := NewSystem(validConfig(t))
-	if err != nil {
-		t.Fatal(err)
+	sys, err := Run(ctx, validConfig(t))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
-	if err := sys.RunContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
-	}
-	if _, _, err := RunSingleContext(ctx, validConfig(t)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunSingleContext = %v, want context.Canceled", err)
+	if sys == nil || sys.Epochs() != 0 {
+		t.Fatal("a pre-cancelled run must boot the system and step no epoch")
 	}
 }
 
 func TestEpochBudgetSentinel(t *testing.T) {
 	cfg := validConfig(t)
 	cfg.MaxEpochs = 3 // memlat needs ~20
-	_, _, err := RunSingle(cfg)
+	_, err := Run(context.Background(), cfg)
 	if !errors.Is(err, ErrEpochBudget) {
 		t.Fatalf("epoch-starved run error = %v, want ErrEpochBudget", err)
 	}
@@ -101,7 +98,7 @@ func (stalledWorkload) Step(os *guestos.OS) (uint64, bool) { return 0, false }
 func TestWorkloadStalledSentinel(t *testing.T) {
 	cfg := validConfig(t)
 	cfg.VMs[0].Workload = stalledWorkload{cfg.VMs[0].Workload}
-	_, _, err := RunSingle(cfg)
+	_, err := Run(context.Background(), cfg)
 	if !errors.Is(err, ErrWorkloadStalled) {
 		t.Fatalf("stalled run error = %v, want ErrWorkloadStalled", err)
 	}

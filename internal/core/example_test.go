@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"heteroos/internal/core"
@@ -11,13 +12,13 @@ import (
 // Build a one-VM system running the memlat microbenchmark under two
 // management modes and compare runtimes — the minimal driving pattern
 // every experiment and example uses.
-func ExampleRunSingle() {
+func ExampleRun() {
 	run := func(mode policy.Mode) float64 {
 		w, err := workload.ByName("memlat", workload.Config{Seed: 1})
 		if err != nil {
 			panic(err)
 		}
-		res, _, err := core.RunSingle(core.Config{
+		sys, err := core.Run(context.Background(), core.Config{
 			FastFrames: 4096 + 16384 + 1024, // machine FastMem (scaled pages)
 			SlowFrames: 16384 + 1024,        // machine SlowMem
 			Seed:       1,
@@ -32,7 +33,7 @@ func ExampleRunSingle() {
 		if err != nil {
 			panic(err)
 		}
-		return res.RuntimeSeconds()
+		return sys.VMs[0].Res.RuntimeSeconds()
 	}
 
 	slow := run(policy.SlowMemOnly())

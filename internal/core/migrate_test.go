@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -145,11 +146,8 @@ func TestLiveMigrationPreservesState(t *testing.T) {
 // path may depend on them.
 func TestLiveMigrationBitIdentical(t *testing.T) {
 	// Reference: uninterrupted single-host run.
-	ref, err := NewSystem(migHostCfg(t, 11, migVM(t, 77)))
+	ref, err := Run(context.Background(), migHostCfg(t, 11, migVM(t, 77)))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
 	refRes, ok := ref.VMResultByID(1)

@@ -45,9 +45,8 @@ func stallRetrySlot(n int) bool {
 // StepEpoch advances every live, unfinished VM by one lockstep epoch
 // and increments the system epoch counter. It reports alive=false when
 // no VM remains running — either all finished or all departed. The
-// fleet engine drives every host through this instead of
-// RunContext, interleaving lifecycle events and fault injection
-// between epochs.
+// fleet engine drives every host through this instead of Run,
+// interleaving lifecycle events and fault injection between epochs.
 func (s *System) StepEpoch() (alive bool, err error) {
 	for _, inst := range s.VMs {
 		if inst.Done {
@@ -66,36 +65,6 @@ func (s *System) StepEpoch() (alive bool, err error) {
 	}
 	return alive, nil
 }
-
-// RunContext executes all VMs to completion (or MaxEpochs), advancing
-// each VM's virtual clock per epoch. VMs step in lockstep so multi-VM
-// memory contention (grants, ballooning, DRF) interleaves realistically.
-// Cancellation is checked once per epoch: a cancelled context stops the
-// run within one epoch and returns ctx.Err().
-func (s *System) RunContext(ctx context.Context) error {
-	for s.epochs < s.Cfg.MaxEpochs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		alive, err := s.StepEpoch()
-		if err != nil {
-			return err
-		}
-		if !alive {
-			break
-		}
-	}
-	for _, inst := range s.VMs {
-		if !inst.Done {
-			return fmt.Errorf("core: VM %d did not finish within %d epochs: %w",
-				inst.ID, s.Cfg.MaxEpochs, ErrEpochBudget)
-		}
-	}
-	return nil
-}
-
-// Run is RunContext with a background (never-cancelled) context.
-func (s *System) Run() error { return s.RunContext(context.Background()) }
 
 // stepVM advances one VM by one epoch. A guest kernel panic — the
 // guest exhausting memory it cannot run without — is contained here:
@@ -381,26 +350,37 @@ func sumKinds(a [guestos.NumKinds]uint64) uint64 {
 	return n
 }
 
-// RunSingleContext is a convenience wrapper: build a one-VM system, run
-// it under ctx, and return the VM's result.
-func RunSingleContext(ctx context.Context, cfg Config) (*VMResult, *System, error) {
-	if len(cfg.VMs) != 1 {
-		return nil, nil, fmt.Errorf("core: RunSingle needs exactly one VM")
-	}
-	sys, err := NewSystem(cfg)
+// Run builds the system cfg describes, runs every VM to completion (or
+// MaxEpochs) under ctx and checks the system's invariants: the one way
+// to run a simulation from start to end. VMs step in lockstep so
+// multi-VM memory contention (grants, ballooning, DRF) interleaves
+// realistically. Cancellation is checked once per epoch: a cancelled
+// context stops the run within one epoch and returns ctx.Err(). The
+// system is returned whenever it booted, so a caller can inspect a run
+// that failed or was cancelled part way; per-VM results are in
+// System.VMs (or VMResultByID).
+func Run(ctx context.Context, cfg Config) (*System, error) {
+	s, err := NewSystem(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := sys.RunContext(ctx); err != nil {
-		return nil, sys, err
+	for s.epochs < s.Cfg.MaxEpochs {
+		if err := ctx.Err(); err != nil {
+			return s, err
+		}
+		alive, err := s.StepEpoch()
+		if err != nil {
+			return s, err
+		}
+		if !alive {
+			break
+		}
 	}
-	if err := sys.CheckInvariants(); err != nil {
-		return nil, sys, err
+	for _, inst := range s.VMs {
+		if !inst.Done {
+			return s, fmt.Errorf("core: VM %d did not finish within %d epochs: %w",
+				inst.ID, s.Cfg.MaxEpochs, ErrEpochBudget)
+		}
 	}
-	return &sys.VMs[0].Res, sys, nil
-}
-
-// RunSingle is RunSingleContext with a background context.
-func RunSingle(cfg Config) (*VMResult, *System, error) {
-	return RunSingleContext(context.Background(), cfg)
+	return s, s.CheckInvariants()
 }

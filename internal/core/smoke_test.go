@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"heteroos/internal/policy"
@@ -24,11 +25,11 @@ func runApp(t *testing.T, app string, mode policy.Mode, fastPages, slowPages uin
 			FastPages: fastPages, SlowPages: slowPages,
 		}},
 	}
-	res, _, err := RunSingle(cfg)
+	sys, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", app, mode.Name, err)
 	}
-	return res
+	return &sys.VMs[0].Res
 }
 
 const (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestEveryModeRunsMemlat(t *testing.T) {
 	for _, mode := range policy.All() {
 		mode := mode
 		t.Run(mode.Name, func(t *testing.T) {
-			res, sys, err := RunSingle(Config{
+			sys, err := Run(context.Background(), Config{
 				FastFrames: 4096 + 16384 + 1024,
 				SlowFrames: 16384 + 1024,
 				Seed:       3,
@@ -80,6 +81,7 @@ func TestEveryModeRunsMemlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := &sys.VMs[0].Res
 			if res.SimTime <= 0 || res.Epochs == 0 || res.Instr == 0 {
 				t.Fatalf("degenerate result: %+v", res)
 			}
@@ -106,7 +108,7 @@ func TestEveryModeRunsMemlat(t *testing.T) {
 
 func TestBaselineOrderingMemlat(t *testing.T) {
 	run := func(mode policy.Mode) float64 {
-		res, _, err := RunSingle(Config{
+		sys, err := Run(context.Background(), Config{
 			FastFrames: 4096 + 16384 + 1024,
 			SlowFrames: 16384 + 1024,
 			Seed:       4,
@@ -115,7 +117,7 @@ func TestBaselineOrderingMemlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.RuntimeSeconds()
+		return sys.VMs[0].Res.RuntimeSeconds()
 	}
 	fast := run(policy.FastMemOnly())
 	slow := run(policy.SlowMemOnly())
@@ -127,7 +129,7 @@ func TestBaselineOrderingMemlat(t *testing.T) {
 func TestMultiVMLockstepAndIsolation(t *testing.T) {
 	w1, _ := workload.ByName("memlat", workload.Config{Seed: 5})
 	w2, _ := workload.ByName("stream", workload.Config{Seed: 6})
-	sys, err := NewSystem(Config{
+	sys, err := Run(context.Background(), Config{
 		FastFrames: 32768, SlowFrames: 65536,
 		Share: ShareMaxMin, Seed: 5,
 		VMs: []VMConfig{
@@ -136,9 +138,6 @@ func TestMultiVMLockstepAndIsolation(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
 	r1, ok1 := sys.VMResultByID(1)
@@ -159,16 +158,13 @@ func TestMultiVMLockstepAndIsolation(t *testing.T) {
 
 func TestDRFShareExposed(t *testing.T) {
 	w, _ := workload.ByName("memlat", workload.Config{Seed: 7})
-	sys, err := NewSystem(Config{
+	sys, err := Run(context.Background(), Config{
 		FastFrames: 32768, SlowFrames: 65536,
 		Share: ShareDRF, Seed: 7,
 		VMs: []VMConfig{{ID: 1, Mode: policy.HeteroOSCoordinated(), Workload: w,
 			FastPages: 4096, SlowPages: 16384}},
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if sys.DRFDominantShare(1) <= 0 {
@@ -184,24 +180,9 @@ func TestDRFShareExposed(t *testing.T) {
 	}
 }
 
-func TestRunSingleRejectsMultiVM(t *testing.T) {
-	w1, _ := workload.ByName("memlat", workload.Config{Seed: 1})
-	w2, _ := workload.ByName("memlat", workload.Config{Seed: 2})
-	_, _, err := RunSingle(Config{
-		FastFrames: 32768, SlowFrames: 65536,
-		VMs: []VMConfig{
-			{ID: 1, Mode: policy.HeapOD(), Workload: w1, FastPages: 1024, SlowPages: 4096},
-			{ID: 2, Mode: policy.HeapOD(), Workload: w2, FastPages: 1024, SlowPages: 4096},
-		},
-	})
-	if err == nil {
-		t.Fatal("RunSingle accepted two VMs")
-	}
-}
-
 func TestDeterministicResults(t *testing.T) {
 	run := func() VMResult {
-		res, _, err := RunSingle(Config{
+		sys, err := Run(context.Background(), Config{
 			FastFrames: 4096 + 16384 + 1024,
 			SlowFrames: 16384 + 1024,
 			Seed:       11,
@@ -210,7 +191,7 @@ func TestDeterministicResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return *res
+		return sys.VMs[0].Res
 	}
 	a, b := run(), run()
 	if a.SimTime != b.SimTime || a.Misses != b.Misses || a.Demotions != b.Demotions {
@@ -241,7 +222,7 @@ func TestVMResultDerivedMetrics(t *testing.T) {
 
 func TestMaxEpochsGuard(t *testing.T) {
 	w, _ := workload.ByName("memlat", workload.Config{Seed: 1})
-	_, _, err := RunSingle(Config{
+	_, err := Run(context.Background(), Config{
 		FastFrames: 32768, SlowFrames: 65536,
 		MaxEpochs: 3, // memlat needs 20
 		VMs: []VMConfig{{ID: 1, Mode: policy.HeapOD(), Workload: w,
@@ -276,7 +257,7 @@ func TestBareMetalNotSlowerThanVirtualized(t *testing.T) {
 	run := func(mode policy.Mode) float64 {
 		w, _ := workload.ByName("GraphChi", workload.Config{Seed: 5})
 		slow := workload.Config{}.Pages(8 * workload.GiB)
-		res, _, err := RunSingle(Config{
+		sys, err := Run(context.Background(), Config{
 			FastFrames: slow/4 + slow + 8192,
 			SlowFrames: slow + 8192,
 			Seed:       5,
@@ -286,7 +267,7 @@ func TestBareMetalNotSlowerThanVirtualized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.RuntimeSeconds()
+		return sys.VMs[0].Res.RuntimeSeconds()
 	}
 	virt := run(policy.HeteroOSCoordinated())
 	bare := run(policy.HeteroOSBareMetal())
@@ -310,7 +291,7 @@ func TestMultiVMInvariantsAcrossPolicies(t *testing.T) {
 			t.Run(m1.Name+"/"+string(share), func(t *testing.T) {
 				w1, _ := workload.ByName("memlat", workload.Config{Seed: 8})
 				w2, _ := workload.ByName("stream", workload.Config{Seed: 9})
-				sys, err := NewSystem(Config{
+				_, err := Run(context.Background(), Config{
 					FastFrames: 12288, SlowFrames: 40960,
 					Share: share, Seed: 8,
 					VMs: []VMConfig{
@@ -320,12 +301,6 @@ func TestMultiVMInvariantsAcrossPolicies(t *testing.T) {
 					},
 				})
 				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sys.Run(); err != nil {
-					t.Fatal(err)
-				}
-				if err := sys.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -338,7 +313,7 @@ func TestClockAccountingIdentity(t *testing.T) {
 	// per-epoch components, and the trace reproduces the same total.
 	w, _ := workload.ByName("GraphChi", workload.Config{Seed: 13})
 	slow := workload.Config{}.Pages(8 * workload.GiB)
-	sys, err := NewSystem(Config{
+	sys, err := Run(context.Background(), Config{
 		FastFrames: slow/4 + slow + 8192,
 		SlowFrames: slow + 8192,
 		Seed:       13,
@@ -347,9 +322,6 @@ func TestClockAccountingIdentity(t *testing.T) {
 			FastPages: slow / 4, SlowPages: slow}},
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
 	inst := sys.VMs[0]

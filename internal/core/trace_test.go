@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func traceRun(t *testing.T, mode policy.Mode) *System {
 			FastPages: fast2G, SlowPages: slow8G,
 		}},
 	}
-	_, sys, err := RunSingle(cfg)
+	sys, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", mode.Name, err)
 	}
@@ -136,10 +137,11 @@ func TestCoordinatedPassPhases(t *testing.T) {
 			FastPages: fast2G, SlowPages: slow8G,
 		}},
 	}
-	res, _, err := RunSingle(cfg)
+	sys, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := &sys.VMs[0].Res
 	snap := h.Metrics.Snapshot().Rollup()
 	wall := func(ph string) *obs.MetricValue {
 		v := snap.Find("phase." + ph + ".wall_ns")

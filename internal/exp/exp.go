@@ -7,12 +7,12 @@
 // the reproduction target is the shape — orderings, approximate factors,
 // crossover locations — recorded against the paper in EXPERIMENTS.md.
 //
-// Every sweep-style experiment executes through internal/runner: the
-// figure function submits all of its cells up front, the runner fans
-// them out across a bounded worker pool, and the table is assembled
-// from the futures in submission order — so output is byte-identical to
-// a serial loop at any worker count, and a cancelled context aborts the
-// sweep within one epoch per in-flight simulation.
+// Every sweep-style experiment owns a sweep: the figure function
+// submits all of its cells up front, each cell runs through core.Run on
+// an internal/runner worker pool, and the table is assembled from the
+// cells in submission order — so output is byte-identical to a serial
+// loop at any worker count, and a cancelled context (or a failed cell)
+// stops the sweep within one epoch per in-flight simulation.
 package exp
 
 import (
@@ -42,16 +42,18 @@ type Options struct {
 	// completes with the counts of finished and submitted cells and the
 	// finished cell's label.
 	Progress func(done, submitted int, label string)
-	// NewObs, when set, is forwarded to the runner: each sweep cell
-	// gets its own observability handle built from its label and seed
-	// (see runner.Options.NewObs).
+	// NewObs, when set, builds each sweep cell's observability handle
+	// from its label and seed. It is called once per cell, on the
+	// submitting goroutine in submission order, and the sweep tags the
+	// handle with the label.
 	NewObs func(label string, seed uint64) *obs.Obs
-	// NewBackend, when set, is forwarded to the runner: each sweep cell
-	// prices epochs through the backend this builder factory selects
-	// (see runner.Options.NewBackend). nil keeps the analytic default.
+	// NewBackend, when set, supplies each sweep cell's machine-model
+	// builder, called like NewObs (after it); a benchmark harness wraps
+	// the analytic engine in a per-cell timing decorator. nil keeps the
+	// analytic default.
 	NewBackend func(label string, seed uint64) memsim.Builder
-	// ProfileEpochs is forwarded to the runner: cells that receive an
-	// observability handle also run the epoch phase profiler.
+	// ProfileEpochs runs the epoch phase profiler in cells that have an
+	// observability handle (NewObs set).
 	ProfileEpochs bool
 }
 
@@ -134,95 +136,125 @@ func pages(bytes int64) uint64 {
 	return workload.Config{}.Pages(bytes)
 }
 
-// Standard single-VM shape: each guest has 8 GiB SlowMem (Section 5.1)
-// and a FastMem capacity the experiment varies.
-var (
-	slowVM = pages(8 * workload.GiB)
-)
+// SlowVMPages is the standard guest's SlowMem: each guest has 8 GiB
+// SlowMem (Section 5.1) and a FastMem capacity the experiment varies.
+var SlowVMPages = pages(8 * workload.GiB)
 
-// sweep owns one experiment's worker pool. Figures submit every cell
-// first (submitOne/submitDefault/submitCfg), then collect results in
-// table order — the pool overlaps the simulations in between.
+// SingleVM is the standard single-VM cell: one guest (VM 1) running w
+// under mode with fastPages FastMem and slowPages SlowMem, on a machine
+// that holds whatever the VM may need (FastMem-only needs fast+slow
+// worth of FastMem frames) plus 8192 frames of headroom per tier. The
+// tiers and LLC are core's defaults (the paper's L:5,B:9 SlowMem and
+// reference LLC).
+func SingleVM(w workload.Workload, mode policy.Mode, fastPages, slowPages, seed uint64) core.Config {
+	return core.Config{
+		FastFrames: fastPages + slowPages + 8192,
+		SlowFrames: slowPages + 8192,
+		Seed:       seed,
+		VMs: []core.VMConfig{{
+			ID: 1, Mode: mode, Workload: w,
+			FastPages: fastPages, SlowPages: slowPages,
+		}},
+	}
+}
+
+// sweep owns one experiment's cells and the worker pool that runs
+// them. Figures submit every cell first (submit/submitOne/
+// submitDefault), then collect results in table order; the pool
+// overlaps the simulations in between. Each figure defers close, which
+// cancels the sweep's context and waits for every cell, so a figure
+// that returns early (on a cell's error) leaves nothing simulating.
 type sweep struct {
-	o    Options
-	pool *runner.Pool
+	o      Options
+	pool   *runner.Pool
+	cancel context.CancelFunc
+	cells  []*cell
 }
 
 func newSweep(ctx context.Context, o Options) *sweep {
-	ropts := runner.Options{Workers: o.Workers, NewObs: o.NewObs,
-		NewBackend: o.NewBackend, ProfileEpochs: o.ProfileEpochs}
-	if o.Progress != nil {
-		ropts.Progress = func(done, submitted int, r runner.Result) {
-			o.Progress(done, submitted, r.Label)
-		}
-	}
-	return &sweep{o: o, pool: runner.NewPool(ctx, ropts)}
+	ctx, cancel := context.WithCancel(ctx)
+	return &sweep{o: o, cancel: cancel,
+		pool: runner.NewPool(ctx, runner.Options{Workers: o.Workers, Progress: o.Progress})}
 }
 
-// cell is one pending simulation of a sweep.
+// close cancels every cell still queued or running and waits until all
+// of them have stopped.
+func (s *sweep) close() {
+	s.cancel()
+	for _, c := range s.cells {
+		c.fut.Wait()
+	}
+}
+
+// cell is one simulation of a sweep. sys is written on a pool goroutine
+// and read only after fut.Wait.
 type cell struct {
-	fut   *runner.Future
-	err   error // submission-time failure (e.g. unknown app)
 	label string
-}
-
-// result waits for the cell's single-VM result.
-func (c cell) result() (*core.VMResult, error) {
-	if c.err != nil {
-		return nil, fmt.Errorf("%s: %w", c.label, c.err)
-	}
-	res, _, err := c.fut.Wait()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.label, err)
-	}
-	return res, nil
+	err   error // submission-time failure (e.g. unknown app)
+	fut   *runner.Future
+	sys   *core.System
 }
 
 // system waits for the cell's completed system (multi-VM consumers).
-func (c cell) system() (*core.System, error) {
-	if c.err != nil {
-		return nil, fmt.Errorf("%s: %w", c.label, c.err)
+func (c *cell) system() (*core.System, error) {
+	err := c.err
+	if err == nil {
+		err = c.fut.Wait()
 	}
-	_, sys, err := c.fut.Wait()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", c.label, err)
 	}
-	return sys, nil
+	return c.sys, nil
 }
 
-// submitCfg queues an arbitrary prebuilt configuration.
-func (s *sweep) submitCfg(label string, cfg core.Config) cell {
-	return cell{fut: s.pool.Submit(label, cfg), label: label}
+// result waits for the cell's single-VM result.
+func (c *cell) result() (*core.VMResult, error) {
+	sys, err := c.system()
+	if err != nil {
+		return nil, err
+	}
+	return &sys.VMs[0].Res, nil
+}
+
+// submit queues one prebuilt configuration. The Options hooks run here,
+// on the submitting goroutine and so in submission order: NewObs gives
+// the cell a handle tagged with its label (and, with ProfileEpochs, the
+// phase profiler), and NewBackend its machine model.
+func (s *sweep) submit(label string, cfg core.Config) *cell {
+	if s.o.NewObs != nil {
+		cfg.Obs = s.o.NewObs(label, cfg.Seed)
+		cfg.Obs.SetRunTag(label)
+		cfg.ProfileEpochs = s.o.ProfileEpochs && cfg.Obs != nil
+	}
+	if s.o.NewBackend != nil {
+		cfg.Backend = s.o.NewBackend(label, cfg.Seed)
+	}
+	c := &cell{label: label}
+	c.fut = s.pool.Go(label, func(ctx context.Context) (err error) {
+		c.sys, err = core.Run(ctx, cfg)
+		return err
+	})
+	s.cells = append(s.cells, c)
+	return c
 }
 
 // submitOne queues one app under one mode at the given FastMem size and
 // tier/LLC configuration.
 func (s *sweep) submitOne(app string, mode policy.Mode, fastPages uint64,
-	slowSpec memsim.TierSpec, llc memsim.LLC) cell {
+	slowSpec memsim.TierSpec, llc memsim.LLC) *cell {
 	label := fmt.Sprintf("%s/%s", app, mode.Name)
 	w, err := workload.ByName(app, wcfg(s.o))
 	if err != nil {
-		return cell{err: err, label: label}
+		return &cell{err: err, label: label}
 	}
-	cfg := core.Config{
-		// The machine holds whatever the VM may need; AllFastMem needs
-		// fast+slow worth of FastMem frames.
-		FastFrames: fastPages + slowVM + 8192,
-		SlowFrames: slowVM + 8192,
-		SlowSpec:   slowSpec,
-		LLC:        llc,
-		Seed:       s.o.seed(),
-		VMs: []core.VMConfig{{
-			ID: 1, Mode: mode, Workload: w,
-			FastPages: fastPages, SlowPages: slowVM,
-		}},
-	}
-	return s.submitCfg(label, cfg)
+	cfg := SingleVM(w, mode, fastPages, SlowVMPages, s.o.seed())
+	cfg.SlowSpec, cfg.LLC = slowSpec, llc
+	return s.submit(label, cfg)
 }
 
 // submitDefault uses the paper's main SlowMem (L:5,B:9) and reference
 // LLC.
-func (s *sweep) submitDefault(app string, mode policy.Mode, fastPages uint64) cell {
+func (s *sweep) submitDefault(app string, mode policy.Mode, fastPages uint64) *cell {
 	return s.submitOne(app, mode, fastPages, memsim.SlowTierSpec(), memsim.DefaultLLC())
 }
 
@@ -238,5 +270,5 @@ func evalApps(o Options) []string {
 // ratioPages converts a FastMem:SlowMem capacity ratio (denominator den,
 // i.e. 1/den) into FastMem pages against the 8 GiB SlowMem.
 func ratioPages(den int) uint64 {
-	return slowVM / uint64(den)
+	return SlowVMPages / uint64(den)
 }

@@ -26,12 +26,13 @@ func ExtNVM(ctx context.Context, o Options) (*Result, error) {
 	t.Caption = "writeheavy microbenchmark, 512MiB WSS split write-hot/read-hot, SlowMem L:5,B:9 (2x store penalty)"
 
 	sw := newSweep(ctx, o)
-	submit := func(mode policy.Mode, fastBytes int64) cell {
+	defer sw.close()
+	submit := func(mode policy.Mode, fastBytes int64) *cell {
 		w := workload.NewWriteHeavy(wcfg(o), 512*workload.MiB)
 		fast := pages(fastBytes)
 		slow := pages(2 * workload.GiB)
 		label := fmt.Sprintf("writeheavy/%s/%dMiB", mode.Name, fastBytes/workload.MiB)
-		return sw.submitCfg(label, core.Config{
+		return sw.submit(label, core.Config{
 			FastFrames: fast + slow + 4096,
 			SlowFrames: slow + 4096,
 			SlowSpec:   memsim.SlowTierSpec(),
@@ -43,7 +44,7 @@ func ExtNVM(ctx context.Context, o Options) (*Result, error) {
 		})
 	}
 
-	type pair struct{ plain, aware cell }
+	type pair struct{ plain, aware *cell }
 	cells := make([]pair, len(sizes))
 	for i, size := range sizes {
 		cells[i] = pair{

@@ -39,11 +39,12 @@ func sensitivity(ctx context.Context, o Options, id, title string, llc memsim.LL
 		apps = append(apps, "Nginx")
 	}
 	type appCells struct {
-		base   cell
-		points []cell
-		remote cell
+		base   *cell
+		points []*cell
+		remote *cell
 	}
 	sw := newSweep(ctx, o)
+	defer sw.close()
 	rows := make([]appCells, len(apps))
 	for i, app := range apps {
 		rows[i].base = sw.submitOne(app, policy.FastMemOnly(), ratioPages(2), memsim.SlowTierSpec(), llc)
@@ -112,10 +113,11 @@ func Figure3(ctx context.Context, o Options) (*Result, error) {
 		apps = append(apps, "Nginx")
 	}
 	type appCells struct {
-		base cell
-		dens []cell
+		base *cell
+		dens []*cell
 	}
 	sw := newSweep(ctx, o)
+	defer sw.close()
 	rows := make([]appCells, len(apps))
 	for i, app := range apps {
 		rows[i].base = sw.submitDefault(app, policy.FastMemOnly(), ratioPages(2))
@@ -152,7 +154,8 @@ func Figure4(ctx context.Context, o Options) (*Result, error) {
 		apps = []string{"Redis", "LevelDB"}
 	}
 	sw := newSweep(ctx, o)
-	cells := make([]cell, len(apps))
+	defer sw.close()
+	cells := make([]*cell, len(apps))
 	for i, app := range apps {
 		cells[i] = sw.submitDefault(app, policy.FastMemOnly(), ratioPages(2))
 	}
@@ -200,19 +203,10 @@ func microModes() []policy.Mode {
 
 // submitMicro queues a microbenchmark with 0.5 GiB FastMem / 3.5 GiB
 // SlowMem (Section 5.2's configuration).
-func (s *sweep) submitMicro(label string, w workload.Workload, mode policy.Mode) cell {
+func (s *sweep) submitMicro(label string, w workload.Workload, mode policy.Mode) *cell {
 	fast := pages(512 * workload.MiB)
 	slow := pages(3584 * workload.MiB)
-	cfg := core.Config{
-		FastFrames: fast + slow + 8192,
-		SlowFrames: slow + 8192,
-		Seed:       s.o.seed(),
-		VMs: []core.VMConfig{{
-			ID: 1, Mode: mode, Workload: w,
-			FastPages: fast, SlowPages: slow,
-		}},
-	}
-	return s.submitCfg(label, cfg)
+	return s.submit(label, SingleVM(w, mode, fast, slow, s.o.seed()))
 }
 
 // microResult is one collected Figure 6/7 cell mapped through a metric.
@@ -220,8 +214,9 @@ func microSweep(ctx context.Context, o Options, wss []int64,
 	build func(size int64) workload.Workload, metric func(*core.VMResult) float64,
 	t *metrics.Table) error {
 	sw := newSweep(ctx, o)
+	defer sw.close()
 	modes := microModes()
-	cells := make([][]cell, len(modes))
+	cells := make([][]*cell, len(modes))
 	for i, mode := range modes {
 		for _, size := range wss {
 			label := fmt.Sprintf("%s/%dMiB", mode.Name, size/workload.MiB)
@@ -314,24 +309,17 @@ func Figure8(ctx context.Context, o Options) (*Result, error) {
 	t := metrics.NewTable("Figure 8: VMM-exclusive hotness-tracking and migration cost (GraphChi)",
 		"Interval (ms)", "Hotpage overhead (%)", "Migration overhead (%)", "Total overhead (%)", "Pages migrated (millions)")
 	sw := newSweep(ctx, o)
-	cells := make([]cell, len(intervals))
+	defer sw.close()
+	cells := make([]*cell, len(intervals))
 	for i, iv := range intervals {
 		label := fmt.Sprintf("GraphChi/VMM-exclusive/interval=%dx100ms", iv)
 		w, err := workload.ByName("GraphChi", wcfg(o))
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.Config{
-			FastFrames:      ratioPages(4) + slowVM + 8192,
-			SlowFrames:      slowVM + 8192,
-			Seed:            o.seed(),
-			ScanEveryEpochs: iv,
-			VMs: []core.VMConfig{{
-				ID: 1, Mode: policy.VMMExclusive(), Workload: w,
-				FastPages: ratioPages(4), SlowPages: slowVM,
-			}},
-		}
-		cells[i] = sw.submitCfg(label, cfg)
+		cfg := SingleVM(w, policy.VMMExclusive(), ratioPages(4), SlowVMPages, o.seed())
+		cfg.ScanEveryEpochs = iv
+		cells[i] = sw.submit(label, cfg)
 	}
 	for i, iv := range intervals {
 		r, err := cells[i].result()
@@ -367,16 +355,17 @@ func gainSweep(ctx context.Context, o Options, id, title string, modes []policy.
 	t.Caption = "Gains (%) relative to SlowMem-only"
 	apps := evalApps(o)
 	type appCells struct {
-		base, ideal cell
-		byDen       [][]cell // [den][mode]
+		base, ideal *cell
+		byDen       [][]*cell // [den][mode]
 	}
 	sw := newSweep(ctx, o)
+	defer sw.close()
 	rows := make([]appCells, len(apps))
 	for i, app := range apps {
 		rows[i].base = sw.submitDefault(app, policy.SlowMemOnly(), 0)
 		rows[i].ideal = sw.submitDefault(app, policy.FastMemOnly(), ratioPages(2))
 		for _, d := range dens {
-			var cs []cell
+			var cs []*cell
 			for _, m := range modes {
 				cs = append(cs, sw.submitDefault(app, m, ratioPages(d)))
 			}
@@ -429,7 +418,8 @@ func Figure10(ctx context.Context, o Options) (*Result, error) {
 	t := metrics.NewTable("Figure 10: FastMem allocation miss ratio (1/8 capacity ratio)", header...)
 	apps := evalApps(o)
 	sw := newSweep(ctx, o)
-	cells := make([][]cell, len(apps))
+	defer sw.close()
+	cells := make([][]*cell, len(apps))
 	for i, app := range apps {
 		for _, m := range figure9Modes() {
 			cells[i] = append(cells[i], sw.submitDefault(app, m, ratioPages(8)))
@@ -479,10 +469,11 @@ func Figure12(ctx context.Context, o Options) (*Result, error) {
 		"App", "VMM-exclusive", "HeteroOS-LRU", "HeteroOS-coordinated")
 	t.Caption = "Gain (%) vs Heap-IO-Slab-OD; pages migrated in millions in brackets"
 	type appCells struct {
-		base  cell
-		modes []cell
+		base  *cell
+		modes []*cell
 	}
 	sw := newSweep(ctx, o)
+	defer sw.close()
 	rows := make([]appCells, len(apps))
 	for i, app := range apps {
 		rows[i].base = sw.submitDefault(app, policy.HeapIOSlabOD(), ratioPages(4))
@@ -554,24 +545,25 @@ func Figure13(ctx context.Context, o Options) (*Result, error) {
 	}
 
 	sw := newSweep(ctx, o)
+	defer sw.close()
 
-	submitPair := func(mode policy.Mode, share core.ShareKind) (cell, error) {
+	submitPair := func(mode policy.Mode, share core.ShareKind) (*cell, error) {
 		var vms []core.VMConfig
 		for i, sh := range shapes {
 			vc, err := buildVM(i+1, sh, mode)
 			if err != nil {
-				return cell{}, err
+				return nil, err
 			}
 			vms = append(vms, vc)
 		}
 		label := fmt.Sprintf("pair/%s/%s", mode.Name, share)
-		return sw.submitCfg(label, core.Config{
+		return sw.submit(label, core.Config{
 			FastFrames: machineFast, SlowFrames: machineSlow,
 			Share: share, Seed: o.seed(), VMs: vms,
 		}), nil
 	}
 
-	collectPair := func(c cell) ([2]*core.VMResult, error) {
+	collectPair := func(c *cell) ([2]*core.VMResult, error) {
 		var out [2]*core.VMResult
 		sys, err := c.system()
 		if err != nil {
@@ -585,8 +577,8 @@ func Figure13(ctx context.Context, o Options) (*Result, error) {
 	}
 
 	// Per-app SlowMem-only and single-VM coordinated baselines.
-	baseCells := make([]cell, len(shapes))
-	singleCells := make([]cell, len(shapes))
+	baseCells := make([]*cell, len(shapes))
+	singleCells := make([]*cell, len(shapes))
 	for i, sh := range shapes {
 		baseCells[i] = sw.submitDefault(sh.app, policy.SlowMemOnly(), 0)
 		vc, err := buildVM(i+1, sh, policy.HeteroOSCoordinated())
@@ -594,7 +586,7 @@ func Figure13(ctx context.Context, o Options) (*Result, error) {
 			return nil, err
 		}
 		vc.ID = 1
-		singleCells[i] = sw.submitCfg(fmt.Sprintf("single/%s", sh.app), core.Config{
+		singleCells[i] = sw.submit(fmt.Sprintf("single/%s", sh.app), core.Config{
 			FastFrames: machineFast, SlowFrames: machineSlow,
 			Share: core.ShareStatic, Seed: o.seed(), VMs: []core.VMConfig{vc},
 		})

@@ -188,7 +188,7 @@ func (c *Cluster) hostConfig(id int) core.Config {
 		FastFrames: sc.Host.FastFrames,
 		SlowFrames: sc.Host.SlowFrames,
 		Share:      core.ShareKind(sc.share()),
-		// Hosts are driven by StepEpoch, not RunContext; the budget
+		// Hosts are driven by StepEpoch, not core.Run; the budget
 		// only caps a runaway script.
 		MaxEpochs:     sc.Rounds*sc.RoundEpochs + 1,
 		AllowNoVMs:    true,
@@ -675,14 +675,12 @@ func (c *Cluster) eachHost(ctx context.Context, use func(*host) bool, fn func(*h
 		if !use(h) {
 			continue
 		}
-		futures[i] = pool.SubmitFunc("host"+strconv.Itoa(h.id), func(context.Context) (*core.VMResult, *core.System, error) {
-			return nil, h.sys, fn(h)
-		})
+		futures[i] = pool.Go("host"+strconv.Itoa(h.id), func(context.Context) error { return fn(h) })
 	}
 	errs := make([]error, len(c.hosts))
 	for i, f := range futures {
 		if f != nil {
-			errs[i] = f.Err()
+			errs[i] = f.Wait()
 		}
 	}
 	return errs

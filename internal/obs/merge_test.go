@@ -104,6 +104,52 @@ func TestMergeProperties(t *testing.T) {
 	}
 }
 
+// deepCopy returns a copy of s that shares no bucket array with it.
+func deepCopy(s Snapshot) Snapshot {
+	out := Snapshot{Values: append([]MetricValue(nil), s.Values...)}
+	for i := range out.Values {
+		if b := out.Values[i].buckets; b != nil {
+			c := *b
+			out.Values[i].buckets = &c
+		}
+	}
+	return out
+}
+
+// Snapshots share histogram bucket arrays (a merge's output starts from
+// its inputs' arrays), so merging or rolling one up must never write
+// into another.
+func TestMergeAndRollupLeaveInputsUnchanged(t *testing.T) {
+	r := NewRegistry()
+	for i, vm := range []string{"vm1", "vm2", "vm3"} {
+		h := r.Scope(vm).Histogram("lat_ns")
+		h.Observe(float64(10 * (i + 1)))
+		h.Observe(float64(1000 * (i + 1)))
+		r.Scope(vm).Counter("faults").Add(uint64(i))
+	}
+	a, b := r.Snapshot(), snapFor(1)
+	ab := a.Merge(b)
+	up := a.Rollup()
+	host := a.Scoped("host0")
+	inputs := []*Snapshot{&a, &b, &ab, &up, &host}
+	want := make([]Snapshot, len(inputs))
+	for i, s := range inputs {
+		want[i] = deepCopy(*s)
+	}
+	ab.Merge(a).Merge(b).Rollup()
+	up.Merge(up).Merge(b.Rollup())
+	host.Merge(host).Rollup()
+	a.Merge(a)
+	for i, s := range inputs {
+		if !reflect.DeepEqual(*s, want[i]) {
+			t.Errorf("snapshot %d changed:\n got %+v\n want %+v", i, s.Values, want[i].Values)
+		}
+	}
+	if v := up.Find("lat_ns"); v == nil || v.Value != 6 || v.Quantile(1) != 3000 {
+		t.Errorf("rolled-up lat_ns = %+v", v)
+	}
+}
+
 // TestRollupMatchesUnscopedRegistry is the differential acceptance
 // check: N per-VM scopes rolled up must equal a single unscoped
 // registry observing the exact same stream.

@@ -273,9 +273,10 @@ type MetricValue struct {
 	Sum float64
 	// Max is the histogram's observed maximum (0 otherwise).
 	Max float64
-	// buckets retains histogram bucket counts so Diff can recompute
-	// quantiles over the delta window.
-	buckets [histBuckets]uint64
+	// buckets holds a histogram's bucket counts (nil for counters and
+	// gauges) so quantiles survive merges and rollups. A snapshot never
+	// writes through a pointer it shares with another snapshot.
+	buckets *[histBuckets]uint64
 }
 
 // FullName joins the scope path and name ("vm3/guestos.faults"); for
@@ -290,30 +291,59 @@ func (m *MetricValue) FullName() string {
 // Quantile estimates the q-quantile for histogram values (0 for
 // counters and gauges).
 func (m *MetricValue) Quantile(q float64) float64 {
-	if m.Kind != KindHistogram {
+	if m.buckets == nil {
 		return 0
 	}
-	return quantileOf(&m.buckets, uint64(m.Value), uint64(m.Max), q)
+	return quantileOf(m.buckets, uint64(m.Value), uint64(m.Max), q)
 }
 
 // Snapshot is a point-in-time copy of every registered instrument of a
 // registry subtree: the registry's own instruments in registration
 // order, then each child scope's depth-first in creation order.
-// Snapshots are plain values: cheap to take per epoch and safe to diff,
-// merge, and roll up later.
+// Snapshots are plain values, safe to merge and roll up later.
 type Snapshot struct {
 	// Values lists one entry per instrument.
 	Values []MetricValue
 }
 
 // Snapshot copies the current state of every instrument in the subtree.
+// It sizes the value list and the histograms' bucket arrays once, then
+// fills them.
 func (r *Registry) Snapshot() Snapshot {
-	var s Snapshot
-	r.appendTo(&s, "")
+	values, hists := r.size()
+	s := Snapshot{Values: make([]MetricValue, 0, values)}
+	buckets := make([][histBuckets]uint64, 0, hists)
+	r.appendTo(&s, &buckets, "")
 	return s
 }
 
-func (r *Registry) appendTo(s *Snapshot, scope string) {
+// size counts the subtree's instruments and, among them, histograms.
+func (r *Registry) size() (values, hists int) {
+	values = len(r.ordered)
+	for _, m := range r.ordered {
+		if m.kind == KindHistogram {
+			hists++
+		}
+	}
+	for _, c := range r.kids() {
+		v, h := c.size()
+		values, hists = values+v, hists+h
+	}
+	return values, hists
+}
+
+// kids returns a copy of the child list, safe to walk while other
+// goroutines create scopes.
+func (r *Registry) kids() []*Registry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*Registry(nil), r.children...)
+}
+
+// appendTo appends the subtree's values to s, taking each histogram's
+// bucket array from buckets. A scope created between size and appendTo
+// only makes the appends grow their slices.
+func (r *Registry) appendTo(s *Snapshot, buckets *[][histBuckets]uint64, scope string) {
 	for _, m := range r.ordered {
 		v := MetricValue{Scope: scope, Name: m.name, Kind: m.kind}
 		switch m.kind {
@@ -325,22 +355,17 @@ func (r *Registry) appendTo(s *Snapshot, scope string) {
 			v.Value = float64(m.h.count)
 			v.Sum = m.h.sum
 			v.Max = float64(m.h.max)
-			v.buckets = m.h.buckets
+			*buckets = append(*buckets, m.h.buckets)
+			v.buckets = &(*buckets)[len(*buckets)-1]
 		}
 		s.Values = append(s.Values, v)
 	}
-	r.mu.Lock()
-	kids := r.children
-	if len(kids) > 0 {
-		kids = append([]*Registry(nil), kids...)
-	}
-	r.mu.Unlock()
-	for _, c := range kids {
+	for _, c := range r.kids() {
 		child := c.segment
 		if scope != "" {
 			child = scope + ScopeSep + child
 		}
-		c.appendTo(s, child)
+		c.appendTo(s, buckets, child)
 	}
 }
 
@@ -376,20 +401,29 @@ func accumulate(dst, src *MetricValue) {
 
 // mergeValues combines value lists keyed by (scope, name, kind) and
 // returns them sorted by full name — a canonical order, so merging is
-// commutative and associative value-for-value.
+// commutative and associative value-for-value. A histogram's buckets
+// are copied the first time another value accumulates into it, so the
+// inputs never change.
 func mergeValues(lists ...[]MetricValue) []MetricValue {
 	idx := make(map[string]int)
 	var out []MetricValue
+	var owned []bool // out[j].buckets was copied for out[j]
 	for _, vs := range lists {
 		for i := range vs {
-			v := vs[i]
-			k := mergeKey(&v)
-			if j, ok := idx[k]; ok {
-				accumulate(&out[j], &v)
-			} else {
+			v := &vs[i]
+			k := mergeKey(v)
+			j, ok := idx[k]
+			if !ok {
 				idx[k] = len(out)
-				out = append(out, v)
+				out = append(out, *v)
+				owned = append(owned, false)
+				continue
 			}
+			if out[j].buckets != nil && !owned[j] {
+				b := *out[j].buckets
+				out[j].buckets, owned[j] = &b, true
+			}
+			accumulate(&out[j], v)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

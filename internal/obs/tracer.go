@@ -21,8 +21,8 @@ const DefaultRingEvents = 4096
 // struct store per event between flushes. An Obs handle builds its
 // tracer only when a sink is attached (Obs.AddSink).
 //
-// Tracer is not safe for concurrent use; the runner gives every sweep
-// job its own Obs handle, and within a run each VM emits from the
+// Tracer is not safe for concurrent use; a sweep gives every cell its
+// own Obs handle, and within a run each VM emits from the
 // single simulation goroutine.
 type Tracer struct {
 	ring  []Event

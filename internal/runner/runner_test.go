@@ -4,262 +4,256 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"heteroos/internal/core"
-	"heteroos/internal/guestos"
-	"heteroos/internal/policy"
-	"heteroos/internal/workload"
 )
 
-// microCfg is the small memlat shape the core tests use: fast enough to
-// batch dozens of cells, big enough to exercise both tiers.
-func microCfg(t testing.TB, mode policy.Mode, seed uint64) core.Config {
+// waitOrFail waits for f and fails the test if it takes more than a
+// few seconds: a job the pool never resolves must not hang the suite.
+func waitOrFail(t *testing.T, f *Future) error {
 	t.Helper()
-	w, err := workload.ByName("memlat", workload.Config{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return core.Config{
-		FastFrames: 4096 + 16384 + 1024,
-		SlowFrames: 16384 + 1024,
-		Seed:       seed,
-		VMs: []core.VMConfig{{
-			ID: 1, Mode: mode, Workload: w,
-			FastPages: 4096, SlowPages: 16384,
-		}},
+	done := make(chan error, 1)
+	go func() { done <- f.Wait() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("future did not resolve")
+		return nil
 	}
 }
 
-func microBatch(t testing.TB, n int) []Job {
-	t.Helper()
-	modes := []policy.Mode{policy.HeteroOSLRU(), policy.HeteroOSCoordinated()}
-	jobs := make([]Job, 0, n)
-	for i := 0; i < n; i++ {
-		m := modes[i%len(modes)]
-		jobs = append(jobs, Job{
-			Label: fmt.Sprintf("memlat/%s/%d", m.Name, i),
-			Cfg:   microCfg(t, m, uint64(i+1)),
+// TestWorkersBound: never more than Workers jobs run at once, and
+// Workers jobs can run at once (each of the first wave waits until the
+// whole wave has started).
+func TestWorkersBound(t *testing.T) {
+	const workers, jobs = 3, 24
+	pool := NewPool(context.Background(), Options{Workers: workers})
+	var running, peak atomic.Int32
+	wave := make(chan struct{})
+	var started atomic.Int32
+	futures := make([]*Future, jobs)
+	for i := range futures {
+		futures[i] = pool.Go(fmt.Sprint("job", i), func(context.Context) error {
+			n := running.Add(1)
+			defer running.Add(-1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			if started.Add(1) == workers {
+				close(wave)
+			}
+			select {
+			case <-wave:
+			case <-time.After(5 * time.Second):
+				return errors.New("the first wave never ran together")
+			}
+			time.Sleep(100 * time.Microsecond)
+			return nil
 		})
 	}
-	return jobs
-}
-
-// TestRunDeterministicAcrossWorkerCounts is the headline guarantee: the
-// same batch yields identical results at workers=1 and workers=8, in
-// the same (input) order.
-func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	serial, err := Run(context.Background(), microBatch(t, 6), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(context.Background(), microBatch(t, 6), Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i].Err != nil || parallel[i].Err != nil {
-			t.Fatalf("job %d errored: %v / %v", i, serial[i].Err, parallel[i].Err)
+	for i, f := range futures {
+		if err := waitOrFail(t, f); err != nil {
+			t.Fatalf("job %d: %v", i, err)
 		}
-		if serial[i].Label != parallel[i].Label {
-			t.Fatalf("job %d label %q vs %q: results out of input order",
-				i, serial[i].Label, parallel[i].Label)
-		}
-		if !reflect.DeepEqual(serial[i].Res, parallel[i].Res) {
-			t.Errorf("job %d (%s): results differ between workers=1 and workers=8",
-				i, serial[i].Label)
-		}
+	}
+	if got := peak.Load(); got != workers {
+		t.Fatalf("peak concurrency %d, want exactly %d", got, workers)
 	}
 }
 
-// TestCancelledBeforeStart: a pre-cancelled context flags every job with
-// the context error without running any simulation.
-func TestCancelledBeforeStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results, err := Run(ctx, microBatch(t, 3), Options{Workers: 2})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run error = %v, want context.Canceled", err)
-	}
-	for i, r := range results {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("job %d: Err = %v, want context.Canceled", i, r.Err)
-		}
-		if r.Res != nil {
-			t.Errorf("job %d: has a result despite cancellation", i)
-		}
-	}
-}
-
-// TestCancelMidBatch cancels from the progress callback after the first
-// completion; with one worker, every later job must be flagged and the
-// batch must still return promptly with partial results intact.
-func TestCancelMidBatch(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	results, err := Run(ctx, microBatch(t, 4), Options{
-		Workers: 1,
-		Progress: func(done, submitted int, r Result) {
-			if done == 1 {
-				cancel()
+// TestPoolStreaming: futures resolve with their own job's error, and
+// what a job writes is visible after Wait (the race detector checks the
+// handoff).
+func TestPoolStreaming(t *testing.T) {
+	pool := NewPool(context.Background(), Options{Workers: 4})
+	errOdd := errors.New("odd job")
+	out := make([]int, 9)
+	futures := make([]*Future, len(out))
+	for i := range futures {
+		futures[i] = pool.Go(fmt.Sprint("job", i), func(context.Context) error {
+			out[i] = i * i
+			if i%2 == 1 {
+				return errOdd
 			}
-		},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run error = %v, want context.Canceled", err)
+			return nil
+		})
 	}
-	var ok, flagged int
-	for _, r := range results {
-		switch {
-		case r.Err == nil && r.Res != nil:
-			ok++
-		case errors.Is(r.Err, context.Canceled):
-			flagged++
-		default:
-			t.Errorf("%s: unexpected state Res=%v Err=%v", r.Label, r.Res, r.Err)
+	for i, f := range futures {
+		err := waitOrFail(t, f)
+		if want := i%2 == 1; errors.Is(err, errOdd) != want || (!want && err != nil) {
+			t.Errorf("job %d: error %v", i, err)
+		}
+		if out[i] != i*i {
+			t.Errorf("job %d wrote %d, want %d", i, out[i], i*i)
 		}
 	}
-	if ok == 0 {
-		t.Error("no job completed before cancellation")
-	}
-	if flagged == 0 {
-		t.Error("no job was flagged with the context error")
-	}
-	if ok+flagged != len(results) {
-		t.Errorf("ok=%d flagged=%d, want total %d", ok, flagged, len(results))
-	}
-}
-
-// slowWorkload wraps a real workload, sleeps each epoch, and never
-// reports completion — a stand-in for a long simulation.
-type slowWorkload struct {
-	workload.Workload
-	drained bool
-}
-
-func (s *slowWorkload) Step(os *guestos.OS) (uint64, bool) {
-	time.Sleep(500 * time.Microsecond)
-	if !s.drained {
-		instr, done := s.Workload.Step(os)
-		if done || instr == 0 {
-			s.drained = true
-		}
-		if instr > 0 {
-			return instr, false
-		}
-	}
-	return 1, false // idle spin: nonzero instructions, never done
-}
-
-// TestCancelInFlight: cancelling while a simulation is executing stops
-// it at the next epoch boundary rather than letting it run out its
-// epoch budget.
-func TestCancelInFlight(t *testing.T) {
-	cfg := microCfg(t, policy.HeteroOSLRU(), 1)
-	cfg.MaxEpochs = 1 << 20 // far longer than the test allows
-	cfg.VMs[0].Workload = &slowWorkload{Workload: cfg.VMs[0].Workload}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	results, err := Run(ctx, []Job{{Label: "slow", Cfg: cfg}}, Options{Workers: 1})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run error = %v, want context.Canceled", err)
-	}
-	if !errors.Is(results[0].Err, context.Canceled) {
-		t.Fatalf("job error = %v, want context.Canceled", results[0].Err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %s; should stop within an epoch", elapsed)
-	}
-}
-
-// panicWorkload explodes on its first step.
-type panicWorkload struct{ workload.Workload }
-
-func (p panicWorkload) Step(os *guestos.OS) (uint64, bool) {
-	panic("poisoned step")
 }
 
 // TestPanicIsolation: one poisoned job reports ErrJobPanicked while its
 // siblings complete normally.
 func TestPanicIsolation(t *testing.T) {
-	jobs := microBatch(t, 3)
-	jobs[1].Cfg.VMs[0].Workload = panicWorkload{jobs[1].Cfg.VMs[0].Workload}
-
-	results, err := Run(context.Background(), jobs, Options{Workers: 2})
-	if err != nil {
-		t.Fatalf("Run error = %v; job failures must not abort the batch", err)
+	pool := NewPool(context.Background(), Options{Workers: 2})
+	var ran atomic.Int32
+	futures := make([]*Future, 3)
+	for i := range futures {
+		futures[i] = pool.Go(fmt.Sprint("job", i), func(context.Context) error {
+			if i == 1 {
+				panic("poisoned job")
+			}
+			ran.Add(1)
+			return nil
+		})
 	}
-	if !errors.Is(results[1].Err, ErrJobPanicked) {
-		t.Fatalf("poisoned job error = %v, want ErrJobPanicked", results[1].Err)
+	if err := waitOrFail(t, futures[1]); !errors.Is(err, ErrJobPanicked) {
+		t.Fatalf("poisoned job error = %v, want ErrJobPanicked", err)
 	}
 	for _, i := range []int{0, 2} {
-		if results[i].Err != nil {
-			t.Errorf("sibling job %d failed: %v", i, results[i].Err)
+		if err := waitOrFail(t, futures[i]); err != nil {
+			t.Errorf("sibling job %d failed: %v", i, err)
 		}
-		if results[i].Res == nil {
-			t.Errorf("sibling job %d has no result", i)
-		}
+	}
+	if ran.Load() != 2 {
+		t.Errorf("%d siblings ran, want 2", ran.Load())
 	}
 }
 
-// TestBatchSeedDerivation: jobs with Seed zero draw distinct per-job
-// seeds from BatchSeed, reproducibly across runs and worker counts.
-func TestBatchSeedDerivation(t *testing.T) {
-	seen := map[uint64]int{}
-	for i := 0; i < 64; i++ {
-		s := DeriveSeed(42, i)
-		if s == 0 {
-			t.Fatalf("DeriveSeed(42, %d) = 0; zero seeds are reserved", i)
+// TestCancelledBeforeStart: a pool whose context is already cancelled
+// runs no job; every future carries the context error.
+func TestCancelledBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pool := NewPool(ctx, Options{Workers: 2})
+	var ran atomic.Int32
+	for i := 0; i < 3; i++ {
+		f := pool.Go(fmt.Sprint("job", i), func(context.Context) error {
+			ran.Add(1)
+			return nil
+		})
+		if err := waitOrFail(t, f); !errors.Is(err, context.Canceled) {
+			t.Errorf("job %d: error %v, want context.Canceled", i, err)
 		}
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("DeriveSeed(42, %d) collides with index %d", i, prev)
-		}
-		seen[s] = i
 	}
-	if DeriveSeed(42, 0) != DeriveSeed(42, 0) {
-		t.Fatal("DeriveSeed is not stable")
+	if ran.Load() != 0 {
+		t.Fatalf("%d jobs ran under a cancelled context", ran.Load())
 	}
+}
 
-	batch := func(workers int) []Result {
-		jobs := microBatch(t, 4)
-		for i := range jobs {
-			jobs[i].Cfg.Seed = 0
-			jobs[i].Cfg.VMs[0].Workload = mustWorkload(t, "memlat", DeriveSeed(7, i))
-		}
-		results, err := Run(context.Background(), jobs, Options{Workers: workers, BatchSeed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results
+// TestCancelMidBatch cancels from the progress callback after the first
+// completion; with one worker, the first job succeeds and every later
+// job resolves with the context error without running.
+func TestCancelMidBatch(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pool := NewPool(ctx, Options{
+		Workers: 1,
+		Progress: func(done, submitted int, label string) {
+			if done == 1 {
+				cancel()
+			}
+		},
+	})
+	ran := make([]bool, 4)
+	futures := make([]*Future, len(ran))
+	for i := range futures {
+		futures[i] = pool.Go(fmt.Sprint("job", i), func(context.Context) error {
+			ran[i] = true
+			return nil
+		})
 	}
-	one, eight := batch(1), batch(8)
-	for i := range one {
-		if one[i].Err != nil || eight[i].Err != nil {
-			t.Fatalf("job %d errored: %v / %v", i, one[i].Err, eight[i].Err)
-		}
-		if !reflect.DeepEqual(one[i].Res, eight[i].Res) {
-			t.Errorf("job %d: BatchSeed results differ across worker counts", i)
+	ok := 0
+	for i, f := range futures {
+		switch err := waitOrFail(t, f); {
+		case err == nil && ran[i]:
+			ok++
+		case errors.Is(err, context.Canceled) && !ran[i]:
+		default:
+			t.Errorf("job %d: ran=%v err=%v", i, ran[i], err)
 		}
 	}
-	if reflect.DeepEqual(one[0].Res, one[1].Res) {
-		t.Error("distinct derived seeds produced identical results")
+	if ok != 1 {
+		t.Errorf("%d jobs completed, want exactly the first", ok)
+	}
+}
+
+// TestCancelInFlight: cancelling while a job runs hands the job the
+// cancellation through its context; the job's return resolves the
+// future.
+func TestCancelInFlight(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pool := NewPool(ctx, Options{Workers: 1})
+	started := make(chan struct{})
+	f := pool.Go("slow", func(ctx context.Context) error {
+		close(started)
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	<-started
+	cancel()
+	if err := waitOrFail(t, f); !errors.Is(err, context.Canceled) {
+		t.Fatalf("job error = %v, want context.Canceled", err)
+	}
+}
+
+// TestProgressSerialized: Progress fires once per job with a monotone
+// done count, never concurrently, and names every job's label once.
+func TestProgressSerialized(t *testing.T) {
+	const jobs = 32
+	var inside atomic.Int32
+	var mu sync.Mutex
+	var dones []int
+	labels := map[string]int{}
+	pool := NewPool(context.Background(), Options{
+		Workers: 4,
+		Progress: func(done, submitted int, label string) {
+			if inside.Add(1) != 1 {
+				t.Error("Progress callbacks overlapped")
+			}
+			defer inside.Add(-1)
+			if submitted < done || submitted > jobs {
+				t.Errorf("progress %d/%d", done, submitted)
+			}
+			mu.Lock()
+			dones = append(dones, done)
+			labels[label]++
+			mu.Unlock()
+		},
+	})
+	futures := make([]*Future, jobs)
+	for i := range futures {
+		futures[i] = pool.Go(fmt.Sprint("job", i), func(context.Context) error {
+			time.Sleep(time.Duration(i%3) * 100 * time.Microsecond)
+			return nil
+		})
+	}
+	for _, f := range futures {
+		waitOrFail(t, f)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, d := range dones {
+		if d != i+1 {
+			t.Fatalf("progress done counts %v are not 1..%d", dones, jobs)
+		}
+	}
+	if len(dones) != jobs || len(labels) != jobs {
+		t.Fatalf("progress fired %d times for %d labels, want %d", len(dones), len(labels), jobs)
+	}
+	for i := 0; i < jobs; i++ {
+		if labels[fmt.Sprint("job", i)] != 1 {
+			t.Errorf("label job%d reported %d times", i, labels[fmt.Sprint("job", i)])
+		}
 	}
 }
 
 // TestDeriveSeedPopulation hardens seed derivation for fleet-scale
-// populations: 100k derived seeds (batch seeds 0..9 × indices 0..9999)
+// populations: 100k derived seeds (root seeds 0..9 × indices 0..9999)
 // must be pairwise distinct, and the low bits must look independent of
 // the index — an additive-only derivation fails both (consecutive
 // indices differ by a constant, so low bits cycle with period 2^k).
@@ -311,57 +305,6 @@ func TestMix64Bijection(t *testing.T) {
 				t.Fatalf("Mix64(%#x) == Mix64(%#x) == %#x", in, prev, out)
 			}
 			seen[out] = in
-		}
-	}
-}
-
-func mustWorkload(t testing.TB, name string, seed uint64) workload.Workload {
-	t.Helper()
-	w, err := workload.ByName(name, workload.Config{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-// TestPoolStreaming exercises the Submit/Wait path directly, including
-// the monotone serialized progress callback.
-func TestPoolStreaming(t *testing.T) {
-	var mu sync.Mutex
-	var dones []int
-	pool := NewPool(context.Background(), Options{
-		Workers: 4,
-		Progress: func(done, submitted int, r Result) {
-			mu.Lock()
-			dones = append(dones, done)
-			mu.Unlock()
-		},
-	})
-	jobs := microBatch(t, 5)
-	futures := make([]*Future, len(jobs))
-	for i, j := range jobs {
-		futures[i] = pool.Submit(j.Label, j.Cfg)
-	}
-	for i, f := range futures {
-		res, sys, err := f.Wait()
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		if res == nil || sys == nil {
-			t.Fatalf("job %d: nil result/system", i)
-		}
-		if f.Label() != jobs[i].Label {
-			t.Fatalf("job %d label %q, want %q", i, f.Label(), jobs[i].Label)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(dones) != len(jobs) {
-		t.Fatalf("progress fired %d times, want %d", len(dones), len(jobs))
-	}
-	for i, d := range dones {
-		if d != i+1 {
-			t.Fatalf("progress done counts %v are not monotone", dones)
 		}
 	}
 }

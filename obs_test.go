@@ -1,8 +1,7 @@
 // End-to-end observability tests: a full GraphChi run with sinks
 // attached must produce an event stream whose migration counts
-// reconcile exactly with the run's VMResult, a Perfetto-loadable
-// Chrome trace, and — through the runner — per-job handles tagged with
-// each job's identity.
+// reconcile exactly with the run's VMResult and a Perfetto-loadable
+// Chrome trace.
 package heteroos
 
 import (
@@ -16,7 +15,6 @@ import (
 	"heteroos/internal/fleet"
 	"heteroos/internal/obs"
 	"heteroos/internal/policy"
-	"heteroos/internal/runner"
 	"heteroos/internal/workload"
 )
 
@@ -65,10 +63,11 @@ func TestEventStreamReconcilesWithResult(t *testing.T) {
 	handle.AddSink(obs.NewChromeTraceSink(&chrome, handle.RunTag()))
 
 	cfg := obsGraphChiConfig(t, policy.HeteroOSCoordinated(), handle)
-	res, _, err := core.RunSingle(cfg)
+	sys, err := core.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := &sys.VMs[0].Res
 	if err := handle.Close(); err != nil {
 		t.Fatalf("closing sinks: %v", err)
 	}
@@ -173,17 +172,17 @@ func TestObsDoesNotPerturbSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	bare, _, err := core.RunSingle(obsGraphChiConfig(t, policy.HeteroOSCoordinated(), nil))
+	bare, err := core.Run(context.Background(), obsGraphChiConfig(t, policy.HeteroOSCoordinated(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	handle := obs.New() // no sinks: no tracer, metrics accumulate
-	observed, _, err := core.RunSingle(obsGraphChiConfig(t, policy.HeteroOSCoordinated(), handle))
+	observed, err := core.Run(context.Background(), obsGraphChiConfig(t, policy.HeteroOSCoordinated(), handle))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *bare != *observed {
-		t.Errorf("observability perturbed the simulation:\nbare:     %+v\nobserved: %+v", bare, observed)
+	if bare.VMs[0].Res != observed.VMs[0].Res {
+		t.Errorf("observability perturbed the simulation:\nbare:     %+v\nobserved: %+v", bare.VMs[0].Res, observed.VMs[0].Res)
 	}
 }
 
@@ -218,76 +217,5 @@ func TestSinklessHandleRecordsNoEvents(t *testing.T) {
 	}
 	if mv.Value != float64(epochs) {
 		t.Errorf("rolled-up core.epochs = %v, sum of Res.Epochs = %d", mv.Value, epochs)
-	}
-}
-
-// TestRunnerObsPropagation exercises Options.NewObs: each job gets its
-// own tagged handle built from label and resolved seed.
-func TestRunnerObsPropagation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation test")
-	}
-	type made struct {
-		label string
-		seed  uint64
-		h     *obs.Obs
-	}
-	var builds []made
-	opts := runner.Options{
-		Workers:   2,
-		BatchSeed: 42,
-		NewObs: func(label string, seed uint64) *obs.Obs {
-			h := obs.New()
-			builds = append(builds, made{label, seed, h}) // synchronous per contract
-			return h
-		},
-	}
-	w1, err := workload.ByName("memlat", workload.Config{Seed: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := workload.ByName("memlat", workload.Config{Seed: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := workload.Config{}.Pages(1 * workload.GiB)
-	mk := func(w workload.Workload) core.Config {
-		return core.Config{
-			FastFrames: slow/4 + slow + 8192,
-			SlowFrames: slow + 8192,
-			VMs: []core.VMConfig{{
-				ID: 1, Mode: policy.HeapOD(), Workload: w,
-				FastPages: slow / 4, SlowPages: slow,
-			}},
-		}
-	}
-	jobs := []runner.Job{
-		{Label: "cell-a", Cfg: mk(w1)},
-		{Label: "cell-b", Cfg: mk(w2)},
-	}
-	results, err := runner.Run(context.Background(), jobs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(builds) != 2 {
-		t.Fatalf("factory called %d times, want 2", len(builds))
-	}
-	for i, m := range builds {
-		if m.label != jobs[i].Label {
-			t.Errorf("build %d label = %q, want %q", i, m.label, jobs[i].Label)
-		}
-		if want := runner.DeriveSeed(42, i); m.seed != want {
-			t.Errorf("build %d seed = %d, want derived %d", i, m.seed, want)
-		}
-		if m.h.RunTag() != jobs[i].Label {
-			t.Errorf("build %d run tag = %q, want label", i, m.h.RunTag())
-		}
-		if r := results[i]; r.Err != nil {
-			t.Errorf("job %d failed: %v", i, r.Err)
-		}
-		// Each job's registry saw its own run.
-		if v := m.h.Metrics.Snapshot().Find("memsim.charges"); v == nil || v.Value == 0 {
-			t.Errorf("job %d registry recorded no charges", i)
-		}
 	}
 }
