@@ -214,7 +214,7 @@ check: fmt vet build test perfbench-test race obs-parity scenario-smoke \
 # repetition: save the output before and after a change and compare the
 # two files with benchstat. End-to-end timing is perf-gate's job.
 bench:
-	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|EpochPricing|AllocatorFastPath|BuddySplit|ObsOpenMetrics' \
+	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|EpochPricing|AllocatorFastPath|BuddyFrameChurn|ObsOpenMetrics' \
 		-benchmem -count=5 .
 
 # bench-all smoke-runs every benchmark once, ablations included,

@@ -474,7 +474,6 @@ func (s *System) bootVM(vc VMConfig) (*VMInstance, error) {
 		costs.BalloonPerPageNs = 0
 	}
 	os, err := guestos.New(guestos.Config{
-		CPUs:          s.Cfg.CPU.Cores,
 		Aware:         vc.Mode.GuestAware,
 		FastMaxPages:  fast,
 		SlowMaxPages:  slow,

@@ -288,7 +288,7 @@ func TestCheckpointReportsEncodeErrors(t *testing.T) {
 }
 
 // snapshotPinVersion is the snapshot.Version that wrote snapshotPins.
-const snapshotPinVersion = 5
+const snapshotPinVersion = 6
 
 // snapshotPins is the sha256 of each TestSnapshotEveryWorkloadRoundTrips
 // case's checkpoint after four epochs. A round trip cannot see a field
@@ -296,20 +296,20 @@ const snapshotPinVersion = 5
 // together; these pins can. A change to the checkpoint bytes must bump
 // snapshot.Version; then update snapshotPinVersion and every pin here.
 var snapshotPins = map[string]string{
-	"GraphChi":           "a9f0c681b4a251db1327e202ce20f49b22982ad27eebe23801675c9fc52c4ed3",
-	"X-Stream":           "9ff951f9b9231d2169f51e344484ee481e7948f26271cfaeab1609419196324a",
-	"Metis":              "76a28876dd5f8be473ca35de951750dcaeb6504c4f1189781d758e5c0fc09704",
-	"LevelDB":            "789ddbd7acc3a5d18a18968d36d35ecdfe66296925ab80993504be64fbf18ee9",
-	"Redis":              "0d1708baf24b1cdd126303065b035663badf543e63f1fa161e0e175036e4e6a2",
-	"Nginx":              "503b82ba1db1d24f791371171b6af3d27cf0364710ace5d01061bb8c700863c3",
-	"memlat":             "a9c2abd4a2f414c5f1a01c5aaac26b2bf13e539dce9e93aa5c320d0633359545",
-	"stream":             "f07e7cbedfe162c0410e86e9adcfa56b4f4dd0f6ba48d5e309a6977785d0a00c",
-	"writeheavy":         "5aedee2b96b64ab8c8db23a41d477d990dd1a4c7c48201a93ffd0da69efe7df0",
-	"mode/none":          "660abec3dc0dbd6381dc661e99034fa8346342b27812113ed0654eb0567a4bec",
-	"mode/VMM-exclusive": "ee82d7252ad8cd9d3a03bc5eb577810dd53cdfb9f8ef110a839f2408df700b0b",
-	"share/static":       "52fa2d259bb2f73170caa85723cbfed8dc2f6509e248e3e97755ea89e14e4ce9",
-	"share/max-min":      "4edb4545305e8f67112645c6923ff1acc34a91a54bdeef3eb57cae0bc3af6a33",
-	"share/drf":          "9d658d7888daf3361c7069448156602d0daf1c7e359a1b8be11a13a1d6681ede",
+	"GraphChi":           "ffd5e5e27af8b6792875e5cabbf3fe7163f0a0fa1dedf924d0afd53cea67c584",
+	"X-Stream":           "b9cd9111058f3aae3a1bc2b0342c01f1a7ea6a81b8854dbcbf0ac38518e4fe29",
+	"Metis":              "9d9087ad22946b079bbf6d61d6e2211e12bca6b2ddc7c35869c4ce35e5c4362b",
+	"LevelDB":            "07dd176f439716dbcb4d2672534529246f4932c50a8abbb029197cb41ed9dc57",
+	"Redis":              "eff6de607fc0283320098306917760803664bceb86527d6a94755fe6b1eb8810",
+	"Nginx":              "37e096f7bced1c649ec853a3b407158cc3fa996b52adb4dfb580b9aea4f2b670",
+	"memlat":             "b80be00f04fe8610f676d355025418f0f2d0e72e7de3bfe4316fbc992f2c9bc0",
+	"stream":             "82cc8ca779cd52a5e908dfcd0f22a02b7b8933c4eee4a70327749c5a4349c642",
+	"writeheavy":         "65f13841a66de3e8a7edeca079d41dbf1f0b72f05da44081daa38d25565c7bda",
+	"mode/none":          "5a2f26c7206a30920a98d90eead92312ae4edc3576438362f180a6e174c9e5a5",
+	"mode/VMM-exclusive": "175e2e8f60b2be8ac2086bc4796988af4597679719de1f87c7f291493df190b8",
+	"share/static":       "bba370e53e8317170732784cf659075aa0802c6bd55ecc6d6cb2fe90318c4481",
+	"share/max-min":      "0f3c98191ea871b058bd9a95ed1ed91f420c00c5cbc64c9e6e047a6ba5b896f4",
+	"share/drf":          "62d4208fb275136825b253a171bec3a5a1f9681660e1f4c38cd791d74071ad2c",
 }
 
 // TestSnapshotEveryWorkloadRoundTrips checkpoints a small system

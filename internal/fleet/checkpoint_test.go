@@ -280,7 +280,7 @@ func TestRestoreFleetChurnAfterHostFail(t *testing.T) {
 var pinnedChurnCheckpoint = struct {
 	version uint32
 	sha256  string
-}{5, "21679eeb48ca63418dddd04ef55ff030624be2071e31695ccc35d36c21f70870"}
+}{6, "316123da0926bda4cdc1aa40dbeb59bba3be847170f1d6ae52ac4b3516cb9c24"}
 
 // TestCheckpointFormatPinned catches a checkpoint format change that
 // forgot to bump snapshot.Version: the churn checkpoint's bytes are

@@ -3,11 +3,12 @@
 // paper). It is generic over uint64 frame indices so it can be tested in
 // isolation and reused by any node type.
 //
-// The allocator is address-ordered: allocations are served from the
-// lowest-addressed free block of the smallest sufficient order, which
-// keeps behaviour deterministic across runs (a requirement for
-// reproducible experiments) and mirrors Linux's preference for low
-// physical addresses.
+// The guest only asks for single frames; free frames coalesce into
+// blocks of up to 2^MaxOrder frames, and an allocation splits the
+// lowest-addressed block of the smallest free order down to one frame.
+// Address order keeps behaviour deterministic across runs (a
+// requirement for reproducible experiments) and mirrors Linux's
+// preference for low physical addresses.
 //
 // A node's frame span may be only partially populated: in virtualized
 // systems the balloon driver adds (populates) and removes (depopulates)
@@ -20,11 +21,11 @@ import (
 	"fmt"
 )
 
-// MaxOrder is the largest supported allocation order (2^10 pages = 4 MiB
-// blocks at 4 KiB pages, matching Linux's MAX_ORDER-1 = 10).
+// MaxOrder is the largest free-block order (2^10 pages = 4 MiB blocks at
+// 4 KiB pages, matching Linux's MAX_ORDER-1 = 10).
 const MaxOrder = 10
 
-// ErrNoMemory is returned when no free block of a sufficient order exists.
+// ErrNoMemory is returned when no free frame exists.
 var ErrNoMemory = errors.New("buddy: out of memory")
 
 // orderHeap is a min-heap of block bases for one order, stored as
@@ -81,9 +82,6 @@ type Allocator struct {
 	free      []uint8
 	heaps     [MaxOrder + 1]orderHeap
 	freePages uint64
-	// splitCount/coalesceCount are exposed for allocator-behaviour tests
-	// and ablation benchmarks.
-	splitCount, coalesceCount uint64
 }
 
 // maxSpan bounds an allocator's span: heap entries are 32-bit offsets.
@@ -108,11 +106,20 @@ func (a *Allocator) Size() uint64 { return a.size }
 // FreePages reports the number of free frames.
 func (a *Allocator) FreePages() uint64 { return a.freePages }
 
-// Splits reports how many block splits have occurred (ablation metric).
-func (a *Allocator) Splits() uint64 { return a.splitCount }
-
-// Coalesces reports how many buddy merges have occurred.
-func (a *Allocator) Coalesces() uint64 { return a.coalesceCount }
+// IsFree reports whether pfn lies inside one of the allocator's free
+// blocks.
+func (a *Allocator) IsFree(pfn uint64) bool {
+	if !a.contains(pfn, 0) {
+		return false
+	}
+	rel := pfn - a.base
+	for o := 0; o <= MaxOrder; o++ {
+		if a.free[rel&^(uint64(1)<<o-1)] == uint8(o+1) {
+			return true
+		}
+	}
+	return false
+}
 
 func (a *Allocator) contains(pfn uint64, order int) bool {
 	n := uint64(1) << order
@@ -137,7 +144,6 @@ func (a *Allocator) pushFree(pfn uint64, order int) {
 			pfn = buddyPfn
 		}
 		order++
-		a.coalesceCount++
 	}
 	a.free[pfn-a.base] = uint8(order + 1)
 	a.heaps[order].push(uint32(pfn - a.base))
@@ -158,55 +164,42 @@ func (a *Allocator) popFree(order int) (uint64, bool) {
 	return 0, false
 }
 
-// Alloc allocates a block of 2^order contiguous frames and returns its
-// base frame. Blocks are split top-down from the smallest sufficient
-// free order.
-func (a *Allocator) Alloc(order int) (uint64, error) {
-	if order < 0 || order > MaxOrder {
-		return 0, fmt.Errorf("buddy: invalid order %d", order)
-	}
-	for o := order; o <= MaxOrder; o++ {
+// Alloc allocates one frame: the lowest-addressed free block of the
+// smallest free order is split down to order 0, the upper halves going
+// back to the free lists, and its base frame returned.
+func (a *Allocator) Alloc() (uint64, error) {
+	for o := 0; o <= MaxOrder; o++ {
 		pfn, ok := a.popFree(o)
 		if !ok {
 			continue
 		}
-		// Split down to the requested order, freeing the upper halves.
-		for o > order {
+		for o > 0 {
 			o--
 			half := pfn + (uint64(1) << o)
 			a.free[half-a.base] = uint8(o + 1)
 			a.heaps[o].push(uint32(half - a.base))
-			a.splitCount++
 		}
-		a.freePages -= uint64(1) << order
+		a.freePages--
 		return pfn, nil
 	}
-	// The bare sentinel: running dry is expected (per-CPU refill stops
-	// on it), so no caller wants a formatted error built here.
+	// The bare sentinel: running dry is expected (a node's free-stack
+	// refill stops on it), so no caller wants a formatted error built
+	// here.
 	return 0, ErrNoMemory
 }
 
-// AllocPage allocates a single frame.
-func (a *Allocator) AllocPage() (uint64, error) { return a.Alloc(0) }
-
-// Free returns a block of 2^order frames starting at pfn. Freeing a
-// block that overlaps a free block panics (double free).
-func (a *Allocator) Free(pfn uint64, order int) {
-	if order < 0 || order > MaxOrder {
-		panic(fmt.Sprintf("buddy: invalid order %d", order))
-	}
-	if !a.contains(pfn, order) {
-		panic(fmt.Sprintf("buddy: free of [%d,+2^%d) outside span [%d,%d)", pfn, order, a.base, a.base+a.size))
+// Free returns one frame, coalescing it with free buddies. Freeing a
+// frame outside the span or inside a free block panics (double free).
+func (a *Allocator) Free(pfn uint64) {
+	if !a.contains(pfn, 0) {
+		panic(fmt.Sprintf("buddy: free of frame %d outside span [%d,%d)", pfn, a.base, a.base+a.size))
 	}
 	if a.free[pfn-a.base] != 0 {
 		panic(fmt.Sprintf("buddy: double free of block %d", pfn))
 	}
-	a.freePages += uint64(1) << order
-	a.pushFree(pfn, order)
+	a.freePages++
+	a.pushFree(pfn, 0)
 }
-
-// FreePage returns a single frame.
-func (a *Allocator) FreePage(pfn uint64) { a.Free(pfn, 0) }
 
 // AddRange populates n frames starting at pfn, making them available for
 // allocation. Used at boot and when the balloon driver inflates the
@@ -214,7 +207,7 @@ func (a *Allocator) FreePage(pfn uint64) { a.Free(pfn, 0) }
 // reassembles large blocks automatically.
 func (a *Allocator) AddRange(pfn, n uint64) {
 	for i := uint64(0); i < n; i++ {
-		a.Free(pfn+i, 0)
+		a.Free(pfn + i)
 	}
 }
 

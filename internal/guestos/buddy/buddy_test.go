@@ -24,14 +24,14 @@ func TestAllocFreeSingle(t *testing.T) {
 	if a.FreePages() != 1024 {
 		t.Fatalf("free = %d", a.FreePages())
 	}
-	p, err := a.AllocPage()
+	p, err := a.Alloc()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.FreePages() != 1023 {
 		t.Fatalf("free = %d after alloc", a.FreePages())
 	}
-	a.FreePage(p)
+	a.Free(p)
 	if a.FreePages() != 1024 {
 		t.Fatalf("free = %d after free", a.FreePages())
 	}
@@ -42,72 +42,89 @@ func TestAllocFreeSingle(t *testing.T) {
 
 func TestAddressOrdered(t *testing.T) {
 	a := newFull(100, 256)
-	p1, _ := a.AllocPage()
-	p2, _ := a.AllocPage()
+	p1, _ := a.Alloc()
+	p2, _ := a.Alloc()
 	if p1 != 100 || p2 != 101 {
 		t.Fatalf("not address ordered: %d, %d", p1, p2)
 	}
 }
 
 func TestOrderAllocAlignment(t *testing.T) {
-	a := newFull(0, 1024)
+	// A single free block of each order splits into aligned halves: the
+	// base frame is handed out and one free block of every lower order j
+	// starts at base+2^j.
 	for order := 0; order <= MaxOrder; order++ {
-		p, err := a.Alloc(order)
-		if err != nil {
-			t.Fatalf("order %d: %v", order, err)
+		a := New(0, 1<<MaxOrder)
+		base := uint64(1) << MaxOrder >> 1
+		if order == MaxOrder {
+			base = 0
 		}
-		if p%(1<<uint(order)) != 0 {
-			t.Fatalf("order %d block at %d misaligned", order, p)
+		a.AddRange(base, uint64(1)<<order)
+		if a.free[base] != uint8(order+1) {
+			t.Fatalf("order %d: AddRange left %d at %d, want one free block", order, a.free[base], base)
 		}
-		a.Free(p, order)
+		p, err := a.Alloc()
+		if err != nil || p != base {
+			t.Fatalf("order %d: Alloc = %d, %v; want %d", order, p, err, base)
+		}
+		if a.IsFree(p) || a.IsFree(base+uint64(1)<<order) {
+			t.Fatalf("order %d: IsFree reports an allocated or unpopulated frame", order)
+		}
+		for j := 0; j < order; j++ {
+			if half := base + uint64(1)<<j; a.free[half] != uint8(j+1) {
+				t.Fatalf("order %d: split left %d at %d, want a free order-%d block", order, a.free[half], half, j)
+			}
+			// IsFree finds the block from its last frame too.
+			if last := base + uint64(1)<<(j+1) - 1; !a.IsFree(last) {
+				t.Fatalf("order %d: IsFree(%d) = false inside a free order-%d block", order, last, j)
+			}
+		}
+		a.Free(p)
+		if a.FreePages() != uint64(1)<<order || a.free[base] != uint8(order+1) {
+			t.Fatalf("order %d: free did not reassemble the block", order)
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if a.FreePages() != 1024 {
-		t.Fatalf("leaked pages: %d", a.FreePages())
+}
+
+func TestSplitAndCoalesce(t *testing.T) {
+	a := newFull(0, 16)
+	// Allocate all 16 pages singly, splitting the order-4 block.
+	var pages []uint64
+	for i := 0; i < 16; i++ {
+		p, err := a.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, p)
+	}
+	if _, err := a.Alloc(); !errors.Is(err, ErrNoMemory) {
+		t.Fatalf("want ErrNoMemory, got %v", err)
+	}
+	// Free all: coalescing must reassemble one order-4 block.
+	for _, p := range pages {
+		a.Free(p)
+	}
+	if a.free[0] != 5 || a.FreePages() != 16 {
+		t.Fatalf("free[0] = %d, free pages %d; want one order-4 block", a.free[0], a.FreePages())
 	}
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestSplitAndCoalesce(t *testing.T) {
-	a := newFull(0, 16)
-	// Allocate all 16 pages singly: splits must occur.
-	var pages []uint64
-	for i := 0; i < 16; i++ {
-		p, err := a.AllocPage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pages = append(pages, p)
-	}
-	if a.Splits() == 0 {
-		t.Fatal("expected splits")
-	}
-	if _, err := a.AllocPage(); !errors.Is(err, ErrNoMemory) {
-		t.Fatalf("want ErrNoMemory, got %v", err)
-	}
-	// Free all: coalescing must reassemble one order-4 block.
-	for _, p := range pages {
-		a.FreePage(p)
-	}
-	if a.Coalesces() == 0 {
-		t.Fatal("expected coalesces")
-	}
-	if p, err := a.Alloc(4); err != nil || p != 0 {
-		t.Fatalf("order-4 realloc failed: %d, %v", p, err)
-	}
-}
-
 func TestDoubleFreePanics(t *testing.T) {
 	a := newFull(0, 8)
-	p, _ := a.AllocPage()
-	a.FreePage(p)
+	p, _ := a.Alloc()
+	a.Free(p)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double free did not panic")
 		}
 	}()
-	a.FreePage(p)
+	a.Free(p)
 }
 
 func TestFreeOutsideSpanPanics(t *testing.T) {
@@ -117,29 +134,19 @@ func TestFreeOutsideSpanPanics(t *testing.T) {
 			t.Fatal("out-of-span free did not panic")
 		}
 	}()
-	a.FreePage(5)
-}
-
-func TestInvalidOrder(t *testing.T) {
-	a := newFull(0, 8)
-	if _, err := a.Alloc(-1); err == nil {
-		t.Fatal("negative order accepted")
-	}
-	if _, err := a.Alloc(MaxOrder + 1); err == nil {
-		t.Fatal("oversized order accepted")
-	}
+	a.Free(5)
 }
 
 func TestPartialPopulation(t *testing.T) {
 	a := New(0, 1024)
-	if _, err := a.AllocPage(); !errors.Is(err, ErrNoMemory) {
+	if _, err := a.Alloc(); !errors.Is(err, ErrNoMemory) {
 		t.Fatal("unpopulated allocator should be empty")
 	}
 	a.AddRange(512, 64)
 	if a.FreePages() != 64 {
 		t.Fatalf("free = %d", a.FreePages())
 	}
-	p, err := a.AllocPage()
+	p, err := a.Alloc()
 	if err != nil || p < 512 || p >= 576 {
 		t.Fatalf("allocated %d from wrong range, err=%v", p, err)
 	}
@@ -196,7 +203,7 @@ func TestFragmentationThenRecovery(t *testing.T) {
 	var odd []uint64
 	var even []uint64
 	for i := 0; i < 256; i++ {
-		p, err := a.AllocPage()
+		p, err := a.Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,18 +214,20 @@ func TestFragmentationThenRecovery(t *testing.T) {
 		}
 	}
 	for _, p := range odd {
-		a.FreePage(p)
+		a.Free(p)
 	}
-	// Only order-0 blocks available now.
-	if _, err := a.Alloc(1); !errors.Is(err, ErrNoMemory) {
-		t.Fatal("order-1 should fail under full fragmentation")
+	// Only order-0 blocks are free now.
+	for rel, v := range a.free {
+		if v > 1 {
+			t.Fatalf("order-%d block at %d under full fragmentation", v-1, rel)
+		}
 	}
 	for _, p := range even {
-		a.FreePage(p)
+		a.Free(p)
 	}
-	// Everything coalesces back; a large block must succeed.
-	if _, err := a.Alloc(8); err != nil {
-		t.Fatal(err)
+	// Everything coalesces back into one order-8 block.
+	if a.free[0] != 9 {
+		t.Fatalf("free[0] = %d, want an order-8 block", a.free[0])
 	}
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -228,31 +237,21 @@ func TestFragmentationThenRecovery(t *testing.T) {
 func TestBuddyInvariantProperty(t *testing.T) {
 	// Property: arbitrary alloc/free interleavings preserve invariants
 	// and conserve frames.
-	type held struct {
-		pfn   uint64
-		order int
-	}
 	f := func(ops []uint16) bool {
 		a := newFull(0, 512)
-		var live []held
+		var live []uint64
 		for _, op := range ops {
 			if op%2 == 0 || len(live) == 0 {
-				order := int(op>>2) % 4
-				p, err := a.Alloc(order)
-				if err == nil {
-					live = append(live, held{p, order})
+				if p, err := a.Alloc(); err == nil {
+					live = append(live, p)
 				}
 			} else {
 				i := int(op>>2) % len(live)
-				a.Free(live[i].pfn, live[i].order)
+				a.Free(live[i])
 				live = append(live[:i], live[i+1:]...)
 			}
 		}
-		var livePages uint64
-		for _, h := range live {
-			livePages += uint64(1) << h.order
-		}
-		if a.FreePages()+livePages != 512 {
+		if a.FreePages()+uint64(len(live)) != 512 {
 			return false
 		}
 		return a.CheckInvariants() == nil
@@ -314,15 +313,15 @@ func TestAllocFreeZeroAlloc(t *testing.T) {
 	a := newFull(0, 4096)
 	// Warm the heaps to their steady-state capacity.
 	for i := 0; i < 3; i++ {
-		p, _ := a.Alloc(2)
-		a.Free(p, 2)
+		p, _ := a.Alloc()
+		a.Free(p)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		p, err := a.Alloc(2)
+		p, err := a.Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.Free(p, 2)
+		a.Free(p)
 	}); n != 0 {
 		t.Fatalf("Alloc/Free allocated %.1f times per run", n)
 	}
@@ -332,11 +331,10 @@ func TestAllocFreeZeroAlloc(t *testing.T) {
 // free blocks in a map from base to order. It is the differential
 // oracle for the array-backed Allocator.
 type mapAllocator struct {
-	base, size                uint64
-	freeOrder                 map[uint64]int
-	heaps                     [MaxOrder + 1]orderHeap
-	freePages                 uint64
-	splitCount, coalesceCount uint64
+	base, size uint64
+	freeOrder  map[uint64]int
+	heaps      [MaxOrder + 1]orderHeap
+	freePages  uint64
 }
 
 func newMapAllocator(base, size uint64) *mapAllocator {
@@ -361,7 +359,6 @@ func (a *mapAllocator) pushFree(pfn uint64, order int) {
 			pfn = buddyPfn
 		}
 		order++
-		a.coalesceCount++
 	}
 	a.freeOrder[pfn] = order
 	a.heaps[order].push(uint32(pfn - a.base))
@@ -379,33 +376,32 @@ func (a *mapAllocator) popFree(order int) (uint64, bool) {
 	return 0, false
 }
 
-func (a *mapAllocator) Alloc(order int) (uint64, bool) {
-	for o := order; o <= MaxOrder; o++ {
+func (a *mapAllocator) Alloc() (uint64, bool) {
+	for o := 0; o <= MaxOrder; o++ {
 		pfn, ok := a.popFree(o)
 		if !ok {
 			continue
 		}
-		for o > order {
+		for o > 0 {
 			o--
 			half := pfn + (uint64(1) << o)
 			a.freeOrder[half] = o
 			a.heaps[o].push(uint32(half - a.base))
-			a.splitCount++
 		}
-		a.freePages -= uint64(1) << order
+		a.freePages--
 		return pfn, true
 	}
 	return 0, false
 }
 
-func (a *mapAllocator) Free(pfn uint64, order int) {
-	a.freePages += uint64(1) << order
-	a.pushFree(pfn, order)
+func (a *mapAllocator) Free(pfn uint64) {
+	a.freePages++
+	a.pushFree(pfn, 0)
 }
 
 func (a *mapAllocator) AddRange(pfn, n uint64) {
 	for i := uint64(0); i < n; i++ {
-		a.Free(pfn+i, 0)
+		a.Free(pfn + i)
 	}
 }
 
@@ -441,8 +437,6 @@ func (a *mapAllocator) Snapshot(e *snapshot.Encoder) {
 	e.U64(a.base)
 	e.U64(a.size)
 	e.U64(a.freePages)
-	e.U64(a.splitCount)
-	e.U64(a.coalesceCount)
 	bases := make([]uint64, 0, len(a.freeOrder))
 	for pfn := range a.freeOrder {
 		bases = append(bases, pfn)
@@ -475,12 +469,8 @@ func snapshotBytes(t *testing.T, fn func(*snapshot.Encoder)) []byte {
 // TestDenseMatchesMapOracle drives the array-backed allocator and the
 // map-backed oracle through the same randomized Alloc / Free / AddRange
 // / Reserve sequences, with a snapshot round trip midway, and requires
-// identical returned frames, counters and snapshot bytes throughout.
+// identical returned frames, free counts and snapshot bytes throughout.
 func TestDenseMatchesMapOracle(t *testing.T) {
-	type held struct {
-		pfn   uint64
-		order int
-	}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		base := uint64(rng.Intn(4096))
@@ -489,29 +479,25 @@ func TestDenseMatchesMapOracle(t *testing.T) {
 		// populated tracks which span frames belong to the allocator
 		// (free or allocated); AddRange only adds unpopulated runs.
 		populated := make([]bool, size)
-		var live []held
+		var live []uint64
 		for op := 0; op < 1500; op++ {
 			switch k := rng.Intn(10); {
 			case k < 4:
-				order := rng.Intn(MaxOrder + 1)
-				if rng.Intn(4) != 0 {
-					order = rng.Intn(3)
-				}
-				p, err := got.Alloc(order)
-				q, ok := want.Alloc(order)
+				p, err := got.Alloc()
+				q, ok := want.Alloc()
 				if (err == nil) != ok || p != q {
-					t.Fatalf("seed %d op %d: Alloc(%d) = %d, %v; oracle %d, %v", seed, op, order, p, err, q, ok)
+					t.Fatalf("seed %d op %d: Alloc = %d, %v; oracle %d, %v", seed, op, p, err, q, ok)
 				}
 				if ok {
-					live = append(live, held{p, order})
+					live = append(live, p)
 				}
 			case k < 7:
 				if len(live) == 0 {
 					continue
 				}
 				i := rng.Intn(len(live))
-				got.Free(live[i].pfn, live[i].order)
-				want.Free(live[i].pfn, live[i].order)
+				got.Free(live[i])
+				want.Free(live[i])
 				live = append(live[:i], live[i+1:]...)
 			case k < 9:
 				start := uint64(rng.Intn(int(size)))
@@ -532,9 +518,8 @@ func TestDenseMatchesMapOracle(t *testing.T) {
 					populated[p-base] = false
 				}
 			}
-			if got.FreePages() != want.freePages || got.Splits() != want.splitCount || got.Coalesces() != want.coalesceCount {
-				t.Fatalf("seed %d op %d: free/splits/coalesces %d/%d/%d; oracle %d/%d/%d", seed, op,
-					got.FreePages(), got.Splits(), got.Coalesces(), want.freePages, want.splitCount, want.coalesceCount)
+			if got.FreePages() != want.freePages {
+				t.Fatalf("seed %d op %d: free pages %d; oracle %d", seed, op, got.FreePages(), want.freePages)
 			}
 			if op%100 == 0 || op == 1499 {
 				if err := got.CheckInvariants(); err != nil {
@@ -629,8 +614,6 @@ func TestRestoreRejectsBlockOutsideSpan(t *testing.T) {
 			e.U64(0)  // base
 			e.U64(16) // size
 			e.U64(uint64(1) << blk.order)
-			e.U64(0)
-			e.U64(0)
 			e.U32(1)
 			e.U64(blk.pfn)
 			e.U8(blk.order)

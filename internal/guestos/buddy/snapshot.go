@@ -7,17 +7,14 @@ import (
 )
 
 // Snapshot serializes the allocator's mutable state: the free blocks
-// in ascending base order and the split/coalesce counters. The
-// per-order heaps are not serialized — they are a lazy view of the free
-// array (stale entries are skipped on pop), and pop order depends only
-// on block addresses, so rebuilding them from the sorted blocks
-// reproduces allocation behaviour exactly.
+// in ascending base order. The per-order heaps are not serialized —
+// they are a lazy view of the free array (stale entries are skipped on
+// pop), and pop order depends only on block addresses, so rebuilding
+// them from the sorted blocks reproduces allocation behaviour exactly.
 func (a *Allocator) Snapshot(e *snapshot.Encoder) {
 	e.U64(a.base)
 	e.U64(a.size)
 	e.U64(a.freePages)
-	e.U64(a.splitCount)
-	e.U64(a.coalesceCount)
 	var blocks uint32
 	for _, v := range a.free {
 		if v != 0 {
@@ -44,8 +41,6 @@ func (a *Allocator) Restore(d *snapshot.Decoder) error {
 		return fmt.Errorf("buddy: snapshot span [%d,+%d) != allocator span [%d,+%d)", base, size, a.base, a.size)
 	}
 	a.freePages = d.U64()
-	a.splitCount = d.U64()
-	a.coalesceCount = d.U64()
 	n := int(d.U32())
 	clear(a.free)
 	for o := range a.heaps {

@@ -11,7 +11,7 @@ package guestos
 type CostModel struct {
 	// PageFaultNs is the trap + handler cost of a minor fault.
 	PageFaultNs float64
-	// AllocFastPathNs is a per-CPU free-list hit.
+	// AllocFastPathNs is a free-stack hit.
 	AllocFastPathNs float64
 	// AllocSlowPathNs is a buddy allocation (lock, split).
 	AllocSlowPathNs float64

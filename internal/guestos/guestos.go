@@ -1,7 +1,7 @@
 // Package guestos implements the heterogeneity-aware guest operating
 // system memory manager that is the paper's first contribution
 // (Section 3): NUMA-node-per-memory-type abstraction, a buddy page
-// allocator with multi-dimensional per-CPU free lists, slab caches, an
+// allocator behind one free-frame stack per memory type, slab caches, an
 // I/O page cache, virtual memory areas backed by a four-level page
 // table, the split active/inactive LRU with the HeteroOS-LRU extensions,
 // and the on-demand balloon front-end.

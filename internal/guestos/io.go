@@ -45,11 +45,11 @@ func (o *OS) faultIn(vpn VPN, fromSwap bool) (PFN, error) {
 
 	switch v.Kind {
 	case KindAnon:
-		pfn, ok := o.allocPage(KindAnon, 0)
+		pfn, ok := o.allocPage(KindAnon)
 		if !ok {
 			// Last resort: make room anywhere, then retry once.
 			o.emergencyReclaim()
-			pfn, ok = o.allocPage(KindAnon, 0)
+			pfn, ok = o.allocPage(KindAnon)
 			if !ok {
 				return NilPFN, fmt.Errorf("guestos: out of memory faulting vpn %d", vpn)
 			}

@@ -21,8 +21,6 @@ type PageLRU struct {
 	store    *PageStore
 	active   lruList
 	inactive lruList
-
-	activations, deactivations uint64
 }
 
 // NewPageLRU builds an empty LRU over store.
@@ -120,7 +118,6 @@ func (l *PageLRU) activate(pfn PFN) {
 	l.unlink(&l.inactive, pfn)
 	l.store.Set(pfn, FlagActive)
 	l.pushHead(&l.active, pfn)
-	l.activations++
 }
 
 // Deactivate moves an active page to the inactive list head, clearing
@@ -133,7 +130,6 @@ func (l *PageLRU) Deactivate(pfn PFN) {
 	l.unlink(&l.active, pfn)
 	s.Clear(pfn, FlagActive|FlagAccessed)
 	l.pushHead(&l.inactive, pfn)
-	l.deactivations++
 }
 
 // BalanceInto demotes up to max pages from the active tail while the
@@ -235,11 +231,6 @@ func (l *PageLRU) InactiveCount() uint64 { return l.inactive.count }
 
 // Count reports total resident pages on the LRU.
 func (l *PageLRU) Count() uint64 { return l.active.count + l.inactive.count }
-
-// Stats reports activation/deactivation counters.
-func (l *PageLRU) Stats() (activations, deactivations uint64) {
-	return l.activations, l.deactivations
-}
 
 // CheckInvariants walks both lists verifying link integrity, flag
 // consistency, and counts.

@@ -237,7 +237,7 @@ func quickOS() (*OS, *fakeSource) {
 	pl := PlacementConfig{Name: "quick", OnDemand: true}
 	pl.FastKinds[KindAnon] = true
 	os, err := New(Config{
-		CPUs: 1, Aware: true,
+		Aware:        true,
 		FastMaxPages: 1 << 14, SlowMaxPages: 1 << 15,
 		BootFastPages: 1 << 13, BootSlowPages: 1 << 14,
 		Placement: pl, Source: src, TierOf: src.m.TierOf, Seed: 5,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"heteroos/internal/guestos/buddy"
-	"heteroos/internal/guestos/percpu"
 	"heteroos/internal/memsim"
 )
 
@@ -26,7 +25,12 @@ type Node struct {
 	MaxPages uint64
 
 	Buddy *buddy.Allocator
-	PCP   *percpu.Lists
+	// free is the node's free-frame stack in front of the buddy
+	// allocator, Linux's per-CPU page list redesigned per memory type
+	// (Section 3.1): the node is the memory type, so one stack per node
+	// is the paper's per-type list. Frames pop from the top; frame
+	// numbers fit 32 bits (below memsim.MaxFrames).
+	free []uint32
 
 	populated uint64
 
@@ -35,34 +39,66 @@ type Node struct {
 	LowWatermark, HighWatermark uint64
 }
 
-func newNode(tier memsim.Tier, base PFN, maxPages uint64, cpus int) *Node {
-	n := &Node{
+// Free-stack batching, as Linux's per-CPU lists: an empty stack refills
+// stackBatch frames from the buddy allocator, and a free that takes the
+// stack past stackHigh drains its top stackBatch frames back.
+const (
+	stackBatch = 16
+	stackHigh  = 64
+)
+
+func newNode(tier memsim.Tier, base PFN, maxPages uint64) *Node {
+	return &Node{
 		Tier:     tier,
 		Base:     base,
 		MaxPages: maxPages,
 		Buddy:    buddy.New(uint64(base), maxPages),
+		// The stack never holds more than stackHigh+1 frames.
+		free: make([]uint32, 0, stackHigh+1),
 	}
-	// Per-CPU lists have a single dimension here because the node itself
-	// is the memory-type dimension; the OS exposes the multi-dimensional
-	// view across nodes.
-	n.PCP = percpu.New(cpus, 1, 16, 64,
-		func(_ int, cnt int) []uint64 {
-			out := make([]uint64, 0, cnt)
-			for i := 0; i < cnt; i++ {
-				p, err := n.Buddy.AllocPage()
-				if err != nil {
-					break
-				}
-				out = append(out, p)
+}
+
+// allocFrame pops a frame off the free stack, refilling the stack from
+// the buddy allocator when it is empty. ok is false when the buddy
+// allocator is dry too.
+func (n *Node) allocFrame() (PFN, bool) {
+	if len(n.free) == 0 {
+		// The refilled batch is appended in allocation order, so the
+		// last frame the buddy handed out is the first popped.
+		for i := 0; i < stackBatch; i++ {
+			p, err := n.Buddy.Alloc()
+			if err != nil {
+				break
 			}
-			return out
-		},
-		func(_ int, pfns []uint64) {
-			for _, p := range pfns {
-				n.Buddy.FreePage(p)
-			}
-		})
-	return n
+			n.free = append(n.free, uint32(p))
+		}
+		if len(n.free) == 0 {
+			return NilPFN, false
+		}
+	}
+	top := len(n.free) - 1
+	pfn := PFN(n.free[top])
+	n.free = n.free[:top]
+	return pfn, true
+}
+
+// freeFrame pushes a frame onto the free stack, draining the top batch
+// to the buddy allocator (bottom of the batch first) once the stack
+// exceeds its high watermark.
+func (n *Node) freeFrame(pfn PFN) {
+	n.free = append(n.free, uint32(pfn))
+	if len(n.free) > stackHigh {
+		n.drainStack(len(n.free) - stackBatch)
+	}
+}
+
+// drainStack returns the stack's frames from index from upward to the
+// buddy allocator, bottom to top.
+func (n *Node) drainStack(from int) {
+	for _, p := range n.free[from:] {
+		n.Buddy.Free(uint64(p))
+	}
+	n.free = n.free[:from]
 }
 
 // Contains reports whether pfn belongs to this node's span.
@@ -74,9 +110,9 @@ func (n *Node) Contains(pfn PFN) bool {
 // machine memory.
 func (n *Node) Populated() uint64 { return n.populated }
 
-// FreePages reports free frames (buddy plus per-CPU caches).
+// FreePages reports free frames (buddy plus free stack).
 func (n *Node) FreePages() uint64 {
-	return n.Buddy.FreePages() + uint64(n.PCP.Cached(0))
+	return n.Buddy.FreePages() + uint64(len(n.free))
 }
 
 // UsedPages reports populated frames currently allocated to a subsystem.
@@ -89,11 +125,11 @@ func (n *Node) addPopulated(pfn PFN, count uint64) {
 }
 
 // reserveFree pulls up to count free frames out of the node (for balloon
-// deflation), flushing per-CPU caches first if needed.
+// deflation), draining the free stack first if needed.
 func (n *Node) reserveFree(count uint64) []PFN {
 	got := n.Buddy.Reserve(count)
 	if uint64(len(got)) < count {
-		n.PCP.Flush()
+		n.drainStack(0)
 		got = append(got, n.Buddy.Reserve(count-uint64(len(got)))...)
 	}
 	out := make([]PFN, len(got))

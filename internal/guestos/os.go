@@ -3,6 +3,7 @@ package guestos
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"heteroos/internal/guestos/pagecache"
 	"heteroos/internal/guestos/slab"
@@ -70,8 +71,6 @@ type PageIndexer interface {
 
 // Config configures one guest OS instance.
 type Config struct {
-	// CPUs is the number of vCPUs (per-CPU free-list dimensioning).
-	CPUs int
 	// Aware selects heterogeneity-aware mode: one NUMA node per memory
 	// type. When false the guest has a single node and the VMM manages
 	// placement transparently (HeteroVisor model).
@@ -213,9 +212,6 @@ const (
 // New boots a guest OS: builds nodes, populates boot reservations, and
 // initialises every subsystem.
 func New(cfg Config) (*OS, error) {
-	if cfg.CPUs <= 0 {
-		return nil, fmt.Errorf("guestos: need at least one CPU")
-	}
 	if cfg.Source == nil || cfg.TierOf == nil {
 		return nil, fmt.Errorf("guestos: Source and TierOf are required")
 	}
@@ -238,8 +234,8 @@ func New(cfg Config) (*OS, error) {
 	total := cfg.FastMaxPages + cfg.SlowMaxPages
 	o.store = NewPageStore(total)
 	if cfg.Aware {
-		fast := newNode(memsim.FastMem, 0, cfg.FastMaxPages, cfg.CPUs)
-		slow := newNode(memsim.SlowMem, PFN(cfg.FastMaxPages), cfg.SlowMaxPages, cfg.CPUs)
+		fast := newNode(memsim.FastMem, 0, cfg.FastMaxPages)
+		slow := newNode(memsim.SlowMem, PFN(cfg.FastMaxPages), cfg.SlowMaxPages)
 		// HeteroOS-LRU per-memory-type thresholds: keep a small free
 		// reserve in FastMem so bursts allocate without synchronous
 		// reclaim.
@@ -247,7 +243,7 @@ func New(cfg Config) (*OS, error) {
 		fast.HighWatermark = 2 * fast.LowWatermark
 		o.nodes = []*Node{fast, slow}
 	} else {
-		n := newNode(memsim.FastMem, 0, total, cfg.CPUs)
+		n := newNode(memsim.FastMem, 0, total)
 		o.nodes = []*Node{n}
 	}
 	o.lrus = make([]*PageLRU, len(o.nodes))
@@ -265,7 +261,7 @@ func New(cfg Config) (*OS, error) {
 	o.AS = newAddrSpace(o)
 	o.PC = pagecache.New(
 		func() (uint64, bool) {
-			pfn, ok := o.allocPage(KindPageCache, 0)
+			pfn, ok := o.allocPage(KindPageCache)
 			return uint64(pfn), ok
 		},
 		func(pfn uint64) { o.freePage(PFN(pfn)) },
@@ -307,7 +303,7 @@ func (o *OS) newSlabCache(name string, objSize int, kind PageKind) *slab.Cache {
 	return slab.New(name, objSize, 1,
 		func(n int) (uint64, bool) {
 			// Slab pages are order-0 here (pagesPerSlab 1).
-			pfn, ok := o.allocPage(kind, 0)
+			pfn, ok := o.allocPage(kind)
 			return uint64(pfn), ok
 		},
 		func(base uint64, n int) {
@@ -422,10 +418,10 @@ func (o *OS) populateNode(idx int, want uint64) uint64 {
 	return got
 }
 
-// allocPage allocates one frame for kind on behalf of cpu, applying the
-// placement policy. ok=false only when every tier (after on-demand
-// population and reclaim) is exhausted.
-func (o *OS) allocPage(kind PageKind, cpu int) (PFN, bool) {
+// allocPage allocates one frame for kind, applying the placement
+// policy. ok=false only when every tier (after on-demand population and
+// reclaim) is exhausted.
+func (o *OS) allocPage(kind PageKind) (PFN, bool) {
 	pl := &o.cfg.Placement
 	wantFast := pl.WantsFast(kind)
 	if pl.Random {
@@ -442,7 +438,7 @@ func (o *OS) allocPage(kind PageKind, cpu int) (PFN, bool) {
 	}
 
 	for attempt, idx := range order {
-		pfn, ok := o.allocFromNode(idx, cpu, kind, attempt == 0)
+		pfn, ok := o.allocFromNode(idx, kind, attempt == 0)
 		if !ok {
 			continue
 		}
@@ -466,31 +462,31 @@ func (o *OS) allocPage(kind PageKind, cpu int) (PFN, bool) {
 	return NilPFN, false
 }
 
-// allocFromNode tries per-CPU lists, then buddy (via refill), then
-// on-demand population, then (FastMem, HeteroOS-LRU, primary choice
-// only) demand-based reclaim.
-func (o *OS) allocFromNode(idx, cpu int, kind PageKind, primary bool) (PFN, bool) {
+// allocFromNode tries the node's free stack (refilled from the buddy
+// allocator), then on-demand population, then (FastMem, HeteroOS-LRU,
+// primary choice only) demand-based reclaim.
+func (o *OS) allocFromNode(idx int, kind PageKind, primary bool) (PFN, bool) {
 	n := o.nodes[idx]
-	if pfn, ok := n.PCP.Alloc(cpu, 0); ok {
+	if pfn, ok := n.allocFrame(); ok {
 		o.ep.OSTimeNs += o.costs.AllocFastPathNs
-		return PFN(pfn), true
+		return pfn, true
 	}
-	// Buddy exhausted (PCP refill failed). Try extending the reservation.
+	// Buddy exhausted (stack refill failed). Try extending the reservation.
 	pl := &o.cfg.Placement
 	if pl.OnDemand && n.Populated() < n.MaxPages {
 		if o.populateNode(idx, populateBatchPages) > 0 {
-			if pfn, ok := n.PCP.Alloc(cpu, 0); ok {
+			if pfn, ok := n.allocFrame(); ok {
 				o.ep.OSTimeNs += o.costs.AllocSlowPathNs
-				return PFN(pfn), true
+				return pfn, true
 			}
 		}
 	}
 	if primary && pl.HeteroLRU && o.cfg.Aware && n.Tier == memsim.FastMem {
 		if o.shouldReclaimFor(kind) {
 			o.reclaimNode(idx, reclaimBatchPages)
-			if pfn, ok := n.PCP.Alloc(cpu, 0); ok {
+			if pfn, ok := n.allocFrame(); ok {
 				o.ep.OSTimeNs += o.costs.AllocSlowPathNs
-				return PFN(pfn), true
+				return pfn, true
 			}
 		}
 	}
@@ -650,7 +646,7 @@ func (o *OS) freePage(pfn PFN) {
 	st.SetAllFlags(pfn, 0)
 	st.SetVPN(pfn, NilVPN)
 	o.ep.OSTimeNs += o.costs.FreeNs
-	o.nodes[idx].PCP.Free(0, 0, uint64(pfn))
+	o.nodes[idx].freeFrame(pfn)
 	if o.indexer != nil {
 		o.indexer.PageFreeChanged(pfn, true)
 	}
@@ -700,7 +696,7 @@ func (p *GuestPanic) Error() string { return "guestos: kernel panic: " + p.Reaso
 // (<0.5%) impact, so they follow the same preference as other kernel
 // allocations but are pinned.
 func (o *OS) allocPTPage() PFN {
-	pfn, ok := o.allocPage(KindPageTable, 0)
+	pfn, ok := o.allocPage(KindPageTable)
 	if !ok {
 		panic(&GuestPanic{Reason: "out of memory allocating page table"})
 	}
@@ -822,6 +818,9 @@ func (o *OS) CheckInvariants() error {
 		if err := n.Buddy.CheckInvariants(); err != nil {
 			return err
 		}
+		if err := o.checkFreeStack(i); err != nil {
+			return err
+		}
 		if err := o.lrus[i].CheckInvariants(); err != nil {
 			return err
 		}
@@ -868,6 +867,31 @@ func (o *OS) CheckInvariants() error {
 	}
 	if lru != lruNodes {
 		return fmt.Errorf("guestos: %d LRU-flagged pages vs %d on lists", lru, lruNodes)
+	}
+	return nil
+}
+
+// checkFreeStack verifies node idx's free-frame stack: every frame lies
+// in the node's span, is free in the page store, appears once and is
+// not also inside one of the buddy allocator's free blocks. Frame counts
+// alone cannot see a stacked frame swapped for one the buddy allocator
+// still holds, which would hand the same frame out twice.
+func (o *OS) checkFreeStack(idx int) error {
+	n := o.nodes[idx]
+	frames := slices.Clone(n.free)
+	slices.Sort(frames)
+	for i, f := range frames {
+		pfn := PFN(f)
+		switch {
+		case !n.Contains(pfn):
+			return fmt.Errorf("guestos: node %d free stack frame %d outside span [%d,+%d)", idx, pfn, n.Base, n.MaxPages)
+		case o.store.Kind(pfn) != KindFree:
+			return fmt.Errorf("guestos: node %d free stack frame %d is in use (%v)", idx, pfn, o.store.Kind(pfn))
+		case i > 0 && frames[i-1] == f:
+			return fmt.Errorf("guestos: node %d free stack holds frame %d twice", idx, pfn)
+		case n.Buddy.IsFree(uint64(pfn)):
+			return fmt.Errorf("guestos: node %d free stack frame %d is also in a buddy free block", idx, pfn)
+		}
 	}
 	return nil
 }

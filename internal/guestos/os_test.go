@@ -60,7 +60,7 @@ func testOS(t *testing.T, pl PlacementConfig, fastMax, slowMax, bootFast, bootSl
 	t.Helper()
 	src := newFakeSource(fastMax, slowMax)
 	os, err := New(Config{
-		CPUs: 2, Aware: true,
+		Aware:        true,
 		FastMaxPages: fastMax, SlowMaxPages: slowMax,
 		BootFastPages: bootFast, BootSlowPages: bootSlow,
 		Placement: pl,
@@ -114,7 +114,7 @@ func TestBootReservation(t *testing.T) {
 
 func TestHeapPrefersFast(t *testing.T) {
 	os, _ := testOS(t, heapODPlacement(), 1024, 4096, 512, 1024)
-	pfn, ok := os.allocPage(KindAnon, 0)
+	pfn, ok := os.allocPage(KindAnon)
 	if !ok {
 		t.Fatal("alloc failed")
 	}
@@ -122,7 +122,7 @@ func TestHeapPrefersFast(t *testing.T) {
 		t.Fatal("heap page not in FastMem")
 	}
 	// Page cache does NOT prefer fast under Heap-OD.
-	pfn2, ok := os.allocPage(KindPageCache, 0)
+	pfn2, ok := os.allocPage(KindPageCache)
 	if !ok {
 		t.Fatal("alloc failed")
 	}
@@ -134,7 +134,7 @@ func TestHeapPrefersFast(t *testing.T) {
 func TestHeapIOSlabODRoutesIOToFast(t *testing.T) {
 	os, _ := testOS(t, heapIOSlabODPlacement(), 1024, 4096, 512, 1024)
 	for _, kind := range []PageKind{KindAnon, KindPageCache, KindNetBuf, KindSlab} {
-		pfn, ok := os.allocPage(kind, 0)
+		pfn, ok := os.allocPage(kind)
 		if !ok {
 			t.Fatalf("%v alloc failed", kind)
 		}
@@ -148,7 +148,7 @@ func TestOnDemandPopulationExtendsFast(t *testing.T) {
 	os, _ := testOS(t, heapODPlacement(), 2048, 4096, 64, 1024)
 	// Allocate beyond the boot reservation: on-demand must extend.
 	for i := 0; i < 500; i++ {
-		pfn, ok := os.allocPage(KindAnon, 0)
+		pfn, ok := os.allocPage(KindAnon)
 		if !ok {
 			t.Fatalf("alloc %d failed", i)
 		}
@@ -168,7 +168,7 @@ func TestFallbackToSlowWhenFastExhausted(t *testing.T) {
 	os, _ := testOS(t, heapODPlacement(), 128, 4096, 128, 1024)
 	spilled := false
 	for i := 0; i < 300; i++ {
-		pfn, ok := os.allocPage(KindAnon, 0)
+		pfn, ok := os.allocPage(KindAnon)
 		if !ok {
 			t.Fatalf("alloc %d failed entirely", i)
 		}
@@ -494,7 +494,7 @@ func TestBalloonTargetReclaimsWhenNoFreePages(t *testing.T) {
 func TestTransparentGuestSingleNode(t *testing.T) {
 	src := newFakeSource(512, 1536)
 	os, err := New(Config{
-		CPUs: 1, Aware: false,
+		Aware:        false,
 		FastMaxPages: 256, SlowMaxPages: 1024,
 		BootFastPages: 256, BootSlowPages: 1024,
 		Placement: PlacementConfig{Name: "VMM-exclusive", OnDemand: true},
@@ -707,15 +707,12 @@ func TestSnapshot(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	src := newFakeSource(16, 16)
-	if _, err := New(Config{CPUs: 0, Source: src, TierOf: src.m.TierOf}); err == nil {
-		t.Fatal("zero CPUs accepted")
-	}
-	if _, err := New(Config{CPUs: 1}); err == nil {
+	if _, err := New(Config{}); err == nil {
 		t.Fatal("nil source accepted")
 	}
 	// Boot bigger than machine: must fail.
 	if _, err := New(Config{
-		CPUs: 1, Aware: true, FastMaxPages: 64, SlowMaxPages: 64,
+		Aware: true, FastMaxPages: 64, SlowMaxPages: 64,
 		BootFastPages: 64, BootSlowPages: 64,
 		Source: src, TierOf: src.m.TierOf,
 	}); err == nil {
@@ -727,7 +724,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() [NumKinds]uint64 {
 		src := newFakeSource(512, 2048)
 		os, err := New(Config{
-			CPUs: 2, Aware: true,
+			Aware:        true,
 			FastMaxPages: 512, SlowMaxPages: 2048,
 			BootFastPages: 256, BootSlowPages: 1024,
 			Placement: heteroLRUPlacement(),
@@ -911,7 +908,7 @@ func TestSpanBeyondMaxFramesRejected(t *testing.T) {
 	} {
 		for _, aware := range []bool{true, false} {
 			_, err := New(Config{
-				CPUs: 1, Aware: aware, FastMaxPages: span[0], SlowMaxPages: span[1],
+				Aware: aware, FastMaxPages: span[0], SlowMaxPages: span[1],
 				Source: src, TierOf: src.m.TierOf,
 			})
 			if err == nil || !strings.Contains(err.Error(), "MaxFrames") {
@@ -964,6 +961,21 @@ func TestRestoreRejectsOutOfRangeFrames(t *testing.T) {
 			o.unpopulated[0] = append(o.unpopulated[0], uint32(o.nodes[1].Base))
 		}},
 		{"lru end", "LRU end", func(o *OS, _ PFN) { o.lrus[1].inactive.tail = PFN(o.store.Len()) }},
+		// A cached free frame must belong to its node, be free and be
+		// stacked once, outside every buddy free block.
+		{"stack foreign", "node 0 free stack frame 1024 outside span", func(o *OS, _ PFN) {
+			o.nodes[0].free = append(o.nodes[0].free, uint32(o.nodes[1].Base))
+		}},
+		{"stack past store", "node 1 free stack frame 5120 outside span", func(o *OS, _ PFN) {
+			o.nodes[1].free = append(o.nodes[1].free, uint32(o.store.Len()))
+		}},
+		{"stack duplicate", "node 0 free stack holds frame", func(o *OS, _ PFN) {
+			o.nodes[0].free = append(o.nodes[0].free, o.nodes[0].free[0])
+		}},
+		{"stack buddy free", "node 0 free stack frame", func(o *OS, _ PFN) {
+			o.nodes[0].free[0] = uint32(buddyFreeFrame(t, o, 0))
+		}},
+		{"stack in use", "node 0 free stack frame", func(o *OS, pfn PFN) { o.nodes[0].free[0] = uint32(pfn) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

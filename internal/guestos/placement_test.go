@@ -73,7 +73,7 @@ func TestNodeWatermarksAndAccounting(t *testing.T) {
 	}
 	// Drain the node: pressure indicators flip.
 	for {
-		if _, ok := os.allocPage(KindAnon, 0); !ok {
+		if _, ok := os.allocPage(KindAnon); !ok {
 			break
 		}
 		if os.Node(memsim.FastMem).FreePages() == 0 {

@@ -54,7 +54,7 @@ func (o *OS) reclaimPass(idx int, target uint64, cacheOnly bool) uint64 {
 	// is recent and the guard would starve reclaim entirely, so it
 	// relaxes under heavy allocation misses. The allocation window only
 	// changes in allocPage, which nothing in this walk reaches (page
-	// moves take their frame from the per-CPU list or populateNode
+	// moves take their frame from the node free stack or populateNode
 	// directly), so the guard holds for the whole pass.
 	guard := uint32(2)
 	if o.Window.OverallMissRatio() > 0.5 {
@@ -222,16 +222,15 @@ func (o *OS) movePageAcrossNodes(pfn PFN, target memsim.Tier, promotion bool) bo
 		return false
 	}
 	dst := o.nodes[dstIdx]
-	raw, ok := dst.PCP.Alloc(0, 0)
+	newPfn, ok := dst.allocFrame()
 	if !ok {
 		if o.cfg.Placement.OnDemand && o.populateNode(dstIdx, populateBatchPages) > 0 {
-			raw, ok = dst.PCP.Alloc(0, 0)
+			newPfn, ok = dst.allocFrame()
 		}
 		if !ok {
 			return false
 		}
 	}
-	newPfn := PFN(raw)
 	st := o.store
 	if st.Kind(newPfn) != KindFree {
 		panic(fmt.Sprintf("guestos: migration target %d busy", newPfn))
@@ -257,7 +256,7 @@ func (o *OS) movePageAcrossNodes(pfn PFN, target memsim.Tier, promotion bool) bo
 	st.SetScanWriteHeat(newPfn, st.ScanWriteHeat(pfn))
 	st.SetTag(newPfn, tag)
 	o.Cum.AllocsByKind[kind]++
-	// The destination frame was taken straight off the per-CPU list,
+	// The destination frame was taken straight off the node free stack,
 	// bypassing initPage, and its scan history was written directly: the
 	// indexer must hear both transitions itself.
 	if o.indexer != nil {

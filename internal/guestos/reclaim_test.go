@@ -168,7 +168,7 @@ func reclaimFixture(t *testing.T, sc reclaimScenario) *OS {
 		// Fill FastMem past its high watermark with off-LRU pages.
 		fast := o.Node(memsim.FastMem)
 		for fast.FreePages() >= fast.HighWatermark {
-			if _, ok := o.allocPage(KindSlab, 0); !ok {
+			if _, ok := o.allocPage(KindSlab); !ok {
 				t.Fatal("slab fill failed")
 			}
 		}

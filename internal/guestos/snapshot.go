@@ -50,7 +50,10 @@ func (o *OS) SnapshotState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN
 		c.U64(&n.LowWatermark)
 		c.U64(&n.HighWatermark)
 		c.Split(n.Buddy.Snapshot, n.Buddy.Restore)
-		c.Fail(n.PCP.SnapshotState(c))
+		snapshot.Slice(c, &n.free, c.U32)
+		if c.Reading() && c.Err() == nil {
+			c.Fail(o.checkFreeStack(i))
+		}
 		l := o.lrus[i]
 		for _, lst := range []*lruList{&l.active, &l.inactive} {
 			for _, end := range []*PFN{&lst.head, &lst.tail} {
@@ -61,8 +64,6 @@ func (o *OS) SnapshotState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN
 			}
 			c.U64(&lst.count)
 		}
-		c.U64(&l.activations)
-		c.U64(&l.deactivations)
 		snapshot.Slice(c, &o.unpopulated[i], func(slot *uint32) {
 			pfn := uint64(*slot)
 			c.U64(&pfn)

@@ -14,7 +14,7 @@ func TestBootShortfallTypedError(t *testing.T) {
 	src := newFakeSource(4096, 4096)
 	src.denyFast = true
 	_, err := New(Config{
-		CPUs: 2, Aware: true,
+		Aware:        true,
 		FastMaxPages: 1024, SlowMaxPages: 2048,
 		BootFastPages: 256, BootSlowPages: 512,
 		Source: src,

@@ -56,7 +56,11 @@ import (
 //	4: the machine section drops the tier-spec generation counter.
 //	5: the guest page store drops the file, file-offset and touch-count
 //	   columns, and its flags column narrows to one byte (five flags).
-const Version = 5
+//	6: each guest node codes one free-frame stack of 32-bit frames in
+//	   place of the per-CPU list shape, lists and counters; the buddy
+//	   allocators drop their split/coalesce counters and the LRUs their
+//	   activation/deactivation counters.
+const Version = 6
 
 // VersionError is returned by Open when the file's format version does
 // not match Version. Callers can detect it with errors.As to tell a

@@ -17,7 +17,7 @@ func bootGuest(t *testing.T, m *VMM, vm *VM, aware bool, pl guestos.PlacementCon
 	fastMax, slowMax, bootFast, bootSlow uint64) *guestos.OS {
 	t.Helper()
 	os, err := guestos.New(guestos.Config{
-		CPUs: 2, Aware: aware,
+		Aware:        aware,
 		FastMaxPages: fastMax, SlowMaxPages: slowMax,
 		BootFastPages: bootFast, BootSlowPages: bootSlow,
 		Placement: pl,
@@ -502,8 +502,8 @@ func TestWriteAwareRankingPrefersStoreHeavyPages(t *testing.T) {
 	attachIndex(sc, os, machine)
 
 	// The store-heavy page faults first so it lands on the higher frame
-	// (per-CPU lists pop descending): the boosted ranking must overcome
-	// the ascending-PFN tiebreak to put it first.
+	// (the node free stack pops descending): the boosted ranking must
+	// overcome the ascending-PFN tiebreak to put it first.
 	for round := 0; round < 3; round++ {
 		os.TouchVPN(vma.Start, 4, 4)   // half stores
 		os.TouchVPN(vma.Start+1, 8, 0) // loads only

@@ -43,7 +43,7 @@ func bootOS(t *testing.T) *guestos.OS {
 	pl.FastKinds[guestos.KindNetBuf] = true
 	pl.FastKinds[guestos.KindSlab] = true
 	os, err := guestos.New(guestos.Config{
-		CPUs: 2, Aware: true,
+		Aware:        true,
 		FastMaxPages: 1 << 16, SlowMaxPages: 1 << 17,
 		BootFastPages: 1 << 15, BootSlowPages: 1 << 16,
 		Placement: pl, Source: src, TierOf: src.m.TierOf, Seed: 1,
