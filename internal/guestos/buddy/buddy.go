@@ -19,6 +19,7 @@ package buddy
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // MaxOrder is the largest free-block order (2^10 pages = 4 MiB blocks at
@@ -203,11 +204,36 @@ func (a *Allocator) Free(pfn uint64) {
 
 // AddRange populates n frames starting at pfn, making them available for
 // allocation. Used at boot and when the balloon driver inflates the
-// guest's reservation. Frames are inserted page-wise; coalescing
-// reassembles large blocks automatically.
+// guest's reservation. The run goes in as its maximal aligned blocks,
+// each coalescing with free buddies like a freed frame, so the free
+// blocks (and so every later allocation) are those n single-frame frees
+// would leave, at one heap entry per block instead of one per frame.
+// A frame outside the span or already a free block's base panics, as
+// in Free.
 func (a *Allocator) AddRange(pfn, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		a.Free(pfn + i)
+	if n == 0 {
+		return
+	}
+	if !a.contains(pfn, 0) || n > a.size-(pfn-a.base) {
+		panic(fmt.Sprintf("buddy: range [%d,+%d) outside span [%d,%d)", pfn, n, a.base, a.base+a.size))
+	}
+	for rel := pfn - a.base; rel < pfn-a.base+n; rel++ {
+		if a.free[rel] != 0 {
+			panic(fmt.Sprintf("buddy: double free of block %d", a.base+rel))
+		}
+	}
+	a.freePages += n
+	for n > 0 {
+		order := MaxOrder
+		if rel := pfn - a.base; rel != 0 {
+			order = min(order, bits.TrailingZeros64(rel))
+		}
+		for uint64(1)<<order > n {
+			order--
+		}
+		a.pushFree(pfn, order)
+		pfn += uint64(1) << order
+		n -= uint64(1) << order
 	}
 }
 

@@ -137,6 +137,67 @@ func TestFreeOutsideSpanPanics(t *testing.T) {
 	a.Free(5)
 }
 
+// TestAddRangeHeapEntriesBounded populates 65,536 frames as one run and
+// as runs of ragged length and alignment, and requires the order heaps
+// to hold no more entries than there are free blocks plus a few per
+// run: an entry per populated frame would leave tens of thousands of
+// stale entries for the first allocations to pop through.
+func TestAddRangeHeapEntriesBounded(t *testing.T) {
+	const frames = 65536
+	for _, runs := range [][]uint64{{frames}, {3, 1021, 40000, frames - 41024}} {
+		a := New(0, frames)
+		var pfn uint64
+		for _, n := range runs {
+			a.AddRange(pfn, n)
+			pfn += n
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		blocks, entries := 0, 0
+		for _, v := range a.free {
+			if v != 0 {
+				blocks++
+			}
+		}
+		for _, h := range a.heaps {
+			entries += len(h)
+		}
+		if limit := blocks + 2*(MaxOrder+1)*len(runs); entries > limit {
+			t.Fatalf("runs %v: %d heap entries for %d free blocks, want at most %d", runs, entries, blocks, limit)
+		}
+	}
+}
+
+// TestAddRangeRejectsBadRanges checks AddRange's span and double-free
+// panics, raised before any frame is added.
+func TestAddRangeRejectsBadRanges(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		pfn, n   uint64
+		contains string
+	}{
+		{"below span", 5, 10, "outside span"},
+		{"past span", 100, 20, "outside span"},
+		{"free frame", 40, 8, "double free of block 44"},
+	} {
+		a := New(10, 100)
+		a.AddRange(44, 1)
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, tc.contains) {
+					t.Fatalf("%s: AddRange(%d, %d) panicked with %v, want %q", tc.name, tc.pfn, tc.n, r, tc.contains)
+				}
+			}()
+			a.AddRange(tc.pfn, tc.n)
+		}()
+		if a.FreePages() != 1 {
+			t.Fatalf("%s: %d free pages after a refused AddRange, want 1", tc.name, a.FreePages())
+		}
+	}
+}
+
 func TestPartialPopulation(t *testing.T) {
 	a := New(0, 1024)
 	if _, err := a.Alloc(); !errors.Is(err, ErrNoMemory) {

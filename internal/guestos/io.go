@@ -337,10 +337,17 @@ func (o *OS) ScanHeat(pfn PFN) uint8 { return o.store.ScanHeat(pfn) }
 
 // SetScanHeat stores the VMM scanner's hotness history for pfn.
 func (o *OS) SetScanHeat(pfn PFN, h uint8) {
-	if o.store.ScanHeat(pfn) == h {
+	old := o.store.ScanHeat(pfn)
+	if old == h {
 		return
 	}
 	o.store.SetScanHeat(pfn, h)
+	if old >= 6 && h < 6 {
+		// The page may have lost reclaim protection.
+		if onLRU, active, _ := o.store.lruBits(pfn); onLRU && !active {
+			o.lrus[o.nodeIndexOf(pfn)].recheckMemo(pfn)
+		}
+	}
 	if o.indexer != nil {
 		o.indexer.PageHeatChanged(pfn)
 	}

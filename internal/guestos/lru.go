@@ -21,6 +21,101 @@ type PageLRU struct {
 	store    *PageStore
 	active   lruList
 	inactive lruList
+	memo     lapMemo
+}
+
+// lapMemo remembers that a reclaim walk over this LRU ended in an
+// all-protected lap: every inactive page was reclaim-protected under the
+// key (epoch, guard) in each mode whose bit is set. Such a lap frees
+// nothing and leaves every page's protection as it found it, so until a
+// page that is not protected under the key joins the inactive list (or
+// an inactive page's scan heat drops below the protection threshold)
+// the next pass of that mode at the same key would walk the same lap to
+// the same verdict. The memo is a pure cache of that fact: it is never
+// checkpointed, and clearing it at any time changes no result.
+type lapMemo struct {
+	epoch uint32
+	guard uint8
+	modes uint8 // memoFull | memoCacheOnly
+}
+
+const (
+	memoFull      uint8 = 1 << iota // a full pass's lap
+	memoCacheOnly                   // a cache-only pass's lap
+)
+
+// memoMode is the memo bit of a reclaim pass of the given mode.
+func memoMode(cacheOnly bool) uint8 {
+	if cacheOnly {
+		return memoCacheOnly
+	}
+	return memoFull
+}
+
+// reclaimProtected reports whether reclaim gives pfn a second chance
+// whatever its referenced bit: it was used within guard epochs of epoch
+// (the recency guard, which applies from epoch 2), the tracker holds it
+// decisively hot, or it is anonymous in a cache-only pass. A page
+// protected in a full pass is protected in a cache-only pass too.
+func reclaimProtected(st *PageStore, pfn PFN, epoch, guard uint32, cacheOnly bool) bool {
+	return st.LastUse(pfn)+guard >= epoch && epoch >= 2 ||
+		st.ScanHeat(pfn) >= 6 ||
+		cacheOnly && st.Kind(pfn) == KindAnon
+}
+
+// memoHolds reports whether the memo claims every inactive page is
+// protected for a pass of this mode at (epoch, guard).
+func (l *PageLRU) memoHolds(epoch, guard uint32, cacheOnly bool) bool {
+	m := l.memo
+	return m.modes&memoMode(cacheOnly) != 0 && m.epoch == epoch && uint32(m.guard) == guard
+}
+
+// setMemo records an all-protected lap of a pass of this mode at
+// (epoch, guard). A full pass's lap implies the cache-only one, whose
+// protection is a superset. A memo under another key is replaced.
+func (l *PageLRU) setMemo(epoch, guard uint32, cacheOnly bool) {
+	modes := memoCacheOnly
+	if !cacheOnly {
+		modes |= memoFull
+	}
+	if l.memo.epoch == epoch && uint32(l.memo.guard) == guard {
+		modes |= l.memo.modes
+	}
+	l.memo = lapMemo{epoch: epoch, guard: uint8(guard), modes: modes}
+}
+
+// recheckMemo drops each memo claim that inactive page pfn breaks: it
+// joined the inactive list, or lost protection while on it.
+func (l *PageLRU) recheckMemo(pfn PFN) {
+	m := &l.memo
+	if m.modes == 0 || reclaimProtected(l.store, pfn, m.epoch, uint32(m.guard), false) {
+		return
+	}
+	m.modes &^= memoFull
+	if m.modes != 0 && !reclaimProtected(l.store, pfn, m.epoch, uint32(m.guard), true) {
+		m.modes = 0
+	}
+}
+
+// checkMemo verifies the memo's claim page by page when it was made in
+// epoch, the only epoch in which a pass can act on it.
+func (l *PageLRU) checkMemo(epoch uint32) error {
+	m := l.memo
+	if m.modes == 0 || m.epoch != epoch {
+		return nil
+	}
+	for _, cacheOnly := range []bool{false, true} {
+		if m.modes&memoMode(cacheOnly) == 0 {
+			continue
+		}
+		for pfn := l.inactive.head; pfn != NilPFN; pfn = l.store.LRUNext(pfn) {
+			if !reclaimProtected(l.store, pfn, m.epoch, uint32(m.guard), cacheOnly) {
+				return fmt.Errorf("lru: lap memo (epoch %d, guard %d, cacheOnly %v) holds but inactive page %d is unprotected",
+					m.epoch, m.guard, cacheOnly, pfn)
+			}
+		}
+	}
+	return nil
 }
 
 // NewPageLRU builds an empty LRU over store.
@@ -76,6 +171,7 @@ func (l *PageLRU) Insert(pfn PFN) {
 	l.store.Set(pfn, FlagOnLRU)
 	l.store.Clear(pfn, FlagActive)
 	l.pushHead(&l.inactive, pfn)
+	l.recheckMemo(pfn)
 }
 
 // Remove takes a page off the LRU entirely (page being freed or
@@ -130,6 +226,7 @@ func (l *PageLRU) Deactivate(pfn PFN) {
 	l.unlink(&l.active, pfn)
 	s.Clear(pfn, FlagActive|FlagAccessed)
 	l.pushHead(&l.inactive, pfn)
+	l.recheckMemo(pfn)
 }
 
 // BalanceInto demotes up to max pages from the active tail while the
@@ -164,12 +261,14 @@ func (l *PageLRU) TailInactive() PFN { return l.inactive.tail }
 // A lap made only of protected pages would keep rotating until max ran
 // out. Every whole further lap leaves the order unchanged, so only the
 // final (max-n) mod n rotations are performed, as one more walk and
-// splice. Returns the number of single rotations the run stands for.
-func (l *PageLRU) rotateRun(max uint64, protected func(PFN) bool) uint64 {
+// splice. Returns the number of single rotations the run stands for,
+// and whether it was such an all-protected lap (a lap of pages some of
+// which were only referenced is not, even when it uses up max).
+func (l *PageLRU) rotateRun(max uint64, protected func(PFN) bool) (rotations uint64, lap bool) {
 	s := l.store
 	lst := &l.inactive
 	if lst.count == 0 {
-		return 0
+		return 0, false
 	}
 	limit := lst.count
 	if max < limit {
@@ -190,20 +289,58 @@ func (l *PageLRU) rotateRun(max uint64, protected func(PFN) bool) uint64 {
 	}
 	if n < lst.count {
 		l.spliceTailAfter(p)
-		return n
+		return n, false
 	}
 	// A full lap: the order is back where it started and every
 	// referenced bit is clear.
 	if !allProtected {
 		// The pages that were only referenced now end the run.
-		return n + l.rotateRun(max-n, protected)
+		r, _ := l.rotateRun(max-n, protected)
+		return n + r, false
 	}
-	p = lst.tail
-	for shift := (max - n) % n; shift > 0; shift-- {
-		p = s.LRUPrev(p)
+	l.rotateBy(max - n)
+	return max, true
+}
+
+// replayLap applies what an all-protected lap of max rotations does to
+// the inactive list, whose pages all lie in [lo, hi): every referenced
+// bit is cleared, a word at a time, and the list rotates by max mod its
+// length.
+func (l *PageLRU) replayLap(max uint64, lo, hi PFN) {
+	s := l.store
+	for w := lo >> 6; w <= (hi-1)>>6; w++ {
+		mask := ^uint64(0)
+		if w == lo>>6 {
+			mask <<= lo & 63
+		}
+		if w == (hi-1)>>6 {
+			mask &= ^uint64(0) >> (63 - (hi-1)&63)
+		}
+		s.accessed[w] &^= s.onLRU[w] &^ s.active[w] & mask
+	}
+	l.rotateBy(max)
+}
+
+// rotateBy performs k single tail-to-head rotations of the inactive
+// list of all-protected pages as one splice, walking to the new tail
+// from whichever end of the list is nearer.
+func (l *PageLRU) rotateBy(k uint64) {
+	s := l.store
+	lst := &l.inactive
+	k %= lst.count
+	var p PFN
+	if k <= lst.count/2 {
+		p = lst.tail
+		for ; k > 0; k-- {
+			p = s.LRUPrev(p)
+		}
+	} else {
+		p = lst.head
+		for k = lst.count - 1 - k; k > 0; k-- {
+			p = s.LRUNext(p)
+		}
 	}
 	l.spliceTailAfter(p)
-	return max
 }
 
 // spliceTailAfter moves the inactive pages behind p to the head, in

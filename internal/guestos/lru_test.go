@@ -83,7 +83,7 @@ func TestLRUDeactivateAndRotate(t *testing.T) {
 	// stops at the unreferenced page 1 behind it.
 	l.Insert(1)
 	store.Set(0, FlagAccessed)
-	if n := l.rotateRun(5, func(PFN) bool { return false }); n != 1 {
+	if n, _ := l.rotateRun(5, func(PFN) bool { return false }); n != 1 {
 		t.Fatalf("rotateRun = %d, want 1", n)
 	}
 	if store.Has(0, FlagAccessed) || !l.Contains(0) {
@@ -132,8 +132,13 @@ func TestRotateRunMatchesSingleRotations(t *testing.T) {
 			refRotateInactive(ref, tail)
 			want++
 		}
-		if r := got.rotateRun(max, prot); r != want {
-			t.Fatalf("trial %d (n=%d max=%d): rotateRun = %d, single rotations = %d", trial, n, max, r, want)
+		// Only a whole lap of protected pages is reported as one; a
+		// lap that was partly only referenced is not, even when it
+		// uses up max.
+		wantLap := !slices.Contains(protected, false) && max >= uint64(n)
+		if r, lap := got.rotateRun(max, prot); r != want || lap != wantLap {
+			t.Fatalf("trial %d (n=%d max=%d): rotateRun = %d lap %v, single rotations = %d lap %v",
+				trial, n, max, r, lap, want, wantLap)
 		}
 		_, wantOrder := lruOrder(ref)
 		_, gotOrder := lruOrder(got)
@@ -146,6 +151,73 @@ func TestRotateRunMatchesSingleRotations(t *testing.T) {
 			}
 		}
 		if err := got.CheckInvariants(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// TestReplayLapMatchesRotateRun checks the memo hit's replay against
+// the all-protected lap rotateRun folds, on two LRUs sharing a store
+// and split at a PFN that is not a multiple of 64: the replayed LRU
+// ends in the same order with every referenced bit of its inactive
+// pages clear, while the other LRU's pages and the replayed LRU's
+// active pages keep theirs.
+func TestReplayLapMatchesRotateRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const size = 300
+	for trial := 0; trial < 500; trial++ {
+		split := PFN(1 + rng.Intn(size-2))
+		var stores [2]*PageStore
+		var lrus [2][2]*PageLRU // [guest][node]
+		for g := range stores {
+			stores[g], lrus[g][0] = lruFixture(size)
+			lrus[g][1] = NewPageLRU(stores[g])
+		}
+		for _, p := range rng.Perm(size) {
+			pfn := PFN(p)
+			node := 0
+			if pfn >= split {
+				node = 1
+			}
+			activate, referenced := rng.Intn(4) == 0, rng.Intn(2) == 0
+			for g := range stores {
+				lrus[g][node].Insert(pfn)
+				if activate {
+					lrus[g][node].MarkAccessed(pfn)
+					lrus[g][node].MarkAccessed(pfn)
+				}
+				if referenced {
+					stores[g].Set(pfn, FlagAccessed)
+				}
+			}
+		}
+		node := rng.Intn(2)
+		lo, hi := PFN(0), split
+		if node == 1 {
+			lo, hi = split, size
+		}
+		n := lrus[0][node].InactiveCount()
+		if n == 0 {
+			continue
+		}
+		max := n + uint64(rng.Intn(4*int(n)))
+		if r, lap := lrus[0][node].rotateRun(max, func(PFN) bool { return true }); r != max || !lap {
+			t.Fatalf("trial %d: rotateRun = %d lap %v, want %d lap true", trial, r, lap, max)
+		}
+		lrus[1][node].replayLap(max, lo, hi)
+		for i := range lrus[0] {
+			wantActive, wantInactive := lruOrder(lrus[0][i])
+			gotActive, gotInactive := lruOrder(lrus[1][i])
+			if !slices.Equal(gotActive, wantActive) || !slices.Equal(gotInactive, wantInactive) {
+				t.Fatalf("trial %d (split %d, node %d, max %d): node %d order differs", trial, split, node, max, i)
+			}
+		}
+		for pfn := PFN(0); pfn < size; pfn++ {
+			if want, got := stores[0].Flags(pfn), stores[1].Flags(pfn); got != want {
+				t.Fatalf("trial %d (split %d, node %d): page %d flags %v, want %v", trial, split, node, pfn, got, want)
+			}
+		}
+		if err := lrus[1][node].CheckInvariants(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

@@ -386,15 +386,26 @@ func (o *OS) populateNode(idx int, want uint64) uint64 {
 	} else {
 		mfns = o.cfg.Source.PopulateAny(want)
 	}
+	// Consecutive slots reach the allocator as one run [lo, hi).
+	var lo, hi PFN
 	for _, mfn := range mfns {
 		pfn := PFN((*slots)[len(*slots)-1])
 		*slots = (*slots)[:len(*slots)-1]
 		o.store.SetMFN(pfn, mfn)
-		n.addPopulated(pfn, 1)
+		switch {
+		case hi > lo && pfn == hi:
+			hi++
+		case hi > lo && pfn+1 == lo:
+			lo--
+		default:
+			n.addPopulated(lo, uint64(hi-lo))
+			lo, hi = pfn, pfn+1
+		}
 		if o.indexer != nil {
 			o.indexer.PageBacked(pfn, mfn)
 		}
 	}
+	n.addPopulated(lo, uint64(hi-lo))
 	got := uint64(len(mfns))
 	o.ep.BalloonPagesIn += got
 	o.ep.OSTimeNs += float64(got) * o.costs.BalloonPerPageNs
@@ -823,6 +834,9 @@ func (o *OS) CheckInvariants() error {
 		}
 		if err := o.lrus[i].CheckInvariants(); err != nil {
 			return err
+		}
+		if err := o.lrus[i].checkMemo(o.epoch); err != nil {
+			return fmt.Errorf("guestos: node %d: %w", i, err)
 		}
 		if n.Populated() > n.MaxPages {
 			return fmt.Errorf("guestos: node %d over-populated", i)

@@ -46,20 +46,11 @@ func (o *OS) reclaimPass(idx int, target uint64, cacheOnly bool) uint64 {
 	if l.InactiveCount() == 0 {
 		o.balanceBuf = l.BalanceInto(o.balanceBuf[:0], int(2*target))
 	}
-	// Recency guard: a page used within the last two epochs is part of
-	// the active working set even if a rotation cleared its referenced
-	// bit; evicting it would thrash. Spilling the new allocation to
-	// SlowMem (a FastMem allocation miss) is cheaper than demoting a hot
-	// page. When FastMem is far smaller than the working set everything
-	// is recent and the guard would starve reclaim entirely, so it
-	// relaxes under heavy allocation misses. The allocation window only
-	// changes in allocPage, which nothing in this walk reaches (page
-	// moves take their frame from the node free stack or populateNode
-	// directly), so the guard holds for the whole pass.
-	guard := uint32(2)
-	if o.Window.OverallMissRatio() > 0.5 {
-		guard = 0
-	}
+	// The allocation window only changes in allocPage, which nothing in
+	// this walk reaches (page moves take their frame from the node free
+	// stack or populateNode directly), so the guard holds for the whole
+	// pass.
+	guard := o.reclaimGuard()
 	epoch := o.epoch
 	// protected pages get the same second chance as referenced ones:
 	// recently used pages (the recency guard); pages the tracker knows
@@ -69,17 +60,24 @@ func (o *OS) reclaimPass(idx int, target uint64, cacheOnly bool) uint64 {
 	// reclaimable so allocation placement never starves); and, in a
 	// cache-only pass, anonymous pages.
 	protected := func(pfn PFN) bool {
-		return st.LastUse(pfn)+guard >= epoch && epoch >= 2 ||
-			st.ScanHeat(pfn) >= 6 ||
-			cacheOnly && st.Kind(pfn) == KindAnon
+		return reclaimProtected(st, pfn, epoch, guard, cacheOnly)
 	}
 	attempts := l.InactiveCount() + l.ActiveCount()
+	if target > 0 && l.InactiveCount() > 0 && l.memoHolds(epoch, guard, cacheOnly) {
+		// The walk would take the memoized all-protected lap and fold
+		// it: apply its effect without evaluating a page.
+		l.replayLap(attempts, n.Base, n.Base+PFN(n.MaxPages))
+		rotations, attempts = attempts, 0
+	}
 walk:
 	for freed < target && attempts > 0 {
-		r := l.rotateRun(attempts, protected)
+		r, lap := l.rotateRun(attempts, protected)
 		attempts -= r
 		rotations += r
 		if attempts == 0 {
+			if lap {
+				l.setMemo(epoch, guard, cacheOnly)
+			}
 			break
 		}
 		attempts--
@@ -130,6 +128,20 @@ walk:
 		o.obs.scope.Emit(obs.EvReclaim, dir, o.nodeTierByte(idx), 0, freed, rotations, 0)
 	}
 	return freed
+}
+
+// reclaimGuard is reclaim's recency guard in epochs: a page used within
+// the last two epochs is part of the active working set even if a
+// rotation cleared its referenced bit; evicting it would thrash.
+// Spilling the new allocation to SlowMem (a FastMem allocation miss) is
+// cheaper than demoting a hot page. When FastMem is far smaller than
+// the working set everything is recent and the guard would starve
+// reclaim entirely, so it relaxes under heavy allocation misses.
+func (o *OS) reclaimGuard() uint32 {
+	if o.Window.OverallMissRatio() > 0.5 {
+		return 0
+	}
+	return 2
 }
 
 // evictCachePage drops a page-cache page, writing it back first when
@@ -393,7 +405,8 @@ func (o *OS) eagerEvictIOPages() {
 	// Bounded walk from the inactive tail.
 	scan := l.InactiveCount()
 	for scan > 0 && evicted < EagerIOEvictions {
-		scan -= l.rotateRun(scan, busy)
+		r, _ := l.rotateRun(scan, busy)
+		scan -= r
 		if scan == 0 {
 			break
 		}

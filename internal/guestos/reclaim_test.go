@@ -1,14 +1,17 @@
 package guestos
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"heteroos/internal/memsim"
 	"heteroos/internal/obs"
 	"heteroos/internal/sim"
+	"heteroos/internal/snapshot"
 )
 
 // refRotateInactive is the single-page second chance rotateRun batches:
@@ -252,12 +255,110 @@ func sameGuest(a, b *OS) error {
 	return nil
 }
 
+// mutateBetweenPasses applies one seeded change that can break or keep
+// a lap memo to both guests identically, through the same hooks the
+// simulation uses: fresh references, a scan-heat drop, deactivation of
+// active pages, a move inserting an old page, fresh allocations, an
+// epoch advance or a recency-guard flip. vmas holds each guest's spare
+// anonymous mapping for fresh allocations; next is its next unused
+// page.
+func mutateBetweenPasses(t *testing.T, ops *rand.Rand, guests [2]*OS, vmas [2]*VMA, next *uint64) {
+	t.Helper()
+	st := guests[1].store
+	each := func(f func(o *OS)) {
+		for _, o := range guests {
+			f(o)
+		}
+	}
+	// pick returns the LRU pages of node idx passing keep, in PFN order.
+	pick := func(idx int, keep func(PFN) bool) []PFN {
+		var out []PFN
+		for pfn := PFN(0); pfn < PFN(st.Len()); pfn++ {
+			if st.Has(pfn, FlagOnLRU) && guests[1].nodeIndexOf(pfn) == idx && keep(pfn) {
+				out = append(out, pfn)
+			}
+		}
+		return out
+	}
+	switch ops.Intn(9) {
+	case 0, 1:
+		// Fresh references.
+		for pfn := PFN(0); pfn < PFN(st.Len()); pfn++ {
+			if st.Has(pfn, FlagOnLRU) && ops.Intn(6) == 0 {
+				each(func(o *OS) { o.store.Set(pfn, FlagAccessed) })
+			}
+		}
+	case 2:
+		// The scanner cools inactive pages it held decisively hot.
+		for _, pfn := range pick(int(memsim.FastMem), func(p PFN) bool {
+			return !st.Has(p, FlagActive) && st.ScanHeat(p) >= 6
+		}) {
+			if ops.Intn(2) == 0 {
+				each(func(o *OS) { o.SetScanHeat(pfn, 2) })
+			}
+		}
+	case 3:
+		// Active pages fall to the inactive list, singly or by balance.
+		if ops.Intn(2) == 0 {
+			for _, pfn := range pick(int(memsim.FastMem), func(p PFN) bool { return st.Has(p, FlagActive) }) {
+				if ops.Intn(3) == 0 {
+					each(func(o *OS) { o.lrus[memsim.FastMem].Deactivate(pfn) })
+				}
+			}
+		} else {
+			max := 1 + ops.Intn(32)
+			each(func(o *OS) { o.balanceBuf = o.lrus[memsim.FastMem].BalanceInto(o.balanceBuf[:0], max) })
+		}
+	case 4:
+		// A page moves across nodes with its old LastUse and no heat:
+		// a demotion to SlowMem, or the reverse.
+		from, to := memsim.FastMem, memsim.SlowMem
+		if ops.Intn(2) == 0 {
+			from, to = to, from
+		}
+		if old := pick(int(from), func(p PFN) bool {
+			return !st.Has(p, FlagActive) && st.LastUse(p)+3 <= guests[1].epoch
+		}); len(old) > 0 {
+			pfn := old[ops.Intn(len(old))]
+			each(func(o *OS) { o.movePageAcrossNodes(pfn, to, false) })
+		}
+	case 5:
+		// Fresh allocations.
+		count := 1 + uint64(ops.Intn(8))
+		for i := range guests {
+			for j := uint64(0); j < count && *next+j < vmas[i].Pages; j++ {
+				if _, err := guests[i].TouchVPN(vmas[i].Start+VPN(*next+j), 1, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		*next += count
+	case 6:
+		each(func(o *OS) { o.epoch++ })
+	case 7, 8:
+		// Flip the recency guard through the allocation window.
+		if guests[1].reclaimGuard() == 0 {
+			each(func(o *OS) { o.Window.Reset() })
+		} else {
+			each(func(o *OS) {
+				for o.Window.OverallMissRatio() <= 0.5 {
+					o.Window.Record(KindAnon, true, memsim.SlowMem)
+				}
+			})
+		}
+	}
+}
+
 // TestReclaimPassMatchesPerPageWalk runs the run-rotating reclaim pass
 // and the per-page reference walk side by side on identically built
 // guests and requires the same guest after every pass: LRU order, page
-// metadata, freed pages, rotations and epoch counters.
+// metadata, freed pages, rotations and epoch counters. Between passes
+// both guests take the same change that can break a lap memo, so a
+// pass that replays a memoized lap is checked against a real walk
+// after every kind of invalidation (and CheckInvariants, in sameGuest,
+// re-evaluates every live memo).
 func TestReclaimPassMatchesPerPageWalk(t *testing.T) {
-	var folded, freedAny, cacheOnlyFreed, demoted, eager bool
+	var folded, freedAny, cacheOnlyFreed, demoted, eager, memoHit bool
 	for i := 0; i < 48; i++ {
 		sc := reclaimScenario{
 			seed:       int64(100 + i),
@@ -271,42 +372,54 @@ func TestReclaimPassMatchesPerPageWalk(t *testing.T) {
 			if err := sameGuest(ref, got); err != nil {
 				t.Fatalf("fixtures differ before any pass: %v", err)
 			}
+			var vmas [2]*VMA
+			for i, o := range []*OS{ref, got} {
+				v, err := o.AS.Mmap(64, KindAnon, NilFile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vmas[i] = v
+			}
+			var next uint64
 			got.AttachObs(obs.New().Scope(1, func() sim.Duration { return 0 }))
 			rotCounter := got.obs.lruRotations
 			ops := rand.New(rand.NewSource(sc.seed * 7))
-			for pass := 0; pass < 8; pass++ {
-				l := got.lrus[memsim.FastMem]
-				inactive := l.InactiveCount()
-				if ops.Intn(4) == 0 {
+			for pass := 0; pass < 24; pass++ {
+				if ops.Intn(6) == 0 {
 					moved := got.ep.CacheEvictions + got.ep.Demotions
 					refEagerEvictIOPages(ref)
 					got.eagerEvictIOPages()
 					eager = eager || got.ep.CacheEvictions+got.ep.Demotions > moved
 				} else {
+					idx := int(memsim.FastMem)
+					if ops.Intn(4) == 0 {
+						idx = int(memsim.SlowMem)
+					}
+					l := got.lrus[idx]
+					inactive := l.InactiveCount()
 					target := []uint64{1, 3, 16, 64, 1 << 20}[ops.Intn(5)]
 					cacheOnly := ops.Intn(2) == 0
-					wantFreed, wantRot := refReclaimPass(ref, int(memsim.FastMem), target, cacheOnly)
+					hit := inactive > 0 && l.memoHolds(got.epoch, got.reclaimGuard(), cacheOnly)
+					wantFreed, wantRot := refReclaimPass(ref, idx, target, cacheOnly)
 					before := rotCounter.Value()
-					freed := got.reclaimPass(int(memsim.FastMem), target, cacheOnly)
+					freed := got.reclaimPass(idx, target, cacheOnly)
 					rot := rotCounter.Value() - before
 					if freed != wantFreed || rot != wantRot {
-						t.Fatalf("pass %d (target %d, cacheOnly %v): freed %d rotations %d, reference %d/%d",
-							pass, target, cacheOnly, freed, rot, wantFreed, wantRot)
+						t.Fatalf("pass %d (node %d, target %d, cacheOnly %v, memo hit %v): freed %d rotations %d, reference %d/%d",
+							pass, idx, target, cacheOnly, hit, freed, rot, wantFreed, wantRot)
 					}
 					folded = folded || rot > inactive
 					freedAny = freedAny || freed > 0
 					cacheOnlyFreed = cacheOnlyFreed || cacheOnly && freed > 0
+					memoHit = memoHit || hit
 				}
 				if err := sameGuest(ref, got); err != nil {
 					t.Fatalf("after pass %d: %v", pass, err)
 				}
 				demoted = demoted || got.ep.Demotions > 0
-				// Fresh references between passes, identical on both.
-				for pfn := PFN(0); pfn < PFN(got.store.Len()); pfn++ {
-					if got.store.Has(pfn, FlagOnLRU) && ops.Intn(6) == 0 {
-						ref.store.Set(pfn, FlagAccessed)
-						got.store.Set(pfn, FlagAccessed)
-					}
+				mutateBetweenPasses(t, ops, [2]*OS{ref, got}, vmas, &next)
+				if err := sameGuest(ref, got); err != nil {
+					t.Fatalf("after the change following pass %d: %v", pass, err)
 				}
 			}
 		})
@@ -314,7 +427,7 @@ func TestReclaimPassMatchesPerPageWalk(t *testing.T) {
 	for name, hit := range map[string]bool{
 		"lap folding": folded, "any freed": freedAny,
 		"cache-only eviction": cacheOnlyFreed, "demotion": demoted,
-		"eager I/O eviction": eager,
+		"eager I/O eviction": eager, "memo hit": memoHit,
 	} {
 		if !hit {
 			t.Errorf("no scenario exercised %s", name)
@@ -323,8 +436,9 @@ func TestReclaimPassMatchesPerPageWalk(t *testing.T) {
 }
 
 // TestReclaimPassZeroAlloc pins the steady-state pass (a cache-only
-// pass over protected pages that frees nothing, folding its laps) at
-// zero allocations: the protection predicate must not escape.
+// pass over protected pages that frees nothing) at zero allocations,
+// both when it walks and folds the lap and when it replays the
+// memoized lap: the protection predicate must not escape.
 func TestReclaimPassZeroAlloc(t *testing.T) {
 	o := reclaimFixture(t, reclaimScenario{seed: 9, activeFrac: 0.8})
 	st := o.store
@@ -334,12 +448,116 @@ func TestReclaimPassZeroAlloc(t *testing.T) {
 		}
 	}
 	idx := int(memsim.FastMem)
+	l := o.lrus[idx]
 	o.reclaimPass(idx, 8, true)
-	if n := testing.AllocsPerRun(100, func() {
-		if o.reclaimPass(idx, 8, true) != 0 {
-			t.Fatal("protected pages were reclaimed")
+	if !l.memoHolds(o.epoch, o.reclaimGuard(), true) {
+		t.Fatal("an all-protected pass left no lap memo")
+	}
+	for _, hit := range []bool{false, true} {
+		if n := testing.AllocsPerRun(100, func() {
+			if !hit {
+				l.memo = lapMemo{}
+			}
+			if o.reclaimPass(idx, 8, true) != 0 {
+				t.Fatal("protected pages were reclaimed")
+			}
+		}); n != 0 {
+			t.Fatalf("reclaimPass (memo hit %v) allocated %.1f times per run", hit, n)
 		}
-	}); n != 0 {
-		t.Fatalf("reclaimPass allocated %.1f times per run", n)
+	}
+}
+
+// TestCheckInvariantsCatchesBrokenLapMemo plants, in each reclaim
+// mode, a lap memo over an inactive page that is not protected in that
+// mode: CheckInvariants must name the page while the memo's epoch is
+// current, and ignore a memo of an earlier epoch, which no pass can
+// act on.
+func TestCheckInvariantsCatchesBrokenLapMemo(t *testing.T) {
+	for _, cacheOnly := range []bool{false, true} {
+		o := reclaimFixture(t, reclaimScenario{seed: 5, activeFrac: 0.3})
+		l := o.lrus[memsim.FastMem]
+		guard := o.reclaimGuard()
+		victim := NilPFN
+		for pfn := l.inactive.head; pfn != NilPFN; pfn = o.store.LRUNext(pfn) {
+			if !reclaimProtected(o.store, pfn, o.epoch, guard, cacheOnly) {
+				victim = pfn
+				break
+			}
+		}
+		if victim == NilPFN {
+			t.Fatalf("cacheOnly %v: fixture has no unprotected inactive page", cacheOnly)
+		}
+		l.memo = lapMemo{epoch: o.epoch - 1, guard: uint8(guard), modes: memoMode(cacheOnly)}
+		if err := o.CheckInvariants(); err != nil {
+			t.Fatalf("cacheOnly %v: stale memo checked: %v", cacheOnly, err)
+		}
+		l.memo.epoch = o.epoch
+		want := fmt.Sprintf("inactive page %d is unprotected", victim)
+		if err := o.CheckInvariants(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("cacheOnly %v: CheckInvariants = %v, want an error containing %q", cacheOnly, err, want)
+		}
+	}
+}
+
+// checkpointGuest returns o's state as checkpoint bytes.
+func checkpointGuest(t *testing.T, o *OS) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.State("guestos", func(c *snapshot.Codec) error { return o.SnapshotState(c, nil) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// restoreGuest overlays checkpoint bytes onto o.
+func restoreGuest(t *testing.T, o *OS, b []byte) {
+	t.Helper()
+	r, err := snapshot.Open(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.State("guestos", func(c *snapshot.Codec) error { return o.SnapshotState(c, nil) }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreInPlaceClearsLapMemo checkpoints a guest, runs it until a
+// lap memo is live, and restores the checkpoint onto the same guest:
+// the memo described lists the restore replaced, so the passes that
+// follow must match a freshly booted guest restored from the same
+// bytes.
+func TestRestoreInPlaceClearsLapMemo(t *testing.T) {
+	o := reclaimFixture(t, reclaimScenario{seed: 11, activeFrac: 0.3})
+	ckpt := checkpointGuest(t, o)
+	idx := int(memsim.FastMem)
+	// A cache-only pass that evicts every unprotected cache page ends
+	// in an all-protected lap.
+	if o.reclaimPass(idx, 1<<20, true) == 0 {
+		t.Fatal("the first pass freed nothing")
+	}
+	if !o.lrus[idx].memoHolds(o.epoch, o.reclaimGuard(), true) {
+		t.Fatal("no lap memo after an all-protected lap")
+	}
+	restoreGuest(t, o, ckpt)
+	fresh, _ := testOS(t, heteroLRUPlacement(), 512, 8192, 512, 4096)
+	restoreGuest(t, fresh, ckpt)
+	if err := sameGuest(fresh, o); err != nil {
+		t.Fatalf("after restore: %v", err)
+	}
+	for pass, cacheOnly := range []bool{true, false, true} {
+		want := fresh.reclaimPass(idx, 1<<20, cacheOnly)
+		if got := o.reclaimPass(idx, 1<<20, cacheOnly); got != want {
+			t.Fatalf("pass %d (cacheOnly %v): freed %d, freshly restored guest %d", pass, cacheOnly, got, want)
+		}
+		if err := sameGuest(fresh, o); err != nil {
+			t.Fatalf("after pass %d: %v", pass, err)
+		}
 	}
 }

@@ -55,6 +55,11 @@ func (o *OS) SnapshotState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN
 			c.Fail(o.checkFreeStack(i))
 		}
 		l := o.lrus[i]
+		if c.Reading() {
+			// Restoring may overlay a live LRU whose memo describes
+			// the lists being replaced.
+			l.memo = lapMemo{}
+		}
 		for _, lst := range []*lruList{&l.active, &l.inactive} {
 			for _, end := range []*PFN{&lst.head, &lst.tail} {
 				c.U64((*uint64)(end))
