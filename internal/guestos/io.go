@@ -2,6 +2,7 @@ package guestos
 
 import (
 	"fmt"
+	"math/bits"
 
 	"heteroos/internal/guestos/slab"
 	"heteroos/internal/memsim"
@@ -349,23 +350,36 @@ func (o *OS) SetScanHeat(pfn PFN, h uint8) {
 		}
 	}
 	if o.indexer != nil {
-		o.indexer.PageHeatChanged(pfn)
+		o.indexer.PagesHeatChanged(int(pfn>>6), 1<<(pfn&63))
+	}
+}
+
+// FoldScanHeatWord applies one VMM scan pass to the pages of 64-page
+// word w selected by work: each one's heat halves and gains 4 if its
+// bit is set in ref and, when writes is set, its write heat does the
+// same with written. It does what SetScanHeat does page by page, once
+// per word: a page whose heat drops from at least 6 to below 6 while
+// inactive on an LRU rechecks that LRU's lap memo, and an attached
+// indexer hears of every changed page in one call.
+func (o *OS) FoldScanHeatWord(w int, work, ref, written uint64, writes bool) {
+	st := o.store
+	changed, dropped := foldHeatWord(st.scanHeat, st.scanHeatNZ, w, work, ref)
+	if writes {
+		wchanged, _ := foldHeatWord(st.scanWriteHeat, st.scanWriteHeatNZ, w, work, written)
+		changed |= wchanged
+	}
+	// The pages may have lost reclaim protection.
+	for m := dropped & st.onLRU[w] &^ st.active[w]; m != 0; m &= m - 1 {
+		pfn := PFN(w<<6 + bits.TrailingZeros64(m))
+		o.lrus[o.nodeIndexOf(pfn)].recheckMemo(pfn)
+	}
+	if changed != 0 && o.indexer != nil {
+		o.indexer.PagesHeatChanged(w, changed)
 	}
 }
 
 // ScanWriteHeat reads the tracker's store-activity history for pfn.
 func (o *OS) ScanWriteHeat(pfn PFN) uint8 { return o.store.ScanWriteHeat(pfn) }
-
-// SetScanWriteHeat stores the tracker's store-activity history for pfn.
-func (o *OS) SetScanWriteHeat(pfn PFN, h uint8) {
-	if o.store.ScanWriteHeat(pfn) == h {
-		return
-	}
-	o.store.SetScanWriteHeat(pfn, h)
-	if o.indexer != nil {
-		o.indexer.PageHeatChanged(pfn)
-	}
-}
 
 // TakeScanAccessedWord emulates the access-bit scan for the 64 pages of
 // word w selected by mask: it returns which were referenced since the

@@ -62,9 +62,11 @@ type PageIndexer interface {
 	// PageUnbacked fires when pfn loses its backing frame (balloon
 	// release).
 	PageUnbacked(pfn PFN)
-	// PageHeatChanged fires when pfn's scan heat or scan write-heat
-	// changed.
-	PageHeatChanged(pfn PFN)
+	// PagesHeatChanged fires when the scan heat or scan write-heat of
+	// the pages set in changed changed; bit i of changed stands for PFN
+	// w*64+i. A scan pass reports a 64-page word at once, other
+	// updates one page.
+	PagesHeatChanged(w int, changed uint64)
 	// PageFreeChanged fires when pfn transitions between free and in-use.
 	PageFreeChanged(pfn PFN, free bool)
 }

@@ -803,7 +803,7 @@ func TestAccessorsAndScanState(t *testing.T) {
 		t.Fatal("written bit not cleared")
 	}
 	os.SetScanHeat(pfn, 5)
-	os.SetScanWriteHeat(pfn, 6)
+	os.Store().SetScanWriteHeat(pfn, 6)
 	if os.ScanHeat(pfn) != 5 || os.ScanWriteHeat(pfn) != 6 {
 		t.Fatal("scan heat accessors broken")
 	}

@@ -273,7 +273,7 @@ func (o *OS) movePageAcrossNodes(pfn PFN, target memsim.Tier, promotion bool) bo
 	// indexer must hear both transitions itself.
 	if o.indexer != nil {
 		o.indexer.PageFreeChanged(newPfn, false)
-		o.indexer.PageHeatChanged(newPfn)
+		o.indexer.PagesHeatChanged(int(newPfn>>6), 1<<(newPfn&63))
 	}
 
 	// Transfer identity.

@@ -342,6 +342,35 @@ func (s *PageStore) ScanWriteHeatNonzeroWord(w int, mask uint64) uint64 {
 	return s.scanWriteHeatNZ[w] & mask
 }
 
+// foldHeatWord applies one scan step to a heat column (scanHeat or
+// scanWriteHeat, with its nonzero summary bitmap nz) for the pages of
+// word w selected by work: each one's heat halves and gains 4 if its
+// bit is set in hit. It returns the pages whose heat changed and, among
+// them, those whose heat dropped from at least 6 to below 6.
+func foldHeatWord(heat []uint8, nz []uint64, w int, work, hit uint64) (changed, dropped uint64) {
+	base := w << 6
+	var zero uint64
+	for m := work; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		old := heat[base+b]
+		h := old>>1 + uint8(hit>>b&1)<<2
+		if h == old {
+			continue
+		}
+		heat[base+b] = h
+		bit := uint64(1) << b
+		changed |= bit
+		if h == 0 {
+			zero |= bit
+		}
+		if old >= 6 && h < 6 {
+			dropped |= bit
+		}
+	}
+	nz[w] = (nz[w] | changed) &^ zero
+	return changed, dropped
+}
+
 // --- whole-page operations ---
 
 // IsDefault reports whether pfn's metadata equals the boot-time default

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (xoshiro256** seeded via splitmix64). The simulator cannot use
 // math/rand's global source because experiments must be exactly
@@ -62,6 +64,24 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
+// Fill writes the next len(dst) values of the stream into dst, exactly
+// as len(dst) calls to Uint64 would return them, with the state held in
+// locals for the whole run instead of reloaded per value.
+func (r *RNG) Fill(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		dst[i] = rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Intn returns a uniform integer in [0, n). n must be positive.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -81,6 +101,19 @@ func (r *RNG) Int63n(n int64) int64 {
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
+}
+
+// BoolCut returns the integer form of Bool(p) for a caller holding
+// values drawn with Fill: Bool(p) draws a value u and returns true
+// exactly when u>>11 < BoolCut(p). p must be at most 1 and not NaN.
+//
+// Bool compares Float64's k/2^53, k = u>>11, with p. The conversion of
+// k < 2^53 and the division by a power of two are exact, and so is
+// p*2^53 for p in [0, 1], so k/2^53 < p holds exactly when k < p*2^53,
+// that is, for an integer k, when k < ceil(p*2^53). A negative p cuts
+// at 0: Bool(p) is then never true.
+func BoolCut(p float64) uint64 {
+	return uint64(math.Ceil(math.Max(p, 0) * (1 << 53)))
 }
 
 // Perm returns a uniformly random permutation of [0, n).

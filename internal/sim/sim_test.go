@@ -79,6 +79,59 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// TestRNGFillMatchesUint64 checks that Fill writes the values that as
+// many Uint64 calls return and leaves the same state, from a fresh seed
+// and from mid-stream, for lengths around a 512-word chunk.
+func TestRNGFillMatchesUint64(t *testing.T) {
+	for _, skip := range []int{0, 1000} {
+		for _, n := range []int{0, 1, 2, 511, 512, 513} {
+			got, want := NewRNG(9), NewRNG(9)
+			for i := 0; i < skip; i++ {
+				got.Uint64()
+				want.Uint64()
+			}
+			dst := make([]uint64, n)
+			got.Fill(dst)
+			for i, v := range dst {
+				if w := want.Uint64(); v != w {
+					t.Fatalf("skip %d, n %d: value %d = %#x, Uint64 %#x", skip, n, i, v, w)
+				}
+			}
+			if got.State() != want.State() {
+				t.Fatalf("skip %d, n %d: state %x after Fill, %x after Uint64", skip, n, got.State(), want.State())
+			}
+		}
+	}
+}
+
+// TestBoolCutMatchesBool checks that u>>11 < BoolCut(p) decides the
+// value u as Bool(p) does: on the stream itself, and on values whose
+// top 53 bits sit at the cut and next to it.
+func TestBoolCutMatchesBool(t *testing.T) {
+	for _, p := range []float64{
+		0, 1, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 1.0 / 3,
+		math.Nextafter(1, 0), math.Nextafter(0.5, 1), 1e-300, 5e-324, -0.5,
+	} {
+		cut := BoolCut(p)
+		r, clone := NewRNG(21), NewRNG(21)
+		for i := 0; i < 10_000; i++ {
+			u := clone.Uint64()
+			if got, want := u>>11 < cut, r.Bool(p); got != want {
+				t.Fatalf("p %v: value %#x cut %v, Bool %v", p, u, got, want)
+			}
+		}
+		for _, k := range []uint64{cut - 1, cut, cut + 1, 0, 1<<53 - 1} {
+			if k >= 1<<53 {
+				continue
+			}
+			u := k<<11 | 0x5a5
+			if got, want := u>>11 < cut, float64(u>>11)/(1<<53) < p; got != want {
+				t.Fatalf("p %v: k %d cut %v, Float64 < p %v", p, k, got, want)
+			}
+		}
+	}
+}
+
 func TestRNGSeedsDiffer(t *testing.T) {
 	a := NewRNG(1)
 	b := NewRNG(2)

@@ -15,7 +15,10 @@ import (
 // membership is updated in O(1) per event (a bit flip in the old and the
 // new bucket) and HottestIn/ColdestIn/CoolestIn become a walk over the
 // set bits of the leading buckets: no per-page TierOf call, no
-// allocation, no sort.
+// allocation, no sort. A scan pass reports a 64-page word of heat
+// changes at once; the word's moved pages are grouped by (old bucket,
+// new bucket) and each group moves with one AND-NOT and one OR on the
+// two bitmaps' words.
 //
 // Ordering is deterministic: buckets are visited in score order and
 // each bucket's bitmap is read in ascending PFN order, so results equal
@@ -40,6 +43,9 @@ type HeatIndex struct {
 	slots   [memsim.NumTiers][numHeatBuckets]uint16
 	buckets []heatBucket
 	counts  [memsim.NumTiers]uint64
+	// occupied has one bit per (tier, score) whose bucket holds a page,
+	// so the rank walks visit only non-empty buckets.
+	occupied [memsim.NumTiers][numHeatBuckets / 64]uint64
 }
 
 // numHeatBuckets is one bucket per possible Scanner.score value.
@@ -89,6 +95,7 @@ func (x *HeatIndex) Rebuild() {
 	x.slots = [memsim.NumTiers][numHeatBuckets]uint16{}
 	x.buckets = x.buckets[:0]
 	x.counts = [memsim.NumTiers]uint64{}
+	x.occupied = [memsim.NumTiers][numHeatBuckets / 64]uint64{}
 	span := x.view.NumPFNs()
 	for pfn := guestos.PFN(0); pfn < guestos.PFN(span); pfn++ {
 		n := &x.nodes[pfn]
@@ -112,18 +119,34 @@ func (x *HeatIndex) bucket(tier, score int) *heatBucket {
 	return nil
 }
 
-// insert files pfn under (tier, bucket), creating the bucket and its
-// bitmap on first use.
-func (x *HeatIndex) insert(pfn guestos.PFN, tier, bucket uint8) {
-	i := x.slots[tier][bucket]
+// fill adds the pages of word w set in m to the (tier, score) bucket,
+// creating the bucket and its bitmap on first use.
+func (x *HeatIndex) fill(tier, score uint8, w int, m uint64) {
+	i := x.slots[tier][score]
 	if i == 0 {
 		x.buckets = append(x.buckets, heatBucket{set: newPFNSet(uint64(len(x.nodes)))})
 		i = uint16(len(x.buckets))
-		x.slots[tier][bucket] = i
+		x.slots[tier][score] = i
 	}
 	b := &x.buckets[i-1]
-	b.set.add(uint64(pfn))
-	b.count++
+	b.set.addWord(w, m)
+	b.count += uint64(bits.OnesCount64(m))
+	x.occupied[tier][score>>6] |= 1 << (score & 63)
+}
+
+// drain takes the pages of word w set in m out of the (tier, score)
+// bucket, which must hold them.
+func (x *HeatIndex) drain(tier, score uint8, w int, m uint64) {
+	b := &x.buckets[x.slots[tier][score]-1]
+	b.set.removeWord(w, m)
+	if b.count -= uint64(bits.OnesCount64(m)); b.count == 0 {
+		x.occupied[tier][score>>6] &^= 1 << (score & 63)
+	}
+}
+
+// insert files pfn under (tier, bucket).
+func (x *HeatIndex) insert(pfn guestos.PFN, tier, bucket uint8) {
+	x.fill(tier, bucket, int(pfn>>6), 1<<(pfn&63))
 	x.counts[tier]++
 	n := &x.nodes[pfn]
 	n.bucket, n.tier = bucket, tier
@@ -133,9 +156,7 @@ func (x *HeatIndex) insert(pfn guestos.PFN, tier, bucket uint8) {
 // remove takes pfn out of its bucket.
 func (x *HeatIndex) remove(pfn guestos.PFN) {
 	n := &x.nodes[pfn]
-	b := &x.buckets[x.slots[n.tier][n.bucket]-1]
-	b.set.remove(uint64(pfn))
-	b.count--
+	x.drain(n.tier, n.bucket, int(pfn>>6), 1<<(pfn&63))
 	x.counts[n.tier]--
 	n.flags &^= heatInIndex
 }
@@ -171,17 +192,41 @@ func (x *HeatIndex) PageUnbacked(pfn guestos.PFN) {
 	}
 }
 
-// PageHeatChanged rebuckets pfn after a scan-heat update — the scanner's
-// per-sample hot path, O(1).
-func (x *HeatIndex) PageHeatChanged(pfn guestos.PFN) {
-	n := &x.nodes[pfn]
-	if n.flags&heatInIndex == 0 {
-		return
+// PagesHeatChanged rebuckets the indexed pages of word w set in changed
+// after a scan-heat update, the scanner's per-word hot path. Pages that
+// move between the same two buckets move together: one word AND-NOT on
+// the old bucket's bitmap and one OR on the new one's.
+func (x *HeatIndex) PagesHeatChanged(w int, changed uint64) {
+	base := guestos.PFN(w) << 6
+	// key[b] packs page b's (tier, old bucket, new bucket); moved marks
+	// the pages whose bucket changes.
+	var key [64]uint32
+	var moved uint64
+	for m := changed; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		pfn := base + guestos.PFN(b)
+		n := &x.nodes[pfn]
+		if n.flags&heatInIndex == 0 {
+			continue
+		}
+		if to := x.scanner.score(pfn); to != n.bucket {
+			key[b] = uint32(n.tier)<<16 | uint32(n.bucket)<<8 | uint32(to)
+			n.bucket = to
+			moved |= 1 << b
+		}
 	}
-	if b := x.scanner.score(pfn); b != n.bucket {
-		tier := n.tier
-		x.remove(pfn)
-		x.insert(pfn, tier, b)
+	for moved != 0 {
+		k := key[bits.TrailingZeros64(moved)]
+		var group uint64
+		for m := moved; m != 0; m &= m - 1 {
+			if b := bits.TrailingZeros64(m); key[b] == k {
+				group |= 1 << b
+			}
+		}
+		moved &^= group
+		tier, from, to := uint8(k>>16), uint8(k>>8), uint8(k)
+		x.drain(tier, from, w, group)
+		x.fill(tier, to, w, group)
 	}
 }
 
@@ -204,23 +249,17 @@ func (x *HeatIndex) PageFreeChanged(pfn guestos.PFN, free bool) {
 // minScore, highest bucket first and ascending PFN within a bucket,
 // skipping guest-free pages when skipFree. The caller passes a reusable
 // buffer (typically buf[:0]); no allocation happens once it has grown.
+// Only occupied buckets are visited.
 func (x *HeatIndex) descendInto(buf []guestos.PFN, tier memsim.Tier, minScore uint8, skipFree bool, max int) []guestos.PFN {
-	if max <= 0 {
-		return buf
-	}
-	for s := numHeatBuckets - 1; s >= int(minScore); s-- {
-		b := x.bucket(int(tier), s)
-		if b == nil || b.count == 0 {
-			continue
+	occ := &x.occupied[tier]
+	lo := int(minScore >> 6)
+	for i := len(occ) - 1; i >= lo && len(buf) < max; i-- {
+		m := occ[i]
+		if i == lo {
+			m &^= 1<<(minScore&63) - 1
 		}
-		for p, ok := b.set.next(0); ok; p, ok = b.set.next(p + 1) {
-			if skipFree && x.nodes[p].flags&heatFree != 0 {
-				continue
-			}
-			buf = append(buf, guestos.PFN(p))
-			if len(buf) >= max {
-				return buf
-			}
+		for ; m != 0 && len(buf) < max; m &^= 1 << (63 - bits.LeadingZeros64(m)) {
+			buf = x.appendBucket(buf, tier, i<<6+63-bits.LeadingZeros64(m), skipFree, max)
 		}
 	}
 	return buf
@@ -229,22 +268,31 @@ func (x *HeatIndex) descendInto(buf []guestos.PFN, tier memsim.Tier, minScore ui
 // ascendInto is descendInto's mirror: lowest bucket first, up to and
 // including maxScore.
 func (x *HeatIndex) ascendInto(buf []guestos.PFN, tier memsim.Tier, maxScore uint8, skipFree bool, max int) []guestos.PFN {
-	if max <= 0 {
-		return buf
+	occ := &x.occupied[tier]
+	hi := int(maxScore >> 6)
+	for i := 0; i <= hi && len(buf) < max; i++ {
+		m := occ[i]
+		if i == hi {
+			m &= 2<<(maxScore&63) - 1
+		}
+		for ; m != 0 && len(buf) < max; m &= m - 1 {
+			buf = x.appendBucket(buf, tier, i<<6+bits.TrailingZeros64(m), skipFree, max)
+		}
 	}
-	for s := 0; s <= int(maxScore); s++ {
-		b := x.bucket(int(tier), s)
-		if b == nil || b.count == 0 {
+	return buf
+}
+
+// appendBucket appends the pages of the occupied bucket (tier, score) in
+// ascending PFN order until buf holds max, skipping guest-free pages
+// when skipFree.
+func (x *HeatIndex) appendBucket(buf []guestos.PFN, tier memsim.Tier, score int, skipFree bool, max int) []guestos.PFN {
+	set := x.bucket(int(tier), score).set
+	for p, ok := set.next(0); ok; p, ok = set.next(p + 1) {
+		if skipFree && x.nodes[p].flags&heatFree != 0 {
 			continue
 		}
-		for p, ok := b.set.next(0); ok; p, ok = b.set.next(p + 1) {
-			if skipFree && x.nodes[p].flags&heatFree != 0 {
-				continue
-			}
-			buf = append(buf, guestos.PFN(p))
-			if len(buf) >= max {
-				return buf
-			}
+		if buf = append(buf, guestos.PFN(p)); len(buf) >= max {
+			break
 		}
 	}
 	return buf
@@ -266,10 +314,11 @@ type HeatSummary struct {
 // Summary captures the index's current bucket occupancy.
 func (x *HeatIndex) Summary() HeatSummary {
 	var sum HeatSummary
-	for t := 0; t < int(memsim.NumTiers); t++ {
-		for s := 0; s < numHeatBuckets; s++ {
-			if b := x.bucket(t, s); b != nil {
-				sum.Buckets[t][s] = b.count
+	for t := range x.occupied {
+		for i, m := range x.occupied[t] {
+			for ; m != 0; m &= m - 1 {
+				s := i<<6 + bits.TrailingZeros64(m)
+				sum.Buckets[t][s] = x.bucket(t, s).count
 			}
 		}
 		sum.Total[t] = x.counts[t]
@@ -306,6 +355,9 @@ func (x *HeatIndex) CheckInvariants() error {
 		for s := 0; s < numHeatBuckets; s++ {
 			b := x.bucket(t, s)
 			if b == nil {
+				if x.occupied[t][s>>6]>>(s&63)&1 != 0 {
+					return fmt.Errorf("heatindex: (%d,%d) occupancy bit set for an unused bucket", t, s)
+				}
 				continue
 			}
 			if err := b.set.check(uint64(len(x.nodes))); err != nil {
@@ -325,6 +377,9 @@ func (x *HeatIndex) CheckInvariants() error {
 			}
 			if n != b.count {
 				return fmt.Errorf("heatindex: (%d,%d) count %d != walked %d", t, s, b.count, n)
+			}
+			if occ := x.occupied[t][s>>6]>>(s&63)&1 != 0; occ != (n != 0) {
+				return fmt.Errorf("heatindex: (%d,%d) occupancy bit %v with %d pages", t, s, occ, n)
 			}
 			tierCount += n
 		}
@@ -383,21 +438,22 @@ func newPFNSet(span uint64) *pfnSet {
 	}
 }
 
-func (s *pfnSet) add(p uint64) {
-	s.l0[p>>6] |= 1 << (p & 63)
-	s.l1[p>>12] |= 1 << ((p >> 6) & 63)
-	s.l2[p>>18] |= 1 << ((p >> 12) & 63)
+// addWord adds the members of l0 word w set in m, which must be
+// non-zero, and marks the word in the summary levels.
+func (s *pfnSet) addWord(w int, m uint64) {
+	s.l0[w] |= m
+	s.l1[w>>6] |= 1 << (w & 63)
+	s.l2[w>>12] |= 1 << ((w >> 6) & 63)
 }
 
-func (s *pfnSet) remove(p uint64) {
-	w0 := p >> 6
-	s.l0[w0] &^= 1 << (p & 63)
-	if s.l0[w0] != 0 {
+// removeWord removes the members of l0 word w set in m and clears the
+// summary bits of words it empties.
+func (s *pfnSet) removeWord(w int, m uint64) {
+	if s.l0[w] &^= m; s.l0[w] != 0 {
 		return
 	}
-	w1 := w0 >> 6
-	s.l1[w1] &^= 1 << (w0 & 63)
-	if s.l1[w1] != 0 {
+	w1 := w >> 6
+	if s.l1[w1] &^= 1 << (w & 63); s.l1[w1] != 0 {
 		return
 	}
 	s.l2[w1>>6] &^= 1 << (w1 & 63)

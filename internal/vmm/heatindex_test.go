@@ -325,10 +325,15 @@ func (v *stubView) TrackingList() []guestos.PFN                        { return 
 func (v *stubView) ScanHeat(pfn guestos.PFN) uint8                     { return v.heat[pfn] }
 func (v *stubView) SetScanHeat(pfn guestos.PFN, h uint8)               { v.heat[pfn] = h }
 func (v *stubView) ScanWriteHeat(pfn guestos.PFN) uint8                { return v.wheat[pfn] }
-func (v *stubView) SetScanWriteHeat(pfn guestos.PFN, h uint8)          { v.wheat[pfn] = h }
 func (v *stubView) ScanHeatNonzeroWord(w int, mask uint64) uint64      { return 0 }
 func (v *stubView) TakeScanWrittenWord(w int, mask uint64) uint64      { return 0 }
 func (v *stubView) ScanWriteHeatNonzeroWord(w int, mask uint64) uint64 { return 0 }
+
+// FoldScanHeatWord is never reached: with no referenced page and no
+// heat, a scan has no page to fold.
+func (v *stubView) FoldScanHeatWord(w int, work, ref, written uint64, writes bool) {
+	panic("stubView: fold with no page to fold")
+}
 func (v *stubView) TakeScanAccessedWord(w int, mask uint64) uint64 {
 	for ; mask != 0; mask &= mask - 1 {
 		v.scanned = append(v.scanned, guestos.PFN(w<<6+bits.TrailingZeros64(mask)))
@@ -439,12 +444,14 @@ func TestPFNSetNextMatchesSortedMembers(t *testing.T) {
 		s := newPFNSet(span)
 		members := map[uint64]bool{}
 		for _, m := range set {
-			s.add(m)
+			s.addWord(int(m>>6), 1<<(m&63))
 			members[m] = true
 		}
 		check(fmt.Sprint(set), s, members)
 	}
 
+	// Toggle one page, or add or remove several pages of one word at
+	// once, as the heat index's grouped moves do.
 	rng := rand.New(rand.NewSource(3))
 	s := newPFNSet(span)
 	members := map[uint64]bool{}
@@ -456,12 +463,25 @@ func TestPFNSetNextMatchesSortedMembers(t *testing.T) {
 		if p >= span {
 			continue
 		}
+		w := int(p >> 6)
+		m := uint64(1) << (p & 63)
+		if rng.Intn(3) == 0 {
+			m |= rng.Uint64() & rng.Uint64() // span is whole words
+		}
 		if members[p] {
-			s.remove(p)
-			delete(members, p)
+			s.removeWord(w, m)
+			for b := 0; b < 64; b++ {
+				if m>>b&1 != 0 {
+					delete(members, uint64(w)<<6+uint64(b))
+				}
+			}
 		} else {
-			s.add(p)
-			members[p] = true
+			s.addWord(w, m)
+			for b := 0; b < 64; b++ {
+				if m>>b&1 != 0 {
+					members[uint64(w)<<6+uint64(b)] = true
+				}
+			}
 		}
 		if step%50 == 0 {
 			check(fmt.Sprintf("step %d", step), s, members)
@@ -480,8 +500,8 @@ func TestPFNSetCheckCatchesCorruption(t *testing.T) {
 		"beyond span":    func(s *pfnSet) { s.l0[len(s.l0)-1] |= 1 << 63 },
 	} {
 		s := newPFNSet(span)
-		s.add(100)
-		s.add(200)
+		s.addWord(1, 1<<36) // PFN 100
+		s.addWord(3, 1<<8)  // PFN 200
 		if err := s.check(span); err != nil {
 			t.Fatalf("%s: clean set rejected: %v", name, err)
 		}
@@ -489,6 +509,53 @@ func TestPFNSetCheckCatchesCorruption(t *testing.T) {
 		if s.check(span) == nil {
 			t.Errorf("%s not detected", name)
 		}
+	}
+}
+
+// TestHeatIndexCheckCatchesBadOccupancy: CheckInvariants must notice an
+// occupancy bit missing for a bucket that holds pages, and one set for a
+// bucket that holds none or was never used.
+func TestHeatIndexCheckCatchesBadOccupancy(t *testing.T) {
+	machine := newMachine(256, 1024)
+	m := New(machine, StaticShare{})
+	spec := VMSpec{ID: 1}
+	spec.MaxPages[memsim.FastMem] = 256
+	spec.MaxPages[memsim.SlowMem] = 1024
+	vm, _ := m.CreateVM(spec)
+	os := bootGuest(t, m, vm, false, guestos.PlacementConfig{Name: "vmm-excl"}, 64, 960, 64, 960)
+	sc := NewScanner(os, DefaultScanCosts())
+	sc.BatchPages = int(os.NumPFNs())
+	x := NewHeatIndex(sc, machine.TierOf)
+	os.SetPageIndexer(x)
+	vma, _ := os.AS.Mmap(300, guestos.KindAnon, guestos.NilFile)
+	for i := 0; i < 300; i++ {
+		os.TouchVPN(vma.Start+guestos.VPN(i), 1, 0)
+	}
+	sc.ScanNext()
+	sc.ScanNext()
+	if err := x.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Score 4 was used and emptied by the second pass (4 decays to 2
+	// when unreferenced); score 0 holds the never-touched pages.
+	tier := int(memsim.SlowMem)
+	if b := x.bucket(tier, 4); b == nil || b.count != 0 {
+		t.Fatal("setup: score 4 is not a used, empty bucket")
+	}
+	if b := x.bucket(tier, 0); b == nil || b.count == 0 {
+		t.Fatal("setup: score 0 holds no page")
+	}
+	for name, corrupt := range map[string]func(){
+		"occupied bucket unmarked": func() { x.occupied[tier][0] &^= 1 << 0 },
+		"empty bucket marked":      func() { x.occupied[tier][0] |= 1 << 4 },
+		"unused bucket marked":     func() { x.occupied[tier][3] |= 1 << 63 },
+	} {
+		saved := x.occupied
+		corrupt()
+		if x.CheckInvariants() == nil {
+			t.Errorf("%s not detected", name)
+		}
+		x.occupied = saved
 	}
 }
 

@@ -205,7 +205,8 @@ func (s *Scanner) scanRangeWords(res *ScanResult, start, end uint64) {
 // scanWordMasked performs one word-granular scan step over the pages
 // selected by mask in word w. Each selected page's heat halves and
 // gains 4 if the page was referenced; with write tracking its write
-// heat folds the write bit the same way.
+// heat folds the write bit the same way. The fold touches only the
+// pages with state to change, in one guest call per word.
 func (s *Scanner) scanWordMasked(res *ScanResult, w int, mask uint64) {
 	wv := s.view
 	res.Scanned += bits.OnesCount64(mask)
@@ -218,24 +219,8 @@ func (s *Scanner) scanWordMasked(res *ScanResult, w int, mask uint64) {
 		written = wv.TakeScanWrittenWord(w, mask)
 		work |= written | wv.ScanWriteHeatNonzeroWord(w, mask)
 	}
-	base := uint64(w) << 6
-	for work != 0 {
-		b := uint(bits.TrailingZeros64(work))
-		bit := uint64(1) << b
-		work &^= bit
-		pfn := guestos.PFN(base + uint64(b))
-		h := s.view.ScanHeat(pfn) >> 1
-		if ref&bit != 0 {
-			h += 4
-		}
-		s.view.SetScanHeat(pfn, h)
-		if s.TrackWrites {
-			wh := s.view.ScanWriteHeat(pfn) >> 1
-			if written&bit != 0 {
-				wh += 4
-			}
-			s.view.SetScanWriteHeat(pfn, wh)
-		}
+	if work != 0 {
+		wv.FoldScanHeatWord(w, work, ref, written, s.TrackWrites)
 	}
 }
 
@@ -275,21 +260,25 @@ func (s *Scanner) ScanTracked(tracked []guestos.PFN) ScanResult {
 // mask ends the group, so each list entry is scanned (and heat-folded)
 // exactly as many times, in the same order, as a per-page walk would.
 func (s *Scanner) scanTrackedWords(res *ScanResult, tracked []guestos.PFN, start, limit int) {
-	n := len(tracked)
+	// The limit entries from start, wrapping the list end: at most two
+	// runs, with word groups carried across the seam.
+	head := tracked[start:min(start+limit, len(tracked))]
+	tail := tracked[:limit-len(head)]
 	curWord := -1
 	var curMask uint64
-	for i := 0; i < limit; i++ {
-		pfn := tracked[(start+i)%n]
-		w := int(pfn >> 6)
-		bit := uint64(1) << (pfn & 63)
-		if w == curWord && curMask&bit == 0 {
-			curMask |= bit
-			continue
+	for _, run := range [2][]guestos.PFN{head, tail} {
+		for _, pfn := range run {
+			w := int(pfn >> 6)
+			bit := uint64(1) << (pfn & 63)
+			if w == curWord && curMask&bit == 0 {
+				curMask |= bit
+				continue
+			}
+			if curWord >= 0 {
+				s.scanWordMasked(res, curWord, curMask)
+			}
+			curWord, curMask = w, bit
 		}
-		if curWord >= 0 {
-			s.scanWordMasked(res, curWord, curMask)
-		}
-		curWord, curMask = w, bit
 	}
 	if curWord >= 0 {
 		s.scanWordMasked(res, curWord, curMask)

@@ -53,7 +53,6 @@ type GuestView interface {
 	SetScanHeat(pfn guestos.PFN, h uint8)
 	// Write-activity tracking for the write-aware extension.
 	ScanWriteHeat(pfn guestos.PFN) uint8
-	SetScanWriteHeat(pfn guestos.PFN, h uint8)
 	// TakeScanAccessedWord returns and clears the scan-accessed bits of
 	// word w under mask (batched test-and-clear).
 	TakeScanAccessedWord(w int, mask uint64) uint64
@@ -65,6 +64,10 @@ type GuestView interface {
 	// equivalents, used when write tracking is on.
 	TakeScanWrittenWord(w int, mask uint64) uint64
 	ScanWriteHeatNonzeroWord(w int, mask uint64) uint64
+	// FoldScanHeatWord applies one scan step to the pages of word w
+	// selected by work: heat halves and gains 4 where ref is set, and
+	// with writes, write heat does the same where written is set.
+	FoldScanHeatWord(w int, work, ref, written uint64, writes bool)
 }
 
 var _ GuestView = (*guestos.OS)(nil)

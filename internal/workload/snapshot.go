@@ -38,7 +38,7 @@ func (h *heapRegion) snapshot(c *snapshot.Codec, os *guestos.OS) error {
 	if err := c.Err(); err != nil || !c.Reading() {
 		return err
 	}
-	// sample's wrap needs hotStart < pages, and the scratch arrays were
+	// draw's wrap needs hotStart < pages, and the scratch arrays were
 	// sized for the Init geometry.
 	if h.pages != uint64(len(h.counts)) || h.hotPages < 1 || h.hotPages > h.pages ||
 		h.hotStart >= h.pages || !(h.hotFrac >= 0 && h.hotFrac <= 1) {

@@ -164,7 +164,7 @@ func newHeapRegion(os *guestos.OS, rng *sim.RNG, pages, hotPages uint64, hotFrac
 	return h, nil
 }
 
-// setModuli precomputes the remainders sample takes. The geometry must
+// setModuli precomputes the remainders draw takes. The geometry must
 // already satisfy 1 <= hotPages <= pages.
 func (h *heapRegion) setModuli() {
 	h.hotMod = sim.NewModulus(h.hotPages)
@@ -176,29 +176,55 @@ func (h *heapRegion) setModuli() {
 // setDrift makes the hot window advance by pagesPerEpoch each touch.
 func (h *heapRegion) setDrift(pagesPerEpoch uint64) { h.drift = pagesPerEpoch }
 
-// sample draws one page index and whether it came from the hot window.
-// Each draw is the RNG's Intn (one Uint64 reduced modulo the range)
-// with the remainder taken by a precomputed Modulus. The window offset
-// wraps by one conditional subtract: hotStart < pages and the offset
-// (below hotPages, or hotPages plus a cold offset below pages-hotPages)
-// is below pages, so the sum is below 2*pages.
-func (h *heapRegion) sample() (uint64, bool) {
-	if h.rng.Bool(h.hotFrac) {
-		return h.wrap(h.hotStart + h.hotMod.Mod(h.rng.Uint64())), true
-	}
-	if h.pages == h.hotPages {
-		return h.hotMod.Mod(h.rng.Uint64()), true
-	}
-	off := h.hotPages + h.coldMod.Mod(h.rng.Uint64())
-	return h.wrap(h.hotStart + off), false
-}
+// sampleChunk is how many samples draw takes from the RNG per Fill.
+const sampleChunk = 256
 
-// wrap reduces an index below 2*pages into the region.
-func (h *heapRegion) wrap(idx uint64) uint64 {
-	if idx >= h.pages {
-		idx -= h.pages
+// draw takes samples page indices from the region's distribution and
+// adds each one's accesses to the per-touch scratch: accessesPerSample
+// for a hot-window sample, one for a cold-tail sample.
+//
+// Every sample consumes exactly two RNG values, whichever branch it
+// takes: the Bool(hotFrac) value, then the offset value. So the values
+// are drawn in chunks with Fill, which equals the same number of Uint64
+// calls, and sample i reads values 2i and 2i+1 of its chunk. The first
+// is compared with sim.BoolCut(hotFrac), Bool's integer form. Each
+// offset is the RNG's Intn (one value reduced modulo the range) with
+// the remainder taken by a precomputed Modulus. The window offset wraps
+// by one conditional subtract: hotStart < pages and the offset (below
+// hotPages, or hotPages plus a cold offset below pages-hotPages) is
+// below pages, so the sum is below 2*pages. A region that is all hot
+// window draws its cold branch from the window's modulus without the
+// start and still weighs it as hot.
+func (h *heapRegion) draw(samples int, accessesPerSample uint64) {
+	var buf [2 * sampleChunk]uint64
+	hot := uint32(accessesPerSample)
+	pages, hotPages, hotStart, hotCut := h.pages, h.hotPages, h.hotStart, sim.BoolCut(h.hotFrac)
+	hotMod, coldMod := h.hotMod, h.coldMod
+	counts, touched := h.counts, h.touched
+	for samples > 0 {
+		n := min(samples, sampleChunk)
+		samples -= n
+		vals := buf[:2*n]
+		h.rng.Fill(vals)
+		for i := 0; i+1 < len(vals); i += 2 {
+			var idx uint64
+			weight := hot
+			switch {
+			case vals[i]>>11 < hotCut:
+				idx = hotStart + hotMod.Mod(vals[i+1])
+			case pages == hotPages:
+				idx = hotMod.Mod(vals[i+1])
+			default:
+				idx = hotStart + hotPages + coldMod.Mod(vals[i+1])
+				weight = 1
+			}
+			if idx >= pages {
+				idx -= pages
+			}
+			counts[idx] += weight
+			touched[idx/64] |= 1 << (idx % 64)
+		}
 	}
-	return idx
 }
 
 // touch samples the region's distribution and issues the page touches.
@@ -207,15 +233,7 @@ func (h *heapRegion) wrap(idx uint64) uint64 {
 // membership to the LRU. storeFrac splits loads/stores. The hot window
 // then drifts.
 func (h *heapRegion) touch(os *guestos.OS, samples int, accessesPerSample uint64, storeFrac float64) error {
-	for i := 0; i < samples; i++ {
-		idx, hot := h.sample()
-		if hot {
-			h.counts[idx] += uint32(accessesPerSample)
-		} else {
-			h.counts[idx]++
-		}
-		h.touched[idx/64] |= 1 << (idx % 64)
-	}
+	h.draw(samples, accessesPerSample)
 	// Touch in ascending VPN order (the bitmap's word order): fault
 	// order decides frame assignment, so it must not depend on anything
 	// but the samples. The scratch is zeroed as it is consumed, also

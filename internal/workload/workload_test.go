@@ -242,9 +242,10 @@ func touchedSet(t *testing.T, os *guestos.OS, r *heapRegion) map[guestos.VPN]boo
 	return out
 }
 
-// refSample is heapRegion.sample written with the RNG's Intn and the %
-// operator, the formula the precomputed remainders and the
-// conditional-subtract wrap replace.
+// refSample is one sample of heapRegion.draw written with the RNG's
+// Bool and Intn and the % operator, one call per value: the formula the
+// chunked Fill, the precomputed remainders and the conditional-subtract
+// wrap replace.
 func refSample(h *heapRegion, rng *sim.RNG) (uint64, bool) {
 	if rng.Bool(h.hotFrac) {
 		return (h.hotStart + uint64(rng.Intn(int(h.hotPages)))) % h.pages, true
@@ -302,6 +303,11 @@ func TestTouchMatchesSortedMapReference(t *testing.T) {
 		{"wrapping-window", 130, 50, 45, 0.8, 120},
 		{"samples-exceed-pages", 100, 30, 11, 0.7, 3000},
 		{"whole-region-hot", 64, 64, 0, 1.0, 200},
+		// A region that is all hot window but not always drawn from it:
+		// the cold branch draws without the window start, weighted hot.
+		{"whole-region-hot-frac-below-one", 150, 150, 13, 0.6, 200},
+		// Spans several sample chunks and ends mid-chunk.
+		{"several-chunks", 5000, 700, 97, 0.85, 3*sampleChunk + 77},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			refOS, gotOS := bootOS(t), bootOS(t)
@@ -349,11 +355,15 @@ func TestTouchMatchesSortedMapReference(t *testing.T) {
 	}
 }
 
-// TestSampleMatchesModuloReference draws from each geometry with sample
-// and with refSample on a clone of the region's RNG, and requires the
-// same index and hot flag every time, and the same RNG state after.
+// TestSampleMatchesModuloReference draws from each geometry with the
+// chunked draw and with refSample on a clone of the region's RNG, and
+// requires the same per-page access counts and sampled-page bitmap, and
+// the same RNG state after. The draws come in calls of 1, 255, 257 and
+// then the rest, so chunks end at every offset the call sizes allow and
+// no call is a multiple of the chunk.
 func TestSampleMatchesModuloReference(t *testing.T) {
 	const draws = 100_000
+	const weight = 3
 	for _, c := range []struct {
 		name                 string
 		pages, hot, hotStart uint64
@@ -373,28 +383,42 @@ func TestSampleMatchesModuloReference(t *testing.T) {
 			h := &heapRegion{
 				rng: sim.NewRNG(c.pages*31 + c.hotStart), pages: c.pages, hotPages: c.hot,
 				hotStart: c.hotStart, hotFrac: c.frac,
+				counts: make([]uint32, c.pages), touched: make([]uint64, (c.pages+63)/64),
 			}
 			h.setModuli()
 			ref := sim.NewRNG(0)
 			ref.Restore(h.rng.State())
+			left := draws
+			for _, n := range []int{1, 255, 257, draws} {
+				n = min(n, left)
+				h.draw(n, weight)
+				left -= n
+			}
+			want := make([]uint32, c.pages)
 			var hot, cold, wrapped int
 			for i := 0; i < draws; i++ {
-				gi, gh := h.sample()
-				ri, rh := refSample(h, ref)
-				if gi != ri || gh != rh {
-					t.Fatalf("draw %d: sample = (%d, %v), reference (%d, %v)", i, gi, gh, ri, rh)
-				}
-				if gh {
+				idx, isHot := refSample(h, ref)
+				if isHot {
+					want[idx] += weight
 					hot++
 				} else {
+					want[idx]++
 					cold++
 				}
-				if gi < c.hotStart {
+				if idx < c.hotStart {
 					wrapped++
 				}
 			}
+			for idx, n := range h.counts {
+				if n != want[idx] {
+					t.Fatalf("page %d drawn for %d accesses, reference %d", idx, n, want[idx])
+				}
+				if sampled := h.touched[idx/64]&(1<<(idx%64)) != 0; sampled != (n != 0) {
+					t.Fatalf("page %d: bitmap bit %v with %d accesses", idx, sampled, n)
+				}
+			}
 			if h.rng.State() != ref.State() {
-				t.Fatal("sample consumed a different RNG stream")
+				t.Fatal("draw consumed a different RNG stream")
 			}
 			// Both sides of each split were drawn where the geometry
 			// allows it, so neither branch went untested.
@@ -409,7 +433,7 @@ func TestSampleMatchesModuloReference(t *testing.T) {
 }
 
 // TestHeapRestoreRejectsBadGeometry feeds heapRegion.snapshot snapshots
-// whose geometry would break sample and expects an error, not a panic.
+// whose geometry would break draw and expects an error, not a panic.
 func TestHeapRestoreRejectsBadGeometry(t *testing.T) {
 	os := bootOS(t)
 	h := mustHeapRegion(t, os, 100, 30, 0.7)
@@ -441,10 +465,14 @@ func TestHeapRestoreRejectsBadGeometry(t *testing.T) {
 	if err := restoreHeap(t, &good, fresh, os); err != nil {
 		t.Fatalf("restore rejected a valid geometry: %v", err)
 	}
-	for i := 0; i < 1000; i++ {
-		if idx, _ := fresh.sample(); idx >= fresh.pages {
-			t.Fatalf("restored region sampled index %d of %d", idx, fresh.pages)
-		}
+	// An index at or past pages would fault on the count array.
+	fresh.draw(1000, 1)
+	var sum uint32
+	for _, n := range fresh.counts {
+		sum += n
+	}
+	if sum != 1000 {
+		t.Fatalf("restored region drew %d accesses, want 1000", sum)
 	}
 }
 
