@@ -37,9 +37,11 @@ race:
 # stdout is byte-identical with and without metrics collection attached
 # (CSV format, so no wall-clock lines differ). Figure 6 sweeps three
 # modes through the runner, exercising the instrumented chokepoints.
-# The second half re-asserts the same for the one-host churn fleet (the
-# fleet path wires per-host child handles, per-VM scopes, and event
-# forwarding, a different plumbing route than the figure runner).
+# The second half re-asserts the same for two fleets (the fleet path
+# wires per-host child handles, per-VM scopes, and event forwarding, a
+# different plumbing route than the figure runner): the one-host churn
+# script, and the 3-host fleet-churn script at 4 workers, whose hosts
+# are built, booted, shut down and stepped as concurrent pool jobs.
 obs-parity:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/heterobench -exp figure6 -quick -format=csv \
@@ -53,17 +55,21 @@ obs-parity:
 	test -s "$$tmp/metrics.csv" || { echo "obs-parity: no metrics written"; exit 1; }; \
 	echo "obs-parity: figure output byte-identical with observability on"; \
 	$(GO) build -o "$$tmp/heterosim" ./cmd/heterosim || exit 1; \
-	"$$tmp/heterosim" -fleet churn.json -format=csv \
-		> "$$tmp/sc-off.csv" || exit 1; \
-	"$$tmp/heterosim" -fleet churn.json -format=csv \
-		-metrics "$$tmp/sc-metrics.csv" -events "$$tmp/sc-events.jsonl" \
-		> "$$tmp/sc-on.csv" 2>/dev/null || exit 1; \
-	if ! cmp -s "$$tmp/sc-off.csv" "$$tmp/sc-on.csv"; then \
-		echo "obs-parity: churn output differs with observability on:"; \
-		diff "$$tmp/sc-off.csv" "$$tmp/sc-on.csv"; exit 1; \
-	fi; \
-	test -s "$$tmp/sc-metrics.csv" || { echo "obs-parity: churn wrote no metrics"; exit 1; }; \
-	echo "obs-parity: churn fleet byte-identical with observability on"
+	for leg in churn.json:1 fleet-churn.json:4; do \
+		sc=$${leg%%:*}; args="-fleet $$sc -workers $${leg#*:} -format=csv"; \
+		rm -f "$$tmp/sc-metrics.csv" "$$tmp/sc-events.jsonl"; \
+		"$$tmp/heterosim" $$args > "$$tmp/sc-off.csv" || exit 1; \
+		"$$tmp/heterosim" $$args \
+			-metrics "$$tmp/sc-metrics.csv" -events "$$tmp/sc-events.jsonl" \
+			> "$$tmp/sc-on.csv" 2>/dev/null || exit 1; \
+		if ! cmp -s "$$tmp/sc-off.csv" "$$tmp/sc-on.csv"; then \
+			echo "obs-parity: $$sc output differs with observability on:"; \
+			diff "$$tmp/sc-off.csv" "$$tmp/sc-on.csv"; exit 1; \
+		fi; \
+		test -s "$$tmp/sc-metrics.csv" || { echo "obs-parity: $$sc wrote no metrics"; exit 1; }; \
+		test -s "$$tmp/sc-events.jsonl" || { echo "obs-parity: $$sc wrote no events"; exit 1; }; \
+		echo "obs-parity: $$sc at $${leg#*:} workers byte-identical with observability on"; \
+	done
 
 # scenario-smoke runs the bundled one-host scripts end-to-end through
 # the CLI and checks determinism: two runs of the same script must print

@@ -213,19 +213,33 @@ func (c *Cluster) addHost(sys *core.System, failed bool) {
 	c.hosts = append(c.hosts, h)
 }
 
-// NewCluster validates the script, boots every host (empty), places
+// NewCluster validates the script, builds every host (empty), places
 // and boots the round-0 VM groups, and returns the cluster positioned
-// before round 0.
+// before round 0. Host configs (which open the hosts' obs scopes) and
+// registration run serially in host order; each host's System is built
+// as one pool job, and of several failed builds the lowest host id's
+// error is reported.
 func NewCluster(sc *Script, opts Options) (*Cluster, error) {
 	c, err := newCluster(sc, opts)
 	if err != nil {
 		return nil, err
 	}
-	for id := 0; id < sc.Hosts; id++ {
-		sys, err := core.NewSystem(c.hostConfig(id))
+	cfgs := make([]core.Config, sc.Hosts)
+	for id := range cfgs {
+		cfgs[id] = c.hostConfig(id)
+	}
+	systems := make([]*core.System, sc.Hosts)
+	errs := c.eachHost(context.TODO(), sc.Hosts, nil, func(id int) error {
+		var err error
+		systems[id], err = core.NewSystem(cfgs[id])
+		return err
+	})
+	for id, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("fleet %q: host %d: %w", sc.Name, id, err)
 		}
+	}
+	for _, sys := range systems {
 		c.addHost(sys, false)
 	}
 	for i := range sc.VMs {
@@ -276,7 +290,10 @@ func (c *Cluster) vmConfig(st *vmState) (core.VMConfig, error) {
 }
 
 // hostViews snapshots every host's placement view into a reused
-// buffer.
+// buffer, indexed by host id. A caller placing several VMs takes one
+// snapshot and, after each placement, refreshes the entries of the
+// hosts whose books changed (admit, release and failed are the only
+// writers), so every PlaceBoot sees what a fresh snapshot would show.
 func (c *Cluster) hostViews() []HostView {
 	if c.viewBuf == nil {
 		c.viewBuf = make([]HostView, len(c.hosts))
@@ -297,6 +314,7 @@ func (c *Cluster) hostViews() []HostView {
 // error among them takes precedence.
 func (c *Cluster) bootGroup(ctx context.Context, g *VMGroup) error {
 	boots := make([][]core.VMConfig, len(c.hosts))
+	views := c.hostViews()
 	var placeErr error
 	for i := 0; i < g.count(); i++ {
 		st := &vmState{vmRecord: vmRecord{
@@ -305,7 +323,7 @@ func (c *Cluster) bootGroup(ctx context.Context, g *VMGroup) error {
 			FastPages: g.FastPages, SlowPages: g.SlowPages,
 			BootRound: c.round,
 		}}
-		target := c.place.PlaceBoot(st.view(), c.hostViews())
+		target := c.place.PlaceBoot(st.view(), views)
 		if target < 0 {
 			placeErr = fmt.Errorf("fleet %q round %d: no host fits VM %d (%s, %d fast + %d slow)",
 				c.sc.Name, c.round, st.ID, st.App, st.FastPages, st.SlowPages)
@@ -319,30 +337,81 @@ func (c *Cluster) bootGroup(ctx context.Context, g *VMGroup) error {
 		boots[target] = append(boots[target], vc)
 		st.Host = target
 		c.hosts[target].admit(st)
+		views[target] = c.hosts[target].view()
 		c.vms[st.ID] = st
 		c.order = append(c.order, st.ID)
 	}
 	// booting[h] is the VM host h is booting (or failed to boot).
 	booting := make([]vmm.VMID, len(c.hosts))
-	errs := c.eachHost(ctx, func(h *host) bool { return len(boots[h.id]) > 0 }, func(h *host) error {
-		for _, vc := range boots[h.id] {
-			booting[h.id] = vc.ID
-			if _, err := h.sys.BootVM(vc); err != nil {
+	errs := c.eachHost(ctx, len(c.hosts), func(id int) bool { return len(boots[id]) > 0 }, func(id int) error {
+		for _, vc := range boots[id] {
+			booting[id] = vc.ID
+			if _, err := c.hosts[id].sys.BootVM(vc); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	first := -1
-	for id, err := range errs {
-		if err != nil && (first < 0 || booting[id] < booting[first]) {
-			first = id
-		}
-	}
-	if first >= 0 {
+	if first := lowestFailure(errs, booting); first >= 0 {
 		return fmt.Errorf("fleet %q round %d: boot VM %d on host %d: %w", c.sc.Name, c.round, booting[first], first, errs[first])
 	}
 	return placeErr
+}
+
+// lowestFailure returns the failed host (errs[h] != nil) whose failing
+// VM at[h] has the lowest id, or -1 if none failed: the failure a
+// VM-by-VM loop would have hit first.
+func lowestFailure(errs []error, at []vmm.VMID) int {
+	first := -1
+	for id, err := range errs {
+		if err != nil && (first < 0 || at[id] < at[first]) {
+			first = id
+		}
+	}
+	return first
+}
+
+// shutdown shuts down the VMs ids (ascending), each host its share in
+// id order as one pool job, with the host's CheckInvariants after every
+// shutdown. Each host stops at its own first failure, and the lowest
+// failing VM id's error is returned. The fleet books are then updated
+// serially for exactly the VMs whose ShutdownVM succeeded, including
+// one whose check then failed: its host has already let it go.
+func (c *Cluster) shutdown(ctx context.Context, ids []vmm.VMID) error {
+	byHost := make([][]vmm.VMID, len(c.hosts))
+	for _, id := range ids {
+		h := c.vms[id].Host
+		byHost[h] = append(byHost[h], id)
+	}
+	// down[h] counts host h's VMs shut down; failing[h] is the VM whose
+	// shutdown or check failed.
+	down := make([]int, len(c.hosts))
+	failing := make([]vmm.VMID, len(c.hosts))
+	errs := c.eachHost(ctx, len(c.hosts), func(id int) bool { return len(byHost[id]) > 0 }, func(id int) error {
+		sys := c.hosts[id].sys
+		for _, vid := range byHost[id] {
+			failing[id] = vid
+			if _, err := sys.ShutdownVM(vid); err != nil {
+				return err
+			}
+			down[id]++
+			if err := sys.CheckInvariants(); err != nil {
+				return fmt.Errorf("host %d after shutdown of VM %d: %w", id, vid, err)
+			}
+		}
+		return nil
+	})
+	for id, vids := range byHost {
+		for _, vid := range vids[:down[id]] {
+			st := c.vms[vid]
+			c.hosts[id].release(st)
+			st.Down, st.DownRound = true, c.round
+		}
+	}
+	if first := lowestFailure(errs, failing); first >= 0 {
+		return errs[first]
+	}
+	return nil
 }
 
 func (h *host) admit(st *vmState) {
@@ -406,18 +475,7 @@ func (c *Cluster) apply(ctx context.Context, a action) error {
 		if err != nil {
 			return err
 		}
-		for _, id := range ids {
-			st := c.vms[id]
-			h := c.hosts[st.Host]
-			if _, err := h.sys.ShutdownVM(id); err != nil {
-				return err
-			}
-			if err := h.sys.CheckInvariants(); err != nil {
-				return fmt.Errorf("host %d after shutdown of VM %d: %w", h.id, id, err)
-			}
-			h.release(st)
-			st.Down, st.DownRound = true, c.round
-		}
+		return c.shutdown(ctx, ids)
 	case KindSurge, KindBalloonRefusal, KindMigrationStall:
 		return c.applyWindow(a, e)
 	case KindThrottleShift:
@@ -488,12 +546,13 @@ func (c *Cluster) failHost(id int) error {
 		ids = append(ids, vid)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	views := c.hostViews()
 	for _, vid := range ids {
 		st := h.resident[vid]
 		if st.wrap.done {
 			continue
 		}
-		target := c.place.PlaceBoot(st.view(), c.hostViews())
+		target := c.place.PlaceBoot(st.view(), views)
 		if target < 0 {
 			st.Lost = true
 			continue
@@ -501,6 +560,7 @@ func (c *Cluster) failHost(id int) error {
 		if err := c.migrate(st, target, true); err != nil {
 			return err
 		}
+		views[id], views[target] = h.view(), c.hosts[target].view()
 	}
 	return nil
 }
@@ -662,39 +722,41 @@ func (c *Cluster) forwardEvents() {
 	}
 }
 
-// eachHost runs fn on every host that use selects, one runner pool job
-// per host, and returns fn's errors indexed by host id. Hosts share no
-// mutable state and each job touches only its own host, so the pooled
-// phases (boot, step, final check) cannot perturb determinism: every
-// host does its own work in its own order, and callers read the errors
-// in a fixed order.
-func (c *Cluster) eachHost(ctx context.Context, use func(*host) bool, fn func(*host) error) []error {
+// eachHost runs fn(id) for every host id in [0, n) that use selects
+// (nil selects all), one runner pool job per host, and returns fn's
+// errors indexed by host id. Hosts share no mutable state and each job
+// touches only its own host, so the pooled phases (build, boot,
+// shutdown, step, final check) cannot perturb determinism: every host
+// does its own work in its own order, and callers read the errors in a
+// fixed order.
+func (c *Cluster) eachHost(ctx context.Context, n int, use func(id int) bool, fn func(id int) error) []error {
 	pool := runner.NewPool(ctx, runner.Options{Workers: c.opts.Workers})
-	futures := make([]*runner.Future, len(c.hosts))
-	for i, h := range c.hosts {
-		if !use(h) {
+	futures := make([]*runner.Future, n)
+	for id := range futures {
+		if use != nil && !use(id) {
 			continue
 		}
-		futures[i] = pool.Go("host"+strconv.Itoa(h.id), func(context.Context) error { return fn(h) })
+		futures[id] = pool.Go("host"+strconv.Itoa(id), func(context.Context) error { return fn(id) })
 	}
-	errs := make([]error, len(c.hosts))
-	for i, f := range futures {
+	errs := make([]error, n)
+	for id, f := range futures {
 		if f != nil {
-			errs[i] = f.Wait()
+			errs[id] = f.Wait()
 		}
 	}
 	return errs
 }
 
 // live selects the hosts that have not failed.
-func live(h *host) bool { return !h.failed }
+func (c *Cluster) live(id int) bool { return !c.hosts[id].failed }
 
 // stepHosts runs every live host's RoundEpochs epochs through the
 // runner pool; the first failing host in host order reports.
 func (c *Cluster) stepHosts(ctx context.Context) error {
-	errs := c.eachHost(ctx, live, func(h *host) error {
+	errs := c.eachHost(ctx, len(c.hosts), c.live, func(id int) error {
+		sys := c.hosts[id].sys
 		for e := 0; e < c.sc.RoundEpochs; e++ {
-			alive, err := h.sys.StepEpoch()
+			alive, err := sys.StepEpoch()
 			if err != nil || !alive {
 				return err
 			}
@@ -765,7 +827,7 @@ func (c *Cluster) Result() (*Result, error) {
 		Migrations: c.migrations,
 		Timeline:   c.timeline,
 	}
-	errs := c.eachHost(context.TODO(), live, func(h *host) error { return h.sys.CheckInvariants() })
+	errs := c.eachHost(context.TODO(), len(c.hosts), c.live, func(id int) error { return c.hosts[id].sys.CheckInvariants() })
 	for id, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("fleet %q: host %d final invariants: %w", c.sc.Name, id, err)

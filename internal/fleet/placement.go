@@ -65,7 +65,8 @@ type Move struct {
 type Placement interface {
 	Name() string
 	// PlaceBoot picks the host for a new (or evacuating) VM, or -1 if
-	// no host fits.
+	// no host fits. It must not modify hosts: the fleet reuses one
+	// snapshot across a whole boot group or evacuation.
 	PlaceBoot(vm VMView, hosts []HostView) int
 	// Rebalance proposes live migrations given the whole fleet's
 	// state; it runs once per round before hosts step. vms is sorted

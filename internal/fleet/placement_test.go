@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -123,5 +124,82 @@ func TestPlacementByName(t *testing.T) {
 	}
 	if _, err := PlacementByName("round-robin"); err == nil {
 		t.Error("unknown placement name should error")
+	}
+}
+
+// viewChecker wraps a placement policy and fails the test whenever a
+// call receives host views that differ from a fresh rebuild of the
+// cluster's books.
+type viewChecker struct {
+	Placement
+	t                *testing.T
+	c                *Cluster
+	boots, rebalance int
+}
+
+func (v *viewChecker) check(call string, hosts []HostView) {
+	if len(hosts) != len(v.c.hosts) {
+		v.t.Fatalf("%s got %d views for %d hosts", call, len(hosts), len(v.c.hosts))
+	}
+	for i, h := range v.c.hosts {
+		if want := h.view(); hosts[i] != want {
+			v.t.Errorf("round %d %s: host %d view %+v, fresh %+v", v.c.round, call, i, hosts[i], want)
+		}
+	}
+}
+
+func (v *viewChecker) PlaceBoot(vm VMView, hosts []HostView) int {
+	v.check("PlaceBoot", hosts)
+	v.boots++
+	return v.Placement.PlaceBoot(vm, hosts)
+}
+
+func (v *viewChecker) Rebalance(hosts []HostView, vms []VMView) []Move {
+	v.check("Rebalance", hosts)
+	v.rebalance++
+	return v.Placement.Rebalance(hosts, vms)
+}
+
+// TestPlacementViewsMatchFreshRebuild: the views a placement policy is
+// handed, refreshed entry by entry as VMs are admitted and evacuated,
+// always equal a fresh snapshot of every host's books. A boot group
+// fills hosts partway through, then a host failure's evacuees fill
+// their targets.
+func TestPlacementViewsMatchFreshRebuild(t *testing.T) {
+	for _, name := range PlacementNames() {
+		t.Run(name, func(t *testing.T) {
+			sc := &Script{
+				Name: "views", Seed: 3, Hosts: 4, Rounds: 3, RoundEpochs: 1, Scale: 512,
+				Host:      HostDesc{FastFrames: 2048, SlowFrames: 4096},
+				Placement: name,
+				Events: []Event{
+					{At: 0, Kind: KindBoot, Boot: bootTestGroup(10)},
+					{At: 1, Kind: KindHostFail, Host: 0},
+				},
+			}
+			c, err := NewCluster(sc, Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vc := &viewChecker{Placement: c.place, t: t, c: c}
+			c.place = vc
+			for c.round < sc.Rounds {
+				if err := c.StepRound(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if vc.boots < 10 || vc.rebalance != sc.Rounds {
+				t.Errorf("%d PlaceBoot and %d Rebalance calls, want >= 10 and %d", vc.boots, vc.rebalance, sc.Rounds)
+			}
+			filled := false
+			for _, m := range c.migrations {
+				if h := c.hosts[m.To]; m.Evacuation && h.fastCommitted == h.sys.Cfg.FastFrames {
+					filled = true
+				}
+			}
+			if !filled {
+				t.Errorf("no evacuation filled its target (migrations %+v)", c.migrations)
+			}
+		})
 	}
 }

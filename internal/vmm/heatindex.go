@@ -90,25 +90,58 @@ func NewHeatIndex(s *Scanner, tierOf func(memsim.MFN) memsim.Tier) *HeatIndex {
 // NewHeatIndex.
 func (s *Scanner) Index() *HeatIndex { return s.index }
 
-// Rebuild clears the index and reseeds it from a full snapshot sweep.
+// Rebuild clears the index and reseeds it from a full snapshot sweep,
+// a 64-page word at a time: each backed page's node is tagged with its
+// (tier, score), and the word's pages sharing a key are filed with one
+// fill. Groups go in order of their lowest page, so buckets are created
+// in the order a page-by-page insert would create them.
 func (x *HeatIndex) Rebuild() {
 	x.slots = [memsim.NumTiers][numHeatBuckets]uint16{}
 	x.buckets = x.buckets[:0]
 	x.counts = [memsim.NumTiers]uint64{}
 	x.occupied = [memsim.NumTiers][numHeatBuckets / 64]uint64{}
-	span := x.view.NumPFNs()
-	for pfn := guestos.PFN(0); pfn < guestos.PFN(span); pfn++ {
-		n := &x.nodes[pfn]
-		n.flags = 0
-		snap := x.view.Snapshot(pfn)
-		if snap.MFN == memsim.NilMFN {
-			continue
+	span := guestos.PFN(x.view.NumPFNs())
+	// key[b] packs page b's (tier, score).
+	var key [64]uint32
+	for base := guestos.PFN(0); base < span; base += 64 {
+		var backed uint64
+		for b := 0; b < 64 && base+guestos.PFN(b) < span; b++ {
+			pfn := base + guestos.PFN(b)
+			n := &x.nodes[pfn]
+			n.flags = 0
+			snap := x.view.Snapshot(pfn)
+			if snap.MFN == memsim.NilMFN {
+				continue
+			}
+			if snap.Free {
+				n.flags |= heatFree
+			}
+			n.tier, n.bucket = uint8(x.tierOf(snap.MFN)), x.scanner.score(pfn)
+			n.flags |= heatInIndex
+			key[b] = uint32(n.tier)<<8 | uint32(n.bucket)
+			backed |= 1 << b
 		}
-		if snap.Free {
-			n.flags |= heatFree
+		for backed != 0 {
+			k, group := nextGroup(&key, backed)
+			backed &^= group
+			tier := uint8(k >> 8)
+			x.fill(tier, uint8(k), int(base>>6), group)
+			x.counts[tier] += uint64(bits.OnesCount64(group))
 		}
-		x.insert(pfn, uint8(x.tierOf(snap.MFN)), x.scanner.score(pfn))
 	}
+}
+
+// nextGroup returns the key of the lowest page set in m and every page
+// of m sharing that key, for callers that file a word's pages by key.
+func nextGroup(key *[64]uint32, m uint64) (uint32, uint64) {
+	k := key[bits.TrailingZeros64(m)]
+	var group uint64
+	for r := m; r != 0; r &= r - 1 {
+		if b := bits.TrailingZeros64(r); key[b] == k {
+			group |= 1 << b
+		}
+	}
+	return k, group
 }
 
 // bucket returns the (tier, score) bucket, or nil if it was never used.
@@ -216,13 +249,7 @@ func (x *HeatIndex) PagesHeatChanged(w int, changed uint64) {
 		}
 	}
 	for moved != 0 {
-		k := key[bits.TrailingZeros64(moved)]
-		var group uint64
-		for m := moved; m != 0; m &= m - 1 {
-			if b := bits.TrailingZeros64(m); key[b] == k {
-				group |= 1 << b
-			}
-		}
+		k, group := nextGroup(&key, moved)
 		moved &^= group
 		tier, from, to := uint8(k>>16), uint8(k>>8), uint8(k)
 		x.drain(tier, from, w, group)

@@ -596,3 +596,122 @@ func TestHeatIndexFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRebuildMatchesPerPageInsert: Rebuild's word-grouped seed files
+// every page exactly where a page-by-page insert sweep would. The guest
+// (span 1064, ending mid-word) has unbacked PFNs, free and allocated
+// pages on both tiers, and heat that is constant over some words and
+// scattered over many levels in others. The two indexes must agree in
+// their summaries, rank walks, slot tables and per-page nodes, the
+// second time over a reused index too.
+func TestRebuildMatchesPerPageInsert(t *testing.T) {
+	for _, trackWrites := range []bool{false, true} {
+		t.Run(fmt.Sprintf("writes=%v", trackWrites), func(t *testing.T) {
+			g, machine := scanGuest(t)
+			vma, err := g.AS.Mmap(700, guestos.KindAnon, guestos.NilFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(11))
+			for i := 0; i < 400; i++ {
+				if _, err := g.TouchVPN(vma.Start+guestos.VPN(rng.Intn(700)), 1, uint64(rng.Intn(2))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sc := NewScanner(g, DefaultScanCosts())
+			if trackWrites {
+				sc.TrackWrites, sc.WriteBoost = true, 1.5
+			}
+			var x *HeatIndex
+			for round := 0; round < 2; round++ {
+				randomHeat(g, rng)
+				if x == nil {
+					x = NewHeatIndex(sc, machine.TierOf)
+				} else {
+					x.Rebuild()
+				}
+				ref := perPageRebuild(sc, machine.TierOf)
+				compareIndexes(t, fmt.Sprintf("round %d", round), x, ref)
+			}
+		})
+	}
+}
+
+// randomHeat gives every page new scan and write heat: one value for a
+// whole word on some words, a value per page over many levels on
+// others.
+func randomHeat(g *guestos.OS, rng *rand.Rand) {
+	levels := []uint8{0, 1, 2, 3, 4, 6, 9, 17, 40, 128, 255}
+	span := guestos.PFN(g.NumPFNs())
+	for base := guestos.PFN(0); base < span; base += 64 {
+		uniform := rng.Intn(3) == 0
+		h, w := levels[rng.Intn(len(levels))], levels[rng.Intn(4)]
+		for pfn := base; pfn < base+64 && pfn < span; pfn++ {
+			if !uniform {
+				h, w = uint8(rng.Intn(256)), levels[rng.Intn(len(levels))]
+			}
+			g.SetScanHeat(pfn, h)
+			g.Store().SetScanWriteHeat(pfn, w)
+		}
+	}
+}
+
+// perPageRebuild seeds a detached index over sc's guest one page at a
+// time with insert, in ascending PFN order: the reference for
+// Rebuild's word-grouped seed.
+func perPageRebuild(sc *Scanner, tierOf func(memsim.MFN) memsim.Tier) *HeatIndex {
+	x := &HeatIndex{scanner: sc, view: sc.view, tierOf: tierOf, nodes: make([]heatNode, sc.view.NumPFNs())}
+	for pfn := guestos.PFN(0); pfn < guestos.PFN(sc.view.NumPFNs()); pfn++ {
+		snap := sc.view.Snapshot(pfn)
+		if snap.MFN == memsim.NilMFN {
+			continue
+		}
+		if snap.Free {
+			x.nodes[pfn].flags |= heatFree
+		}
+		x.insert(pfn, uint8(tierOf(snap.MFN)), sc.score(pfn))
+	}
+	return x
+}
+
+// compareIndexes requires got to equal the reference index want.
+func compareIndexes(t *testing.T, step string, got, want *HeatIndex) {
+	t.Helper()
+	for _, x := range []*HeatIndex{got, want} {
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	if got.Summary() != want.Summary() {
+		t.Fatalf("%s: summaries differ", step)
+	}
+	if got.slots != want.slots {
+		t.Errorf("%s: buckets created in a different order", step)
+	}
+	var kinds [4]bool
+	for pfn := range got.nodes {
+		g, w := got.nodes[pfn], want.nodes[pfn]
+		if g.flags != w.flags || (w.flags&heatInIndex != 0 && (g.bucket != w.bucket || g.tier != w.tier)) {
+			t.Fatalf("%s: pfn %d node %+v, want %+v", step, pfn, g, w)
+		}
+		if w.flags&heatInIndex != 0 {
+			kinds[w.tier] = true
+			kinds[2] = kinds[2] || w.flags&heatFree != 0
+		} else {
+			kinds[3] = true
+		}
+	}
+	if kinds != [4]bool{true, true, true, true} {
+		t.Fatalf("%s: guest lacks a fast page, slow page, free page or unbacked PFN: %v", step, kinds)
+	}
+	for _, tier := range []memsim.Tier{memsim.FastMem, memsim.SlowMem} {
+		for _, skipFree := range []bool{false, true} {
+			for _, max := range []int{1, 100, 1 << 20} {
+				comparePFNs(t, step, "descendInto", tier, max,
+					got.descendInto(nil, tier, 0, skipFree, max), want.descendInto(nil, tier, 0, skipFree, max))
+				comparePFNs(t, step, "ascendInto", tier, max,
+					got.ascendInto(nil, tier, 255, skipFree, max), want.ascendInto(nil, tier, 255, skipFree, max))
+			}
+		}
+	}
+}
