@@ -131,10 +131,11 @@ snapshot-parity:
 # fuzz-smoke drives the fixed seed band through the fleet script
 # generator (1-3 hosts, host failures included) under the strict
 # invariant harness, replays the committed repro, and runs the loader
-# fuzzer's seed corpus (~5s). A failing seed shrinks itself and lands
-# in internal/fleet/testdata/fuzz/repros/.
+# fuzzer's and the buddy restore fuzzer's seed corpora (~5s). A failing
+# seed shrinks itself and lands in internal/fleet/testdata/fuzz/repros/.
 fuzz-smoke:
 	$(GO) test -run 'TestFuzzSmoke|TestCommittedRepro|FuzzParse' -count=1 ./internal/fleet
+	$(GO) test -run 'FuzzRestore' -count=1 ./internal/guestos/buddy
 
 # fleet-smoke runs the 1000-host / 10000-VM churn script end-to-end
 # through the CLI at two worker counts and requires both outputs to be

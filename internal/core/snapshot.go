@@ -78,9 +78,9 @@ func (s *System) Checkpoint(w io.Writer) error {
 // full stack (allocating frames, consuming RNG draws, initializing
 // workloads), then every piece of mutable state is overwritten from
 // the snapshot. Derived structures are rebuilt rather than restored —
-// buddy heaps from free-page order, page-cache forward maps from the
-// reverse map, the VMM heat index by re-attachment over restored page
-// state — so invariants hold by construction.
+// page-cache forward maps from the reverse map, the VMM heat index by
+// re-attachment over restored page state — so invariants hold by
+// construction.
 func RestoreSystem(r *snapshot.Reader, cfg Config) (*System, error) {
 	// Boot silently: the reconstruction boot replays allocation and
 	// workload-init activity that already happened (and was already

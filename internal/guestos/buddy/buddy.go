@@ -10,16 +10,22 @@
 // requirement for reproducible experiments) and mirrors Linux's
 // preference for low physical addresses.
 //
+// Free blocks are kept as one bitset.Set per order over block numbers,
+// so "lowest-addressed block of the smallest free order" is the first
+// member of the lowest non-empty set: no heap, no lazy deletion.
+//
 // A node's frame span may be only partially populated: in virtualized
 // systems the balloon driver adds (populates) and removes (depopulates)
 // frames at runtime. Unpopulated frames are simply absent from the free
-// lists.
+// sets.
 package buddy
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
+
+	"heteroos/internal/bitset"
 )
 
 // MaxOrder is the largest free-block order (2^10 pages = 4 MiB blocks at
@@ -29,73 +35,23 @@ const MaxOrder = 10
 // ErrNoMemory is returned when no free frame exists.
 var ErrNoMemory = errors.New("buddy: out of memory")
 
-// orderHeap is a min-heap of block bases for one order, stored as
-// 32-bit offsets into the allocator's span (a span holds at most
-// maxSpan frames). Offsets order like the bases they stand for.
-// Removal of arbitrary elements (needed when a block's buddy is consumed
-// by coalescing) is done lazily: stale entries are skipped on pop by
-// checking the allocator's free-block array. push and pop
-// sift exactly like container/heap's Push and Pop, without boxing each
-// offset in an interface.
-type orderHeap []uint32
-
-func (h *orderHeap) push(x uint32) {
-	*h = append(*h, x)
-	s := *h
-	for j := len(s) - 1; j > 0; {
-		i := (j - 1) / 2 // parent
-		if s[j] >= s[i] {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-}
-
-func (h *orderHeap) pop() uint32 {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && s[j2] < s[j] {
-			j = j2 // right child
-		}
-		if s[j] >= s[i] {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	*h = s[:n]
-	return s[n]
-}
-
 // Allocator is a buddy allocator over the frame span [base, base+size).
 type Allocator struct {
 	base, size uint64
-	// free is indexed by frame offset into the span: order+1 at the base
-	// of a free block, 0 everywhere else. A block is free iff its base
-	// holds its order here; heaps may contain stale entries.
-	free      []uint8
-	heaps     [MaxOrder + 1]orderHeap
+	// sets[o] holds the free blocks of order o, the block at span
+	// offset rel as member rel>>o; they are the only free-block record.
+	sets      [MaxOrder + 1]bitset.Set
 	freePages uint64
 }
 
-// maxSpan bounds an allocator's span: heap entries are 32-bit offsets.
-const maxSpan = 1 << 32
-
 // New creates an allocator over [base, base+size) with no populated
-// frames. Call AddRange to populate. A span of more than maxSpan frames
-// panics.
+// frames. Call AddRange to populate.
 func New(base, size uint64) *Allocator {
-	if size > maxSpan {
-		panic(fmt.Sprintf("buddy: span of %d frames exceeds maxSpan %d", size, uint64(maxSpan)))
+	a := &Allocator{base: base, size: size}
+	for o := range a.sets {
+		a.sets[o] = bitset.New(size >> o)
 	}
-	return &Allocator{base: base, size: size, free: make([]uint8, size)}
+	return a
 }
 
 // Base returns the first frame of the span.
@@ -110,78 +66,79 @@ func (a *Allocator) FreePages() uint64 { return a.freePages }
 // IsFree reports whether pfn lies inside one of the allocator's free
 // blocks.
 func (a *Allocator) IsFree(pfn uint64) bool {
-	if !a.contains(pfn, 0) {
-		return false
-	}
-	rel := pfn - a.base
-	for o := 0; o <= MaxOrder; o++ {
-		if a.free[rel&^(uint64(1)<<o-1)] == uint8(o+1) {
+	return a.contains(pfn, 0) && a.freeAt(pfn-a.base)
+}
+
+// freeAt reports whether span offset rel lies inside a free block.
+func (a *Allocator) freeAt(rel uint64) bool {
+	for o := range a.sets {
+		if a.sets[o].Has(rel >> o) {
 			return true
 		}
 	}
 	return false
 }
 
-func (a *Allocator) contains(pfn uint64, order int) bool {
-	n := uint64(1) << order
-	return pfn >= a.base && pfn-a.base+n <= a.size
+// nextBlock returns the span offset and order of the free block holding
+// rel, or else of the lowest free block above it.
+func (a *Allocator) nextBlock(rel uint64) (uint64, int, bool) {
+	var next uint64
+	order := -1
+	for o := range a.sets {
+		if a.sets[o].Has(rel >> o) {
+			return rel >> o << o, o, true
+		}
+		if b, ok := a.sets[o].Next(rel>>o + 1); ok && (order < 0 || b<<o < next) {
+			next, order = b<<o, o
+		}
+	}
+	return next, order, order >= 0
 }
 
-// pushFree records a free block and attempts upward coalescing, exactly
-// like __free_one_page: while the buddy block of the same order is also
-// free, merge and move up an order.
-func (a *Allocator) pushFree(pfn uint64, order int) {
-	for order < MaxOrder {
-		rel := pfn - a.base
-		buddyRel := rel ^ (uint64(1) << order)
-		buddyPfn := a.base + buddyRel
-		if !a.contains(buddyPfn, order) || a.free[buddyRel] != uint8(order+1) {
-			break
-		}
-		// Merge: remove the buddy (lazily from its heap), take the lower
-		// base as the merged block.
-		a.free[buddyRel] = 0
-		if buddyRel < rel {
-			pfn = buddyPfn
-		}
+func (a *Allocator) contains(pfn uint64, order int) bool {
+	rel := pfn - a.base
+	return pfn >= a.base && rel < a.size && uint64(1)<<order <= a.size-rel
+}
+
+// pushFree records the free block of the given order at span offset
+// rel and coalesces it upward, exactly like __free_one_page: while the
+// buddy block of the same order is also free, merge and move up an
+// order.
+func (a *Allocator) pushFree(rel uint64, order int) {
+	b := rel >> order
+	for order < MaxOrder && a.sets[order].Has(b^1) {
+		a.sets[order].Remove(b ^ 1)
+		b >>= 1
 		order++
 	}
-	a.free[pfn-a.base] = uint8(order + 1)
-	a.heaps[order].push(uint32(pfn - a.base))
+	a.sets[order].Add(b)
 }
 
-// popFree removes and returns the lowest-addressed free block of exactly
-// this order, or false if none exists.
+// popFree removes the lowest-addressed free block of exactly this order
+// and returns its span offset, or false if none exists.
 func (a *Allocator) popFree(order int) (uint64, bool) {
-	h := &a.heaps[order]
-	for len(*h) > 0 {
-		rel := h.pop()
-		if a.free[rel] == uint8(order+1) {
-			a.free[rel] = 0
-			return a.base + uint64(rel), true
-		}
-		// Otherwise pfn was a stale entry; keep popping.
+	b, ok := a.sets[order].Next(0)
+	if ok {
+		a.sets[order].Remove(b)
 	}
-	return 0, false
+	return b << order, ok
 }
 
 // Alloc allocates one frame: the lowest-addressed free block of the
 // smallest free order is split down to order 0, the upper halves going
-// back to the free lists, and its base frame returned.
+// back to the free sets, and its base frame returned.
 func (a *Allocator) Alloc() (uint64, error) {
 	for o := 0; o <= MaxOrder; o++ {
-		pfn, ok := a.popFree(o)
+		rel, ok := a.popFree(o)
 		if !ok {
 			continue
 		}
 		for o > 0 {
 			o--
-			half := pfn + (uint64(1) << o)
-			a.free[half-a.base] = uint8(o + 1)
-			a.heaps[o].push(uint32(half - a.base))
+			a.sets[o].Add(rel>>o | 1)
 		}
 		a.freePages--
-		return pfn, nil
+		return a.base + rel, nil
 	}
 	// The bare sentinel: running dry is expected (a node's free-stack
 	// refill stops on it), so no caller wants a formatted error built
@@ -195,11 +152,11 @@ func (a *Allocator) Free(pfn uint64) {
 	if !a.contains(pfn, 0) {
 		panic(fmt.Sprintf("buddy: free of frame %d outside span [%d,%d)", pfn, a.base, a.base+a.size))
 	}
-	if a.free[pfn-a.base] != 0 {
+	if a.freeAt(pfn - a.base) {
 		panic(fmt.Sprintf("buddy: double free of block %d", pfn))
 	}
 	a.freePages++
-	a.pushFree(pfn, 0)
+	a.pushFree(pfn-a.base, 0)
 }
 
 // AddRange populates n frames starting at pfn, making them available for
@@ -207,9 +164,8 @@ func (a *Allocator) Free(pfn uint64) {
 // guest's reservation. The run goes in as its maximal aligned blocks,
 // each coalescing with free buddies like a freed frame, so the free
 // blocks (and so every later allocation) are those n single-frame frees
-// would leave, at one heap entry per block instead of one per frame.
-// A frame outside the span or already a free block's base panics, as
-// in Free.
+// would leave. A frame outside the span or already free panics, as in
+// Free.
 func (a *Allocator) AddRange(pfn, n uint64) {
 	if n == 0 {
 		return
@@ -217,23 +173,21 @@ func (a *Allocator) AddRange(pfn, n uint64) {
 	if !a.contains(pfn, 0) || n > a.size-(pfn-a.base) {
 		panic(fmt.Sprintf("buddy: range [%d,+%d) outside span [%d,%d)", pfn, n, a.base, a.base+a.size))
 	}
-	for rel := pfn - a.base; rel < pfn-a.base+n; rel++ {
-		if a.free[rel] != 0 {
-			panic(fmt.Sprintf("buddy: double free of block %d", a.base+rel))
-		}
+	rel := pfn - a.base
+	if b, _, ok := a.nextBlock(rel); ok && b < rel+n {
+		panic(fmt.Sprintf("buddy: double free of block %d", a.base+max(b, rel)))
 	}
 	a.freePages += n
-	for n > 0 {
+	for end := rel + n; rel < end; {
 		order := MaxOrder
-		if rel := pfn - a.base; rel != 0 {
+		if rel != 0 {
 			order = min(order, bits.TrailingZeros64(rel))
 		}
-		for uint64(1)<<order > n {
+		for uint64(1)<<order > end-rel {
 			order--
 		}
-		a.pushFree(pfn, order)
-		pfn += uint64(1) << order
-		n -= uint64(1) << order
+		a.pushFree(rel, order)
+		rel += uint64(1) << order
 	}
 }
 
@@ -245,7 +199,7 @@ func (a *Allocator) Reserve(n uint64) []uint64 {
 	for uint64(len(out)) < n {
 		got := false
 		for o := 0; o <= MaxOrder && uint64(len(out)) < n; o++ {
-			pfn, ok := a.popFree(o)
+			rel, ok := a.popFree(o)
 			if !ok {
 				continue
 			}
@@ -253,11 +207,11 @@ func (a *Allocator) Reserve(n uint64) []uint64 {
 			a.freePages -= uint64(1) << o
 			for i := uint64(0); i < uint64(1)<<o; i++ {
 				if uint64(len(out)) < n {
-					out = append(out, pfn+i)
+					out = append(out, a.base+rel+i)
 				} else {
 					// Over-split: return the tail frames.
 					a.freePages++
-					a.pushFree(pfn+i, 0)
+					a.pushFree(rel+i, 0)
 				}
 			}
 			break
@@ -269,38 +223,29 @@ func (a *Allocator) Reserve(n uint64) []uint64 {
 	return out
 }
 
-// CheckInvariants validates the free-block bookkeeping: every free
-// block lies inside the span and is aligned to its order, no free block
-// has a free buddy of the same order (coalescing is maximal), no two
-// free blocks overlap, and the block sizes sum to freePages.
+// CheckInvariants validates the free-block bookkeeping: each order's
+// set is well formed and holds only blocks inside the span, no free
+// block has a free buddy of the same order (coalescing is maximal), no
+// free block lies inside a larger one, and the block sizes sum to
+// freePages.
 func (a *Allocator) CheckInvariants() error {
 	var total uint64
-	covered := make([]uint64, (a.size+63)/64)
-	for rel, v := range a.free {
-		if v == 0 {
-			continue
+	for o := range a.sets {
+		s := &a.sets[o]
+		if err := s.Check(a.size >> o); err != nil {
+			return fmt.Errorf("buddy: order %d free set: %v", o, err)
 		}
-		pfn, order := a.base+uint64(rel), int(v)-1
-		if order > MaxOrder || !a.contains(pfn, order) {
-			return fmt.Errorf("buddy: free block %d order %d outside span", pfn, order)
-		}
-		n := uint64(1) << order
-		if uint64(rel)%n != 0 {
-			return fmt.Errorf("buddy: free block %d misaligned for order %d", pfn, order)
-		}
-		total += n
-		if order < MaxOrder {
-			buddyPfn := a.base + (uint64(rel) ^ n)
-			if a.contains(buddyPfn, order) && a.free[buddyPfn-a.base] == v {
-				return fmt.Errorf("buddy: blocks %d and %d of order %d not coalesced", pfn, buddyPfn, order)
+		for b, ok := s.Next(0); ok; b, ok = s.Next(b + 1) {
+			pfn := a.base + b<<o
+			total += uint64(1) << o
+			if o < MaxOrder && s.Has(b^1) {
+				return fmt.Errorf("buddy: blocks %d and %d of order %d not coalesced", pfn, a.base+(b^1)<<o, o)
 			}
-		}
-		for i := uint64(rel); i < uint64(rel)+n; i++ {
-			w, bit := i/64, uint64(1)<<(i%64)
-			if covered[w]&bit != 0 {
-				return fmt.Errorf("buddy: frame %d covered by two free blocks", a.base+i)
+			for up := o + 1; up <= MaxOrder; up++ {
+				if a.sets[up].Has(b << o >> up) {
+					return fmt.Errorf("buddy: frame %d covered by two free blocks", pfn)
+				}
 			}
-			covered[w] |= bit
 		}
 	}
 	if total != a.freePages {

@@ -19,6 +19,17 @@ func newFull(base, size uint64) *Allocator {
 	return a
 }
 
+// freeOrder returns the order of the free block based at pfn, or -1.
+func freeOrder(a *Allocator, pfn uint64) int {
+	rel := pfn - a.base
+	for o := range a.sets {
+		if rel%(1<<o) == 0 && a.sets[o].Has(rel>>o) {
+			return o
+		}
+	}
+	return -1
+}
+
 func TestAllocFreeSingle(t *testing.T) {
 	a := newFull(0, 1024)
 	if a.FreePages() != 1024 {
@@ -60,8 +71,8 @@ func TestOrderAllocAlignment(t *testing.T) {
 			base = 0
 		}
 		a.AddRange(base, uint64(1)<<order)
-		if a.free[base] != uint8(order+1) {
-			t.Fatalf("order %d: AddRange left %d at %d, want one free block", order, a.free[base], base)
+		if got := freeOrder(a, base); got != order {
+			t.Fatalf("order %d: AddRange left order %d at %d, want one free block", order, got, base)
 		}
 		p, err := a.Alloc()
 		if err != nil || p != base {
@@ -71,8 +82,8 @@ func TestOrderAllocAlignment(t *testing.T) {
 			t.Fatalf("order %d: IsFree reports an allocated or unpopulated frame", order)
 		}
 		for j := 0; j < order; j++ {
-			if half := base + uint64(1)<<j; a.free[half] != uint8(j+1) {
-				t.Fatalf("order %d: split left %d at %d, want a free order-%d block", order, a.free[half], half, j)
+			if half := base + uint64(1)<<j; freeOrder(a, half) != j {
+				t.Fatalf("order %d: split left order %d at %d, want a free order-%d block", order, freeOrder(a, half), half, j)
 			}
 			// IsFree finds the block from its last frame too.
 			if last := base + uint64(1)<<(j+1) - 1; !a.IsFree(last) {
@@ -80,7 +91,7 @@ func TestOrderAllocAlignment(t *testing.T) {
 			}
 		}
 		a.Free(p)
-		if a.FreePages() != uint64(1)<<order || a.free[base] != uint8(order+1) {
+		if a.FreePages() != uint64(1)<<order || freeOrder(a, base) != order {
 			t.Fatalf("order %d: free did not reassemble the block", order)
 		}
 		if err := a.CheckInvariants(); err != nil {
@@ -107,8 +118,8 @@ func TestSplitAndCoalesce(t *testing.T) {
 	for _, p := range pages {
 		a.Free(p)
 	}
-	if a.free[0] != 5 || a.FreePages() != 16 {
-		t.Fatalf("free[0] = %d, free pages %d; want one order-4 block", a.free[0], a.FreePages())
+	if freeOrder(a, 0) != 4 || a.FreePages() != 16 {
+		t.Fatalf("order %d at 0, free pages %d; want one order-4 block", freeOrder(a, 0), a.FreePages())
 	}
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -119,12 +130,17 @@ func TestDoubleFreePanics(t *testing.T) {
 	a := newFull(0, 8)
 	p, _ := a.Alloc()
 	a.Free(p)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double free did not panic")
-		}
-	}()
-	a.Free(p)
+	// p is the free order-3 block's base; frame 5 lies inside it.
+	for _, pfn := range []uint64{p, 5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("double free of frame %d did not panic", pfn)
+				}
+			}()
+			a.Free(pfn)
+		}()
+	}
 }
 
 func TestFreeOutsideSpanPanics(t *testing.T) {
@@ -135,38 +151,6 @@ func TestFreeOutsideSpanPanics(t *testing.T) {
 		}
 	}()
 	a.Free(5)
-}
-
-// TestAddRangeHeapEntriesBounded populates 65,536 frames as one run and
-// as runs of ragged length and alignment, and requires the order heaps
-// to hold no more entries than there are free blocks plus a few per
-// run: an entry per populated frame would leave tens of thousands of
-// stale entries for the first allocations to pop through.
-func TestAddRangeHeapEntriesBounded(t *testing.T) {
-	const frames = 65536
-	for _, runs := range [][]uint64{{frames}, {3, 1021, 40000, frames - 41024}} {
-		a := New(0, frames)
-		var pfn uint64
-		for _, n := range runs {
-			a.AddRange(pfn, n)
-			pfn += n
-		}
-		if err := a.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		blocks, entries := 0, 0
-		for _, v := range a.free {
-			if v != 0 {
-				blocks++
-			}
-		}
-		for _, h := range a.heaps {
-			entries += len(h)
-		}
-		if limit := blocks + 2*(MaxOrder+1)*len(runs); entries > limit {
-			t.Fatalf("runs %v: %d heap entries for %d free blocks, want at most %d", runs, entries, blocks, limit)
-		}
-	}
 }
 
 // TestAddRangeRejectsBadRanges checks AddRange's span and double-free
@@ -278,17 +262,17 @@ func TestFragmentationThenRecovery(t *testing.T) {
 		a.Free(p)
 	}
 	// Only order-0 blocks are free now.
-	for rel, v := range a.free {
-		if v > 1 {
-			t.Fatalf("order-%d block at %d under full fragmentation", v-1, rel)
+	for o := 1; o <= MaxOrder; o++ {
+		if b, ok := a.sets[o].Next(0); ok {
+			t.Fatalf("order-%d block at %d under full fragmentation", o, b<<o)
 		}
 	}
 	for _, p := range even {
 		a.Free(p)
 	}
 	// Everything coalesces back into one order-8 block.
-	if a.free[0] != 9 {
-		t.Fatalf("free[0] = %d, want an order-8 block", a.free[0])
+	if freeOrder(a, 0) != 8 {
+		t.Fatalf("order %d at 0, want an order-8 block", freeOrder(a, 0))
 	}
 	if err := a.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -329,54 +313,8 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-// refHeap is orderHeap driven through container/heap, the sift order the
-// typed push/pop must reproduce.
-type refHeap []uint32
-
-func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(uint32)) }
-func (h *refHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
-func TestOrderHeapMatchesContainerHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var got orderHeap
-	var want refHeap
-	for op := 0; op < 20000; op++ {
-		if len(got) > 0 && rng.Intn(5) < 2 {
-			g, w := got.pop(), heap.Pop(&want).(uint32)
-			if g != w {
-				t.Fatalf("op %d: pop = %d, container/heap = %d", op, g, w)
-			}
-		} else {
-			// A narrow value range forces duplicates, like stale entries;
-			// every fifth push is near the top of the 32-bit range.
-			x := uint32(rng.Intn(512))
-			if rng.Intn(5) == 0 {
-				x = ^uint32(0) - x
-			}
-			got.push(x)
-			heap.Push(&want, x)
-		}
-		if !slices.Equal([]uint32(got), []uint32(want)) {
-			t.Fatalf("op %d: layout %v, container/heap %v", op, got, want)
-		}
-	}
-}
-
 func TestAllocFreeZeroAlloc(t *testing.T) {
 	a := newFull(0, 4096)
-	// Warm the heaps to their steady-state capacity.
-	for i := 0; i < 3; i++ {
-		p, _ := a.Alloc()
-		a.Free(p)
-	}
 	if n := testing.AllocsPerRun(100, func() {
 		p, err := a.Alloc()
 		if err != nil {
@@ -388,14 +326,29 @@ func TestAllocFreeZeroAlloc(t *testing.T) {
 	}
 }
 
-// mapAllocator is the allocator as it was before the dense free array:
-// free blocks in a map from base to order. It is the differential
-// oracle for the array-backed Allocator.
+// mapAllocator is the differential oracle for Allocator: free blocks
+// in a map from base to order, found through per-order container/heap
+// min-heaps of bases that leave a stale entry wherever a block is
+// merged away. It shares no code with the per-order sets.
 type mapAllocator struct {
 	base, size uint64
 	freeOrder  map[uint64]int
-	heaps      [MaxOrder + 1]orderHeap
+	heaps      [MaxOrder + 1]refHeap
 	freePages  uint64
+}
+
+// refHeap is a container/heap min-heap of block bases.
+type refHeap []uint64
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(uint64)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 func newMapAllocator(base, size uint64) *mapAllocator {
@@ -422,13 +375,13 @@ func (a *mapAllocator) pushFree(pfn uint64, order int) {
 		order++
 	}
 	a.freeOrder[pfn] = order
-	a.heaps[order].push(uint32(pfn - a.base))
+	heap.Push(&a.heaps[order], pfn)
 }
 
 func (a *mapAllocator) popFree(order int) (uint64, bool) {
 	h := &a.heaps[order]
-	for len(*h) > 0 {
-		pfn := a.base + uint64(h.pop())
+	for h.Len() > 0 {
+		pfn := heap.Pop(h).(uint64)
 		if o, ok := a.freeOrder[pfn]; ok && o == order {
 			delete(a.freeOrder, pfn)
 			return pfn, true
@@ -447,7 +400,7 @@ func (a *mapAllocator) Alloc() (uint64, bool) {
 			o--
 			half := pfn + (uint64(1) << o)
 			a.freeOrder[half] = o
-			a.heaps[o].push(uint32(half - a.base))
+			heap.Push(&a.heaps[o], half)
 		}
 		a.freePages--
 		return pfn, true
@@ -511,7 +464,7 @@ func (a *mapAllocator) Snapshot(e *snapshot.Encoder) {
 }
 
 // snapshotBytes frames one Snapshot call as a complete snapshot file.
-func snapshotBytes(t *testing.T, fn func(*snapshot.Encoder)) []byte {
+func snapshotBytes(t testing.TB, fn func(*snapshot.Encoder)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := snapshot.NewWriter(&buf)
@@ -608,10 +561,37 @@ func TestDenseMatchesMapOracle(t *testing.T) {
 			}
 		}
 	}
+
+	// A fixed case: 65,536 frames populated as runs of ragged length and
+	// alignment, then drawn down frame by frame.
+	const frames = 65536
+	got, want := New(0, frames), newMapAllocator(0, frames)
+	var pfn uint64
+	for _, n := range []uint64{3, 1021, 40000, frames - 41024} {
+		got.AddRange(pfn, n)
+		want.AddRange(pfn, n)
+		pfn += n
+	}
+	for i := 0; i <= 3000; i++ {
+		if i%1000 == 0 {
+			if err := got.CheckInvariants(); err != nil {
+				t.Fatalf("ragged runs, %d allocs: %v", i, err)
+			}
+			if !bytes.Equal(snapshotBytes(t, got.Snapshot), snapshotBytes(t, want.Snapshot)) {
+				t.Fatalf("ragged runs, %d allocs: snapshot bytes differ from oracle", i)
+			}
+		}
+		p, err := got.Alloc()
+		q, ok := want.Alloc()
+		if err != nil || !ok || p != q {
+			t.Fatalf("ragged runs, alloc %d = %d, %v; oracle %d, %v", i, p, err, q, ok)
+		}
+	}
 }
 
-// TestCheckInvariantsCatchesFaults corrupts the free array by hand and
-// requires each fault to be reported.
+// TestCheckInvariantsCatchesFaults corrupts the per-order free sets by
+// hand and requires each fault to be reported. A misaligned block has
+// no representation in the sets; Restore rejects one on the way in.
 func TestCheckInvariantsCatchesFaults(t *testing.T) {
 	cases := []struct {
 		name, want string
@@ -619,20 +599,20 @@ func TestCheckInvariantsCatchesFaults(t *testing.T) {
 	}{
 		{"overlap", "covered by two free blocks", func(a *Allocator) {
 			// Frame 3 is already inside the order-4 block at 0.
-			a.free[3] = 1
+			a.sets[0].Add(3)
 			a.freePages++
 		}},
 		{"uncoalesced", "not coalesced", func(a *Allocator) {
 			// Two free order-3 halves of the order-4 block.
-			a.free[0], a.free[8] = 4, 4
+			a.sets[4].Remove(0)
+			a.sets[3].Add(0)
+			a.sets[3].Add(1)
 		}},
 		{"total", "!= freePages", func(a *Allocator) { a.freePages-- }},
-		{"misaligned", "misaligned", func(a *Allocator) {
-			a.free[0], a.free[3] = 0, 2
-			a.freePages = 2
-		}},
-		{"outside span", "outside span", func(a *Allocator) {
-			a.free[0], a.free[15] = 0, 2
+		{"outside span", "beyond span", func(a *Allocator) {
+			// Order-1 block 8 would be frames 16 and 17.
+			a.sets[4].Remove(0)
+			a.sets[1].Add(8)
 			a.freePages = 2
 		}},
 	}
@@ -647,6 +627,32 @@ func TestCheckInvariantsCatchesFaults(t *testing.T) {
 			t.Errorf("%s: CheckInvariants = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// blocksSection writes a [0,+16) buddy section with the given free-page
+// count and {base, order} blocks, in the order given.
+func blocksSection(free uint64, blocks ...[2]uint64) func(*snapshot.Encoder) {
+	return func(e *snapshot.Encoder) {
+		e.U64(0)  // base
+		e.U64(16) // size
+		e.U64(free)
+		e.U32(uint32(len(blocks)))
+		for _, b := range blocks {
+			e.U64(b[0])
+			e.U8(uint8(b[1]))
+		}
+	}
+}
+
+// sectionBytes returns the body one Snapshot call writes, as Restore
+// reads it.
+func sectionBytes(tb testing.TB, fn func(*snapshot.Encoder)) []byte {
+	r, err := snapshot.Open(bytes.NewReader(snapshotBytes(tb, fn)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, _ := r.Raw("buddy")
+	return b
 }
 
 // restoreBytes restores a fresh [0,+16) allocator from a snapshot file.
@@ -667,31 +673,91 @@ func TestRestoreRejectsBlockOutsideSpan(t *testing.T) {
 	if err := restoreBytes(t, snapshotBytes(t, newFull(0, 16).Snapshot)); err != nil {
 		t.Fatal(err)
 	}
-	for _, blk := range []struct {
-		pfn   uint64
-		order uint8
-	}{{8, 4}, {16, 0}, {99, 0}} {
-		bad := snapshotBytes(t, func(e *snapshot.Encoder) {
-			e.U64(0)  // base
-			e.U64(16) // size
-			e.U64(uint64(1) << blk.order)
-			e.U32(1)
-			e.U64(blk.pfn)
-			e.U8(blk.order)
-		})
+	for _, blk := range [][2]uint64{{8, 4}, {16, 0}, {99, 0}, {^uint64(0), 1}} {
+		bad := snapshotBytes(t, blocksSection(1<<blk[1], blk))
 		if err := restoreBytes(t, bad); err == nil || !strings.Contains(err.Error(), "outside span") {
-			t.Errorf("block %d order %d: Restore = %v, want an outside-span error", blk.pfn, blk.order, err)
+			t.Errorf("block %d order %d: Restore = %v, want an outside-span error", blk[0], blk[1], err)
 		}
 	}
 }
 
-// TestNewRejectsSpanBeyondMaxSpan: heap entries are 32-bit offsets into
-// the span, so a larger span must panic before allocating.
-func TestNewRejectsSpanBeyondMaxSpan(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New with a span past maxSpan did not panic")
+// malformedBlocks are block lists Snapshot never writes for a valid
+// [0,+16) allocator; Restore must refuse each.
+var malformedBlocks = []struct {
+	name, want string
+	free       uint64
+	blocks     [][2]uint64 // {base, order}
+}{
+	{"misaligned", "misaligned", 2, [][2]uint64{{3, 1}}},
+	{"overlap", "below the previous block's end", 17, [][2]uint64{{0, 4}, {3, 0}}},
+	{"uncoalesced", "not coalesced", 16, [][2]uint64{{0, 3}, {8, 3}}},
+	{"free pages over", "header says 99 free", 99, [][2]uint64{{5, 0}}},
+	{"descending", "below the previous block's end", 2, [][2]uint64{{8, 0}, {0, 0}}},
+}
+
+func TestRestoreRejectsMalformedBlocks(t *testing.T) {
+	for _, tc := range malformedBlocks {
+		t.Run(tc.name, func(t *testing.T) {
+			err := restoreBytes(t, snapshotBytes(t, blocksSection(tc.free, tc.blocks...)))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// churned returns a [100,+3000) allocator after a seeded run of
+// populates, allocations and frees.
+func churned() *Allocator {
+	rng := rand.New(rand.NewSource(9))
+	a := New(100, 3000)
+	a.AddRange(100, 1000)
+	a.AddRange(1700, 1300)
+	var live []uint64
+	for i := 0; i < 2000; i++ {
+		if rng.Intn(3) > 0 {
+			if p, err := a.Alloc(); err == nil {
+				live = append(live, p)
+			}
+		} else if len(live) > 0 {
+			j := rng.Intn(len(live))
+			a.Free(live[j])
+			live = append(live[:j], live[j+1:]...)
 		}
-	}()
-	New(0, maxSpan+1)
+	}
+	return a
+}
+
+// FuzzRestore feeds Restore arbitrary section bodies. Whatever it
+// accepts must pass CheckInvariants, survive an Alloc/Free round trip,
+// and be exactly what Snapshot writes back.
+func FuzzRestore(f *testing.F) {
+	f.Add(sectionBytes(f, churned().Snapshot))
+	for _, tc := range malformedBlocks {
+		f.Add(sectionBytes(f, blocksSection(tc.free, tc.blocks...)))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		d := snapshot.NewDecoder(b)
+		base, size := d.U64(), d.U64()
+		if d.Err() != nil || size > 1<<16 || base+size < base {
+			return
+		}
+		a := New(base, size)
+		if a.Restore(snapshot.NewDecoder(b)) != nil {
+			return
+		}
+		if err := a.CheckInvariants(); err != nil {
+			t.Fatalf("Restore accepted a state CheckInvariants rejects: %v", err)
+		}
+		if out := sectionBytes(t, a.Snapshot); !bytes.HasPrefix(b, out) {
+			t.Fatalf("Snapshot after Restore wrote %x, input %x", out, b)
+		}
+		free := a.FreePages()
+		if p, err := a.Alloc(); err == nil {
+			a.Free(p)
+		}
+		if err := a.CheckInvariants(); err != nil || a.FreePages() != free {
+			t.Fatalf("after an Alloc/Free round trip: %v, %d free pages, was %d", err, a.FreePages(), free)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"heteroos/internal/bitset"
 	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
 )
@@ -68,7 +69,7 @@ type heatNode struct {
 // PFN bitmap.
 type heatBucket struct {
 	count uint64
-	set   *pfnSet
+	set   *bitset.Set
 }
 
 // NewHeatIndex builds an index over the scanner's guest view, seeds it
@@ -157,12 +158,13 @@ func (x *HeatIndex) bucket(tier, score int) *heatBucket {
 func (x *HeatIndex) fill(tier, score uint8, w int, m uint64) {
 	i := x.slots[tier][score]
 	if i == 0 {
-		x.buckets = append(x.buckets, heatBucket{set: newPFNSet(uint64(len(x.nodes)))})
+		set := bitset.New(uint64(len(x.nodes)))
+		x.buckets = append(x.buckets, heatBucket{set: &set})
 		i = uint16(len(x.buckets))
 		x.slots[tier][score] = i
 	}
 	b := &x.buckets[i-1]
-	b.set.addWord(w, m)
+	b.set.AddWord(w, m)
 	b.count += uint64(bits.OnesCount64(m))
 	x.occupied[tier][score>>6] |= 1 << (score & 63)
 }
@@ -171,7 +173,7 @@ func (x *HeatIndex) fill(tier, score uint8, w int, m uint64) {
 // bucket, which must hold them.
 func (x *HeatIndex) drain(tier, score uint8, w int, m uint64) {
 	b := &x.buckets[x.slots[tier][score]-1]
-	b.set.removeWord(w, m)
+	b.set.RemoveWord(w, m)
 	if b.count -= uint64(bits.OnesCount64(m)); b.count == 0 {
 		x.occupied[tier][score>>6] &^= 1 << (score & 63)
 	}
@@ -314,7 +316,7 @@ func (x *HeatIndex) ascendInto(buf []guestos.PFN, tier memsim.Tier, maxScore uin
 // when skipFree.
 func (x *HeatIndex) appendBucket(buf []guestos.PFN, tier memsim.Tier, score int, skipFree bool, max int) []guestos.PFN {
 	set := x.bucket(int(tier), score).set
-	for p, ok := set.next(0); ok; p, ok = set.next(p + 1) {
+	for p, ok := set.Next(0); ok; p, ok = set.Next(p + 1) {
 		if skipFree && x.nodes[p].flags&heatFree != 0 {
 			continue
 		}
@@ -387,11 +389,11 @@ func (x *HeatIndex) CheckInvariants() error {
 				}
 				continue
 			}
-			if err := b.set.check(uint64(len(x.nodes))); err != nil {
+			if err := b.set.Check(uint64(len(x.nodes))); err != nil {
 				return fmt.Errorf("heatindex: (%d,%d): %v", t, s, err)
 			}
 			var n uint64
-			for p, ok := b.set.next(0); ok; p, ok = b.set.next(p + 1) {
+			for p, ok := b.set.Next(0); ok; p, ok = b.set.Next(p + 1) {
 				nd := &x.nodes[p]
 				if nd.flags&heatInIndex == 0 {
 					return fmt.Errorf("heatindex: pfn %d in bucket without inIndex flag", p)
@@ -440,105 +442,6 @@ func (x *HeatIndex) CheckInvariants() error {
 	}
 	if backed != walked {
 		return fmt.Errorf("heatindex: %d backed pages != %d in buckets", backed, walked)
-	}
-	return nil
-}
-
-// pfnSet is a three-level hierarchical bitmap over the PFN space: l0 has
-// one bit per PFN, l1 one bit per non-zero l0 word, l2 one bit per
-// non-zero l1 word. next finds the smallest member at or above a PFN in
-// at most a handful of word operations, skipping empty stretches 4096
-// or 262144 PFNs at a time (a 64K-page guest has a 16-word l1 and a
-// 1-word l2).
-type pfnSet struct {
-	l0, l1, l2 []uint64
-}
-
-func newPFNSet(span uint64) *pfnSet {
-	n0 := (span + 63) / 64
-	n1 := (n0 + 63) / 64
-	n2 := (n1 + 63) / 64
-	return &pfnSet{
-		l0: make([]uint64, n0),
-		l1: make([]uint64, n1),
-		l2: make([]uint64, n2),
-	}
-}
-
-// addWord adds the members of l0 word w set in m, which must be
-// non-zero, and marks the word in the summary levels.
-func (s *pfnSet) addWord(w int, m uint64) {
-	s.l0[w] |= m
-	s.l1[w>>6] |= 1 << (w & 63)
-	s.l2[w>>12] |= 1 << ((w >> 6) & 63)
-}
-
-// removeWord removes the members of l0 word w set in m and clears the
-// summary bits of words it empties.
-func (s *pfnSet) removeWord(w int, m uint64) {
-	if s.l0[w] &^= m; s.l0[w] != 0 {
-		return
-	}
-	w1 := w >> 6
-	if s.l1[w1] &^= 1 << (w & 63); s.l1[w1] != 0 {
-		return
-	}
-	s.l2[w1>>6] &^= 1 << (w1 & 63)
-}
-
-// next returns the smallest member greater than or equal to p.
-func (s *pfnSet) next(p uint64) (uint64, bool) {
-	w0 := p >> 6
-	if w0 >= uint64(len(s.l0)) {
-		return 0, false
-	}
-	if m := s.l0[w0] &^ (1<<(p&63) - 1); m != 0 {
-		return w0<<6 + uint64(bits.TrailingZeros64(m)), true
-	}
-	w0++
-	w1 := w0 >> 6
-	if w1 >= uint64(len(s.l1)) {
-		return 0, false
-	}
-	if m := s.l1[w1] &^ (1<<(w0&63) - 1); m != 0 {
-		w0 = w1<<6 + uint64(bits.TrailingZeros64(m))
-		return w0<<6 + uint64(bits.TrailingZeros64(s.l0[w0])), true
-	}
-	w1++
-	w2 := w1 >> 6
-	if w2 >= uint64(len(s.l2)) {
-		return 0, false
-	}
-	m := s.l2[w2] &^ (1<<(w1&63) - 1)
-	for m == 0 {
-		if w2++; w2 >= uint64(len(s.l2)) {
-			return 0, false
-		}
-		m = s.l2[w2]
-	}
-	w1 = w2<<6 + uint64(bits.TrailingZeros64(m))
-	w0 = w1<<6 + uint64(bits.TrailingZeros64(s.l1[w1]))
-	return w0<<6 + uint64(bits.TrailingZeros64(s.l0[w0])), true
-}
-
-// check verifies that each summary bit is set exactly when the word it
-// covers is non-zero, and that no bit lies beyond span.
-func (s *pfnSet) check(span uint64) error {
-	if tail := span & 63; tail != 0 && s.l0[len(s.l0)-1]>>tail != 0 {
-		return fmt.Errorf("pfnSet: member beyond span %d", span)
-	}
-	for _, lv := range []struct{ lo, hi []uint64 }{{s.l0, s.l1}, {s.l1, s.l2}} {
-		for i := range lv.hi {
-			var want uint64
-			for b := 0; b < 64 && i<<6+b < len(lv.lo); b++ {
-				if lv.lo[i<<6+b] != 0 {
-					want |= 1 << b
-				}
-			}
-			if lv.hi[i] != want {
-				return fmt.Errorf("pfnSet: summary word %d is %#x, covers %#x", i, lv.hi[i], want)
-			}
-		}
 	}
 	return nil
 }
