@@ -130,12 +130,13 @@ snapshot-parity:
 
 # fuzz-smoke drives the fixed seed band through the fleet script
 # generator (1-3 hosts, host failures included) under the strict
-# invariant harness, replays the committed repro, and runs the loader
-# fuzzer's and the buddy restore fuzzer's seed corpora (~5s). A failing
-# seed shrinks itself and lands in internal/fleet/testdata/fuzz/repros/.
+# invariant harness, replays the committed repro, and runs the seed
+# corpora of the loader fuzzer and of the buddy, slab and page-cache
+# restore fuzzers (~5s). A failing seed shrinks itself and lands in
+# internal/fleet/testdata/fuzz/repros/.
 fuzz-smoke:
 	$(GO) test -run 'TestFuzzSmoke|TestCommittedRepro|FuzzParse' -count=1 ./internal/fleet
-	$(GO) test -run 'FuzzRestore' -count=1 ./internal/guestos/buddy
+	$(GO) test -run 'FuzzRestore' -count=1 ./internal/guestos/buddy ./internal/guestos/slab ./internal/guestos/pagecache
 
 # fleet-smoke runs the 1000-host / 10000-VM churn script end-to-end
 # through the CLI at two worker counts and requires both outputs to be

@@ -84,15 +84,8 @@ func (s *System) EmigrateVM(id vmm.VMID) (*VMImage, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sw.Section("p2m", func(e *snapshot.Encoder) {
-		var n uint64
-		inst.OS.ForEachBacked(func(guestos.PFN, memsim.MFN) { n++ })
-		e.U64(n)
-		inst.OS.ForEachBacked(func(pfn guestos.PFN, mfn memsim.MFN) {
-			e.U64(uint64(pfn))
-			e.U64(uint64(mfn))
-			e.U8(uint8(s.Machine.TierOf(mfn)))
-		})
+	if err := sw.State("p2m", func(c *snapshot.Codec) error {
+		return s.p2mState(c, inst, nil, nil)
 	}); err != nil {
 		return nil, err
 	}
@@ -206,30 +199,11 @@ func (s *System) ImmigrateVM(vc VMConfig, img *VMImage) (inst *VMInstance, err e
 
 	// Rebind the image's source-host MFNs onto the adopted frames, in
 	// ascending PFN order per tier so the binding is deterministic.
-	d, err := r.Section("p2m")
-	if err != nil {
+	mfnMap := make(map[memsim.MFN]memsim.MFN, img.Frames())
+	if err := r.State("p2m", func(c *snapshot.Codec) error {
+		return s.p2mState(c, inst, &adopted, mfnMap)
+	}); err != nil {
 		return abort(err)
-	}
-	n := d.U64()
-	var cursor [memsim.NumTiers]uint64
-	mfnMap := make(map[memsim.MFN]memsim.MFN, n)
-	for i := uint64(0); i < n; i++ {
-		d.U64() // pfn: implied by the guest OS state, recorded for tooling
-		old := memsim.MFN(d.U64())
-		t := memsim.Tier(d.U8())
-		if t >= memsim.NumTiers || cursor[t] >= uint64(len(adopted[t])) {
-			return abort(fmt.Errorf("p2m entry %d: tier %d frame count exceeds image footprint", i, t))
-		}
-		mfnMap[old] = adopted[t][cursor[t]]
-		cursor[t]++
-	}
-	if err := d.Err(); err != nil {
-		return abort(err)
-	}
-	for t := memsim.Tier(0); t < memsim.NumTiers; t++ {
-		if cursor[t] != uint64(len(adopted[t])) {
-			return abort(fmt.Errorf("image carries %d backed %v pages but grants %d frames", cursor[t], t, len(adopted[t])))
-		}
 	}
 	mapMFN := func(m memsim.MFN) memsim.MFN {
 		if nm, ok := mfnMap[m]; ok {
@@ -250,6 +224,57 @@ func (s *System) ImmigrateVM(vc VMConfig, img *VMImage) (inst *VMInstance, err e
 		s.sysScope.Emit(obs.EvVMMigrateIn, obs.DirNone, obs.TierNone, 0, img.Frames(), uint64(vc.ID), 0)
 	}
 	return inst, nil
+}
+
+// p2mState codes an image's p2m section: the count of backed guest
+// pages (a u64), then each page's PFN, machine frame and tier in
+// ascending PFN order (the PFN is implied by the guest state and kept
+// for tooling). Reading, into a guest with no backed pages, maps each
+// listed frame to the next of adopted's frames of its tier into
+// mfnMap. The count must equal the adopted frames' and is checked
+// before any entry is read, so with no tier overdrawn every adopted
+// frame is used exactly once.
+func (s *System) p2mState(c *snapshot.Codec, inst *VMInstance,
+	adopted *[memsim.NumTiers][]memsim.MFN, mfnMap map[memsim.MFN]memsim.MFN) error {
+	type entry struct {
+		pfn, mfn uint64
+		tier     uint8
+	}
+	var n uint64
+	inst.OS.ForEachBacked(func(guestos.PFN, memsim.MFN) { n++ })
+	backed := make([]entry, 0, n)
+	inst.OS.ForEachBacked(func(pfn guestos.PFN, mfn memsim.MFN) {
+		backed = append(backed, entry{uint64(pfn), uint64(mfn), uint8(s.Machine.TierOf(mfn))})
+	})
+	c.U64(&n)
+	if c.Reading() && c.Err() == nil {
+		frames := 0
+		for _, a := range adopted {
+			frames += len(a)
+		}
+		if n != uint64(frames) {
+			return fmt.Errorf("image lists %d backed pages but grants %d frames", n, frames)
+		}
+		backed = make([]entry, n)
+	}
+	for i := range backed {
+		c.U64(&backed[i].pfn)
+		c.U64(&backed[i].mfn)
+		c.U8(&backed[i].tier)
+	}
+	if !c.Reading() || c.Err() != nil {
+		return c.Err()
+	}
+	var cursor [memsim.NumTiers]int
+	for i, e := range backed {
+		t := memsim.Tier(e.tier)
+		if t >= memsim.NumTiers || cursor[t] >= len(adopted[t]) {
+			return fmt.Errorf("p2m entry %d: tier %d frame count exceeds image footprint", i, t)
+		}
+		mfnMap[memsim.MFN(e.mfn)] = adopted[t][cursor[t]]
+		cursor[t]++
+	}
+	return nil
 }
 
 // HeatIndexSummary reports the VM's heat-bucket fingerprint, or false

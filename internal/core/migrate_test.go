@@ -1,13 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"heteroos/internal/memsim"
 	"heteroos/internal/policy"
+	"heteroos/internal/snapshot"
 	"heteroos/internal/workload"
 )
 
@@ -260,18 +266,25 @@ func TestMigrationRejections(t *testing.T) {
 // and a clean ImmigrateVM afterwards must still succeed.
 func TestImmigrateFailureLeavesHostUnchanged(t *testing.T) {
 	cases := []struct {
-		name string
+		name, want string // want: a substring of the error
 		// prepare returns the image to present and undoes any host
 		// setup once the failed call has been checked.
 		prepare func(t *testing.T, host *System, img *VMImage) (*VMImage, func())
 	}{
-		{"corrupted image", func(t *testing.T, host *System, img *VMImage) (*VMImage, func()) {
+		{"corrupted image", "checksum", func(t *testing.T, host *System, img *VMImage) (*VMImage, func()) {
 			bad := *img
 			bad.Data = append([]byte(nil), img.Data...)
 			bad.Data[len(bad.Data)/2] ^= 0xff
 			return &bad, func() {}
 		}},
-		{"footprint exceeds free frames", func(t *testing.T, host *System, img *VMImage) (*VMImage, func()) {
+		// A corrupt p2m count must fail before the read loop runs.
+		{"p2m count beyond footprint", "backed pages but grants", func(t *testing.T, host *System, img *VMImage) (*VMImage, func()) {
+			return rewriteP2M(t, img, func(body []byte) { binary.LittleEndian.PutUint64(body, 1<<62) }), func() {}
+		}},
+		{"p2m tier out of range", "exceeds image footprint", func(t *testing.T, host *System, img *VMImage) (*VMImage, func()) {
+			return rewriteP2M(t, img, func(body []byte) { body[8+16] = uint8(memsim.NumTiers) }), func() {}
+		}},
+		{"footprint exceeds free frames", "", func(t *testing.T, host *System, img *VMImage) (*VMImage, func()) {
 			// A filler VM pins all but 2048 SlowMem frames: the image's
 			// FastMem frames adopt, its SlowMem frames cannot, so the
 			// abort path must hand the adopted FastMem frames back.
@@ -312,8 +325,8 @@ func TestImmigrateFailureLeavesHostUnchanged(t *testing.T) {
 			live := append([]*VMInstance(nil), host.VMs...)
 			departed := append([]*VMInstance(nil), host.Departed...)
 
-			if _, err := host.ImmigrateVM(migVM(t, 77), presented); err == nil {
-				t.Fatal("ImmigrateVM succeeded")
+			if _, err := host.ImmigrateVM(migVM(t, 77), presented); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ImmigrateVM: err = %v, want an error containing %q", err, tc.want)
 			}
 			for tier := memsim.Tier(0); tier < memsim.NumTiers; tier++ {
 				if got := host.Machine.FreeFrames(tier); got != free[tier] {
@@ -342,6 +355,98 @@ func TestImmigrateFailureLeavesHostUnchanged(t *testing.T) {
 			}
 			if err := host.CheckInvariants(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// rewriteP2M returns a copy of img whose p2m section body has been
+// passed through corrupt, re-emitted through the raw section seam.
+func rewriteP2M(t *testing.T, img *VMImage, corrupt func(body []byte)) *VMImage {
+	t.Helper()
+	r, err := snapshot.Open(bytes.NewReader(img.Data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range r.Sections() {
+		raw, _ := r.Raw(name)
+		body := append([]byte(nil), raw...)
+		if name == "p2m" {
+			corrupt(body)
+		}
+		if err := w.Section(name, func(e *snapshot.Encoder) {
+			for _, b := range body {
+				e.U8(b)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad := *img
+	bad.Data = buf.Bytes()
+	return &bad
+}
+
+// imagePins is the sha256 of the EmigrateVM image of VM 1 on a
+// TestSnapshotEveryWorkloadRoundTrips-shaped host (one coordinated VM)
+// after four epochs. GraphChi's image carries a non-empty swap map,
+// LevelDB's a non-empty page cache and slab caches. Like snapshotPins,
+// a change to these bytes must bump snapshot.Version.
+var imagePins = map[string]string{
+	"GraphChi": "0fad849950198427037508d92f40c8420cd857e87f1a0b5177646481e86aa2de",
+	"LevelDB":  "f574c6cf210cf13bfce743db3f138c0e865aa1bcfbc84b8dcf51742988f9cf78",
+}
+
+// TestEmigrateImagePinned pins the live-migration image bytes: the p2m
+// section and the guest state that evacuations move between hosts.
+func TestEmigrateImagePinned(t *testing.T) {
+	if snapshot.Version != snapshotPinVersion {
+		t.Fatalf("snapshot.Version is %d but imagePins were captured at version %d: re-pin every case",
+			snapshot.Version, snapshotPinVersion)
+	}
+	for _, app := range []string{"GraphChi", "LevelDB"} {
+		t.Run(app, func(t *testing.T) {
+			w, err := workload.ByName(app, workload.Config{Seed: 99})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := NewSystem(Config{
+				FastFrames: 16384, SlowFrames: 32768, Seed: 99, MaxEpochs: 64,
+				VMs: []VMConfig{{
+					ID: 1, Mode: policy.HeteroOSCoordinated(), Workload: w,
+					FastPages: 2048, SlowPages: 4096,
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepN(t, sys, 4)
+			// The pins only cover the layouts the image actually holds.
+			guest, slabPages := sys.VMs[0].OS, 0
+			for _, c := range guest.Slabs {
+				slabPages += c.Pages()
+			}
+			if app == "GraphChi" && guest.SwappedPages() == 0 ||
+				app == "LevelDB" && (guest.PC.Pages() == 0 || slabPages == 0) {
+				t.Fatalf("%s image covers too little: %d swapped, %d page-cache, %d slab pages",
+					app, guest.SwappedPages(), guest.PC.Pages(), slabPages)
+			}
+			img, err := sys.EmigrateVM(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fmt.Sprintf("%x", sha256.Sum256(img.Data)), imagePins[app]; got != want {
+				t.Fatalf("image sha256 is %s, pinned %s at snapshot.Version %d: "+
+					"the image bytes changed, so bump snapshot.Version and re-pin",
+					got, want, snapshotPinVersion)
 			}
 		})
 	}

@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"heteroos/internal/memsim"
 	"heteroos/internal/obs"
@@ -27,23 +28,7 @@ func (s *System) Checkpoint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := sw.Section("config", func(e *snapshot.Encoder) {
-		e.U64(s.Cfg.FastFrames)
-		e.U64(s.Cfg.SlowFrames)
-		e.U64(s.Cfg.Seed)
-		e.Str(string(s.Cfg.Share))
-		e.F64(s.Cfg.CostScale)
-		e.Str(s.Backend.Name())
-		e.Int(s.epochs)
-		e.U32(uint32(len(s.VMs)))
-		for _, inst := range s.VMs {
-			e.U32(uint32(inst.ID))
-		}
-		e.U32(uint32(len(s.Departed)))
-		for _, inst := range s.Departed {
-			e.U32(uint32(inst.ID))
-		}
-	}); err != nil {
+	if err := sw.State("config", s.configState); err != nil {
 		return err
 	}
 	if err := sw.State("machine", s.Machine.SnapshotState); err != nil {
@@ -94,54 +79,14 @@ func RestoreSystem(r *snapshot.Reader, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: restore: rebooting system: %w", err)
 	}
 
-	d, err := r.Section("config")
-	if err != nil {
+	// The departed stubs come first: the config section lists their IDs
+	// and reading it checks them.
+	if err := r.State("departed", s.departedState); err != nil {
 		return nil, err
 	}
-	fast, slow, seed := d.U64(), d.U64(), d.U64()
-	share := ShareKind(d.Str())
-	costScale := d.F64()
-	backendName := d.Str()
-	epochs := d.Int()
-	if err := d.Err(); err != nil {
+	if err := r.State("config", s.configState); err != nil {
 		return nil, err
 	}
-	if fast != s.Cfg.FastFrames || slow != s.Cfg.SlowFrames {
-		return nil, fmt.Errorf("core: restore: snapshot machine (%d fast, %d slow) != config (%d, %d)",
-			fast, slow, s.Cfg.FastFrames, s.Cfg.SlowFrames)
-	}
-	if seed != s.Cfg.Seed {
-		return nil, fmt.Errorf("core: restore: snapshot seed %d != config seed %d", seed, s.Cfg.Seed)
-	}
-	if share != s.Cfg.Share {
-		return nil, fmt.Errorf("core: restore: snapshot share policy %q != config %q", share, s.Cfg.Share)
-	}
-	if costScale != s.Cfg.CostScale {
-		return nil, fmt.Errorf("core: restore: snapshot CostScale %g != config %g", costScale, s.Cfg.CostScale)
-	}
-	// Pricing-model identity, not just state shape: restoring state taken
-	// under one backend into a system pricing with another would not fail
-	// structurally — it would silently re-price the remaining epochs.
-	if backendName != s.Backend.Name() {
-		return nil, fmt.Errorf("core: restore: snapshot was taken under the %q backend, config builds %q",
-			backendName, s.Backend.Name())
-	}
-	nLive := int(d.U32())
-	if nLive != len(s.VMs) {
-		return nil, fmt.Errorf("core: restore: snapshot has %d live VMs, config boots %d", nLive, len(s.VMs))
-	}
-	for i := 0; i < nLive; i++ {
-		id := vmm.VMID(d.U32())
-		if id != s.VMs[i].ID {
-			return nil, fmt.Errorf("core: restore: snapshot VM #%d is %d, config boots %d in that slot",
-				i, id, s.VMs[i].ID)
-		}
-	}
-	nDeparted := int(d.U32())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	s.epochs = epochs
 
 	if err := r.State("machine", s.Machine.SnapshotState); err != nil {
 		return nil, err
@@ -168,14 +113,64 @@ func RestoreSystem(r *snapshot.Reader, cfg Config) (*System, error) {
 			return nil, fmt.Errorf("core: restore VM %d: %w", inst.ID, err)
 		}
 	}
-	if err := r.State("departed", s.departedState); err != nil {
-		return nil, err
-	}
-	if len(s.Departed) != nDeparted {
-		return nil, fmt.Errorf("core: restore: departed section has %d VMs, config section says %d", len(s.Departed), nDeparted)
-	}
 	s.attachObs(h)
 	return s, nil
+}
+
+// configState codes the config section: the machine shape, seed, share
+// policy, cost scale, pricing backend and epoch count, then the live and
+// departed VM IDs in order. Reading restores the epoch count and
+// cross-checks every other value against s, a system rebooted from the
+// restore's Config with its departed stubs already read; writing passes
+// the same checks trivially.
+func (s *System) configState(c *snapshot.Codec) error {
+	fast, slow, seed := s.Cfg.FastFrames, s.Cfg.SlowFrames, s.Cfg.Seed
+	share, costScale, backendName := string(s.Cfg.Share), s.Cfg.CostScale, s.Backend.Name()
+	c.U64(&fast)
+	c.U64(&slow)
+	c.U64(&seed)
+	c.Str(&share)
+	c.F64(&costScale)
+	c.Str(&backendName)
+	c.Int(&s.epochs)
+	if err := c.Err(); err != nil {
+		return err
+	}
+	if fast != s.Cfg.FastFrames || slow != s.Cfg.SlowFrames {
+		return fmt.Errorf("core: restore: snapshot machine (%d fast, %d slow) != config (%d, %d)",
+			fast, slow, s.Cfg.FastFrames, s.Cfg.SlowFrames)
+	}
+	if seed != s.Cfg.Seed {
+		return fmt.Errorf("core: restore: snapshot seed %d != config seed %d", seed, s.Cfg.Seed)
+	}
+	if ShareKind(share) != s.Cfg.Share {
+		return fmt.Errorf("core: restore: snapshot share policy %q != config %q", share, s.Cfg.Share)
+	}
+	if costScale != s.Cfg.CostScale {
+		return fmt.Errorf("core: restore: snapshot CostScale %g != config %g", costScale, s.Cfg.CostScale)
+	}
+	// Pricing-model identity, not just state shape: restoring state taken
+	// under one backend into a system pricing with another would not fail
+	// structurally — it would silently re-price the remaining epochs.
+	if backendName != s.Backend.Name() {
+		return fmt.Errorf("core: restore: snapshot was taken under the %q backend, config builds %q",
+			backendName, s.Backend.Name())
+	}
+	for _, set := range []struct {
+		what  string
+		insts []*VMInstance
+	}{{"live", s.VMs}, {"departed", s.Departed}} {
+		want := make([]uint32, len(set.insts))
+		for i, inst := range set.insts {
+			want[i] = uint32(inst.ID)
+		}
+		got := want
+		snapshot.Slice(c, &got, c.U32)
+		if c.Err() == nil && !slices.Equal(got, want) {
+			return fmt.Errorf("core: restore: snapshot %s VMs %v, restored system has %v", set.what, got, want)
+		}
+	}
+	return c.Err()
 }
 
 // attachObs wires observability into a restored system, mirroring the

@@ -149,19 +149,19 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 	snapBytes := checkpointBytes(t, sys)
 
 	cases := []struct {
-		name   string
-		mutate func(*Config)
+		name, want string
+		mutate     func(*Config)
 	}{
-		{"seed", func(c *Config) { c.Seed = 7 }},
-		{"frames", func(c *Config) { c.FastFrames = 8192 }},
-		{"share", func(c *Config) { c.Share = ShareStatic }},
-		{"backend", func(c *Config) {
+		{"seed", "snapshot seed", func(c *Config) { c.Seed = 7 }},
+		{"frames", "snapshot machine", func(c *Config) { c.FastFrames = 8192 }},
+		{"share", "share policy", func(c *Config) { c.Share = ShareStatic }},
+		{"backend", "backend", func(c *Config) {
 			c.Backend = func(m *memsim.Machine, opts ...memsim.Option) memsim.Backend {
 				return renamedBackend{memsim.NewAnalytic(m, opts...)}
 			}
 		}},
-		{"vm-set", func(c *Config) { c.VMs = c.VMs[:1] }},
-		{"vm-order", func(c *Config) { c.VMs[0], c.VMs[1] = c.VMs[1], c.VMs[0] }},
+		{"vm-set", "live VMs", func(c *Config) { c.VMs = c.VMs[:1] }},
+		{"vm-order", "live VMs", func(c *Config) { c.VMs[0], c.VMs[1] = c.VMs[1], c.VMs[0] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,8 +171,8 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := RestoreSystem(rd, cfg); err == nil {
-				t.Fatal("restore with mismatched config succeeded")
+			if _, err := RestoreSystem(rd, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore with mismatched config: err = %v, want one containing %q", err, tc.want)
 			}
 		})
 	}

@@ -10,7 +10,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -64,16 +63,12 @@ func (c *Cluster) WriteCheckpoint(path string) error {
 		meta.Failed = append(meta.Failed, h.failed)
 		meta.HostVMs = append(meta.HostVMs, ids)
 	}
-	blob, err := json.Marshal(&meta)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	err = c.writeSnapshot(f, blob)
+	err = c.writeSnapshot(f, &meta)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -87,12 +82,12 @@ func (c *Cluster) WriteCheckpoint(path string) error {
 	return nil
 }
 
-func (c *Cluster) writeSnapshot(f *os.File, meta []byte) error {
+func (c *Cluster) writeSnapshot(f *os.File, meta *checkpointMeta) error {
 	sw, err := snapshot.NewWriter(f)
 	if err != nil {
 		return err
 	}
-	if err := sw.Section("fleet", func(e *snapshot.Encoder) { e.Bytes(meta) }); err != nil {
+	if err := sw.State("fleet", func(sc *snapshot.Codec) error { sc.JSON(meta); return nil }); err != nil {
 		return err
 	}
 	var buf bytes.Buffer
@@ -101,7 +96,8 @@ func (c *Cluster) writeSnapshot(f *os.File, meta []byte) error {
 		if err := h.sys.Checkpoint(&buf); err != nil {
 			return fmt.Errorf("host %d: %w", h.id, err)
 		}
-		if err := sw.Section(hostSection(h.id), func(e *snapshot.Encoder) { e.Bytes(buf.Bytes()) }); err != nil {
+		b := buf.Bytes()
+		if err := sw.State(hostSection(h.id), func(sc *snapshot.Codec) error { sc.Bytes(&b); return nil }); err != nil {
 			return err
 		}
 	}
@@ -113,13 +109,9 @@ func (c *Cluster) writeSnapshot(f *os.File, meta []byte) error {
 // (workers, observability, further checkpoints); the script, seed and
 // backend come from the checkpoint.
 func Restore(rd *snapshot.Reader, opts Options) (*Cluster, error) {
-	d, err := rd.Section("fleet")
-	if err != nil {
-		return nil, fmt.Errorf("fleet: restore: %w", err)
-	}
 	var meta checkpointMeta
-	if err := d.JSON(&meta); err != nil {
-		return nil, fmt.Errorf("fleet: restore: decoding fleet section: %w", err)
+	if err := rd.State("fleet", func(sc *snapshot.Codec) error { sc.JSON(&meta); return nil }); err != nil {
+		return nil, fmt.Errorf("fleet: restore: %w", err)
 	}
 	if meta.Script == nil {
 		return nil, fmt.Errorf("fleet: restore: checkpoint carries no script")
@@ -187,12 +179,8 @@ func Restore(rd *snapshot.Reader, opts Options) (*Cluster, error) {
 
 // restoreHost rebuilds one host from its nested core checkpoint.
 func restoreHost(rd *snapshot.Reader, id int, cfg core.Config) (*core.System, error) {
-	d, err := rd.Section(hostSection(id))
-	if err != nil {
-		return nil, err
-	}
-	b := d.Bytes()
-	if err := d.Err(); err != nil {
+	var b []byte
+	if err := rd.State(hostSection(id), func(sc *snapshot.Codec) error { sc.Bytes(&b); return nil }); err != nil {
 		return nil, err
 	}
 	hr, err := snapshot.Open(bytes.NewReader(b))

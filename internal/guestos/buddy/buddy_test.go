@@ -463,7 +463,8 @@ func (a *mapAllocator) Snapshot(e *snapshot.Encoder) {
 	}
 }
 
-// snapshotBytes frames one Snapshot call as a complete snapshot file.
+// snapshotBytes frames one raw section body, written by fn, as a
+// complete snapshot file.
 func snapshotBytes(t testing.TB, fn func(*snapshot.Encoder)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -478,6 +479,33 @@ func snapshotBytes(t testing.TB, fn func(*snapshot.Encoder)) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// stateBytes frames a's SnapshotState as a complete snapshot file.
+func stateBytes(t testing.TB, a *Allocator) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.State("buddy", a.SnapshotState); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// restoreFile reads a snapshot file's buddy section into a.
+func restoreFile(t testing.TB, a *Allocator, b []byte) error {
+	t.Helper()
+	r, err := snapshot.Open(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.State("buddy", a.SnapshotState)
 }
 
 // TestDenseMatchesMapOracle drives the array-backed allocator and the
@@ -539,23 +567,16 @@ func TestDenseMatchesMapOracle(t *testing.T) {
 				if err := got.CheckInvariants(); err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
-				gs, ws := snapshotBytes(t, got.Snapshot), snapshotBytes(t, want.Snapshot)
+				gs, ws := stateBytes(t, got), snapshotBytes(t, want.Snapshot)
 				if !bytes.Equal(gs, ws) {
 					t.Fatalf("seed %d op %d: snapshot bytes differ from oracle", seed, op)
 				}
 			}
 			if op == 750 {
 				// Continue on an allocator restored from the snapshot.
-				r, err := snapshot.Open(bytes.NewReader(snapshotBytes(t, got.Snapshot)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				d, err := r.Section("buddy")
-				if err != nil {
-					t.Fatal(err)
-				}
+				b := stateBytes(t, got)
 				got = New(base, size)
-				if err := got.Restore(d); err != nil {
+				if err := restoreFile(t, got, b); err != nil {
 					t.Fatalf("seed %d: restore: %v", seed, err)
 				}
 			}
@@ -577,7 +598,7 @@ func TestDenseMatchesMapOracle(t *testing.T) {
 			if err := got.CheckInvariants(); err != nil {
 				t.Fatalf("ragged runs, %d allocs: %v", i, err)
 			}
-			if !bytes.Equal(snapshotBytes(t, got.Snapshot), snapshotBytes(t, want.Snapshot)) {
+			if !bytes.Equal(stateBytes(t, got), snapshotBytes(t, want.Snapshot)) {
 				t.Fatalf("ragged runs, %d allocs: snapshot bytes differ from oracle", i)
 			}
 		}
@@ -644,10 +665,9 @@ func blocksSection(free uint64, blocks ...[2]uint64) func(*snapshot.Encoder) {
 	}
 }
 
-// sectionBytes returns the body one Snapshot call writes, as Restore
-// reads it.
-func sectionBytes(tb testing.TB, fn func(*snapshot.Encoder)) []byte {
-	r, err := snapshot.Open(bytes.NewReader(snapshotBytes(tb, fn)))
+// sectionBody returns a snapshot file's buddy section body.
+func sectionBody(tb testing.TB, file []byte) []byte {
+	r, err := snapshot.Open(bytes.NewReader(file))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -658,19 +678,11 @@ func sectionBytes(tb testing.TB, fn func(*snapshot.Encoder)) []byte {
 // restoreBytes restores a fresh [0,+16) allocator from a snapshot file.
 func restoreBytes(t *testing.T, b []byte) error {
 	t.Helper()
-	r, err := snapshot.Open(bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := r.Section("buddy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return New(0, 16).Restore(d)
+	return restoreFile(t, New(0, 16), b)
 }
 
 func TestRestoreRejectsBlockOutsideSpan(t *testing.T) {
-	if err := restoreBytes(t, snapshotBytes(t, newFull(0, 16).Snapshot)); err != nil {
+	if err := restoreBytes(t, stateBytes(t, newFull(0, 16))); err != nil {
 		t.Fatal(err)
 	}
 	for _, blk := range [][2]uint64{{8, 4}, {16, 0}, {99, 0}, {^uint64(0), 1}} {
@@ -681,8 +693,8 @@ func TestRestoreRejectsBlockOutsideSpan(t *testing.T) {
 	}
 }
 
-// malformedBlocks are block lists Snapshot never writes for a valid
-// [0,+16) allocator; Restore must refuse each.
+// malformedBlocks are block lists SnapshotState never writes for a valid
+// [0,+16) allocator; reading must refuse each.
 var malformedBlocks = []struct {
 	name, want string
 	free       uint64
@@ -728,13 +740,14 @@ func churned() *Allocator {
 	return a
 }
 
-// FuzzRestore feeds Restore arbitrary section bodies. Whatever it
-// accepts must pass CheckInvariants, survive an Alloc/Free round trip,
-// and be exactly what Snapshot writes back.
+// FuzzRestore feeds SnapshotState arbitrary section bodies through the
+// raw Writer.Section seam. Whatever it accepts must pass
+// CheckInvariants, survive an Alloc/Free round trip, and be exactly
+// what SnapshotState writes back.
 func FuzzRestore(f *testing.F) {
-	f.Add(sectionBytes(f, churned().Snapshot))
+	f.Add(sectionBody(f, stateBytes(f, churned())))
 	for _, tc := range malformedBlocks {
-		f.Add(sectionBytes(f, blocksSection(tc.free, tc.blocks...)))
+		f.Add(sectionBody(f, snapshotBytes(f, blocksSection(tc.free, tc.blocks...))))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d := snapshot.NewDecoder(b)
@@ -743,14 +756,19 @@ func FuzzRestore(f *testing.F) {
 			return
 		}
 		a := New(base, size)
-		if a.Restore(snapshot.NewDecoder(b)) != nil {
+		raw := snapshotBytes(t, func(e *snapshot.Encoder) {
+			for _, x := range b {
+				e.U8(x)
+			}
+		})
+		if restoreFile(t, a, raw) != nil {
 			return
 		}
 		if err := a.CheckInvariants(); err != nil {
 			t.Fatalf("Restore accepted a state CheckInvariants rejects: %v", err)
 		}
-		if out := sectionBytes(t, a.Snapshot); !bytes.HasPrefix(b, out) {
-			t.Fatalf("Snapshot after Restore wrote %x, input %x", out, b)
+		if out := sectionBody(t, stateBytes(t, a)); !bytes.HasPrefix(b, out) {
+			t.Fatalf("SnapshotState after a restore wrote %x, input %x", out, b)
 		}
 		free := a.FreePages()
 		if p, err := a.Alloc(); err == nil {

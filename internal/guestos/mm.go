@@ -234,7 +234,14 @@ func (a *AddrSpace) descend(vpn VPN, alloc bool) *ptNode {
 }
 
 func (a *AddrSpace) newPTNode(level int) *ptNode {
-	pfn := a.os.allocPTPage()
+	n := emptyPTNode(a.os.allocPTPage(), level)
+	a.ptPages++
+	return n
+}
+
+// emptyPTNode returns a table of the given level, held in frame pfn,
+// with no entries.
+func emptyPTNode(pfn PFN, level int) *ptNode {
 	n := &ptNode{pfn: pfn}
 	if level == 0 {
 		n.leaves = make([]PFN, ptFanout)
@@ -244,7 +251,6 @@ func (a *AddrSpace) newPTNode(level int) *ptNode {
 	} else {
 		n.children = make([]*ptNode, ptFanout)
 	}
-	a.ptPages++
 	return n
 }
 

@@ -6,56 +6,44 @@ import (
 	"heteroos/internal/snapshot"
 )
 
-// Snapshot serializes the cache: the reverse map (sorted by frame; the
-// forward per-file maps and the dirty set are derivable from it), the
-// readahead window, and the hit/miss/writeback/eviction counters.
-func (c *Cache) Snapshot(e *snapshot.Encoder) {
-	e.Int(c.ReadaheadWindow)
-	e.U64(c.hits)
-	e.U64(c.misses)
-	e.U64(c.writebacks)
-	e.U64(c.evictions)
-	pfns := make([]uint64, 0, len(c.rmap))
-	for pfn := range c.rmap {
-		pfns = append(pfns, pfn)
+// SnapshotState codes the cache: the readahead window, the
+// hit/miss/writeback/eviction counters and the reverse map, sorted by
+// frame. Reading rebuilds the forward per-file maps and the dirty set
+// from the reverse map and ends with CheckInvariants. Frame ownership
+// (the callbacks' view) must be restored by the owning OS separately.
+func (c *Cache) SnapshotState(sc *snapshot.Codec) error {
+	sc.Int(&c.ReadaheadWindow)
+	sc.U64(&c.hits)
+	sc.U64(&c.misses)
+	sc.U64(&c.writebacks)
+	sc.U64(&c.evictions)
+	type entry struct {
+		pfn uint64
+		m   mapping
 	}
-	sort.Slice(pfns, func(i, j int) bool { return pfns[i] < pfns[j] })
-	e.U32(uint32(len(pfns)))
-	for _, pfn := range pfns {
-		m := c.rmap[pfn]
-		e.U64(pfn)
-		e.U32(uint32(m.file))
-		e.U64(m.off)
-		e.Bool(m.dirty)
+	entries := make([]entry, 0, len(c.rmap))
+	for pfn, m := range c.rmap {
+		entries = append(entries, entry{pfn, m})
 	}
-}
-
-// Restore overwrites the cache's maps and counters from a snapshot.
-// Frame ownership (the callbacks' view) must be restored by the owning
-// OS separately; this only rebuilds the cache's own bookkeeping.
-func (c *Cache) Restore(d *snapshot.Decoder) error {
-	c.ReadaheadWindow = d.Int()
-	c.hits = d.U64()
-	c.misses = d.U64()
-	c.writebacks = d.U64()
-	c.evictions = d.U64()
-	n := int(d.U32())
+	sort.Slice(entries, func(i, j int) bool { return entries[i].pfn < entries[j].pfn })
+	snapshot.Slice(sc, &entries, func(e *entry) {
+		sc.U64(&e.pfn)
+		sc.U32((*uint32)(&e.m.file))
+		sc.U64(&e.m.off)
+		sc.Bool(&e.m.dirty)
+	})
+	if !sc.Reading() || sc.Err() != nil {
+		return sc.Err()
+	}
 	c.files = make(map[FileID]map[uint64]uint64)
-	c.rmap = make(map[uint64]mapping, n)
+	c.rmap = make(map[uint64]mapping, len(entries))
 	c.dirty = make(map[uint64]struct{})
-	for i := 0; i < n; i++ {
-		pfn := d.U64()
-		m := mapping{file: FileID(d.U32()), off: d.U64(), dirty: d.Bool()}
-		c.rmap[pfn] = m
-		fm := c.files[m.file]
-		if fm == nil {
-			fm = make(map[uint64]uint64)
-			c.files[m.file] = fm
-		}
-		fm[m.off] = pfn
-		if m.dirty {
-			c.dirty[pfn] = struct{}{}
+	for _, e := range entries {
+		c.insert(e.m.file, e.m.off, e.pfn)
+		if e.m.dirty {
+			c.rmap[e.pfn] = e.m
+			c.dirty[e.pfn] = struct{}{}
 		}
 	}
-	return d.Err()
+	return c.CheckInvariants()
 }

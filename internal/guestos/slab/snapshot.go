@@ -7,63 +7,55 @@ import (
 	"heteroos/internal/snapshot"
 )
 
-// Snapshot serializes the cache's mutable state: every slab (sorted by
+// SnapshotState codes the cache's mutable state: every slab (sorted by
 // base frame) with its free-index stack in exact order, the partial
 // stack in exact order (stale entries included — they are behavioural
 // state: Alloc pops and skips them lazily), the empty-slab count, and
-// the churn counters.
-func (c *Cache) Snapshot(e *snapshot.Encoder) {
-	e.Str(c.name)
-	e.U64(c.allocs)
-	e.U64(c.frees)
-	e.U64(c.slabAllocs)
-	e.U64(c.slabFrees)
-	e.Int(c.empties)
-	bases := make([]uint64, 0, len(c.slabs))
-	for b := range c.slabs {
-		bases = append(bases, b)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	e.U32(uint32(len(bases)))
-	for _, b := range bases {
-		s := c.slabs[b]
-		e.U64(s.base)
-		e.Int(s.capacity)
-		e.Int(s.inUse)
-		e.U32(uint32(len(s.free)))
-		for _, f := range s.free {
-			e.U32(uint32(f))
-		}
-	}
-	e.U64s(c.partial)
-}
-
-// Restore overwrites the cache's mutable state from a snapshot of a
-// cache with the same name and geometry.
-func (c *Cache) Restore(d *snapshot.Decoder) error {
-	name := d.Str()
-	if name != c.name {
+// the churn counters. Reading requires a cache of the same name and
+// geometry, rebuilds the slab map and ends with CheckInvariants.
+func (c *Cache) SnapshotState(sc *snapshot.Codec) error {
+	name := c.name
+	sc.Str(&name)
+	if sc.Reading() && sc.Err() == nil && name != c.name {
 		return fmt.Errorf("slab: snapshot of cache %q applied to %q", name, c.name)
 	}
-	c.allocs = d.U64()
-	c.frees = d.U64()
-	c.slabAllocs = d.U64()
-	c.slabFrees = d.U64()
-	c.empties = d.Int()
-	n := int(d.U32())
-	c.slabs = make(map[uint64]*slabState, n)
-	for i := 0; i < n; i++ {
-		s := &slabState{base: d.U64(), capacity: d.Int(), inUse: d.Int()}
-		nf := int(d.U32())
-		s.free = make([]int, nf)
-		for j := range s.free {
-			s.free[j] = int(d.U32())
+	sc.U64(&c.allocs)
+	sc.U64(&c.frees)
+	sc.U64(&c.slabAllocs)
+	sc.U64(&c.slabFrees)
+	sc.Int(&c.empties)
+	slabs := make([]*slabState, 0, len(c.slabs))
+	for _, s := range c.slabs {
+		slabs = append(slabs, s)
+	}
+	sort.Slice(slabs, func(i, j int) bool { return slabs[i].base < slabs[j].base })
+	var idx uint32 // a free index; declared once as it escapes through sc
+	snapshot.Slice(sc, &slabs, func(s **slabState) {
+		if *s == nil {
+			*s = new(slabState)
 		}
+		sc.U64(&(*s).base)
+		sc.Int(&(*s).capacity)
+		sc.Int(&(*s).inUse)
+		snapshot.Slice(sc, &(*s).free, func(f *int) {
+			idx = uint32(*f)
+			sc.U32(&idx)
+			*f = int(idx)
+		})
+	})
+	sc.U64s(&c.partial)
+	if !sc.Reading() || sc.Err() != nil {
+		return sc.Err()
+	}
+	c.slabs = make(map[uint64]*slabState, len(slabs))
+	for _, s := range slabs {
 		if s.capacity != c.objsPerSlab {
 			return fmt.Errorf("slab %s: snapshot slab %d capacity %d != geometry %d", c.name, s.base, s.capacity, c.objsPerSlab)
 		}
+		if c.slabs[s.base] != nil {
+			return fmt.Errorf("slab %s: snapshot holds slab %d twice", c.name, s.base)
+		}
 		c.slabs[s.base] = s
 	}
-	c.partial = d.U64s()
-	return d.Err()
+	return c.CheckInvariants()
 }

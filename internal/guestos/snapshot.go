@@ -27,10 +27,10 @@ import (
 // cover every backed MFN in the image and leave NilMFN fixed. A nil
 // mapMFN is the identity (checkpoint restore); writing ignores it.
 //
-// The page store, the page-table tree, the buddy free blocks, the slab
-// caches, the page cache and the swap map keep separate encode and
-// decode code (Codec.Split): their readers rebuild derived structures
-// the writers never touch.
+// Every structure, the page store, page-table tree, buddy free blocks,
+// slab caches, page cache and swap map included, is one field list for
+// both directions; what only reading does (rebuilding derived maps,
+// validating what was read) runs under c.Reading() after the list.
 func (o *OS) SnapshotState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN) error {
 	c.RNG(o.rng)
 	c.U32(&o.epoch)
@@ -38,7 +38,9 @@ func (o *OS) SnapshotState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN
 	c.JSON(&o.Cum)
 	c.JSON(&o.Window)
 	c.JSON(&o.WindowLife)
-	c.Split(o.snapshotStore, func(d *snapshot.Decoder) error { return o.restoreStore(d, mapMFN) })
+	if err := o.storeState(c, mapMFN); err != nil {
+		return err
+	}
 
 	nodes := uint32(len(o.nodes))
 	c.U32(&nodes)
@@ -49,7 +51,7 @@ func (o *OS) SnapshotState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN
 		c.U64(&n.populated)
 		c.U64(&n.LowWatermark)
 		c.U64(&n.HighWatermark)
-		c.Split(n.Buddy.Snapshot, n.Buddy.Restore)
+		c.Fail(n.Buddy.SnapshotState(c))
 		snapshot.Slice(c, &n.free, c.U32)
 		if c.Reading() && c.Err() == nil {
 			c.Fail(o.checkFreeStack(i))
@@ -84,7 +86,7 @@ func (o *OS) SnapshotState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN
 	if err := o.AS.snapshotState(c); err != nil {
 		return err
 	}
-	c.Split(o.PC.Snapshot, o.PC.Restore)
+	c.Fail(o.PC.SnapshotState(c))
 
 	names := make([]string, 0, len(o.Slabs))
 	for name := range o.Slabs {
@@ -97,12 +99,9 @@ func (o *OS) SnapshotState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN
 		return fmt.Errorf("guestos: snapshot has %d slab caches, OS has %d", slabs, len(names))
 	}
 	for _, name := range names {
-		c.Split(o.Slabs[name].Snapshot, o.Slabs[name].Restore)
+		c.Fail(o.Slabs[name].SnapshotState(c))
 	}
-
-	c.Split(o.swap.snapshot, o.swap.restore)
-	c.U64(&o.swap.outs)
-	c.U64(&o.swap.ins)
+	o.swap.state(c)
 
 	snapshot.Slice(c, &o.netRefs, func(r *slab.ObjRef) {
 		c.U64(&r.SlabBase)
@@ -130,142 +129,118 @@ func (o *OS) SnapshotState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN
 	return c.Err()
 }
 
-// snapshot emits the swap map in sorted VPN order.
-func (s *swapSpace) snapshot(e *snapshot.Encoder) {
-	vpns := make([]uint64, 0, len(s.slots))
-	for vpn := range s.slots {
-		vpns = append(vpns, uint64(vpn))
+// state codes the swap map as (VPN, tag) pairs in VPN order, then the
+// swap-out and swap-in counters.
+func (s *swapSpace) state(c *snapshot.Codec) {
+	type pair struct {
+		vpn VPN
+		tag uint64
 	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	e.U32(uint32(len(vpns)))
-	for _, vpn := range vpns {
-		e.U64(vpn)
-		e.U64(s.slots[VPN(vpn)])
+	pairs := make([]pair, 0, len(s.slots))
+	for vpn, tag := range s.slots {
+		pairs = append(pairs, pair{vpn, tag})
 	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].vpn < pairs[j].vpn })
+	snapshot.Slice(c, &pairs, func(p *pair) {
+		c.U64((*uint64)(&p.vpn))
+		c.U64(&p.tag)
+	})
+	if c.Reading() && c.Err() == nil {
+		s.slots = make(map[VPN]uint64, len(pairs))
+		for _, p := range pairs {
+			s.slots[p.vpn] = p.tag
+		}
+	}
+	c.U64(&s.outs)
+	c.U64(&s.ins)
 }
 
-func (s *swapSpace) restore(d *snapshot.Decoder) error {
-	n := int(d.U32())
-	s.slots = make(map[VPN]uint64, n)
-	for i := 0; i < n; i++ {
-		vpn := VPN(d.U64())
-		s.slots[vpn] = d.U64()
-	}
-	return d.Err()
-}
-
-// snapshotStore emits the page store sparsely and columnar: only frames
+// storeState codes the page store sparsely and columnar: only frames
 // whose metadata differs from the boot-time default, as a PFN list
-// followed by one array per field in the PFN list's order. The column
+// followed by one column per field in the PFN list's order. The column
 // layout mirrors the in-memory struct-of-arrays store; the five flag
 // bitmaps are materialized into one PageFlags byte per page, and the
-// 32-bit MFN, VPN and link columns are written widened to 64 bits.
-func (o *OS) snapshotStore(e *snapshot.Encoder) {
+// 32-bit MFN, VPN and link columns are coded widened to 64 bits.
+// Reading resets the store first and passes the MFN column through
+// mapMFN.
+func (o *OS) storeState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN) error {
 	st := o.store
-	e.U64(st.Len())
-	pfns := make([]PFN, 0, 1024)
-	for pfn := PFN(0); pfn < PFN(st.Len()); pfn++ {
-		if !st.IsDefault(pfn) {
-			pfns = append(pfns, pfn)
-		}
-	}
-	e.U32(uint32(len(pfns)))
-	for _, pfn := range pfns {
-		e.U64(uint64(pfn))
-	}
-	for _, pfn := range pfns {
-		e.U64(uint64(st.MFN(pfn)))
-	}
-	for _, pfn := range pfns {
-		e.U8(uint8(st.Kind(pfn)))
-	}
-	for _, pfn := range pfns {
-		e.U8(uint8(st.Flags(pfn)))
-	}
-	for _, pfn := range pfns {
-		e.U64(uint64(st.VPN(pfn)))
-	}
-	for _, pfn := range pfns {
-		e.U64(uint64(st.LRUPrev(pfn)))
-	}
-	for _, pfn := range pfns {
-		e.U64(uint64(st.LRUNext(pfn)))
-	}
-	for _, pfn := range pfns {
-		e.U32(st.LastUse(pfn))
-	}
-	for _, pfn := range pfns {
-		e.U8(st.ScanHeat(pfn))
-	}
-	for _, pfn := range pfns {
-		e.U8(st.ScanWriteHeat(pfn))
-	}
-	for _, pfn := range pfns {
-		e.U64(st.Tag(pfn))
-	}
-}
-
-func (o *OS) restoreStore(d *snapshot.Decoder, mapMFN func(memsim.MFN) memsim.MFN) error {
-	st := o.store
-	if n := d.U64(); n != st.Len() {
+	n := st.Len()
+	c.U64(&n)
+	if c.Reading() && c.Err() == nil && n != st.Len() {
 		return fmt.Errorf("guestos: snapshot store spans %d frames, OS has %d", n, st.Len())
 	}
-	st.ResetAll()
-	pfns := make([]PFN, int(d.U32()))
-	for i := range pfns {
-		pfn := d.U64()
-		if pfn >= st.Len() {
-			return fmt.Errorf("guestos: snapshot page %d outside store", pfn)
+	var pfns []PFN
+	if c.Reading() {
+		st.ResetAll()
+	} else {
+		pfns = make([]PFN, 0, 1024)
+		for pfn := PFN(0); pfn < PFN(st.Len()); pfn++ {
+			if !st.IsDefault(pfn) {
+				pfns = append(pfns, pfn)
+			}
 		}
-		pfns[i] = PFN(pfn)
 	}
-	// The MFN, VPN and link columns are coded as 64-bit values; each must
-	// be nil or below its limit before it is narrowed into the store. The
-	// MFN column passes through mapMFN first.
-	narrowCol := func(col []uint32, name string, limit uint64, mapMFN func(memsim.MFN) memsim.MFN) error {
+	snapshot.Slice(c, &pfns, func(pfn *PFN) {
+		c.U64((*uint64)(pfn))
+		if c.Reading() && uint64(*pfn) >= st.Len() {
+			c.Fail(fmt.Errorf("guestos: snapshot page %d outside store", *pfn))
+		}
+	})
+	if err := c.Err(); err != nil {
+		return err
+	}
+	// A narrowed column's values must each be nil or below limit before
+	// they land in the store. The MFN column passes through mapMFN first.
+	// Each column's v escapes through the codec, so it is declared once
+	// per column, not per page.
+	narrowCol := func(col []uint32, name string, limit uint64, mapMFN func(memsim.MFN) memsim.MFN) {
+		var v uint64
 		for _, pfn := range pfns {
-			v := d.U64()
+			v = widen(col[pfn])
+			c.U64(&v)
+			if !c.Reading() || c.Err() != nil {
+				continue
+			}
 			if mapMFN != nil {
 				v = uint64(mapMFN(memsim.MFN(v)))
 			}
 			if v != ^uint64(0) && v >= limit {
-				return fmt.Errorf("guestos: snapshot page store: pfn %d %s %d outside [0,%d)", pfn, name, v, limit)
+				c.Fail(fmt.Errorf("guestos: snapshot page store: pfn %d %s %d outside [0,%d)", pfn, name, v, limit))
+				return
 			}
 			col[pfn] = uint32(v)
 		}
-		return nil
 	}
-	if err := narrowCol(st.mfn, "MFN", memsim.MaxFrames, mapMFN); err != nil {
-		return err
+	// A byte column whose setter maintains a derived bitmap.
+	byteCol := func(get func(PFN) uint8, set func(PFN, uint8)) {
+		var v uint8
+		for _, pfn := range pfns {
+			v = get(pfn)
+			c.U8(&v)
+			if c.Reading() {
+				set(pfn, v)
+			}
+		}
 	}
+	narrowCol(st.mfn, "MFN", memsim.MaxFrames, mapMFN)
 	for _, pfn := range pfns {
-		st.SetKind(pfn, PageKind(d.U8()))
+		c.U8(&st.kind[pfn])
 	}
+	byteCol(func(pfn PFN) uint8 { return uint8(st.Flags(pfn)) },
+		func(pfn PFN, f uint8) { st.SetAllFlags(pfn, PageFlags(f)) })
+	narrowCol(st.vpn, "VPN", memsim.MaxFrames, nil)
+	narrowCol(st.lruPrev, "lruPrev", st.Len(), nil)
+	narrowCol(st.lruNext, "lruNext", st.Len(), nil)
 	for _, pfn := range pfns {
-		st.SetAllFlags(pfn, PageFlags(d.U8()))
+		c.U32(&st.lastUse[pfn])
 	}
-	if err := narrowCol(st.vpn, "VPN", memsim.MaxFrames, nil); err != nil {
-		return err
-	}
-	if err := narrowCol(st.lruPrev, "lruPrev", st.Len(), nil); err != nil {
-		return err
-	}
-	if err := narrowCol(st.lruNext, "lruNext", st.Len(), nil); err != nil {
-		return err
-	}
+	byteCol(st.ScanHeat, st.SetScanHeat)
+	byteCol(st.ScanWriteHeat, st.SetScanWriteHeat)
 	for _, pfn := range pfns {
-		st.SetLastUse(pfn, d.U32())
+		c.U64(&st.tag[pfn])
 	}
-	for _, pfn := range pfns {
-		st.SetScanHeat(pfn, d.U8())
-	}
-	for _, pfn := range pfns {
-		st.SetScanWriteHeat(pfn, d.U8())
-	}
-	for _, pfn := range pfns {
-		st.SetTag(pfn, d.U64())
-	}
-	return d.Err()
+	return c.Err()
 }
 
 // snapshotState codes the address space: VMAs in creation order, the
@@ -304,95 +279,63 @@ func (a *AddrSpace) snapshotState(c *snapshot.Codec) error {
 	c.U64(&a.faults)
 	c.U64(&a.swapIns)
 	c.U64(&a.walkSteps)
-	c.Split(a.snapshotTable, a.restoreTable)
+	hasRoot := a.root != nil
+	c.Bool(&hasRoot)
+	if c.Reading() {
+		a.root, a.leaf = nil, nil
+		if hasRoot {
+			a.root = emptyPTNode(NilPFN, ptLevels-1)
+		}
+	}
+	if a.root != nil {
+		ptNodeState(c, a.root, ptLevels-1)
+	}
 	return c.Err()
 }
 
-func (a *AddrSpace) snapshotTable(e *snapshot.Encoder) {
-	e.Bool(a.root != nil)
-	if a.root != nil {
-		snapshotPTNode(e, a.root, ptLevels-1)
-	}
-}
-
-func (a *AddrSpace) restoreTable(d *snapshot.Decoder) error {
-	a.root, a.leaf = nil, nil
-	if d.Bool() {
-		root, err := restorePTNode(d, ptLevels-1)
-		if err != nil {
-			return err
-		}
-		a.root = root
-	}
-	return d.Err()
-}
-
-func snapshotPTNode(e *snapshot.Encoder, n *ptNode, level int) {
-	e.U64(uint64(n.pfn))
-	if level == 0 {
-		var count uint16
-		for _, l := range n.leaves {
-			if l != ptEntryAbsent {
-				count++
+// ptNodeState codes one page-table node and its subtree in pre-order:
+// the node's frame, its entry count (u16), then per present entry its
+// index (u16, ascending) followed by the leaf frame or the child's
+// subtree. Reading fills n, an empty node of the given level.
+func ptNodeState(c *snapshot.Codec, n *ptNode, level int) {
+	c.U64((*uint64)(&n.pfn))
+	var idxs []uint16
+	if !c.Reading() {
+		for i := 0; i < ptFanout; i++ {
+			if level == 0 && n.leaves[i] != ptEntryAbsent || level > 0 && n.children[i] != nil {
+				idxs = append(idxs, uint16(i))
 			}
 		}
-		e.U16(count)
-		for idx, l := range n.leaves {
-			if l != ptEntryAbsent {
-				e.U16(uint16(idx))
-				e.U64(uint64(l))
+	}
+	count := uint16(len(idxs))
+	c.U16(&count)
+	if c.Reading() && c.Err() == nil {
+		if count > ptFanout {
+			c.Fail(fmt.Errorf("mm: snapshot page-table node with %d entries", count))
+			return
+		}
+		idxs = make([]uint16, count)
+	}
+	for i := range idxs {
+		c.U16(&idxs[i])
+		idx := int(idxs[i])
+		if c.Err() != nil {
+			return
+		}
+		if idx >= ptFanout {
+			c.Fail(fmt.Errorf("mm: snapshot page-table entry index %d out of range", idx))
+			return
+		}
+		if level == 0 {
+			c.U64((*uint64)(&n.leaves[idx]))
+		} else {
+			if n.children[idx] == nil {
+				n.children[idx] = emptyPTNode(NilPFN, level-1)
 			}
+			ptNodeState(c, n.children[idx], level-1)
 		}
-		return
-	}
-	var count uint16
-	for _, c := range n.children {
-		if c != nil {
-			count++
-		}
-	}
-	e.U16(count)
-	for idx, c := range n.children {
-		if c != nil {
-			e.U16(uint16(idx))
-			snapshotPTNode(e, c, level-1)
-		}
-	}
-}
-
-func restorePTNode(d *snapshot.Decoder, level int) (*ptNode, error) {
-	n := &ptNode{pfn: PFN(d.U64())}
-	count := int(d.U16())
-	if count > ptFanout {
-		return nil, fmt.Errorf("mm: snapshot page-table node with %d entries", count)
-	}
-	if level == 0 {
-		n.leaves = make([]PFN, ptFanout)
-		for i := range n.leaves {
-			n.leaves[i] = ptEntryAbsent
-		}
-		for i := 0; i < count; i++ {
-			idx := int(d.U16())
-			if idx >= ptFanout {
-				return nil, fmt.Errorf("mm: snapshot leaf index %d out of range", idx)
-			}
-			n.leaves[idx] = PFN(d.U64())
+		if c.Reading() {
 			n.live++
 		}
-		return n, d.Err()
 	}
-	n.children = make([]*ptNode, ptFanout)
-	for i := 0; i < count; i++ {
-		idx := int(d.U16())
-		if idx >= ptFanout {
-			return nil, fmt.Errorf("mm: snapshot child index %d out of range", idx)
-		}
-		child, err := restorePTNode(d, level-1)
-		if err != nil {
-			return nil, err
-		}
-		n.children[idx] = child
-		n.live++
-	}
-	return n, d.Err()
 }

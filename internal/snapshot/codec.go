@@ -49,6 +49,7 @@ func field[T any](c *Codec, v *T, put func(*Encoder, T), get func(*Decoder) T) {
 
 func (c *Codec) U8(v *uint8)       { field(c, v, (*Encoder).U8, (*Decoder).U8) }
 func (c *Codec) Bool(v *bool)      { field(c, v, (*Encoder).Bool, (*Decoder).Bool) }
+func (c *Codec) U16(v *uint16)     { field(c, v, (*Encoder).U16, (*Decoder).U16) }
 func (c *Codec) U32(v *uint32)     { field(c, v, (*Encoder).U32, (*Decoder).U32) }
 func (c *Codec) U64(v *uint64)     { field(c, v, (*Encoder).U64, (*Decoder).U64) }
 func (c *Codec) I64(v *int64)      { field(c, v, (*Encoder).I64, (*Decoder).I64) }
@@ -56,6 +57,8 @@ func (c *Codec) Int(v *int)        { field(c, v, (*Encoder).Int, (*Decoder).Int)
 func (c *Codec) F64(v *float64)    { field(c, v, (*Encoder).F64, (*Decoder).F64) }
 func (c *Codec) U64s(v *[]uint64)  { field(c, v, (*Encoder).U64s, (*Decoder).U64s) }
 func (c *Codec) F64s(v *[]float64) { field(c, v, (*Encoder).F64s, (*Decoder).F64s) }
+func (c *Codec) Str(v *string)     { field(c, v, (*Encoder).Str, (*Decoder).Str) }
+func (c *Codec) Bytes(v *[]byte)   { field(c, v, (*Encoder).Bytes, (*Decoder).Bytes) }
 
 // Len codes a length prefix (a u32; reading bounds it like Decoder.Len).
 func (c *Codec) Len(n *int) {
@@ -74,18 +77,12 @@ func (c *Codec) RNG(r *sim.RNG) {
 // JSON codes v through encoding/json (see Encoder.JSON); a marshal
 // error sticks like a decode error.
 func (c *Codec) JSON(v interface{}) {
-	c.Split(func(e *Encoder) { c.Fail(e.JSON(v)) }, func(d *Decoder) error { return d.JSON(v) })
-}
-
-// Split runs write or read, whichever matches the codec's direction,
-// for a section whose reader does different work from its writer.
-func (c *Codec) Split(write func(*Encoder), read func(*Decoder) error) {
 	switch {
 	case c.Err() != nil:
 	case c.d != nil:
-		c.Fail(read(c.d))
+		c.Fail(c.d.JSON(v))
 	default:
-		write(c.e)
+		c.Fail(c.e.JSON(v))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 type codecState struct {
 	U8   uint8
 	B    bool
+	U16  uint16
 	U32  uint32
 	U64  uint64
 	I64  int64
@@ -21,6 +22,8 @@ type codecState struct {
 	F64  float64
 	U64s []uint64
 	F64s []float64
+	Str  string
+	Raw  []byte
 	Pair []struct{ A, B uint64 }
 	Spec struct{ X float64 }
 	RNG  [4]uint64
@@ -29,6 +32,7 @@ type codecState struct {
 func (s *codecState) layout(c *Codec) error {
 	c.U8(&s.U8)
 	c.Bool(&s.B)
+	c.U16(&s.U16)
 	c.U32(&s.U32)
 	c.U64(&s.U64)
 	c.I64(&s.I64)
@@ -36,6 +40,8 @@ func (s *codecState) layout(c *Codec) error {
 	c.F64(&s.F64)
 	c.U64s(&s.U64s)
 	c.F64s(&s.F64s)
+	c.Str(&s.Str)
+	c.Bytes(&s.Raw)
 	Slice(c, &s.Pair, func(p *struct{ A, B uint64 }) {
 		c.U64(&p.A)
 		c.U64(&p.B)
@@ -53,8 +59,9 @@ func (s *codecState) layout(c *Codec) error {
 // the bytes must be the Encoder's, in field order.
 func TestCodecRoundTrip(t *testing.T) {
 	want := codecState{
-		U8: 7, B: true, U32: 0xdeadbeef, U64: 1 << 62, I64: -42, Int: 12345, F64: math.Pi,
+		U8: 7, B: true, U16: 0xbeef, U32: 0xdeadbeef, U64: 1 << 62, I64: -42, Int: 12345, F64: math.Pi,
 		U64s: []uint64{9, 8, 7}, F64s: []float64{0.5, -0.25},
+		Str: "dentry", Raw: []byte{1, 0, 255},
 		Pair: []struct{ A, B uint64 }{{1, 2}, {3, 4}},
 		RNG:  [4]uint64{11, 12, 13, 14},
 	}
@@ -70,6 +77,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := w.Section("e", func(e *Encoder) {
 		e.U8(7)
 		e.Bool(true)
+		e.U16(0xbeef)
 		e.U32(0xdeadbeef)
 		e.U64(1 << 62)
 		e.I64(-42)
@@ -77,6 +85,8 @@ func TestCodecRoundTrip(t *testing.T) {
 		e.F64(math.Pi)
 		e.U64s([]uint64{9, 8, 7})
 		e.F64s([]float64{0.5, -0.25})
+		e.Str("dentry")
+		e.Bytes([]byte{1, 0, 255})
 		e.U32(2) // two pairs
 		for _, v := range []uint64{1, 2, 3, 4} {
 			e.U64(v)

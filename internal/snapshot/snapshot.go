@@ -14,8 +14,10 @@
 // sticky-error primitive codecs with fixed-width little-endian
 // integers. A stateful type states its layout once, in a method over a
 // two-way Codec (Writer.State, Reader.State), so the writer and reader
-// cannot drift apart; a section whose reader rebuilds structures its
-// writer never touches keeps separate code joined by Codec.Split.
+// cannot drift apart; work only the reader does (rebuilding derived
+// maps, validating what was read) runs under Codec.Reading after the
+// field list. Writer.Section and Reader.Section expose a raw section
+// body, for tests and fuzzers that write malformed input.
 // Because writer and reader change together, a round trip cannot catch
 // a reordered field: byte pins of whole checkpoints (in internal/core
 // and internal/fleet) can, and any change to them must bump Version.
@@ -349,8 +351,10 @@ func (w *Writer) writeRaw(b []byte) {
 	}
 }
 
-// Section emits one named section built by fn. Names must be unique
-// per snapshot (the reader keeps the last on duplicates) and non-empty.
+// Section emits one named section whose raw body fn writes: the seam
+// through which tests and fuzzers write malformed input. State types
+// write through State. Names must be unique per snapshot (the reader
+// keeps the last on duplicates) and non-empty.
 func (w *Writer) Section(name string, fn func(*Encoder)) error {
 	return w.section(name, func(e *Encoder) error { fn(e); return nil })
 }
@@ -489,8 +493,8 @@ func Open(r io.Reader) (*Reader, error) {
 	}
 }
 
-// Section returns a decoder over the named section, or an error if the
-// snapshot has no such section.
+// Section returns a raw decoder over the named section, or an error if
+// the snapshot has no such section. State types read through State.
 func (r *Reader) Section(name string) (*Decoder, error) {
 	b, ok := r.sections[name]
 	if !ok {
