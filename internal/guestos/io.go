@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"heteroos/internal/guestos/pagecache"
 	"heteroos/internal/guestos/slab"
 	"heteroos/internal/memsim"
 )
@@ -69,8 +70,7 @@ func (o *OS) faultIn(vpn VPN, fromSwap bool) (PFN, error) {
 
 	case KindPageCache:
 		off := uint64(vpn - v.Start)
-		res := o.PC.Read(v.File, off, 1)
-		o.chargeIO(pagecacheResult{res.Touched, res.DiskPages, res.AllocFailed}, false)
+		o.chargeIO(o.PC.Read(o.ioBuf[:0], v.File, off, 1), false)
 		pfn, ok := o.PC.Lookup(v.File, off)
 		if !ok {
 			return NilPFN, fmt.Errorf("guestos: out of memory mapping file page %d@%d", v.File, off)
@@ -135,8 +135,10 @@ func (o *OS) recordKernelTouch(pfn PFN, bytes float64) {
 }
 
 // chargeIO prices a page-cache operation result: disk pages and the
-// kernel copies through the touched cache pages.
-func (o *OS) chargeIO(res pagecacheResult, write bool) {
+// kernel copies through the touched cache pages. res.Touched is the
+// OS's I/O scratch buffer, which chargeIO hands back, emptied, for the
+// next operation; nothing else keeps it.
+func (o *OS) chargeIO(res pagecache.ReadResult, write bool) {
 	if res.DiskPages > 0 {
 		if write {
 			o.ep.DiskWritePages += uint64(res.DiskPages)
@@ -149,14 +151,7 @@ func (o *OS) chargeIO(res pagecacheResult, write bool) {
 	for _, raw := range res.Touched {
 		o.recordKernelTouch(PFN(raw), memsim.PageSize)
 	}
-}
-
-// pagecacheResult mirrors pagecache.ReadResult without re-importing it
-// (kept structurally identical; conversion happens in the callers).
-type pagecacheResult struct {
-	Touched     []uint64
-	DiskPages   int
-	AllocFailed int
+	o.ioBuf = res.Touched[:0]
 }
 
 // FileRead reads n pages of file starting at page offset off through
@@ -164,16 +159,14 @@ type pagecacheResult struct {
 // the tier of each cache page.
 func (o *OS) FileRead(file FileID, off uint64, n int) {
 	o.ep.OSTimeNs += o.costs.SyscallNs
-	res := o.PC.Read(file, off, n)
-	o.chargeIO(pagecacheResult{res.Touched, res.DiskPages, res.AllocFailed}, false)
+	o.chargeIO(o.PC.Read(o.ioBuf[:0], file, off, n), false)
 }
 
 // FileWrite writes n pages of file starting at off through the page
 // cache (writeback caching).
 func (o *OS) FileWrite(file FileID, off uint64, n int) {
 	o.ep.OSTimeNs += o.costs.SyscallNs
-	res := o.PC.Write(file, off, n)
-	o.chargeIO(pagecacheResult{res.Touched, res.DiskPages, res.AllocFailed}, true)
+	o.chargeIO(o.PC.Write(o.ioBuf[:0], file, off, n), true)
 }
 
 // ReleaseFileRange drops n cached pages of file starting at page offset
@@ -239,12 +232,10 @@ func (o *OS) netTransfer(ops int, msgBytes int) {
 }
 
 // SlabMetaAlloc allocates n filesystem-metadata objects (dentries,
-// inodes, block metadata) and returns handles for later release.
-func (o *OS) SlabMetaAlloc(cache string, n int) []slabObjRef {
-	c, ok := o.Slabs[cache]
-	if !ok {
-		panic(fmt.Sprintf("guestos: unknown slab cache %q", cache))
-	}
+// inodes, block metadata) from cache and returns handles for later
+// release.
+func (o *OS) SlabMetaAlloc(cache SlabID, n int) []slabObjRef {
+	c := o.Slabs[cache]
 	out := make([]slabObjRef, 0, n)
 	for i := 0; i < n; i++ {
 		ref, err := c.Alloc()
@@ -266,7 +257,7 @@ func (o *OS) SlabMetaFree(refs []slabObjRef) {
 
 // slabObjRef pairs a slab object with its cache for release.
 type slabObjRef struct {
-	cache string
+	cache SlabID
 	ref   slab.ObjRef
 }
 
@@ -276,10 +267,11 @@ type slabObjRef struct {
 // DrainEpoch.
 func (o *OS) EndEpoch() {
 	// Background writeback.
-	flushed := o.PC.Writeback(writebackPerEpoch)
-	if len(flushed) > 0 {
-		o.ep.DiskWritePages += uint64(len(flushed))
-		o.ep.OSTimeNs += float64(len(flushed)) * o.costs.DiskWritePageNs * o.costs.WritebackAsyncFactor
+	flushed := o.PC.Writeback(o.ioBuf[:0], writebackPerEpoch)
+	o.ioBuf = flushed[:0]
+	if n := len(flushed); n > 0 {
+		o.ep.DiskWritePages += uint64(n)
+		o.ep.OSTimeNs += float64(n) * o.costs.DiskWritePageNs * o.costs.WritebackAsyncFactor
 	}
 
 	// HeteroOS-LRU: under FastMem pressure, pages leaving the FastMem
@@ -461,7 +453,7 @@ func (o *OS) TrackingList() []PFN {
 	// once where an uninterrupted run kept its cache).
 	defer func(saved uint64) { o.AS.walkSteps = saved }(o.AS.walkSteps)
 	out := o.trackBuf[:0]
-	for _, v := range o.AS.VMAs() {
+	for _, v := range o.AS.order {
 		if v.Kind != KindAnon {
 			continue
 		}

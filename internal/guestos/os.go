@@ -147,7 +147,7 @@ type OS struct {
 
 	AS    *AddrSpace
 	PC    *pagecache.Cache
-	Slabs map[string]*slab.Cache
+	Slabs [NumSlabs]*slab.Cache
 	swap  *swapSpace
 
 	// indexer, when attached, mirrors page state into the VMM's
@@ -165,6 +165,9 @@ type OS struct {
 	trackValid bool
 	// balanceBuf backs the LRU BalanceInto calls in EndEpoch and reclaim.
 	balanceBuf []PFN
+	// ioBuf backs the frames a page-cache Read, Write or Writeback
+	// touches, so file I/O allocates nothing in steady state.
+	ioBuf []uint64
 
 	epoch      uint32
 	ep         EpochStats
@@ -203,12 +206,16 @@ type admitSample struct {
 	epoch uint32
 }
 
-// Slab cache names the OS creates at boot.
+// SlabID indexes the slab caches the OS creates at boot. The order is
+// that of the caches' names, in which a checkpoint lists them.
+type SlabID int
+
 const (
-	SlabSkbuff = "skbuff" // network buffers (KindNetBuf pages)
-	SlabFSMeta = "fsmeta" // filesystem metadata (KindSlab pages)
-	SlabDentry = "dentry"
-	SlabInode  = "inode"
+	SlabDentry SlabID = iota // "dentry"
+	SlabFSMeta               // "fsmeta": filesystem metadata (KindSlab pages)
+	SlabInode                // "inode"
+	SlabSkbuff               // "skbuff": network buffers (KindNetBuf pages)
+	NumSlabs
 )
 
 // New boots a guest OS: builds nodes, populates boot reservations, and
@@ -261,18 +268,18 @@ func New(cfg Config) (*OS, error) {
 	}
 
 	o.AS = newAddrSpace(o)
-	o.PC = pagecache.New(
+	o.PC = pagecache.New(total,
 		func() (uint64, bool) {
 			pfn, ok := o.allocPage(KindPageCache)
 			return uint64(pfn), ok
 		},
 		func(pfn uint64) { o.freePage(PFN(pfn)) },
 	)
-	o.Slabs = map[string]*slab.Cache{
-		SlabSkbuff: o.newSlabCache(SlabSkbuff, 256, KindNetBuf),
-		SlabFSMeta: o.newSlabCache(SlabFSMeta, 4096, KindSlab),
-		SlabDentry: o.newSlabCache(SlabDentry, 192, KindSlab),
-		SlabInode:  o.newSlabCache(SlabInode, 640, KindSlab),
+	o.Slabs = [NumSlabs]*slab.Cache{
+		SlabDentry: o.newSlabCache("dentry", 192, KindSlab),
+		SlabFSMeta: o.newSlabCache("fsmeta", 4096, KindSlab),
+		SlabInode:  o.newSlabCache("inode", 640, KindSlab),
+		SlabSkbuff: o.newSlabCache("skbuff", 256, KindNetBuf),
 	}
 
 	// Boot reservation. A short grant here is a hard boot failure, and
@@ -581,8 +588,8 @@ func (o *OS) regretted(s admitSample) bool {
 // foldSamples evaluates the samples in ring that have matured
 // (admissionWindowEpochs old), counts those for which hit holds, and
 // folds that hit ratio into the EWMA rate with weight keep on the old
-// value. It returns the unmatured tail, the new rate, and seen plus
-// the number of samples evaluated.
+// value. It returns the unmatured tail, moved to the front of ring's
+// array, the new rate, and seen plus the number of samples evaluated.
 func (o *OS) foldSamples(ring []admitSample, rate float64, seen int, keep float64, hit func(*OS, admitSample) bool) ([]admitSample, float64, int) {
 	i := 0
 	hits := 0
@@ -599,7 +606,9 @@ func (o *OS) foldSamples(ring []admitSample, rate float64, seen int, keep float6
 		return ring, rate, seen
 	}
 	r := float64(hits) / float64(i)
-	return ring[i:], keep*rate + (1-keep)*r, seen + i
+	// Compact the tail to the front so later appends reuse the array.
+	n := copy(ring, ring[i:])
+	return ring[:n], keep*rate + (1-keep)*r, seen + i
 }
 
 // PromotionWorthwhile reports whether recent coordinated promotions have
@@ -918,10 +927,10 @@ func (o *OS) checkFreeStack(idx int) error {
 // Figure 4's census reports for network- and storage-intensive
 // applications; object-volume over page size recovers it.
 func (o *OS) SlabChurnPageEquivalents() (netbuf, slab float64) {
-	for name, c := range o.Slabs {
+	for id, c := range o.Slabs {
 		allocs, _, _, _ := c.Stats()
 		pages := float64(allocs) * float64(c.ObjSize()) / float64(memsim.PageSize)
-		if name == SlabSkbuff {
+		if SlabID(id) == SlabSkbuff {
 			netbuf += pages
 		} else {
 			slab += pages

@@ -295,6 +295,41 @@ func TestFileReadWriteThroughCache(t *testing.T) {
 	}
 }
 
+// TestIOZeroAlloc pins a warm guest's file reads and writes, network
+// receives and end-of-epoch writeback at zero allocations: the page
+// cache's indexes, the OS's I/O buffer and the skbuff slab are all
+// reused once they have grown.
+func TestIOZeroAlloc(t *testing.T) {
+	for _, pl := range []PlacementConfig{heapIOSlabODPlacement(), heteroLRUPlacement()} {
+		os, _ := testOS(t, pl, 1024, 4096, 512, 1024)
+		for range 3 {
+			os.FileRead(7, 0, 64)
+			os.FileWrite(7, 0, 64)
+			os.NetRecv(4, 4096)
+			os.EndEpoch()
+		}
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{
+			{"FileRead", func() { os.FileRead(7, 0, 64) }},
+			{"FileWrite", func() { os.FileWrite(7, 0, 64) }},
+			{"NetRecv", func() { os.NetRecv(4, 4096) }},
+			{"EndEpoch writeback", func() {
+				os.FileWrite(7, 0, 64)
+				os.EndEpoch()
+				if os.PC.DirtyCount() != 0 {
+					t.Fatal("writeback left dirty pages")
+				}
+			}},
+		} {
+			if n := testing.AllocsPerRun(50, op.run); n != 0 {
+				t.Errorf("%s: %s allocated %.1f times per run", pl.Name, op.name, n)
+			}
+		}
+	}
+}
+
 func TestNetTransferUsesSkbuffSlab(t *testing.T) {
 	os, _ := testOS(t, heapIOSlabODPlacement(), 1024, 4096, 512, 1024)
 	os.NetRecv(100, 4096)
@@ -976,6 +1011,8 @@ func TestRestoreRejectsOutOfRangeFrames(t *testing.T) {
 			o.nodes[0].free[0] = uint32(buddyFreeFrame(t, o, 0))
 		}},
 		{"stack in use", "node 0 free stack frame", func(o *OS, pfn PFN) { o.nodes[0].free[0] = uint32(pfn) }},
+		// VMAs are listed in creation order, so their IDs ascend.
+		{"VMA repeated", "VMA 1 follows 1", func(o *OS, _ PFN) { o.AS.order = append(o.AS.order, o.AS.order[0]) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

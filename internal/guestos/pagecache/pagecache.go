@@ -5,14 +5,23 @@
 // blocks for writeback, and placing its pages in FastMem hides the
 // latency of slow disks.
 //
-// The cache is generic over uint64 frame numbers; it obtains and returns
-// frames through callbacks so the owning OS can route allocations through
-// its placement policy and keep per-page metadata in sync.
+// The cache is generic over uint64 frame numbers below a fixed span; it
+// obtains and returns frames through callbacks so the owning OS can
+// route allocations through its placement policy and keep per-page
+// metadata in sync.
+//
+// Its indexes hold no Go maps. Each file's offset → frame index is a
+// radix of 512-entry chunks allocated on first use (Linux's xarray);
+// the reverse frame → (file, offset) map is one 8-byte column over the
+// span, allocated at the first insert, so a guest that never does file
+// I/O pays nothing; the dirty set is a bitset walked in frame order.
 package pagecache
 
 import (
 	"fmt"
-	"sort"
+	"math"
+
+	"heteroos/internal/bitset"
 )
 
 // AllocPage obtains one frame for a cache page; ok=false means the page
@@ -25,22 +34,56 @@ type FreePage func(pfn uint64)
 // FileID identifies a cached file.
 type FileID uint32
 
-// mapping records which file page a frame caches.
-type mapping struct {
-	file  FileID
-	off   uint64
-	dirty bool
+// maxOffset is the largest cacheable page offset: the reverse map keeps
+// offsets in 32 bits.
+const maxOffset = math.MaxUint32
+
+// Radix geometry. A chunk maps 512 consecutive offsets to frames; a
+// directory holds 512 chunks; a file's top level, indexed by
+// off >> (chunkBits+dirBits), grows to at most 2^14 directories.
+const (
+	chunkBits = 9
+	dirBits   = 9
+	chunkLen  = 1 << chunkBits
+	dirLen    = 1 << dirBits
+)
+
+// chunk holds pfn+1 per offset (0: not cached) and its live count.
+type chunk struct {
+	slot [chunkLen]uint32
+	live int
 }
 
-// Cache is the page cache: per-file offset→frame radix (modelled as a
-// map) plus a reverse map used for eviction.
+type dir [dirLen]*chunk
+
+// file is one cached file's forward index.
+type file struct {
+	id    FileID
+	slot  uint32 // its rmap cell value: table index plus one
+	pages int
+	dirs  []*dir
+}
+
+// rmapEntry is one frame's reverse-map cell: the caching file's table
+// index plus one (0: the frame is not a cache page) and its offset.
+type rmapEntry struct {
+	file uint32
+	off  uint32
+}
+
+// Cache is the page cache.
 type Cache struct {
 	alloc AllocPage
 	free  FreePage
+	span  uint64
 
-	files map[FileID]map[uint64]uint64 // file → page offset → pfn
-	rmap  map[uint64]mapping           // pfn → identity
-	dirty map[uint64]struct{}          // pfns with unwritten data
+	files []*file     // file table; rmap cells index it
+	last  *file       // the file looked up last
+	spare []*chunk    // emptied chunks, reused before allocating
+	rmap  []rmapEntry // per frame; nil until the first insert
+	dirty bitset.Set  // frames with unwritten data; empty until the first insert
+	pages int
+	ndirt int
 
 	// ReadaheadWindow is how many consecutive pages a miss pulls in
 	// (Linux default readahead is 128 KiB = 32 pages).
@@ -49,21 +92,16 @@ type Cache struct {
 	hits, misses, writebacks, evictions uint64
 }
 
-// New builds an empty cache with the default 32-page readahead window.
-func New(alloc AllocPage, free FreePage) *Cache {
-	return &Cache{
-		alloc:           alloc,
-		free:            free,
-		files:           make(map[FileID]map[uint64]uint64),
-		rmap:            make(map[uint64]mapping),
-		dirty:           make(map[uint64]struct{}),
-		ReadaheadWindow: 32,
-	}
+// New builds an empty cache over frames [0, span) with the default
+// 32-page readahead window. It allocates no per-frame state.
+func New(span uint64, alloc AllocPage, free FreePage) *Cache {
+	return &Cache{alloc: alloc, free: free, span: span, ReadaheadWindow: 32}
 }
 
 // ReadResult reports the outcome of a Read or Write.
 type ReadResult struct {
-	// Touched lists the frames servicing the request, in offset order.
+	// Touched is the caller's buffer with the frames servicing the
+	// request appended, in offset order.
 	Touched []uint64
 	// DiskPages is how many pages had to come from (or be reserved for)
 	// the backing store — the caller charges disk latency for them.
@@ -73,28 +111,116 @@ type ReadResult struct {
 	AllocFailed int
 }
 
+// fileOf returns file id's index, creating it if create is set.
+func (c *Cache) fileOf(id FileID, create bool) *file {
+	if f := c.last; f != nil && f.id == id {
+		return f
+	}
+	for _, f := range c.files {
+		if f.id == id {
+			c.last = f
+			return f
+		}
+	}
+	if !create {
+		return nil
+	}
+	f := &file{id: id, slot: uint32(len(c.files)) + 1}
+	c.files = append(c.files, f)
+	c.last = f
+	return f
+}
+
+// get returns the frame caching off plus one, or 0.
+func (f *file) get(off uint64) uint32 {
+	top := off >> (chunkBits + dirBits)
+	if top >= uint64(len(f.dirs)) || f.dirs[top] == nil {
+		return 0
+	}
+	ch := f.dirs[top][off>>chunkBits&(dirLen-1)]
+	if ch == nil {
+		return 0
+	}
+	return ch.slot[off&(chunkLen-1)]
+}
+
 // Lookup returns the frame caching (file, off), if any.
 func (c *Cache) Lookup(file FileID, off uint64) (uint64, bool) {
-	pfn, ok := c.files[file][off]
-	return pfn, ok
+	f := c.fileOf(file, false)
+	if f == nil {
+		return 0, false
+	}
+	v := f.get(off)
+	return uint64(v) - 1, v != 0
+}
+
+// setFwd points f's entry for off at pfn, allocating the radix path.
+func (c *Cache) setFwd(f *file, off, pfn uint64) {
+	top := off >> (chunkBits + dirBits)
+	if top >= uint64(len(f.dirs)) {
+		f.dirs = append(f.dirs, make([]*dir, top+1-uint64(len(f.dirs)))...)
+	}
+	d := f.dirs[top]
+	if d == nil {
+		d = new(dir)
+		f.dirs[top] = d
+	}
+	ch := d[off>>chunkBits&(dirLen-1)]
+	if ch == nil {
+		if n := len(c.spare); n > 0 {
+			ch, c.spare = c.spare[n-1], c.spare[:n-1]
+		} else {
+			ch = new(chunk)
+		}
+		d[off>>chunkBits&(dirLen-1)] = ch
+	}
+	s := &ch.slot[off&(chunkLen-1)]
+	if *s == 0 {
+		ch.live++
+		f.pages++
+	}
+	*s = uint32(pfn) + 1
+}
+
+// dropFwd clears f's entry for off, which must be cached, and recycles
+// the chunk it empties.
+func (c *Cache) dropFwd(f *file, off uint64) {
+	d := f.dirs[off>>(chunkBits+dirBits)]
+	i := off >> chunkBits & (dirLen - 1)
+	ch := d[i]
+	ch.slot[off&(chunkLen-1)] = 0
+	f.pages--
+	if ch.live--; ch.live == 0 {
+		d[i] = nil
+		c.spare = append(c.spare, ch)
+	}
 }
 
 func (c *Cache) insert(file FileID, off uint64, pfn uint64) {
-	m := c.files[file]
-	if m == nil {
-		m = make(map[uint64]uint64)
-		c.files[file] = m
+	if off > maxOffset {
+		panic(fmt.Sprintf("pagecache: page offset %d exceeds %d", off, uint64(maxOffset)))
 	}
-	m[off] = pfn
-	c.rmap[pfn] = mapping{file: file, off: off}
+	if pfn >= c.span {
+		panic(fmt.Sprintf("pagecache: frame %d outside span %d", pfn, c.span))
+	}
+	if c.rmap == nil {
+		c.rmap = make([]rmapEntry, c.span)
+		c.dirty = bitset.New(c.span)
+	}
+	f := c.fileOf(file, true)
+	c.setFwd(f, off, pfn)
+	c.rmap[pfn] = rmapEntry{file: f.slot, off: uint32(off)}
+	c.pages++
 }
 
-// Read services a read of n pages of file starting at page offset off.
-// Missing pages are allocated and "read from disk"; a miss additionally
-// pulls in the readahead window beyond the requested range (sequential
-// readahead), which is what gives the cache its prefetch benefit.
-func (c *Cache) Read(file FileID, off uint64, n int) ReadResult {
-	var res ReadResult
+// Read services a read of n pages of file starting at page offset off,
+// appending the frames it touches to dst. Missing pages are allocated
+// and "read from disk"; a miss additionally pulls in the readahead
+// window beyond the requested range (sequential readahead), which is
+// what gives the cache its prefetch benefit. Readahead stops at the
+// last cacheable offset; a demand page beyond it panics.
+func (c *Cache) Read(dst []uint64, file FileID, off uint64, n int) ReadResult {
+	res := ReadResult{Touched: dst}
 	missed := false
 	for i := 0; i < n; i++ {
 		pfn, ok := c.Lookup(file, off+uint64(i))
@@ -119,6 +245,9 @@ func (c *Cache) Read(file FileID, off uint64, n int) ReadResult {
 		start := off + uint64(n)
 		for i := 0; i < c.ReadaheadWindow; i++ {
 			o := start + uint64(i)
+			if o > maxOffset {
+				break // the last cacheable offset
+			}
 			if _, ok := c.Lookup(file, o); ok {
 				break // already cached: readahead window reached cached tail
 			}
@@ -134,11 +263,11 @@ func (c *Cache) Read(file FileID, off uint64, n int) ReadResult {
 	return res
 }
 
-// Write services a write of n pages of file starting at page offset off.
-// Pages are cached and marked dirty; writeback happens asynchronously
-// via Writeback.
-func (c *Cache) Write(file FileID, off uint64, n int) ReadResult {
-	var res ReadResult
+// Write services a write of n pages of file starting at page offset
+// off, appending the frames it touches to dst. Pages are cached and
+// marked dirty; writeback happens asynchronously via Writeback.
+func (c *Cache) Write(dst []uint64, file FileID, off uint64, n int) ReadResult {
+	res := ReadResult{Touched: dst}
 	for i := 0; i < n; i++ {
 		o := off + uint64(i)
 		pfn, ok := c.Lookup(file, o)
@@ -154,67 +283,68 @@ func (c *Cache) Write(file FileID, off uint64, n int) ReadResult {
 		} else {
 			c.hits++
 		}
-		if m := c.rmap[pfn]; !m.dirty {
-			m.dirty = true
-			c.rmap[pfn] = m
-			c.dirty[pfn] = struct{}{}
+		if !c.dirty.Has(pfn) {
+			c.dirty.Add(pfn)
+			c.ndirt++
 		}
 		res.Touched = append(res.Touched, pfn)
 	}
 	return res
 }
 
-// Writeback flushes up to max dirty pages (all if max <= 0) in frame
-// order (deterministic — map order would randomize which pages remain
-// dirty under a cap), returning the flushed frames so the caller can
-// charge disk-write time.
-func (c *Cache) Writeback(max int) []uint64 {
-	dirty := make([]uint64, 0, len(c.dirty))
-	for pfn := range c.dirty {
-		dirty = append(dirty, pfn)
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	if max > 0 && len(dirty) > max {
-		dirty = dirty[:max]
-	}
-	for _, pfn := range dirty {
-		m := c.rmap[pfn]
-		m.dirty = false
-		c.rmap[pfn] = m
-		delete(c.dirty, pfn)
+// Writeback flushes up to max dirty pages (all if max <= 0) in
+// ascending frame order, appending the flushed frames to dst so the
+// caller can charge disk-write time.
+func (c *Cache) Writeback(dst []uint64, max int) []uint64 {
+	var from uint64
+	for n := 0; max <= 0 || n < max; n++ {
+		pfn, ok := c.dirty.Next(from)
+		if !ok {
+			break
+		}
+		from = pfn + 1
+		c.dirty.Remove(pfn)
+		c.ndirt--
 		c.writebacks++
+		dst = append(dst, pfn)
 	}
-	return dirty
+	return dst
 }
 
 // Dirty reports whether pfn holds unwritten data.
-func (c *Cache) Dirty(pfn uint64) bool {
-	_, ok := c.dirty[pfn]
-	return ok
-}
+func (c *Cache) Dirty(pfn uint64) bool { return c.dirty.Has(pfn) }
 
 // DirtyCount reports the number of dirty pages.
-func (c *Cache) DirtyCount() int { return len(c.dirty) }
+func (c *Cache) DirtyCount() int { return c.ndirt }
+
+// entry returns pfn's reverse-map cell, or ok=false if pfn is not a
+// cache page.
+func (c *Cache) entry(pfn uint64) (rmapEntry, bool) {
+	if pfn >= uint64(len(c.rmap)) {
+		return rmapEntry{}, false
+	}
+	e := c.rmap[pfn]
+	return e, e.file != 0
+}
 
 // Evict removes the cache page backed by pfn, returning its frame to the
 // allocator. Dirty pages are written back first (the returned bool
 // reports whether a disk write was required). Evicting a frame the cache
 // does not own panics.
 func (c *Cache) Evict(pfn uint64) (wroteBack bool) {
-	m, ok := c.rmap[pfn]
+	e, ok := c.entry(pfn)
 	if !ok {
 		panic(fmt.Sprintf("pagecache: evict of unowned frame %d", pfn))
 	}
-	if m.dirty {
-		delete(c.dirty, pfn)
+	if c.dirty.Has(pfn) {
+		c.dirty.Remove(pfn)
+		c.ndirt--
 		c.writebacks++
 		wroteBack = true
 	}
-	delete(c.files[m.file], m.off)
-	if len(c.files[m.file]) == 0 {
-		delete(c.files, m.file)
-	}
-	delete(c.rmap, pfn)
+	c.dropFwd(c.files[e.file-1], uint64(e.off))
+	c.rmap[pfn] = rmapEntry{}
+	c.pages--
 	c.evictions++
 	c.free(pfn)
 	return wroteBack
@@ -223,92 +353,121 @@ func (c *Cache) Evict(pfn uint64) (wroteBack bool) {
 // Rekey transfers the cache page backed by oldPfn to newPfn, preserving
 // identity and dirty state. The page-migration path uses it after
 // copying contents to a frame on another tier. Rekeying a frame the
-// cache does not own panics.
+// cache does not own, or onto a cached frame or one outside the span,
+// panics.
 func (c *Cache) Rekey(oldPfn, newPfn uint64) {
-	m, ok := c.rmap[oldPfn]
+	e, ok := c.entry(oldPfn)
 	if !ok {
 		panic(fmt.Sprintf("pagecache: rekey of unowned frame %d", oldPfn))
 	}
-	if _, busy := c.rmap[newPfn]; busy {
+	if newPfn >= c.span {
+		panic(fmt.Sprintf("pagecache: rekey target %d outside span %d", newPfn, c.span))
+	}
+	if c.rmap[newPfn].file != 0 {
 		panic(fmt.Sprintf("pagecache: rekey target %d already cached", newPfn))
 	}
-	delete(c.rmap, oldPfn)
-	c.rmap[newPfn] = m
-	c.files[m.file][m.off] = newPfn
-	if m.dirty {
-		delete(c.dirty, oldPfn)
-		c.dirty[newPfn] = struct{}{}
+	c.rmap[oldPfn] = rmapEntry{}
+	c.rmap[newPfn] = e
+	c.setFwd(c.files[e.file-1], uint64(e.off), newPfn)
+	if c.dirty.Has(oldPfn) {
+		c.dirty.Remove(oldPfn)
+		c.dirty.Add(newPfn)
 	}
 }
 
 // Owns reports whether pfn is a cache page.
 func (c *Cache) Owns(pfn uint64) bool {
-	_, ok := c.rmap[pfn]
+	_, ok := c.entry(pfn)
 	return ok
 }
 
 // Identity returns the (file, offset) a frame caches.
 func (c *Cache) Identity(pfn uint64) (FileID, uint64, bool) {
-	m, ok := c.rmap[pfn]
-	return m.file, m.off, ok
-}
-
-// InvalidateFile drops every cached page of file (e.g. file deletion),
-// writing back nothing: contents are discarded.
-func (c *Cache) InvalidateFile(file FileID) int {
-	m := c.files[file]
-	n := 0
-	for _, pfn := range m {
-		delete(c.dirty, pfn)
-		delete(c.rmap, pfn)
-		c.free(pfn)
-		c.evictions++
-		n++
+	e, ok := c.entry(pfn)
+	if !ok {
+		return 0, 0, false
 	}
-	delete(c.files, file)
-	return n
+	return c.files[e.file-1].id, uint64(e.off), true
 }
 
 // Pages reports the number of cached pages.
-func (c *Cache) Pages() int { return len(c.rmap) }
+func (c *Cache) Pages() int { return c.pages }
 
 // FilePages reports the number of cached pages of one file.
-func (c *Cache) FilePages(file FileID) int { return len(c.files[file]) }
+func (c *Cache) FilePages(file FileID) int {
+	if f := c.fileOf(file, false); f != nil {
+		return f.pages
+	}
+	return 0
+}
 
 // Stats reports hit/miss/writeback/eviction counters.
 func (c *Cache) Stats() (hits, misses, writebacks, evictions uint64) {
 	return c.hits, c.misses, c.writebacks, c.evictions
 }
 
-// CheckInvariants validates the forward/reverse map consistency and that
-// every dirty page is a cached page.
+// CheckInvariants validates that the forward radixes and the reverse
+// map describe the same pages, that the page and chunk counts match
+// them, and that every dirty page is a cached page.
 func (c *Cache) CheckInvariants() error {
 	fwd := 0
-	for file, m := range c.files {
-		for off, pfn := range m {
-			fwd++
-			r, ok := c.rmap[pfn]
-			if !ok || r.file != file || r.off != off {
-				return fmt.Errorf("pagecache: frame %d rmap mismatch (%d@%d)", pfn, file, off)
+	for _, f := range c.files {
+		n := 0
+		for top, d := range f.dirs {
+			if d == nil {
+				continue
+			}
+			for di, ch := range d {
+				if ch == nil {
+					continue
+				}
+				live := 0
+				for si, v := range ch.slot {
+					if v == 0 {
+						continue
+					}
+					live++
+					off := uint64(top)<<(chunkBits+dirBits) | uint64(di)<<chunkBits | uint64(si)
+					e, ok := c.entry(uint64(v) - 1)
+					if !ok || e.file != f.slot || uint64(e.off) != off {
+						return fmt.Errorf("pagecache: frame %d rmap mismatch (%d@%d)", v-1, f.id, off)
+					}
+				}
+				if live == 0 || live != ch.live {
+					return fmt.Errorf("pagecache: file %d chunk %d holds %d pages, counts %d", f.id, top<<dirBits|di, live, ch.live)
+				}
+				n += live
 			}
 		}
+		if n != f.pages {
+			return fmt.Errorf("pagecache: file %d indexes %d pages, counts %d", f.id, n, f.pages)
+		}
+		fwd += n
 	}
-	if fwd != len(c.rmap) {
-		return fmt.Errorf("pagecache: forward map %d entries, rmap %d", fwd, len(c.rmap))
+	rev := 0
+	for _, e := range c.rmap {
+		if e.file != 0 {
+			rev++
+		}
 	}
-	for pfn := range c.dirty {
-		m, ok := c.rmap[pfn]
-		if !ok {
+	if fwd != rev || rev != c.pages {
+		return fmt.Errorf("pagecache: forward map %d entries, rmap %d, count %d", fwd, rev, c.pages)
+	}
+	if c.rmap == nil {
+		return nil // nothing inserted yet, so no dirty set either
+	}
+	if err := c.dirty.Check(c.span); err != nil {
+		return fmt.Errorf("pagecache: dirty set: %w", err)
+	}
+	dirty := 0
+	for pfn, ok := c.dirty.Next(0); ok; pfn, ok = c.dirty.Next(pfn + 1) {
+		if !c.Owns(pfn) {
 			return fmt.Errorf("pagecache: dirty frame %d not cached", pfn)
 		}
-		if !m.dirty {
-			return fmt.Errorf("pagecache: dirty set and rmap disagree on %d", pfn)
-		}
+		dirty++
 	}
-	for pfn, m := range c.rmap {
-		if _, inSet := c.dirty[pfn]; m.dirty != inSet {
-			return fmt.Errorf("pagecache: rmap dirty flag and dirty set disagree on %d", pfn)
-		}
+	if dirty != c.ndirt {
+		return fmt.Errorf("pagecache: dirty set holds %d frames, counts %d", dirty, c.ndirt)
 	}
 	return nil
 }

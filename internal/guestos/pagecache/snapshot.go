@@ -1,49 +1,81 @@
 package pagecache
 
 import (
-	"sort"
+	"fmt"
 
 	"heteroos/internal/snapshot"
 )
 
 // SnapshotState codes the cache: the readahead window, the
-// hit/miss/writeback/eviction counters and the reverse map, sorted by
-// frame. Reading rebuilds the forward per-file maps and the dirty set
-// from the reverse map and ends with CheckInvariants. Frame ownership
-// (the callbacks' view) must be restored by the owning OS separately.
+// hit/miss/writeback/eviction counters and every cached page in
+// ascending frame order as (frame, file, offset, dirty). Reading
+// rebuilds the indexes from those pages; it rejects a frame outside the
+// span, frames out of ascending order or repeated, an offset wider than
+// 32 bits and two frames caching one file page, and ends with
+// CheckInvariants. Frame ownership (the callbacks' view) must be
+// restored by the owning OS separately.
 func (c *Cache) SnapshotState(sc *snapshot.Codec) error {
 	sc.Int(&c.ReadaheadWindow)
 	sc.U64(&c.hits)
 	sc.U64(&c.misses)
 	sc.U64(&c.writebacks)
 	sc.U64(&c.evictions)
-	type entry struct {
-		pfn uint64
-		m   mapping
+	var (
+		pfn, off uint64
+		id       uint32
+		dirty    bool
+	)
+	page := func() {
+		sc.U64(&pfn)
+		sc.U32(&id)
+		sc.U64(&off)
+		sc.Bool(&dirty)
 	}
-	entries := make([]entry, 0, len(c.rmap))
-	for pfn, m := range c.rmap {
-		entries = append(entries, entry{pfn, m})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].pfn < entries[j].pfn })
-	snapshot.Slice(sc, &entries, func(e *entry) {
-		sc.U64(&e.pfn)
-		sc.U32((*uint32)(&e.m.file))
-		sc.U64(&e.m.off)
-		sc.Bool(&e.m.dirty)
-	})
-	if !sc.Reading() || sc.Err() != nil {
+	n := c.pages
+	sc.Len(&n)
+	if !sc.Reading() {
+		for p, e := range c.rmap {
+			if e.file != 0 {
+				pfn, id, off, dirty = uint64(p), uint32(c.files[e.file-1].id), uint64(e.off), c.dirty.Has(uint64(p))
+				page()
+			}
+		}
 		return sc.Err()
 	}
-	c.files = make(map[FileID]map[uint64]uint64)
-	c.rmap = make(map[uint64]mapping, len(entries))
-	c.dirty = make(map[uint64]struct{})
-	for _, e := range entries {
-		c.insert(e.m.file, e.m.off, e.pfn)
-		if e.m.dirty {
-			c.rmap[e.pfn] = e.m
-			c.dirty[e.pfn] = struct{}{}
+	if sc.Err() != nil {
+		return sc.Err()
+	}
+	c.reset()
+	for i := 0; i < n; i++ {
+		prev := pfn
+		if page(); sc.Err() != nil {
+			return sc.Err()
+		}
+		switch {
+		case pfn >= c.span:
+			return fmt.Errorf("pagecache: snapshot frame %d outside span %d", pfn, c.span)
+		case i > 0 && pfn <= prev:
+			return fmt.Errorf("pagecache: snapshot frame %d follows %d", pfn, prev)
+		case off > maxOffset:
+			return fmt.Errorf("pagecache: snapshot offset %d of frame %d exceeds %d", off, pfn, uint64(maxOffset))
+		}
+		if _, dup := c.Lookup(FileID(id), off); dup {
+			return fmt.Errorf("pagecache: snapshot frame %d repeats %d@%d in the forward map", pfn, id, off)
+		}
+		c.insert(FileID(id), off, pfn)
+		if dirty {
+			c.dirty.Add(pfn)
+			c.ndirt++
 		}
 	}
 	return c.CheckInvariants()
+}
+
+// reset empties the cache's indexes, keeping the reverse-map column and
+// dirty set allocated.
+func (c *Cache) reset() {
+	clear(c.rmap)
+	c.dirty.Clear()
+	c.files, c.last, c.spare = nil, nil, nil
+	c.pages, c.ndirt = 0, 0
 }

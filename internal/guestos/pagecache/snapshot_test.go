@@ -67,14 +67,14 @@ func sectionBody(tb testing.TB, file []byte) []byte {
 // dirtied returns a cache holding clean and dirty pages of three files,
 // some dirty pages already written back and some evicted.
 func dirtied(p *framePool) *Cache {
-	c := New(p.alloc, p.free)
+	c := New(testSpan, p.alloc, p.free)
 	c.ReadaheadWindow = 4
-	c.Read(1, 0, 6)
-	c.Write(2, 10, 5)
-	c.Write(1, 2, 3)
-	c.Writeback(2)
-	c.Write(3, 0, 4)
-	r := c.Read(3, 20, 2)
+	c.Read(nil, 1, 0, 6)
+	c.Write(nil, 2, 10, 5)
+	c.Write(nil, 1, 2, 3)
+	c.Writeback(nil, 2)
+	c.Write(nil, 3, 0, 4)
+	r := c.Read(nil, 3, 20, 2)
 	c.Evict(r.Touched[0])
 	return c
 }
@@ -82,10 +82,50 @@ func dirtied(p *framePool) *Cache {
 // adopt marks every frame c caches as allocated from p, so p hands out
 // only frames above them and accepts them back on eviction.
 func adopt(p *framePool, c *Cache) {
-	for pfn := range c.rmap {
-		p.out[pfn] = true
-		p.next = max(p.next, pfn+1)
+	for pfn := uint64(0); pfn < testSpan; pfn++ {
+		if c.Owns(pfn) {
+			p.out[pfn] = true
+			p.next = max(p.next, pfn+1)
+		}
 	}
+}
+
+// rawPage is one cached page as SnapshotState codes it.
+type rawPage struct {
+	pfn   uint64
+	file  uint32
+	off   uint64
+	dirty bool
+}
+
+// pagesBody encodes a section body holding pages, in the given order,
+// with a readahead window of 4 and zero counters.
+func pagesBody(pages ...rawPage) []byte {
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf)
+	if err != nil {
+		panic(err)
+	}
+	err = w.Section("pagecache", func(e *snapshot.Encoder) {
+		e.Int(4)
+		for range 4 {
+			e.U64(0)
+		}
+		e.U32(uint32(len(pages)))
+		for _, p := range pages {
+			e.U64(p.pfn)
+			e.U32(p.file)
+			e.U64(p.off)
+			e.Bool(p.dirty)
+		}
+	})
+	if err != nil {
+		panic(err)
+	}
+	if err := w.Close(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
 }
 
 // TestSnapshotRoundTripDirty restores a cache with dirty pages: the
@@ -98,7 +138,7 @@ func TestSnapshotRoundTripDirty(t *testing.T) {
 	}
 	file := stateFile(t, orig)
 	p := newFramePool(0)
-	got := New(p.alloc, p.free)
+	got := New(testSpan, p.alloc, p.free)
 	if err := restoreFile(t, got, file); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +153,7 @@ func TestSnapshotRoundTripDirty(t *testing.T) {
 		t.Fatal("re-snapshot differs from the original")
 	}
 	for _, max := range []int{3, 0} {
-		if g, w := got.Writeback(max), orig.Writeback(max); !slices.Equal(g, w) {
+		if g, w := got.Writeback(nil, max), orig.Writeback(nil, max); !slices.Equal(g, w) {
 			t.Fatalf("Writeback(%d) = %v, original %v", max, g, w)
 		}
 		if err := got.CheckInvariants(); err != nil {
@@ -125,15 +165,42 @@ func TestSnapshotRoundTripDirty(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruptState requires reading a reverse map with
-// two frames caching the same file page to fail: the forward map could
-// hold only one of them.
+// TestRestoreRejectsCorruptState requires every page list the
+// indexes cannot hold to fail to restore: a frame outside the span
+// (the reverse-map column would have to grow to it), a frame repeated
+// or out of ascending order, an offset wider than 32 bits, and two
+// frames caching one file page (the forward map could hold only one of
+// them). A well-formed list restores.
 func TestRestoreRejectsCorruptState(t *testing.T) {
+	ok := []rawPage{{1, 7, 0, false}, {2, 7, 1, true}, {9, 8, 0, false}}
+	if err := restoreFile(t, New(testSpan, nil, nil), pagesBody(ok...)); err != nil {
+		t.Fatalf("well-formed pages: %v", err)
+	}
+	cases := []struct {
+		name, want string
+		pages      []rawPage
+	}{
+		{"frame at span", "outside span", []rawPage{{1, 7, 0, false}, {testSpan, 7, 1, false}}},
+		{"frame past span", "outside span", []rawPage{{1 << 40, 7, 0, false}}},
+		{"duplicate frame", "follows", []rawPage{{1, 7, 0, false}, {1, 7, 1, false}}},
+		{"descending frames", "follows", []rawPage{{5, 7, 0, false}, {3, 7, 1, false}}},
+		{"wide offset", "exceeds", []rawPage{{1, 7, 1 << 32, false}}},
+		{"duplicate file page", "forward map", []rawPage{{1, 7, 4, false}, {2, 8, 4, false}, {3, 7, 4, true}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := restoreFile(t, New(testSpan, nil, nil), pagesBody(tc.pages...))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	// A cache written with two frames caching one page fails the same way.
 	c := dirtied(newFramePool(0))
 	a, _ := c.Lookup(2, 10)
 	b, _ := c.Lookup(2, 11)
 	c.rmap[b] = c.rmap[a]
-	err := restoreFile(t, New(newFramePool(0).alloc, nil), stateFile(t, c))
+	err := restoreFile(t, New(testSpan, nil, nil), stateFile(t, c))
 	if err == nil || !strings.Contains(err.Error(), "forward map") {
 		t.Fatalf("restore = %v, want a forward-map error", err)
 	}
@@ -149,28 +216,28 @@ func FuzzRestore(f *testing.F) {
 	b, _ := c.Lookup(2, 11)
 	c.rmap[b] = c.rmap[a]
 	f.Add(sectionBody(f, stateFile(f, c)))
+	for _, pages := range [][]rawPage{{{testSpan, 1, 0, false}}, {{3, 1, 0, true}, {3, 1, 1, false}}} {
+		f.Add(sectionBody(f, pagesBody(pages...)))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		p := newFramePool(0)
-		c := New(p.alloc, p.free)
+		c := New(testSpan, p.alloc, p.free)
 		if restoreFile(t, c, rawFile(t, body)) != nil {
 			return
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("restore accepted a state CheckInvariants rejects: %v", err)
 		}
-		if _, ok := c.rmap[^uint64(0)]; ok {
-			return // no frame above it for the pool to hand out
-		}
 		adopt(p, c)
 		p.limit = len(p.out) + 16 // bounds a huge readahead window
-		r := c.Read(1, 0, 3)
-		c.Write(2, 5, 2)
+		r := c.Read(nil, 1, 0, 3)
+		c.Write(nil, 2, 5, 2)
 		for _, pfn := range r.Touched {
 			if c.Owns(pfn) {
 				c.Evict(pfn)
 			}
 		}
-		c.Writeback(1)
+		c.Writeback(nil, 1)
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("after a Read/Write/Evict sequence: %v", err)
 		}

@@ -14,6 +14,8 @@ package slab
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // ErrNoMemory is returned when the page allocator cannot back a new slab.
@@ -46,6 +48,28 @@ type slabState struct {
 	free     []int // free object indices (stack)
 	inUse    int
 	capacity int
+	// mask has bit i set while object i is on the free stack; objects
+	// from 64 up use more.
+	mask uint64
+	more []uint64
+}
+
+// bit returns the mask word and bit of object i.
+func (s *slabState) bit(i int) (*uint64, uint64) {
+	if i < 64 {
+		return &s.mask, 1 << i
+	}
+	return &s.more[(i-64)>>6], 1 << (i & 63)
+}
+
+// newSlabState returns a slab of capacity objects with its free mask
+// sized and empty.
+func newSlabState(base uint64, capacity int) *slabState {
+	s := &slabState{base: base, capacity: capacity}
+	if capacity > 64 {
+		s.more = make([]uint64, (capacity-1)>>6)
+	}
+	return s
 }
 
 // Cache is one kmem cache ("skbuff_head_cache", "dentry", ...).
@@ -57,8 +81,9 @@ type Cache struct {
 	get          GetPages
 	put          PutPages
 
-	slabs   map[uint64]*slabState // by base frame
-	partial []uint64              // bases with free objects (may contain stale entries)
+	slabs   []*slabState // live slabs in ascending base order
+	hot     int          // index of the slab find returned last; may be stale
+	partial []uint64     // bases with free objects (may contain stale entries)
 	empties int
 
 	allocs, frees, slabAllocs, slabFrees uint64
@@ -80,7 +105,6 @@ func New(name string, objSize, pagesPerSlab int, get GetPages, put PutPages) *Ca
 		objsPerSlab:  pagesPerSlab * PageSize / objSize,
 		get:          get,
 		put:          put,
-		slabs:        make(map[uint64]*slabState),
 	}
 }
 
@@ -101,14 +125,43 @@ func (c *Cache) newSlab() (*slabState, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: cache %s", ErrNoMemory, c.name)
 	}
-	s := &slabState{base: base, capacity: c.objsPerSlab}
+	at, live := c.find(base)
+	if live {
+		panic(fmt.Sprintf("slab %s: page allocator returned live slab %d", c.name, base))
+	}
+	s := newSlabState(base, c.objsPerSlab)
 	s.free = make([]int, c.objsPerSlab)
 	for i := range s.free {
 		s.free[i] = c.objsPerSlab - 1 - i // pop in ascending index order
+		w, b := s.bit(i)
+		*w |= b
 	}
-	c.slabs[base] = s
+	c.slabs = slices.Insert(c.slabs, at, s)
 	c.slabAllocs++
 	return s, nil
+}
+
+// find returns the position of the slab based at base, or where it
+// would be inserted, and whether it is live. Consecutive calls mostly
+// name the same slab (objects are handed out and freed in runs), so
+// the last slab found is tried before a binary search.
+func (c *Cache) find(base uint64) (int, bool) {
+	if h := c.hot; h < len(c.slabs) && c.slabs[h].base == base {
+		return h, true
+	}
+	lo, hi := 0, len(c.slabs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); c.slabs[m].base < base {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(c.slabs) && c.slabs[lo].base == base {
+		c.hot = lo
+		return lo, true
+	}
+	return lo, false
 }
 
 // Alloc allocates one object. It prefers partially-full slabs (dense
@@ -117,13 +170,12 @@ func (c *Cache) Alloc() (ObjRef, error) {
 	var s *slabState
 	fresh := false
 	for len(c.partial) > 0 {
-		base := c.partial[len(c.partial)-1]
-		cand, ok := c.slabs[base]
-		if !ok || len(cand.free) == 0 {
+		i, ok := c.find(c.partial[len(c.partial)-1])
+		if !ok || len(c.slabs[i].free) == 0 {
 			c.partial = c.partial[:len(c.partial)-1] // stale
 			continue
 		}
-		s = cand
+		s = c.slabs[i]
 		break
 	}
 	if s == nil {
@@ -141,6 +193,8 @@ func (c *Cache) Alloc() (ObjRef, error) {
 	}
 	idx := s.free[len(s.free)-1]
 	s.free = s.free[:len(s.free)-1]
+	w, b := s.bit(idx)
+	*w &^= b
 	s.inUse++
 	if len(s.free) == 0 {
 		// Slab became full; drop it from the partial stack if it is the
@@ -157,25 +211,26 @@ func (c *Cache) Alloc() (ObjRef, error) {
 // already retains maxEmptySlabs empty slabs, the slab's pages go back to
 // the page allocator.
 func (c *Cache) Free(ref ObjRef) {
-	s, ok := c.slabs[ref.SlabBase]
+	i, ok := c.find(ref.SlabBase)
 	if !ok {
 		panic(fmt.Sprintf("slab %s: free of object in unknown slab %d", c.name, ref.SlabBase))
 	}
+	s := c.slabs[i]
 	if ref.Index < 0 || ref.Index >= s.capacity {
 		panic(fmt.Sprintf("slab %s: object index %d out of range", c.name, ref.Index))
 	}
-	for _, f := range s.free {
-		if f == ref.Index {
-			panic(fmt.Sprintf("slab %s: double free of object %d in slab %d", c.name, ref.Index, s.base))
-		}
+	w, b := s.bit(ref.Index)
+	if *w&b != 0 {
+		panic(fmt.Sprintf("slab %s: double free of object %d in slab %d", c.name, ref.Index, s.base))
 	}
+	*w |= b
 	wasFull := len(s.free) == 0
 	s.free = append(s.free, ref.Index)
 	s.inUse--
 	c.frees++
 	if s.inUse == 0 {
 		if c.empties >= maxEmptySlabs {
-			delete(c.slabs, s.base)
+			c.slabs = slices.Delete(c.slabs, i, i+1)
 			c.put(s.base, c.pagesPerSlab)
 			c.slabFrees++
 			return
@@ -204,33 +259,21 @@ func (c *Cache) Stats() (allocs, frees, slabAllocs, slabFrees uint64) {
 	return c.allocs, c.frees, c.slabAllocs, c.slabFrees
 }
 
-// Bases returns the base frame of every live slab; the placement layer
-// uses it to attribute slab pages to tiers.
-func (c *Cache) Bases() []uint64 {
-	out := make([]uint64, 0, len(c.slabs))
-	for b := range c.slabs {
-		out = append(out, b)
-	}
-	return out
-}
-
-// CheckInvariants validates per-slab accounting.
+// CheckInvariants validates per-slab accounting: slabs in ascending
+// base order, each one's free stack holding distinct in-range indexes
+// that match its free mask, and the empty-slab count.
 func (c *Cache) CheckInvariants() error {
 	empties := 0
-	for base, s := range c.slabs {
-		if s.base != base {
-			return fmt.Errorf("slab %s: key %d != base %d", c.name, base, s.base)
+	for i, s := range c.slabs {
+		if i > 0 && c.slabs[i-1].base >= s.base {
+			return fmt.Errorf("slab %s: slab %d listed after %d", c.name, s.base, c.slabs[i-1].base)
 		}
 		if s.inUse+len(s.free) != s.capacity {
 			return fmt.Errorf("slab %s: slab %d inUse %d + free %d != cap %d",
-				c.name, base, s.inUse, len(s.free), s.capacity)
+				c.name, s.base, s.inUse, len(s.free), s.capacity)
 		}
-		seen := map[int]bool{}
-		for _, f := range s.free {
-			if f < 0 || f >= s.capacity || seen[f] {
-				return fmt.Errorf("slab %s: bad free index %d in slab %d", c.name, f, base)
-			}
-			seen[f] = true
+		if err := s.checkMask(); err != nil {
+			return fmt.Errorf("slab %s: %w", c.name, err)
 		}
 		if s.inUse == 0 {
 			empties++
@@ -238,6 +281,33 @@ func (c *Cache) CheckInvariants() error {
 	}
 	if empties != c.empties {
 		return fmt.Errorf("slab %s: empty count %d != tracked %d", c.name, empties, c.empties)
+	}
+	return nil
+}
+
+// checkMask verifies that the free stack holds distinct indexes below
+// capacity and that the mask has exactly their bits set.
+func (s *slabState) checkMask() error {
+	mask, more := s.mask, slices.Clone(s.more)
+	for _, f := range s.free {
+		if f < 0 || f >= s.capacity {
+			return fmt.Errorf("bad free index %d in slab %d", f, s.base)
+		}
+		w := &mask
+		if f >= 64 {
+			w = &more[(f-64)>>6]
+		}
+		if *w&(1<<(f&63)) == 0 {
+			return fmt.Errorf("bad free index %d in slab %d: repeated or missing from the free mask", f, s.base)
+		}
+		*w &^= 1 << (f & 63)
+	}
+	off := bits.OnesCount64(mask)
+	for _, w := range more {
+		off += bits.OnesCount64(w)
+	}
+	if off != 0 {
+		return fmt.Errorf("free mask of slab %d marks %d objects off the free stack", s.base, off)
 	}
 	return nil
 }

@@ -162,6 +162,39 @@ func TestDoubleFreePanics(t *testing.T) {
 	c.Free(r)
 }
 
+// TestDoubleFreeWideSlab double-frees objects in a 128-object slab,
+// whose free mask spills past its first word, and requires a panic for
+// an object on either side of the boundary.
+func TestDoubleFreeWideSlab(t *testing.T) {
+	p := &pagePool{}
+	c := New("wide", 32, 1, p.get, p.put)
+	var refs []ObjRef
+	for range c.ObjsPerSlab() {
+		r, err := c.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, r)
+	}
+	for _, i := range []int{5, 100} {
+		c.Free(refs[i])
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("double free of object %d did not panic", i)
+				}
+			}()
+			c.Free(refs[i])
+		}()
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := c.Alloc(); r != refs[100] {
+		t.Fatalf("alloc after frees = %v, want the last freed %v", r, refs[100])
+	}
+}
+
 func TestFreeUnknownSlabPanics(t *testing.T) {
 	p := &pagePool{}
 	c := New("x", 256, 1, p.get, p.put)

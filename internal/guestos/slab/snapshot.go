@@ -2,17 +2,17 @@ package slab
 
 import (
 	"fmt"
-	"sort"
 
 	"heteroos/internal/snapshot"
 )
 
-// SnapshotState codes the cache's mutable state: every slab (sorted by
-// base frame) with its free-index stack in exact order, the partial
-// stack in exact order (stale entries included — they are behavioural
-// state: Alloc pops and skips them lazily), the empty-slab count, and
-// the churn counters. Reading requires a cache of the same name and
-// geometry, rebuilds the slab map and ends with CheckInvariants.
+// SnapshotState codes the cache's mutable state: every slab in
+// ascending base order with its free-index stack in exact order, the
+// partial stack in exact order (stale entries included — they are
+// behavioural state: Alloc pops and skips them lazily), the empty-slab
+// count, and the churn counters. Reading requires a cache of the same
+// name and geometry and slabs in strictly ascending base order, rebuilds
+// the free masks and ends with CheckInvariants.
 func (c *Cache) SnapshotState(sc *snapshot.Codec) error {
 	name := c.name
 	sc.Str(&name)
@@ -24,13 +24,8 @@ func (c *Cache) SnapshotState(sc *snapshot.Codec) error {
 	sc.U64(&c.slabAllocs)
 	sc.U64(&c.slabFrees)
 	sc.Int(&c.empties)
-	slabs := make([]*slabState, 0, len(c.slabs))
-	for _, s := range c.slabs {
-		slabs = append(slabs, s)
-	}
-	sort.Slice(slabs, func(i, j int) bool { return slabs[i].base < slabs[j].base })
 	var idx uint32 // a free index; declared once as it escapes through sc
-	snapshot.Slice(sc, &slabs, func(s **slabState) {
+	snapshot.Slice(sc, &c.slabs, func(s **slabState) {
 		if *s == nil {
 			*s = new(slabState)
 		}
@@ -47,15 +42,25 @@ func (c *Cache) SnapshotState(sc *snapshot.Codec) error {
 	if !sc.Reading() || sc.Err() != nil {
 		return sc.Err()
 	}
-	c.slabs = make(map[uint64]*slabState, len(slabs))
-	for _, s := range slabs {
+	for i, s := range c.slabs {
 		if s.capacity != c.objsPerSlab {
 			return fmt.Errorf("slab %s: snapshot slab %d capacity %d != geometry %d", c.name, s.base, s.capacity, c.objsPerSlab)
 		}
-		if c.slabs[s.base] != nil {
+		if i > 0 && c.slabs[i-1].base == s.base {
 			return fmt.Errorf("slab %s: snapshot holds slab %d twice", c.name, s.base)
 		}
-		c.slabs[s.base] = s
+		if i > 0 && c.slabs[i-1].base > s.base {
+			return fmt.Errorf("slab %s: snapshot slab %d out of order after %d", c.name, s.base, c.slabs[i-1].base)
+		}
+		inUse, free := s.inUse, s.free
+		*s = *newSlabState(s.base, s.capacity)
+		s.inUse, s.free = inUse, free
+		for _, f := range free {
+			if f >= 0 && f < s.capacity {
+				w, b := s.bit(f)
+				*w |= b
+			}
+		}
 	}
 	return c.CheckInvariants()
 }

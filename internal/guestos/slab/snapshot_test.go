@@ -65,6 +65,15 @@ func sectionBody(tb testing.TB, file []byte) []byte {
 	return b
 }
 
+// slabAt returns the live slab based at base.
+func slabAt(c *Cache, base uint64) *slabState {
+	i, ok := c.find(base)
+	if !ok {
+		panic("no slab at that base")
+	}
+	return c.slabs[i]
+}
+
 // churned returns a 21-object-per-slab cache after a seeded run of
 // allocations and frees, with the objects still live.
 func churned(p *pagePool) (*Cache, []ObjRef) {
@@ -129,16 +138,19 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		// A duplicated free index would let Alloc hand the object out
 		// twice.
 		{"duplicate free index", "inUse 3 + free 19 != cap 21", func(c *Cache) {
-			s := c.slabs[c.partial[0]]
+			s := slabAt(c, c.partial[0])
 			s.free = append(s.free, s.free[0])
 		}},
 		{"free index out of range", "bad free index 21", func(c *Cache) {
-			s := c.slabs[c.partial[0]]
+			s := slabAt(c, c.partial[0])
 			s.free[0] = 21
 		}},
 		{"empty count", "empty count", func(c *Cache) { c.empties++ }},
 		{"slab twice", "twice", func(c *Cache) {
-			c.slabs[99] = &slabState{base: c.partial[0], capacity: 21, inUse: 21}
+			c.slabs = append(c.slabs, &slabState{base: c.partial[0], capacity: 21, inUse: 21})
+		}},
+		{"slabs out of order", "out of order", func(c *Cache) {
+			c.slabs = append([]*slabState{{base: c.partial[0] + 5, capacity: 21, inUse: 21}}, c.slabs...)
 		}},
 		{"geometry", "geometry", func(c *Cache) {
 			for _, s := range c.slabs {
@@ -180,8 +192,11 @@ func FuzzRestore(f *testing.F) {
 	if _, err := dup.Alloc(); err != nil {
 		f.Fatal(err)
 	}
-	s := dup.slabs[dup.partial[0]]
+	s := slabAt(dup, dup.partial[0])
 	s.free = append(s.free, s.free[0])
+	f.Add(sectionBody(f, stateFile(f, dup)))
+	s.free = s.free[:len(s.free)-1]
+	dup.slabs = append(dup.slabs, &slabState{base: 0, capacity: 21, inUse: 21})
 	f.Add(sectionBody(f, stateFile(f, dup)))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p := &pagePool{}

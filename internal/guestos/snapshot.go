@@ -88,18 +88,13 @@ func (o *OS) SnapshotState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN
 	}
 	c.Fail(o.PC.SnapshotState(c))
 
-	names := make([]string, 0, len(o.Slabs))
-	for name := range o.Slabs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	slabs := uint32(len(names))
+	slabs := uint32(NumSlabs)
 	c.U32(&slabs)
-	if int(slabs) != len(names) {
-		return fmt.Errorf("guestos: snapshot has %d slab caches, OS has %d", slabs, len(names))
+	if slabs != uint32(NumSlabs) {
+		return fmt.Errorf("guestos: snapshot has %d slab caches, OS has %d", slabs, NumSlabs)
 	}
-	for _, name := range names {
-		c.Fail(o.Slabs[name].SnapshotState(c))
+	for _, sc := range o.Slabs {
+		c.Fail(sc.SnapshotState(c))
 	}
 	o.swap.state(c)
 
@@ -248,11 +243,7 @@ func (o *OS) storeState(c *snapshot.Codec, mapMFN func(memsim.MFN) memsim.MFN) e
 // with per-node frame numbers — table frames are real guest pages and
 // must survive a round trip).
 func (a *AddrSpace) snapshotState(c *snapshot.Codec) error {
-	vmas := make([]*VMA, len(a.order))
-	for i, id := range a.order {
-		vmas[i] = a.vmas[id]
-	}
-	snapshot.Slice(c, &vmas, func(v **VMA) {
+	snapshot.Slice(c, &a.order, func(v **VMA) {
 		if *v == nil {
 			*v = new(VMA)
 		}
@@ -266,11 +257,10 @@ func (a *AddrSpace) snapshotState(c *snapshot.Codec) error {
 		(*v).Kind = PageKind(kind)
 	})
 	if c.Reading() && c.Err() == nil {
-		a.vmas = make(map[VMAID]*VMA, len(vmas))
-		a.order = make([]VMAID, len(vmas))
-		for i, v := range vmas {
-			a.vmas[v.ID] = v
-			a.order[i] = v.ID
+		for i := 1; i < len(a.order); i++ {
+			if a.order[i].ID <= a.order[i-1].ID {
+				return fmt.Errorf("mm: snapshot VMA %d follows %d", a.order[i].ID, a.order[i-1].ID)
+			}
 		}
 	}
 	c.U32((*uint32)(&a.nextID))
