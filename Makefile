@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fmt vet race check obs-parity scenario-smoke backend-parity \
+.PHONY: all build test fmt vet deadcode race check obs-parity scenario-smoke backend-parity \
 	snapshot-parity fuzz-smoke fleet-smoke cli-smoke perfbench-test bench bench-all \
 	perf-gate figures
 
@@ -19,6 +19,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# deadcode runs only the dead-code gate (deadcode_test.go): it fails on
+# any production declaration that no CLI main, init, perfbench file,
+# CheckInvariants method or interface method reaches, outside the
+# test's allowlist. `test` runs it too.
+deadcode:
+	$(GO) test -run TestDeadCode .
 
 # The runner, core, and fleet packages are the concurrency-bearing
 # ones: the worker pool, futures, progress callbacks, per-epoch context
@@ -209,7 +216,8 @@ backend-parity:
 	echo "backend-parity: analytic backend byte-identical to seed figures"
 
 # check is the pre-commit gate: formatting, static analysis, full
-# build, the full test suite, perfbench's own tests, the race detector
+# build, the full test suite (the dead-code gate included, so check
+# needs no deadcode step), perfbench's own tests, the race detector
 # over the concurrent packages, the observability no-perturbation check,
 # the one-host script smoke run, the machine-model backend parity gate,
 # the checkpoint/restore parity gate, the fuzz seed-band smoke run, the

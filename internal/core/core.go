@@ -59,8 +59,6 @@ type Config struct {
 	SlowSpec memsim.TierSpec
 	// LLC model; zero value defaults to the 16 MB reference platform.
 	LLC memsim.LLC
-	// CPU model; zero value defaults to the paper's Xeon.
-	CPU memsim.CPU
 	// Share selects the VMM share policy (default static).
 	Share ShareKind
 	// VMs to boot.
@@ -100,7 +98,7 @@ type Config struct {
 	// Backend builds the machine-model backend the system prices epochs
 	// with. nil defaults to memsim.AnalyticBackend — the Table-3
 	// model. NewSystem invokes the builder once, with the machine it
-	// just built plus the CPU/obs options; a harness sets it to wrap
+	// just built plus the obs option; a harness sets it to wrap
 	// the analytic engine in a decorator.
 	Backend memsim.Builder
 	// Seed drives all randomness.
@@ -113,9 +111,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.LLC == (memsim.LLC{}) {
 		c.LLC = memsim.DefaultLLC()
-	}
-	if c.CPU == (memsim.CPU{}) {
-		c.CPU = memsim.DefaultCPU()
 	}
 	if c.Share == "" {
 		c.Share = ShareStatic
@@ -381,7 +376,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if build == nil {
 		build = memsim.AnalyticBackend
 	}
-	backendOpts := []memsim.Option{memsim.WithCPU(cfg.CPU)}
+	var backendOpts []memsim.Option
 	if cfg.Obs != nil {
 		backendOpts = append(backendOpts, memsim.WithObs(cfg.Obs.Metrics))
 	}
@@ -423,10 +418,6 @@ func (s *System) latestClock() sim.Duration {
 	}
 	return max
 }
-
-// Now reports the system-level simulated time (the furthest-advanced VM
-// clock). The fleet engine reads it for its timeline.
-func (s *System) Now() sim.Duration { return s.latestClock() }
 
 // Epochs reports how many lockstep epochs have completed.
 func (s *System) Epochs() int { return s.epochs }

@@ -30,7 +30,7 @@ func checkFrameConservation(t *testing.T, sys *System) {
 	t.Helper()
 	var owned uint64
 	for _, inst := range sys.VMs {
-		owned += sys.Machine.OwnedBy(memsim.Owner(inst.ID))
+		owned += sys.Machine.OwnedByRange(memsim.Owner(inst.ID), memsim.Owner(inst.ID))[0]
 	}
 	alloc := sys.Machine.AllocatedFrames(memsim.FastMem) + sys.Machine.AllocatedFrames(memsim.SlowMem)
 	if alloc != owned {
@@ -101,7 +101,7 @@ func TestLifecycleChurnProperty(t *testing.T) {
 		t.Fatalf("departed VMs = %d, want 8", got)
 	}
 	for _, inst := range sys.Departed {
-		if n := sys.Machine.OwnedBy(memsim.Owner(inst.ID)); n != 0 {
+		if n := sys.Machine.OwnedByRange(memsim.Owner(inst.ID), memsim.Owner(inst.ID))[0]; n != 0 {
 			t.Fatalf("departed VM %d still owns %d frames", inst.ID, n)
 		}
 		if err := inst.OS.P2MEmpty(); err != nil {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"heteroos/internal/guestos"
 	"heteroos/internal/memsim"
 	"heteroos/internal/policy"
 	"heteroos/internal/snapshot"
@@ -96,7 +97,7 @@ func TestLiveMigrationPreservesState(t *testing.T) {
 	if err := hostA.CheckInvariants(); err != nil {
 		t.Fatalf("host A after emigration: %v", err)
 	}
-	if owned := hostA.Machine.OwnedBy(memsim.Owner(1)); owned != 0 {
+	if owned := hostA.Machine.OwnedByRange(memsim.Owner(1), memsim.Owner(1))[0]; owned != 0 {
 		t.Fatalf("host A still owns %d frames for the emigrated VM", owned)
 	}
 
@@ -430,14 +431,13 @@ func TestEmigrateImagePinned(t *testing.T) {
 			}
 			stepN(t, sys, 4)
 			// The pins only cover the layouts the image actually holds.
-			guest, slabPages := sys.VMs[0].OS, 0
-			for _, c := range guest.Slabs {
-				slabPages += c.Pages()
-			}
-			if app == "GraphChi" && guest.SwappedPages() == 0 ||
-				app == "LevelDB" && (guest.PC.Pages() == 0 || slabPages == 0) {
+			inst := sys.VMs[0]
+			census := inst.OS.PageCensus()
+			swapped := inst.Res.SwapOuts - inst.Res.SwapIns
+			if app == "GraphChi" && swapped == 0 ||
+				app == "LevelDB" && (census[guestos.KindPageCache] == 0 || census[guestos.KindSlab] == 0) {
 				t.Fatalf("%s image covers too little: %d swapped, %d page-cache, %d slab pages",
-					app, guest.SwappedPages(), guest.PC.Pages(), slabPages)
+					app, swapped, census[guestos.KindPageCache], census[guestos.KindSlab])
 			}
 			img, err := sys.EmigrateVM(1)
 			if err != nil {

@@ -243,7 +243,7 @@ func TestNoFastMemShapesSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vmh, _ := sys.VMM.VMByID(1)
+	vmh := sys.VMs[0].VM
 	if vmh.Spec.MaxPages[memsim.FastMem] != 0 {
 		t.Fatal("NoFastMem did not zero the FastMem span")
 	}

@@ -4,11 +4,14 @@
 // Algorithm 1. The single-resource max-min baseline it replaces is
 // vmm.MaxMinShare.
 //
-// Each memory type is a resource. A guest VM's dominant resource is the
-// one of which it holds the largest weighted share; DRF grants the next
-// allocation to the VM with the smallest dominant share. The paper uses
-// static weights (FastMem 2, SlowMem 1) so that small FastMem capacities
-// still register as dominant.
+// Each memory type is a resource. The Allocator keeps the books:
+// Grant admits a demand while capacity allows (Algorithm 1's C + D_i <= R
+// check), Release and RemoveClient return it, and DominantShare reports
+// a VM's largest weighted share of any resource. vmm.DRFShare does the
+// arbitration: when a tier runs short it balloons the VM with the
+// highest dominant share. The paper uses static weights (FastMem 2,
+// SlowMem 1) so that small FastMem capacities still register as
+// dominant.
 package drf
 
 import (
@@ -31,7 +34,7 @@ type Allocator struct {
 	weights  []float64 // per-resource dominant-share weights
 	consumed []float64 // C: currently granted
 	clients  map[ClientID]*client
-	order    []ClientID // registration order for deterministic iteration
+	order    []ClientID // registration order, the checkpoint's client order
 }
 
 type client struct {
@@ -59,9 +62,6 @@ func New(capacities, weights []float64) (*Allocator, error) {
 		clients:  make(map[ClientID]*client),
 	}, nil
 }
-
-// Resources reports the number of resource dimensions.
-func (a *Allocator) Resources() int { return len(a.capacity) }
 
 // AddClient registers a VM with zero allocation.
 func (a *Allocator) AddClient(id ClientID) error {
@@ -115,39 +115,12 @@ func (a *Allocator) dominantShare(c *client) float64 {
 	return s
 }
 
-// DominantResource reports which resource is the client's dominant one.
-func (a *Allocator) DominantResource(id ClientID) (int, error) {
-	c, ok := a.clients[id]
-	if !ok {
-		return 0, ErrUnknownClient
-	}
-	best, bestShare := 0, -1.0
-	for j, v := range c.alloc {
-		if a.capacity[j] == 0 {
-			continue
-		}
-		if share := a.weights[j] * v / a.capacity[j]; share > bestShare {
-			best, bestShare = j, share
-		}
-	}
-	return best, nil
-}
-
-// Allocation returns a copy of the client's allocation vector.
-func (a *Allocator) Allocation(id ClientID) ([]float64, error) {
-	c, ok := a.clients[id]
-	if !ok {
-		return nil, ErrUnknownClient
-	}
-	return append([]float64(nil), c.alloc...), nil
-}
-
 // Available reports remaining capacity of resource j.
 func (a *Allocator) Available(j int) float64 { return a.capacity[j] - a.consumed[j] }
 
 // Grant gives demand to id unconditionally if capacity allows
 // (Algorithm 1's C + D_i <= R check). It does not arbitrate between
-// competing clients — use PickNext for that.
+// competing clients: vmm.DRFShare does, by comparing DominantShare.
 func (a *Allocator) Grant(id ClientID, demand []float64) error {
 	c, ok := a.clients[id]
 	if !ok {
@@ -188,74 +161,4 @@ func (a *Allocator) Release(id ClientID, amount []float64) error {
 		a.consumed[j] -= d
 	}
 	return nil
-}
-
-// PickNext implements the DRF arbitration step: among the clients in
-// demands whose demand still fits, return the one with the lowest
-// dominant share (ties broken by registration order for determinism).
-// Returns false when no demand fits.
-func (a *Allocator) PickNext(demands map[ClientID][]float64) (ClientID, bool) {
-	best := ClientID(-1)
-	bestShare := 0.0
-	found := false
-	for _, id := range a.order {
-		d, ok := demands[id]
-		if !ok {
-			continue
-		}
-		if !a.fits(d) {
-			continue
-		}
-		s := a.dominantShare(a.clients[id])
-		if !found || s < bestShare {
-			best, bestShare, found = id, s, true
-		}
-	}
-	return best, found
-}
-
-func (a *Allocator) fits(demand []float64) bool {
-	for j, d := range demand {
-		if a.consumed[j]+d > a.capacity[j]+1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-// RunToSaturation repeatedly applies PickNext+Grant with each client's
-// unit demand vector until nothing fits, returning the number of grants
-// per client. This is the textbook progressive-filling execution of DRF
-// used by the property tests and the Figure 13 arbitration.
-func (a *Allocator) RunToSaturation(unitDemands map[ClientID][]float64, maxSteps int) map[ClientID]int {
-	grants := make(map[ClientID]int)
-	for step := 0; step < maxSteps; step++ {
-		id, ok := a.PickNext(unitDemands)
-		if !ok {
-			break
-		}
-		if err := a.Grant(id, unitDemands[id]); err != nil {
-			break
-		}
-		grants[id]++
-	}
-	return grants
-}
-
-// OverCommitted reports clients whose dominant share exceeds the fair
-// share 1/n; the paper's ballooning reclaims from them first
-// (Algorithm 1's else-branch: "reclaim guest i's overcommit pages").
-func (a *Allocator) OverCommitted() []ClientID {
-	n := len(a.order)
-	if n == 0 {
-		return nil
-	}
-	fair := 1.0 / float64(n)
-	var out []ClientID
-	for _, id := range a.order {
-		if a.dominantShare(a.clients[id]) > fair+1e-9 {
-			out = append(out, id)
-		}
-	}
-	return out
 }

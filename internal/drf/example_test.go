@@ -17,19 +17,21 @@ func ExampleAllocator() {
 	a.AddClient(1) // GraphChi VM: SlowMem-hungry
 	a.AddClient(2) // Metis VM: FastMem-hungry
 
-	grants := a.RunToSaturation(map[drf.ClientID][]float64{
-		1: {0.25, 1.0}, // per task: 0.25 GiB fast, 1 GiB slow
-		2: {0.75, 0.5}, // per task: 0.75 GiB fast, 0.5 GiB slow
-	}, 1000)
-
+	if err := a.Grant(1, []float64{0.5, 4}); err != nil {
+		panic(err)
+	}
+	if err := a.Grant(2, []float64{1.5, 1}); err != nil {
+		panic(err)
+	}
 	s1, _ := a.DominantShare(1)
 	s2, _ := a.DominantShare(2)
-	r1, _ := a.DominantResource(1)
-	r2, _ := a.DominantResource(2)
-	res := []string{"FastMem", "SlowMem"}
-	fmt.Printf("VM1: %d tasks, dominant %s share %.2f\n", grants[1], res[r1], s1)
-	fmt.Printf("VM2: %d tasks, dominant %s share %.2f\n", grants[2], res[r2], s2)
+	fmt.Printf("VM1: dominant share %.2f\n", s1)
+	fmt.Printf("VM2: dominant share %.2f\n", s2)
+	// A grant past FastMem's capacity is refused; the VMM then balloons
+	// the VM with the higher dominant share, VM2.
+	fmt.Println(a.Grant(1, []float64{3, 0}))
 	// Output:
-	// VM1: 7 tasks, dominant FastMem share 0.88
-	// VM2: 2 tasks, dominant FastMem share 0.75
+	// VM1: dominant share 0.50
+	// VM2: dominant share 0.75
+	// drf: insufficient capacity: resource 0 (want 3, free 2)
 }

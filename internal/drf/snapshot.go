@@ -7,8 +7,8 @@ import (
 )
 
 // SnapshotState codes the allocator's mutable state: consumption, and
-// every client's allocation vector in registration order (PickNext
-// breaks ties by that order, so it is behavioural state). Capacities
+// every client's allocation vector in registration order (the order
+// the checkpoint lists clients in). Capacities
 // and weights are construction-time parameters and are not coded;
 // reading requires an allocator with the same resource dimensions.
 func (a *Allocator) SnapshotState(c *snapshot.Codec) error {

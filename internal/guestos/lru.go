@@ -184,11 +184,6 @@ func (l *PageLRU) Remove(pfn PFN) {
 	l.store.Clear(pfn, FlagOnLRU|FlagActive)
 }
 
-// Contains reports whether pfn is on this LRU.
-func (l *PageLRU) Contains(pfn PFN) bool {
-	return l.store.Has(pfn, FlagOnLRU)
-}
-
 // MarkAccessed implements mark_page_accessed semantics: the first touch
 // sets the referenced bit; a second touch while on the inactive list
 // promotes the page to the active list.

@@ -24,11 +24,11 @@ func TestLRUInsertRemove(t *testing.T) {
 	if l.Count() != 2 || l.InactiveCount() != 2 || l.ActiveCount() != 0 {
 		t.Fatalf("counts wrong: %d/%d/%d", l.Count(), l.InactiveCount(), l.ActiveCount())
 	}
-	if !l.Contains(3) || l.Contains(4) {
-		t.Fatal("Contains wrong")
+	if !l.store.Has(3, FlagOnLRU) || l.store.Has(4, FlagOnLRU) {
+		t.Fatal("on-LRU flags wrong")
 	}
 	l.Remove(3)
-	if l.Count() != 1 || l.Contains(3) {
+	if l.Count() != 1 || l.store.Has(3, FlagOnLRU) {
 		t.Fatal("remove failed")
 	}
 	if err := l.CheckInvariants(); err != nil {
@@ -86,7 +86,7 @@ func TestLRUDeactivateAndRotate(t *testing.T) {
 	if n, _ := l.rotateRun(5, func(PFN) bool { return false }); n != 1 {
 		t.Fatalf("rotateRun = %d, want 1", n)
 	}
-	if store.Has(0, FlagAccessed) || !l.Contains(0) {
+	if store.Has(0, FlagAccessed) || !store.Has(0, FlagOnLRU) {
 		t.Fatal("rotate semantics wrong")
 	}
 	// TailInactive returns the oldest inactive page (1, since the

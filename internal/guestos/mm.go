@@ -276,12 +276,6 @@ func (a *AddrSpace) leafRun(vpn, end VPN) ([]PFN, VPN) {
 // leafPresent reports whether a leaf entry maps a frame.
 func leafPresent(e PFN) bool { return e != ptEntryAbsent && e != ptEntrySwapped }
 
-// Translate resolves vpn to its mapped frame without faulting.
-func (a *AddrSpace) Translate(vpn VPN) (PFN, bool) {
-	pfn, st := a.lookup(vpn)
-	return pfn, st == ptPresent
-}
-
 // mapPage installs vpn → pfn.
 func (a *AddrSpace) mapPage(vpn VPN, pfn PFN) {
 	n := a.walk(vpn, true)
@@ -362,27 +356,6 @@ func (a *AddrSpace) setLeaf(vpn VPN, entry PFN, reclaim bool) {
 	a.os.freePTPage(a.root.pfn)
 	a.ptPages--
 	a.root = nil
-}
-
-// PTPages reports the number of live page-table pages.
-func (a *AddrSpace) PTPages() uint64 { return a.ptPages }
-
-// Faults reports demand faults served.
-func (a *AddrSpace) Faults() uint64 { return a.faults }
-
-// SwapIns reports faults that had to read from swap.
-func (a *AddrSpace) SwapIns() uint64 { return a.swapIns }
-
-// WalkSteps reports interior page-table steps taken (cost metric).
-func (a *AddrSpace) WalkSteps() uint64 { return a.walkSteps }
-
-// ResidentPages sums resident pages across VMAs.
-func (a *AddrSpace) ResidentPages() uint64 {
-	var n uint64
-	for _, v := range a.order {
-		n += v.Resident
-	}
-	return n
 }
 
 // CheckInvariants verifies VMA ordering and non-overlap, and that every

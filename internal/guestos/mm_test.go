@@ -73,7 +73,7 @@ func TestPageTableGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One resident leaf needs one node per level.
-	if got := os.AS.PTPages(); got != ptLevels {
+	if got := os.AS.ptPages; got != ptLevels {
 		t.Fatalf("PT pages = %d, want %d", got, ptLevels)
 	}
 	// A second page in the same 512-page leaf region shares all nodes.
@@ -81,7 +81,7 @@ func TestPageTableGeometry(t *testing.T) {
 	if sameLeaf := ptIndex(v.Start, 1) == ptIndex(v2.Start, 1) &&
 		v.Start>>18 == v2.Start>>18; sameLeaf {
 		os.TouchVPN(v2.Start, 1, 0)
-		if got := os.AS.PTPages(); got != ptLevels {
+		if got := os.AS.ptPages; got != ptLevels {
 			t.Fatalf("PT pages = %d after same-leaf map", got)
 		}
 	}
@@ -99,13 +99,13 @@ func TestPageTableReclaimBottomUp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if os.AS.PTPages() == 0 {
+	if os.AS.ptPages == 0 {
 		t.Fatal("no PT pages")
 	}
 	if err := os.AS.Munmap(v.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := os.AS.PTPages(); got != 0 {
+	if got := os.AS.ptPages; got != 0 {
 		t.Fatalf("PT pages leaked: %d", got)
 	}
 	if os.AS.ResidentPages() != 0 {
@@ -142,7 +142,7 @@ func TestTranslateAndSwapMarkers(t *testing.T) {
 	if _, ok := os.AS.Translate(v.Start); ok {
 		t.Fatal("swapped vpn still translates")
 	}
-	if !os.swap.has(v.Start) {
+	if _, ok := os.swap.slots[v.Start]; !ok {
 		t.Fatal("swap slot missing")
 	}
 	// Touch swaps it back in.
@@ -150,7 +150,7 @@ func TestTranslateAndSwapMarkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if os.swap.has(v.Start) {
+	if _, ok := os.swap.slots[v.Start]; ok {
 		t.Fatal("swap slot not freed on swap-in")
 	}
 	if pfn2 == NilPFN {
@@ -183,12 +183,12 @@ func TestMunmapFreesSwapSlots(t *testing.T) {
 		}
 		os.swapOutPage(pfn)
 	}
-	if os.SwappedPages() != 8 {
-		t.Fatalf("swapped = %d", os.SwappedPages())
+	if len(os.swap.slots) != 8 {
+		t.Fatalf("swapped = %d", len(os.swap.slots))
 	}
 	os.AS.Munmap(v.ID)
-	if os.SwappedPages() != 0 {
-		t.Fatalf("swap slots leaked: %d", os.SwappedPages())
+	if len(os.swap.slots) != 0 {
+		t.Fatalf("swap slots leaked: %d", len(os.swap.slots))
 	}
 }
 
@@ -316,9 +316,9 @@ func TestLeafCacheFollowsTableLifetime(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		for _, vpn := range probes {
-			before := a.WalkSteps()
+			before := a.walkSteps
 			got, ok := a.Translate(vpn)
-			grew := a.WalkSteps() - before
+			grew := a.walkSteps - before
 			entry, reached, steps := uncachedTranslate(a, vpn)
 			if wok := leafPresent(entry); ok != wok || ok && got != entry {
 				t.Fatalf("%s: Translate(%d) = %d/%v, uncached walk %d/%v", step, vpn, got, ok, entry, wok)
@@ -350,10 +350,10 @@ func TestLeafCacheFollowsTableLifetime(t *testing.T) {
 	check("map")
 
 	warm(va.Start)
-	tables := a.PTPages()
+	tables := a.ptPages
 	os.freePage(pfn) // unmaps A's page, the last live entry of its table
-	if a.PTPages() != tables-1 {
-		t.Fatalf("unmap: PT pages %d, want %d (leaf table freed)", a.PTPages(), tables-1)
+	if a.ptPages != tables-1 {
+		t.Fatalf("unmap: PT pages %d, want %d (leaf table freed)", a.ptPages, tables-1)
 	}
 	check("unmap-last-entry")
 

@@ -1,7 +1,6 @@
 package guestos
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -11,10 +10,6 @@ import (
 	"heteroos/internal/obs"
 	"heteroos/internal/sim"
 )
-
-// ErrBalloonShortfall is the sentinel wrapped by BalloonShortfallError;
-// match it with errors.Is.
-var ErrBalloonShortfall = errors.New("guestos: balloon reservation shortfall")
 
 // BalloonShortfallError reports a populate request the balloon back-end
 // did not honour in full: the front-end asked the VMM for Want frames of
@@ -31,9 +26,6 @@ type BalloonShortfallError struct {
 func (e *BalloonShortfallError) Error() string {
 	return fmt.Sprintf("guestos: balloon back-end granted %d/%d %v frames", e.Got, e.Want, e.Tier)
 }
-
-// Unwrap ties the typed error to the ErrBalloonShortfall sentinel.
-func (e *BalloonShortfallError) Unwrap() error { return ErrBalloonShortfall }
 
 // FrameSource is the VMM-side back-end of the on-demand allocation
 // driver (Figure 5, steps 1-3): the guest requests machine frames of a
@@ -248,7 +240,7 @@ func New(cfg Config) (*OS, error) {
 		// HeteroOS-LRU per-memory-type thresholds: keep a small free
 		// reserve in FastMem so bursts allocate without synchronous
 		// reclaim.
-		fast.LowWatermark = maxU64(32, cfg.FastMaxPages/50)
+		fast.LowWatermark = max(32, cfg.FastMaxPages/50)
 		fast.HighWatermark = 2 * fast.LowWatermark
 		o.nodes = []*Node{fast, slow}
 	} else {
@@ -301,13 +293,6 @@ func New(cfg Config) (*OS, error) {
 	return o, nil
 }
 
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func (o *OS) newSlabCache(name string, objSize int, kind PageKind) *slab.Cache {
 	return slab.New(name, objSize, 1,
 		func(n int) (uint64, bool) {
@@ -334,9 +319,6 @@ func (o *OS) Node(t memsim.Tier) *Node {
 	return o.nodes[t]
 }
 
-// Nodes returns all nodes.
-func (o *OS) Nodes() []*Node { return o.nodes }
-
 // LRUOf returns the LRU of the node exposing tier t.
 func (o *OS) LRUOf(t memsim.Tier) *PageLRU {
 	if !o.cfg.Aware {
@@ -345,16 +327,7 @@ func (o *OS) LRUOf(t memsim.Tier) *PageLRU {
 	return o.lrus[t]
 }
 
-// Aware reports whether the guest is heterogeneity-aware.
-func (o *OS) Aware() bool { return o.cfg.Aware }
-
-// Placement returns the active placement configuration.
-func (o *OS) Placement() *PlacementConfig { return &o.cfg.Placement }
-
-// Epoch returns the current epoch number.
-func (o *OS) Epoch() uint32 { return o.epoch }
-
-// Store exposes the page store (tests, VMM adapters).
+// Store exposes the page store to tests outside the package.
 func (o *OS) Store() *PageStore { return o.store }
 
 // NumPFNs reports the guest-physical span size.
@@ -946,10 +919,4 @@ func (o *OS) PageCensus() [NumKinds]uint64 {
 		out[o.store.Kind(pfn)]++
 	}
 	return out
-}
-
-// ThrottleState exposes the reclaim-economics telemetry (debugging and
-// the ablation benchmarks).
-func (o *OS) ThrottleState() (admitRate float64, admitSeen int, regret float64, regretSeen int, promoteRate float64) {
-	return o.admitRate, o.admitSeen, o.demoteRegret, o.demoteSeen, o.promoteRate
 }

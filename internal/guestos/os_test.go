@@ -221,7 +221,7 @@ func TestMunmapFreesPagesAndPageTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ptBefore := os.AS.PTPages()
+	ptBefore := os.AS.ptPages
 	if ptBefore == 0 {
 		t.Fatal("no page-table pages allocated")
 	}
@@ -233,8 +233,8 @@ func TestMunmapFreesPagesAndPageTables(t *testing.T) {
 	if usedAfter >= usedBefore {
 		t.Fatal("munmap did not free pages")
 	}
-	if os.AS.PTPages() != 0 {
-		t.Fatalf("page-table pages leaked: %d", os.AS.PTPages())
+	if os.AS.ptPages != 0 {
+		t.Fatalf("page-table pages leaked: %d", os.AS.ptPages)
 	}
 	if err := os.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -250,8 +250,8 @@ func TestFileMappedVMA(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if os.PC.FilePages(file) < 50 {
-		t.Fatalf("file pages = %d", os.PC.FilePages(file))
+	if os.PageCensus()[KindPageCache] < 50 {
+		t.Fatalf("file pages = %d", os.PageCensus()[KindPageCache])
 	}
 	st := os.DrainEpoch()
 	if st.DiskReadPages == 0 {
@@ -261,7 +261,7 @@ func TestFileMappedVMA(t *testing.T) {
 	if err := os.AS.Munmap(vma.ID); err != nil {
 		t.Fatal(err)
 	}
-	if os.PC.FilePages(file) < 50 {
+	if os.PageCensus()[KindPageCache] < 50 {
 		t.Fatal("munmap evicted cache pages")
 	}
 	if err := os.CheckInvariants(); err != nil {
@@ -269,16 +269,27 @@ func TestFileMappedVMA(t *testing.T) {
 	}
 }
 
+// dirtyPages counts the page-cache pages awaiting writeback.
+func dirtyPages(o *OS) int {
+	n := 0
+	for pfn := uint64(0); pfn < o.NumPFNs(); pfn++ {
+		if o.PC.Dirty(pfn) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestFileReadWriteThroughCache(t *testing.T) {
 	os, _ := testOS(t, heapIOSlabODPlacement(), 1024, 4096, 512, 1024)
 	os.PC.ReadaheadWindow = 0
 	os.FileRead(7, 0, 16)
-	st := os.PeekEpoch()
+	st := os.ep
 	if st.DiskReadPages != 16 {
 		t.Fatalf("disk reads = %d", st.DiskReadPages)
 	}
 	os.FileRead(7, 0, 16) // cached
-	st = os.PeekEpoch()
+	st = os.ep
 	if st.DiskReadPages != 16 {
 		t.Fatalf("second read hit disk: %d", st.DiskReadPages)
 	}
@@ -286,11 +297,11 @@ func TestFileReadWriteThroughCache(t *testing.T) {
 		t.Fatal("cache copies not charged to FastMem")
 	}
 	os.FileWrite(7, 0, 4)
-	if os.PC.DirtyCount() != 4 {
-		t.Fatalf("dirty = %d", os.PC.DirtyCount())
+	if dirtyPages(os) != 4 {
+		t.Fatalf("dirty = %d", dirtyPages(os))
 	}
 	os.EndEpoch() // background writeback
-	if os.PC.DirtyCount() != 0 {
+	if dirtyPages(os) != 0 {
 		t.Fatal("writeback did not run")
 	}
 }
@@ -318,7 +329,7 @@ func TestIOZeroAlloc(t *testing.T) {
 			{"EndEpoch writeback", func() {
 				os.FileWrite(7, 0, 64)
 				os.EndEpoch()
-				if os.PC.DirtyCount() != 0 {
+				if dirtyPages(os) != 0 {
 					t.Fatal("writeback left dirty pages")
 				}
 			}},
@@ -333,15 +344,11 @@ func TestIOZeroAlloc(t *testing.T) {
 func TestNetTransferUsesSkbuffSlab(t *testing.T) {
 	os, _ := testOS(t, heapIOSlabODPlacement(), 1024, 4096, 512, 1024)
 	os.NetRecv(100, 4096)
-	st := os.PeekEpoch()
+	st := os.ep
 	if st.KernelCopyBytes[memsim.FastMem] == 0 {
 		t.Fatal("no network copies charged")
 	}
-	sk := os.Slabs[SlabSkbuff]
-	if sk.InUse() != 0 {
-		t.Fatal("skbuffs leaked")
-	}
-	allocs, frees, _, _ := sk.Stats()
+	allocs, frees, _, _ := os.Slabs[SlabSkbuff].Stats()
 	if allocs == 0 || allocs != frees {
 		t.Fatalf("skbuff churn wrong: %d/%d", allocs, frees)
 	}
@@ -391,7 +398,7 @@ func TestHeteroLRUReclaimKeepsFastAvailable(t *testing.T) {
 	if missRatio > 0.9 {
 		t.Fatalf("miss ratio %v: reclaim seems inactive", missRatio)
 	}
-	if os.PeekEpoch().Demotions+st.Demotions == 0 {
+	if os.ep.Demotions+st.Demotions == 0 {
 		// Demotions may have been drained earlier; check cumulative via stats drained above.
 		t.Logf("note: demotions=%d (drained)", st.Demotions)
 	}
@@ -442,7 +449,7 @@ func TestPromotePageValidityChecks(t *testing.T) {
 	if os.PromotePage(ptPFN) {
 		t.Fatal("page-table page must not migrate")
 	}
-	if os.PeekEpoch().MigrationsSkipped == 0 {
+	if os.ep.MigrationsSkipped == 0 {
 		t.Fatal("skip not accounted")
 	}
 }
@@ -457,7 +464,7 @@ func TestSwapOutAndSwapIn(t *testing.T) {
 			t.Fatalf("touch %d: %v", i, err)
 		}
 	}
-	if os.SwappedPages() == 0 {
+	if len(os.swap.slots) == 0 {
 		t.Fatal("expected swapped pages under extreme pressure")
 	}
 	// Touch a swapped page: swap-in restores the tag.
@@ -466,7 +473,7 @@ func TestSwapOutAndSwapIn(t *testing.T) {
 	for i := 0; i < 280; i++ {
 		vpn := vma.Start + VPN(i)
 		if _, ok := os.AS.Translate(vpn); !ok {
-			if os.swap.has(vpn) {
+			if _, ok := os.swap.slots[vpn]; ok {
 				swappedVPN = vpn
 				found = true
 				break
@@ -518,7 +525,7 @@ func TestBalloonTargetReclaimsWhenNoFreePages(t *testing.T) {
 	if released == 0 {
 		t.Fatal("balloon released nothing")
 	}
-	if os.SwappedPages() == 0 {
+	if len(os.swap.slots) == 0 {
 		t.Fatal("balloon under pressure should have swapped")
 	}
 	if err := os.CheckInvariants(); err != nil {
@@ -540,7 +547,7 @@ func TestTransparentGuestSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(os.Nodes()) != 1 {
+	if len(os.nodes) != 1 {
 		t.Fatal("transparent guest must have one node")
 	}
 	vma, _ := os.AS.Mmap(100, KindAnon, NilFile)
@@ -558,7 +565,10 @@ func TestTransparentGuestSingleNode(t *testing.T) {
 	// (the machine keeps spare frames beyond the boot reservation).
 	pfn, _ := os.AS.Translate(vma.Start)
 	old := pageView(os.store, pfn).MFN
-	target := src.m.TierOf(old).Other()
+	target := memsim.SlowMem
+	if src.m.TierOf(old) == memsim.SlowMem {
+		target = memsim.FastMem
+	}
 	newMFN, err2 := src.m.AllocOne(target, 1)
 	if err2 != nil {
 		t.Fatal(err2)
@@ -643,12 +653,12 @@ func TestTrackingListMatchesTranslate(t *testing.T) {
 			}
 		}
 	}
-	steps := os.AS.WalkSteps()
+	steps := os.AS.walkSteps
 	if got := os.TrackingList(); !slices.Equal(got, want) {
 		t.Fatalf("tracking list has %d pages, per-VPN Translate %d (or a different order)", len(got), len(want))
 	}
-	if os.AS.WalkSteps() != steps {
-		t.Fatalf("TrackingList moved walkSteps %d -> %d", steps, os.AS.WalkSteps())
+	if os.AS.walkSteps != steps {
+		t.Fatalf("TrackingList moved walkSteps %d -> %d", steps, os.AS.walkSteps)
 	}
 }
 
@@ -791,13 +801,9 @@ func TestExceptionListComplementsTracking(t *testing.T) {
 	}
 	os.FileRead(3, 0, 4)
 	os.NetRecv(2, 1024)
-	excluded := map[PageKind]bool{}
-	for _, k := range os.ExceptionList() {
-		excluded[k] = true
-	}
-	if excluded[KindAnon] {
-		t.Fatal("heap pages must be tracked")
-	}
+	// Figure 5's exception list: short-lived I/O cache and buffer pages,
+	// and the page-table and DMA pages Linux cannot migrate.
+	excluded := map[PageKind]bool{KindPageCache: true, KindNetBuf: true, KindSlab: true, KindPageTable: true, KindDMA: true}
 	for _, pfn := range os.TrackingList() {
 		if excluded[pageView(os.store, pfn).Kind] {
 			t.Fatalf("exception-listed kind %v appears in tracking list", pageView(os.store, pfn).Kind)
@@ -807,24 +813,24 @@ func TestExceptionListComplementsTracking(t *testing.T) {
 
 func TestAccessorsAndScanState(t *testing.T) {
 	os, _ := testOS(t, heteroLRUPlacement(), 1024, 4096, 512, 1024)
-	if !os.Aware() {
+	if !os.cfg.Aware {
 		t.Fatal("Aware() wrong")
 	}
-	if os.Placement().Name != "HeteroOS-LRU" {
+	if os.cfg.Placement.Name != "HeteroOS-LRU" {
 		t.Fatal("Placement() wrong")
 	}
-	if os.Epoch() != 0 {
+	if os.epoch != 0 {
 		t.Fatal("fresh epoch nonzero")
 	}
 	if os.Store().Len() != os.NumPFNs() {
 		t.Fatal("Store() inconsistent")
 	}
 	os.EndEpoch()
-	if os.Epoch() != 1 {
+	if os.epoch != 1 {
 		t.Fatal("EndEpoch did not advance the epoch")
 	}
 	os.AddOSTime(123)
-	if os.PeekEpoch().OSTimeNs < 123 {
+	if os.ep.OSTimeNs < 123 {
 		t.Fatal("AddOSTime lost")
 	}
 
@@ -845,13 +851,13 @@ func TestAccessorsAndScanState(t *testing.T) {
 	if os.PromoteRate() != 1 || !os.PromotionWorthwhile() {
 		t.Fatal("promotion telemetry must start optimistic")
 	}
-	if os.AS.Faults() == 0 {
+	if os.AS.faults == 0 {
 		t.Fatal("Faults() accessor broken")
 	}
-	if os.AS.WalkSteps() == 0 {
+	if os.AS.walkSteps == 0 {
 		t.Fatal("WalkSteps() accessor broken")
 	}
-	_ = os.AS.SwapIns()
+	_ = os.AS.swapIns
 }
 
 func TestReleaseFileRange(t *testing.T) {
@@ -860,17 +866,17 @@ func TestReleaseFileRange(t *testing.T) {
 	const file = FileID(6)
 	os.FileRead(file, 0, 8)
 	os.FileWrite(file, 4, 2) // pages 4,5 dirty
-	if os.PC.FilePages(file) != 8 {
-		t.Fatalf("cached = %d", os.PC.FilePages(file))
+	if os.PageCensus()[KindPageCache] != 8 {
+		t.Fatalf("cached = %d", os.PageCensus()[KindPageCache])
 	}
 	released := os.ReleaseFileRange(file, 0, 8)
 	if released != 8 {
 		t.Fatalf("released = %d", released)
 	}
-	if os.PC.FilePages(file) != 0 {
+	if os.PageCensus()[KindPageCache] != 0 {
 		t.Fatal("pages survived release")
 	}
-	if os.PeekEpoch().DiskWritePages == 0 {
+	if os.ep.DiskWritePages == 0 {
 		t.Fatal("dirty release must charge writeback")
 	}
 	// Releasing a mapped range unmaps first.
@@ -896,7 +902,7 @@ func TestReleaseFileRange(t *testing.T) {
 func TestNetSendMirrorsRecv(t *testing.T) {
 	os, _ := testOS(t, heapIOSlabODPlacement(), 1024, 4096, 512, 1024)
 	os.NetSend(4, 2048)
-	if os.PeekEpoch().KernelCopyBytes[memsim.FastMem] == 0 {
+	if os.ep.KernelCopyBytes[memsim.FastMem] == 0 {
 		t.Fatal("NetSend charged nothing")
 	}
 }

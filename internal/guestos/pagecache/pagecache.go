@@ -314,9 +314,6 @@ func (c *Cache) Writeback(dst []uint64, max int) []uint64 {
 // Dirty reports whether pfn holds unwritten data.
 func (c *Cache) Dirty(pfn uint64) bool { return c.dirty.Has(pfn) }
 
-// DirtyCount reports the number of dirty pages.
-func (c *Cache) DirtyCount() int { return c.ndirt }
-
 // entry returns pfn's reverse-map cell, or ok=false if pfn is not a
 // cache page.
 func (c *Cache) entry(pfn uint64) (rmapEntry, bool) {
@@ -379,31 +376,6 @@ func (c *Cache) Rekey(oldPfn, newPfn uint64) {
 func (c *Cache) Owns(pfn uint64) bool {
 	_, ok := c.entry(pfn)
 	return ok
-}
-
-// Identity returns the (file, offset) a frame caches.
-func (c *Cache) Identity(pfn uint64) (FileID, uint64, bool) {
-	e, ok := c.entry(pfn)
-	if !ok {
-		return 0, 0, false
-	}
-	return c.files[e.file-1].id, uint64(e.off), true
-}
-
-// Pages reports the number of cached pages.
-func (c *Cache) Pages() int { return c.pages }
-
-// FilePages reports the number of cached pages of one file.
-func (c *Cache) FilePages(file FileID) int {
-	if f := c.fileOf(file, false); f != nil {
-		return f.pages
-	}
-	return 0
-}
-
-// Stats reports hit/miss/writeback/eviction counters.
-func (c *Cache) Stats() (hits, misses, writebacks, evictions uint64) {
-	return c.hits, c.misses, c.writebacks, c.evictions
 }
 
 // CheckInvariants validates that the forward radixes and the reverse

@@ -112,7 +112,7 @@ func TestDemandPrioritisationWindow(t *testing.T) {
 
 func TestThrottleStateTelemetry(t *testing.T) {
 	os, _ := testOS(t, heteroLRUPlacement(), 256, 4096, 256, 2048)
-	ar, as, rr, rs, pr := os.ThrottleState()
+	ar, as, rr, rs, pr := os.admitRate, os.admitSeen, os.demoteRegret, os.demoteSeen, os.promoteRate
 	if ar != 1 || pr != 1 {
 		t.Fatal("EWMAs must start optimistic")
 	}
@@ -127,8 +127,7 @@ func TestThrottleStateTelemetry(t *testing.T) {
 		}
 		os.EndEpoch()
 	}
-	_, as2, _, _, _ := os.ThrottleState()
-	if as2 == 0 {
+	if os.admitSeen == 0 {
 		t.Fatal("admission samples never matured")
 	}
 }

@@ -381,8 +381,11 @@ func TestReclaimPassMatchesPerPageWalk(t *testing.T) {
 				vmas[i] = v
 			}
 			var next uint64
-			got.AttachObs(obs.New().Scope(1, func() sim.Duration { return 0 }))
-			rotCounter := got.obs.lruRotations
+			scope := obs.New().Scope(1, func() sim.Duration { return 0 })
+			got.AttachObs(scope)
+			rotations := func() uint64 {
+				return uint64(scope.Registry().Snapshot().Find("guestos.lru_rotations").Value)
+			}
 			ops := rand.New(rand.NewSource(sc.seed * 7))
 			for pass := 0; pass < 24; pass++ {
 				if ops.Intn(6) == 0 {
@@ -401,9 +404,9 @@ func TestReclaimPassMatchesPerPageWalk(t *testing.T) {
 					cacheOnly := ops.Intn(2) == 0
 					hit := inactive > 0 && l.memoHolds(got.epoch, got.reclaimGuard(), cacheOnly)
 					wantFreed, wantRot := refReclaimPass(ref, idx, target, cacheOnly)
-					before := rotCounter.Value()
+					before := rotations()
 					freed := got.reclaimPass(idx, target, cacheOnly)
-					rot := rotCounter.Value() - before
+					rot := rotations() - before
 					if freed != wantFreed || rot != wantRot {
 						t.Fatalf("pass %d (node %d, target %d, cacheOnly %v, memo hit %v): freed %d rotations %d, reference %d/%d",
 							pass, idx, target, cacheOnly, hit, freed, rot, wantFreed, wantRot)

@@ -114,12 +114,6 @@ func (c *Cache) Name() string { return c.name }
 // ObjSize returns the object size in bytes.
 func (c *Cache) ObjSize() int { return c.objSize }
 
-// ObjsPerSlab returns the number of objects each slab holds.
-func (c *Cache) ObjsPerSlab() int { return c.objsPerSlab }
-
-// PagesPerSlab returns the number of frames per slab.
-func (c *Cache) PagesPerSlab() int { return c.pagesPerSlab }
-
 func (c *Cache) newSlab() (*slabState, error) {
 	base, ok := c.get(c.pagesPerSlab)
 	if !ok {
@@ -240,18 +234,6 @@ func (c *Cache) Free(ref ObjRef) {
 	if wasFull {
 		c.partial = append(c.partial, s.base)
 	}
-}
-
-// Pages reports the frames currently held by the cache.
-func (c *Cache) Pages() int { return len(c.slabs) * c.pagesPerSlab }
-
-// InUse reports the number of live objects.
-func (c *Cache) InUse() int {
-	n := 0
-	for _, s := range c.slabs {
-		n += s.inUse
-	}
-	return n
 }
 
 // Stats reports object allocs/frees and slab-level page churn.

@@ -119,10 +119,6 @@ func (s *PageStore) resetLinks() {
 // Len reports the number of frames tracked.
 func (s *PageStore) Len() uint64 { return s.n }
 
-// ScanWords reports the number of 64-page bitmap words covering the
-// store (the last word may be partial).
-func (s *PageStore) ScanWords() int { return len(s.scanAccessed) }
-
 func bitGet(words []uint64, pfn PFN) bool {
 	return words[pfn>>6]&(1<<(pfn&63)) != 0
 }
@@ -386,22 +382,6 @@ func (s *PageStore) IsDefault(pfn PFN) bool {
 		s.lastUse[pfn] == 0 &&
 		s.scanHeat[pfn] == 0 && s.scanWriteHeat[pfn] == 0 &&
 		s.tag[pfn] == 0
-}
-
-// Reset returns pfn's metadata to the boot-time default.
-func (s *PageStore) Reset(pfn PFN) {
-	s.mfn[pfn] = nil32
-	s.kind[pfn] = 0
-	s.vpn[pfn] = nil32
-	s.lruPrev[pfn] = nil32
-	s.lruNext[pfn] = nil32
-	s.lastUse[pfn] = 0
-	s.scanHeat[pfn] = 0
-	s.scanWriteHeat[pfn] = 0
-	s.tag[pfn] = 0
-	s.SetAllFlags(pfn, 0)
-	bitClear(s.scanHeatNZ, pfn)
-	bitClear(s.scanWriteHeatNZ, pfn)
 }
 
 // ResetAll returns every frame to the boot-time default (snapshot

@@ -199,7 +199,7 @@ func TestPageStoreDifferential(t *testing.T) {
 			st.Reset(pfn)
 			ref.pages[pfn] = defaultPage
 		case 11:
-			w := rng.Intn(st.ScanWords())
+			w := rng.Intn(len(st.scanAccessed))
 			mask := rng.Uint64()
 			got := st.TakeScanAccessedWord(w, mask)
 			want := ref.takeWord(w, mask, FlagScanAccessed)
@@ -207,7 +207,7 @@ func TestPageStoreDifferential(t *testing.T) {
 				t.Fatalf("step %d: TakeScanAccessedWord(%d, %#x) = %#x, ref %#x", step, w, mask, got, want)
 			}
 		case 12:
-			w := rng.Intn(st.ScanWords())
+			w := rng.Intn(len(st.scanAccessed))
 			mask := rng.Uint64()
 			got := st.TakeScanWrittenWord(w, mask)
 			want := ref.takeWord(w, mask, FlagScanWritten)
@@ -215,7 +215,7 @@ func TestPageStoreDifferential(t *testing.T) {
 				t.Fatalf("step %d: TakeScanWrittenWord(%d, %#x) = %#x, ref %#x", step, w, mask, got, want)
 			}
 		case 13:
-			w := rng.Intn(st.ScanWords())
+			w := rng.Intn(len(st.scanAccessed))
 			mask := rng.Uint64()
 			got := st.ScanHeatNonzeroWord(w, mask)
 			want := ref.nonzeroWord(w, mask, false)
@@ -223,7 +223,7 @@ func TestPageStoreDifferential(t *testing.T) {
 				t.Fatalf("step %d: ScanHeatNonzeroWord(%d, %#x) = %#x, ref %#x", step, w, mask, got, want)
 			}
 		case 14:
-			w := rng.Intn(st.ScanWords())
+			w := rng.Intn(len(st.scanAccessed))
 			mask := rng.Uint64()
 			got := st.ScanWriteHeatNonzeroWord(w, mask)
 			want := ref.nonzeroWord(w, mask, true)

@@ -36,10 +36,3 @@ func (s *swapSpace) take(vpn VPN) uint64 {
 func (s *swapSpace) free(vpn VPN) {
 	delete(s.slots, vpn)
 }
-
-func (s *swapSpace) has(vpn VPN) bool {
-	_, ok := s.slots[vpn]
-	return ok
-}
-
-func (s *swapSpace) count() int { return len(s.slots) }

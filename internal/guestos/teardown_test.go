@@ -24,9 +24,6 @@ func TestBootShortfallTypedError(t *testing.T) {
 	if err == nil {
 		t.Fatal("boot with refused FastMem reservation succeeded")
 	}
-	if !errors.Is(err, ErrBalloonShortfall) {
-		t.Fatalf("error is not ErrBalloonShortfall: %v", err)
-	}
 	var sf *BalloonShortfallError
 	if !errors.As(err, &sf) {
 		t.Fatalf("error is not a *BalloonShortfallError: %v", err)

@@ -32,13 +32,7 @@ type Backend interface {
 type Option func(*backendOptions)
 
 type backendOptions struct {
-	cpu CPU
 	reg *obs.Registry
-}
-
-// WithCPU sets the compute-side model (default DefaultCPU).
-func WithCPU(cpu CPU) Option {
-	return func(o *backendOptions) { o.cpu = cpu }
 }
 
 // WithObs attaches per-charge accounting: the backend registers its
@@ -48,9 +42,9 @@ func WithObs(reg *obs.Registry) Option {
 	return func(o *backendOptions) { o.reg = reg }
 }
 
-// applyOptions resolves the option list against the defaults.
+// applyOptions collects the option list.
 func applyOptions(opts []Option) backendOptions {
-	o := backendOptions{cpu: DefaultCPU()}
+	var o backendOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -59,7 +53,7 @@ func applyOptions(opts []Option) backendOptions {
 
 // Builder constructs a Backend over a machine. core.Config carries one
 // (nil means AnalyticBackend), and core.NewSystem invokes it with the
-// machine it just built plus the system-level options (CPU model, obs
+// machine it just built plus the system-level options (the obs
 // registry); exp.Options.NewBackend lets a harness supply one per
 // sweep cell.
 type Builder func(m *Machine, opts ...Option) Backend

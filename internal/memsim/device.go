@@ -66,21 +66,6 @@ type DeviceSpec struct {
 	BandwidthMinGBs, BandwidthMaxGBs float64
 }
 
-// LoadLatencyNs returns the representative (midpoint) load latency.
-func (d DeviceSpec) LoadLatencyNs() float64 {
-	return (d.LoadLatencyMinNs + d.LoadLatencyMaxNs) / 2
-}
-
-// StoreLatencyNs returns the representative (midpoint) store latency.
-func (d DeviceSpec) StoreLatencyNs() float64 {
-	return (d.StoreLatencyMinNs + d.StoreLatencyMaxNs) / 2
-}
-
-// BandwidthGBs returns the representative (midpoint) bandwidth.
-func (d DeviceSpec) BandwidthGBs() float64 {
-	return (d.BandwidthMinGBs + d.BandwidthMaxGBs) / 2
-}
-
 // DeviceCatalog is the paper's Table 1: heterogeneous memory
 // characteristics for stacked 3D-DRAM, DRAM, and NVM (PCM).
 var DeviceCatalog = []DeviceSpec{

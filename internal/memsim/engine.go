@@ -132,12 +132,12 @@ type Engine struct {
 	obs *EngineObs
 }
 
-// NewAnalytic builds the analytic Table-3 engine over m. The model
-// parameters are fixed at construction: WithCPU overrides the default
-// Xeon, WithObs attaches per-charge accounting.
+// NewAnalytic builds the analytic Table-3 engine over m, pricing
+// compute on the paper's Xeon (DefaultCPU). WithObs attaches per-charge
+// accounting.
 func NewAnalytic(m *Machine, opts ...Option) *Engine {
 	o := applyOptions(opts)
-	e := &Engine{machine: m, cpu: o.cpu}
+	e := &Engine{machine: m, cpu: DefaultCPU()}
 	if o.reg != nil {
 		e.obs = NewEngineObs(o.reg)
 	}
@@ -149,9 +149,6 @@ func (e *Engine) Name() string { return BackendAnalytic }
 
 // Machine exposes the machine the engine prices against.
 func (e *Engine) Machine() *Machine { return e.machine }
-
-// CPU reports the compute-side model.
-func (e *Engine) CPU() CPU { return e.cpu }
 
 // EffectiveMPKI applies the LLC power-law miss curve: the workload's
 // reference MPKI rescaled for the configured cache and working set.

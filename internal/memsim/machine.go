@@ -84,16 +84,6 @@ func (m *Machine) TierOf(mfn MFN) Tier {
 	return SlowMem
 }
 
-// OwnerOf reports the current owner of mfn.
-func (m *Machine) OwnerOf(mfn MFN) Owner {
-	return m.owner[mfn]
-}
-
-// OwnedBy counts the frames currently owned by o across both tiers.
-// O(total frames) — meant for invariant checks and teardown audits,
-// not hot paths.
-func (m *Machine) OwnedBy(o Owner) uint64 { return m.OwnedByRange(o, o)[0] }
-
 // OwnedByRange counts, in one sweep over every frame, the frames owned
 // by each owner in [lo, hi]: out[o-lo] is owner o's count.
 func (m *Machine) OwnedByRange(lo, hi Owner) []uint64 {
@@ -104,11 +94,6 @@ func (m *Machine) OwnedByRange(lo, hi Owner) []uint64 {
 		}
 	}
 	return out
-}
-
-// Contains reports whether mfn is a valid frame of this machine.
-func (m *Machine) Contains(mfn MFN) bool {
-	return uint64(mfn) < uint64(len(m.owner))
 }
 
 // Alloc takes n frames from tier t for owner o. It returns the allocated

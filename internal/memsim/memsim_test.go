@@ -114,12 +114,6 @@ func TestRemoteNUMASpec(t *testing.T) {
 }
 
 func TestTierBasics(t *testing.T) {
-	if FastMem.Other() != SlowMem || SlowMem.Other() != FastMem {
-		t.Fatal("Other() broken")
-	}
-	if !FastMem.Valid() || Tier(9).Valid() {
-		t.Fatal("Valid() broken")
-	}
 	if FastMem.String() != "FastMem" || SlowMem.String() != "SlowMem" {
 		t.Fatal("tier names wrong")
 	}
@@ -145,8 +139,8 @@ func TestMachineAllocFree(t *testing.T) {
 		if m.TierOf(f) != FastMem {
 			t.Fatalf("frame %d in wrong tier", f)
 		}
-		if m.OwnerOf(f) != 1 {
-			t.Fatalf("frame %d owner %d", f, m.OwnerOf(f))
+		if m.owner[f] != 1 {
+			t.Fatalf("frame %d owner %d", f, m.owner[f])
 		}
 	}
 	if m.FreeFrames(FastMem) != 6 || m.AllocatedFrames(FastMem) != 10 {
@@ -182,9 +176,6 @@ func TestMachineTierBoundary(t *testing.T) {
 	m := newTestMachine(8, 8)
 	if m.TierOf(7) != FastMem || m.TierOf(8) != SlowMem {
 		t.Fatal("tier boundary wrong")
-	}
-	if !m.Contains(15) || m.Contains(16) {
-		t.Fatal("Contains wrong")
 	}
 }
 
@@ -284,8 +275,11 @@ func TestMachineOwnedByRange(t *testing.T) {
 	if want := []uint64{0, 4, 0, 0, 0, 2}; !slices.Equal(got, want) {
 		t.Fatalf("OwnedByRange(4, 9) = %v, want %v", got, want)
 	}
-	if m.OwnedBy(3) != 2 || m.OwnedBy(OwnerFree) != 16+64-8 {
-		t.Fatalf("OwnedBy(3) = %d, OwnedBy(free) = %d", m.OwnedBy(3), m.OwnedBy(OwnerFree))
+	if n := m.OwnedByRange(3, 3)[0]; n != 2 {
+		t.Fatalf("OwnedByRange(3, 3) = [%d], want [2]", n)
+	}
+	if n := m.OwnedByRange(OwnerFree, OwnerFree)[0]; n != 16+64-8 {
+		t.Fatalf("free frames = %d, want %d", n, 16+64-8)
 	}
 }
 
@@ -406,7 +400,7 @@ func TestEngineDefensiveClamps(t *testing.T) {
 
 func TestEngineThreadsCappedAtCores(t *testing.T) {
 	m := newTestMachine(64, 64)
-	e := NewAnalytic(m, WithCPU(CPU{FreqGHz: 1, IPC: 1, Cores: 4}))
+	e := &Engine{machine: m, cpu: CPU{FreqGHz: 1, IPC: 1, Cores: 4}}
 	a := EpochCharge{Instr: 4_000_000, Threads: 4}
 	b := EpochCharge{Instr: 4_000_000, Threads: 400}
 	if e.Charge(a).CPUTime != e.Charge(b).CPUTime {

@@ -28,17 +28,6 @@ func (t Tier) String() string {
 	}
 }
 
-// Valid reports whether t names a managed tier.
-func (t Tier) Valid() bool { return t >= 0 && t < NumTiers }
-
-// Other returns the opposite tier.
-func (t Tier) Other() Tier {
-	if t == FastMem {
-		return SlowMem
-	}
-	return FastMem
-}
-
 // TierSpec carries the performance parameters of one tier.
 type TierSpec struct {
 	LoadLatencyNs  float64

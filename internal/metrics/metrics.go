@@ -70,9 +70,6 @@ func FormatFloat(v float64) string {
 // Rows reports the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 
-// Cell returns the rendered cell at (row, col).
-func (t *Table) Cell(row, col int) string { return t.rows[row][col] }
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.header))

@@ -60,11 +60,11 @@ func TestAddRowSmallFloats(t *testing.T) {
 	tb := NewTable("S", "name", "ratio")
 	tb.AddRow("tiny", 0.00312)
 	tb.AddRow("zero", 0.0)
-	if tb.Cell(0, 1) != "0.0031" {
-		t.Errorf("small float cell = %q, want %q", tb.Cell(0, 1), "0.0031")
+	if tb.rows[0][1] != "0.0031" {
+		t.Errorf("small float cell = %q, want %q", tb.rows[0][1], "0.0031")
 	}
-	if tb.Cell(1, 1) != "0.00" {
-		t.Errorf("zero cell = %q, want %q", tb.Cell(1, 1), "0.00")
+	if tb.rows[1][1] != "0.00" {
+		t.Errorf("zero cell = %q, want %q", tb.rows[1][1], "0.00")
 	}
 }
 
@@ -76,11 +76,11 @@ func TestTableRendering(t *testing.T) {
 	if tb.Rows() != 2 {
 		t.Fatalf("rows = %d", tb.Rows())
 	}
-	if tb.Cell(0, 1) != "123.46" {
-		t.Errorf("float cell = %q", tb.Cell(0, 1))
+	if tb.rows[0][1] != "123.46" {
+		t.Errorf("float cell = %q", tb.rows[0][1])
 	}
-	if tb.Cell(1, 1) != "2x" {
-		t.Errorf("string cell = %q", tb.Cell(1, 1))
+	if tb.rows[1][1] != "2x" {
+		t.Errorf("string cell = %q", tb.rows[1][1])
 	}
 	out := tb.String()
 	for _, want := range []string{"Demo", "caption line", "App", "Gain", "GraphChi", "123.46"} {

@@ -241,11 +241,6 @@ type MigrationTotals struct {
 	VMMDemoted  uint64 `json:"vmm_demoted_pages"`
 }
 
-// FastIn reports all pages moved into FastMem regardless of executor;
-// FastOut the reverse.
-func (t MigrationTotals) FastIn() uint64  { return t.Promoted + t.VMMPromoted }
-func (t MigrationTotals) FastOut() uint64 { return t.Demoted + t.VMMDemoted }
-
 // MigrationsByVM returns per-VM migration page totals.
 func (tr *Trace) MigrationsByVM() map[int32]MigrationTotals {
 	out := map[int32]MigrationTotals{}

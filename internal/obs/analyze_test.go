@@ -114,8 +114,8 @@ func TestMigrationsByVM(t *testing.T) {
 	if got := byVM[1]; got.Promoted != 4 || got.VMMPromoted != 3 || got.Demoted != 2 || got.VMMDemoted != 0 {
 		t.Errorf("vm1 totals = %+v", got)
 	}
-	if got := byVM[1]; got.FastIn() != 7 || got.FastOut() != 2 {
-		t.Errorf("vm1 fast in/out = %d/%d", byVM[1].FastIn(), byVM[1].FastOut())
+	if got := byVM[1]; got.Promoted+got.VMMPromoted != 7 || got.Demoted+got.VMMDemoted != 2 {
+		t.Errorf("vm1 migrations = %+v, want 7 pages into FastMem and 2 out", got)
 	}
 	if got := byVM[2]; got.Promoted != 0 || got.VMMDemoted != 9 {
 		t.Errorf("vm2 totals = %+v", got)

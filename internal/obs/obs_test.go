@@ -197,8 +197,8 @@ func TestRegistryIdempotentAndOrdered(t *testing.T) {
 	if r.Gauge("a") == nil {
 		t.Fatal("kind-mismatched lookup returned nil")
 	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (mismatch must not register)", r.Len())
+	if len(r.ordered) != 3 {
+		t.Fatalf("Len = %d, want 3 (mismatch must not register)", len(r.ordered))
 	}
 	s := r.Snapshot()
 	names := []string{s.Values[0].Name, s.Values[1].Name, s.Values[2].Name}
@@ -216,8 +216,8 @@ func TestHistogramQuantiles(t *testing.T) {
 		h.Observe(10) // bucket for [8,16)
 	}
 	h.Observe(1e6)
-	if h.Count() != 100 || h.Max() != 1000000 {
-		t.Fatalf("count/max = %d/%d", h.Count(), h.Max())
+	if h.count != 100 || h.max != 1000000 {
+		t.Fatalf("count/max = %d/%d", h.count, h.max)
 	}
 	p50 := h.Quantile(0.50)
 	if p50 < 10 || p50 > 16 {
@@ -268,8 +268,8 @@ func TestScopePrefixing(t *testing.T) {
 	if s.Find("vmm.drf_rebalances") == nil {
 		t.Fatalf("system scope must not prefix: %+v", s.Values)
 	}
-	if vm2.Registry().ScopePath() != "vm2" {
-		t.Fatalf("vm scope path = %q, want vm2", vm2.Registry().ScopePath())
+	if vm2.Registry().path != "vm2" {
+		t.Fatalf("vm scope path = %q, want vm2", vm2.Registry().path)
 	}
 	if sys.Registry() != o.Metrics {
 		t.Fatal("system scope must use the root registry")

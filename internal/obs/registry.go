@@ -44,18 +44,12 @@ func (c *Counter) Inc() { c.v++ }
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v += n }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
 // Gauge records the most recent value of a quantity that can move in
 // both directions (free-page percentages, budgets).
 type Gauge struct{ v float64 }
 
 // Set records v.
 func (g *Gauge) Set(v float64) { g.v = v }
-
-// Value returns the last recorded value.
-func (g *Gauge) Value() float64 { return g.v }
 
 // histBuckets covers the full uint64 range: bucket i counts values v
 // with bits.Len64(v) == i, i.e. bucket 0 holds zero and bucket i>0
@@ -87,15 +81,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Max returns the largest observed value.
-func (h *Histogram) Max() uint64 { return h.max }
-
 // quantile estimates the q-quantile (0 < q <= 1) from bucket counts:
 // the upper bound of the bucket where the cumulative count crosses
 // q*total, clamped to the observed max. Within a factor of 2, which is
@@ -123,11 +108,6 @@ func quantileOf(buckets *[histBuckets]uint64, count, max uint64, q float64) floa
 		}
 	}
 	return float64(max)
-}
-
-// Quantile estimates the q-quantile of the observed distribution.
-func (h *Histogram) Quantile(q float64) float64 {
-	return quantileOf(&h.buckets, h.count, h.max, q)
 }
 
 // metric is one registered instrument.
@@ -198,10 +178,6 @@ func (r *Registry) Scope(name string) *Registry {
 	return c
 }
 
-// ScopePath returns the registry's full scope path from the tree root
-// ("" for the root itself, "host0/vm3" for a nested scope).
-func (r *Registry) ScopePath() string { return r.path }
-
 // lookup returns the index of name, creating it with kind if absent.
 // A name registered twice with different kinds keeps the first kind;
 // the mismatched request receives a detached instrument so both call
@@ -251,10 +227,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	return r.ordered[i].h
 }
-
-// Len returns the number of instruments registered on this scope
-// (children not included).
-func (r *Registry) Len() int { return len(r.ordered) }
 
 // MetricValue is one instrument's state inside a Snapshot.
 type MetricValue struct {
@@ -457,23 +429,6 @@ func (s Snapshot) Rollup() Snapshot {
 		stripped[i] = v
 	}
 	return Snapshot{Values: mergeValues(stripped)}
-}
-
-// Scoped returns a copy of the snapshot re-parented under scope: every
-// value's scope path gains the prefix. The fleet/batch aggregation
-// primitive — take each host's (or job's) snapshot, scope it by its
-// identity, and Merge the results into one hierarchy.
-func (s Snapshot) Scoped(scope string) Snapshot {
-	out := Snapshot{Values: make([]MetricValue, len(s.Values))}
-	for i, v := range s.Values {
-		if v.Scope == "" {
-			v.Scope = scope
-		} else {
-			v.Scope = scope + ScopeSep + v.Scope
-		}
-		out.Values[i] = v
-	}
-	return out
 }
 
 // Table renders the snapshot as a metrics.Table titled title with one

@@ -44,12 +44,6 @@ func (d Duration) String() string {
 // Seconds reports the duration as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Add advances a time by a duration.
-func (t Time) Add(d Duration) Time { return t + Time(d) }
-
-// Sub reports the duration elapsed between two times.
-func (t Time) Sub(u Time) Duration { return Duration(t - u) }
-
 // Clock is the monotone simulated clock. The zero value is a clock at
 // time zero, ready to use.
 type Clock struct {
@@ -69,10 +63,6 @@ func (c *Clock) Advance(d Duration) Time {
 	c.now += Time(d)
 	return c.now
 }
-
-// Reset rewinds the clock to zero. Intended for reusing a simulation
-// harness across experiment runs.
-func (c *Clock) Reset() { c.now = 0 }
 
 // Restore sets the clock to an absolute point, for resuming a
 // checkpointed simulation. It is the only sanctioned way to move a

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Zipf samples integers in [0, n) with probability proportional to
 // 1/(i+1)^s. Workload models use it for the skewed page-popularity
@@ -37,9 +34,6 @@ func NewZipf(rng *RNG, s float64, n int) *Zipf {
 	return &Zipf{rng: rng, cdf: cdf}
 }
 
-// N reports the support size of the distribution.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // RNG exposes the sampler's random stream so checkpoint code can
 // serialize and restore it (the CDF itself is a pure function of the
 // constructor arguments and carries no run state).
@@ -59,50 +53,6 @@ func (z *Zipf) Sample() int {
 	}
 	return lo
 }
-
-// HotCold models the classic two-level locality pattern: a fraction
-// hotFrac of accesses go to the first hotItems items; the remainder are
-// uniform over the cold tail. It captures working-set behaviour (Denning)
-// without per-item CDF state, so it scales to multi-million-page
-// footprints.
-type HotCold struct {
-	rng      *RNG
-	items    int
-	hotItems int
-	hotFrac  float64
-}
-
-// NewHotCold builds a sampler over [0, items) where hotFrac of samples
-// land in [0, hotItems).
-func NewHotCold(rng *RNG, items, hotItems int, hotFrac float64) *HotCold {
-	if items <= 0 {
-		panic("sim: NewHotCold with non-positive items")
-	}
-	if hotItems <= 0 || hotItems > items {
-		panic(fmt.Sprintf("sim: NewHotCold hotItems %d out of range (0, %d]", hotItems, items))
-	}
-	if hotFrac < 0 || hotFrac > 1 {
-		panic("sim: NewHotCold hotFrac outside [0,1]")
-	}
-	return &HotCold{rng: rng, items: items, hotItems: hotItems, hotFrac: hotFrac}
-}
-
-// Sample draws the next item index.
-func (h *HotCold) Sample() int {
-	if h.rng.Bool(h.hotFrac) {
-		return h.rng.Intn(h.hotItems)
-	}
-	if h.items == h.hotItems {
-		return h.rng.Intn(h.items)
-	}
-	return h.hotItems + h.rng.Intn(h.items-h.hotItems)
-}
-
-// Items reports the support size.
-func (h *HotCold) Items() int { return h.items }
-
-// HotItems reports the size of the hot set.
-func (h *HotCold) HotItems() int { return h.hotItems }
 
 // SequentialWindow models streaming access: a cursor sweeps over [0, items)
 // and each call returns the next position, wrapping at the end. Graph
@@ -142,6 +92,3 @@ func (s *SequentialWindow) Seek(pos int) {
 	}
 	s.cursor = pos % s.items
 }
-
-// RNG exposes the sampler's random stream for checkpoint code.
-func (h *HotCold) RNG() *RNG { return h.rng }

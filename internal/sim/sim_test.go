@@ -19,10 +19,6 @@ func TestClockAdvance(t *testing.T) {
 	if got := c.Now(); got != Time(5*Millisecond) {
 		t.Fatalf("zero advance moved clock to %d", got)
 	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("Reset left clock at %d", c.Now())
-	}
 }
 
 func TestClockNegativeAdvancePanics(t *testing.T) {
@@ -36,13 +32,10 @@ func TestClockNegativeAdvancePanics(t *testing.T) {
 }
 
 func TestTimeArithmetic(t *testing.T) {
-	t0 := Time(100)
-	t1 := t0.Add(50)
-	if t1 != 150 {
-		t.Fatalf("Add = %d, want 150", t1)
-	}
-	if d := t1.Sub(t0); d != 50 {
-		t.Fatalf("Sub = %d, want 50", d)
+	var c Clock
+	c.Restore(100)
+	if got := c.Advance(50); got != 150 {
+		t.Fatalf("Restore(100) then Advance(50) = %d, want 150", got)
 	}
 }
 
@@ -188,18 +181,6 @@ func TestRNGIntnPanicsOnZero(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid/duplicate value %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGFork(t *testing.T) {
 	parent := NewRNG(9)
 	child := parent.Fork()
@@ -249,9 +230,6 @@ func TestZipfSkew(t *testing.T) {
 	if counts[0] < counts[99]*20 {
 		t.Fatalf("zipf not skewed: rank0=%d rank99=%d", counts[0], counts[99])
 	}
-	if z.N() != 1000 {
-		t.Fatalf("N = %d", z.N())
-	}
 }
 
 func TestZipfSupport(t *testing.T) {
@@ -275,57 +253,6 @@ func TestZipfPanics(t *testing.T) {
 			defer func() {
 				if recover() == nil {
 					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestHotColdFractions(t *testing.T) {
-	r := NewRNG(21)
-	h := NewHotCold(r, 1000, 100, 0.9)
-	hot := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if h.Sample() < 100 {
-			hot++
-		}
-	}
-	frac := float64(hot) / n
-	if math.Abs(frac-0.9) > 0.02 {
-		t.Fatalf("hot fraction = %v, want ~0.9", frac)
-	}
-	if h.Items() != 1000 || h.HotItems() != 100 {
-		t.Fatalf("accessors wrong: %d/%d", h.Items(), h.HotItems())
-	}
-}
-
-func TestHotColdDegenerate(t *testing.T) {
-	r := NewRNG(23)
-	// hotItems == items must not panic on the cold branch.
-	h := NewHotCold(r, 10, 10, 0.5)
-	for i := 0; i < 1000; i++ {
-		v := h.Sample()
-		if v < 0 || v >= 10 {
-			t.Fatalf("sample %d out of range", v)
-		}
-	}
-}
-
-func TestHotColdValidation(t *testing.T) {
-	r := NewRNG(1)
-	bad := []func(){
-		func() { NewHotCold(r, 0, 1, 0.5) },
-		func() { NewHotCold(r, 10, 0, 0.5) },
-		func() { NewHotCold(r, 10, 11, 0.5) },
-		func() { NewHotCold(r, 10, 5, 1.5) },
-	}
-	for i, f := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: expected panic", i)
 				}
 			}()
 			f()

@@ -327,9 +327,6 @@ func (x *HeatIndex) appendBucket(buf []guestos.PFN, tier memsim.Tier, score int,
 	return buf
 }
 
-// Count reports indexed pages on tier (tests, diagnostics).
-func (x *HeatIndex) Count(tier memsim.Tier) uint64 { return x.counts[tier] }
-
 // HeatSummary is a comparable fingerprint of an index: indexed-page
 // counts per (tier, score bucket). Two indexes over equivalent guest
 // state — identical per-PFN heat, free flags, and tier backing — yield

@@ -129,9 +129,6 @@ func NewScanner(view GuestView, costs ScanCosts) *Scanner {
 	}
 }
 
-// Heat reports the tracked heat of pfn.
-func (s *Scanner) Heat(pfn guestos.PFN) uint8 { return s.view.ScanHeat(pfn) }
-
 // score combines read heat with (optionally boosted) write heat: on
 // asymmetric SlowMem a store-heavy page earns more from FastMem than an
 // equally-referenced load-heavy one. Without an active write boost the
@@ -148,9 +145,6 @@ func (s *Scanner) score(pfn guestos.PFN) uint8 {
 	}
 	return uint8(h)
 }
-
-// Hot reports whether pfn's heat crosses the threshold.
-func (s *Scanner) Hot(pfn guestos.PFN) bool { return s.Heat(pfn) >= s.HotThreshold }
 
 // ScanNext scans the next BatchPages of the whole guest span
 // (VMM-exclusive mode: "tracking the entire guest-VM's memory").

@@ -167,21 +167,6 @@ func (m *VMM) DestroyVM(id VMID) error {
 	return nil
 }
 
-// VMByID returns a registered VM.
-func (m *VMM) VMByID(id VMID) (*VM, bool) {
-	vm, ok := m.vms[id]
-	return vm, ok
-}
-
-// VMs returns the VMs in creation order.
-func (m *VMM) VMs() []*VM {
-	out := make([]*VM, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.vms[id])
-	}
-	return out
-}
-
 // --- guestos.FrameSource implementation (balloon back-end) ---
 
 // Populate grants up to want frames of tier t, as authorised by the

@@ -252,7 +252,7 @@ func TestScannerHeatAndCosts(t *testing.T) {
 		t.Fatal("no hot pages found")
 	}
 	for _, pfn := range hot {
-		if !sc.Hot(pfn) {
+		if sc.view.ScanHeat(pfn) < sc.HotThreshold {
 			t.Fatal("HottestIn returned non-hot page")
 		}
 	}
@@ -272,9 +272,10 @@ func TestMigratorPromotesHotPages(t *testing.T) {
 	sc := NewScanner(os, DefaultScanCosts())
 	sc.BatchPages = int(os.NumPFNs())
 	attachIndex(sc, os, machine)
+	pfns := make([]guestos.PFN, 100)
 	for round := 0; round < 3; round++ {
-		for i := 0; i < 100; i++ {
-			os.TouchVPN(vma.Start+guestos.VPN(i), 1, 0)
+		for i := range pfns {
+			pfns[i], _ = os.TouchVPN(vma.Start+guestos.VPN(i), 1, 0)
 		}
 		sc.ScanNext()
 	}
@@ -288,9 +289,8 @@ func TestMigratorPromotesHotPages(t *testing.T) {
 	}
 	// Promoted pages are now FastMem-backed; contents intact.
 	fastBacked := 0
-	for i := 0; i < 100; i++ {
-		pfn, ok := os.AS.Translate(vma.Start + guestos.VPN(i))
-		if !ok {
+	for i, pfn := range pfns {
+		if now, _ := os.TouchVPN(vma.Start+guestos.VPN(i), 0, 0); now != pfn {
 			t.Fatal("mapping lost")
 		}
 		if os.TierOfPage(pfn) == memsim.FastMem {
@@ -504,13 +504,12 @@ func TestWriteAwareRankingPrefersStoreHeavyPages(t *testing.T) {
 	// The store-heavy page faults first so it lands on the higher frame
 	// (the node free stack pops descending): the boosted ranking must
 	// overcome the ascending-PFN tiebreak to put it first.
+	var writePfn, readPfn guestos.PFN
 	for round := 0; round < 3; round++ {
-		os.TouchVPN(vma.Start, 4, 4)   // half stores
-		os.TouchVPN(vma.Start+1, 8, 0) // loads only
+		writePfn, _ = os.TouchVPN(vma.Start, 4, 4)  // half stores
+		readPfn, _ = os.TouchVPN(vma.Start+1, 8, 0) // loads only
 		sc.ScanNext()
 	}
-	writePfn, _ := os.AS.Translate(vma.Start)
-	readPfn, _ := os.AS.Translate(vma.Start + 1)
 	if writePfn < readPfn {
 		t.Skip("frame order assumption violated; tiebreak not exercised")
 	}

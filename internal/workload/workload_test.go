@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"testing"
 
@@ -178,7 +180,7 @@ func TestWorkloadsTouchExpectedSubsystems(t *testing.T) {
 		_ = os
 		t.Error("Redis should hold skbuff pages")
 	}
-	if os, _ := run("LevelDB", 6); os.PC.Pages() == 0 {
+	if _, c := run("LevelDB", 6); c[guestos.KindPageCache] == 0 {
 		t.Error("LevelDB should populate the page cache")
 	}
 	if os, _ := run("LevelDB", 6); func() bool {
@@ -202,8 +204,8 @@ func TestHeapRegionDrift(t *testing.T) {
 	}
 	later := touchedSet(t, os, r)
 	overlap := 0
-	for vpn := range later {
-		if first[vpn] {
+	for pfn := range later {
+		if first[pfn] {
 			overlap++
 		}
 	}
@@ -221,19 +223,29 @@ func mustHeapRegion(t *testing.T, os *guestos.OS, pages, hot uint64, frac float6
 	return r
 }
 
+// takeAccessed reads and clears the guest's access bits, one word per
+// 64 frames: the frames touched since the last call.
+func takeAccessed(os *guestos.OS) []uint64 {
+	out := make([]uint64, (os.NumPFNs()+63)/64)
+	for w := range out {
+		out[w] = os.TakeScanAccessedWord(w, ^uint64(0))
+	}
+	return out
+}
+
 // touchedSet runs one touch in a fresh epoch and reads back, through
-// the guest, which of the region's pages it used.
-func touchedSet(t *testing.T, os *guestos.OS, r *heapRegion) map[guestos.VPN]bool {
+// the guest's access bits, which frames it used.
+func touchedSet(t *testing.T, os *guestos.OS, r *heapRegion) map[guestos.PFN]bool {
 	t.Helper()
 	os.EndEpoch()
+	takeAccessed(os)
 	if err := r.touch(os, 200, 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[guestos.VPN]bool)
-	for i := uint64(0); i < r.pages; i++ {
-		vpn := r.vma.Start + guestos.VPN(i)
-		if pfn, ok := os.AS.Translate(vpn); ok && os.Store().LastUse(pfn) == os.Epoch() {
-			out[vpn] = true
+	out := make(map[guestos.PFN]bool)
+	for w, word := range takeAccessed(os) {
+		for ; word != 0; word &= word - 1 {
+			out[guestos.PFN(w*64+bits.TrailingZeros64(word))] = true
 		}
 	}
 	if len(out) == 0 {
@@ -327,19 +339,8 @@ func TestTouchMatchesSortedMapReference(t *testing.T) {
 				if ref.hotStart != got.hotStart {
 					t.Fatalf("epoch %d: hotStart %d, reference %d", epoch, got.hotStart, ref.hotStart)
 				}
-				for i := uint64(0); i < c.pages; i++ {
-					vpn := got.vma.Start + guestos.VPN(i)
-					rp, rok := refOS.AS.Translate(vpn)
-					gp, gok := gotOS.AS.Translate(vpn)
-					if rp != gp || rok != gok {
-						t.Fatalf("epoch %d: vpn %d maps to %d/%v, reference %d/%v", epoch, vpn, gp, gok, rp, rok)
-					}
-					if !gok {
-						continue
-					}
-					if rl, gl := refOS.Store().LastUse(rp), gotOS.Store().LastUse(gp); rl != gl {
-						t.Fatalf("epoch %d: vpn %d LastUse %d, reference %d", epoch, vpn, gl, rl)
-					}
+				if r, g := takeAccessed(refOS), takeAccessed(gotOS); !slices.Equal(r, g) {
+					t.Fatalf("epoch %d: touched frames %x, reference %x", epoch, g, r)
 				}
 				refOS.EndEpoch()
 				gotOS.EndEpoch()

@@ -60,7 +60,7 @@ func reconcile(t *testing.T, r *fleet.Result, tr *obs.Trace) {
 			t.Errorf("vm %d: trace VMM migrations = %d, result = %d",
 				vm.ID, vmmPages, vm.Res.VMMMigrations)
 		}
-		if got.FastIn() > 0 || got.FastOut() > 0 {
+		if got != (obs.MigrationTotals{}) {
 			sawMigration = true
 		}
 	}
@@ -96,7 +96,7 @@ func TestHeterotraceReconcilesWithScenario(t *testing.T) {
 	byVM := tr.MigrationsByVM()
 	for _, tl := range tr.Residency(20) {
 		tot := byVM[tl.VM]
-		if tot.FastIn() == 0 && tot.FastOut() == 0 {
+		if tot == (obs.MigrationTotals{}) {
 			continue // balloon-only timelines are fine
 		}
 		end := tl.Points[len(tl.Points)-1].Net
