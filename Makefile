@@ -226,11 +226,12 @@ check: fmt vet build test perfbench-test race obs-parity scenario-smoke \
 	backend-parity snapshot-parity fuzz-smoke fleet-smoke cli-smoke
 
 # bench runs the single-hot-path micro-benchmarks (ranking, scan,
-# epoch pricing, allocator, OpenMetrics encoding) at benchstat-grade
-# repetition: save the output before and after a change and compare the
-# two files with benchstat. End-to-end timing is perf-gate's job.
+# epoch pricing, allocator, a live-migration round trip, OpenMetrics
+# encoding) at benchstat-grade repetition: save the output before and
+# after a change and compare the two files with benchstat. End-to-end
+# timing is perf-gate's job.
 bench:
-	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|EpochPricing|AllocatorFastPath|BuddyFrameChurn|ObsOpenMetrics' \
+	$(GO) test -run=NONE -bench='HottestIn|ColdestIn|HotScan|ScanNext|EpochPricing|AllocatorFastPath|BuddyFrameChurn|LiveMigration|ObsOpenMetrics' \
 		-benchmem -count=5 .
 
 # bench-all smoke-runs every benchmark once, ablations included,

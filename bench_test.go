@@ -174,6 +174,52 @@ func BenchmarkAllocatorFastPath(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveMigration emigrates a coordinated LevelDB VM, whose
+// image holds a non-empty page cache and slab caches, and immigrates it
+// back onto the same host: one image encode and decode plus the
+// destination's guest reboot. Its allocs/op is the number to watch when
+// the checkpoint codec or the image layout changes.
+func BenchmarkLiveMigration(b *testing.B) {
+	vm := func() core.VMConfig {
+		w, err := workload.ByName("LevelDB", workload.Config{Seed: 99})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return core.VMConfig{ID: 1, Mode: policy.HeteroOSCoordinated(), Workload: w,
+			FastPages: 2048, SlowPages: 4096}
+	}
+	sys, err := core.NewSystem(core.Config{
+		FastFrames: 16384, SlowFrames: 32768, Seed: 99, MaxEpochs: 64,
+		VMs: []core.VMConfig{vm()},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for range 4 {
+		if _, err := sys.StepEpoch(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if census := sys.VMs[0].OS.PageCensus(); census[guestos.KindPageCache] == 0 || census[guestos.KindSlab] == 0 {
+		b.Fatalf("image covers too little: %d page-cache, %d slab pages",
+			census[guestos.KindPageCache], census[guestos.KindSlab])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		vc := vm()
+		b.StartTimer()
+		img, err := sys.EmigrateVM(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.ImmigrateVM(vc, img); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBuddyFrameChurn measures raw buddy allocator churn at the
 // single-frame granularity the guest uses: each Alloc splits the free
 // order-10 block down to one frame and each Free coalesces it back.

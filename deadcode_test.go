@@ -30,7 +30,6 @@ var deadcodeAllow = map[string]string{
 	"internal/guestos.OS.Store":         "vmm's per-page reference scanner and heat-index tests read page flags and set write heat page by page",
 	"internal/snapshot.Reader.Raw":      "restore fuzzers and checkpoint tests in other packages seed from, and compare, real section bodies",
 	"internal/snapshot.Reader.Sections": "checkpoint tests in core and fleet walk every section of a real checkpoint",
-	"internal/snapshot.Writer.Section":  "the raw-body seam through which restore fuzzers and tests in other packages write malformed sections",
 }
 
 // TestDeadCode fails on every top-level func, method, type, var or const

@@ -3,6 +3,7 @@ package buddy
 import (
 	"bytes"
 	"container/heap"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"slices"
@@ -447,32 +448,35 @@ func (a *mapAllocator) Reserve(n uint64) []uint64 {
 	return out
 }
 
-func (a *mapAllocator) Snapshot(e *snapshot.Encoder) {
-	e.U64(a.base)
-	e.U64(a.size)
-	e.U64(a.freePages)
+func (a *mapAllocator) Snapshot(c *snapshot.Codec) error {
+	c.U64(&a.base)
+	c.U64(&a.size)
+	c.U64(&a.freePages)
 	bases := make([]uint64, 0, len(a.freeOrder))
 	for pfn := range a.freeOrder {
 		bases = append(bases, pfn)
 	}
 	slices.Sort(bases)
-	e.U32(uint32(len(bases)))
+	n := len(bases)
+	c.Len(&n)
 	for _, pfn := range bases {
-		e.U64(pfn)
-		e.U8(uint8(a.freeOrder[pfn]))
+		order := uint8(a.freeOrder[pfn])
+		c.U64(&pfn)
+		c.U8(&order)
 	}
+	return nil
 }
 
-// snapshotBytes frames one raw section body, written by fn, as a
-// complete snapshot file.
-func snapshotBytes(t testing.TB, fn func(*snapshot.Encoder)) []byte {
+// snapshotBytes frames one section body, written by fn, as a complete
+// snapshot file.
+func snapshotBytes(t testing.TB, fn func(*snapshot.Codec) error) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := snapshot.NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Section("buddy", fn); err != nil {
+	if err := w.State("buddy", fn); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -652,16 +656,19 @@ func TestCheckInvariantsCatchesFaults(t *testing.T) {
 
 // blocksSection writes a [0,+16) buddy section with the given free-page
 // count and {base, order} blocks, in the order given.
-func blocksSection(free uint64, blocks ...[2]uint64) func(*snapshot.Encoder) {
-	return func(e *snapshot.Encoder) {
-		e.U64(0)  // base
-		e.U64(16) // size
-		e.U64(free)
-		e.U32(uint32(len(blocks)))
+func blocksSection(free uint64, blocks ...[2]uint64) func(*snapshot.Codec) error {
+	return func(c *snapshot.Codec) error {
+		base, size, n := uint64(0), uint64(16), len(blocks)
+		c.U64(&base)
+		c.U64(&size)
+		c.U64(&free)
+		c.Len(&n)
 		for _, b := range blocks {
-			e.U64(b[0])
-			e.U8(uint8(b[1]))
+			order := uint8(b[1])
+			c.U64(&b[0])
+			c.U8(&order)
 		}
+		return nil
 	}
 }
 
@@ -740,8 +747,8 @@ func churned() *Allocator {
 	return a
 }
 
-// FuzzRestore feeds SnapshotState arbitrary section bodies through the
-// raw Writer.Section seam. Whatever it accepts must pass
+// FuzzRestore feeds SnapshotState arbitrary section bodies, written
+// byte by byte through Writer.State. Whatever it accepts must pass
 // CheckInvariants, survive an Alloc/Free round trip, and be exactly
 // what SnapshotState writes back.
 func FuzzRestore(f *testing.F) {
@@ -750,16 +757,19 @@ func FuzzRestore(f *testing.F) {
 		f.Add(sectionBody(f, snapshotBytes(f, blocksSection(tc.free, tc.blocks...))))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		d := snapshot.NewDecoder(b)
-		base, size := d.U64(), d.U64()
-		if d.Err() != nil || size > 1<<16 || base+size < base {
+		if len(b) < 16 {
+			return
+		}
+		base, size := binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
+		if size > 1<<16 || base+size < base {
 			return
 		}
 		a := New(base, size)
-		raw := snapshotBytes(t, func(e *snapshot.Encoder) {
-			for _, x := range b {
-				e.U8(x)
+		raw := snapshotBytes(t, func(c *snapshot.Codec) error {
+			for i := range b {
+				c.U8(&b[i])
 			}
+			return nil
 		})
 		if restoreFile(t, a, raw) != nil {
 			return

@@ -24,7 +24,6 @@ func (c *Cache) SnapshotState(sc *snapshot.Codec) error {
 	sc.U64(&c.slabAllocs)
 	sc.U64(&c.slabFrees)
 	sc.Int(&c.empties)
-	var idx uint32 // a free index; declared once as it escapes through sc
 	snapshot.Slice(sc, &c.slabs, func(s **slabState) {
 		if *s == nil {
 			*s = new(slabState)
@@ -33,7 +32,7 @@ func (c *Cache) SnapshotState(sc *snapshot.Codec) error {
 		sc.Int(&(*s).capacity)
 		sc.Int(&(*s).inUse)
 		snapshot.Slice(sc, &(*s).free, func(f *int) {
-			idx = uint32(*f)
+			idx := uint32(*f)
 			sc.U32(&idx)
 			*f = int(idx)
 		})
