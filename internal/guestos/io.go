@@ -41,7 +41,6 @@ func (o *OS) faultIn(vpn VPN, fromSwap bool) (PFN, error) {
 	if !ok {
 		return NilPFN, fmt.Errorf("guestos: fault on unmapped vpn %d", vpn)
 	}
-	o.AS.faults++
 	o.ep.Faults++
 	o.ep.OSTimeNs += o.costs.PageFaultNs
 
@@ -60,7 +59,6 @@ func (o *OS) faultIn(vpn VPN, fromSwap bool) (PFN, error) {
 		if fromSwap {
 			o.store.SetTag(pfn, o.swap.take(vpn))
 			o.AS.clearSwapEntry(vpn)
-			o.AS.swapIns++
 			o.ep.SwapIns++
 			o.ep.OSTimeNs += o.costs.SwapPageNs
 		}
@@ -443,12 +441,6 @@ func (o *OS) TrackingList() []PFN {
 	if o.trackValid && o.trackGen == o.AS.mapGen {
 		return o.trackBuf
 	}
-	// The export is an observation, not guest work: like
-	// AddrSpace.CheckInvariants, it must not perturb the walkSteps
-	// diagnostic — especially now that caching makes the number of
-	// rebuild walks depend on call patterns (e.g. a restore rebuilds
-	// once where an uninterrupted run kept its cache).
-	defer func(saved uint64) { o.AS.walkSteps = saved }(o.AS.walkSteps)
 	out := o.trackBuf[:0]
 	for _, v := range o.AS.order {
 		if v.Kind != KindAnon {

@@ -63,10 +63,7 @@ type AddrSpace struct {
 	nextVPN VPN
 	root    *ptNode
 
-	ptPages   uint64
-	faults    uint64
-	swapIns   uint64
-	walkSteps uint64
+	ptPages uint64
 
 	// leaf caches the level-0 table of the last walk that reached one,
 	// covering VPNs with vpn>>ptFanoutBits == leafKey. Touches come in
@@ -178,13 +175,10 @@ func ptIndex(vpn VPN, level int) int {
 }
 
 // walk returns the level-0 node covering vpn, optionally allocating
-// interior nodes. Returns nil if absent and alloc is false. A walk that
-// hits the leaf cache counts the same ptLevels-1 steps as the descent it
-// skips, so walkSteps does not depend on the cache.
+// interior nodes. Returns nil if absent and alloc is false.
 func (a *AddrSpace) walk(vpn VPN, alloc bool) *ptNode {
 	key := vpn >> ptFanoutBits
 	if a.leaf != nil && a.leafKey == key {
-		a.walkSteps += ptLevels - 1
 		return a.leaf
 	}
 	n := a.descend(vpn, alloc)
@@ -204,7 +198,6 @@ func (a *AddrSpace) descend(vpn VPN, alloc bool) *ptNode {
 	}
 	n := a.root
 	for level := ptLevels - 1; level > 0; level-- {
-		a.walkSteps++
 		idx := ptIndex(vpn, level)
 		child := n.children[idx]
 		if child == nil {
@@ -361,11 +354,6 @@ func (a *AddrSpace) setLeaf(vpn VPN, entry PFN, reclaim bool) {
 // CheckInvariants verifies VMA ordering and non-overlap, and that every
 // resident count matches the page table.
 func (a *AddrSpace) CheckInvariants() error {
-	// Verification must not perturb state: the resident sweep below
-	// walks the page table, which would inflate the walkSteps
-	// diagnostic counter and break checkpoint byte-parity across
-	// CheckInvariants calls.
-	defer func(saved uint64) { a.walkSteps = saved }(a.walkSteps)
 	if a.leaf != nil {
 		if fresh := a.descend(a.leafKey<<ptFanoutBits, false); fresh != a.leaf {
 			return fmt.Errorf("mm: leaf cache for VPN %d holds a table the page table does not", a.leafKey<<ptFanoutBits)

@@ -271,22 +271,18 @@ func TestTierOfPagePanicsOnUnpopulated(t *testing.T) {
 
 // uncachedTranslate walks a's page table from the root, ignoring the
 // leaf cache. It returns vpn's leaf entry (ptEntryAbsent when no table
-// covers vpn), whether the walk reached a level-0 table, and the
-// interior steps it took, counted as walk counts them: one per level
-// entered, including a level whose child is missing.
-func uncachedTranslate(a *AddrSpace, vpn VPN) (PFN, bool, uint64) {
+// covers vpn).
+func uncachedTranslate(a *AddrSpace, vpn VPN) PFN {
 	n := a.root
 	if n == nil {
-		return ptEntryAbsent, false, 0
+		return ptEntryAbsent
 	}
-	var steps uint64
 	for level := ptLevels - 1; level > 0; level-- {
-		steps++
 		if n = n.children[ptIndex(vpn, level)]; n == nil {
-			return ptEntryAbsent, false, steps
+			return ptEntryAbsent
 		}
 	}
-	return n.leaves[ptIndex(vpn, 0)], true, steps
+	return n.leaves[ptIndex(vpn, 0)]
 }
 
 // TestLeafCacheFollowsTableLifetime drives one page through every event
@@ -295,8 +291,7 @@ func uncachedTranslate(a *AddrSpace, vpn VPN) (PFN, bool, uint64) {
 // (the swap-in clears the marker, freeing the table, then remaps),
 // Munmap, and a snapshot restored over the live address space. After
 // each step every probed VPN must translate as an uncached walk does,
-// each lookup that reaches a leaf must add exactly ptLevels-1 walk
-// steps (cache hit or not), and CheckInvariants must accept the cache.
+// and CheckInvariants must accept the cache.
 func TestLeafCacheFollowsTableLifetime(t *testing.T) {
 	os := mmOS(t)
 	a := os.AS
@@ -316,16 +311,10 @@ func TestLeafCacheFollowsTableLifetime(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		for _, vpn := range probes {
-			before := a.walkSteps
 			got, ok := a.Translate(vpn)
-			grew := a.walkSteps - before
-			entry, reached, steps := uncachedTranslate(a, vpn)
+			entry := uncachedTranslate(a, vpn)
 			if wok := leafPresent(entry); ok != wok || ok && got != entry {
 				t.Fatalf("%s: Translate(%d) = %d/%v, uncached walk %d/%v", step, vpn, got, ok, entry, wok)
-			}
-			if grew != steps || reached && grew != ptLevels-1 {
-				t.Fatalf("%s: Translate(%d) added %d walk steps, uncached walk takes %d (leaf reached: %v)",
-					step, vpn, grew, steps, reached)
 			}
 		}
 		// CheckInvariants runs after the probes: its resident sweep walks

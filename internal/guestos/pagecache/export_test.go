@@ -22,8 +22,3 @@ func (c *Cache) FilePages(file FileID) int {
 	}
 	return 0
 }
-
-// Stats reports hit/miss/writeback/eviction counters.
-func (c *Cache) Stats() (hits, misses, writebacks, evictions uint64) {
-	return c.hits, c.misses, c.writebacks, c.evictions
-}

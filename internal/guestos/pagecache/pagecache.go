@@ -88,8 +88,6 @@ type Cache struct {
 	// ReadaheadWindow is how many consecutive pages a miss pulls in
 	// (Linux default readahead is 128 KiB = 32 pages).
 	ReadaheadWindow int
-
-	hits, misses, writebacks, evictions uint64
 }
 
 // New builds an empty cache over frames [0, span) with the default
@@ -225,11 +223,9 @@ func (c *Cache) Read(dst []uint64, file FileID, off uint64, n int) ReadResult {
 	for i := 0; i < n; i++ {
 		pfn, ok := c.Lookup(file, off+uint64(i))
 		if ok {
-			c.hits++
 			res.Touched = append(res.Touched, pfn)
 			continue
 		}
-		c.misses++
 		missed = true
 		pfn, ok = c.alloc()
 		if !ok {
@@ -272,7 +268,6 @@ func (c *Cache) Write(dst []uint64, file FileID, off uint64, n int) ReadResult {
 		o := off + uint64(i)
 		pfn, ok := c.Lookup(file, o)
 		if !ok {
-			c.misses++
 			pfn, ok = c.alloc()
 			if !ok {
 				res.AllocFailed++
@@ -280,8 +275,6 @@ func (c *Cache) Write(dst []uint64, file FileID, off uint64, n int) ReadResult {
 				continue
 			}
 			c.insert(file, o, pfn)
-		} else {
-			c.hits++
 		}
 		if !c.dirty.Has(pfn) {
 			c.dirty.Add(pfn)
@@ -305,7 +298,6 @@ func (c *Cache) Writeback(dst []uint64, max int) []uint64 {
 		from = pfn + 1
 		c.dirty.Remove(pfn)
 		c.ndirt--
-		c.writebacks++
 		dst = append(dst, pfn)
 	}
 	return dst
@@ -336,13 +328,11 @@ func (c *Cache) Evict(pfn uint64) (wroteBack bool) {
 	if c.dirty.Has(pfn) {
 		c.dirty.Remove(pfn)
 		c.ndirt--
-		c.writebacks++
 		wroteBack = true
 	}
 	c.dropFwd(c.files[e.file-1], uint64(e.off))
 	c.rmap[pfn] = rmapEntry{}
 	c.pages--
-	c.evictions++
 	c.free(pfn)
 	return wroteBack
 }

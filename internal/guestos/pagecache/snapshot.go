@@ -6,20 +6,15 @@ import (
 	"heteroos/internal/snapshot"
 )
 
-// SnapshotState codes the cache: the readahead window, the
-// hit/miss/writeback/eviction counters and every cached page in
-// ascending frame order as (frame, file, offset, dirty). Reading
-// rebuilds the indexes from those pages; it rejects a frame outside the
-// span, frames out of ascending order or repeated, an offset wider than
-// 32 bits and two frames caching one file page, and ends with
-// CheckInvariants. Frame ownership (the callbacks' view) must be
+// SnapshotState codes the cache: the readahead window and every cached
+// page in ascending frame order as (frame, file, offset, dirty).
+// Reading rebuilds the indexes from those pages; it rejects a frame
+// outside the span, frames out of ascending order or repeated, an
+// offset wider than 32 bits and two frames caching one file page, and
+// ends with CheckInvariants. Frame ownership (the callbacks' view) must be
 // restored by the owning OS separately.
 func (c *Cache) SnapshotState(sc *snapshot.Codec) error {
 	sc.Int(&c.ReadaheadWindow)
-	sc.U64(&c.hits)
-	sc.U64(&c.misses)
-	sc.U64(&c.writebacks)
-	sc.U64(&c.evictions)
 	var (
 		pfn, off uint64
 		id       uint32

@@ -7,8 +7,6 @@ import "fmt"
 // page's Tag is retained so swap-in can restore it.
 type swapSpace struct {
 	slots map[VPN]uint64 // vpn → page tag
-	outs  uint64
-	ins   uint64
 }
 
 func newSwapSpace() *swapSpace {
@@ -20,7 +18,6 @@ func (s *swapSpace) add(vpn VPN, tag uint64) {
 		panic(fmt.Sprintf("swap: vpn %d already swapped", vpn))
 	}
 	s.slots[vpn] = tag
-	s.outs++
 }
 
 func (s *swapSpace) take(vpn VPN) uint64 {
@@ -29,7 +26,6 @@ func (s *swapSpace) take(vpn VPN) uint64 {
 		panic(fmt.Sprintf("swap: vpn %d not in swap", vpn))
 	}
 	delete(s.slots, vpn)
-	s.ins++
 	return tag
 }
 
