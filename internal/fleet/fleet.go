@@ -91,7 +91,6 @@ func (h *host) view() HostView {
 		ID: h.id, Failed: h.failed,
 		FastFrames: h.sys.Cfg.FastFrames, SlowFrames: h.sys.Cfg.SlowFrames,
 		FastCommitted: h.fastCommitted, SlowCommitted: h.slowCommitted,
-		VMs: len(h.resident),
 	}
 }
 

@@ -20,8 +20,6 @@ type HostView struct {
 	FastFrames, SlowFrames uint64
 	// FastCommitted / SlowCommitted sums resident VM spans.
 	FastCommitted, SlowCommitted uint64
-	// VMs counts resident VMs.
-	VMs int
 }
 
 // Fits reports whether a VM span fits in the host's uncommitted room.
@@ -192,11 +190,9 @@ func (pressurePack) Rebalance(hosts []HostView, vms []VMView) []Move {
 		moves = append(moves, Move{VM: pick.ID, To: best})
 		src.FastCommitted -= pick.FastPages
 		src.SlowCommitted -= pick.SlowPages
-		src.VMs--
 		dst := &hosts[best]
 		dst.FastCommitted += pick.FastPages
 		dst.SlowCommitted += pick.SlowPages
-		dst.VMs++
 		pick.Host = best
 		if len(moves) >= packMaxMovesPerRound {
 			break
@@ -263,10 +259,8 @@ func (drfRebalance) Rebalance(hosts []HostView, vms []VMView) []Move {
 		moves = append(moves, Move{VM: pick.ID, To: dst.ID})
 		src.FastCommitted -= pick.FastPages
 		src.SlowCommitted -= pick.SlowPages
-		src.VMs--
 		dst.FastCommitted += pick.FastPages
 		dst.SlowCommitted += pick.SlowPages
-		dst.VMs++
 		pick.Host = dst.ID
 	}
 	return moves

@@ -51,8 +51,8 @@ func TestPressurePackPlaceBootBestFit(t *testing.T) {
 
 func TestPressurePackRebalanceDrainsHighWater(t *testing.T) {
 	hosts := []HostView{
-		{ID: 0, FastFrames: 100, SlowFrames: 100, FastCommitted: 96, SlowCommitted: 50, VMs: 2},
-		{ID: 1, FastFrames: 100, SlowFrames: 100, FastCommitted: 10, SlowCommitted: 10, VMs: 1},
+		{ID: 0, FastFrames: 100, SlowFrames: 100, FastCommitted: 96, SlowCommitted: 50},
+		{ID: 1, FastFrames: 100, SlowFrames: 100, FastCommitted: 10, SlowCommitted: 10},
 	}
 	vms := []VMView{
 		{ID: 1, Host: 0, FastPages: 64, SlowPages: 30},
@@ -68,8 +68,8 @@ func TestPressurePackRebalanceDrainsHighWater(t *testing.T) {
 
 func TestPressurePackRebalanceLeavesBalancedFleet(t *testing.T) {
 	hosts := []HostView{
-		{ID: 0, FastFrames: 100, SlowFrames: 100, FastCommitted: 60, VMs: 1},
-		{ID: 1, FastFrames: 100, SlowFrames: 100, FastCommitted: 50, VMs: 1},
+		{ID: 0, FastFrames: 100, SlowFrames: 100, FastCommitted: 60},
+		{ID: 1, FastFrames: 100, SlowFrames: 100, FastCommitted: 50},
 	}
 	vms := []VMView{
 		{ID: 1, Host: 0, FastPages: 60},
@@ -82,8 +82,8 @@ func TestPressurePackRebalanceLeavesBalancedFleet(t *testing.T) {
 
 func TestDRFRebalanceLevelsDominantLoad(t *testing.T) {
 	hosts := []HostView{
-		{ID: 0, FastFrames: 100, SlowFrames: 100, FastCommitted: 80, SlowCommitted: 20, VMs: 2},
-		{ID: 1, FastFrames: 100, SlowFrames: 100, FastCommitted: 10, SlowCommitted: 5, VMs: 1},
+		{ID: 0, FastFrames: 100, SlowFrames: 100, FastCommitted: 80, SlowCommitted: 20},
+		{ID: 1, FastFrames: 100, SlowFrames: 100, FastCommitted: 10, SlowCommitted: 5},
 	}
 	vms := []VMView{
 		{ID: 1, Host: 0, FastPages: 50, SlowPages: 10},
@@ -99,8 +99,8 @@ func TestDRFRebalanceLevelsDominantLoad(t *testing.T) {
 
 func TestDRFRebalanceRespectsSpreadThreshold(t *testing.T) {
 	hosts := []HostView{
-		{ID: 0, FastFrames: 100, SlowFrames: 100, FastCommitted: 40, VMs: 1},
-		{ID: 1, FastFrames: 100, SlowFrames: 100, FastCommitted: 25, VMs: 1},
+		{ID: 0, FastFrames: 100, SlowFrames: 100, FastCommitted: 40},
+		{ID: 1, FastFrames: 100, SlowFrames: 100, FastCommitted: 25},
 	}
 	vms := []VMView{
 		{ID: 1, Host: 0, FastPages: 40},
