@@ -3,6 +3,7 @@ package guestos
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"heteroos/internal/guestos/pagecache"
 	"heteroos/internal/guestos/slab"
@@ -441,17 +442,25 @@ func (o *OS) TrackingList() []PFN {
 	if o.trackValid && o.trackGen == o.AS.mapGen {
 		return o.trackBuf
 	}
-	out := o.trackBuf[:0]
+	// The anonymous VMAs' resident counts are the list's length, so the
+	// buffer grows at most once per pass.
+	var resident uint64
+	for _, v := range o.AS.order {
+		if v.Kind == KindAnon {
+			resident += v.Resident
+		}
+	}
+	out := slices.Grow(o.trackBuf[:0], int(resident))
 	for _, v := range o.AS.order {
 		if v.Kind != KindAnon {
 			continue
 		}
 		for vpn := v.Start; vpn < v.End(); {
-			var leaves []PFN
+			var leaves []uint32
 			leaves, vpn = o.AS.leafRun(vpn, v.End())
 			for _, e := range leaves {
 				if leafPresent(e) {
-					out = append(out, e)
+					out = append(out, PFN(e))
 				}
 			}
 		}

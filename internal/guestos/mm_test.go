@@ -269,20 +269,16 @@ func TestTierOfPagePanicsOnUnpopulated(t *testing.T) {
 	os.TierOfPage(target)
 }
 
-// uncachedTranslate walks a's page table from the root, ignoring the
-// leaf cache. It returns vpn's leaf entry (ptEntryAbsent when no table
-// covers vpn).
+// uncachedTranslate finds vpn's leaf table by a linear scan of a's
+// table list, ignoring the leaf cache and the binary search. It returns
+// vpn's leaf entry widened (ptEntryAbsent when no table covers vpn).
 func uncachedTranslate(a *AddrSpace, vpn VPN) PFN {
-	n := a.root
-	if n == nil {
-		return ptEntryAbsent
-	}
-	for level := ptLevels - 1; level > 0; level-- {
-		if n = n.children[ptIndex(vpn, level)]; n == nil {
-			return ptEntryAbsent
+	for _, t := range a.tables {
+		if t.level == 0 && t.base == vpn&^ptFanoutMask {
+			return PFN(widen(t.ents[vpn&ptFanoutMask]))
 		}
 	}
-	return n.leaves[ptIndex(vpn, 0)]
+	return ptEntryAbsent
 }
 
 // TestLeafCacheFollowsTableLifetime drives one page through every event
@@ -313,7 +309,7 @@ func TestLeafCacheFollowsTableLifetime(t *testing.T) {
 		for _, vpn := range probes {
 			got, ok := a.Translate(vpn)
 			entry := uncachedTranslate(a, vpn)
-			if wok := leafPresent(entry); ok != wok || ok && got != entry {
+			if wok := entry != ptEntryAbsent && entry != ptEntrySwapped; ok != wok || ok && got != entry {
 				t.Fatalf("%s: Translate(%d) = %d/%v, uncached walk %d/%v", step, vpn, got, ok, entry, wok)
 			}
 		}
@@ -327,7 +323,7 @@ func TestLeafCacheFollowsTableLifetime(t *testing.T) {
 	warm := func(vpn VPN) {
 		t.Helper()
 		a.Translate(vpn)
-		if a.leaf == nil || a.leafKey != vpn>>ptFanoutBits {
+		if a.leaf == noLeaf || a.leafKey != vpn>>ptFanoutBits {
 			t.Fatalf("leaf cache not holding vpn %d's table", vpn)
 		}
 	}
