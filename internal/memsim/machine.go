@@ -21,11 +21,16 @@ const OwnerFree Owner = 0
 // by two VMs) can be checked cheaply. The VMM is the only component that
 // allocates from a Machine.
 type Machine struct {
-	spec     [NumTiers]TierSpec
-	base     [NumTiers]MFN // first MFN of each tier
-	size     [NumTiers]uint64
-	owner    []Owner            // indexed by MFN
-	free     [NumTiers][]uint32 // MFNs, narrowed (below MaxFrames)
+	spec  [NumTiers]TierSpec
+	base  [NumTiers]MFN // first MFN of each tier
+	size  [NumTiers]uint64
+	owner []Owner // indexed by MFN
+	// A tier's free frames are the frames returned to it, on the stack
+	// free (MFNs narrowed below MaxFrames, popped last-in first-out),
+	// and the never-used frames from base+mark up, handed out in
+	// ascending order once the stack is empty.
+	free     [NumTiers][]uint32
+	mark     [NumTiers]uint64
 	freeCnt  [NumTiers]uint64
 	allocCnt [NumTiers]uint64
 }
@@ -47,14 +52,7 @@ func NewMachine(fastFrames, slowFrames uint64, fast, slow TierSpec) *Machine {
 	m.size[SlowMem] = slowFrames
 	total := fastFrames + slowFrames
 	m.owner = make([]Owner, total)
-	for t := Tier(0); t < NumTiers; t++ {
-		m.free[t] = make([]uint32, 0, m.size[t])
-		// Push in reverse so frames are handed out in ascending order.
-		for i := m.size[t]; i > 0; i-- {
-			m.free[t] = append(m.free[t], uint32(uint64(m.base[t])+i-1))
-		}
-		m.freeCnt[t] = m.size[t]
-	}
+	m.freeCnt = m.size
 	return m
 }
 
@@ -108,9 +106,15 @@ func (m *Machine) Alloc(t Tier, n uint64, o Owner) ([]MFN, error) {
 		return nil, fmt.Errorf("%w: want %d %v frames, have %d", ErrNoFrames, n, t, m.freeCnt[t])
 	}
 	out := make([]MFN, n)
-	for i := uint64(0); i < n; i++ {
-		mfn := MFN(m.free[t][len(m.free[t])-1])
-		m.free[t] = m.free[t][:len(m.free[t])-1]
+	for i := range out {
+		var mfn MFN
+		if top := len(m.free[t]) - 1; top >= 0 {
+			mfn = MFN(m.free[t][top])
+			m.free[t] = m.free[t][:top]
+		} else {
+			mfn = m.base[t] + MFN(m.mark[t])
+			m.mark[t]++
+		}
 		m.owner[mfn] = o
 		out[i] = mfn
 	}
@@ -149,9 +153,9 @@ func (m *Machine) Free(frames []MFN, o Owner) {
 }
 
 // CheckInvariants validates the frame accounting: free+allocated matches
-// capacity per tier, free-list entries are unowned, and no frame appears
-// free twice. It is used by tests and is cheap enough to call from
-// experiment teardown.
+// capacity per tier, the stack and the never-used frames add up to the
+// free count, free frames are unowned, and no frame is free twice. It is
+// used by tests and is cheap enough to call from experiment teardown.
 func (m *Machine) CheckInvariants() error {
 	// seen is a bitmap over every MFN, cleared per tier list.
 	seen := make([]uint64, (len(m.owner)+63)/64)
@@ -160,13 +164,25 @@ func (m *Machine) CheckInvariants() error {
 			return fmt.Errorf("memsim: %v free %d + alloc %d != size %d",
 				t, m.freeCnt[t], m.allocCnt[t], m.size[t])
 		}
-		if uint64(len(m.free[t])) != m.freeCnt[t] {
-			return fmt.Errorf("memsim: %v free list len %d != count %d",
-				t, len(m.free[t]), m.freeCnt[t])
+		if m.mark[t] > m.size[t] || uint64(len(m.free[t]))+m.size[t]-m.mark[t] != m.freeCnt[t] {
+			return fmt.Errorf("memsim: %v free stack len %d + never-used %d-%d != count %d",
+				t, len(m.free[t]), m.size[t], m.mark[t], m.freeCnt[t])
+		}
+		mark := m.base[t] + MFN(m.mark[t])
+		for _, ow := range m.owner[mark : m.base[t]+MFN(m.size[t])] {
+			if ow != OwnerFree {
+				return fmt.Errorf("memsim: %v never-used frames above %d have owner %d", t, mark, ow)
+			}
 		}
 		clear(seen)
 		for _, f := range m.free[t] {
 			mfn := MFN(f)
+			if m.TierOf(mfn) != t {
+				return fmt.Errorf("memsim: MFN %d on wrong tier list %v", mfn, t)
+			}
+			if mfn >= mark {
+				return fmt.Errorf("memsim: MFN %d on free list is never-used (at or above %d)", mfn, mark)
+			}
 			if m.owner[mfn] != OwnerFree {
 				return fmt.Errorf("memsim: free-list MFN %d has owner %d", mfn, m.owner[mfn])
 			}
@@ -175,9 +191,6 @@ func (m *Machine) CheckInvariants() error {
 				return fmt.Errorf("memsim: MFN %d on free list twice", mfn)
 			}
 			seen[w] |= bit
-			if m.TierOf(mfn) != t {
-				return fmt.Errorf("memsim: MFN %d on wrong tier list %v", mfn, t)
-			}
 		}
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"heteroos/internal/sim"
 	"heteroos/internal/snapshot"
 )
 
@@ -124,6 +125,97 @@ func TestTierBasics(t *testing.T) {
 
 func newTestMachine(fast, slow uint64) *Machine {
 	return NewMachine(fast, slow, FastTierSpec(), SlowTierSpec())
+}
+
+// withReturnedFrames allocates n frames of each tier and frees them
+// again, so each tier's stack holds n returned frames.
+func withReturnedFrames(t *testing.T, m *Machine, n uint64) *Machine {
+	t.Helper()
+	for tier := Tier(0); tier < NumTiers; tier++ {
+		fs, err := m.Alloc(tier, n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Free(fs, 1)
+	}
+	return m
+}
+
+// TestMachineFrameOrderMatchesOneStack: a machine hands out frames in
+// the order of one free stack per tier pre-filled with every frame,
+// highest at the bottom, and its checkpoint lists that stack, which a
+// restored machine holds and keeps popping in the same order.
+func TestMachineFrameOrderMatchesOneStack(t *testing.T) {
+	m := newTestMachine(64, 256)
+	var stack [NumTiers][]uint32
+	for tier := Tier(0); tier < NumTiers; tier++ {
+		for i := m.size[tier]; i > 0; i-- {
+			stack[tier] = append(stack[tier], uint32(uint64(m.base[tier])+i-1))
+		}
+	}
+	rng := sim.NewRNG(3)
+	var held [NumTiers][]MFN
+	step := func(m *Machine, round int) {
+		for i := 0; i < 400; i++ {
+			tier := Tier(rng.Intn(int(NumTiers)))
+			if n := uint64(rng.Intn(6)); rng.Bool(0.55) {
+				fs, err := m.Alloc(tier, n, 1)
+				if uint64(len(stack[tier])) < n {
+					if err == nil {
+						t.Fatalf("round %d: allocated %d frames of %d free", round, n, len(stack[tier]))
+					}
+					continue
+				}
+				for _, f := range fs {
+					top := len(stack[tier]) - 1
+					if want := MFN(stack[tier][top]); f != want {
+						t.Fatalf("round %d: allocated MFN %d, one stack pops %d", round, f, want)
+					}
+					stack[tier] = stack[tier][:top]
+				}
+				held[tier] = append(held[tier], fs...)
+			} else if k := min(int(n), len(held[tier])); k > 0 {
+				fs := held[tier][len(held[tier])-k:]
+				m.Free(fs, 1)
+				for _, f := range fs {
+					stack[tier] = append(stack[tier], uint32(f))
+				}
+				held[tier] = held[tier][:len(held[tier])-k]
+			}
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	step(m, 0)
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.State("machine", m.SnapshotState); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := snapshot.Open(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := newTestMachine(64, 256)
+	if err := r.State("machine", restored.SnapshotState); err != nil {
+		t.Fatal(err)
+	}
+	for tier := Tier(0); tier < NumTiers; tier++ {
+		if !slices.Equal(restored.free[tier], stack[tier]) {
+			t.Fatalf("restored %v stack %v, one stack holds %v", tier, restored.free[tier], stack[tier])
+		}
+	}
+	if err := restored.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	step(restored, 1)
 }
 
 func TestMachineAllocFree(t *testing.T) {
@@ -253,9 +345,12 @@ func TestMachineCheckInvariantsCatchesFaults(t *testing.T) {
 			m.free[FastMem][0], m.free[SlowMem][0] = m.free[SlowMem][0], m.free[FastMem][0]
 		}},
 		{"count", "!= size", func(m *Machine) { m.freeCnt[FastMem]-- }},
+		{"stack count", "!= count", func(m *Machine) { m.free[FastMem] = m.free[FastMem][1:] }},
+		{"never-used stacked", "never-used", func(m *Machine) { m.free[SlowMem][1] = uint32(m.base[SlowMem]) + 60 }},
+		{"never-used owned", "never-used frames above 8 have owner 7", func(m *Machine) { m.owner[15] = 7 }},
 	}
 	for _, tc := range cases {
-		m := newTestMachine(16, 64)
+		m := withReturnedFrames(t, newTestMachine(16, 64), 8)
 		tc.corrupt(m)
 		err := m.CheckInvariants()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -468,7 +563,7 @@ func TestNewMachineRejectsSpanBeyondMaxFrames(t *testing.T) {
 func TestRestoreRejectsFreeFrameOutsideTier(t *testing.T) {
 	for name, mfn := range map[string]uint32{"past the machine": 64, "other tier": 40} {
 		t.Run(name, func(t *testing.T) {
-			src := newTestMachine(32, 32)
+			src := withReturnedFrames(t, newTestMachine(32, 32), 1)
 			src.free[FastMem][0] = mfn
 			var buf bytes.Buffer
 			w, err := snapshot.NewWriter(&buf)
