@@ -10,14 +10,16 @@
 // requirement for reproducible experiments) and mirrors Linux's
 // preference for low physical addresses.
 //
-// Free blocks are kept as one bitset.Set per order over block numbers,
-// so "lowest-addressed block of the smallest free order" is the first
-// member of the lowest non-empty set: no heap, no lazy deletion.
+// Free blocks are kept in one bitset.Set with a region per order, in
+// ascending order, each indexed by block number. "Lowest-addressed
+// block of the smallest free order" is then the set's first member: no
+// heap, no lazy deletion, and one set header per allocator rather than
+// one per order, which at small spans outweighed the set words.
 //
 // A node's frame span may be only partially populated: in virtualized
 // systems the balloon driver adds (populates) and removes (depopulates)
 // frames at runtime. Unpopulated frames are simply absent from the free
-// sets.
+// set.
 package buddy
 
 import (
@@ -38,20 +40,39 @@ var ErrNoMemory = errors.New("buddy: out of memory")
 // Allocator is a buddy allocator over the frame span [base, base+size).
 type Allocator struct {
 	base, size uint64
-	// sets[o] holds the free blocks of order o, the block at span
-	// offset rel as member rel>>o; they are the only free-block record.
-	sets      [MaxOrder + 1]bitset.Set
-	freePages uint64
+	freePages  uint64
+	// free holds the free blocks, the order-o block at span offset rel
+	// as member start[o] + rel>>o; it is the only free-block record.
+	// Order o's region spans size>>o members, padded to whole words;
+	// start[MaxOrder+1] is the set's span.
+	free  bitset.Set
+	start [MaxOrder + 2]uint64
 }
 
 // New creates an allocator over [base, base+size) with no populated
 // frames. Call AddRange to populate.
 func New(base, size uint64) *Allocator {
 	a := &Allocator{base: base, size: size}
-	for o := range a.sets {
-		a.sets[o] = bitset.New(size >> o)
+	for o := 0; o <= MaxOrder; o++ {
+		a.start[o+1] = a.start[o] + (size>>o+63)&^63
 	}
+	a.free = bitset.New(a.start[MaxOrder+1])
 	return a
+}
+
+// isFree reports whether block b of order o is free.
+func (a *Allocator) isFree(o int, b uint64) bool {
+	return b < a.size>>o && a.free.Has(a.start[o]+b)
+}
+
+// nextFree returns the lowest free block of order o at or above block
+// b.
+func (a *Allocator) nextFree(o int, b uint64) (uint64, bool) {
+	p, ok := a.free.Next(a.start[o] + b)
+	if !ok || p >= a.start[o]+a.size>>o {
+		return 0, false
+	}
+	return p - a.start[o], true
 }
 
 // FreePages reports the number of free frames.
@@ -65,8 +86,8 @@ func (a *Allocator) IsFree(pfn uint64) bool {
 
 // freeAt reports whether span offset rel lies inside a free block.
 func (a *Allocator) freeAt(rel uint64) bool {
-	for o := range a.sets {
-		if a.sets[o].Has(rel >> o) {
+	for o := 0; o <= MaxOrder; o++ {
+		if a.isFree(o, rel>>o) {
 			return true
 		}
 	}
@@ -78,11 +99,11 @@ func (a *Allocator) freeAt(rel uint64) bool {
 func (a *Allocator) nextBlock(rel uint64) (uint64, int, bool) {
 	var next uint64
 	order := -1
-	for o := range a.sets {
-		if a.sets[o].Has(rel >> o) {
+	for o := 0; o <= MaxOrder; o++ {
+		if a.isFree(o, rel>>o) {
 			return rel >> o << o, o, true
 		}
-		if b, ok := a.sets[o].Next(rel>>o + 1); ok && (order < 0 || b<<o < next) {
+		if b, ok := a.nextFree(o, rel>>o+1); ok && (order < 0 || b<<o < next) {
 			next, order = b<<o, o
 		}
 	}
@@ -100,44 +121,48 @@ func (a *Allocator) contains(pfn uint64, order int) bool {
 // order.
 func (a *Allocator) pushFree(rel uint64, order int) {
 	b := rel >> order
-	for order < MaxOrder && a.sets[order].Has(b^1) {
-		a.sets[order].Remove(b ^ 1)
+	for order < MaxOrder && a.isFree(order, b^1) {
+		a.free.Remove(a.start[order] + (b ^ 1))
 		b >>= 1
 		order++
 	}
-	a.sets[order].Add(b)
+	a.free.Add(a.start[order] + b)
 }
 
 // popFree removes the lowest-addressed free block of exactly this order
 // and returns its span offset, or false if none exists.
 func (a *Allocator) popFree(order int) (uint64, bool) {
-	b, ok := a.sets[order].Next(0)
+	b, ok := a.nextFree(order, 0)
 	if ok {
-		a.sets[order].Remove(b)
+		a.free.Remove(a.start[order] + b)
 	}
 	return b << order, ok
 }
 
 // Alloc allocates one frame: the lowest-addressed free block of the
 // smallest free order is split down to order 0, the upper halves going
-// back to the free sets, and its base frame returned.
+// back to the free set, and its base frame returned. That block is the
+// free set's first member, since the regions ascend by order.
 func (a *Allocator) Alloc() (uint64, error) {
-	for o := 0; o <= MaxOrder; o++ {
-		rel, ok := a.popFree(o)
-		if !ok {
-			continue
-		}
-		for o > 0 {
-			o--
-			a.sets[o].Add(rel>>o | 1)
-		}
-		a.freePages--
-		return a.base + rel, nil
+	p, ok := a.free.Next(0)
+	if !ok {
+		// The bare sentinel: running dry is expected (a node's
+		// free-stack refill stops on it), so no caller wants a
+		// formatted error built here.
+		return 0, ErrNoMemory
 	}
-	// The bare sentinel: running dry is expected (a node's free-stack
-	// refill stops on it), so no caller wants a formatted error built
-	// here.
-	return 0, ErrNoMemory
+	o := 0
+	for p >= a.start[o+1] {
+		o++
+	}
+	a.free.Remove(p)
+	rel := (p - a.start[o]) << o
+	for o > 0 {
+		o--
+		a.free.Add(a.start[o] + (rel>>o | 1))
+	}
+	a.freePages--
+	return a.base + rel, nil
 }
 
 // Free returns one frame, coalescing it with free buddies. Freeing a
@@ -217,26 +242,29 @@ func (a *Allocator) Reserve(n uint64) []uint64 {
 	return out
 }
 
-// CheckInvariants validates the free-block bookkeeping: each order's
-// set is well formed and holds only blocks inside the span, no free
-// block has a free buddy of the same order (coalescing is maximal), no
-// free block lies inside a larger one, and the block sizes sum to
-// freePages.
+// CheckInvariants validates the free-block bookkeeping: the free set
+// is well formed and each order's region holds only blocks inside the
+// span, no free block has a free buddy of the same order (coalescing
+// is maximal), no free block lies inside a larger one, and the block
+// sizes sum to freePages.
 func (a *Allocator) CheckInvariants() error {
+	if err := a.free.Check(a.start[MaxOrder+1]); err != nil {
+		return fmt.Errorf("buddy: free set: %v", err)
+	}
 	var total uint64
-	for o := range a.sets {
-		s := &a.sets[o]
-		if err := s.Check(a.size >> o); err != nil {
-			return fmt.Errorf("buddy: order %d free set: %v", o, err)
-		}
-		for b, ok := s.Next(0); ok; b, ok = s.Next(b + 1) {
+	for o := 0; o <= MaxOrder; o++ {
+		for p, ok := a.free.Next(a.start[o]); ok && p < a.start[o+1]; p, ok = a.free.Next(p + 1) {
+			b := p - a.start[o]
+			if b >= a.size>>o {
+				return fmt.Errorf("buddy: order %d free set: member %d beyond span %d", o, b, a.size>>o)
+			}
 			pfn := a.base + b<<o
 			total += uint64(1) << o
-			if o < MaxOrder && s.Has(b^1) {
+			if o < MaxOrder && a.isFree(o, b^1) {
 				return fmt.Errorf("buddy: blocks %d and %d of order %d not coalesced", pfn, a.base+(b^1)<<o, o)
 			}
 			for up := o + 1; up <= MaxOrder; up++ {
-				if a.sets[up].Has(b << o >> up) {
+				if a.isFree(up, b<<o>>up) {
 					return fmt.Errorf("buddy: frame %d covered by two free blocks", pfn)
 				}
 			}

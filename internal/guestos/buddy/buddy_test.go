@@ -20,11 +20,27 @@ func newFull(base, size uint64) *Allocator {
 	return a
 }
 
+// orderSet is a handle on a's free blocks of order o, by block number.
+type orderSet struct {
+	a *Allocator
+	o int
+}
+
+func byOrder(a *Allocator, o int) orderSet { return orderSet{a, o} }
+
+func (s orderSet) Has(b uint64) bool { return s.a.isFree(s.o, b) }
+
+func (s orderSet) Next(b uint64) (uint64, bool) { return s.a.nextFree(s.o, b) }
+
+func (s orderSet) Add(b uint64) { s.a.free.Add(s.a.start[s.o] + b) }
+
+func (s orderSet) Remove(b uint64) { s.a.free.Remove(s.a.start[s.o] + b) }
+
 // freeOrder returns the order of the free block based at pfn, or -1.
 func freeOrder(a *Allocator, pfn uint64) int {
 	rel := pfn - a.base
-	for o := range a.sets {
-		if rel%(1<<o) == 0 && a.sets[o].Has(rel>>o) {
+	for o := 0; o <= MaxOrder; o++ {
+		if rel%(1<<o) == 0 && byOrder(a, o).Has(rel>>o) {
 			return o
 		}
 	}
@@ -264,7 +280,7 @@ func TestFragmentationThenRecovery(t *testing.T) {
 	}
 	// Only order-0 blocks are free now.
 	for o := 1; o <= MaxOrder; o++ {
-		if b, ok := a.sets[o].Next(0); ok {
+		if b, ok := byOrder(a, o).Next(0); ok {
 			t.Fatalf("order-%d block at %d under full fragmentation", o, b<<o)
 		}
 	}
@@ -624,20 +640,20 @@ func TestCheckInvariantsCatchesFaults(t *testing.T) {
 	}{
 		{"overlap", "covered by two free blocks", func(a *Allocator) {
 			// Frame 3 is already inside the order-4 block at 0.
-			a.sets[0].Add(3)
+			byOrder(a, 0).Add(3)
 			a.freePages++
 		}},
 		{"uncoalesced", "not coalesced", func(a *Allocator) {
 			// Two free order-3 halves of the order-4 block.
-			a.sets[4].Remove(0)
-			a.sets[3].Add(0)
-			a.sets[3].Add(1)
+			byOrder(a, 4).Remove(0)
+			byOrder(a, 3).Add(0)
+			byOrder(a, 3).Add(1)
 		}},
 		{"total", "!= freePages", func(a *Allocator) { a.freePages-- }},
 		{"outside span", "beyond span", func(a *Allocator) {
 			// Order-1 block 8 would be frames 16 and 17.
-			a.sets[4].Remove(0)
-			a.sets[1].Add(8)
+			byOrder(a, 4).Remove(0)
+			byOrder(a, 1).Add(8)
 			a.freePages = 2
 		}},
 	}

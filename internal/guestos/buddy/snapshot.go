@@ -8,14 +8,14 @@ import (
 
 // SnapshotState codes the allocator's mutable state: the span, the
 // free-page count and the free blocks in ascending base order, merged
-// from the per-order sets. The span read must match the allocator's.
-// The blocks read must be what a writer emits for an allocator that
-// passes CheckInvariants: each inside the span and aligned to its
-// order, in strictly ascending base order with no overlap, none with a
-// free buddy of the same order, and their sizes summing to the
-// free-page count. Checking each block against its predecessor covers
-// overlap, and ascending order puts a block's lower buddy in its set
-// first, so one pass checks every rule.
+// from the free set's per-order regions. The span read must match the
+// allocator's. The blocks read must be what a writer emits for an
+// allocator that passes CheckInvariants: each inside the span and
+// aligned to its order, in strictly ascending base order with no
+// overlap, none with a free buddy of the same order, and their sizes
+// summing to the free-page count. Checking each block against its
+// predecessor covers overlap, and ascending order puts a block's lower
+// buddy in the set first, so one pass checks every rule.
 func (a *Allocator) SnapshotState(c *snapshot.Codec) error {
 	base, size, freePages := a.base, a.size, a.freePages
 	c.U64(&base)
@@ -41,9 +41,7 @@ func (a *Allocator) SnapshotState(c *snapshot.Codec) error {
 	if !c.Reading() || c.Err() != nil {
 		return c.Err()
 	}
-	for o := range a.sets {
-		a.sets[o].Clear()
-	}
+	a.free.Clear()
 	a.freePages = 0
 	var end uint64 // span offset just past the previous block
 	for _, b := range blocks {
@@ -60,10 +58,10 @@ func (a *Allocator) SnapshotState(c *snapshot.Codec) error {
 			return fmt.Errorf("buddy: snapshot block %d below the previous block's end %d", pfn, a.base+end)
 		case rel&(1<<order-1) != 0:
 			return fmt.Errorf("buddy: snapshot block %d misaligned for order %d", pfn, order)
-		case order < MaxOrder && a.sets[order].Has(rel>>order^1):
+		case order < MaxOrder && a.isFree(order, rel>>order^1):
 			return fmt.Errorf("buddy: snapshot block %d of order %d not coalesced with its buddy", pfn, order)
 		}
-		a.sets[order].Add(rel >> order)
+		a.free.Add(a.start[order] + rel>>order)
 		a.freePages += 1 << order
 		end = rel + 1<<order
 	}
