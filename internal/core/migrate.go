@@ -151,7 +151,7 @@ func (s *System) ImmigrateVM(vc VMConfig, img *VMImage) (inst *VMInstance, err e
 	if err := s.admit("ImmigrateVM", vc, true); err != nil {
 		return nil, err
 	}
-	r, err := snapshot.Open(bytes.NewReader(img.Data))
+	r, err := snapshot.OpenBytes(img.Data)
 	if err != nil {
 		return nil, fmt.Errorf("core: ImmigrateVM VM %d: %w", vc.ID, err)
 	}

@@ -183,7 +183,7 @@ func restoreHost(rd *snapshot.Reader, id int, cfg core.Config) (*core.System, er
 	if err := rd.State(hostSection(id), func(sc *snapshot.Codec) error { sc.Bytes(&b); return nil }); err != nil {
 		return nil, err
 	}
-	hr, err := snapshot.Open(bytes.NewReader(b))
+	hr, err := snapshot.OpenBytes(b)
 	if err != nil {
 		return nil, err
 	}

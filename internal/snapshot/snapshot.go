@@ -178,13 +178,20 @@ type Reader struct {
 	order    []string
 }
 
-// Open reads an entire snapshot, verifying magic, version, and the
-// CRC64 trailer before returning.
+// Open reads an entire snapshot and parses it with OpenBytes.
 func Open(r io.Reader) (*Reader, error) {
 	all, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading: %w", err)
 	}
+	return OpenBytes(all)
+}
+
+// OpenBytes parses the snapshot held in all, verifying magic, version,
+// and the CRC64 trailer before returning. The Reader's sections are
+// slices of all, not copies, so all must not change while the Reader is
+// in use.
+func OpenBytes(all []byte) (*Reader, error) {
 	if len(all) < len(magic)+4 {
 		return nil, fmt.Errorf("snapshot: file too short (%d bytes)", len(all))
 	}
