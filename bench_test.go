@@ -138,7 +138,7 @@ func dominantResource(b *testing.B, w [2]float64) int {
 	// Dominant: with weight 2, fast share = 2*(1024/4096) = 0.5 beats
 	// slow 0.125; unweighted fast 0.25 still beats 0.125 here, so use
 	// the share value to discriminate in the log output.
-	if share.DominantShare(1) > 0.3 {
+	if share.DominantShare(vmh) > 0.3 {
 		return int(memsim.FastMem)
 	}
 	return int(memsim.SlowMem)
@@ -413,7 +413,7 @@ func (s *benchFrameSource) PopulateAny(want uint64) []memsim.MFN {
 func (s *benchFrameSource) Release(mfns []memsim.MFN) { s.m.Free(mfns, 1) }
 
 func benchPlacement() guestos.PlacementConfig {
-	pl := guestos.PlacementConfig{Name: "bench", OnDemand: true}
+	pl := guestos.PlacementConfig{Name: "bench"}
 	pl.FastKinds[guestos.KindAnon] = true
 	return pl
 }

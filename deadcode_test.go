@@ -26,10 +26,9 @@ import (
 // the receiver type for a method, then the name. An entry that the roots
 // reach without it is stale and fails the gate.
 var deadcodeAllow = map[string]string{
-	"internal/guestos.OS.LRUOf":         "vmm's scanner-versus-reference test deactivates hot pages to drive reclaim into the lap memo",
-	"internal/guestos.OS.Store":         "vmm's per-page reference scanner and heat-index tests read page flags and set write heat page by page",
-	"internal/snapshot.Reader.Raw":      "restore fuzzers and checkpoint tests in other packages seed from, and compare, real section bodies",
-	"internal/snapshot.Reader.Sections": "checkpoint tests in core and fleet walk every section of a real checkpoint",
+	"internal/guestos.OS.LRUOf":    "vmm's scanner-versus-reference test deactivates hot pages to drive reclaim into the lap memo",
+	"internal/guestos.OS.Store":    "vmm's per-page reference scanner and heat-index tests read page flags and set write heat page by page",
+	"internal/snapshot.Reader.Raw": "restore fuzzers and checkpoint tests in other packages seed from, and compare, real section bodies",
 }
 
 // TestDeadCode fails on every top-level func, method, type, var or const

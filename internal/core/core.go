@@ -763,13 +763,14 @@ func (s *System) emitFault(scope *obs.Scope, code uint64, start bool) {
 	scope.Emit(obs.EvFaultInject, dir, obs.TierNone, 0, 0, code, 0)
 }
 
-// DRFDominantShare reports a VM's dominant share under the DRF policy
-// (zero otherwise).
+// DRFDominantShare reports a live VM's dominant share under the DRF
+// policy (zero otherwise).
 func (s *System) DRFDominantShare(id vmm.VMID) float64 {
-	if s.drf == nil {
+	inst, ok := s.instByID(id)
+	if s.drf == nil || !ok {
 		return 0
 	}
-	return s.drf.DominantShare(id)
+	return s.drf.DominantShare(inst.VM)
 }
 
 // CheckInvariants validates the whole stack. Beyond the live guests'

@@ -403,8 +403,8 @@ func rewriteP2M(t *testing.T, img *VMImage, corrupt func(body []byte)) *VMImage 
 // LevelDB's a non-empty page cache and slab caches. Like snapshotPins,
 // a change to these bytes must bump snapshot.Version.
 var imagePins = map[string]string{
-	"GraphChi": "b54112b7a066a2e61bb13e512964e121c1082793258d89bceafe84c0bafc9912",
-	"LevelDB":  "719c56935897b6af16987d1966c242b431b01da7438e6017dea75b0f2d0a6af0",
+	"GraphChi": "22e61de60491e55e4a21e7319082a81d2951db5c29d584263c5804bf1a25af4c",
+	"LevelDB":  "2da7510562a2109f13c1f56e33c98ef3acd4403482aed8423bb0327fdd1da0fe",
 }
 
 // TestEmigrateImagePinned pins the live-migration image bytes: the p2m

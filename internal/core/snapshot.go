@@ -1,6 +1,6 @@
 // Checkpoint/restore for a full System. A checkpoint captures every
-// bit of mutable simulation state — guest OS structures, VMM share
-// books, machine frame ownership, workload progress,
+// bit of mutable simulation state — guest OS structures, VMM grant
+// counters, machine frame ownership, workload progress,
 // and all RNG streams — into the versioned, checksummed format of
 // internal/snapshot. RestoreSystem rebuilds a System from the same
 // Config (reconstruct), then overlays the serialized state (overlay):
@@ -34,11 +34,6 @@ func (s *System) Checkpoint(w io.Writer) error {
 	if err := sw.State("machine", s.Machine.SnapshotState); err != nil {
 		return err
 	}
-	if s.drf != nil {
-		if err := sw.State("drf", s.drf.DRFAllocator().SnapshotState); err != nil {
-			return err
-		}
-	}
 	for _, inst := range s.VMs {
 		if err := sw.State(fmt.Sprintf("vm%d", inst.ID), func(c *snapshot.Codec) error {
 			return s.vmState(c, inst, nil)
@@ -65,7 +60,9 @@ func (s *System) Checkpoint(w io.Writer) error {
 // the snapshot. Derived structures are rebuilt rather than restored —
 // page-cache forward maps from the reverse map, the VMM heat index by
 // re-attachment over restored page state — so invariants hold by
-// construction.
+// construction. A snapshot carrying a section no checkpoint of this
+// system writes, or one whose sections disagree (CheckInvariants
+// fails), is refused.
 func RestoreSystem(r *snapshot.Reader, cfg Config) (*System, error) {
 	// Boot silently: the reconstruction boot replays allocation and
 	// workload-init activity that already happened (and was already
@@ -92,18 +89,17 @@ func RestoreSystem(r *snapshot.Reader, cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	// The pricing model is stateless, so no writer emits a "backend"
-	// section; a snapshot carrying one was not written by this code.
-	if r.Has("backend") {
-		return nil, fmt.Errorf("core: restore: snapshot has a backend section, but no backend carries run state")
+	// Checkpoint writes exactly these sections, so any other (a backend
+	// or share-policy section, a VM the config does not boot) was not
+	// written by this code.
+	known := map[string]bool{"config": true, "departed": true, "machine": true}
+	for _, inst := range s.VMs {
+		known[fmt.Sprintf("vm%d", inst.ID)] = true
 	}
-
-	if s.drf != nil {
-		if err := r.State("drf", s.drf.DRFAllocator().SnapshotState); err != nil {
-			return nil, err
+	for _, name := range r.Sections() {
+		if !known[name] {
+			return nil, fmt.Errorf("core: restore: snapshot has a %s section, which no checkpoint of this system writes", name)
 		}
-	} else if r.Has("drf") {
-		return nil, fmt.Errorf("core: restore: snapshot has DRF state but share policy is %q", s.Cfg.Share)
 	}
 
 	for _, inst := range s.VMs {
@@ -112,6 +108,13 @@ func RestoreSystem(r *snapshot.Reader, cfg Config) (*System, error) {
 		}); err != nil {
 			return nil, fmt.Errorf("core: restore VM %d: %w", inst.ID, err)
 		}
+	}
+	// Each section checked its own structures as it was read; what ties
+	// them together (grant counters to machine frame ownership, guest
+	// page state to the machine's frames) is checked here, once all are
+	// in.
+	if err := s.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	s.attachObs(h)
 	return s, nil

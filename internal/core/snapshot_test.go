@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,11 +186,54 @@ type renamedBackend struct{ memsim.Backend }
 
 func (renamedBackend) Name() string { return "renamed" }
 
-// TestSnapshotRejectsBackendSection re-emits a valid checkpoint section
-// by section and checks that adding a "backend" section — which no
-// writer produces, since the pricing model carries no run state — makes
-// restore fail, while the plain copy restores.
-func TestSnapshotRejectsBackendSection(t *testing.T) {
+// reframe re-emits orig section by section through Writer.State, one
+// U8 per body byte, so the result carries a valid CRC. edit, when not
+// nil, may change a copy of each body in place; each name in extra is
+// added after the machine section with an eight-byte body.
+func reframe(t *testing.T, orig *snapshot.Reader, edit func(name string, body []byte), extra ...string) *snapshot.Reader {
+	t.Helper()
+	var buf bytes.Buffer
+	sw, err := snapshot.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string, body []byte) {
+		if err := sw.State(name, func(c *snapshot.Codec) error {
+			for i := range body {
+				c.U8(&body[i])
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range orig.Sections() {
+		raw, _ := orig.Raw(name)
+		body := slices.Clone(raw)
+		if edit != nil {
+			edit(name, body)
+		}
+		write(name, body)
+		if name == "machine" {
+			for _, x := range extra {
+				write(x, make([]byte, 8))
+			}
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := snapshot.Open(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rd
+}
+
+// steppedCheckpoint opens a checkpoint of the snapshotConfig system
+// after one epoch.
+func steppedCheckpoint(t *testing.T) *snapshot.Reader {
+	t.Helper()
 	sys, err := NewSystem(snapshotConfig(t, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -196,51 +241,45 @@ func TestSnapshotRejectsBackendSection(t *testing.T) {
 	if _, err := sys.StepEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	orig, err := snapshot.Open(bytes.NewReader(checkpointBytes(t, sys)))
+	rd, err := snapshot.Open(bytes.NewReader(checkpointBytes(t, sys)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewrite := func(extra bool) *snapshot.Reader {
-		var buf bytes.Buffer
-		sw, err := snapshot.NewWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range orig.Sections() {
-			raw, _ := orig.Raw(name)
-			if err := sw.State(name, func(c *snapshot.Codec) error {
-				for i := range raw {
-					c.U8(&raw[i])
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if extra && name == "machine" {
-				if err := sw.State("backend", func(c *snapshot.Codec) error {
-					var v uint64
-					c.U64(&v)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := sw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rd, err := snapshot.Open(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rd
+	return rd
+}
+
+// TestSnapshotRejectsBackendSection checks that restore refuses a
+// section no checkpoint of the system writes: a "backend" section (the
+// pricing model carries no run state), a stale "drf" share book (DRF
+// shares derive from the grant counters), and a VM the config does not
+// boot. The plain re-emitted copy restores.
+func TestSnapshotRejectsBackendSection(t *testing.T) {
+	orig := steppedCheckpoint(t)
+	if _, err := RestoreSystem(reframe(t, orig, nil), snapshotConfig(t, nil)); err != nil {
+		t.Fatalf("re-emitted snapshot without an extra section: %v", err)
 	}
-	if _, err := RestoreSystem(rewrite(false), snapshotConfig(t, nil)); err != nil {
-		t.Fatalf("re-emitted snapshot without a backend section: %v", err)
+	for _, extra := range []string{"backend", "drf", "vm9"} {
+		_, err := RestoreSystem(reframe(t, orig, nil, extra), snapshotConfig(t, nil))
+		if err == nil || !strings.Contains(err.Error(), extra+" section") {
+			t.Fatalf("restore with a %s section: err = %v, want a %s-section rejection", extra, err, extra)
+		}
 	}
-	_, err = RestoreSystem(rewrite(true), snapshotConfig(t, nil))
-	if err == nil || !strings.Contains(err.Error(), "backend section") {
-		t.Fatalf("restore with a backend section: err = %v, want a backend-section rejection", err)
+}
+
+// TestRestoreRefusesGrantMismatch raises VM 1's FastMem grant counter
+// (the first field of its section) by one. Every section still decodes,
+// but the grants no longer sum to the machine's allocated frames, so
+// restore must refuse the snapshot instead of handing DRF a share the
+// machine does not back.
+func TestRestoreRefusesGrantMismatch(t *testing.T) {
+	bumped := reframe(t, steppedCheckpoint(t), func(name string, body []byte) {
+		if name == "vm1" {
+			binary.LittleEndian.PutUint64(body, binary.LittleEndian.Uint64(body)+1)
+		}
+	})
+	_, err := RestoreSystem(bumped, snapshotConfig(t, nil))
+	if err == nil || !strings.Contains(err.Error(), "grants") {
+		t.Fatalf("restore with a raised grant counter: err = %v, want a grant-mismatch refusal", err)
 	}
 }
 
@@ -293,7 +332,7 @@ func TestCheckpointReportsEncodeErrors(t *testing.T) {
 }
 
 // snapshotPinVersion is the snapshot.Version that wrote snapshotPins.
-const snapshotPinVersion = 7
+const snapshotPinVersion = 8
 
 // snapshotPins is the sha256 of each TestSnapshotEveryWorkloadRoundTrips
 // case's checkpoint after four epochs. A round trip cannot see a field
@@ -301,20 +340,20 @@ const snapshotPinVersion = 7
 // together; these pins can. A change to the checkpoint bytes must bump
 // snapshot.Version; then update snapshotPinVersion and every pin here.
 var snapshotPins = map[string]string{
-	"GraphChi":           "52ef05257f58bdefd1aca10c2f116fde3a5230e640581372082b92e34bdc68f5",
-	"X-Stream":           "616557d24c91da1dff2a8defdc43a6dcf255efea4f2f0a0e734a5da93ba11a4f",
-	"Metis":              "616b000333518af408d4064610fbb4e54f61d0185fafc5174332dbd8726b478d",
-	"LevelDB":            "3ef09c60b1c0544637c62e8203ad9157959779c0bebaf054a91f0d60fa66315a",
-	"Redis":              "e57bbc9204fc315da9daa193a69591fa2a4c4d3f73b8a52e694e225421e64911",
-	"Nginx":              "2bd76f16eaa62ffda8103e11582612f88cd8abaa8a725130ee514f2b67153d08",
-	"memlat":             "349002431d7c4ee524314e3efb28706f5f7a9994da6057c6a831f23171ff892a",
-	"stream":             "77888c79f67294cb2928414e6c92ac6e00ef16911f52470e7b7b080628e879e8",
-	"writeheavy":         "006e44a1fa3be45c0a78ea64c68859b82612e4e84f9a33e808628d95916485d4",
-	"mode/none":          "75043706d1445bb824f8c77fe2629eb22969d31ca9861a94fdd4e9a1dd6a3f00",
-	"mode/VMM-exclusive": "37f7c15cbd8623cedd162de698421a1c56fdf1a469620fe3840ebb98ef96a3cc",
-	"share/static":       "effc06b6622db5462d0dea14fc153ed274bae4634b8b54b434fa6a651616292e",
-	"share/max-min":      "4a342a0b57f8b3f74cfa4a03f4ba4f43e9a0229a56e56332abb05992e6d238d0",
-	"share/drf":          "2123af2b63b5ca3658bc3db7b7f22c6efd09274990e620b675bf50948f28bbd4",
+	"GraphChi":           "67111d262b6b2e1e59709abd028a6108b124702b9fc85d48353adeaefdcc915d",
+	"X-Stream":           "849cca26151b016111b615e626627278882ae24f4df48bb196499137a13c219a",
+	"Metis":              "37f94859b8f5921e0fb8d268b2ca9bac0b8d7f94b9927235c6018344969dd36d",
+	"LevelDB":            "52ab00f5261e25380b1fbef0f0620607ae0fc1edf0c601be0ed72a4e4efcc625",
+	"Redis":              "26c5f37a3dc1190be85c07cf63f025e493acb228c6b506e106c004a809e16d36",
+	"Nginx":              "52fc9e150d01597780d93b6b9731ce161a718f21fd6da079baea6749dd1cc4ed",
+	"memlat":             "a7ab2522183b9123a5f4d5b6ab3475e2ac9bfa60c60ec9058c655bfa9f885630",
+	"stream":             "319bac7ac2e960430e70f5ec30dc97d5a45633f5006fdf52710438f44d21034b",
+	"writeheavy":         "6777863f52c470e66c30f3e61562b0e50c0a002eab14e9ce6438c3357a1fb01d",
+	"mode/none":          "a5314c71e683f247379aa3f9b649c7f1418fd90cab0882eec38ce08756d12469",
+	"mode/VMM-exclusive": "e86fea1b34e1ae18ceeee72334b6b0341cd3552cfc4354854465a970427a9af2",
+	"share/static":       "d1a4c858abf3dadfadec7b1f42b9270427b4a62c2fefef7c4a1b44b3d21d5eb1",
+	"share/max-min":      "29757b6297e4bc4e7b78a8783994edff3ca16c0cde83af165c636c3092757f3b",
+	"share/drf":          "ca510fa17a0927aa848337999ec6a3e4f2e0220181d0333582dc25974975c7bf",
 }
 
 // TestSnapshotEveryWorkloadRoundTrips checkpoints a small system

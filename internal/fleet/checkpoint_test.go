@@ -286,7 +286,7 @@ func TestRestoreFleetChurnAfterHostFail(t *testing.T) {
 var pinnedChurnCheckpoint = struct {
 	version uint32
 	sha256  string
-}{7, "f869ab9bc34dc9a7b31308fdf7280c45e0b2a03f3cf24366a917c8ed3a106f7f"}
+}{8, "7bd578784c8f36d6187fdc17a751adddf898097d5cb60a30aae5d72b9c05a4d2"}
 
 // TestCheckpointFormatPinned catches a checkpoint format change that
 // forgot to bump snapshot.Version: the churn checkpoint's bytes are

@@ -234,7 +234,7 @@ func TestAddrSpacePropertyMapUnmap(t *testing.T) {
 // quickOS builds an OS without *testing.T for property functions.
 func quickOS() (*OS, *fakeSource) {
 	src := newFakeSource(1<<14, 1<<15)
-	pl := PlacementConfig{Name: "quick", OnDemand: true}
+	pl := PlacementConfig{Name: "quick"}
 	pl.FastKinds[KindAnon] = true
 	os, err := New(Config{
 		Aware:        true,

@@ -87,7 +87,7 @@ func TestAllocationOrderPinned(t *testing.T) {
 		Aware:        false,
 		FastMaxPages: 128, SlowMaxPages: 320,
 		BootFastPages: 32, BootSlowPages: 64,
-		Placement: PlacementConfig{Name: "VMM-exclusive", OnDemand: true},
+		Placement: PlacementConfig{Name: "VMM-exclusive"},
 		Source:    src,
 		TierOf:    src.m.TierOf,
 		Seed:      3,

@@ -464,9 +464,11 @@ func (o *OS) allocFromNode(idx int, kind PageKind, primary bool) (PFN, bool) {
 		o.ep.OSTimeNs += o.costs.AllocFastPathNs
 		return pfn, true
 	}
-	// Buddy exhausted (stack refill failed). Try extending the reservation.
+	// Buddy exhausted (stack refill failed). Try extending the
+	// reservation: the on-demand allocation driver asks the VMM for more
+	// frames of the tier before falling back.
 	pl := &o.cfg.Placement
-	if pl.OnDemand && n.Populated() < n.MaxPages {
+	if n.Populated() < n.MaxPages {
 		if o.populateNode(idx, populateBatchPages) > 0 {
 			if pfn, ok := n.allocFrame(); ok {
 				o.ep.OSTimeNs += o.costs.AllocSlowPathNs

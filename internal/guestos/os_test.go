@@ -75,7 +75,7 @@ func testOS(t *testing.T, pl PlacementConfig, fastMax, slowMax, bootFast, bootSl
 }
 
 func heapODPlacement() PlacementConfig {
-	pl := PlacementConfig{Name: "Heap-OD", OnDemand: true}
+	pl := PlacementConfig{Name: "Heap-OD"}
 	pl.FastKinds[KindAnon] = true
 	return pl
 }
@@ -539,7 +539,7 @@ func TestTransparentGuestSingleNode(t *testing.T) {
 		Aware:        false,
 		FastMaxPages: 256, SlowMaxPages: 1024,
 		BootFastPages: 256, BootSlowPages: 1024,
-		Placement: PlacementConfig{Name: "VMM-exclusive", OnDemand: true},
+		Placement: PlacementConfig{Name: "VMM-exclusive"},
 		Source:    src,
 		TierOf:    src.m.TierOf,
 		Seed:      2,

@@ -20,10 +20,6 @@ type PlacementConfig struct {
 	// fake-NUMA patch: every allocation tries FastMem first regardless
 	// of kind, with no demand awareness and no active reclaim.
 	NUMAPreferred bool
-	// OnDemand enables the on-demand allocation driver: when a preferred
-	// tier has no free frames, the guest asks the VMM to extend that
-	// tier's reservation before falling back.
-	OnDemand bool
 	// HeteroLRU enables the HeteroOS-LRU contention resolution:
 	// per-tier watermarks, eager demotion of inactive pages out of
 	// FastMem, immediate eviction of released I/O pages, and

@@ -236,7 +236,7 @@ func (o *OS) movePageAcrossNodes(pfn PFN, target memsim.Tier, promotion bool) bo
 	dst := o.nodes[dstIdx]
 	newPfn, ok := dst.allocFrame()
 	if !ok {
-		if o.cfg.Placement.OnDemand && o.populateNode(dstIdx, populateBatchPages) > 0 {
+		if o.populateNode(dstIdx, populateBatchPages) > 0 {
 			newPfn, ok = dst.allocFrame()
 		}
 		if !ok {

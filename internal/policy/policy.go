@@ -94,7 +94,7 @@ func SlowMemOnly() Mode {
 		Description: "naive approach always using slow memory",
 		GuestAware:  true,
 		NoFastMem:   true,
-		Placement:   guestos.PlacementConfig{Name: "SlowMem-only", OnDemand: true},
+		Placement:   guestos.PlacementConfig{Name: "SlowMem-only"},
 	}
 }
 
@@ -106,7 +106,7 @@ func FastMemOnly() Mode {
 		GuestAware:  true,
 		AllFastMem:  true,
 		Placement: guestos.PlacementConfig{
-			Name: "FastMem-only", OnDemand: true,
+			Name: "FastMem-only",
 			FastKinds: fastKinds(guestos.KindAnon, guestos.KindPageCache,
 				guestos.KindNetBuf, guestos.KindSlab, guestos.KindPageTable, guestos.KindDMA),
 		},
@@ -121,7 +121,7 @@ func Random() Mode {
 		Name:        "Random",
 		Description: "random placement without heterogeneity awareness",
 		GuestAware:  true,
-		Placement:   guestos.PlacementConfig{Name: "Random", Random: true, OnDemand: true},
+		Placement:   guestos.PlacementConfig{Name: "Random", Random: true},
 	}
 }
 
@@ -133,7 +133,7 @@ func NUMAPreferred() Mode {
 		Name:        "NUMA-preferred",
 		Description: "existing Linux preferred-node NUMA policy",
 		GuestAware:  true,
-		Placement:   guestos.PlacementConfig{Name: "NUMA-preferred", NUMAPreferred: true, OnDemand: true},
+		Placement:   guestos.PlacementConfig{Name: "NUMA-preferred", NUMAPreferred: true},
 	}
 }
 
@@ -145,7 +145,7 @@ func HeapOD() Mode {
 		Description: "on-demand heap allocation",
 		GuestAware:  true,
 		Placement: guestos.PlacementConfig{
-			Name: "Heap-OD", OnDemand: true,
+			Name:      "Heap-OD",
 			FastKinds: fastKinds(guestos.KindAnon),
 		},
 	}
@@ -159,7 +159,7 @@ func HeapIOSlabOD() Mode {
 		Description: "Heap-OD + IO page cache allocation + slab allocation",
 		GuestAware:  true,
 		Placement: guestos.PlacementConfig{
-			Name: "Heap-IO-Slab-OD", OnDemand: true,
+			Name: "Heap-IO-Slab-OD",
 			FastKinds: fastKinds(guestos.KindAnon, guestos.KindPageCache,
 				guestos.KindNetBuf, guestos.KindSlab),
 		},
@@ -184,7 +184,7 @@ func VMMExclusive() Mode {
 		Name:        "VMM-exclusive",
 		Description: "guest-transparent hotness tracking and migration in the VMM (HeteroVisor)",
 		GuestAware:  false,
-		Placement:   guestos.PlacementConfig{Name: "VMM-exclusive", OnDemand: true},
+		Placement:   guestos.PlacementConfig{Name: "VMM-exclusive"},
 		Migration:   MigrateVMMExclusive,
 	}
 }

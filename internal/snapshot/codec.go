@@ -186,9 +186,6 @@ func (c *Codec) Str(v *string) {
 // U64s codes a length-prefixed []uint64.
 func (c *Codec) U64s(v *[]uint64) { Slice(c, v, c.U64) }
 
-// F64s codes a length-prefixed []float64.
-func (c *Codec) F64s(v *[]float64) { Slice(c, v, c.F64) }
-
 // JSON codes v as length-prefixed encoding/json bytes (for plain
 // exported stat structs where field-by-field coding would be noise;
 // Go's shortest-float marshalling round-trips float64 exactly). A

@@ -40,7 +40,7 @@ func (s *codecState) layout(c *Codec) error {
 	c.Int(&s.Int)
 	c.F64(&s.F64)
 	c.U64s(&s.U64s)
-	c.F64s(&s.F64s)
+	Slice(c, &s.F64s, c.F64)
 	c.Str(&s.Str)
 	c.Bytes(&s.Raw)
 	Slice(c, &s.Pair, func(p *struct{ A, B uint64 }) {
@@ -155,7 +155,7 @@ func TestCodecErrorsStick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Has("nan") {
+	if _, ok := r.Raw("nan"); ok {
 		t.Fatal("a failed State still wrote its section")
 	}
 	a, b, c2 := uint64(0), uint64(7), uint64(9)

@@ -64,7 +64,9 @@ import (
 //	7: the guest drops its fault, swap-in and page-walk counters, the
 //	   swap device its counters and the page cache its hit, miss,
 //	   writeback and eviction counters.
-const Version = 7
+//	8: no drf section: weighted-DRF shares are derived from the VM
+//	   sections' grant counters.
+const Version = 8
 
 // VersionError is returned by Open when the file's format version does
 // not match Version. Callers can detect it with errors.As to tell a
@@ -124,7 +126,7 @@ func (w *Writer) writeRaw(b []byte) {
 // State emits one named section laid out by fn through a writing
 // Codec. If fn or the codec fails, nothing is written and State
 // returns that error. Names must be unique per snapshot (the reader
-// keeps the last on duplicates) and non-empty.
+// refuses a repeated one) and non-empty.
 func (w *Writer) State(name string, fn func(*Codec) error) error {
 	if w.err != nil {
 		return w.err
@@ -239,9 +241,10 @@ func OpenBytes(all []byte) (*Reader, error) {
 		if bodyLen > maxSectionBytes || off+bodyLen > len(body) {
 			return nil, fmt.Errorf("snapshot: corrupt section %q length %d", name, bodyLen)
 		}
-		if _, dup := rd.sections[name]; !dup {
-			rd.order = append(rd.order, name)
+		if _, dup := rd.sections[name]; dup {
+			return nil, fmt.Errorf("snapshot: repeated section %q", name)
 		}
+		rd.order = append(rd.order, name)
 		rd.sections[name] = body[off : off+bodyLen]
 		off += bodyLen
 	}
@@ -268,12 +271,6 @@ func (r *Reader) State(name string, fn func(*Codec) error) error {
 func (r *Reader) Raw(name string) ([]byte, bool) {
 	b, ok := r.sections[name]
 	return b, ok
-}
-
-// Has reports whether the named section exists.
-func (r *Reader) Has(name string) bool {
-	_, ok := r.sections[name]
-	return ok
 }
 
 // Sections lists section names in file order.

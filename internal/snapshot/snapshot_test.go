@@ -40,7 +40,7 @@ func (a *alphaState) layout(c *Codec) error {
 	c.Bytes(&a.raw)
 	c.Str(&a.s)
 	c.U64s(&a.u64s)
-	c.F64s(&a.f64s)
+	Slice(c, &a.f64s, c.F64)
 	return nil
 }
 
@@ -95,8 +95,11 @@ func TestRoundTrip(t *testing.T) {
 	}); err != nil || m["x"] != 1 {
 		t.Errorf("JSON = %v, %v", m, err)
 	}
-	if !r.Has("alpha") || r.Has("gamma") {
-		t.Error("Has misreports sections")
+	if _, ok := r.Raw("alpha"); !ok {
+		t.Error("Raw misses a written section")
+	}
+	if _, ok := r.Raw("gamma"); ok {
+		t.Error("Raw reports a section never written")
 	}
 	if err := r.State("gamma", func(*Codec) error { return nil }); err == nil {
 		t.Error("missing section did not error")
@@ -151,6 +154,18 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		{"too short", func(b []byte) []byte {
 			return b[:5]
 		}, "too short"},
+		{"repeated section", func([]byte) []byte {
+			var buf bytes.Buffer
+			w, _ := NewWriter(&buf)
+			for i := 0; i < 2; i++ {
+				w.State("alpha", func(c *Codec) error {
+					c.U8(new(uint8))
+					return nil
+				})
+			}
+			w.Close()
+			return buf.Bytes()
+		}, "repeated section"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

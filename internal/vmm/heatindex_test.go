@@ -167,7 +167,7 @@ func TestHeatIndexDifferentialCoordinated(t *testing.T) {
 	spec.MaxPages[memsim.FastMem] = 512
 	spec.MaxPages[memsim.SlowMem] = 2048
 	vm, _ := m.CreateVM(spec)
-	pl := guestos.PlacementConfig{Name: "coord", OnDemand: true, HeteroLRU: true}
+	pl := guestos.PlacementConfig{Name: "coord", HeteroLRU: true}
 	pl.FastKinds[guestos.KindAnon] = true
 	os := bootGuest(t, m, vm, true, pl, 256, 2048, 128, 1024)
 

@@ -115,7 +115,7 @@ func scanGuest(t *testing.T) (*guestos.OS, *memsim.Machine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := guestos.PlacementConfig{Name: "coord", OnDemand: true}
+	pl := guestos.PlacementConfig{Name: "coord"}
 	pl.FastKinds[guestos.KindAnon] = true
 	return bootGuest(t, m, vm, true, pl, 64, 1000, 32, 512), machine
 }

@@ -1,27 +1,21 @@
 package vmm
 
 import (
-	"heteroos/internal/drf"
+	"fmt"
+
 	"heteroos/internal/memsim"
 	"heteroos/internal/obs"
 )
 
 // SharePolicy arbitrates machine frames between VMs. Authorize is called
 // on every balloon populate request; policies may trigger reclaim
-// (ballooning other VMs) before answering.
+// (ballooning other VMs) before answering. A policy keeps no books of
+// its own: what each VM holds is its grant counters, which
+// VMM.CheckInvariants ties to machine frame ownership.
 type SharePolicy interface {
 	Name() string
-	Register(vm *VM) error
-	// Unregister removes a departing VM from the policy's books. The VM
-	// must have released every granted frame first (DestroyVM enforces
-	// this), so the policy drops only zero-valued state.
-	Unregister(vm *VM)
 	// Authorize returns how many of the want frames the VM may take now.
 	Authorize(vm *VM, t memsim.Tier, want uint64) uint64
-	// OnGrant / OnRelease keep the policy's books in sync with actual
-	// frame movement.
-	OnGrant(vm *VM, t memsim.Tier, n uint64)
-	OnRelease(vm *VM, t memsim.Tier, n uint64)
 }
 
 // --- Static ---
@@ -34,12 +28,6 @@ type StaticShare struct{}
 // Name implements SharePolicy.
 func (StaticShare) Name() string { return "static" }
 
-// Register implements SharePolicy.
-func (StaticShare) Register(*VM) error { return nil }
-
-// Unregister implements SharePolicy.
-func (StaticShare) Unregister(*VM) {}
-
 // Authorize implements SharePolicy.
 func (StaticShare) Authorize(vm *VM, t memsim.Tier, want uint64) uint64 {
 	if free := vm.vmm.Machine.FreeFrames(t); want > free {
@@ -47,12 +35,6 @@ func (StaticShare) Authorize(vm *VM, t memsim.Tier, want uint64) uint64 {
 	}
 	return want
 }
-
-// OnGrant implements SharePolicy.
-func (StaticShare) OnGrant(*VM, memsim.Tier, uint64) {}
-
-// OnRelease implements SharePolicy.
-func (StaticShare) OnRelease(*VM, memsim.Tier, uint64) {}
 
 // --- Single-resource max-min ---
 
@@ -66,12 +48,6 @@ type MaxMinShare struct{}
 
 // Name implements SharePolicy.
 func (MaxMinShare) Name() string { return "max-min" }
-
-// Register implements SharePolicy.
-func (MaxMinShare) Register(*VM) error { return nil }
-
-// Unregister implements SharePolicy.
-func (MaxMinShare) Unregister(*VM) {}
 
 // Authorize implements SharePolicy.
 func (MaxMinShare) Authorize(vm *VM, t memsim.Tier, want uint64) uint64 {
@@ -123,34 +99,36 @@ func reclaimOvercommit(m *VMM, t memsim.Tier, need uint64, exclude *VM) {
 	}
 }
 
-// OnGrant implements SharePolicy.
-func (MaxMinShare) OnGrant(*VM, memsim.Tier, uint64) {}
-
-// OnRelease implements SharePolicy.
-func (MaxMinShare) OnRelease(*VM, memsim.Tier, uint64) {}
-
 // --- Weighted DRF ---
 
-// DRFShare arbitrates with weighted Dominant Resource Fairness
-// (Algorithm 1): a request is granted while capacity allows; when a tier
-// is exhausted, the policy balloons the VM with the highest dominant
-// share (if that is not the requester) before retrying. Weights default
-// to the paper's FastMem=2, SlowMem=1.
+// DRFShare arbitrates with weighted Dominant Resource Fairness (Ghodsi
+// et al., NSDI'11) extended with per-resource weights, the paper's
+// Algorithm 1 (Section 4.2). Each memory type is a resource. A VM's
+// allocation vector is its grant counters and the capacities are the
+// machine's tier sizes, so the policy is a pure function of state the
+// VMM already owns. A request is granted while the tier has free frames
+// (Algorithm 1's C + D_i <= R check). When the tier runs short, the
+// policy balloons the VM with the highest dominant share (if that is
+// not the requester) before retrying. The weights default to the
+// paper's static FastMem=2, SlowMem=1, so that small FastMem holdings
+// still register as dominant. MaxMinShare is the single-resource
+// baseline DRF replaces.
 type DRFShare struct {
-	alloc *drf.Allocator
+	machine *memsim.Machine
+	weights [memsim.NumTiers]float64
 	// obs, when attached, carries the rebalance probes.
 	obs *drfProbes
 }
 
-// NewDRFShare builds the policy over the machine's capacities.
+// NewDRFShare builds the policy over the machine's capacities. Every
+// weight must be positive.
 func NewDRFShare(machine *memsim.Machine, weights [memsim.NumTiers]float64) (*DRFShare, error) {
-	caps := []float64{float64(machine.Frames(memsim.FastMem)), float64(machine.Frames(memsim.SlowMem))}
-	w := []float64{weights[memsim.FastMem], weights[memsim.SlowMem]}
-	a, err := drf.New(caps, w)
-	if err != nil {
-		return nil, err
+	for t, w := range weights {
+		if w <= 0 {
+			return nil, fmt.Errorf("vmm: non-positive DRF weight for %v", memsim.Tier(t))
+		}
 	}
-	return &DRFShare{alloc: a}, nil
+	return &DRFShare{machine: machine, weights: weights}, nil
 }
 
 // DefaultDRFWeights is the paper's static weighting.
@@ -164,50 +142,24 @@ func DefaultDRFWeights() [memsim.NumTiers]float64 {
 // Name implements SharePolicy.
 func (*DRFShare) Name() string { return "weighted-DRF" }
 
-// Register implements SharePolicy.
-func (d *DRFShare) Register(vm *VM) error {
-	return d.alloc.AddClient(drf.ClientID(vm.Spec.ID))
-}
-
-// Unregister implements SharePolicy. Dropping the client releases its
-// (already zero, per DestroyVM's precondition) allocation vector, so the
-// surviving VMs' dominant shares are computed over the new membership on
-// the very next Authorize call.
-func (d *DRFShare) Unregister(vm *VM) {
-	if err := d.alloc.RemoveClient(drf.ClientID(vm.Spec.ID)); err != nil {
-		panic("vmm: DRF books diverged on unregister: " + err.Error())
-	}
-}
-
-func demandVec(t memsim.Tier, n uint64) []float64 {
-	v := make([]float64, memsim.NumTiers)
-	v[t] = float64(n)
-	return v
-}
-
 // Authorize implements SharePolicy.
 func (d *DRFShare) Authorize(vm *VM, t memsim.Tier, want uint64) uint64 {
 	m := vm.vmm
-	avail := uint64(d.alloc.Available(int(t)))
+	avail := m.Machine.FreeFrames(t)
 	if avail >= want {
 		return want
 	}
 	// Capacity short: Algorithm 1's reclaim branch. Balloon the VM with
 	// the highest dominant share — unless the requester itself already
 	// dominates, in which case it must live within its means.
-	reqShare, _ := d.alloc.DominantShare(drf.ClientID(vm.Spec.ID))
 	var victim *VM
-	victimShare := reqShare
+	victimShare := d.DominantShare(vm)
 	for _, id := range m.order {
 		cand := m.vms[id]
 		if cand == vm || cand.Balloon == nil {
 			continue
 		}
-		s, err := d.alloc.DominantShare(drf.ClientID(cand.Spec.ID))
-		if err != nil {
-			continue
-		}
-		if s > victimShare {
+		if s := d.DominantShare(cand); s > victimShare {
 			victim, victimShare = cand, s
 		}
 	}
@@ -228,7 +180,7 @@ func (d *DRFShare) Authorize(vm *VM, t memsim.Tier, want uint64) uint64 {
 					0, released, uint64(victim.Spec.ID), 0)
 			}
 		}
-		avail = uint64(d.alloc.Available(int(t)))
+		avail = m.Machine.FreeFrames(t)
 	}
 	if want > avail {
 		want = avail
@@ -236,25 +188,19 @@ func (d *DRFShare) Authorize(vm *VM, t memsim.Tier, want uint64) uint64 {
 	return want
 }
 
-// OnGrant implements SharePolicy.
-func (d *DRFShare) OnGrant(vm *VM, t memsim.Tier, n uint64) {
-	if err := d.alloc.Grant(drf.ClientID(vm.Spec.ID), demandVec(t, n)); err != nil {
-		panic("vmm: DRF books diverged on grant: " + err.Error())
-	}
-}
-
-// OnRelease implements SharePolicy.
-func (d *DRFShare) OnRelease(vm *VM, t memsim.Tier, n uint64) {
-	if err := d.alloc.Release(drf.ClientID(vm.Spec.ID), demandVec(t, n)); err != nil {
-		panic("vmm: DRF books diverged on release: " + err.Error())
-	}
-}
-
-// DominantShare exposes a VM's current dominant share (reporting).
-func (d *DRFShare) DominantShare(id VMID) float64 {
-	s, err := d.alloc.DominantShare(drf.ClientID(id))
-	if err != nil {
-		return 0
+// DominantShare computes the VM's s_i = max_t (w_t * granted_t / R_t):
+// the largest weighted share it holds of any tier. A VM that holds no
+// frames, such as a destroyed one, has share zero.
+func (d *DRFShare) DominantShare(vm *VM) float64 {
+	s := 0.0
+	for t := memsim.Tier(0); t < memsim.NumTiers; t++ {
+		frames := d.machine.Frames(t)
+		if frames == 0 {
+			continue
+		}
+		if share := d.weights[t] * float64(vm.granted[t]) / float64(frames); share > s {
+			s = share
+		}
 	}
 	return s
 }

@@ -1,9 +1,6 @@
 package vmm
 
-import (
-	"heteroos/internal/drf"
-	"heteroos/internal/snapshot"
-)
+import "heteroos/internal/snapshot"
 
 // SnapshotState codes a VM's VMM-side mutable state (grant counters and
 // the populate-refusal fault latch). The guest hooks (Balloon, View)
@@ -32,8 +29,3 @@ func (a *AdaptiveInterval) SnapshotState(c *snapshot.Codec) error {
 	c.Bool(&a.primed)
 	return c.Err()
 }
-
-// DRFAllocator exposes the underlying weighted-DRF allocator so
-// checkpoint code can serialize its share book. Nil for non-DRF
-// policies (which are stateless).
-func (p *DRFShare) DRFAllocator() *drf.Allocator { return p.alloc }

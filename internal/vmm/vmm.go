@@ -18,9 +18,10 @@ import (
 type VMID int32
 
 // VMSpec describes a VM's memory contract: the boot-time reservation
-// ("minimum capacity that is reserved during the boot"), the overcommit
-// ceiling ("maximum capacity that can be dynamically allocated"), and
-// the per-tier weights used by weighted DRF.
+// ("minimum capacity that is reserved during the boot") and the
+// overcommit ceiling ("maximum capacity that can be dynamically
+// allocated"). Weighted DRF's per-tier weights are the policy's, shared
+// by every VM (NewDRFShare).
 type VMSpec struct {
 	ID       VMID
 	Reserved [memsim.NumTiers]uint64
@@ -132,19 +133,13 @@ func (m *VMM) CreateVM(spec VMSpec) (*VM, error) {
 	vm := &VM{Spec: spec, vmm: m}
 	m.vms[spec.ID] = vm
 	m.order = append(m.order, spec.ID)
-	if err := m.share.Register(vm); err != nil {
-		delete(m.vms, spec.ID)
-		m.order = m.order[:len(m.order)-1]
-		return nil, err
-	}
 	return vm, nil
 }
 
 // DestroyVM deregisters a departed VM. The guest must have been torn
 // down first: the VM may hold no granted frames (the balloon unwound and
-// every machine frame back in the pool), so the share policy drops only
-// zero-valued state and the freed reservation is immediately available
-// to future CreateVM admission checks.
+// every machine frame back in the pool), and the freed reservation is
+// immediately available to future CreateVM admission checks.
 func (m *VMM) DestroyVM(id VMID) error {
 	vm, ok := m.vms[id]
 	if !ok {
@@ -155,7 +150,6 @@ func (m *VMM) DestroyVM(id VMID) error {
 			return fmt.Errorf("vmm: DestroyVM: VM %d still holds %d %v frames", id, vm.granted[t], t)
 		}
 	}
-	m.share.Unregister(vm)
 	delete(m.vms, id)
 	for i, oid := range m.order {
 		if oid == id {
@@ -197,7 +191,6 @@ func (v *VM) Populate(t memsim.Tier, want uint64) []memsim.MFN {
 		return nil
 	}
 	v.granted[t] += n
-	v.vmm.share.OnGrant(v, t, n)
 	return mfns
 }
 
@@ -224,7 +217,6 @@ func (v *VM) Release(mfns []memsim.MFN) {
 			panic(fmt.Sprintf("vmm: VM %d releasing more %v than granted", v.Spec.ID, t))
 		}
 		v.granted[t] -= counts[t]
-		v.vmm.share.OnRelease(v, t, counts[t])
 	}
 }
 
@@ -237,7 +229,6 @@ func (v *VM) allocForMigration(t memsim.Tier) (memsim.MFN, bool) {
 		return memsim.NilMFN, false
 	}
 	v.granted[t]++
-	v.vmm.share.OnGrant(v, t, 1)
 	return mfn, true
 }
 
@@ -246,9 +237,9 @@ func (v *VM) allocForMigration(t memsim.Tier) (memsim.MFN, bool) {
 // does: adoption re-materializes a footprint the VM already earned on
 // another host (cross-host live migration), so admission was decided by
 // the destination's placement policy, not by steady-state sharing. The
-// granted counter and the share book still move, keeping
-// CheckInvariants and DRF accounting exact. It is all-or-nothing: on
-// shortfall it returns an error and grants nothing.
+// granted counter still moves, keeping CheckInvariants and DRF shares
+// exact. It is all-or-nothing: on shortfall it returns an error and
+// grants nothing.
 func (v *VM) AdoptFrames(t memsim.Tier, n uint64) ([]memsim.MFN, error) {
 	if n == 0 {
 		return nil, nil
@@ -262,7 +253,6 @@ func (v *VM) AdoptFrames(t memsim.Tier, n uint64) ([]memsim.MFN, error) {
 		return nil, fmt.Errorf("vmm: VM %d adopting %d %v frames: %w", v.Spec.ID, n, t, err)
 	}
 	v.granted[t] += n
-	v.vmm.share.OnGrant(v, t, n)
 	return mfns, nil
 }
 
@@ -271,7 +261,6 @@ func (v *VM) freeFromMigration(mfn memsim.MFN) {
 	t := v.vmm.Machine.TierOf(mfn)
 	v.vmm.Machine.Free([]memsim.MFN{mfn}, v.owner())
 	v.granted[t]--
-	v.vmm.share.OnRelease(v, t, 1)
 }
 
 // CheckInvariants confirms the per-VM grant counters match the machine's

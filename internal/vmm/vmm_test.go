@@ -124,8 +124,8 @@ func TestMaxMinReclaimsOvercommit(t *testing.T) {
 	}
 	vm1 := mk(1, 128, 512)
 	vm2 := mk(2, 128, 512)
-	os1 := bootGuest(t, m, vm1, true, guestos.PlacementConfig{Name: "od", OnDemand: true}, 512, 2048, 128, 512)
-	_ = bootGuest(t, m, vm2, true, guestos.PlacementConfig{Name: "od", OnDemand: true}, 512, 2048, 128, 512)
+	os1 := bootGuest(t, m, vm1, true, guestos.PlacementConfig{Name: "od"}, 512, 2048, 128, 512)
+	_ = bootGuest(t, m, vm2, true, guestos.PlacementConfig{Name: "od"}, 512, 2048, 128, 512)
 
 	// VM1 overcommits SlowMem far beyond its reservation.
 	got := vm1.Populate(memsim.SlowMem, 1400)
@@ -176,7 +176,7 @@ func TestDRFShareBalloonsDominantVM(t *testing.T) {
 		return vm
 	}
 	vm1, vm2 := mk(1), mk(2)
-	pl := guestos.PlacementConfig{Name: "od", OnDemand: true}
+	pl := guestos.PlacementConfig{Name: "od"}
 	os1 := bootGuest(t, m, vm1, true, pl, 1024, 2048, 128, 256)
 	bootGuest(t, m, vm2, true, pl, 1024, 2048, 128, 256)
 
@@ -191,8 +191,8 @@ func TestDRFShareBalloonsDominantVM(t *testing.T) {
 	if machine.FreeFrames(memsim.SlowMem) != 0 {
 		t.Fatalf("SlowMem not exhausted: %d free", machine.FreeFrames(memsim.SlowMem))
 	}
-	s1 := share.DominantShare(1)
-	s2 := share.DominantShare(2)
+	s1 := share.DominantShare(vm1)
+	s2 := share.DominantShare(vm2)
 	if s1 <= s2 {
 		t.Fatalf("shares wrong: %v vs %v", s1, s2)
 	}
@@ -355,7 +355,7 @@ func TestCoordinatedPassPromotesViaGuest(t *testing.T) {
 	spec.MaxPages[memsim.FastMem] = 512
 	spec.MaxPages[memsim.SlowMem] = 2048
 	vm, _ := m.CreateVM(spec)
-	pl := guestos.PlacementConfig{Name: "coord", OnDemand: true, HeteroLRU: true}
+	pl := guestos.PlacementConfig{Name: "coord", HeteroLRU: true}
 	pl.FastKinds[guestos.KindAnon] = true
 	pl.FastKinds[guestos.KindPageCache] = true
 	pl.FastKinds[guestos.KindNetBuf] = true
@@ -405,7 +405,7 @@ func TestCoordinatedScanCheaperThanFullScan(t *testing.T) {
 	spec.MaxPages[memsim.FastMem] = 512
 	spec.MaxPages[memsim.SlowMem] = 4096
 	vm, _ := m.CreateVM(spec)
-	pl := guestos.PlacementConfig{Name: "coord", OnDemand: true}
+	pl := guestos.PlacementConfig{Name: "coord"}
 	pl.FastKinds[guestos.KindAnon] = true
 	os := bootGuest(t, m, vm, true, pl, 256, 4096, 128, 2048)
 

@@ -39,7 +39,7 @@ func (s *testSource) Release(m []memsim.MFN) { s.m.Free(m, 1) }
 func bootOS(t *testing.T) *guestos.OS {
 	t.Helper()
 	src := newTestSource()
-	pl := guestos.PlacementConfig{Name: "test", OnDemand: true}
+	pl := guestos.PlacementConfig{Name: "test"}
 	pl.FastKinds[guestos.KindAnon] = true
 	pl.FastKinds[guestos.KindPageCache] = true
 	pl.FastKinds[guestos.KindNetBuf] = true
